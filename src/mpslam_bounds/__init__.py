@@ -35,14 +35,12 @@ from .pcrlb import (
     SingularFimError,
     StateSpaceModel,
     extract_bounds,
-    fuse,
     predict_fim,
     run_recursion,
 )
 from .scenario import (
     Scenario,
     ScenarioError,
-    generate_measurements,
     generate_trajectory,
     ground_truth,
     load_scenario,
@@ -74,8 +72,6 @@ __all__ = [
     "channel_params",
     "derive_run_stream",
     "extract_bounds",
-    "fuse",
-    "generate_measurements",
     "generate_trajectory",
     "global_jacobian",
     "global_snapshot_fim",

@@ -19,7 +19,6 @@ from .fim import (
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
-    orientation_entry,
 )
 from .geometry import (
     AgentPose,
@@ -29,6 +28,7 @@ from .geometry import (
     channel_params,
     householder_chain,
     mirrored_agent,
+    path_geometry,
     virtual_anchor,
     wrap_angle,
 )
@@ -113,6 +113,14 @@ def column_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return worst
 
 
+def full_jacobian(
+    agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+) -> np.ndarray:
+    """:func:`~.fim.global_jacobian` with every component present."""
+    geoms = [path_geometry(agent, anchor, comp, surfaces) for comp in order]
+    return global_jacobian(agent, anchor, order, surfaces, geoms)
+
+
 def _joint_state(agent: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
     return np.concatenate([agent.as_state(), surfaces.points.ravel()])
 
@@ -122,7 +130,7 @@ def check_jacobian_fd(rng: np.random.Generator, instances: int = 50) -> list[str
     for i in range(instances):
         num_surfaces = int(rng.integers(1, 5))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        analytic = global_jacobian(agent, anchor, order, surfaces)
+        analytic = full_jacobian(agent, anchor, order, surfaces)
         numeric = finite_difference_jacobian(_joint_state(agent, surfaces), anchor, order)
         worst = column_mismatch(analytic, numeric)
         if worst > FD_TOL:
@@ -136,8 +144,9 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
     failures = []
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
-        for comp in order:
-            value = orientation_entry(agent, anchor, comp, surfaces)
+        jac = full_jacobian(agent, anchor, order, surfaces)
+        for k, comp in enumerate(order):
+            value = float(jac[4, order.aoa_index(k)])
             if abs(value + 1.0) > 1e-12:
                 failures.append(
                     f"orientation sensitivity: instance {i} path {comp.bounces} "
@@ -197,21 +206,16 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         existences = (rng.random(order.size) < 0.7).astype(np.int8)
         terms = []
         for a in (anchor, anchor2):
-            params = [None] * order.size
-            amps = np.ones(order.size)
-            skip = False
-            for k, comp in enumerate(order):
-                if not existences[k]:
-                    continue
-                try:
-                    params[k] = channel_params(agent, a, comp, surfaces)
-                except DegenerateGeometryError:
-                    skip = True
-                    break
-                amps[k] = 2.0 / params[k].distance
-            if skip:
+            try:
+                geoms = [
+                    path_geometry(agent, a, comp, surfaces) if existences[k] else None
+                    for k, comp in enumerate(order)
+                ]
+            except DegenerateGeometryError:
                 break
-            jac = global_jacobian(agent, a, order, surfaces, existences)
+            params = [None if g is None else g.params for g in geoms]
+            amps = np.array([1.0 if g is None else 2.0 / g.params.distance for g in geoms])
+            jac = global_jacobian(agent, a, order, surfaces, geoms)
             lam = channel_fim(order, params, amps, existences, 6e9, 1e8, aperture, aperture)
             terms.append((jac, lam))
         if len(terms) != 2:

@@ -8,7 +8,8 @@ nine significant digits, so identical invocations produce byte-identical
 files.
 
 Exit codes: 0 success, 2 configuration errors (message names the offending
-field), 3 numerical failures (singular information, failed run), 4 failed
+field), 3 numerical failures (singular information, degenerate true
+geometry, endfire aperture, failed run), 4 failed
 self-check (each violated invariant is listed).
 """
 
@@ -19,6 +20,7 @@ import sys
 
 from .checks import run_self_check
 from .ekf import MonteCarloResult, run_monte_carlo
+from .fim import DegenerateGeometryError, ZeroApertureError
 from .pcrlb import BoundRecord, SingularFimError, run_recursion
 from .scenario import MonteCarloConfig, Scenario, ScenarioError, load_scenario
 
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             result = run_monte_carlo(scenario)
             bounds = result.bounds
-    except (SingularFimError, RuntimeError) as exc:
+    except (SingularFimError, RuntimeError, DegenerateGeometryError, ZeroApertureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

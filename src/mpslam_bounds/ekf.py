@@ -85,7 +85,6 @@ def _linearize(
         anchor = scenario.anchors[j]
         geoms: list = [None] * order.size
         used: list[tuple[Measurement, int]] = []
-        existences = np.zeros(order.size, dtype=np.int8)
         for m in by_anchor[j]:
             comp = order.components[m.component]
             if any(not usable_surface[s - 1] for s in comp.bounces):
@@ -99,11 +98,10 @@ def _linearize(
             except DegenerateGeometryError as exc:
                 log.warning("step %d anchor %d: %s, skipping component", m.step, j + 1, exc)
                 continue
-            existences[m.component] = 1
             used.append((m, m.component))
         if not used:
             continue
-        jac = global_jacobian(pose, anchor, order, surfaces, existences, geoms)
+        jac = global_jacobian(pose, anchor, order, surfaces, geoms)
         for m, k in used:
             try:
                 variances = measurement_variances(

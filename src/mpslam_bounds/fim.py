@@ -18,7 +18,9 @@ Per anchor j this module builds
 * the diagonal channel information ``lambda_j`` (length 3K, entries
   existence / variance),
 * the gradient matrix ``H_j`` of shape (N, 3K) whose column i is the
-  gradient of channel parameter i w.r.t. the joint state,
+  gradient of channel parameter i w.r.t. the joint state, built by
+  :func:`global_jacobian` from already-resolved path geometries (it never
+  resolves a path itself),
 
 and accumulates the snapshot information ``sum_j H_j diag(lambda_j) H_j^T``.
 Velocity rows are identically zero: a single snapshot carries no velocity
@@ -45,7 +47,7 @@ from .geometry import (
     PathComponent,
     PathGeometry,
     SurfaceMap,
-    path_geometry,
+    path_geometry,  # noqa: F401  re-exported: resolves what global_jacobian takes
     rotation_matrix,
     rotation_matrix_derivative,
 )
@@ -183,7 +185,6 @@ class ComponentOrder:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate path components in order")
         self._components = comps
-        self._index = {c.bounces: k for k, c in enumerate(comps)}
 
     @classmethod
     def canonical(cls, num_surfaces: int) -> "ComponentOrder":
@@ -211,9 +212,6 @@ class ComponentOrder:
     def dim(self) -> int:
         """Stacked channel parameter dimension 3K."""
         return 3 * len(self._components)
-
-    def index_of(self, path: PathComponent) -> int:
-        return self._index[path.bounces]
 
     def dist_index(self, k: int) -> int:
         return k
@@ -252,150 +250,22 @@ def distance_gradient(r: np.ndarray) -> np.ndarray:
     return r / norm
 
 
-def _reflection_source_block(source: np.ndarray, surface_point: np.ndarray) -> np.ndarray:
+def _reflection_source_block(
+    source: np.ndarray, surfaces: SurfaceMap, surface: int
+) -> np.ndarray:
     """Sensitivity of the mirrored-source-to-agent vector to the surface point.
 
-    Gradient-layout 2x2 block for a single reflection of ``source``:
-    2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with a the source position
-    and p the surface point.
+    Gradient-layout 2x2 block for a single reflection of ``source`` about
+    ``surface`` (1-based): 2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with
+    a the source position, p the surface point and H its Householder matrix.
     """
-    p = np.asarray(surface_point, dtype=float)
+    p = surfaces.point(surface)
     sq = float(p @ p)
-    if sq <= 1e-18:
-        raise ValueError("surface through the origin is not representable")
-    house = np.eye(2) - (2.0 / sq) * np.outer(p, p)
     return (
         (2.0 / sq) * np.outer(source, p)
-        + (2.0 * float(source @ p) / sq) * house
+        + (2.0 * float(source @ p) / sq) * surfaces.householder(surface)
         - np.eye(2)
     )
-
-
-def mapping_block(
-    anchor: Anchor, path: PathComponent, surfaces: SurfaceMap, target_surface: int
-) -> np.ndarray:
-    """Sensitivity of the virtual-anchor-to-agent vector to one surface point.
-
-    Gradient-layout 2x2 block d(vector)^T / d(surface point). Zero when the
-    surface does not participate in the path (always for LOS). For a double
-    bounce the block w.r.t. the anchor-side surface right-multiplies the
-    single-bounce block by the other surface's Householder matrix; the block
-    w.r.t. the agent-side surface reuses the single-bounce form with the
-    anchor replaced by its single-bounce virtual anchor.
-    """
-    if not path.involves(target_surface):
-        return np.zeros((2, 2))
-    if path.n_bounces == 1:
-        return _reflection_source_block(anchor.position, surfaces.point(target_surface))
-    first, second = path.bounces
-    if target_surface == first:
-        sb = _reflection_source_block(anchor.position, surfaces.point(first))
-        return sb @ surfaces.householder(second)
-    va_first = surfaces.mirror(anchor.position, first)
-    return _reflection_source_block(va_first, surfaces.point(second))
-
-
-def departure_mapping_block(
-    agent: AgentPose, path: PathComponent, surfaces: SurfaceMap, target_surface: int
-) -> np.ndarray:
-    """Sensitivity of the anchor-to-mirrored-agent vector to one surface point.
-
-    Gradient-layout 2x2 block d(vector)^T / d(surface point). Same closed
-    forms as :func:`mapping_block` with the anchor and agent roles swapped
-    (the mirrored agent folds the reversed bounce sequence) and the overall
-    sign flipped (the mirrored agent enters the vector with a plus). Moving a
-    surface moves the mirrored agent both through the path endpoints and by
-    rotating the mirror itself, so this block differs from pushing
-    :func:`mapping_block` through the reflection chain.
-    """
-    if not path.involves(target_surface):
-        return np.zeros((2, 2))
-    if path.n_bounces == 1:
-        return -_reflection_source_block(agent.position, surfaces.point(target_surface))
-    first, second = path.bounces
-    if target_surface == second:
-        sb = _reflection_source_block(agent.position, surfaces.point(second))
-        return -sb @ surfaces.householder(first)
-    vm_second = surfaces.mirror(agent.position, second)
-    return -_reflection_source_block(vm_second, surfaces.point(first))
-
-
-def positioning_submatrices(
-    agent: AgentPose,
-    anchor: Anchor,
-    path: PathComponent,
-    surfaces: SurfaceMap,
-    geom: PathGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of (distance, arrival az., departure az.) w.r.t. agent position.
-
-    Distance and departure flow through the mirrored-agent chain and the
-    anchor rotation; arrival flows directly through the agent rotation.
-    """
-    if geom is None:
-        geom = path_geometry(agent, anchor, path, surfaces)
-    rot_anchor = rotation_matrix(anchor.orientation)
-    rot_agent = rotation_matrix(agent.orientation)
-    transfer = geom.chain @ rot_anchor
-    dist_col = transfer @ distance_gradient(geom.departure_local)
-    aod_col = transfer @ azimuth_gradient(geom.departure_local)
-    aoa_col = -(rot_agent @ azimuth_gradient(geom.arrival_local))
-    return dist_col, aoa_col, aod_col
-
-
-def orientation_entry(
-    agent: AgentPose,
-    anchor: Anchor,
-    path: PathComponent,
-    surfaces: SurfaceMap,
-    geom: PathGeometry | None = None,
-) -> float:
-    """Gradient of the arrival azimuth w.r.t. the agent orientation.
-
-    Closed form: (-r^T Rdot(orientation)) . azimuth_gradient(arrival_local)
-    with r the virtual-anchor-to-agent vector. Identically -1 in the plane
-    for every component kind.
-    """
-    if geom is None:
-        geom = path_geometry(agent, anchor, path, surfaces)
-    frame_sensitivity = -(geom.va_to_agent @ rotation_matrix_derivative(agent.orientation))
-    return float(frame_sensitivity @ azimuth_gradient(geom.arrival_local))
-
-
-def mapping_submatrices(
-    agent: AgentPose,
-    anchor: Anchor,
-    path: PathComponent,
-    surfaces: SurfaceMap,
-    target_surface: int,
-    geom: PathGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of (distance, arrival az., departure az.) w.r.t. one surface point.
-
-    Distance and arrival azimuth depend on the surface only through the
-    virtual-anchor-to-agent vector, so their columns push the corresponding
-    gradient through :func:`mapping_block`. The departure azimuth lives on
-    the anchor-to-mirrored-agent vector, whose own surface sensitivity
-    (:func:`departure_mapping_block`) includes the rotation of the mirror.
-    LOS paths yield zero columns.
-    """
-    if geom is None:
-        geom = path_geometry(agent, anchor, path, surfaces)
-    if not path.involves(target_surface):
-        zero = np.zeros(2)
-        return zero, zero.copy(), zero.copy()
-    block = mapping_block(anchor, path, surfaces, target_surface)
-    rot_anchor = rotation_matrix(anchor.orientation)
-    dist_col = block @ (geom.va_to_agent / geom.params.distance)
-    aoa_col = block @ (
-        -(rotation_matrix(agent.orientation) @ azimuth_gradient(geom.arrival_local))
-    )
-    aod_col = (
-        departure_mapping_block(agent, path, surfaces, target_surface)
-        @ rot_anchor
-        @ azimuth_gradient(geom.departure_local)
-    )
-    return dist_col, aoa_col, aod_col
 
 
 def global_jacobian(
@@ -403,43 +273,69 @@ def global_jacobian(
     anchor: Anchor,
     order: ComponentOrder,
     surfaces: SurfaceMap,
-    existences: np.ndarray | None = None,
-    geoms: Sequence[PathGeometry | None] | None = None,
+    geoms: Sequence[PathGeometry | None],
 ) -> np.ndarray:
     """Gradient matrix (N, 3K) of the channel parameters w.r.t. the joint state.
 
-    Column i holds the gradient of channel parameter i. Velocity rows are
-    identically zero. Components flagged nonexistent get zero columns (their
-    channel information is zero anyway; zero keeps the output deterministic).
-    ``geoms`` may carry already-resolved path geometries (one slot per
-    component, ``None`` to resolve here).
+    ``geoms`` holds one resolved path geometry per component (see
+    :func:`~.geometry.path_geometry`), ``None`` for an absent component,
+    whose columns stay zero (its channel information is zero anyway).
+    Column i holds the gradient of channel parameter i.
+
+    * Position rows: distance and departure azimuth flow through the
+      mirrored-agent chain and the anchor rotation; the arrival azimuth
+      flows directly through the agent rotation.
+    * Velocity rows are identically zero.
+    * Orientation row: (-r^T Rdot(orientation)) . azimuth_gradient(arrival)
+      with r the virtual-anchor-to-agent vector, which is -1 in the plane
+      for every component kind.
+    * Surface rows: distance and arrival azimuth depend on a surface only
+      through the virtual-anchor-to-agent vector, so their columns push the
+      positioning gradient through that vector's 2x2 sensitivity block. The
+      departure azimuth lives on the anchor-to-mirrored-agent vector, whose
+      block has the same closed form with the anchor and agent roles
+      swapped and the sign flipped (the mirrored agent enters the vector
+      with a plus). Moving a surface also rotates the mirror itself, so
+      this block is not the direct one pushed through the reflection chain.
+      LOS columns have zero surface rows.
     """
-    num_surfaces = len(surfaces)
-    dim_state = 5 + 2 * num_surfaces
-    k_total = order.size
-    jac = np.zeros((dim_state, 3 * k_total))
-    for k, comp in enumerate(order):
-        if existences is not None and not existences[k]:
-            continue
-        geom = geoms[k] if geoms is not None and geoms[k] is not None else None
+    jac = np.zeros((5 + 2 * len(surfaces), order.dim))
+    rot_anchor = rotation_matrix(anchor.orientation)
+    rot_agent = rotation_matrix(agent.orientation)
+    rot_agent_dot = rotation_matrix_derivative(agent.orientation)
+    for k, (comp, geom) in enumerate(zip(order, geoms)):
         if geom is None:
-            geom = path_geometry(agent, anchor, comp, surfaces)
-        dist_col, aoa_col, aod_col = positioning_submatrices(
-            agent, anchor, comp, surfaces, geom
-        )
+            continue
         i_d, i_aoa, i_aod = order.dist_index(k), order.aoa_index(k), order.aod_index(k)
-        jac[0:2, i_d] = dist_col
+        transfer = geom.chain @ rot_anchor
+        az_departure = azimuth_gradient(geom.departure_local)
+        az_arrival = azimuth_gradient(geom.arrival_local)
+        aoa_col = -(rot_agent @ az_arrival)
+        jac[0:2, i_d] = transfer @ distance_gradient(geom.departure_local)
         jac[0:2, i_aoa] = aoa_col
-        jac[0:2, i_aod] = aod_col
-        jac[4, i_aoa] = orientation_entry(agent, anchor, comp, surfaces, geom)
-        for s in comp.bounces:
+        jac[0:2, i_aod] = transfer @ az_departure
+        jac[4, i_aoa] = -(geom.va_to_agent @ rot_agent_dot) @ az_arrival
+        for i, s in enumerate(comp.bounces):
+            # The direct vector's source is the anchor folded over the
+            # anchor-side bounces before s, the mirrored vector's the agent
+            # folded over the agent-side bounces after s; the later mirrors
+            # act on each block through their Householder matrices.
+            before, after = comp.bounces[:i], comp.bounces[i + 1 :]
+            source, sink = anchor.position, agent.position
+            for t in before:
+                source = surfaces.mirror(source, t)
+            for t in reversed(after):
+                sink = surfaces.mirror(sink, t)
+            direct = _reflection_source_block(source, surfaces, s)
+            mirrored = -_reflection_source_block(sink, surfaces, s)
+            for t in after:
+                direct = direct @ surfaces.householder(t)
+            for t in reversed(before):
+                mirrored = mirrored @ surfaces.householder(t)
             row = 5 + 2 * (s - 1)
-            m_d, m_aoa, m_aod = mapping_submatrices(
-                agent, anchor, comp, surfaces, s, geom
-            )
-            jac[row : row + 2, i_d] = m_d
-            jac[row : row + 2, i_aoa] = m_aoa
-            jac[row : row + 2, i_aod] = m_aod
+            jac[row : row + 2, i_d] = direct @ (geom.va_to_agent / geom.params.distance)
+            jac[row : row + 2, i_aoa] = direct @ aoa_col
+            jac[row : row + 2, i_aod] = mirrored @ rot_anchor @ az_departure
     return jac
 
 

@@ -91,17 +91,6 @@ def householder(surface_point: np.ndarray) -> np.ndarray:
     return np.eye(2) - (2.0 / sq) * np.outer(p, p)
 
 
-def mirror_point(x: np.ndarray, surface_point: np.ndarray) -> np.ndarray:
-    """Mirror ``x`` about the surface encoded by ``surface_point``.
-
-    Involutory; points on the surface line are fixed; the origin maps to the
-    surface point itself.
-    """
-    return householder(surface_point) @ np.asarray(x, dtype=float) + np.asarray(
-        surface_point, dtype=float
-    )
-
-
 class SurfaceMap:
     """Collection of S reflecting surfaces, each stored as its origin-mirror point."""
 
@@ -141,7 +130,11 @@ class SurfaceMap:
         return self._houses[surface - 1]
 
     def mirror(self, x: np.ndarray, surface: int) -> np.ndarray:
-        """Mirror ``x`` about surface ``surface`` (1-based)."""
+        """Mirror ``x`` about surface ``surface`` (1-based).
+
+        Involutory; points on the surface line are fixed; the origin maps to
+        the surface point itself.
+        """
         self._check_index(surface)
         return self._houses[surface - 1] @ np.asarray(x, dtype=float) + self._points[
             surface - 1
@@ -252,9 +245,6 @@ class PathComponent:
             return (self.bounces[0], self.bounces[0])
         return (self.bounces[0], self.bounces[1])
 
-    def involves(self, surface: int) -> bool:
-        return surface in self.bounces
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -266,11 +256,6 @@ class ChannelParams:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.distance, self.aoa, self.aod])
-
-
-def bounce_sequence(path: PathComponent) -> list[int]:
-    """Ordered surface indices of a path, transmit side first (empty for LOS)."""
-    return list(path.bounces)
 
 
 def virtual_anchor(anchor: Anchor, path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:

@@ -123,15 +123,6 @@ def predict_fim(
     return _spd_inverse(predicted_cov, "predicted covariance")
 
 
-def fuse(j_pred: np.ndarray, j_snapshot: np.ndarray) -> np.ndarray:
-    """Add snapshot information to predicted information."""
-    if j_pred.shape != j_snapshot.shape:
-        raise ValueError(
-            f"information shapes differ: {j_pred.shape} vs {j_snapshot.shape}"
-        )
-    return j_pred + j_snapshot
-
-
 @dataclass(frozen=True)
 class BoundRecord:
     """Error bounds extracted from one posterior information matrix."""
@@ -197,7 +188,7 @@ def run_recursion(scenario, prior: np.ndarray | None = None) -> list[BoundRecord
     for n in range(1, scenario.n_steps + 1):
         try:
             j_pred = predict_fim(j_post, transition, noise_cov)
-            j_post = fuse(j_pred, snapshot_fim(scenario, truth[n], n))
+            j_post = j_pred + snapshot_fim(scenario, truth[n], n)
             records.append(extract_bounds(j_post, model.num_surfaces, step=n))
         except SingularFimError as exc:
             raise SingularFimError(

@@ -7,11 +7,11 @@ Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
 the dataclass fields below exactly; unknown keys are rejected with the
 offending path so typos cannot silently change an experiment.
 
-Measurement generation and bound evaluation share the same channel
-parameter and variance code (:mod:`.geometry`, :mod:`.fim`), so estimator
-and bound are model-matched by construction. Draw order is fixed: steps
-ascending, anchors ascending, components in canonical order, and per
-component distance, arrival azimuth, departure azimuth.
+Measurement generation and bound evaluation share one channel-evaluation
+pass (path geometry, amplitude and variances of each visible path, resolved
+once), so estimator and bound are model-matched by construction. Draw
+order is fixed: steps ascending, anchors ascending, components in canonical
+order, and per component distance, arrival azimuth, departure azimuth.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import yaml
@@ -28,12 +29,14 @@ from .fim import (
     ComponentOrder,
     IsotropicAperture,
     UniformLinearArray,
-    channel_fim,
+    ZeroApertureError,
     global_jacobian,
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import AgentPose, Anchor, SurfaceMap, path_geometry, wrap_angle
+from .geometry import (
+    AgentPose, Anchor, DegenerateGeometryError, PathGeometry, SurfaceMap, path_geometry, wrap_angle,
+)
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, trajectory_stream
 
@@ -359,33 +362,53 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 # Snapshot information and measurements
 
 
+def _visible_paths(
+    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int
+) -> Iterator[tuple[int, PathGeometry, float, tuple[float, float, float]]]:
+    """Channel evaluation of every component visible to one anchor at ``step``.
+
+    Resolves each visible path once and yields, in canonical order,
+    (component index, geometry, amplitude, measurement variances). This is
+    the one pass shared by the bound and the measurement generator. A
+    degenerate geometry or an endfire aperture is re-raised with the step,
+    the 1-based anchor and the component pair in the message.
+    """
+    anchor = scenario.anchors[anchor_index]
+    exist = scenario.visibility.flags(anchor_index, step)
+    for k, comp in enumerate(scenario.order):
+        if not exist[k]:
+            continue
+        try:
+            geom = path_geometry(pose, anchor, comp, scenario.surfaces)
+            amp = scenario.amplitude_model.amplitude(geom.params.distance, comp.n_bounces)
+            variances = measurement_variances(
+                geom.params,
+                amp,
+                scenario.signal.carrier_freq,
+                scenario.signal.rms_bandwidth,
+                scenario.agent_aperture,
+                anchor.aperture,
+            )
+        except (DegenerateGeometryError, ZeroApertureError) as exc:
+            raise type(exc)(
+                f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}: {exc}"
+            ) from exc
+        yield k, geom, amp, variances
+
+
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> np.ndarray:
     """Snapshot information at one ground-truth pose under the schedule at ``step``."""
+    order = scenario.order
     terms = []
     for j, anchor in enumerate(scenario.anchors):
-        exist = scenario.visibility.flags(j, step)
-        params = [None] * scenario.order.size
-        amps = np.ones(scenario.order.size)
-        for k, comp in enumerate(scenario.order):
-            if not exist[k]:
-                continue
-            geom = path_geometry(pose, anchor, comp, scenario.surfaces)
-            params[k] = geom.params
-            amps[k] = scenario.amplitude_model.amplitude(
-                geom.params.distance, comp.n_bounces
-            )
-        jac = global_jacobian(pose, anchor, scenario.order, scenario.surfaces, exist)
-        lam = channel_fim(
-            scenario.order,
-            params,
-            amps,
-            exist,
-            scenario.signal.carrier_freq,
-            scenario.signal.rms_bandwidth,
-            scenario.agent_aperture,
-            anchor.aperture,
-        )
-        terms.append((jac, lam))
+        geoms: list[PathGeometry | None] = [None] * order.size
+        lam = np.zeros(order.dim)
+        for k, geom, _, (var_d, var_aoa, var_aod) in _visible_paths(scenario, pose, j, step):
+            geoms[k] = geom
+            lam[order.dist_index(k)] = 1.0 / var_d
+            lam[order.aoa_index(k)] = 1.0 / var_aoa
+            lam[order.aod_index(k)] = 1.0 / var_aod
+        terms.append((global_jacobian(pose, anchor, order, scenario.surfaces, geoms), lam))
     return global_snapshot_fim(terms)
 
 
@@ -404,27 +427,17 @@ class ComponentTruth:
 
 
 def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[ComponentTruth]:
-    """Noise-free means and noise levels of every visible component observation."""
+    """Noise-free means and noise levels of every visible component observation.
+
+    Components with existence 0 emit nothing; the amplitude is the true one
+    (amplitude noise carries no state information here).
+    """
     rows: list[ComponentTruth] = []
     for n in range(1, scenario.n_steps + 1):
-        pose = truth[n]
-        for j, anchor in enumerate(scenario.anchors):
-            exist = scenario.visibility.flags(j, n)
-            for k, comp in enumerate(scenario.order):
-                if not exist[k]:
-                    continue
-                geom = path_geometry(pose, anchor, comp, scenario.surfaces)
-                amp = scenario.amplitude_model.amplitude(
-                    geom.params.distance, comp.n_bounces
-                )
-                var_d, var_aoa, var_aod = measurement_variances(
-                    geom.params,
-                    amp,
-                    scenario.signal.carrier_freq,
-                    scenario.signal.rms_bandwidth,
-                    scenario.agent_aperture,
-                    anchor.aperture,
-                )
+        for j in range(len(scenario.anchors)):
+            for k, geom, amp, (var_d, var_aoa, var_aod) in _visible_paths(
+                scenario, truth[n], j, n
+            ):
                 rows.append(
                     ComponentTruth(
                         step=n,
@@ -443,7 +456,11 @@ def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[Compon
 def draw_measurements(
     table: list[ComponentTruth], rng: RandomStream
 ) -> list[Measurement]:
-    """Draw noisy measurements for a precomputed truth table (fixed draw order)."""
+    """Draw noisy measurements for a precomputed truth table (fixed draw order).
+
+    Distances and azimuths are Gaussian around the noise-free channel
+    parameters with the amplitude-dependent variances; azimuths are wrapped.
+    """
     out: list[Measurement] = []
     for row in table:
         std_d, std_aoa, std_aod = row.stds
@@ -459,19 +476,6 @@ def draw_measurements(
             )
         )
     return out
-
-
-def generate_measurements(
-    scenario: Scenario, truth: list[AgentPose], rng: RandomStream
-) -> list[Measurement]:
-    """Noisy measurements of all visible components along the ground truth.
-
-    Distances and azimuths are Gaussian around the noise-free channel
-    parameters with the amplitude-dependent variances; azimuths are wrapped.
-    The reported amplitude is the true one (amplitude noise carries no state
-    information here). Components with existence 0 emit nothing.
-    """
-    return draw_measurements(measurement_truth(scenario, truth), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +495,8 @@ def _reject_unknown(node: dict, path: str) -> None:
 
 
 def _as_float(value, path: str) -> float:
+    if isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError):
@@ -501,7 +507,9 @@ def _as_float(value, path: str) -> float:
 
 
 def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    if not isinstance(value, int):
         try:
             if float(value) != int(float(value)):
                 raise ValueError

@@ -15,6 +15,7 @@ import pytest
 from mpslam_bounds.checks import (
     column_mismatch,
     finite_difference_jacobian,
+    full_jacobian,
     random_instance,
 )
 from mpslam_bounds.cli import main
@@ -22,23 +23,21 @@ from mpslam_bounds.ekf import run_monte_carlo
 from mpslam_bounds.fim import (
     IsotropicAperture,
     channel_fim,
-    global_jacobian,
     global_snapshot_fim,
-    mapping_submatrices,
-    orientation_entry,
 )
 from mpslam_bounds.geometry import (
-    PathComponent,
     channel_params,
     householder_chain,
     mirrored_agent,
     virtual_anchor,
 )
-from mpslam_bounds.pcrlb import fuse, predict_fim, run_recursion
+from mpslam_bounds.pcrlb import predict_fim, run_recursion
 from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
 import yaml
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
+# Criterion 9's CSV as pinned before the gradient code was restructured.
+PINNED_DESK_VALIDATE = Path(__file__).resolve().parent / "data" / "desk_validate.csv"
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -63,7 +62,7 @@ def test_criterion_1_jacobian_matches_finite_differences():
         surface_counts.add(num_surfaces)
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         state = np.concatenate([agent.as_state(), surfaces.points.ravel()])
-        analytic = global_jacobian(agent, anchor, order, surfaces)
+        analytic = full_jacobian(agent, anchor, order, surfaces)
         numeric = finite_difference_jacobian(state, anchor, order)
         worst = max(worst, column_mismatch(analytic, numeric))
     elapsed = time.perf_counter() - start
@@ -75,15 +74,17 @@ def test_criterion_1_jacobian_matches_finite_differences():
 
 
 def test_criterion_2_orientation_identity():
-    """Closed-form orientation sensitivity equals -1 within 1e-12, all kinds."""
+    """Closed-form orientation sensitivity (row 4 of the arrival-azimuth
+    columns) equals -1 within 1e-12, all kinds."""
     rng = np.random.default_rng(20240802)
     worst = 0.0
     kinds = set()
     for _ in range(60):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
-        for comp in order:
+        jac = full_jacobian(agent, anchor, order, surfaces)
+        for k, comp in enumerate(order):
             kinds.add(comp.n_bounces)
-            worst = max(worst, abs(orientation_entry(agent, anchor, comp, surfaces) + 1.0))
+            worst = max(worst, abs(jac[4, order.aoa_index(k)] + 1.0))
     report(
         "criterion 2: orientation sensitivity is exactly -1",
         worst < 1e-12 and kinds == {0, 1, 2},
@@ -102,13 +103,13 @@ def test_criterion_3_structural_zeros():
         params = [channel_params(agent, anchor, c, surfaces) for c in order]
         amps = np.array([2.0 / p.distance for p in params])
         exist = np.ones(order.size, dtype=int)
-        jac = global_jacobian(agent, anchor, order, surfaces, exist)
+        jac = full_jacobian(agent, anchor, order, surfaces)
         lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
         snapshot = global_snapshot_fim([(jac, lam)])
         ok &= not snapshot[2:4, :].any() and not snapshot[:, 2:4].any()
-        for s in range(1, num_surfaces + 1):
-            cols = mapping_submatrices(agent, anchor, PathComponent.los(), surfaces, s)
-            ok &= not any(col.any() for col in cols)
+        # canonical order puts the LOS component first
+        for col in (order.dist_index(0), order.aoa_index(0), order.aod_index(0)):
+            ok &= not jac[5:, col].any()
     report("criterion 3: structural zeros (velocity block, LOS mapping)", bool(ok))
 
 
@@ -172,7 +173,7 @@ def test_criterion_5_pure_information_accumulation():
     worst = 0.0
     for n in range(1, 11):
         snap = snapshot_fim(scenario, truth[n], n)
-        j = fuse(predict_fim(j, identity, zero_noise), snap)
+        j = predict_fim(j, identity, zero_noise) + snap
         running += snap
         expected = j0 + running
         worst = max(worst, np.max(np.abs(j - expected)) / np.max(np.abs(expected)))
@@ -253,7 +254,7 @@ def test_criterion_7_bound_attainment_at_desk_scale():
 
 def test_criterion_8_generator_calibration():
     """Empirical variances over 10^4 draws match the variance models within 5%."""
-    from mpslam_bounds.scenario import generate_measurements, measurement_truth
+    from mpslam_bounds.scenario import draw_measurements, measurement_truth
     from mpslam_bounds.streams import derive_run_stream
 
     mapping = desk_mapping()
@@ -269,7 +270,7 @@ def test_criterion_8_generator_calibration():
     scenario = scenario_from_mapping(mapping)
     truth = ground_truth(scenario)
     rows = measurement_truth(scenario, truth)
-    meas = generate_measurements(scenario, truth, derive_run_stream(20240808, 0))
+    meas = draw_measurements(rows, derive_run_stream(20240808, 0))
     worst = 0.0
     for component in range(scenario.order.size):
         ref = next(r for r in rows if r.component == component)
@@ -288,16 +289,42 @@ def test_criterion_8_generator_calibration():
     )
 
 
+def pinned_deviation(csv_text: str, pinned_text: str) -> tuple[float, float]:
+    """Worst relative deviation from a pinned CSV: (bound columns, RMSE columns).
+
+    The layout (header, row count, step column) must match exactly.
+    """
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    pinned = [line.split(",") for line in pinned_text.splitlines()]
+    assert rows[0] == pinned[0] and len(rows) == len(pinned)
+    worst = {"bound": 0.0, "rmse": 0.0}
+    for row, ref in zip(rows[1:], pinned[1:]):
+        assert row[0] == ref[0]
+        for name, value, expected in zip(rows[0][1:], row[1:], ref[1:]):
+            kind = "rmse" if name.startswith(("rmse_", "maperr_")) else "bound"
+            value, expected = float(value), float(expected)
+            dev = abs(value - expected) / max(abs(expected), 1e-300)
+            worst[kind] = max(worst[kind], dev)
+    return worst["bound"], worst["rmse"]
+
+
 def test_criterion_9_byte_identical_csv(tmp_path):
-    """Two CLI invocations with the same scenario and seed: identical bytes."""
+    """Two CLI invocations with the same scenario and seed: identical bytes,
+    and the values of the pinned CSV (bound columns to 1e-12 relative,
+    rmse/maperr columns to 1e-9 relative)."""
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ["--scenario", str(DESK_SCENARIO), "--mc-runs", "10", "--seed", "98765"]
     code_a = main(args + ["--out", str(out_a)])
     code_b = main(args + ["--out", str(out_b)])
     identical = out_a.read_bytes() == out_b.read_bytes()
+    bound_dev, rmse_dev = pinned_deviation(
+        out_a.read_text(), PINNED_DESK_VALIDATE.read_text()
+    )
     report(
-        "criterion 9: byte-identical CSV across invocations",
-        code_a == 0 and code_b == 0 and identical,
-        f"{out_a.stat().st_size} bytes",
+        "criterion 9: byte-identical CSV across invocations, pinned values",
+        code_a == 0 and code_b == 0 and identical
+        and bound_dev <= 1e-12 and rmse_dev <= 1e-9,
+        f"{out_a.stat().st_size} bytes, pinned deviation bounds {bound_dev:.1e} "
+        f"rmse {rmse_dev:.1e}",
     )

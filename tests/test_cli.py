@@ -1,11 +1,43 @@
 """Command line: CSV schema, determinism, exit codes and self-check."""
 
+from pathlib import Path
+
 import yaml
 
 import pytest
 
 from mpslam_bounds.cli import main
 from tests.test_pcrlb import desk_mapping
+
+DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
+
+
+def singular_mapping():
+    mapping = desk_mapping(visibility={"default": False})
+    # an essentially flat surface prior with no observations makes the
+    # information matrix numerically singular (condition guard trips)
+    mapping["prior"] = {"position_var": 1.0, "velocity_var": 1.0,
+                        "orientation_var": 1.0, "surface_var": 1e18}
+    return mapping, "weakest block"
+
+
+def degenerate_desk(anchor_position, **overrides):
+    """Desk scenario on a straight run whose step 10 pose is at [1.5, 0.8]."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["trajectory"]["points"] = [{"time": 0.0, "position": [0.5, 0.8]},
+                                       {"time": 4.0, "position": [4.5, 0.8]}]
+    mapping["anchors"][0]["position"] = anchor_position
+    mapping.update(overrides)
+    return mapping, "step 10"
+
+
+def agent_on_anchor():
+    return degenerate_desk([1.5, 0.8])
+
+
+def los_at_endfire():
+    ula = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
+    return degenerate_desk([1.5, 3.0], agent_aperture=ula)
 
 
 @pytest.fixture
@@ -123,17 +155,16 @@ class TestErrors:
         assert main(["--scenario", str(path)]) == 2
         assert "model.bogus_knob" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        mapping = desk_mapping(visibility={"default": False})
-        # an essentially flat surface prior with no observations makes the
-        # information matrix numerically singular (condition guard trips)
-        mapping["prior"] = {"position_var": 1.0, "velocity_var": 1.0,
-                            "orientation_var": 1.0, "surface_var": 1e18}
-        path = tmp_path / "singular.yaml"
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire])
+    def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
+        mapping, expected = case()
+        path = tmp_path / "failing.yaml"
         path.write_text(yaml.safe_dump(mapping))
-        code = main(["--scenario", str(path), "--mode", "bounds"])
+        code = main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"])
+        err = capsys.readouterr().err
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure" in err and expected in err
 
 
 class TestSelfCheck:

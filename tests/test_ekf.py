@@ -21,7 +21,6 @@ from mpslam_bounds.pcrlb import (
 )
 from mpslam_bounds.scenario import (
     draw_measurements,
-    generate_measurements,
     ground_truth,
     measurement_truth,
     scenario_from_mapping,
@@ -85,14 +84,14 @@ class TestUpdate:
         restricted to the measured components."""
         scenario = small_scenario()
         truth = ground_truth(scenario)
-        meas = [m for m in generate_measurements(scenario, truth,
+        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
                                                  derive_run_stream(0, 0))
                 if m.step == 3]
         mean = _joint_truth(truth[3], scenario.surfaces)
         h_mat, observed, predicted, noise_diag, angle_row = _linearize(
             mean, meas, scenario
         )
-        from mpslam_bounds.geometry import AgentPose, SurfaceMap
+        from mpslam_bounds.geometry import AgentPose, SurfaceMap, path_geometry
 
         pose = AgentPose.from_state(mean[:5])
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
@@ -101,11 +100,13 @@ class TestUpdate:
         for m in meas:
             by_anchor.setdefault(m.anchor, []).append(m)
         for j in sorted(by_anchor):
-            exist = np.zeros(scenario.order.size, dtype=int)
+            anchor = scenario.anchors[j]
+            geoms = [None] * scenario.order.size
             for m in by_anchor[j]:
-                exist[m.component] = 1
-            jac = global_jacobian(pose, scenario.anchors[j], scenario.order,
-                                  surfaces, exist)
+                geoms[m.component] = path_geometry(
+                    pose, anchor, scenario.order.components[m.component], surfaces
+                )
+            jac = global_jacobian(pose, anchor, scenario.order, surfaces, geoms)
             for m in by_anchor[j]:
                 k = m.component
                 for col in (scenario.order.dist_index(k),
@@ -122,7 +123,7 @@ class TestUpdate:
                                  "rules": [{"visible": True, "components": [[0, 0]]}]}
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        meas = [m for m in generate_measurements(scenario, truth,
+        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
                                                  derive_run_stream(1, 0))
                 if m.step == 1]
         prior = scenario.prior_covariance() * 0.01
@@ -160,7 +161,7 @@ class TestUpdate:
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
         scenario = small_scenario()
         truth = ground_truth(scenario)
-        meas = [m for m in generate_measurements(scenario, truth,
+        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
                                                  derive_run_stream(0, 0))
                 if m.step == 1]
         mean = _joint_truth(truth[1], scenario.surfaces)
@@ -170,7 +171,7 @@ class TestUpdate:
         with caplog.at_level(logging.WARNING):
             h_mat, *_ = _linearize(mean, meas, scenario)
         bounce_rows = sum(3 for m in meas
-                          if scenario.order.components[m.component].involves(1))
+                          if 1 in scenario.order.components[m.component].bounces)
         assert h_mat.shape[0] == 3 * len(meas) - bounce_rows
         assert any("surface estimate" in rec.message for rec in caplog.records)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mpslam_bounds.checks import full_jacobian
 from mpslam_bounds.fim import (
     SPEED_OF_LIGHT,
     ComponentOrder,
@@ -14,14 +15,9 @@ from mpslam_bounds.fim import (
     angle_variance,
     azimuth_gradient,
     channel_fim,
-    departure_mapping_block,
     distance_gradient,
     global_jacobian,
     global_snapshot_fim,
-    mapping_block,
-    mapping_submatrices,
-    orientation_entry,
-    positioning_submatrices,
     ranging_variance,
 )
 from mpslam_bounds.geometry import (
@@ -31,6 +27,7 @@ from mpslam_bounds.geometry import (
     PathComponent,
     SurfaceMap,
     channel_params,
+    path_geometry,
     wrap_angle,
 )
 from tests.test_geometry import random_geometry
@@ -183,136 +180,120 @@ class TestGradients:
             distance_gradient([1e-12, 0.0])
 
 
+def path_columns(agent, anchor, path, surfaces):
+    """(distance, arrival, departure) columns of global_jacobian for one path.
+
+    Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
+    """
+    geom = path_geometry(agent, anchor, path, surfaces)
+    jac = global_jacobian(agent, anchor, ComponentOrder([path]), surfaces, [geom])
+    return jac[:, 0], jac[:, 1], jac[:, 2]
+
+
 class TestMappingBlock:
+    """Surface rows of the global_jacobian columns: the distance and arrival
+    columns carry the virtual-anchor-to-agent block, the departure column
+    the anchor-to-mirrored-agent block."""
+
     def test_los_block_is_zero(self):
         surfaces = SurfaceMap([[2.0, 0.0]])
         anchor = Anchor(position=[1.0, 1.0])
-        np.testing.assert_allclose(
-            mapping_block(anchor, PathComponent.los(), surfaces, 1), np.zeros((2, 2))
-        )
+        agent = AgentPose(position=[3.0, 4.0], velocity=[0, 0], orientation=0.2)
+        for col in path_columns(agent, anchor, PathComponent.los(), surfaces):
+            np.testing.assert_array_equal(col[5:], 0.0)
 
     def test_single_bounce_block_with_anchor_at_origin(self):
+        # the direct block is -I there: the arrival column's surface rows are
+        # minus its position rows
         surfaces = SurfaceMap([[2.0, 0.0]])
-        anchor = Anchor(position=[0.0, 0.0])
-        np.testing.assert_allclose(
-            mapping_block(anchor, PathComponent.single_bounce(1), surfaces, 1),
-            -np.eye(2),
-        )
+        anchor = Anchor(position=[0.0, 0.0], orientation=0.3)
+        agent = AgentPose(position=[0.5, 2.0], velocity=[0, 0], orientation=-0.4)
+        _, aoa_col, _ = path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces)
+        np.testing.assert_allclose(aoa_col[5:7], -aoa_col[0:2], atol=1e-12)
 
     def test_uninvolved_surface_gives_zero_block(self):
         surfaces = SurfaceMap([[2.0, 0.0], [0.0, 3.0]])
         anchor = Anchor(position=[1.0, 0.5])
-        np.testing.assert_allclose(
-            mapping_block(anchor, PathComponent.single_bounce(1), surfaces, 2),
-            np.zeros((2, 2)),
-        )
+        agent = AgentPose(position=[-0.5, 1.5], velocity=[0, 0])
+        for col in path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces):
+            np.testing.assert_array_equal(col[7:9], 0.0)
+            assert col[5:7].any()
 
     def test_blocks_match_finite_differences_of_direct_vector(self):
-        """All three closed forms vs FD of the virtual-anchor-to-agent vector."""
-        from mpslam_bounds.geometry import path_geometry
-
+        """Distance and arrival surface rows vs FD, all bounce positions."""
         rng = np.random.default_rng(29)
         for _ in range(30):
             agent, anchor, surfaces, paths = random_geometry(rng, 2)
             for path in paths:
+                dist_col, aoa_col, _ = path_columns(agent, anchor, path, surfaces)
                 for s in path.bounces:
-                    block = mapping_block(anchor, path, surfaces, s)
-                    numeric = np.zeros((2, 2))
-                    for axis in range(2):
-                        h = 1e-6 * max(1.0, abs(surfaces.point(s)[axis]))
-                        for sign in (1.0, -1.0):
-                            pts = surfaces.points.copy()
-                            pts[s - 1, axis] += sign * h
-                            geom = path_geometry(agent, anchor, path, SurfaceMap(pts))
-                            numeric[axis, :] += sign * geom.va_to_agent / (2 * h)
-                    assert rel_err(block, numeric) < 1e-6
+                    for axis in (0, 1):
+                        coord = 3 + 2 * (s - 1) + axis
+                        fd = fd_channel_gradient(agent, anchor, path, surfaces, coord)
+                        row = 5 + 2 * (s - 1) + axis
+                        assert abs(dist_col[row] - fd[0]) < 1e-6 * max(1, abs(fd[0]))
+                        assert abs(aoa_col[row] - fd[1]) < 1e-6 * max(1, abs(fd[1]))
 
     def test_departure_blocks_match_finite_differences_of_mirrored_vector(self):
-        from mpslam_bounds.geometry import path_geometry
-
+        """Departure surface rows vs FD, all bounce positions."""
         rng = np.random.default_rng(31)
         for _ in range(30):
             agent, anchor, surfaces, paths = random_geometry(rng, 2)
             for path in paths:
+                _, _, aod_col = path_columns(agent, anchor, path, surfaces)
                 for s in path.bounces:
-                    block = departure_mapping_block(agent, path, surfaces, s)
-                    numeric = np.zeros((2, 2))
-                    for axis in range(2):
-                        h = 1e-6 * max(1.0, abs(surfaces.point(s)[axis]))
-                        for sign in (1.0, -1.0):
-                            pts = surfaces.points.copy()
-                            pts[s - 1, axis] += sign * h
-                            geom = path_geometry(agent, anchor, path, SurfaceMap(pts))
-                            numeric[axis, :] += sign * geom.anchor_to_mirrored / (2 * h)
-                    assert rel_err(block, numeric) < 1e-6
+                    for axis in (0, 1):
+                        coord = 3 + 2 * (s - 1) + axis
+                        fd = fd_channel_gradient(agent, anchor, path, surfaces, coord)
+                        row = 5 + 2 * (s - 1) + axis
+                        assert abs(aod_col[row] - fd[2]) < 1e-6 * max(1, abs(fd[2]))
 
 
 class TestPositioningSubmatrices:
+    """Position rows of the global_jacobian columns."""
+
     def test_los_distance_column_is_unit_direction(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = AgentPose(position=[3.0, 4.0], velocity=[0, 0], orientation=0.0)
         surfaces = SurfaceMap([[20.0, 0.0]])
-        dist_col, aoa_col, aod_col = positioning_submatrices(
-            agent, anchor, PathComponent.los(), surfaces
-        )
-        np.testing.assert_allclose(dist_col, [0.6, 0.8], atol=1e-12)
-        assert np.linalg.norm(aoa_col) == pytest.approx(1.0 / 5.0)
+        dist_col, aoa_col, _ = path_columns(agent, anchor, PathComponent.los(), surfaces)
+        np.testing.assert_allclose(dist_col[0:2], [0.6, 0.8], atol=1e-12)
+        assert np.linalg.norm(aoa_col[0:2]) == pytest.approx(1.0 / 5.0)
 
     def test_columns_match_finite_differences(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
             agent, anchor, surfaces, paths = random_geometry(rng, 2)
             for path in paths:
-                dist_col, aoa_col, aod_col = positioning_submatrices(
-                    agent, anchor, path, surfaces
-                )
+                cols = path_columns(agent, anchor, path, surfaces)
                 for coord in (0, 1):
                     fd = fd_channel_gradient(agent, anchor, path, surfaces, coord)
-                    assert abs(dist_col[coord] - fd[0]) < 1e-6 * max(1, abs(fd[0]))
-                    assert abs(aoa_col[coord] - fd[1]) < 1e-6 * max(1, abs(fd[1]))
-                    assert abs(aod_col[coord] - fd[2]) < 1e-6 * max(1, abs(fd[2]))
+                    for i, col in enumerate(cols):
+                        assert abs(col[coord] - fd[i]) < 1e-6 * max(1, abs(fd[i]))
 
 
 class TestOrientationEntry:
+    """Orientation row of the global_jacobian arrival columns."""
+
     def test_equals_minus_one_for_all_component_kinds(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
             agent, anchor, surfaces, paths = random_geometry(rng, 3)
-            for path in paths:
-                assert abs(orientation_entry(agent, anchor, path, surfaces) + 1.0) < 1e-12
+            order = ComponentOrder(paths)
+            jac = full_jacobian(agent, anchor, order, surfaces)
+            aoa_rows = jac[4, order.size:2 * order.size]
+            assert np.max(np.abs(aoa_rows + 1.0)) < 1e-12
 
 
 class TestMappingSubmatrices:
-    def test_los_columns_are_zero(self):
-        anchor = Anchor(position=[1.0, 0.0], orientation=0.1)
-        agent = AgentPose(position=[3.0, 4.0], velocity=[0, 0], orientation=0.2)
-        surfaces = SurfaceMap([[2.0, 0.0]])
-        cols = mapping_submatrices(agent, anchor, PathComponent.los(), surfaces, 1)
-        for col in cols:
-            np.testing.assert_allclose(col, np.zeros(2))
-
     def test_single_bounce_distance_column_with_anchor_at_origin(self):
-        # mapping block is -I there, so the column is minus the positioning one
+        # the direct block is -I there, so the surface rows of the distance
+        # column are minus its position rows
         anchor = Anchor(position=[0.0, 0.0], orientation=0.15)
         agent = AgentPose(position=[0.5, 2.0], velocity=[0, 0], orientation=-0.4)
         surfaces = SurfaceMap([[2.0, 0.0]])
-        path = PathComponent.single_bounce(1)
-        pos_cols = positioning_submatrices(agent, anchor, path, surfaces)
-        map_cols = mapping_submatrices(agent, anchor, path, surfaces, 1)
-        np.testing.assert_allclose(map_cols[0], -pos_cols[0], atol=1e-12)
-
-    def test_columns_match_finite_differences(self):
-        rng = np.random.default_rng(47)
-        for _ in range(25):
-            agent, anchor, surfaces, paths = random_geometry(rng, 2)
-            for path in paths:
-                for s in path.bounces:
-                    cols = mapping_submatrices(agent, anchor, path, surfaces, s)
-                    for axis in (0, 1):
-                        coord = 3 + 2 * (s - 1) + axis
-                        fd = fd_channel_gradient(agent, anchor, path, surfaces, coord)
-                        for i, col in enumerate(cols):
-                            assert abs(col[axis] - fd[i]) < 1e-6 * max(1, abs(fd[i]))
+        dist_col, _, _ = path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces)
+        np.testing.assert_allclose(dist_col[5:7], -dist_col[0:2], atol=1e-12)
 
 
 class TestChannelFim:
@@ -388,12 +369,12 @@ class TestGlobalJacobian:
 
     def test_velocity_rows_are_zero(self):
         agent, anchor, surfaces, order = self._instance()
-        jac = global_jacobian(agent, anchor, order, surfaces)
+        jac = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_allclose(jac[2:4, :], 0.0)
 
     def test_orientation_row_structure(self):
         agent, anchor, surfaces, order = self._instance()
-        jac = global_jacobian(agent, anchor, order, surfaces)
+        jac = full_jacobian(agent, anchor, order, surfaces)
         k_total = order.size
         np.testing.assert_allclose(jac[4, :k_total], 0.0)
         np.testing.assert_allclose(jac[4, 2 * k_total:], 0.0)
@@ -402,14 +383,15 @@ class TestGlobalJacobian:
     def test_los_only_leaves_surface_rows_zero(self):
         agent, anchor, surfaces, _ = self._instance(num_surfaces=1)
         order = ComponentOrder([PathComponent.los()])
-        jac = global_jacobian(agent, anchor, order, surfaces)
+        jac = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_allclose(jac[5:, :], 0.0)
 
     def test_absent_components_get_zero_columns(self):
         agent, anchor, surfaces, order = self._instance()
-        exist = np.ones(order.size, dtype=int)
-        exist[1] = 0
-        jac = global_jacobian(agent, anchor, order, surfaces, exist)
+        geoms = [path_geometry(agent, anchor, c, surfaces) for c in order]
+        geoms[1] = None
+        jac = global_jacobian(agent, anchor, order, surfaces, geoms)
+        assert jac[:, order.dist_index(0)].any()
         for idx in (order.dist_index(1), order.aoa_index(1), order.aod_index(1)):
             np.testing.assert_allclose(jac[:, idx], 0.0)
 
@@ -435,7 +417,7 @@ class TestSnapshotFim:
             params = [channel_params(agent, a, c, surfaces) for c in order]
             amps = np.array([2.0 / p.distance for p in params])
             exist = np.ones(order.size, dtype=int)
-            jac = global_jacobian(agent, a, order, surfaces, exist)
+            jac = full_jacobian(agent, a, order, surfaces)
             lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
             terms.append((jac, lam))
         return terms
@@ -472,7 +454,9 @@ class TestSnapshotFim:
         exist_on = np.ones(order.size, dtype=int)
         terms = []
         for exist in (exist_off, exist_on):
-            jac = global_jacobian(agent, anchor, order, surfaces, exist)
+            geoms = [path_geometry(agent, anchor, c, surfaces) if on else None
+                     for c, on in zip(order, exist)]
+            jac = global_jacobian(agent, anchor, order, surfaces, geoms)
             lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]

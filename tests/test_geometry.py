@@ -12,11 +12,9 @@ from mpslam_bounds.geometry import (
     DegenerateGeometryError,
     PathComponent,
     SurfaceMap,
-    bounce_sequence,
     channel_params,
     householder,
     householder_chain,
-    mirror_point,
     mirrored_agent,
     path_geometry,
     rotation_matrix,
@@ -105,30 +103,34 @@ class TestHouseholder:
 
 
 class TestMirrorPoint:
+    """SurfaceMap.mirror about the wall x = 1 (surface point [2, 0])."""
+
+    wall = SurfaceMap([[2.0, 0.0]])
+
     def test_origin_maps_to_surface_point(self):
-        np.testing.assert_allclose(mirror_point([0.0, 0.0], [2.0, 0.0]), [2.0, 0.0])
+        np.testing.assert_allclose(self.wall.mirror([0.0, 0.0], 1), [2.0, 0.0])
 
     def test_point_on_surface_is_fixed(self):
-        np.testing.assert_allclose(mirror_point([1.0, 1.0], [2.0, 0.0]), [1.0, 1.0])
+        np.testing.assert_allclose(self.wall.mirror([1.0, 1.0], 1), [1.0, 1.0])
 
     def test_reflect_across_vertical_line(self):
-        np.testing.assert_allclose(mirror_point([0.0, 2.0], [2.0, 0.0]), [2.0, 2.0])
+        np.testing.assert_allclose(self.wall.mirror([0.0, 2.0], 1), [2.0, 2.0])
 
     def test_involution_on_random_points(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            p = rng.uniform(0.5, 5.0, size=2)
+            surfaces = SurfaceMap([rng.uniform(0.5, 5.0, size=2)])
             x = rng.uniform(-5, 5, size=2)
             np.testing.assert_allclose(
-                mirror_point(mirror_point(x, p), p), x, atol=1e-12
+                surfaces.mirror(surfaces.mirror(x, 1), 1), x, atol=1e-12
             )
 
 
 class TestPathComponent:
     def test_bounce_sequences(self):
-        assert bounce_sequence(PathComponent.los()) == []
-        assert bounce_sequence(PathComponent.single_bounce(3)) == [3]
-        assert bounce_sequence(PathComponent.double_bounce(1, 2)) == [1, 2]
+        assert PathComponent.los().bounces == ()
+        assert PathComponent.single_bounce(3).bounces == (3,)
+        assert PathComponent.double_bounce(1, 2).bounces == (1, 2)
 
     def test_double_bounce_needs_distinct_surfaces(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mpslam_bounds.checks import full_jacobian
 from mpslam_bounds.fim import (
     ComponentOrder,
     IsotropicAperture,
     channel_fim,
-    global_jacobian,
     global_snapshot_fim,
 )
 from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, channel_params
@@ -17,7 +17,6 @@ from mpslam_bounds.pcrlb import (
     SingularFimError,
     StateSpaceModel,
     extract_bounds,
-    fuse,
     gain_matrix,
     predict_fim,
     process_noise_cov,
@@ -25,7 +24,7 @@ from mpslam_bounds.pcrlb import (
     surface_slice,
     transition_matrix,
 )
-from mpslam_bounds.scenario import scenario_from_mapping
+from mpslam_bounds.scenario import ground_truth, scenario_from_mapping, snapshot_fim
 
 
 def desk_mapping(**overrides):
@@ -154,10 +153,16 @@ class TestPredictAndFuse:
             predict_fim(nearly, np.eye(3), np.eye(3))
 
     def test_fuse_is_addition(self):
-        n = 6
-        j = np.diag(np.arange(1.0, n + 1))
-        np.testing.assert_allclose(fuse(j, j), np.diag(2.0 * np.arange(1, n + 1)))
-        np.testing.assert_allclose(fuse(j, np.zeros((n, n))), j)
+        """The recursion fuses by adding the snapshot to the prediction."""
+        scenario = scenario_from_mapping(desk_mapping())
+        model = scenario.model
+        j_pred = predict_fim(np.diag(1.0 / scenario.prior_covariance()),
+                             transition_matrix(model), process_noise_cov(model))
+        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1)
+        expected = extract_bounds(j_pred + snapshot, model.num_surfaces, step=1)
+        first = run_recursion(scenario)[0]
+        assert (first.peb, first.veb, first.oeb) == (expected.peb, expected.veb, expected.oeb)
+        np.testing.assert_array_equal(first.meb, expected.meb)
 
     def test_fusion_shrinks_covariance(self):
         rng = np.random.default_rng(19)
@@ -167,12 +172,8 @@ class TestPredictAndFuse:
             b = rng.normal(size=(5, 3))
             j_snap = b @ b.T
             p_pred = np.linalg.inv(j_pred)
-            p_post = np.linalg.inv(fuse(j_pred, j_snap))
+            p_post = np.linalg.inv(j_pred + j_snap)
             assert np.linalg.eigvalsh(p_pred - p_post)[0] >= -1e-9
-
-    def test_fuse_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse(np.eye(3), np.eye(4))
 
 
 class TestExtractBounds:
@@ -211,7 +212,7 @@ def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.0
         params = [channel_params(agent, anchor, c, surfaces) for c in order]
         amps = np.array([20.0 / p.distance for p in params])
         exist = np.ones(order.size, dtype=int)
-        jac = global_jacobian(agent, anchor, order, surfaces, exist)
+        jac = full_jacobian(agent, anchor, order, surfaces)
         lam = channel_fim(order, params, amps, exist, 6e9, 2e8, aperture, aperture)
         terms.append((jac, lam))
     return global_snapshot_fim(terms)
@@ -233,7 +234,7 @@ class TestRecursionCore:
         zero_q = np.zeros((dim, dim))
         j = j0.copy()
         for n in range(1, 6):
-            j = fuse(predict_fim(j, identity, zero_q), snapshot)
+            j = predict_fim(j, identity, zero_q) + snapshot
             expected = j0 + n * snapshot
             assert np.max(np.abs(j - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
 

@@ -12,7 +12,7 @@ from mpslam_bounds.scenario import (
     NcvTrajectory,
     ScenarioError,
     WaypointTrajectory,
-    generate_measurements,
+    draw_measurements,
     generate_trajectory,
     ground_truth,
     load_scenario,
@@ -48,6 +48,14 @@ class TestLoader:
         mapping = desk_mapping()
         del mapping["signal"]
         with pytest.raises(ScenarioError, match="signal"):
+            scenario_from_mapping(mapping)
+
+    @pytest.mark.parametrize("section, key", [("trajectory", "n_steps"),
+                                              ("signal", "carrier_freq")])
+    def test_yaml_boolean_is_not_a_number(self, section, key):
+        mapping = desk_mapping()
+        mapping[section][key] = True
+        with pytest.raises(ScenarioError, match=f"{section}.{key}"):
             scenario_from_mapping(mapping)
 
     def test_string_float_quirk_coerced(self):
@@ -116,7 +124,7 @@ class TestVisibilitySchedule:
             ],
         }
         scenario = scenario_from_mapping(mapping)
-        los = scenario.order.index_of(scenario.order.components[0])
+        los = 0  # canonical order puts the LOS component first
         assert scenario.visibility.flags(0, 3).all()  # anchor 1 untouched
         assert not scenario.visibility.flags(1, 3).any()
         assert scenario.visibility.flags(1, 7)[los] == 1
@@ -195,7 +203,7 @@ class TestMeasurements:
                                                       "components": [[0, 0]]}]})
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        meas = generate_measurements(scenario, truth, derive_run_stream(0, 0))
+        meas = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(0, 0))
         los = 0
         assert meas and all(m.component == los for m in meas)
         assert len(meas) == scenario.n_steps * len(scenario.anchors)
@@ -207,7 +215,7 @@ class TestMeasurements:
         truth = ground_truth(scenario)
         table = {(r.step, r.anchor, r.component): r
                  for r in measurement_truth(scenario, truth)}
-        meas = generate_measurements(scenario, truth, derive_run_stream(1, 0))
+        meas = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(1, 0))
         for m in meas:
             row = table[(m.step, m.anchor, m.component)]
             assert abs(m.distance - row.distance) < 1e-6
@@ -227,7 +235,7 @@ class TestMeasurements:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         rows = measurement_truth(scenario, truth)
-        meas = generate_measurements(scenario, truth, derive_run_stream(17, 0))
+        meas = draw_measurements(rows, derive_run_stream(17, 0))
         for component in range(scenario.order.size):
             sample = [m for m in meas if m.component == component]
             ref = next(r for r in rows if r.component == component)
@@ -242,8 +250,8 @@ class TestMeasurements:
     def test_draws_are_reproducible(self):
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
-        a = generate_measurements(scenario, truth, derive_run_stream(4, 2))
-        b = generate_measurements(scenario, truth, derive_run_stream(4, 2))
+        a = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
+        b = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
         assert a == b
 
     def test_measurement_means_come_from_the_shared_geometry(self):
