@@ -19,6 +19,7 @@ from .fim import (
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
+    measurement_variances,
 )
 from .geometry import (
     AgentPose,
@@ -213,11 +214,14 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
                 ]
             except DegenerateGeometryError:
                 break
-            params = [None if g is None else g.params for g in geoms]
-            amps = np.array([1.0 if g is None else 2.0 / g.params.distance for g in geoms])
+            variances = [
+                None if g is None else measurement_variances(
+                    g.params, 2.0 / g.params.distance, 6e9, 1e8, aperture, aperture
+                )
+                for g in geoms
+            ]
             jac = global_jacobian(agent, a, order, surfaces, geoms)
-            lam = channel_fim(order, params, amps, existences, 6e9, 1e8, aperture, aperture)
-            terms.append((jac, lam))
+            terms.append((jac, channel_fim(order, variances)))
         if len(terms) != 2:
             continue
         single = global_snapshot_fim(terms[:1])

@@ -6,8 +6,10 @@ transition model, and linearizes the measurement model with the very same
 gradient code used to assemble the snapshot information: the measurement
 matrix of an update is the transposed joint-state gradient matrix restricted
 to the measured components. Each measurement carries its true component id
-(oracle association), matching the assumptions under which the bound holds,
-so the filter's error is expected to approach the bound at high SNR.
+(oracle association) and the noise variances it was drawn with; the filter
+uses those variances as its noise covariance R rather than evaluating the
+noise model again. This matches the assumptions under which the bound
+holds, so the filter's error is expected to approach the bound at high SNR.
 
 Per Monte-Carlo run the initial state estimate is drawn around the true
 initial state from the scenario prior (so the run ensemble is consistent
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fim import ChannelParams, ZeroApertureError, global_jacobian, measurement_variances
+from .fim import global_jacobian
 from .geometry import AgentPose, DegenerateGeometryError, SurfaceMap, path_geometry, wrap_angle
 from .pcrlb import BoundRecord, run_recursion, transition_matrix, process_noise_cov
 from .scenario import Measurement, Scenario, draw_measurements, ground_truth, measurement_truth
@@ -66,8 +68,10 @@ def _linearize(
     """Measurement model linearization at the current mean.
 
     Returns (H, observed, predicted, noise_diag, angle_row) over the usable
-    measurement rows; rows whose geometry or noise model cannot be evaluated
-    at the current estimate are dropped with a diagnostic.
+    measurement rows: per measurement its distance, arrival-azimuth and
+    departure-azimuth rows, anchors ascending. The noise variances are the
+    ones each measurement was drawn with. Rows whose geometry cannot be
+    evaluated at the current estimate are dropped with a diagnostic.
     """
     pose = AgentPose.from_state(mean[:5])
     raw_points = mean[5:].reshape(-1, 2)
@@ -75,16 +79,17 @@ def _linearize(
     safe_points = np.where(usable_surface[:, None], raw_points, [[1.0, 0.0]])
     surfaces = SurfaceMap(safe_points)
     order = scenario.order
+    k_total = order.size
 
     by_anchor: dict[int, list[Measurement]] = {}
     for m in measurements:
         by_anchor.setdefault(m.anchor, []).append(m)
 
-    h_rows, z_rows, pred_rows, var_rows, angle_rows = [], [], [], [], []
+    h_blocks, z_rows, pred_rows, var_rows = [], [], [], []
     for j in sorted(by_anchor):
         anchor = scenario.anchors[j]
-        geoms: list = [None] * order.size
-        used: list[tuple[Measurement, int]] = []
+        geoms: list = [None] * k_total
+        used: list[Measurement] = []
         for m in by_anchor[j]:
             comp = order.components[m.component]
             if any(not usable_surface[s - 1] for s in comp.bounces):
@@ -98,48 +103,28 @@ def _linearize(
             except DegenerateGeometryError as exc:
                 log.warning("step %d anchor %d: %s, skipping component", m.step, j + 1, exc)
                 continue
-            used.append((m, m.component))
+            used.append(m)
         if not used:
             continue
         jac = global_jacobian(pose, anchor, order, surfaces, geoms)
-        for m, k in used:
-            try:
-                variances = measurement_variances(
-                    ChannelParams(m.distance, m.aoa, m.aod),
-                    m.amplitude,
-                    scenario.signal.carrier_freq,
-                    scenario.signal.rms_bandwidth,
-                    scenario.agent_aperture,
-                    anchor.aperture,
-                )
-            except (ValueError, ZeroApertureError) as exc:
-                log.warning("step %d anchor %d: %s, skipping component", m.step, j + 1, exc)
-                continue
+        for m in used:
+            k = m.component
             params = geoms[k].params
-            cols = (order.dist_index(k), order.aoa_index(k), order.aod_index(k))
-            for col, observed, predicted, variance, is_angle in zip(
-                cols,
-                (m.distance, m.aoa, m.aod),
-                (params.distance, params.aoa, params.aod),
-                variances,
-                (False, True, True),
-            ):
-                h_rows.append(jac[:, col])
-                z_rows.append(observed)
-                pred_rows.append(predicted)
-                var_rows.append(variance)
-                angle_rows.append(is_angle)
+            h_blocks.append(jac[:, [k, k_total + k, 2 * k_total + k]].T)
+            z_rows += (m.distance, m.aoa, m.aod)
+            pred_rows += (params.distance, params.aoa, params.aod)
+            var_rows += m.variances
 
-    if not h_rows:
+    if not h_blocks:
         n = mean.shape[0]
         return (np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros(0),
                 np.zeros(0, dtype=bool))
     return (
-        np.array(h_rows),
+        np.concatenate(h_blocks),
         np.array(z_rows),
         np.array(pred_rows),
         np.array(var_rows),
-        np.array(angle_rows),
+        np.tile([False, True, True], len(h_blocks)),
     )
 
 

@@ -15,8 +15,9 @@ arrival azimuths, then the K departure azimuths (3K entries).
 
 Per anchor j this module builds
 
-* the diagonal channel information ``lambda_j`` (length 3K, entries
-  existence / variance),
+* the diagonal channel information ``lambda_j`` (length 3K), built by
+  :func:`channel_fim` from the measurement variances of the visible
+  components: each entry is 1 / variance, and zero for an absent component,
 * the gradient matrix ``H_j`` of shape (N, 3K) whose column i is the
   gradient of channel parameter i w.r.t. the joint state, built by
   :func:`global_jacobian` from already-resolved path geometries (it never
@@ -26,9 +27,6 @@ and accumulates the snapshot information ``sum_j H_j diag(lambda_j) H_j^T``.
 Velocity rows are identically zero: a single snapshot carries no velocity
 information. The orientation row is nonzero only in the arrival-azimuth
 block, where every entry equals -1 in the plane.
-
-A dense (3K, 3K) positive-semidefinite channel information matrix may be
-passed in place of the diagonal one; the accumulation is agnostic.
 """
 
 from __future__ import annotations
@@ -150,9 +148,9 @@ def measurement_variances(
     """(distance, arrival-azimuth, departure-azimuth) variances of one component.
 
     The receive (agent) aperture is evaluated at the arrival azimuth, the
-    transmit (anchor) aperture at the departure azimuth. This is the single
-    source of truth shared by the bound, the measurement generator and the
-    estimator.
+    transmit (anchor) aperture at the departure azimuth. The scenario's
+    channel pass evaluates it once per visible path at the true pose; the
+    bound, the measurement generator and the estimator all read that value.
     """
     var_d = ranging_variance(amplitude, rms_bandwidth)
     var_aoa = angle_variance(
@@ -341,31 +339,22 @@ def global_jacobian(
 
 def channel_fim(
     order: ComponentOrder,
-    params: Sequence[ChannelParams | None],
-    amplitudes: np.ndarray,
-    existences: np.ndarray,
-    carrier_freq: float,
-    rms_bandwidth: float,
-    rx_aperture: ApertureModel,
-    tx_aperture: ApertureModel,
+    variances: Sequence[tuple[float, float, float] | None],
 ) -> np.ndarray:
     """Diagonal per-anchor channel information, returned as a length-3K vector.
 
-    Entry existence/variance per channel parameter; exactly zero where the
-    existence flag is zero (parameter and amplitude values of nonexistent
-    components are never touched, so placeholders are fine there).
+    ``variances`` holds per component the (distance, arrival-azimuth,
+    departure-azimuth) measurement variances (see
+    :func:`measurement_variances`), ``None`` for an absent component. Each
+    entry is 1 / variance; exactly zero for absent components.
     """
-    k_total = order.size
-    if len(params) != k_total or len(amplitudes) != k_total or len(existences) != k_total:
-        raise ValueError("params, amplitudes and existences must all have length K")
-    diag = np.zeros(3 * k_total)
-    for k in range(k_total):
-        if not existences[k]:
+    if len(variances) != order.size:
+        raise ValueError("variances must have length K")
+    diag = np.zeros(order.dim)
+    for k, triple in enumerate(variances):
+        if triple is None:
             continue
-        var_d, var_aoa, var_aod = measurement_variances(
-            params[k], float(amplitudes[k]), carrier_freq, rms_bandwidth,
-            rx_aperture, tx_aperture,
-        )
+        var_d, var_aoa, var_aod = triple
         diag[order.dist_index(k)] = 1.0 / var_d
         diag[order.aoa_index(k)] = 1.0 / var_aoa
         diag[order.aod_index(k)] = 1.0 / var_aod
@@ -378,9 +367,9 @@ def global_snapshot_fim(
     """Accumulate the snapshot information sum_j H_j Lambda_j H_j^T.
 
     ``anchor_terms`` holds per anchor the (N, 3K) gradient matrix and the
-    channel information, either a length-3K diagonal vector or a dense
-    (3K, 3K) matrix. Anchors are summed in the given order so the floating
-    point result is reproducible. Symmetric positive semidefinite.
+    length-3K diagonal channel information. Anchors are summed in the given
+    order so the floating point result is reproducible. Symmetric positive
+    semidefinite.
     """
     if not anchor_terms:
         raise ValueError("at least one anchor term is required")
@@ -390,14 +379,7 @@ def global_snapshot_fim(
         lam = np.asarray(lam, dtype=float)
         if jac.shape[0] != dim_state:
             raise ValueError("inconsistent state dimensions across anchors")
-        if lam.ndim == 1:
-            if lam.shape[0] != jac.shape[1]:
-                raise ValueError("channel information length must match 3K")
-            total += (jac * lam) @ jac.T
-        elif lam.ndim == 2:
-            if lam.shape != (jac.shape[1], jac.shape[1]):
-                raise ValueError("dense channel information must be (3K, 3K)")
-            total += jac @ lam @ jac.T
-        else:
-            raise ValueError("channel information must be a vector or a matrix")
+        if lam.shape != (jac.shape[1],):
+            raise ValueError("channel information must be a length-3K vector")
+        total += (jac * lam) @ jac.T
     return 0.5 * (total + total.T)

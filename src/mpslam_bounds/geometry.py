@@ -187,18 +187,16 @@ class AgentPose:
 
 @dataclass(frozen=True)
 class PathComponent:
-    """A propagation path with its visibility flag and normalized amplitude.
+    """A propagation path, identified by its sequence of reflecting surfaces.
 
     ``bounces`` lists the reflecting surfaces transmit side first:
     ``()`` is the direct line-of-sight path, ``(s,)`` a single bounce at
     surface s, ``(s, s2)`` a double bounce hitting s first (anchor side)
-    and s2 second (agent side). The amplitude is the square root of the
-    component SNR and must be positive whenever the component exists.
+    and s2 second (agent side). Whether a component is visible and how
+    strong it is are set by the scenario's schedule and amplitude model.
     """
 
     bounces: tuple[int, ...] = ()
-    existence: int = 1
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if len(self.bounces) > 2:
@@ -207,26 +205,18 @@ class PathComponent:
             raise ValueError("surface indices are 1-based")
         if len(self.bounces) == 2 and self.bounces[0] == self.bounces[1]:
             raise ValueError("double bounce requires two distinct surfaces")
-        if self.existence not in (0, 1):
-            raise ValueError("existence flag must be 0 or 1")
-        if self.amplitude < 0 or not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite and >= 0")
-        if self.existence == 1 and self.amplitude <= 0:
-            raise ValueError("an existing component needs a positive amplitude")
 
     @classmethod
-    def los(cls, existence: int = 1, amplitude: float = 1.0) -> "PathComponent":
-        return cls((), existence, amplitude)
+    def los(cls) -> "PathComponent":
+        return cls(())
 
     @classmethod
-    def single_bounce(cls, surface: int, existence: int = 1, amplitude: float = 1.0):
-        return cls((int(surface),), existence, amplitude)
+    def single_bounce(cls, surface: int) -> "PathComponent":
+        return cls((int(surface),))
 
     @classmethod
-    def double_bounce(
-        cls, first: int, second: int, existence: int = 1, amplitude: float = 1.0
-    ):
-        return cls((int(first), int(second)), existence, amplitude)
+    def double_bounce(cls, first: int, second: int) -> "PathComponent":
+        return cls((int(first), int(second)))
 
     @property
     def is_los(self) -> bool:

@@ -8,8 +8,10 @@ the dataclass fields below exactly; unknown keys are rejected with the
 offending path so typos cannot silently change an experiment.
 
 Measurement generation and bound evaluation share one channel-evaluation
-pass (path geometry, amplitude and variances of each visible path, resolved
-once), so estimator and bound are model-matched by construction. Draw
+pass (path geometry and measurement variances of each visible path,
+resolved once at the true pose). Its variances travel with every
+:class:`Measurement` record, so the bound's information, the generator's
+noise and the estimator's noise covariance are the same numbers. Draw
 order is fixed: steps ascending, anchors ascending, components in canonical
 order, and per component distance, arrival azimuth, departure azimuth.
 """
@@ -30,6 +32,7 @@ from .fim import (
     IsotropicAperture,
     UniformLinearArray,
     ZeroApertureError,
+    channel_fim,
     global_jacobian,
     global_snapshot_fim,
     measurement_variances,
@@ -101,6 +104,16 @@ class WaypointTrajectory:
         object.__setattr__(self, "positions", positions)
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+
+    def check_horizon(self, time_step: float) -> None:
+        """Raise ValueError unless the waypoints span times 0..n_steps * time_step."""
+        horizon = self.n_steps * time_step
+        if self.times[0] > 1e-12:
+            raise ValueError(f"first waypoint is at {self.times[0]} s, must be at time <= 0")
+        if self.times[-1] < horizon - 1e-9:
+            raise ValueError(
+                f"waypoints end at {self.times[-1]} s but the trajectory needs {horizon} s"
+            )
 
 
 @dataclass(frozen=True)
@@ -231,15 +244,21 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One noisy component observation (angles wrapped to (-pi, pi])."""
+    """One component observation with its noise variances.
 
+    :func:`measurement_truth` fills in the noise-free channel parameters,
+    :func:`draw_measurements` the noisy ones (angles wrapped to (-pi, pi]).
+    ``variances`` are the (distance, arrival-azimuth, departure-azimuth)
+    variances the noise is drawn with, evaluated at the true pose.
+    """
+
+    step: int  # 1-based time index
+    anchor: int  # 0-based anchor index
+    component: int  # index into the scenario's component order
     distance: float
     aoa: float
     aod: float
-    amplitude: float
-    component: int  # index into the scenario's component order
-    anchor: int  # 0-based anchor index
-    step: int  # 1-based time index
+    variances: tuple[float, float, float]
 
 
 @dataclass
@@ -306,13 +325,7 @@ def generate_trajectory(
 
 
 def _waypoint_poses(spec: WaypointTrajectory, time_step: float) -> list[AgentPose]:
-    horizon = spec.n_steps * time_step
-    if spec.times[0] > 1e-12:
-        raise ValueError("first waypoint must be at time <= 0")
-    if spec.times[-1] < horizon - 1e-9:
-        raise ValueError(
-            f"waypoints end at {spec.times[-1]} s but the trajectory needs {horizon} s"
-        )
+    spec.check_horizon(time_step)
     poses = []
     heading = 0.0
     for n in range(spec.n_steps + 1):
@@ -364,14 +377,14 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 
 def _visible_paths(
     scenario: Scenario, pose: AgentPose, anchor_index: int, step: int
-) -> Iterator[tuple[int, PathGeometry, float, tuple[float, float, float]]]:
+) -> Iterator[tuple[int, PathGeometry, tuple[float, float, float]]]:
     """Channel evaluation of every component visible to one anchor at ``step``.
 
     Resolves each visible path once and yields, in canonical order,
-    (component index, geometry, amplitude, measurement variances). This is
-    the one pass shared by the bound and the measurement generator. A
-    degenerate geometry or an endfire aperture is re-raised with the step,
-    the 1-based anchor and the component pair in the message.
+    (component index, geometry, measurement variances). This is the one
+    pass shared by the bound and the measurement generator. A degenerate
+    geometry or an endfire aperture is re-raised with the step, the 1-based
+    anchor and the component pair in the message.
     """
     anchor = scenario.anchors[anchor_index]
     exist = scenario.visibility.flags(anchor_index, step)
@@ -380,10 +393,9 @@ def _visible_paths(
             continue
         try:
             geom = path_geometry(pose, anchor, comp, scenario.surfaces)
-            amp = scenario.amplitude_model.amplitude(geom.params.distance, comp.n_bounces)
             variances = measurement_variances(
                 geom.params,
-                amp,
+                scenario.amplitude_model.amplitude(geom.params.distance, comp.n_bounces),
                 scenario.signal.carrier_freq,
                 scenario.signal.rms_bandwidth,
                 scenario.agent_aperture,
@@ -393,7 +405,7 @@ def _visible_paths(
             raise type(exc)(
                 f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}: {exc}"
             ) from exc
-        yield k, geom, amp, variances
+        yield k, geom, variances
 
 
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> np.ndarray:
@@ -402,77 +414,50 @@ def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> np.ndarray:
     terms = []
     for j, anchor in enumerate(scenario.anchors):
         geoms: list[PathGeometry | None] = [None] * order.size
-        lam = np.zeros(order.dim)
-        for k, geom, _, (var_d, var_aoa, var_aod) in _visible_paths(scenario, pose, j, step):
+        variances: list[tuple[float, float, float] | None] = [None] * order.size
+        for k, geom, var in _visible_paths(scenario, pose, j, step):
             geoms[k] = geom
-            lam[order.dist_index(k)] = 1.0 / var_d
-            lam[order.aoa_index(k)] = 1.0 / var_aoa
-            lam[order.aod_index(k)] = 1.0 / var_aod
-        terms.append((global_jacobian(pose, anchor, order, scenario.surfaces, geoms), lam))
+            variances[k] = var
+        terms.append((global_jacobian(pose, anchor, order, scenario.surfaces, geoms),
+                      channel_fim(order, variances)))
     return global_snapshot_fim(terms)
 
 
-@dataclass(frozen=True)
-class ComponentTruth:
-    """Noise-free observation of one visible component (generator input)."""
+def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[Measurement]:
+    """Noise-free means and noise variances of every visible component observation.
 
-    step: int
-    anchor: int
-    component: int
-    distance: float
-    aoa: float
-    aod: float
-    amplitude: float
-    stds: tuple[float, float, float]
-
-
-def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[ComponentTruth]:
-    """Noise-free means and noise levels of every visible component observation.
-
-    Components with existence 0 emit nothing; the amplitude is the true one
-    (amplitude noise carries no state information here).
+    Components with existence 0 emit nothing; the variances come from the
+    true amplitude (amplitude noise carries no state information here).
     """
-    rows: list[ComponentTruth] = []
+    rows: list[Measurement] = []
     for n in range(1, scenario.n_steps + 1):
         for j in range(len(scenario.anchors)):
-            for k, geom, amp, (var_d, var_aoa, var_aod) in _visible_paths(
-                scenario, truth[n], j, n
-            ):
-                rows.append(
-                    ComponentTruth(
-                        step=n,
-                        anchor=j,
-                        component=k,
-                        distance=geom.params.distance,
-                        aoa=geom.params.aoa,
-                        aod=geom.params.aod,
-                        amplitude=amp,
-                        stds=(math.sqrt(var_d), math.sqrt(var_aoa), math.sqrt(var_aod)),
-                    )
-                )
+            for k, geom, variances in _visible_paths(scenario, truth[n], j, n):
+                params = geom.params
+                rows.append(Measurement(n, j, k, params.distance, params.aoa, params.aod,
+                                        variances))
     return rows
 
 
-def draw_measurements(
-    table: list[ComponentTruth], rng: RandomStream
-) -> list[Measurement]:
-    """Draw noisy measurements for a precomputed truth table (fixed draw order).
+def draw_measurements(table: list[Measurement], rng: RandomStream) -> list[Measurement]:
+    """Draw noisy measurements around a noise-free table (fixed draw order).
 
     Distances and azimuths are Gaussian around the noise-free channel
-    parameters with the amplitude-dependent variances; azimuths are wrapped.
+    parameters with the row's variances; azimuths are wrapped. The variances
+    are carried over unchanged.
     """
     out: list[Measurement] = []
     for row in table:
-        std_d, std_aoa, std_aod = row.stds
+        var_d, var_aoa, var_aod = row.variances
         out.append(
             Measurement(
-                distance=rng.normal(row.distance, std_d),
-                aoa=wrap_angle(rng.normal(row.aoa, std_aoa)),
-                aod=wrap_angle(rng.normal(row.aod, std_aod)),
-                amplitude=row.amplitude,
-                component=row.component,
-                anchor=row.anchor,
                 step=row.step,
+                anchor=row.anchor,
+                component=row.component,
+                distance=rng.normal(row.distance, math.sqrt(var_d)),
+                aoa=wrap_angle(rng.normal(row.aoa, math.sqrt(var_aoa))),
+                aod=wrap_angle(rng.normal(row.aod, math.sqrt(var_aod))),
+                variances=row.variances,
             )
         )
     return out
@@ -563,7 +548,7 @@ def _parse_aperture(node, path: str) -> ApertureModel:
     raise ScenarioError(f"{path}.kind: expected 'isotropic' or 'ula', got {kind!r}")
 
 
-def _parse_trajectory(node, path: str) -> TrajectorySpec:
+def _parse_trajectory(node, path: str, time_step: float) -> TrajectorySpec:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
@@ -583,10 +568,15 @@ def _parse_trajectory(node, path: str) -> TrajectorySpec:
                                             required=True), f"{path}.points[{i}].position"))
             _reject_unknown(entry, f"{path}.points[{i}]")
         try:
-            return WaypointTrajectory(n_steps=n_steps, times=np.array(times),
+            spec = WaypointTrajectory(n_steps=n_steps, times=np.array(times),
                                       positions=np.array(positions))
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
+        try:
+            spec.check_horizon(time_step)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}.points: {exc}") from None
+        return spec
     if kind == "sampled_ncv":
         position = _as_vec2(_take(node, "position", path, required=True), f"{path}.position")
         velocity = _as_vec2(_take(node, "velocity", path, required=True), f"{path}.velocity")
@@ -725,7 +715,7 @@ def scenario_from_mapping(root) -> Scenario:
     _reject_unknown(mod, "scenario.model")
 
     trajectory = _parse_trajectory(_take(root, "trajectory", "scenario", required=True),
-                                   "scenario.trajectory")
+                                   "scenario.trajectory", model.time_step)
 
     amp = _require_mapping(_take(root, "amplitude_model", "scenario", required=True),
                            "scenario.amplitude_model")

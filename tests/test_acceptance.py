@@ -24,6 +24,7 @@ from mpslam_bounds.fim import (
     IsotropicAperture,
     channel_fim,
     global_snapshot_fim,
+    measurement_variances,
 )
 from mpslam_bounds.geometry import (
     channel_params,
@@ -100,11 +101,12 @@ def test_criterion_3_structural_zeros():
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         aperture = IsotropicAperture(0.01)
-        params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        amps = np.array([2.0 / p.distance for p in params])
-        exist = np.ones(order.size, dtype=int)
+        variances = [
+            measurement_variances(p, 2.0 / p.distance, 6e9, 1e8, aperture, aperture)
+            for p in (channel_params(agent, anchor, c, surfaces) for c in order)
+        ]
         jac = full_jacobian(agent, anchor, order, surfaces)
-        lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
+        lam = channel_fim(order, variances)
         snapshot = global_snapshot_fim([(jac, lam)])
         ok &= not snapshot[2:4, :].any() and not snapshot[:, 2:4].any()
         # canonical order puts the LOS component first
@@ -276,12 +278,12 @@ def test_criterion_8_generator_calibration():
         ref = next(r for r in rows if r.component == component)
         sample = [m for m in meas if m.component == component]
         assert len(sample) == 10_000
-        for values, std in (
-            ([m.distance for m in sample], ref.stds[0]),
-            ([m.aoa for m in sample], ref.stds[1]),
-            ([m.aod for m in sample], ref.stds[2]),
+        for values, variance in (
+            ([m.distance for m in sample], ref.variances[0]),
+            ([m.aoa for m in sample], ref.variances[1]),
+            ([m.aod for m in sample], ref.variances[2]),
         ):
-            worst = max(worst, abs(np.var(values) / std**2 - 1.0))
+            worst = max(worst, abs(np.var(values) / variance - 1.0))
     report(
         "criterion 8: measurement generator calibrated to the variance models",
         worst < 0.05,

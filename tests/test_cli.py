@@ -156,6 +156,19 @@ class TestErrors:
         assert "model.bogus_knob" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    @pytest.mark.parametrize("first, last", [(0.5, 4.0), (0.0, 3.0)],
+                             ids=["late_first_point", "early_last_point"])
+    def test_bad_waypoint_timing_is_config_error(self, first, last, mode, tmp_path, capsys):
+        # the desk run needs waypoints spanning 0 .. 4.0 s
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["trajectory"]["points"][0]["time"] = first
+        mapping["trajectory"]["points"][-1]["time"] = last
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"]) == 2
+        assert "scenario.trajectory.points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         mapping, expected = case()

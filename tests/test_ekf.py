@@ -79,10 +79,18 @@ class TestUpdate:
         np.testing.assert_array_equal(updated.mean, state.mean)
         np.testing.assert_array_equal(updated.cov, state.cov)
 
-    def test_measurement_matrix_is_transposed_joint_gradient(self):
+    @pytest.mark.parametrize(
+        "agent_aperture",
+        [{"kind": "isotropic", "d_squared": 0.005},
+         {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}],
+        ids=["isotropic", "ula"],
+    )
+    def test_measurement_matrix_is_transposed_joint_gradient(self, agent_aperture):
         """The EKF's H equals the transposed joint-state gradient matrix
-        restricted to the measured components."""
-        scenario = small_scenario()
+        restricted to the measured components, and its noise variances are
+        the ones the measurements were drawn with, also where the aperture
+        depends on the azimuth."""
+        scenario = small_scenario(agent_aperture=agent_aperture)
         truth = ground_truth(scenario)
         meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
                                                  derive_run_stream(0, 0))
@@ -109,10 +117,11 @@ class TestUpdate:
             jac = global_jacobian(pose, anchor, scenario.order, surfaces, geoms)
             for m in by_anchor[j]:
                 k = m.component
-                for col in (scenario.order.dist_index(k),
-                            scenario.order.aoa_index(k),
-                            scenario.order.aod_index(k)):
+                for col, variance in zip((scenario.order.dist_index(k),
+                                          scenario.order.aoa_index(k),
+                                          scenario.order.aod_index(k)), m.variances):
                     np.testing.assert_allclose(h_mat[rows], jac[:, col].T)
+                    assert noise_diag[rows] == variance
                     rows += 1
         assert rows == h_mat.shape[0] == 3 * len(meas)
 

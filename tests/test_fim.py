@@ -18,6 +18,7 @@ from mpslam_bounds.fim import (
     distance_gradient,
     global_jacobian,
     global_snapshot_fim,
+    measurement_variances,
     ranging_variance,
 )
 from mpslam_bounds.geometry import (
@@ -296,54 +297,32 @@ class TestMappingSubmatrices:
         np.testing.assert_allclose(dist_col[5:7], -dist_col[0:2], atol=1e-12)
 
 
+def isotropic_variances(params, amplitudes, carrier_freq=6e9, rms_bandwidth=1e8):
+    """Variance triples of the given components under a 0.01 m^2 isotropic aperture."""
+    aperture = IsotropicAperture(0.01)
+    return [
+        measurement_variances(p, u, carrier_freq, rms_bandwidth, aperture, aperture)
+        for p, u in zip(params, amplitudes)
+    ]
+
+
 class TestChannelFim:
     def _order2(self):
         return ComponentOrder([PathComponent.los(), PathComponent.single_bounce(1)])
 
     def test_existence_zeroing(self):
         order = self._order2()
-        params = [None, None]
-        params[0] = channel_params(
-            AgentPose(position=[3, 4], velocity=[0, 0]), Anchor(position=[0, 0]),
-            PathComponent.los(), SurfaceMap([[2.0, 0.0]]),
-        )
-        bandwidth = SPEED_OF_LIGHT / (math.sqrt(8.0) * math.pi) / 0.1  # var 0.01 at u=1
-        diag = channel_fim(
-            order, params, np.array([1.0, 1.0]), np.array([1, 0]),
-            carrier_freq=1e9, rms_bandwidth=bandwidth,
-            rx_aperture=IsotropicAperture(0.01), tx_aperture=IsotropicAperture(0.01),
-        )
+        diag = channel_fim(order, [(0.01, 0.04, 0.25), None])
         assert diag[order.dist_index(0)] == pytest.approx(100.0)
+        assert diag[order.aoa_index(0)] == pytest.approx(25.0)
+        assert diag[order.aod_index(0)] == pytest.approx(4.0)
         assert diag[order.dist_index(1)] == 0.0
         assert diag[order.aoa_index(1)] == 0.0
         assert diag[order.aod_index(1)] == 0.0
 
     def test_all_absent_gives_zero_matrix(self):
-        order = self._order2()
-        diag = channel_fim(
-            order, [None, None], np.ones(2), np.zeros(2, dtype=int),
-            carrier_freq=1e9, rms_bandwidth=1e8,
-            rx_aperture=IsotropicAperture(0.01), tx_aperture=IsotropicAperture(0.01),
-        )
+        diag = channel_fim(self._order2(), [None, None])
         np.testing.assert_allclose(diag, np.zeros(6))
-
-    def test_endfire_error_propagates_only_for_existing_components(self):
-        order = self._order2()
-        surfaces = SurfaceMap([[2.0, 0.0]])
-        anchor = Anchor(position=[0, 0])
-        agent = AgentPose(position=[3, 4], velocity=[0, 0])
-        params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        # transmit array endfire-aligned with the LOS departure azimuth
-        endfire = UniformLinearArray(num_elements=4, element_spacing=0.05,
-                                     broadside=params[0].aod + math.pi / 2)
-        kwargs = dict(carrier_freq=1e9, rms_bandwidth=1e8,
-                      rx_aperture=IsotropicAperture(0.01), tx_aperture=endfire)
-        with pytest.raises(ZeroApertureError):
-            channel_fim(order, params, np.ones(2), np.ones(2, dtype=int), **kwargs)
-        # absent components never touch the variance models
-        diag = channel_fim(order, params, np.ones(2), np.array([0, 1]), **kwargs)
-        assert diag[order.dist_index(0)] == 0.0
-        assert diag[order.dist_index(1)] > 0.0
 
     def test_amplitude_scaling_is_quadratic(self):
         order = self._order2()
@@ -351,14 +330,13 @@ class TestChannelFim:
         anchor = Anchor(position=[0, 0])
         agent = AgentPose(position=[3, 4], velocity=[0, 0])
         params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        kwargs = dict(carrier_freq=1e9, rms_bandwidth=1e8,
-                      rx_aperture=IsotropicAperture(0.01),
-                      tx_aperture=IsotropicAperture(0.01))
-        base = channel_fim(order, params, np.array([1.0, 2.0]), np.ones(2, dtype=int),
-                           **kwargs)
-        scaled = channel_fim(order, params, 3.0 * np.array([1.0, 2.0]),
-                             np.ones(2, dtype=int), **kwargs)
+        base = channel_fim(order, isotropic_variances(params, [1.0, 2.0], 1e9))
+        scaled = channel_fim(order, isotropic_variances(params, [3.0, 6.0], 1e9))
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
+
+    def test_one_triple_per_component_required(self):
+        with pytest.raises(ValueError):
+            channel_fim(self._order2(), [None])
 
 
 class TestGlobalJacobian:
@@ -411,15 +389,12 @@ class TestSnapshotFim:
                 continue
             if min(p.distance for p in params) > 0.5:
                 anchors.append(cand)
-        aperture = IsotropicAperture(0.01)
         terms = []
         for a in anchors:
             params = [channel_params(agent, a, c, surfaces) for c in order]
-            amps = np.array([2.0 / p.distance for p in params])
-            exist = np.ones(order.size, dtype=int)
+            variances = isotropic_variances(params, [2.0 / p.distance for p in params])
             jac = full_jacobian(agent, a, order, surfaces)
-            lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
-            terms.append((jac, lam))
+            terms.append((jac, channel_fim(order, variances)))
         return terms
 
     def test_two_identical_anchors_double_the_information(self):
@@ -446,9 +421,8 @@ class TestSnapshotFim:
         rng = np.random.default_rng(61)
         agent, anchor, surfaces, _ = random_geometry(rng, 2)
         order = ComponentOrder.canonical(2)
-        aperture = IsotropicAperture(0.01)
         params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        amps = np.array([2.0 / p.distance for p in params])
+        variances = isotropic_variances(params, [2.0 / p.distance for p in params])
         exist_off = np.ones(order.size, dtype=int)
         exist_off[2] = 0
         exist_on = np.ones(order.size, dtype=int)
@@ -457,32 +431,17 @@ class TestSnapshotFim:
             geoms = [path_geometry(agent, anchor, c, surfaces) if on else None
                      for c, on in zip(order, exist)]
             jac = global_jacobian(agent, anchor, order, surfaces, geoms)
-            lam = channel_fim(order, params, amps, exist, 6e9, 1e8, aperture, aperture)
+            lam = channel_fim(order, [v if on else None for v, on in zip(variances, exist)])
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(diff.trace(), 1.0)
-
-    def test_dense_channel_information_accepted(self):
-        terms = self._terms(n_anchors=1)
-        jac, lam = terms[0]
-        dense = np.diag(lam)
-        out_diag = global_snapshot_fim([(jac, lam)])
-        out_dense = global_snapshot_fim([(jac, dense)])
-        np.testing.assert_allclose(out_diag, out_dense, rtol=1e-12)
-        # a correlated PSD channel matrix also works and stays PSD overall
-        rng = np.random.default_rng(67)
-        noise = rng.normal(size=dense.shape) * np.sqrt(np.outer(lam, lam)) * 0.01
-        corr = dense + 0.5 * (noise + noise.T)
-        corr += np.eye(dense.shape[0]) * 1e-6 * max(lam.max(), 1.0)
-        eigs = np.linalg.eigvalsh(corr)
-        if eigs[0] > 0:
-            out_corr = global_snapshot_fim([(jac, corr)])
-            assert np.linalg.eigvalsh(out_corr)[0] >= -1e-10 * max(out_corr.trace(), 1.0)
 
     def test_dimension_mismatch_rejected(self):
         terms = self._terms(n_anchors=1)
         jac, lam = terms[0]
         with pytest.raises(ValueError):
             global_snapshot_fim([(jac, lam[:-1])])
+        with pytest.raises(ValueError):
+            global_snapshot_fim([(jac, np.diag(lam))])
         with pytest.raises(ValueError):
             global_snapshot_fim([(jac, lam), (jac[:-1, :], lam)])

@@ -136,11 +136,6 @@ class TestPathComponent:
         with pytest.raises(ValueError):
             PathComponent.double_bounce(2, 2)
 
-    def test_existing_component_needs_positive_amplitude(self):
-        with pytest.raises(ValueError):
-            PathComponent.los(existence=1, amplitude=0.0)
-        PathComponent.los(existence=0, amplitude=0.0)  # fine when absent
-
     def test_pair_identities(self):
         assert PathComponent.los().pair == (0, 0)
         assert PathComponent.single_bounce(2).pair == (2, 2)

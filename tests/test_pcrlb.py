@@ -11,6 +11,7 @@ from mpslam_bounds.fim import (
     IsotropicAperture,
     channel_fim,
     global_snapshot_fim,
+    measurement_variances,
 )
 from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, channel_params
 from mpslam_bounds.pcrlb import (
@@ -209,12 +210,12 @@ class TestExtractBounds:
 def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.005)):
     terms = []
     for anchor in anchors:
-        params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        amps = np.array([20.0 / p.distance for p in params])
-        exist = np.ones(order.size, dtype=int)
+        variances = [
+            measurement_variances(p, 20.0 / p.distance, 6e9, 2e8, aperture, aperture)
+            for p in (channel_params(agent, anchor, c, surfaces) for c in order)
+        ]
         jac = full_jacobian(agent, anchor, order, surfaces)
-        lam = channel_fim(order, params, amps, exist, 6e9, 2e8, aperture, aperture)
-        terms.append((jac, lam))
+        terms.append((jac, channel_fim(order, variances)))
     return global_snapshot_fim(terms)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mpslam_bounds.fim import ZeroApertureError
 from mpslam_bounds.geometry import AgentPose
 from mpslam_bounds.pcrlb import StateSpaceModel
 from mpslam_bounds.scenario import (
@@ -18,6 +19,7 @@ from mpslam_bounds.scenario import (
     load_scenario,
     measurement_truth,
     scenario_from_mapping,
+    snapshot_fim,
 )
 from mpslam_bounds.streams import derive_run_stream
 from tests.test_pcrlb import desk_mapping
@@ -196,6 +198,29 @@ class TestTrajectories:
         assert len(poses) == scenario.n_steps + 1
 
 
+class TestSnapshotInformation:
+    def test_endfire_error_propagates_only_for_visible_components(self):
+        """An endfire component raises while the schedule shows it; hidden, it
+        never reaches the variance models."""
+        ula = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
+        mapping = desk_mapping(agent_aperture=ula)
+        mapping["anchors"][0]["position"] = [1.5, 3.0]
+        mapping["trajectory"] = {"kind": "waypoints", "n_steps": 20,
+                                 "points": [{"time": 0.0, "position": [0.5, 0.8]},
+                                            {"time": 2.0, "position": [2.5, 0.8]}]}
+        # at step 10 the agent is at [1.5, 0.8] heading +x: anchor 1's LOS
+        # arrives along the array axis
+        scenario = scenario_from_mapping(mapping)
+        pose = ground_truth(scenario)[10]
+        with pytest.raises(ZeroApertureError, match=r"step 10, anchor 1, component \[0, 0\]"):
+            snapshot_fim(scenario, pose, 10)
+        mapping["visibility"] = {"default": True,
+                                 "rules": [{"visible": False, "anchors": [1],
+                                            "components": [[0, 0]], "steps": [10]}]}
+        info = snapshot_fim(scenario_from_mapping(mapping), pose, 10)
+        assert np.isfinite(info).all() and info.trace() > 0.0
+
+
 class TestMeasurements:
     def test_absent_components_emit_nothing(self):
         mapping = desk_mapping(visibility={"default": False,
@@ -221,7 +246,7 @@ class TestMeasurements:
             assert abs(m.distance - row.distance) < 1e-6
             assert abs(m.aoa - row.aoa) < 1e-6
             assert abs(m.aod - row.aod) < 1e-6
-            assert m.amplitude == row.amplitude
+            assert m.variances == row.variances
 
     def test_empirical_variances_match_the_models(self):
         """10^4 draws of one component: empirical variances within 5%."""
@@ -243,9 +268,9 @@ class TestMeasurements:
             var_d = np.var([m.distance for m in sample])
             var_aoa = np.var([m.aoa for m in sample])
             var_aod = np.var([m.aod for m in sample])
-            assert var_d == pytest.approx(ref.stds[0] ** 2, rel=0.05)
-            assert var_aoa == pytest.approx(ref.stds[1] ** 2, rel=0.05)
-            assert var_aod == pytest.approx(ref.stds[2] ** 2, rel=0.05)
+            assert var_d == pytest.approx(ref.variances[0], rel=0.05)
+            assert var_aoa == pytest.approx(ref.variances[1], rel=0.05)
+            assert var_aod == pytest.approx(ref.variances[2], rel=0.05)
 
     def test_draws_are_reproducible(self):
         scenario = scenario_from_mapping(desk_mapping())
