@@ -24,12 +24,12 @@ from .fim import (
 from .geometry import (
     AgentPose,
     Anchor,
+    ChannelParams,
     DegenerateGeometryError,
     SurfaceMap,
     channel_params,
     householder_chain,
     mirrored_agent,
-    path_geometry,
     virtual_anchor,
     wrap_angle,
 )
@@ -118,8 +118,10 @@ def full_jacobian(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
-    geoms = [path_geometry(agent, anchor, comp, surfaces) for comp in order]
-    return global_jacobian(agent, anchor, order, surfaces, geoms)
+    _, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, range(order.size))
+    if degenerate.any():
+        raise DegenerateGeometryError("agent coincides with a virtual anchor")
+    return jac
 
 
 def _joint_state(agent: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
@@ -204,23 +206,17 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         agent2, anchor2, _, _ = random_instance(rng, num_surfaces)
-        existences = (rng.random(order.size) < 0.7).astype(np.int8)
+        visible = np.flatnonzero(rng.random(order.size) < 0.7)
         terms = []
         for a in (anchor, anchor2):
-            try:
-                geoms = [
-                    path_geometry(agent, a, comp, surfaces) if existences[k] else None
-                    for k, comp in enumerate(order)
-                ]
-            except DegenerateGeometryError:
+            params, degenerate, jac = global_jacobian(agent, a, order, surfaces, visible)
+            if degenerate.any():
                 break
-            variances = [
-                None if g is None else measurement_variances(
-                    g.params, 2.0 / g.params.distance, 6e9, 1e8, aperture, aperture
+            variances = [None] * order.size
+            for k, p in zip(visible, params):
+                variances[k] = measurement_variances(
+                    ChannelParams(*p), 2.0 / p[0], 6e9, 1e8, aperture, aperture
                 )
-                for g in geoms
-            ]
-            jac = global_jacobian(agent, a, order, surfaces, geoms)
             terms.append((jac, channel_fim(order, variances)))
         if len(terms) != 2:
             continue

@@ -20,7 +20,8 @@ import sys
 
 from .checks import run_self_check
 from .ekf import MonteCarloResult, run_monte_carlo
-from .fim import DegenerateGeometryError, ZeroApertureError
+from .fim import ZeroApertureError
+from .geometry import DegenerateGeometryError
 from .pcrlb import BoundRecord, SingularFimError, run_recursion
 from .scenario import MonteCarloConfig, Scenario, ScenarioError, load_scenario
 
@@ -164,7 +165,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    _write_csv(_csv_lines(bounds, result), args.out)
+    try:
+        _write_csv(_csv_lines(bounds, result), args.out)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     sys.stderr.write(_summary(bounds, result))
     return 0
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .fim import global_jacobian
-from .geometry import AgentPose, DegenerateGeometryError, SurfaceMap, path_geometry, wrap_angle
+from .geometry import AgentPose, SurfaceMap, wrap_angle
 from .pcrlb import BoundRecord, run_recursion, transition_matrix, process_noise_cov
 from .scenario import Measurement, Scenario, draw_measurements, ground_truth, measurement_truth
 from .streams import derive_run_stream
@@ -75,9 +75,9 @@ def _linearize(
     """
     pose = AgentPose.from_state(mean[:5])
     raw_points = mean[5:].reshape(-1, 2)
-    usable_surface = np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR
-    safe_points = np.where(usable_surface[:, None], raw_points, [[1.0, 0.0]])
-    surfaces = SurfaceMap(safe_points)
+    # usable[s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
+    usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
+    surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
     order = scenario.order
     k_total = order.size
 
@@ -85,46 +85,35 @@ def _linearize(
     for m in measurements:
         by_anchor.setdefault(m.anchor, []).append(m)
 
-    h_blocks, z_rows, pred_rows, var_rows = [], [], [], []
+    h_blocks, pred_rows, used = [], [], []
     for j in sorted(by_anchor):
-        anchor = scenario.anchors[j]
-        geoms: list = [None] * k_total
-        used: list[Measurement] = []
-        for m in by_anchor[j]:
-            comp = order.components[m.component]
-            if any(not usable_surface[s - 1] for s in comp.bounces):
+        rows = by_anchor[j]
+        ks = np.array([m.component for m in rows])
+        near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
+        params, degenerate, jac = global_jacobian(pose, scenario.anchors[j], order, surfaces, ks)
+        for m, near, bad in zip(rows, near_origin, degenerate):
+            if near or bad:
                 log.warning(
-                    "step %d anchor %d: surface estimate near origin, skipping "
-                    "component %s", m.step, j + 1, comp.bounces,
+                    "step %d anchor %d: %s, skipping component %s", m.step, j + 1,
+                    "surface estimate near origin" if near else
+                    "agent coincides with virtual anchor", order.components[m.component].bounces,
                 )
-                continue
-            try:
-                geoms[m.component] = path_geometry(pose, anchor, comp, surfaces)
-            except DegenerateGeometryError as exc:
-                log.warning("step %d anchor %d: %s, skipping component", m.step, j + 1, exc)
-                continue
-            used.append(m)
-        if not used:
-            continue
-        jac = global_jacobian(pose, anchor, order, surfaces, geoms)
-        for m in used:
-            k = m.component
-            params = geoms[k].params
-            h_blocks.append(jac[:, [k, k_total + k, 2 * k_total + k]].T)
-            z_rows += (m.distance, m.aoa, m.aod)
-            pred_rows += (params.distance, params.aoa, params.aod)
-            var_rows += m.variances
+        ok = ~(near_origin | degenerate)
+        cols = np.stack([ks, k_total + ks, 2 * k_total + ks], axis=1)[ok]
+        h_blocks.append(jac[:, cols.ravel()].T)
+        pred_rows.append(params[ok].ravel())
+        used += [m for m, good in zip(rows, ok) if good]
 
-    if not h_blocks:
+    if not used:
         n = mean.shape[0]
         return (np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros(0),
                 np.zeros(0, dtype=bool))
     return (
         np.concatenate(h_blocks),
-        np.array(z_rows),
-        np.array(pred_rows),
-        np.array(var_rows),
-        np.tile([False, True, True], len(h_blocks)),
+        np.array([(m.distance, m.aoa, m.aod) for m in used]).ravel(),
+        np.concatenate(pred_rows),
+        np.array([m.variances for m in used]).ravel(),
+        np.tile([False, True, True], len(used)),
     )
 
 
@@ -219,6 +208,8 @@ def run_single(
     for n in range(1, n_steps + 1):
         state = ekf_predict(state, transition, noise_cov)
         state = ekf_update(state, by_step.get(n, []), scenario)
+        if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
+            raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
         truth_state = _joint_truth(truth[n], scenario.surfaces)
         err = state.mean - truth_state
         metrics.position_sq[n - 1] = float(err[0] ** 2 + err[1] ** 2)

@@ -20,8 +20,7 @@ Per anchor j this module builds
   components: each entry is 1 / variance, and zero for an absent component,
 * the gradient matrix ``H_j`` of shape (N, 3K) whose column i is the
   gradient of channel parameter i w.r.t. the joint state, built by
-  :func:`global_jacobian` from already-resolved path geometries (it never
-  resolves a path itself),
+  :func:`global_jacobian` in one batched pass over the visible components,
 
 and accumulates the snapshot information ``sum_j H_j diag(lambda_j) H_j^T``.
 Velocity rows are identically zero: a single snapshot carries no velocity
@@ -41,16 +40,18 @@ from .geometry import (
     AgentPose,
     Anchor,
     ChannelParams,
-    DegenerateGeometryError,
     PathComponent,
-    PathGeometry,
     SurfaceMap,
-    path_geometry,  # noqa: F401  re-exported: resolves what global_jacobian takes
+    path_batch,
+    path_geometry,  # noqa: F401  re-exported: the scalar oracle of path_batch
     rotation_matrix,
     rotation_matrix_derivative,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# Maps (v_y, v_x) to (-v_y, v_x): the azimuth gradient direction of v.
+_PERP = np.array([-1.0, 1.0])
 
 # Squared apertures below this (m^2) make the angle variance blow up
 # (array endfire); treat as no usable angle information.
@@ -183,6 +184,9 @@ class ComponentOrder:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate path components in order")
         self._components = comps
+        # Bounce surfaces as index arrays (0 = no bounce), see geometry.PathBatch.
+        padded = np.array([c.bounces + (0,) * (2 - len(c.bounces)) for c in comps], dtype=int)
+        self.first, self.second = padded[:, 0], padded[:, 1]
 
     @classmethod
     def canonical(cls, num_surfaces: int) -> "ComponentOrder":
@@ -227,114 +231,96 @@ class ComponentOrder:
         return len(self._components)
 
 
-def azimuth_gradient(r: np.ndarray) -> np.ndarray:
-    """Gradient of atan2(r_y, r_x) w.r.t. r: (-r_y, r_x) / ||r||^2.
-
-    Orthogonal to r with norm 1/||r||; degenerate at the origin.
-    """
-    r = np.asarray(r, dtype=float)
-    sq = float(r @ r)
-    if sq <= 1e-18:
-        raise DegenerateGeometryError("azimuth gradient undefined at the origin")
-    return np.array([-r[1], r[0]]) / sq
-
-
-def distance_gradient(r: np.ndarray) -> np.ndarray:
-    """Gradient of ||r|| w.r.t. r: the unit vector along r."""
-    r = np.asarray(r, dtype=float)
-    norm = float(np.linalg.norm(r))
-    if norm <= 1e-9:
-        raise DegenerateGeometryError("distance gradient undefined at the origin")
-    return r / norm
-
-
-def _reflection_source_block(
-    source: np.ndarray, surfaces: SurfaceMap, surface: int
-) -> np.ndarray:
-    """Sensitivity of the mirrored-source-to-agent vector to the surface point.
-
-    Gradient-layout 2x2 block for a single reflection of ``source`` about
-    ``surface`` (1-based): 2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with
-    a the source position, p the surface point and H its Householder matrix.
-    """
-    p = surfaces.point(surface)
-    sq = float(p @ p)
-    return (
-        (2.0 / sq) * np.outer(source, p)
-        + (2.0 * float(source @ p) / sq) * surfaces.householder(surface)
-        - np.eye(2)
-    )
-
-
 def global_jacobian(
     agent: AgentPose,
     anchor: Anchor,
     order: ComponentOrder,
     surfaces: SurfaceMap,
-    geoms: Sequence[PathGeometry | None],
-) -> np.ndarray:
-    """Gradient matrix (N, 3K) of the channel parameters w.r.t. the joint state.
+    components: Sequence[int] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel parameters and their (N, 3K) gradient w.r.t. the joint state.
 
-    ``geoms`` holds one resolved path geometry per component (see
-    :func:`~.geometry.path_geometry`), ``None`` for an absent component,
-    whose columns stay zero (its channel information is zero anyway).
-    Column i holds the gradient of channel parameter i.
+    Resolves the components with the given indices into ``order`` in one
+    batched pass (:func:`~.geometry.path_batch`). Returns their (n, 3)
+    channel parameters, their degenerate-geometry mask and the gradient
+    matrix, whose column i holds the gradient of channel parameter i;
+    columns of unlisted or degenerate components are zero.
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
       flows directly through the agent rotation.
     * Velocity rows are identically zero.
-    * Orientation row: (-r^T Rdot(orientation)) . azimuth_gradient(arrival)
-      with r the virtual-anchor-to-agent vector, which is -1 in the plane
-      for every component kind.
+    * Orientation row: (-r^T Rdot(orientation)) . grad atan2(arrival) with
+      r the virtual-anchor-to-agent vector, which is -1 in the plane.
     * Surface rows: distance and arrival azimuth depend on a surface only
       through the virtual-anchor-to-agent vector, so their columns push the
       positioning gradient through that vector's 2x2 sensitivity block. The
       departure azimuth lives on the anchor-to-mirrored-agent vector, whose
       block has the same closed form with the anchor and agent roles
-      swapped and the sign flipped (the mirrored agent enters the vector
-      with a plus). Moving a surface also rotates the mirror itself, so
-      this block is not the direct one pushed through the reflection chain.
-      LOS columns have zero surface rows.
+      swapped and the sign flipped. Each path has a first and a second
+      bounce slot; an empty slot (surface 0) writes to two scratch rows
+      below the state rows, so LOS columns have zero surface rows.
     """
-    jac = np.zeros((5 + 2 * len(surfaces), order.dim))
+    ks = np.asarray(components, dtype=int)
+    first, second = order.first[ks], order.second[ks]
+    geo = path_batch(agent, anchor, first, second, surfaces)
+    n_state, k_total = 5 + 2 * len(surfaces), order.size
     rot_anchor = rotation_matrix(anchor.orientation)
-    rot_agent = rotation_matrix(agent.orientation)
-    rot_agent_dot = rotation_matrix_derivative(agent.orientation)
-    for k, (comp, geom) in enumerate(zip(order, geoms)):
-        if geom is None:
-            continue
-        i_d, i_aoa, i_aod = order.dist_index(k), order.aoa_index(k), order.aod_index(k)
-        transfer = geom.chain @ rot_anchor
-        az_departure = azimuth_gradient(geom.departure_local)
-        az_arrival = azimuth_gradient(geom.arrival_local)
-        aoa_col = -(rot_agent @ az_arrival)
-        jac[0:2, i_d] = transfer @ distance_gradient(geom.departure_local)
-        jac[0:2, i_aoa] = aoa_col
-        jac[0:2, i_aod] = transfer @ az_departure
-        jac[4, i_aoa] = -(geom.va_to_agent @ rot_agent_dot) @ az_arrival
-        for i, s in enumerate(comp.bounces):
-            # The direct vector's source is the anchor folded over the
-            # anchor-side bounces before s, the mirrored vector's the agent
-            # folded over the agent-side bounces after s; the later mirrors
-            # act on each block through their Householder matrices.
-            before, after = comp.bounces[:i], comp.bounces[i + 1 :]
-            source, sink = anchor.position, agent.position
-            for t in before:
-                source = surfaces.mirror(source, t)
-            for t in reversed(after):
-                sink = surfaces.mirror(sink, t)
-            direct = _reflection_source_block(source, surfaces, s)
-            mirrored = -_reflection_source_block(sink, surfaces, s)
-            for t in after:
-                direct = direct @ surfaces.householder(t)
-            for t in reversed(before):
-                mirrored = mirrored @ surfaces.householder(t)
-            row = 5 + 2 * (s - 1)
-            jac[row : row + 2, i_d] = direct @ (geom.va_to_agent / geom.params.distance)
-            jac[row : row + 2, i_aoa] = direct @ aoa_col
-            jac[row : row + 2, i_aod] = mirrored @ rot_anchor @ az_departure
-    return jac
+    dep, arr = geo.departure_local, geo.arrival_local
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
+        dep_sq = np.einsum("ni,ni->n", dep, dep)[:, None]
+        az_dep = dep[:, ::-1] * _PERP / dep_sq
+        az_arr = arr[:, ::-1] * _PERP / np.einsum("ni,ni->n", arr, arr)[:, None]
+        unit_dep = dep / np.sqrt(dep_sq)
+        unit_r = geo.va_to_agent / geo.params[:, :1]
+    transfer = geo.chain @ rot_anchor
+    aoa_col = -(az_arr @ rotation_matrix(agent.orientation).T)
+    position = np.stack([np.einsum("nij,nj->ni", transfer, unit_dep), aoa_col,
+                         np.einsum("nij,nj->ni", transfer, az_dep)])
+
+    # Slot 0 is the first (anchor-side) bounce, slot 1 the second. The
+    # direct vector's source is the anchor folded over the bounces before
+    # the slot, the mirrored vector's the agent folded over those after it;
+    # the later mirrors act on each block through their Householders.
+    ends = np.empty((2, 2, len(ks), 2))  # (direct source, mirrored sink) x slot
+    ends[0, 0], ends[0, 1] = anchor.position, geo.anchor_once
+    ends[1, 0], ends[1, 1] = geo.agent_once, agent.position
+    slot, none = np.stack([first, second]), np.zeros_like(first)
+    blocks = _reflection_source_blocks(ends, slot, surfaces)
+    direct = blocks[0] @ surfaces.householders[np.stack([second, none])]
+    mirrored = -blocks[1] @ surfaces.householders[np.stack([none, first])] @ rot_anchor
+    surface = np.stack([np.einsum("mnij,nj->mni", direct, unit_r),
+                        np.einsum("mnij,nj->mni", direct, aoa_col),
+                        np.einsum("mnij,nj->mni", mirrored, az_dep)])
+
+    jac = np.zeros((n_state + 2, order.dim))
+    cols = np.stack([ks, k_total + ks, 2 * k_total + ks])
+    jac[0:2, cols] = position.transpose(2, 0, 1)
+    jac[4, k_total + ks] = -np.einsum(
+        "ni,ni->n", geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
+    )
+    row_of = np.arange(3, n_state, 2)  # first state row of each surface
+    row_of[0] = n_state
+    jac[row_of[slot][None, :, :, None] + [0, 1], cols[:, None, :, None]] = surface
+    if geo.degenerate.any():
+        jac[:, cols[:, geo.degenerate]] = 0.0
+    return geo.params, geo.degenerate, jac[:n_state]
+
+
+def _reflection_source_blocks(
+    source: np.ndarray, surface: np.ndarray, surfaces: SurfaceMap
+) -> np.ndarray:
+    """Sensitivity of the mirrored-source-to-agent vector to the surface point.
+
+    Stacked gradient-layout 2x2 blocks for single reflections of ``source``
+    (..., 2) about ``surface`` (...): 2 a p^T / ||p||^2 + 2 (a . p / ||p||^2)
+    H - I with a the source, p the surface point and H its Householder.
+    """
+    point, sq = surfaces.padded_points[surface], surfaces.sq_norms[surface][..., None, None]
+    outer = source[..., :, None] * point[..., None, :]
+    dot = np.einsum("...i,...i->...", source, point)[..., None, None]
+    return (2.0 / sq) * outer + (2.0 * dot / sq) * surfaces.householders[surface] - np.eye(2)
 
 
 def channel_fim(
@@ -350,14 +336,10 @@ def channel_fim(
     """
     if len(variances) != order.size:
         raise ValueError("variances must have length K")
+    present = [k for k, triple in enumerate(variances) if triple is not None]
     diag = np.zeros(order.dim)
-    for k, triple in enumerate(variances):
-        if triple is None:
-            continue
-        var_d, var_aoa, var_aod = triple
-        diag[order.dist_index(k)] = 1.0 / var_d
-        diag[order.aoa_index(k)] = 1.0 / var_aoa
-        diag[order.aod_index(k)] = 1.0 / var_aod
+    rows = np.add.outer([0, order.size, 2 * order.size], np.array(present, dtype=int))
+    diag[rows] = 1.0 / np.array([variances[k] for k in present]).reshape(-1, 3).T
     return diag
 
 

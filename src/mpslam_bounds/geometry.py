@@ -77,20 +77,6 @@ def _as_vec2(value, name: str) -> np.ndarray:
     return vec
 
 
-def householder(surface_point: np.ndarray) -> np.ndarray:
-    """Householder reflection matrix of the surface encoded by ``surface_point``.
-
-    Symmetric, involutory, determinant -1. Raises ``ValueError`` for a
-    surface through the origin (zero norm), where the reflection is
-    undefined.
-    """
-    p = _as_vec2(surface_point, "surface point")
-    sq = float(p @ p)
-    if sq <= DEGENERACY_EPS**2:
-        raise ValueError("surface through the origin is not representable")
-    return np.eye(2) - (2.0 / sq) * np.outer(p, p)
-
-
 class SurfaceMap:
     """Collection of S reflecting surfaces, each stored as its origin-mirror point."""
 
@@ -107,7 +93,13 @@ class SurfaceMap:
                 f"surface {bad[0] + 1} passes through the origin and is not representable"
             )
         self._points = pts
-        self._houses = [householder(p) for p in pts]
+        sq = np.einsum("si,si->s", pts, pts)
+        houses = np.eye(2) - (2.0 / sq)[:, None, None] * (pts[:, :, None] * pts[:, None, :])
+        # Stacks indexed by the 1-based surface number; entry 0 is the identity
+        # mirror (H = I, p = 0, unit norm) that stands for "no bounce".
+        self.householders = np.concatenate([np.eye(2)[None], houses])
+        self.padded_points = np.concatenate([np.zeros((1, 2)), pts])
+        self.sq_norms = np.concatenate([[1.0], sq])
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -119,15 +111,10 @@ class SurfaceMap:
         view.flags.writeable = False
         return view
 
-    def point(self, surface: int) -> np.ndarray:
-        """Surface point of surface ``surface`` (1-based)."""
-        self._check_index(surface)
-        return self._points[surface - 1]
-
     def householder(self, surface: int) -> np.ndarray:
         """Cached Householder reflection of surface ``surface`` (1-based)."""
         self._check_index(surface)
-        return self._houses[surface - 1]
+        return self.householders[surface]
 
     def mirror(self, x: np.ndarray, surface: int) -> np.ndarray:
         """Mirror ``x`` about surface ``surface`` (1-based).
@@ -136,9 +123,8 @@ class SurfaceMap:
         the surface point itself.
         """
         self._check_index(surface)
-        return self._houses[surface - 1] @ np.asarray(x, dtype=float) + self._points[
-            surface - 1
-        ]
+        x = np.asarray(x, dtype=float)
+        return self.householders[surface] @ x + self.padded_points[surface]
 
     def _check_index(self, surface: int) -> None:
         if not 1 <= surface <= len(self):
@@ -287,14 +273,10 @@ def householder_chain(path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathGeometry:
-    """All geometric quantities of one (agent, anchor, path) triple."""
+    """Geometric quantities of one (agent, anchor, path) triple."""
 
-    virtual_anchor: np.ndarray  # anchor mirrored along the bounce sequence
-    mirrored_agent: np.ndarray  # agent mirrored along the reversed sequence
     va_to_agent: np.ndarray  # agent position minus virtual anchor (global frame)
     anchor_to_mirrored: np.ndarray  # mirrored agent minus anchor (global frame)
-    departure_local: np.ndarray  # anchor_to_mirrored rotated into the anchor frame
-    arrival_local: np.ndarray  # -va_to_agent rotated into the agent frame
     chain: np.ndarray  # householder_chain of the path
     params: ChannelParams = field(repr=False)
 
@@ -323,16 +305,7 @@ def path_geometry(
         aoa=math.atan2(arrival_local[1], arrival_local[0]),
         aod=math.atan2(departure_local[1], departure_local[0]),
     )
-    return PathGeometry(
-        virtual_anchor=va,
-        mirrored_agent=vm,
-        va_to_agent=r,
-        anchor_to_mirrored=r_t,
-        departure_local=departure_local,
-        arrival_local=arrival_local,
-        chain=householder_chain(path, surfaces),
-        params=params,
-    )
+    return PathGeometry(r, r_t, householder_chain(path, surfaces), params)
 
 
 def channel_params(
@@ -340,3 +313,51 @@ def channel_params(
 ) -> ChannelParams:
     """Noise-free distance, arrival and departure azimuth of one path."""
     return path_geometry(agent, anchor, path, surfaces).params
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """Stacked mirror geometry of n paths of one (agent, anchor) pair.
+
+    :func:`path_batch` takes path i as its first (anchor-side) and second
+    (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
+    single bounce at s is (s, 0). Row i of a field holds what
+    :class:`PathGeometry` holds for path i; ``params`` rows are (distance,
+    arrival azimuth, departure azimuth), unusable where ``degenerate``.
+    """
+
+    anchor_once: np.ndarray  # (n, 2) anchor mirrored at the first bounce only
+    agent_once: np.ndarray  # (n, 2) agent mirrored at the second bounce only
+    va_to_agent: np.ndarray  # (n, 2)
+    departure_local: np.ndarray  # (n, 2)
+    arrival_local: np.ndarray  # (n, 2)
+    chain: np.ndarray  # (n, 2, 2)
+    params: np.ndarray  # (n, 3)
+    degenerate: np.ndarray  # (n,) bool
+
+
+def path_batch(
+    agent: AgentPose, anchor: Anchor, first: np.ndarray, second: np.ndarray,
+    surfaces: SurfaceMap,
+) -> PathBatch:
+    """Resolve n paths at once: the batched form of :func:`path_geometry`.
+
+    Instead of raising, it flags as ``degenerate`` each path whose
+    virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
+    local frame) is not longer than ``DEGENERACY_EPS``.
+    """
+    houses, points = surfaces.householders, surfaces.padded_points
+    h1, h2 = houses[first], houses[second]
+    anchor_once = h1 @ anchor.position + points[first]
+    agent_once = h2 @ agent.position + points[second]
+    r = agent.position - (np.einsum("nij,nj->ni", h2, anchor_once) + points[second])
+    r_t = np.einsum("nij,nj->ni", h1, agent_once) + points[first] - anchor.position
+    dep = r_t @ rotation_matrix(anchor.orientation)
+    arr = -(r @ rotation_matrix(agent.orientation))
+    vecs = np.stack([r, r_t, dep, arr])
+    lengths = np.sqrt(np.einsum("mni,mni->mn", vecs, vecs))
+    params = np.stack(
+        [lengths[0], np.arctan2(arr[:, 1], arr[:, 0]), np.arctan2(dep[:, 1], dep[:, 0])], axis=1
+    )
+    return PathBatch(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
+                     (lengths <= DEGENERACY_EPS).any(axis=0))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 import yaml
@@ -38,7 +37,7 @@ from .fim import (
     measurement_variances,
 )
 from .geometry import (
-    AgentPose, Anchor, DegenerateGeometryError, PathGeometry, SurfaceMap, path_geometry, wrap_angle,
+    AgentPose, Anchor, ChannelParams, DegenerateGeometryError, SurfaceMap, path_batch, wrap_angle,
 )
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, trajectory_stream
@@ -376,50 +375,57 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 
 
 def _visible_paths(
-    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int
-) -> Iterator[tuple[int, PathGeometry, tuple[float, float, float]]]:
+    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int, gradient: bool
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float, float]], np.ndarray | None]:
     """Channel evaluation of every component visible to one anchor at ``step``.
 
-    Resolves each visible path once and yields, in canonical order,
-    (component index, geometry, measurement variances). This is the one
-    pass shared by the bound and the measurement generator. A degenerate
-    geometry or an endfire aperture is re-raised with the step, the 1-based
-    anchor and the component pair in the message.
+    The one batched pass shared by the bound and the measurement generator:
+    returns the visible component indices, their (n, 3) channel parameters
+    and variances and, with ``gradient``, the anchor's (N, 3K) gradient
+    matrix. A degenerate geometry or an endfire aperture raises with the
+    step, the 1-based anchor and the component pair in the message.
     """
-    anchor = scenario.anchors[anchor_index]
-    exist = scenario.visibility.flags(anchor_index, step)
-    for k, comp in enumerate(scenario.order):
-        if not exist[k]:
-            continue
+    anchor, order = scenario.anchors[anchor_index], scenario.order
+    visible = np.flatnonzero(scenario.visibility.flags(anchor_index, step))
+    if gradient:
+        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
+    else:
+        batch = path_batch(pose, anchor, order.first[visible], order.second[visible],
+                           scenario.surfaces)
+        params, degenerate, jac = batch.params, batch.degenerate, None
+    variances = []
+    for k, (distance, aoa, aod), bad in zip(visible, params.tolist(), degenerate):
+        comp = order.components[k]
         try:
-            geom = path_geometry(pose, anchor, comp, scenario.surfaces)
-            variances = measurement_variances(
-                geom.params,
-                scenario.amplitude_model.amplitude(geom.params.distance, comp.n_bounces),
+            if bad:
+                raise DegenerateGeometryError(
+                    f"agent coincides with virtual anchor for path {comp.bounces}"
+                )
+            variances.append(measurement_variances(
+                ChannelParams(distance, aoa, aod),
+                scenario.amplitude_model.amplitude(distance, comp.n_bounces),
                 scenario.signal.carrier_freq,
                 scenario.signal.rms_bandwidth,
                 scenario.agent_aperture,
                 anchor.aperture,
-            )
+            ))
         except (DegenerateGeometryError, ZeroApertureError) as exc:
             raise type(exc)(
                 f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}: {exc}"
             ) from exc
-        yield k, geom, variances
+    return visible, params, variances, jac
 
 
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> np.ndarray:
     """Snapshot information at one ground-truth pose under the schedule at ``step``."""
     order = scenario.order
     terms = []
-    for j, anchor in enumerate(scenario.anchors):
-        geoms: list[PathGeometry | None] = [None] * order.size
+    for j in range(len(scenario.anchors)):
+        visible, _, visible_vars, jac = _visible_paths(scenario, pose, j, step, gradient=True)
         variances: list[tuple[float, float, float] | None] = [None] * order.size
-        for k, geom, var in _visible_paths(scenario, pose, j, step):
-            geoms[k] = geom
+        for k, var in zip(visible, visible_vars):
             variances[k] = var
-        terms.append((global_jacobian(pose, anchor, order, scenario.surfaces, geoms),
-                      channel_fim(order, variances)))
+        terms.append((jac, channel_fim(order, variances)))
     return global_snapshot_fim(terms)
 
 
@@ -432,10 +438,9 @@ def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[Measur
     rows: list[Measurement] = []
     for n in range(1, scenario.n_steps + 1):
         for j in range(len(scenario.anchors)):
-            for k, geom, variances in _visible_paths(scenario, truth[n], j, n):
-                params = geom.params
-                rows.append(Measurement(n, j, k, params.distance, params.aoa, params.aod,
-                                        variances))
+            visible, params, variances, _ = _visible_paths(scenario, truth[n], j, n, gradient=False)
+            rows += [Measurement(n, j, k, *p, var)
+                     for k, p, var in zip(visible.tolist(), params.tolist(), variances)]
     return rows
 
 

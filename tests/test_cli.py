@@ -6,6 +6,7 @@ import yaml
 
 import pytest
 
+from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
 from tests.test_pcrlb import desk_mapping
 
@@ -178,6 +179,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert "numerical failure" in err and expected in err
+
+    def test_unwritable_out_is_config_error(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = main(["--scenario", str(scenario_file), "--mode", "bounds", "--out", str(out)])
+        assert code == 2
+        assert "error: --out:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_run_is_numerical_failure(self, scenario_file, tmp_path, capsys,
+                                                monkeypatch):
+        calls, update = [], ekf.ekf_update
+
+        def diverge_at_step_5(state, measurements, scenario):
+            # run_single calls the update once per step, steps ascending
+            calls.append(None)
+            updated = update(state, measurements, scenario)
+            if len(calls) == 5:
+                updated.mean[0] = float("nan")
+            return updated
+
+        monkeypatch.setattr(ekf, "ekf_update", diverge_at_step_5)
+        out = tmp_path / "validate.csv"
+        code = main(["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "run 0" in err and "step 5" in err
+        assert not out.exists()
 
 
 class TestSelfCheck:

@@ -14,6 +14,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import global_jacobian
+from mpslam_bounds.geometry import virtual_anchor
 from mpslam_bounds.pcrlb import (
     predict_fim,
     process_noise_cov,
@@ -99,7 +100,7 @@ class TestUpdate:
         h_mat, observed, predicted, noise_diag, angle_row = _linearize(
             mean, meas, scenario
         )
-        from mpslam_bounds.geometry import AgentPose, SurfaceMap, path_geometry
+        from mpslam_bounds.geometry import AgentPose, SurfaceMap
 
         pose = AgentPose.from_state(mean[:5])
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
@@ -109,12 +110,8 @@ class TestUpdate:
             by_anchor.setdefault(m.anchor, []).append(m)
         for j in sorted(by_anchor):
             anchor = scenario.anchors[j]
-            geoms = [None] * scenario.order.size
-            for m in by_anchor[j]:
-                geoms[m.component] = path_geometry(
-                    pose, anchor, scenario.order.components[m.component], surfaces
-                )
-            jac = global_jacobian(pose, anchor, scenario.order, surfaces, geoms)
+            _, _, jac = global_jacobian(pose, anchor, scenario.order, surfaces,
+                                        [m.component for m in by_anchor[j]])
             for m in by_anchor[j]:
                 k = m.component
                 for col, variance in zip((scenario.order.dist_index(k),
@@ -183,6 +180,29 @@ class TestUpdate:
                           if 1 in scenario.order.components[m.component].bounces)
         assert h_mat.shape[0] == 3 * len(meas) - bounce_rows
         assert any("surface estimate" in rec.message for rec in caplog.records)
+
+    def test_estimate_on_a_virtual_anchor_skips_that_component(self, caplog):
+        scenario = small_scenario()
+        truth = ground_truth(scenario)
+        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
+                                                 derive_run_stream(0, 0))
+                if m.step == 1]
+        target = next(m for m in meas
+                      if scenario.order.components[m.component].n_bounces == 1)
+        path = scenario.order.components[target.component]
+        mean = _joint_truth(truth[1], scenario.surfaces)
+        mean[0:2] = virtual_anchor(scenario.anchors[target.anchor], path, scenario.surfaces)
+        import logging
+
+        with caplog.at_level(logging.WARNING):
+            h_mat, observed, *_ = _linearize(mean, meas, scenario)
+        kept = [m for m in meas if m is not target]
+        assert h_mat.shape[0] == 3 * len(kept)
+        np.testing.assert_array_equal(
+            observed, np.ravel([(m.distance, m.aoa, m.aod) for m in kept]))
+        warnings = [rec.message for rec in caplog.records if "skipping component" in rec.message]
+        assert warnings == [f"step 1 anchor {target.anchor + 1}: agent coincides with virtual "
+                            f"anchor, skipping component {path.bounces}"]
 
 
 class TestMonteCarlo:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mpslam_bounds.checks import full_jacobian
 from mpslam_bounds.fim import (
@@ -13,9 +15,7 @@ from mpslam_bounds.fim import (
     UniformLinearArray,
     ZeroApertureError,
     angle_variance,
-    azimuth_gradient,
     channel_fim,
-    distance_gradient,
     global_jacobian,
     global_snapshot_fim,
     measurement_variances,
@@ -29,8 +29,10 @@ from mpslam_bounds.geometry import (
     SurfaceMap,
     channel_params,
     path_geometry,
+    virtual_anchor,
     wrap_angle,
 )
+from tests.reference_jacobian import azimuth_gradient, distance_gradient, loop_reference
 from tests.test_geometry import random_geometry
 
 
@@ -186,8 +188,7 @@ def path_columns(agent, anchor, path, surfaces):
 
     Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
     """
-    geom = path_geometry(agent, anchor, path, surfaces)
-    jac = global_jacobian(agent, anchor, ComponentOrder([path]), surfaces, [geom])
+    _, _, jac = global_jacobian(agent, anchor, ComponentOrder([path]), surfaces, [0])
     return jac[:, 0], jac[:, 1], jac[:, 2]
 
 
@@ -366,9 +367,8 @@ class TestGlobalJacobian:
 
     def test_absent_components_get_zero_columns(self):
         agent, anchor, surfaces, order = self._instance()
-        geoms = [path_geometry(agent, anchor, c, surfaces) for c in order]
-        geoms[1] = None
-        jac = global_jacobian(agent, anchor, order, surfaces, geoms)
+        present = [k for k in range(order.size) if k != 1]
+        _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
         assert jac[:, order.dist_index(0)].any()
         for idx in (order.dist_index(1), order.aoa_index(1), order.aod_index(1)):
             np.testing.assert_allclose(jac[:, idx], 0.0)
@@ -428,9 +428,7 @@ class TestSnapshotFim:
         exist_on = np.ones(order.size, dtype=int)
         terms = []
         for exist in (exist_off, exist_on):
-            geoms = [path_geometry(agent, anchor, c, surfaces) if on else None
-                     for c, on in zip(order, exist)]
-            jac = global_jacobian(agent, anchor, order, surfaces, geoms)
+            _, _, jac = global_jacobian(agent, anchor, order, surfaces, np.flatnonzero(exist))
             lam = channel_fim(order, [v if on else None for v, on in zip(variances, exist)])
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]
@@ -445,3 +443,73 @@ class TestSnapshotFim:
             global_snapshot_fim([(jac, np.diag(lam))])
         with pytest.raises(ValueError):
             global_snapshot_fim([(jac, lam), (jac[:-1, :], lam)])
+
+
+def _coordinate(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rooms(draw):
+    """Random room (S = 1..8), anchor, agent and visibility subset."""
+    num_surfaces = draw(st.integers(1, 8))
+    points = []
+    for _ in range(num_surfaces):
+        angle, radius = draw(_coordinate(np.pi)), draw(st.floats(1.5, 18.0))
+        points.append([radius * math.cos(angle), radius * math.sin(angle)])
+    anchor = Anchor(position=[draw(_coordinate(6.0)), draw(_coordinate(6.0))],
+                    orientation=draw(_coordinate(np.pi)))
+    agent = AgentPose(position=[draw(_coordinate(6.0)), draw(_coordinate(6.0))],
+                      velocity=[0.0, 0.0], orientation=draw(_coordinate(np.pi)))
+    order = ComponentOrder.canonical(num_surfaces)
+    subset = draw(st.lists(st.booleans(), min_size=order.size, max_size=order.size))
+    return agent, anchor, SurfaceMap(points), order, np.flatnonzero(subset)
+
+
+def _seeded_room(visible):
+    agent, anchor, surfaces, _ = random_geometry(np.random.default_rng(71), 3)
+    return agent, anchor, surfaces, ComponentOrder.canonical(3), np.array(visible, dtype=int)
+
+
+class TestBatchedPass:
+    """The batched pass against the loop-form reference and the scalar
+    geometry: H to 1e-12 of each column's largest entry, params to 1e-12
+    absolute (azimuths compared on the circle)."""
+
+    @settings(max_examples=120, deadline=None)
+    @example(case=_seeded_room([]))
+    @example(case=_seeded_room([0]))
+    @given(case=rooms())
+    def test_matches_loop_reference(self, case):
+        agent, anchor, surfaces, order, visible = case
+        try:
+            ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
+        except DegenerateGeometryError:
+            assume(False)
+        assume(np.all(ref_params[:, 0] > 1e-3))
+        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
+        assert params.shape == (visible.size, 3) and not degenerate.any()
+        assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
+        assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
+        for angle, ref in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
+            assert abs(wrap_angle(angle - ref)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=rooms(), data=st.data())
+    def test_agent_on_a_virtual_anchor_flags_only_that_component(self, case, data):
+        _, anchor, surfaces, order, _ = case
+        target = data.draw(st.integers(0, order.size - 1))
+        agent = AgentPose(position=virtual_anchor(anchor, order.components[target], surfaces),
+                          velocity=[0.0, 0.0], orientation=data.draw(_coordinate(np.pi)))
+        others = [c for k, c in enumerate(order) if k != target]
+        try:
+            assume(min((path_geometry(agent, anchor, c, surfaces).params.distance
+                        for c in others), default=1.0) > 1e-6)
+        except DegenerateGeometryError:
+            assume(False)
+        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces,
+                                                  np.arange(order.size))
+        assert degenerate.tolist() == [k == target for k in range(order.size)]
+        columns = [order.dist_index(target), order.aoa_index(target), order.aod_index(target)]
+        np.testing.assert_array_equal(jac[:, columns], 0.0)
+        assert np.all(np.isfinite(jac))

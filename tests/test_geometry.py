@@ -13,7 +13,6 @@ from mpslam_bounds.geometry import (
     PathComponent,
     SurfaceMap,
     channel_params,
-    householder,
     householder_chain,
     mirrored_agent,
     path_geometry,
@@ -22,6 +21,10 @@ from mpslam_bounds.geometry import (
     virtual_anchor,
     wrap_angle,
 )
+
+
+def householder(surface_point):
+    return SurfaceMap([surface_point]).householder(1)
 
 
 def random_geometry(rng, num_surfaces):
@@ -309,7 +312,7 @@ class TestChannelParams:
             agent = AgentPose(position=rng.uniform(-1.5, 1.5, size=2),
                               velocity=[0, 0], orientation=0.0)
             if checked_single < 40:
-                p1 = surfaces.point(1)
+                p1 = surfaces.points[0]
                 image = _reflect_across_line(anchor.position, p1)
                 hit = _segment_line_crossing(image, agent.position, p1)
                 if hit is not None:
@@ -320,7 +323,7 @@ class TestChannelParams:
                     assert abs(d - length) < 1e-10
                     checked_single += 1
             if checked_double < 40:
-                pa, pb = surfaces.point(1), surfaces.point(2)
+                pa, pb = surfaces.points
                 image1 = _reflect_across_line(anchor.position, pa)
                 image2 = _reflect_across_line(image1, pb)
                 hit2 = _segment_line_crossing(image2, agent.position, pb)

@@ -280,17 +280,18 @@ class TestMeasurements:
         assert a == b
 
     def test_measurement_means_come_from_the_shared_geometry(self):
-        """The generator's means are exactly the channel parameters the bound
-        uses (single source of truth)."""
-        from mpslam_bounds.geometry import channel_params
+        """The generator's means are exactly the channel parameters of the
+        bound's gradient pass (single source of truth)."""
+        from mpslam_bounds.fim import global_jacobian
 
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         rows = measurement_truth(scenario, truth)
         for row in rows[:50]:
-            comp = scenario.order.components[row.component]
-            params = channel_params(truth[row.step], scenario.anchors[row.anchor],
-                                    comp, scenario.surfaces)
-            assert row.distance == params.distance
-            assert row.aoa == params.aoa
-            assert row.aod == params.aod
+            visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
+            params, _, _ = global_jacobian(truth[row.step], scenario.anchors[row.anchor],
+                                           scenario.order, scenario.surfaces, visible)
+            expected = params[visible.tolist().index(row.component)]
+            assert row.distance == expected[0]
+            assert row.aoa == expected[1]
+            assert row.aod == expected[2]
