@@ -44,6 +44,7 @@ from .scenario import (
     generate_trajectory,
     ground_truth,
     load_scenario,
+    measurement_truth,
 )
 from .streams import derive_run_stream
 
@@ -77,6 +78,7 @@ __all__ = [
     "global_snapshot_fim",
     "ground_truth",
     "load_scenario",
+    "measurement_truth",
     "mirrored_agent",
     "predict_fim",
     "ranging_variance",

@@ -24,7 +24,6 @@ from .fim import (
 from .geometry import (
     AgentPose,
     Anchor,
-    ChannelParams,
     DegenerateGeometryError,
     SurfaceMap,
     channel_params,
@@ -212,12 +211,10 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
             params, degenerate, jac = global_jacobian(agent, a, order, surfaces, visible)
             if degenerate.any():
                 break
-            variances = [None] * order.size
-            for k, p in zip(visible, params):
-                variances[k] = measurement_variances(
-                    ChannelParams(*p), 2.0 / p[0], 6e9, 1e8, aperture, aperture
-                )
-            terms.append((jac, channel_fim(order, variances)))
+            variances = measurement_variances(
+                params, 2.0 / params[:, 0], 6e9, 1e8, aperture, aperture
+            )
+            terms.append((jac, channel_fim(order, visible, variances)))
         if len(terms) != 2:
             continue
         single = global_snapshot_fim(terms[:1])

@@ -23,7 +23,9 @@ from .ekf import MonteCarloResult, run_monte_carlo
 from .fim import ZeroApertureError
 from .geometry import DegenerateGeometryError
 from .pcrlb import BoundRecord, SingularFimError, run_recursion
-from .scenario import MonteCarloConfig, Scenario, ScenarioError, load_scenario
+from .scenario import (
+    MonteCarloConfig, ScenarioError, ground_truth, load_scenario, measurement_truth,
+)
 
 _ASSUMPTIONS = (
     "every component is detected and associated with its true propagation path",
@@ -156,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.mode == "bounds":
-            bounds = run_recursion(scenario)
+            bounds = run_recursion(scenario, measurement_truth(scenario, ground_truth(scenario)))
             result = None
         else:
             result = run_monte_carlo(scenario)

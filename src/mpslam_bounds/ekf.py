@@ -5,24 +5,28 @@ position, velocity, orientation plus all surface points) under the same
 transition model, and linearizes the measurement model with the very same
 gradient code used to assemble the snapshot information: the measurement
 matrix of an update is the transposed joint-state gradient matrix restricted
-to the measured components. Each measurement carries its true component id
-(oracle association) and the noise variances it was drawn with; the filter
-uses those variances as its noise covariance R rather than evaluating the
-noise model again. This matches the assumptions under which the bound
-holds, so the filter's error is expected to approach the bound at high SNR.
+to the measured components. Measurements arrive as one block of arrays per
+(step, anchor), drawn around the scenario's truth table: the true component
+ids (oracle association), the noisy parameters and the noise variances they
+were drawn with. The filter uses those variances as its noise covariance R
+rather than evaluating the noise model again. This matches the assumptions
+under which the bound holds, so the filter's error is expected to approach
+the bound at high SNR.
 
 Per Monte-Carlo run the initial state estimate is drawn around the true
 initial state from the scenario prior (so the run ensemble is consistent
 with the prior the recursion starts from), measurements are drawn from the
-run's own stream, and squared errors are recorded per step. Runs are
-aggregated into RMSE time series paired with the bound records evaluated on
-the same ground truth.
+run's own stream around the truth table shared by all runs and the bound,
+and squared errors are recorded per step. Runs are aggregated into RMSE
+time series paired with the bound records evaluated on the same ground
+truth.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -30,7 +34,9 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .fim import global_jacobian
 from .geometry import AgentPose, SurfaceMap, wrap_angle
 from .pcrlb import BoundRecord, run_recursion, transition_matrix, process_noise_cov
-from .scenario import Measurement, Scenario, draw_measurements, ground_truth, measurement_truth
+from .scenario import (
+    AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
+)
 from .streams import derive_run_stream
 
 log = logging.getLogger(__name__)
@@ -63,14 +69,14 @@ def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) 
 
 
 def _linearize(
-    mean: np.ndarray, measurements: list[Measurement], scenario: Scenario
+    mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Measurement model linearization at the current mean.
 
     Returns (H, observed, predicted, noise_diag, angle_row) over the usable
-    measurement rows: per measurement its distance, arrival-azimuth and
-    departure-azimuth rows, anchors ascending. The noise variances are the
-    ones each measurement was drawn with. Rows whose geometry cannot be
+    measurement rows: per measured component its distance, arrival-azimuth
+    and departure-azimuth rows, anchors ascending. The noise variances are
+    the ones each block was drawn with. Rows whose geometry cannot be
     evaluated at the current estimate are dropped with a diagnostic.
     """
     pose = AgentPose.from_state(mean[:5])
@@ -81,53 +87,45 @@ def _linearize(
     order = scenario.order
     k_total = order.size
 
-    by_anchor: dict[int, list[Measurement]] = {}
-    for m in measurements:
-        by_anchor.setdefault(m.anchor, []).append(m)
-
-    h_blocks, pred_rows, used = [], [], []
-    for j in sorted(by_anchor):
-        rows = by_anchor[j]
-        ks = np.array([m.component for m in rows])
+    h_rows = [np.zeros((0, mean.shape[0]))]
+    observed, predicted, noise = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    for block in blocks:
+        ks = block.components
+        if not ks.size:
+            continue
         near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
-        params, degenerate, jac = global_jacobian(pose, scenario.anchors[j], order, surfaces, ks)
-        for m, near, bad in zip(rows, near_origin, degenerate):
-            if near or bad:
-                log.warning(
-                    "step %d anchor %d: %s, skipping component %s", m.step, j + 1,
-                    "surface estimate near origin" if near else
-                    "agent coincides with virtual anchor", order.components[m.component].bounces,
-                )
+        params, degenerate, jac = global_jacobian(
+            pose, scenario.anchors[block.anchor], order, surfaces, ks
+        )
         ok = ~(near_origin | degenerate)
+        for k, near in zip(ks[~ok], near_origin[~ok]):
+            log.warning(
+                "step %d anchor %d: %s, skipping component %s", block.step, block.anchor + 1,
+                "surface estimate near origin" if near else
+                "agent coincides with virtual anchor", order.components[k].bounces,
+            )
         cols = np.stack([ks, k_total + ks, 2 * k_total + ks], axis=1)[ok]
-        h_blocks.append(jac[:, cols.ravel()].T)
-        pred_rows.append(params[ok].ravel())
-        used += [m for m, good in zip(rows, ok) if good]
+        h_rows.append(jac[:, cols.ravel()].T)
+        observed.append(block.params[ok].ravel())
+        predicted.append(params[ok].ravel())
+        noise.append(block.variances[ok].ravel())
 
-    if not used:
-        n = mean.shape[0]
-        return (np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros(0),
-                np.zeros(0, dtype=bool))
-    return (
-        np.concatenate(h_blocks),
-        np.array([(m.distance, m.aoa, m.aod) for m in used]).ravel(),
-        np.concatenate(pred_rows),
-        np.array([m.variances for m in used]).ravel(),
-        np.tile([False, True, True], len(used)),
-    )
+    h_mat = np.concatenate(h_rows)
+    return (h_mat, np.concatenate(observed), np.concatenate(predicted), np.concatenate(noise),
+            np.tile([False, True, True], h_mat.shape[0] // 3))
 
 
-def ekf_update(state: EkfState, measurements: list[Measurement], scenario: Scenario) -> EkfState:
+def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
     """Measurement update with all components of one step stacked.
 
-    Innovations of angle rows are wrapped; the covariance update uses the
-    Joseph form and is symmetrized. A numerically singular innovation
-    covariance skips the whole stacked update with a diagnostic.
+    ``blocks`` holds the step's measured anchor blocks (see
+    :func:`~.scenario.draw_measurements`). Innovations of angle rows are
+    wrapped; the covariance update uses the Joseph form and is symmetrized.
+    A numerically singular innovation covariance skips the whole stacked
+    update with a diagnostic.
     """
-    if not measurements:
-        return state
     h_mat, observed, predicted, noise_diag, angle_row = _linearize(
-        state.mean, measurements, scenario
+        state.mean, blocks, scenario
     )
     if h_mat.shape[0] == 0:
         return state
@@ -138,8 +136,7 @@ def ekf_update(state: EkfState, measurements: list[Measurement], scenario: Scena
         factor = cho_factor(0.5 * (innovation_cov + innovation_cov.T), lower=True)
     except (LinAlgError, ValueError):
         log.warning(
-            "step %d: singular innovation covariance, skipping update",
-            measurements[0].step,
+            "step %d: singular innovation covariance, skipping update", blocks[0].step
         )
         return state
     gain = cho_solve(factor, h_mat @ state.cov).T
@@ -179,8 +176,8 @@ def _joint_truth(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
 
 def run_single(
     scenario: Scenario,
-    truth,
-    table,
+    truth: list[AgentPose],
+    table: list[StepTruth],
     run_index: int,
 ) -> RunMetrics:
     """One Monte-Carlo run: draw initial error and measurements, filter, record errors."""
@@ -191,9 +188,7 @@ def run_single(
     mean0[4] = wrap_angle(mean0[4])
     state = EkfState(mean=mean0, cov=np.diag(prior_diag))
 
-    by_step: dict[int, list[Measurement]] = {}
-    for m in draw_measurements(table, rng):
-        by_step.setdefault(m.step, []).append(m)
+    measured = draw_measurements(table, rng)
 
     transition = transition_matrix(scenario.model)
     noise_cov = process_noise_cov(scenario.model)
@@ -207,7 +202,7 @@ def run_single(
     )
     for n in range(1, n_steps + 1):
         state = ekf_predict(state, transition, noise_cov)
-        state = ekf_update(state, by_step.get(n, []), scenario)
+        state = ekf_update(state, measured[n - 1], scenario)
         if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
         truth_state = _joint_truth(truth[n], scenario.surfaces)
@@ -224,14 +219,15 @@ def run_single(
 def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
     """Bounds plus estimator RMSE over the scenario's Monte-Carlo ensemble.
 
-    The ground truth is fixed across runs; runs differ in their initial
-    estimate draw and measurement noise. Runs execute sequentially in run
+    The ground truth and its truth table are built once and shared by the
+    bound recursion and every run; runs differ in their initial estimate
+    draw and measurement noise. Runs execute sequentially in run
     order (independent streams make the aggregation order-independent up to
     the fixed summation order used here).
     """
     truth = ground_truth(scenario)
-    bounds = run_recursion(scenario)
     table = measurement_truth(scenario, truth)
+    bounds = run_recursion(scenario, table)
 
     n_steps = scenario.n_steps
     num_surfaces = len(scenario.surfaces)

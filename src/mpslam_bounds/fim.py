@@ -39,7 +39,6 @@ import numpy as np
 from .geometry import (
     AgentPose,
     Anchor,
-    ChannelParams,
     PathComponent,
     SurfaceMap,
     path_batch,
@@ -59,7 +58,15 @@ ZERO_APERTURE_EPS = 1e-18
 
 
 class ZeroApertureError(ValueError):
-    """Squared array aperture vanished (endfire); angle variance undefined."""
+    """Squared array aperture vanished (endfire); angle variance undefined.
+
+    ``index`` is the position, along the first axis, of the first endfire
+    entry of an array evaluation (0 for a scalar one).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,8 @@ class IsotropicAperture:
         if not (self.d_squared > 0 and math.isfinite(self.d_squared)):
             raise ValueError("squared aperture must be positive and finite")
 
-    def squared_aperture(self, azimuth: float) -> float:
-        return self.d_squared
+    def squared_aperture(self, azimuth: float | np.ndarray) -> float | np.ndarray:
+        return np.full(np.shape(azimuth), self.d_squared)
 
 
 @dataclass(frozen=True)
@@ -95,29 +102,33 @@ class UniformLinearArray:
         if not (self.element_spacing > 0 and math.isfinite(self.element_spacing)):
             raise ValueError("element spacing must be positive and finite")
 
-    def squared_aperture(self, azimuth: float) -> float:
+    def squared_aperture(self, azimuth: float | np.ndarray) -> float | np.ndarray:
         m = self.num_elements
         gain = m * (m * m - 1) / 12.0
-        return (self.element_spacing * math.cos(azimuth - self.broadside)) ** 2 * gain
+        return (self.element_spacing * np.cos(azimuth - self.broadside)) ** 2 * gain
 
 
 ApertureModel = IsotropicAperture | UniformLinearArray
 
+# The variance models below take scalars or arrays (broadcast elementwise).
 
-def ranging_variance(amplitude: float, rms_bandwidth: float) -> float:
+
+def ranging_variance(amplitude: float | np.ndarray, rms_bandwidth: float) -> float | np.ndarray:
     """Distance measurement variance (m^2) at a given normalized amplitude.
 
     c^2 / (8 pi^2 beta^2 u^2) with beta the root-mean-square signal
     bandwidth in Hz and u the amplitude (square root of component SNR).
     """
-    if not amplitude > 0:
+    if not np.all(amplitude > 0):
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     if not rms_bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {rms_bandwidth}")
     return SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * rms_bandwidth**2 * amplitude**2)
 
 
-def angle_variance(amplitude: float, carrier_freq: float, squared_aperture: float) -> float:
+def angle_variance(
+    amplitude: float | np.ndarray, carrier_freq: float, squared_aperture: float | np.ndarray
+) -> float | np.ndarray:
     """Azimuth measurement variance (rad^2); same form for arrival and departure.
 
     c^2 / (8 pi^2 f_c^2 u^2 D^2) with D^2 the squared array aperture (m^2)
@@ -125,13 +136,16 @@ def angle_variance(amplitude: float, carrier_freq: float, squared_aperture: floa
     near endfire (D^2 < 1e-18 m^2); callers must mark such components
     nonexistent or use an isotropic aperture.
     """
-    if not amplitude > 0:
+    if not np.all(amplitude > 0):
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     if not carrier_freq > 0:
         raise ValueError(f"carrier frequency must be positive, got {carrier_freq}")
-    if squared_aperture < ZERO_APERTURE_EPS:
+    squared = np.atleast_1d(squared_aperture)
+    endfire = np.argwhere(squared < ZERO_APERTURE_EPS)
+    if endfire.size:
         raise ZeroApertureError(
-            f"squared aperture {squared_aperture} below {ZERO_APERTURE_EPS} m^2"
+            f"squared aperture {squared[tuple(endfire[0])]} below {ZERO_APERTURE_EPS} m^2",
+            int(endfire[0, 0]),
         )
     return SPEED_OF_LIGHT**2 / (
         8.0 * math.pi**2 * carrier_freq**2 * amplitude**2 * squared_aperture
@@ -139,28 +153,31 @@ def angle_variance(amplitude: float, carrier_freq: float, squared_aperture: floa
 
 
 def measurement_variances(
-    params: ChannelParams,
-    amplitude: float,
+    params: np.ndarray,
+    amplitudes: np.ndarray,
     carrier_freq: float,
     rms_bandwidth: float,
     rx_aperture: ApertureModel,
     tx_aperture: ApertureModel,
-) -> tuple[float, float, float]:
-    """(distance, arrival-azimuth, departure-azimuth) variances of one component.
+) -> np.ndarray:
+    """(distance, arrival-azimuth, departure-azimuth) variances of n components.
 
-    The receive (agent) aperture is evaluated at the arrival azimuth, the
-    transmit (anchor) aperture at the departure azimuth. The scenario's
-    channel pass evaluates it once per visible path at the true pose; the
-    bound, the measurement generator and the estimator all read that value.
+    ``params`` holds the components' (n, 3) channel parameters (distance,
+    arrival azimuth, departure azimuth), ``amplitudes`` their (n,)
+    amplitudes; returns the (n, 3) variances. The receive (agent) aperture
+    is evaluated at the arrival azimuth, the transmit (anchor) aperture at
+    the departure azimuth. An endfire aperture raises
+    :class:`ZeroApertureError` whose ``index`` is the first such component.
+    The scenario's channel pass evaluates it once per (step, anchor) at the
+    true pose; the bound, the measurement generator and the estimator all
+    read that value.
     """
-    var_d = ranging_variance(amplitude, rms_bandwidth)
-    var_aoa = angle_variance(
-        amplitude, carrier_freq, rx_aperture.squared_aperture(params.aoa)
-    )
-    var_aod = angle_variance(
-        amplitude, carrier_freq, tx_aperture.squared_aperture(params.aod)
-    )
-    return var_d, var_aoa, var_aod
+    params = np.asarray(params, dtype=float)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    squared = np.stack([rx_aperture.squared_aperture(params[:, 1]),
+                        tx_aperture.squared_aperture(params[:, 2])], axis=1)
+    return np.concatenate([ranging_variance(amplitudes, rms_bandwidth)[:, None],
+                           angle_variance(amplitudes[:, None], carrier_freq, squared)], axis=1)
 
 
 class ComponentOrder:
@@ -187,6 +204,7 @@ class ComponentOrder:
         # Bounce surfaces as index arrays (0 = no bounce), see geometry.PathBatch.
         padded = np.array([c.bounces + (0,) * (2 - len(c.bounces)) for c in comps], dtype=int)
         self.first, self.second = padded[:, 0], padded[:, 1]
+        self.n_bounces = np.count_nonzero(padded, axis=1)
 
     @classmethod
     def canonical(cls, num_surfaces: int) -> "ComponentOrder":
@@ -324,22 +342,22 @@ def _reflection_source_blocks(
 
 
 def channel_fim(
-    order: ComponentOrder,
-    variances: Sequence[tuple[float, float, float] | None],
+    order: ComponentOrder, components: Sequence[int] | np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
     """Diagonal per-anchor channel information, returned as a length-3K vector.
 
-    ``variances`` holds per component the (distance, arrival-azimuth,
+    ``components`` lists the indices (into ``order``) of the present
+    components and ``variances`` their (n, 3) (distance, arrival-azimuth,
     departure-azimuth) measurement variances (see
-    :func:`measurement_variances`), ``None`` for an absent component. Each
-    entry is 1 / variance; exactly zero for absent components.
+    :func:`measurement_variances`). Each entry is 1 / variance; exactly zero
+    for absent components.
     """
-    if len(variances) != order.size:
-        raise ValueError("variances must have length K")
-    present = [k for k, triple in enumerate(variances) if triple is not None]
+    ks = np.asarray(components, dtype=int)
+    variances = np.asarray(variances, dtype=float)
+    if variances.shape != (ks.size, 3):
+        raise ValueError("variances must hold one triple per listed component")
     diag = np.zeros(order.dim)
-    rows = np.add.outer([0, order.size, 2 * order.size], np.array(present, dtype=int))
-    diag[rows] = 1.0 / np.array([variances[k] for k in present]).reshape(-1, 3).T
+    diag[np.add.outer([0, order.size, 2 * order.size], ks)] = 1.0 / variances.T
     return diag
 
 

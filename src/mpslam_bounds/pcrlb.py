@@ -4,14 +4,21 @@ The joint state follows a nearly-constant-velocity transition: position
 integrates velocity over the step length, orientation and surface points
 random-walk. Posterior information is propagated as
 
-    J_pred = (F J_prev^{-1} F^T + Q)^{-1}        (prediction)
+    P_prev = J_prev^{-1}                         (posterior covariance)
+    J_pred = (F P_prev F^T + Q)^{-1}             (prediction)
     J_post = J_snapshot + J_pred                 (fusion)
 
 and the error bounds are square roots of traces of blocks of J_post^{-1}:
 position (PEB), velocity (VEB), orientation (OEB) and one mapping bound per
-surface (MEB). Every inversion goes through a symmetric positive-definite
-factorization followed by symmetrization; information matrices with
-condition number beyond 1e14 are rejected as singular.
+surface (MEB). Each posterior is inverted once; its covariance yields the
+step's bounds and the next step's prediction. Every inversion goes through a
+symmetric positive-definite factorization followed by symmetrization;
+information matrices with condition number beyond 1e14 are rejected as
+singular.
+
+The snapshot information comes from the scenario's truth table, the one
+channel evaluation at the true poses that also feeds the measurement
+generator and the filter; this module does not evaluate the channel.
 
 State layout (0-based): position 0:2, velocity 2:4, orientation 4,
 surface s (1-based) at 5 + 2*(s-1). Reports use 1-based surface ids.
@@ -115,11 +122,10 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def predict_fim(
-    j_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
+    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
 ) -> np.ndarray:
-    """Propagate posterior information one step: (F J^{-1} F^T + Q)^{-1}."""
-    cov = _spd_inverse(j_post, "posterior information")
-    predicted_cov = transition @ cov @ transition.T + process_cov
+    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1}."""
+    predicted_cov = transition @ cov_post @ transition.T + process_cov
     return _spd_inverse(predicted_cov, "predicted covariance")
 
 
@@ -134,9 +140,8 @@ class BoundRecord:
     meb: np.ndarray = field(repr=False)  # m, one entry per surface (1-based id s -> meb[s-1])
 
 
-def extract_bounds(j_post: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRecord:
+def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRecord:
     """Square-root trace bounds of the posterior covariance blocks."""
-    cov = _spd_inverse(j_post, "posterior information")
     peb = float(np.sqrt(cov[0, 0] + cov[1, 1]))
     veb = float(np.sqrt(cov[2, 2] + cov[3, 3]))
     oeb = float(np.sqrt(cov[4, 4]))
@@ -160,17 +165,17 @@ def _describe_weak_block(j: np.ndarray, num_surfaces: int) -> str:
     return f"surface {1 + (idx - 5) // 2}"
 
 
-def run_recursion(scenario, prior: np.ndarray | None = None) -> list[BoundRecord]:
-    """Evaluate the bound recursion along a scenario's ground-truth trajectory.
+def run_recursion(scenario, table, prior: np.ndarray | None = None) -> list[BoundRecord]:
+    """Evaluate the bound recursion along a scenario's truth table.
 
-    Starts from the diagonal prior covariance (the scenario's unless an
-    explicit diagonal is given), then alternates prediction, snapshot
-    information built from the true geometry and the visibility schedule,
-    and fusion. Deterministic: identical inputs give bit-identical output.
+    ``table`` is the scenario's truth table (``scenario.measurement_truth``),
+    one record per step with its snapshot information built from the true
+    geometry and the visibility schedule. Starts from the diagonal prior
+    covariance (the scenario's unless an explicit diagonal is given), then
+    alternates prediction and fusion. Each posterior is inverted once: its
+    covariance gives the step's bounds and the next step's prediction.
+    Deterministic: identical inputs give bit-identical output.
     """
-    # Imported here: scenario assembly depends on this module for the model.
-    from .scenario import ground_truth, snapshot_fim
-
     model = scenario.model
     if prior is None:
         prior = scenario.prior_covariance()
@@ -182,17 +187,19 @@ def run_recursion(scenario, prior: np.ndarray | None = None) -> list[BoundRecord
 
     transition = transition_matrix(model)
     noise_cov = process_noise_cov(model)
-    truth = ground_truth(scenario)
     j_post = np.diag(1.0 / prior)
     records: list[BoundRecord] = []
-    for n in range(1, scenario.n_steps + 1):
-        try:
-            j_pred = predict_fim(j_post, transition, noise_cov)
-            j_post = j_pred + snapshot_fim(scenario, truth[n], n)
-            records.append(extract_bounds(j_post, model.num_surfaces, step=n))
-        except SingularFimError as exc:
-            raise SingularFimError(
-                f"step {n}: {exc} (weakest block: "
-                f"{_describe_weak_block(j_post, model.num_surfaces)})"
-            ) from exc
+    step = 1
+    try:
+        cov = _spd_inverse(j_post, "posterior information")
+        for record in table:
+            step = record.step
+            j_post = predict_fim(cov, transition, noise_cov) + record.information
+            cov = _spd_inverse(j_post, "posterior information")
+            records.append(extract_bounds(cov, model.num_surfaces, step=step))
+    except SingularFimError as exc:
+        raise SingularFimError(
+            f"step {step}: {exc} (weakest block: "
+            f"{_describe_weak_block(j_post, model.num_surfaces)})"
+        ) from exc
     return records

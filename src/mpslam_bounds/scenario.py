@@ -7,19 +7,23 @@ Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
 the dataclass fields below exactly; unknown keys are rejected with the
 offending path so typos cannot silently change an experiment.
 
-Measurement generation and bound evaluation share one channel-evaluation
-pass (path geometry and measurement variances of each visible path,
-resolved once at the true pose). Its variances travel with every
-:class:`Measurement` record, so the bound's information, the generator's
-noise and the estimator's noise covariance are the same numbers. Draw
-order is fixed: steps ascending, anchors ascending, components in canonical
-order, and per component distance, arrival azimuth, departure azimuth.
+The channel truth is evaluated once per scenario, in one batched pass per
+(step, anchor) at the true pose: path geometry, gradient and measurement
+variances of the visible components. Its output is the truth table
+(:func:`measurement_truth`), one :class:`StepTruth` per step holding the
+snapshot information and one :class:`AnchorBlock` of arrays per anchor. The
+bound recursion reads the information, the generator draws around the
+blocks' parameters with their variances, and the estimator takes its noise
+covariance from the same variances, so all three read the same numbers.
+Draw order is fixed: steps ascending, anchors ascending, components in
+canonical order, and per component distance, arrival azimuth, departure
+azimuth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +40,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import (
-    AgentPose, Anchor, ChannelParams, DegenerateGeometryError, SurfaceMap, path_batch, wrap_angle,
-)
+from .geometry import AgentPose, Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, trajectory_stream
 
@@ -76,8 +78,11 @@ class AmplitudeModel:
         if not 0 < self.bounce_loss <= 1:
             raise ValueError("bounce_loss must lie in (0, 1]")
 
-    def amplitude(self, distance: float, n_bounces: int) -> float:
-        if not distance > 0:
+    def amplitude(
+        self, distance: float | np.ndarray, n_bounces: int | np.ndarray
+    ) -> float | np.ndarray:
+        """Amplitude at the given distances and bounce counts (scalars or arrays)."""
+        if not np.all(distance > 0):
             raise ValueError("distance must be positive")
         return self.reference_amplitude * (1.0 / distance) * self.bounce_loss**n_bounces
 
@@ -130,63 +135,11 @@ class NcvTrajectory:
 TrajectorySpec = WaypointTrajectory | NcvTrajectory
 
 
-@dataclass(frozen=True)
-class VisibilityRule:
-    """One schedule override; ``None`` fields match everything.
-
-    Anchors and steps are 1-based in rules (matching report columns);
-    components are (s, s') pairs with (0, 0) the line-of-sight path.
-    """
-
-    visible: bool
-    anchors: tuple[int, ...] | None = None
-    components: tuple[tuple[int, int], ...] | None = None
-    steps: tuple[int, ...] | None = None
-
-
 class VisibilitySchedule:
     """Resolved existence flags per (anchor, step, component)."""
 
     def __init__(self, table: np.ndarray):
         self._table = table
-
-    @classmethod
-    def resolve(
-        cls,
-        default_visible: bool,
-        rules: list[VisibilityRule],
-        n_anchors: int,
-        n_steps: int,
-        order: ComponentOrder,
-    ) -> "VisibilitySchedule":
-        pair_to_index = {c.pair: k for k, c in enumerate(order)}
-        table = np.full(
-            (n_anchors, n_steps + 1, order.size), 1 if default_visible else 0, dtype=np.int8
-        )
-        for rule in rules:
-            anchors = (
-                range(n_anchors)
-                if rule.anchors is None
-                else [a - 1 for a in rule.anchors]
-            )
-            steps = range(1, n_steps + 1) if rule.steps is None else rule.steps
-            if rule.components is None:
-                comp_idx = range(order.size)
-            else:
-                comp_idx = []
-                for pair in rule.components:
-                    if pair not in pair_to_index:
-                        raise ScenarioError(f"visibility rule names unknown component {pair}")
-                    comp_idx.append(pair_to_index[pair])
-            for j in anchors:
-                if not 0 <= j < n_anchors:
-                    raise ScenarioError(f"visibility rule anchor {j + 1} out of range")
-                for n in steps:
-                    if not 1 <= n <= n_steps:
-                        raise ScenarioError(f"visibility rule step {n} outside 1..{n_steps}")
-                    for k in comp_idx:
-                        table[j, n, k] = 1 if rule.visible else 0
-        return cls(table)
 
     def flags(self, anchor_index: int, step: int) -> np.ndarray:
         """Existence flags of anchor ``anchor_index`` (0-based) at ``step`` (1-based)."""
@@ -242,22 +195,31 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One component observation with its noise variances.
+class AnchorBlock:
+    """The components one anchor observes at one step, as arrays.
 
-    :func:`measurement_truth` fills in the noise-free channel parameters,
-    :func:`draw_measurements` the noisy ones (angles wrapped to (-pi, pi]).
-    ``variances`` are the (distance, arrival-azimuth, departure-azimuth)
-    variances the noise is drawn with, evaluated at the true pose.
+    ``params`` holds per component its (distance, arrival azimuth, departure
+    azimuth): noise-free in the truth table (:func:`measurement_truth`),
+    noisy in a draw (:func:`draw_measurements`, angles wrapped to
+    (-pi, pi]). ``variances`` are the matching noise variances, evaluated at
+    the true pose; the draw keeps them.
     """
 
     step: int  # 1-based time index
     anchor: int  # 0-based anchor index
-    component: int  # index into the scenario's component order
-    distance: float
-    aoa: float
-    aod: float
-    variances: tuple[float, float, float]
+    components: np.ndarray  # (n,) indices into the scenario's component order
+    params: np.ndarray  # (n, 3)
+    variances: np.ndarray  # (n, 3)
+
+
+@dataclass(frozen=True)
+class StepTruth:
+    """Channel truth of one step: the snapshot information (N, N) and one
+    :class:`AnchorBlock` per anchor, anchors ascending."""
+
+    step: int
+    information: np.ndarray
+    blocks: tuple[AnchorBlock, ...]
 
 
 @dataclass
@@ -375,97 +337,92 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 
 
 def _visible_paths(
-    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int, gradient: bool
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float, float]], np.ndarray | None]:
+    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Channel evaluation of every component visible to one anchor at ``step``.
 
-    The one batched pass shared by the bound and the measurement generator:
-    returns the visible component indices, their (n, 3) channel parameters
-    and variances and, with ``gradient``, the anchor's (N, 3K) gradient
-    matrix. A degenerate geometry or an endfire aperture raises with the
-    step, the 1-based anchor and the component pair in the message.
+    The one batched pass shared by the bound, the measurement generator and
+    the filter's noise covariance: returns the visible component indices,
+    their (n, 3) channel parameters and variances, and the anchor's (N, 3K)
+    gradient matrix. A degenerate geometry or an endfire aperture raises
+    with the step, the 1-based anchor and the component pair in the message.
     """
     anchor, order = scenario.anchors[anchor_index], scenario.order
     visible = np.flatnonzero(scenario.visibility.flags(anchor_index, step))
-    if gradient:
-        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
-    else:
-        batch = path_batch(pose, anchor, order.first[visible], order.second[visible],
-                           scenario.surfaces)
-        params, degenerate, jac = batch.params, batch.degenerate, None
-    variances = []
-    for k, (distance, aoa, aod), bad in zip(visible, params.tolist(), degenerate):
-        comp = order.components[k]
-        try:
-            if bad:
-                raise DegenerateGeometryError(
-                    f"agent coincides with virtual anchor for path {comp.bounces}"
-                )
-            variances.append(measurement_variances(
-                ChannelParams(distance, aoa, aod),
-                scenario.amplitude_model.amplitude(distance, comp.n_bounces),
-                scenario.signal.carrier_freq,
-                scenario.signal.rms_bandwidth,
-                scenario.agent_aperture,
-                anchor.aperture,
-            ))
-        except (DegenerateGeometryError, ZeroApertureError) as exc:
-            raise type(exc)(
-                f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}: {exc}"
-            ) from exc
+    params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
+
+    def where(i: int) -> str:
+        comp = order.components[visible[i]]
+        return f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}"
+
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DegenerateGeometryError(
+            f"{where(i)}: agent coincides with virtual anchor for path "
+            f"{order.components[visible[i]].bounces}"
+        )
+    amplitudes = scenario.amplitude_model.amplitude(params[:, 0], order.n_bounces[visible])
+    try:
+        variances = measurement_variances(
+            params, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+            scenario.agent_aperture, anchor.aperture,
+        )
+    except ZeroApertureError as exc:
+        raise ZeroApertureError(f"{where(exc.index)}: {exc}") from exc
     return visible, params, variances, jac
 
 
-def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> np.ndarray:
-    """Snapshot information at one ground-truth pose under the schedule at ``step``."""
-    order = scenario.order
-    terms = []
-    for j in range(len(scenario.anchors)):
-        visible, _, visible_vars, jac = _visible_paths(scenario, pose, j, step, gradient=True)
-        variances: list[tuple[float, float, float] | None] = [None] * order.size
-        for k, var in zip(visible, visible_vars):
-            variances[k] = var
-        terms.append((jac, channel_fim(order, variances)))
-    return global_snapshot_fim(terms)
+def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
+    """Channel truth at one ground-truth pose under the schedule at ``step``.
 
-
-def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[Measurement]:
-    """Noise-free means and noise variances of every visible component observation.
-
-    Components with existence 0 emit nothing; the variances come from the
-    true amplitude (amplitude noise carries no state information here).
+    Runs the channel pass once per anchor and returns the step's record of
+    the truth table: the snapshot information sum_j H_j Lambda_j H_j^T and
+    the anchors' visible components with their noise-free parameters and
+    variances. No gradient matrix is kept.
     """
-    rows: list[Measurement] = []
-    for n in range(1, scenario.n_steps + 1):
-        for j in range(len(scenario.anchors)):
-            visible, params, variances, _ = _visible_paths(scenario, truth[n], j, n, gradient=False)
-            rows += [Measurement(n, j, k, *p, var)
-                     for k, p, var in zip(visible.tolist(), params.tolist(), variances)]
-    return rows
+    order = scenario.order
+    blocks, terms = [], []
+    for j in range(len(scenario.anchors)):
+        visible, params, variances, jac = _visible_paths(scenario, pose, j, step)
+        blocks.append(AnchorBlock(step, j, visible, params, variances))
+        terms.append((jac, channel_fim(order, visible, variances)))
+    return StepTruth(step, global_snapshot_fim(terms), tuple(blocks))
 
 
-def draw_measurements(table: list[Measurement], rng: RandomStream) -> list[Measurement]:
-    """Draw noisy measurements around a noise-free table (fixed draw order).
+def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTruth]:
+    """The truth table: one :class:`StepTruth` per step 1..n_steps.
+
+    Built once per scenario; the bound recursion reads its information, the
+    generator draws around its parameters with its variances, and the filter
+    takes its noise covariance from those variances. Invisible components
+    emit nothing; the variances come from the true amplitude (amplitude
+    noise carries no state information here).
+    """
+    return [snapshot_fim(scenario, truth[n], n) for n in range(1, scenario.n_steps + 1)]
+
+
+def draw_measurements(
+    table: list[StepTruth], rng: RandomStream
+) -> list[tuple[AnchorBlock, ...]]:
+    """Draw noisy measurements around the truth table, one tuple of anchor
+    blocks per step (fixed draw order).
 
     Distances and azimuths are Gaussian around the noise-free channel
-    parameters with the row's variances; azimuths are wrapped. The variances
-    are carried over unchanged.
+    parameters with the block's variances (a standard normal variate per
+    value, scaled by the standard deviation); azimuths are wrapped. The
+    variances are carried over unchanged.
     """
-    out: list[Measurement] = []
-    for row in table:
-        var_d, var_aoa, var_aod = row.variances
-        out.append(
-            Measurement(
-                step=row.step,
-                anchor=row.anchor,
-                component=row.component,
-                distance=rng.normal(row.distance, math.sqrt(var_d)),
-                aoa=wrap_angle(rng.normal(row.aoa, math.sqrt(var_aoa))),
-                aod=wrap_angle(rng.normal(row.aod, math.sqrt(var_aod))),
-                variances=row.variances,
-            )
-        )
-    return out
+    drawn = []
+    for record in table:
+        blocks = []
+        for block in record.blocks:
+            noise = rng.standard_normal(block.params.size).reshape(block.params.shape)
+            params = block.params + np.sqrt(block.variances) * noise
+            params[:, 1:] = np.reshape([wrap_angle(v) for v in params[:, 1:].ravel().tolist()],
+                                       (-1, 2))
+            blocks.append(replace(block, params=params))
+        drawn.append(tuple(blocks))
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -605,48 +562,58 @@ def _parse_steps(node, path: str, n_steps: int) -> tuple[int, ...] | None:
             raise ScenarioError(f"{path}: range {start}..{stop} outside 1..{n_steps}")
         return tuple(range(start, stop + 1))
     if isinstance(node, list):
-        return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(node))
+        steps = tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(node))
+        for i, n in enumerate(steps):
+            if not 1 <= n <= n_steps:
+                raise ScenarioError(f"{path}[{i}]: step {n} outside 1..{n_steps}")
+        return steps
     raise ScenarioError(f"{path}: expected a list of steps or {{from, to}}")
 
 
 def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
                       order: ComponentOrder) -> VisibilitySchedule:
-    if node is None:
-        return VisibilitySchedule.resolve(True, [], n_anchors, n_steps, order)
-    node = _require_mapping(node, path)
+    """The schedule's default, then each rule in order, overriding the flags
+    of the anchors, components and steps it names (all of them where a key
+    is left out). Anchors and steps are 1-based; components are [s, s']
+    pairs with [0, 0] the line-of-sight path."""
+    node = _require_mapping({} if node is None else node, path)
     default = _as_bool(_take(node, "default", path, default=True), f"{path}.default")
     raw_rules = _take(node, "rules", path, default=[])
     _reject_unknown(node, path)
     if not isinstance(raw_rules, list):
         raise ScenarioError(f"{path}.rules: expected a list")
-    rules = []
+    table = np.full((n_anchors, n_steps + 1, order.size), int(default), dtype=np.int8)
+    pair_to_index = {c.pair: k for k, c in enumerate(order)}
     for i, raw in enumerate(raw_rules):
         rpath = f"{path}.rules[{i}]"
         raw = _require_mapping(raw, rpath)
         visible = _as_bool(_take(raw, "visible", rpath, required=True), f"{rpath}.visible")
-        anchors = _take(raw, "anchors", rpath)
-        if anchors is not None:
-            if not isinstance(anchors, list):
-                raise ScenarioError(f"{rpath}.anchors: expected a list")
-            anchors = tuple(_as_int(a, f"{rpath}.anchors[{ai}]") for ai, a in enumerate(anchors))
+        anchors = _take(raw, "anchors", rpath, default=list(range(1, n_anchors + 1)))
+        if not isinstance(anchors, list):
+            raise ScenarioError(f"{rpath}.anchors: expected a list")
+        anchors = [_as_int(a, f"{rpath}.anchors[{ai}]") for ai, a in enumerate(anchors)]
+        for ai, a in enumerate(anchors):
+            if not 1 <= a <= n_anchors:
+                raise ScenarioError(f"{rpath}.anchors[{ai}]: anchor {a} outside 1..{n_anchors}")
         components = _take(raw, "components", rpath)
+        comps = range(order.size)
         if components is not None:
             if not isinstance(components, list):
                 raise ScenarioError(f"{rpath}.components: expected a list of [s, s'] pairs")
-            pairs = []
+            comps = []
             for ci, pair in enumerate(components):
+                cpath = f"{rpath}.components[{ci}]"
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise ScenarioError(f"{rpath}.components[{ci}]: expected [s, s']")
-                pairs.append((
-                    _as_int(pair[0], f"{rpath}.components[{ci}][0]"),
-                    _as_int(pair[1], f"{rpath}.components[{ci}][1]"),
-                ))
-            components = tuple(pairs)
+                    raise ScenarioError(f"{cpath}: expected [s, s']")
+                key = (_as_int(pair[0], f"{cpath}[0]"), _as_int(pair[1], f"{cpath}[1]"))
+                if key not in pair_to_index:
+                    raise ScenarioError(f"{cpath}: unknown component {list(key)}")
+                comps.append(pair_to_index[key])
         steps = _parse_steps(_take(raw, "steps", rpath), f"{rpath}.steps", n_steps)
         _reject_unknown(raw, rpath)
-        rules.append(VisibilityRule(visible=visible, anchors=anchors,
-                                    components=components, steps=steps))
-    return VisibilitySchedule.resolve(default, rules, n_anchors, n_steps, order)
+        steps = range(1, n_steps + 1) if steps is None else steps
+        table[np.ix_([a - 1 for a in anchors], list(steps), list(comps))] = visible
+    return VisibilitySchedule(table)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -33,7 +33,12 @@ from mpslam_bounds.geometry import (
     virtual_anchor,
 )
 from mpslam_bounds.pcrlb import predict_fim, run_recursion
-from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
+from mpslam_bounds.scenario import (
+    ground_truth,
+    load_scenario,
+    measurement_truth,
+    scenario_from_mapping,
+)
 import yaml
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -50,6 +55,10 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def desk_mapping():
     return yaml.safe_load(DESK_SCENARIO.read_text())
+
+
+def bounds_of(scenario):
+    return run_recursion(scenario, measurement_truth(scenario, ground_truth(scenario)))
 
 
 def test_criterion_1_jacobian_matches_finite_differences():
@@ -101,12 +110,12 @@ def test_criterion_3_structural_zeros():
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         aperture = IsotropicAperture(0.01)
-        variances = [
-            measurement_variances(p, 2.0 / p.distance, 6e9, 1e8, aperture, aperture)
-            for p in (channel_params(agent, anchor, c, surfaces) for c in order)
-        ]
+        params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
+                           for c in order])
+        variances = measurement_variances(params, 2.0 / params[:, 0], 6e9, 1e8,
+                                          aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
-        lam = channel_fim(order, variances)
+        lam = channel_fim(order, range(order.size), variances)
         snapshot = global_snapshot_fim([(jac, lam)])
         ok &= not snapshot[2:4, :].any() and not snapshot[:, 2:4].any()
         # canonical order puts the LOS component first
@@ -125,21 +134,21 @@ def test_criterion_4_psd_and_bound_ordering():
 
     min_rel_eig = 0.0
     for n in (1, 10, 20, 40):
-        snap = snapshot_fim(scenario, truth[n], n)
+        snap = snapshot_fim(scenario, truth[n], n).information
         eigs = np.linalg.eigvalsh(snap)
         min_rel_eig = min(min_rel_eig, eigs[0] / max(snap.trace(), 1.0))
     psd_ok = min_rel_eig >= -1e-10
 
-    base = run_recursion(scenario)
+    base = bounds_of(scenario)
 
     extra = desk_mapping()
     extra["anchors"] = extra["anchors"] + [dict(extra["anchors"][0])]
-    with_anchor = run_recursion(scenario_from_mapping(extra))
+    with_anchor = bounds_of(scenario_from_mapping(extra))
 
     disabled = desk_mapping()
     disabled["visibility"] = {"default": True,
                               "rules": [{"visible": False, "components": [[1, 1]]}]}
-    without_component = run_recursion(scenario_from_mapping(disabled))
+    without_component = bounds_of(scenario_from_mapping(disabled))
 
     def weakly_leq(better, worse):
         tol = 1e-9
@@ -174,8 +183,8 @@ def test_criterion_5_pure_information_accumulation():
     running = np.zeros((dim, dim))
     worst = 0.0
     for n in range(1, 11):
-        snap = snapshot_fim(scenario, truth[n], n)
-        j = predict_fim(j, identity, zero_noise) + snap
+        snap = snapshot_fim(scenario, truth[n], n).information
+        j = predict_fim(np.linalg.inv(j), identity, zero_noise) + snap
         running += snap
         expected = j0 + running
         worst = max(worst, np.max(np.abs(j - expected)) / np.max(np.abs(expected)))
@@ -256,7 +265,7 @@ def test_criterion_7_bound_attainment_at_desk_scale():
 
 def test_criterion_8_generator_calibration():
     """Empirical variances over 10^4 draws match the variance models within 5%."""
-    from mpslam_bounds.scenario import draw_measurements, measurement_truth
+    from mpslam_bounds.scenario import draw_measurements
     from mpslam_bounds.streams import derive_run_stream
 
     mapping = desk_mapping()
@@ -271,19 +280,14 @@ def test_criterion_8_generator_calibration():
     }
     scenario = scenario_from_mapping(mapping)
     truth = ground_truth(scenario)
-    rows = measurement_truth(scenario, truth)
-    meas = draw_measurements(rows, derive_run_stream(20240808, 0))
-    worst = 0.0
-    for component in range(scenario.order.size):
-        ref = next(r for r in rows if r.component == component)
-        sample = [m for m in meas if m.component == component]
-        assert len(sample) == 10_000
-        for values, variance in (
-            ([m.distance for m in sample], ref.variances[0]),
-            ([m.aoa for m in sample], ref.variances[1]),
-            ([m.aod for m in sample], ref.variances[2]),
-        ):
-            worst = max(worst, abs(np.var(values) / variance - 1.0))
+    table = measurement_truth(scenario, truth)
+    meas = draw_measurements(table, derive_run_stream(20240808, 0))
+    # one anchor, every component visible at every step: stack the steps
+    ref = table[0].blocks[0]
+    sample = np.stack([blocks[0].params for blocks in meas])
+    assert sample.shape == (10_000, scenario.order.size, 3)
+    assert all(np.array_equal(blocks[0].components, ref.components) for blocks in meas)
+    worst = float(np.max(np.abs(sample.var(axis=0) / ref.variances - 1.0)))
     report(
         "criterion 8: measurement generator calibrated to the variance models",
         worst < 0.05,

@@ -1,5 +1,6 @@
 """Command line: CSV schema, determinism, exit codes and self-check."""
 
+import math
 from pathlib import Path
 
 import yaml
@@ -8,6 +9,8 @@ import pytest
 
 from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
+from mpslam_bounds.geometry import PathComponent, virtual_anchor
+from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -39,6 +42,22 @@ def agent_on_anchor():
 def los_at_endfire():
     ula = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
     return degenerate_desk([1.5, 3.0], agent_aperture=ula)
+
+
+def bounce_at_endfire():
+    """A single bounce at the agent array's endfire at step 10, behind the
+    LOS and three other single bounces in anchor 1's batch."""
+    mapping, _ = degenerate_desk([0.3, 0.3])
+    scenario = scenario_from_mapping(mapping)
+    pose = ground_truth(scenario)[10]
+    # arrival from the virtual anchor of anchor 1 in wall 4 (y = -1)
+    arrival = virtual_anchor(scenario.anchors[0], PathComponent.single_bounce(4),
+                             scenario.surfaces) - pose.position
+    mapping["agent_aperture"] = {
+        "kind": "ula", "num_elements": 4, "element_spacing": 0.025,
+        "broadside": math.atan2(arrival[1], arrival[0]) - pose.orientation + math.pi / 2,
+    }
+    return mapping, "step 10, anchor 1, component [4, 4]: squared aperture"
 
 
 @pytest.fixture
@@ -131,6 +150,33 @@ class TestValidateMode:
         assert "RMSE / bound" in err
         assert "assumptions" in err
 
+    def test_truth_is_resolved_once_per_step_and_anchor(self, tmp_path, monkeypatch):
+        """Validate mode evaluates the channel at the truth once per (step,
+        anchor): one gradient pass and one noise-model call each, and no
+        separate geometry pass; the filter's own passes are not counted."""
+        import mpslam_bounds.scenario as scenario_module
+
+        calls = {"global_jacobian": 0, "path_batch": 0, "measurement_variances": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scenario_module, name,
+                                counted(name, getattr(scenario_module, name, None)),
+                                raising=False)
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        scenario = load_scenario(DESK_SCENARIO)
+        pairs = scenario.n_steps * len(scenario.anchors)
+        assert pairs == 80
+        assert calls == {"global_jacobian": pairs, "path_batch": 0,
+                         "measurement_variances": pairs}
+
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
         main(["--scenario", str(scenario_file), "--mode", "bounds"])
         captured = capsys.readouterr()
@@ -170,7 +216,8 @@ class TestErrors:
         assert "scenario.trajectory.points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
-    @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire])
+    @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
+                                      bounce_at_endfire])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         mapping, expected = case()
         path = tmp_path / "failing.yaml"
@@ -179,6 +226,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert "numerical failure" in err and expected in err
+
+    @pytest.mark.parametrize("rule, field", [
+        ({"visible": False, "anchors": [], "steps": [999]}, "rules[0].steps[0]"),
+        ({"visible": False, "steps": [3, 0]}, "rules[0].steps[1]"),
+        ({"visible": False, "anchors": [5]}, "rules[0].anchors[0]"),
+        ({"visible": True, "anchors": [1, 0]}, "rules[0].anchors[1]"),
+        ({"visible": False, "components": [[0, 0], [9, 9]]}, "rules[0].components[1]"),
+        ({"visible": False, "components": [[1, 1], [2, 0]]}, "rules[0].components[1]"),
+    ], ids=["step_999_no_anchors", "step_0", "anchor_5", "anchor_0", "unknown_surface",
+            "no_such_pair"])
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    def test_bad_visibility_rule_is_config_error(self, rule, field, mode, tmp_path, capsys):
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["visibility"] = {"default": True, "rules": [rule]}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"]) == 2
+        assert f"error: scenario.visibility.{field}: " in capsys.readouterr().err
 
     def test_unwritable_out_is_config_error(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

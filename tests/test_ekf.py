@@ -34,6 +34,11 @@ def small_scenario(**overrides):
     return scenario_from_mapping(desk_mapping(**overrides))
 
 
+def drawn_step(scenario, truth, step, rng):
+    """The anchor blocks measured at ``step`` in one draw of the whole table."""
+    return draw_measurements(measurement_truth(scenario, truth), rng)[step - 1]
+
+
 class TestPredict:
     def test_stationary_mean_unchanged_without_noise(self):
         scenario = small_scenario()
@@ -66,7 +71,7 @@ class TestPredict:
         cov = a @ a.T + np.eye(scenario.dim)
         state = EkfState(mean=np.zeros(scenario.dim), cov=cov)
         predicted = ekf_predict(state, transition, noise)
-        j_pred = predict_fim(np.linalg.inv(cov), transition, noise)
+        j_pred = predict_fim(cov, transition, noise)
         np.testing.assert_allclose(
             np.linalg.inv(predicted.cov), j_pred, rtol=1e-8, atol=1e-10
         )
@@ -93,34 +98,28 @@ class TestUpdate:
         depends on the azimuth."""
         scenario = small_scenario(agent_aperture=agent_aperture)
         truth = ground_truth(scenario)
-        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
-                                                 derive_run_stream(0, 0))
-                if m.step == 3]
+        blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
         mean = _joint_truth(truth[3], scenario.surfaces)
         h_mat, observed, predicted, noise_diag, angle_row = _linearize(
-            mean, meas, scenario
+            mean, blocks, scenario
         )
         from mpslam_bounds.geometry import AgentPose, SurfaceMap
 
         pose = AgentPose.from_state(mean[:5])
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
         rows = 0
-        by_anchor = {}
-        for m in meas:
-            by_anchor.setdefault(m.anchor, []).append(m)
-        for j in sorted(by_anchor):
-            anchor = scenario.anchors[j]
+        for block in blocks:
+            anchor = scenario.anchors[block.anchor]
             _, _, jac = global_jacobian(pose, anchor, scenario.order, surfaces,
-                                        [m.component for m in by_anchor[j]])
-            for m in by_anchor[j]:
-                k = m.component
+                                        block.components)
+            for k, variances in zip(block.components, block.variances):
                 for col, variance in zip((scenario.order.dist_index(k),
                                           scenario.order.aoa_index(k),
-                                          scenario.order.aod_index(k)), m.variances):
+                                          scenario.order.aod_index(k)), variances):
                     np.testing.assert_allclose(h_mat[rows], jac[:, col].T)
                     assert noise_diag[rows] == variance
                     rows += 1
-        assert rows == h_mat.shape[0] == 3 * len(meas)
+        assert rows == h_mat.shape[0] == 3 * sum(b.components.size for b in blocks)
 
     def test_near_exact_measurements_pull_position_error_down(self):
         mapping = desk_mapping()
@@ -129,9 +128,7 @@ class TestUpdate:
                                  "rules": [{"visible": True, "components": [[0, 0]]}]}
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
-                                                 derive_run_stream(1, 0))
-                if m.step == 1]
+        meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
         prior = scenario.prior_covariance() * 0.01
         rng = derive_run_stream(9, 0)
         mean = _joint_truth(truth[1], scenario.surfaces)
@@ -154,54 +151,47 @@ class TestUpdate:
         mean = _joint_truth(truth[0], scenario.surfaces)
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
-        by_step = {}
-        for m in draw_measurements(measurement_truth(scenario, truth), rng):
-            by_step.setdefault(m.step, []).append(m)
+        measured = draw_measurements(measurement_truth(scenario, truth), rng)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
         for n in range(1, 51):
             state = ekf_predict(state, transition, noise)
-            state = ekf_update(state, by_step[n], scenario)
+            state = ekf_update(state, measured[n - 1], scenario)
             assert np.linalg.eigvalsh(state.cov)[0] > 0.0
 
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
         scenario = small_scenario()
         truth = ground_truth(scenario)
-        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
-                                                 derive_run_stream(0, 0))
-                if m.step == 1]
+        blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
         mean = _joint_truth(truth[1], scenario.surfaces)
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
         import logging
 
         with caplog.at_level(logging.WARNING):
-            h_mat, *_ = _linearize(mean, meas, scenario)
-        bounce_rows = sum(3 for m in meas
-                          if 1 in scenario.order.components[m.component].bounces)
-        assert h_mat.shape[0] == 3 * len(meas) - bounce_rows
+            h_mat, *_ = _linearize(mean, blocks, scenario)
+        measured = [k for b in blocks for k in b.components]
+        bounce_rows = sum(3 for k in measured if 1 in scenario.order.components[k].bounces)
+        assert h_mat.shape[0] == 3 * len(measured) - bounce_rows
         assert any("surface estimate" in rec.message for rec in caplog.records)
 
     def test_estimate_on_a_virtual_anchor_skips_that_component(self, caplog):
         scenario = small_scenario()
         truth = ground_truth(scenario)
-        meas = [m for m in draw_measurements(measurement_truth(scenario, truth),
-                                                 derive_run_stream(0, 0))
-                if m.step == 1]
-        target = next(m for m in meas
-                      if scenario.order.components[m.component].n_bounces == 1)
-        path = scenario.order.components[target.component]
+        blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
+        rows = [(b.anchor, k, p) for b in blocks for k, p in zip(b.components, b.params)]
+        target = next(r for r in rows if scenario.order.components[r[1]].n_bounces == 1)
+        path = scenario.order.components[target[1]]
         mean = _joint_truth(truth[1], scenario.surfaces)
-        mean[0:2] = virtual_anchor(scenario.anchors[target.anchor], path, scenario.surfaces)
+        mean[0:2] = virtual_anchor(scenario.anchors[target[0]], path, scenario.surfaces)
         import logging
 
         with caplog.at_level(logging.WARNING):
-            h_mat, observed, *_ = _linearize(mean, meas, scenario)
-        kept = [m for m in meas if m is not target]
+            h_mat, observed, *_ = _linearize(mean, blocks, scenario)
+        kept = [r for r in rows if r is not target]
         assert h_mat.shape[0] == 3 * len(kept)
-        np.testing.assert_array_equal(
-            observed, np.ravel([(m.distance, m.aoa, m.aod) for m in kept]))
+        np.testing.assert_array_equal(observed, np.ravel([p for _, _, p in kept]))
         warnings = [rec.message for rec in caplog.records if "skipping component" in rec.message]
-        assert warnings == [f"step 1 anchor {target.anchor + 1}: agent coincides with virtual "
+        assert warnings == [f"step 1 anchor {target[0] + 1}: agent coincides with virtual "
                             f"anchor, skipping component {path.bounces}"]
 
 

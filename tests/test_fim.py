@@ -299,12 +299,10 @@ class TestMappingSubmatrices:
 
 
 def isotropic_variances(params, amplitudes, carrier_freq=6e9, rms_bandwidth=1e8):
-    """Variance triples of the given components under a 0.01 m^2 isotropic aperture."""
+    """(n, 3) variances of the given components under a 0.01 m^2 isotropic aperture."""
     aperture = IsotropicAperture(0.01)
-    return [
-        measurement_variances(p, u, carrier_freq, rms_bandwidth, aperture, aperture)
-        for p, u in zip(params, amplitudes)
-    ]
+    return measurement_variances(np.array([p.as_array() for p in params]), amplitudes,
+                                 carrier_freq, rms_bandwidth, aperture, aperture)
 
 
 class TestChannelFim:
@@ -313,7 +311,7 @@ class TestChannelFim:
 
     def test_existence_zeroing(self):
         order = self._order2()
-        diag = channel_fim(order, [(0.01, 0.04, 0.25), None])
+        diag = channel_fim(order, [0], [(0.01, 0.04, 0.25)])
         assert diag[order.dist_index(0)] == pytest.approx(100.0)
         assert diag[order.aoa_index(0)] == pytest.approx(25.0)
         assert diag[order.aod_index(0)] == pytest.approx(4.0)
@@ -322,7 +320,7 @@ class TestChannelFim:
         assert diag[order.aod_index(1)] == 0.0
 
     def test_all_absent_gives_zero_matrix(self):
-        diag = channel_fim(self._order2(), [None, None])
+        diag = channel_fim(self._order2(), [], np.zeros((0, 3)))
         np.testing.assert_allclose(diag, np.zeros(6))
 
     def test_amplitude_scaling_is_quadratic(self):
@@ -331,13 +329,15 @@ class TestChannelFim:
         anchor = Anchor(position=[0, 0])
         agent = AgentPose(position=[3, 4], velocity=[0, 0])
         params = [channel_params(agent, anchor, c, surfaces) for c in order]
-        base = channel_fim(order, isotropic_variances(params, [1.0, 2.0], 1e9))
-        scaled = channel_fim(order, isotropic_variances(params, [3.0, 6.0], 1e9))
+        base = channel_fim(order, [0, 1], isotropic_variances(params, [1.0, 2.0], 1e9))
+        scaled = channel_fim(order, [0, 1], isotropic_variances(params, [3.0, 6.0], 1e9))
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
     def test_one_triple_per_component_required(self):
         with pytest.raises(ValueError):
-            channel_fim(self._order2(), [None])
+            channel_fim(self._order2(), [0, 1], [(0.01, 0.04, 0.25)])
+        with pytest.raises(ValueError):
+            channel_fim(self._order2(), [0], [0.01, 0.04, 0.25])
 
 
 class TestGlobalJacobian:
@@ -394,7 +394,7 @@ class TestSnapshotFim:
             params = [channel_params(agent, a, c, surfaces) for c in order]
             variances = isotropic_variances(params, [2.0 / p.distance for p in params])
             jac = full_jacobian(agent, a, order, surfaces)
-            terms.append((jac, channel_fim(order, variances)))
+            terms.append((jac, channel_fim(order, range(order.size), variances)))
         return terms
 
     def test_two_identical_anchors_double_the_information(self):
@@ -428,8 +428,9 @@ class TestSnapshotFim:
         exist_on = np.ones(order.size, dtype=int)
         terms = []
         for exist in (exist_off, exist_on):
-            _, _, jac = global_jacobian(agent, anchor, order, surfaces, np.flatnonzero(exist))
-            lam = channel_fim(order, [v if on else None for v, on in zip(variances, exist)])
+            present = np.flatnonzero(exist)
+            _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
+            lam = channel_fim(order, present, variances[present])
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(diff.trace(), 1.0)
@@ -513,3 +514,96 @@ class TestBatchedPass:
         columns = [order.dist_index(target), order.aoa_index(target), order.aod_index(target)]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
         assert np.all(np.isfinite(jac))
+
+    @settings(max_examples=80, deadline=None)
+    @example(case=(AgentPose(position=[0.0, 0.0], velocity=[0.0, 0.0], orientation=0.3),
+                   Anchor(position=[0.3, 0.3], orientation=0.7),
+                   SurfaceMap([[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0]]),
+                   ComponentOrder.canonical(4), np.arange(17)), wall=(1, 1.25))
+    @given(case=rooms(), wall=st.tuples(st.integers(1, 8), _coordinate(6.0)))
+    def test_agent_on_a_wall_line_matches_the_scalar_oracle(self, case, wall):
+        """Agent on the line of one wall (exactly on an axis-aligned wall such
+        as the example's x = 5, to rounding elsewhere): the batched pass agrees
+        with the scalar path_geometry and the loop-form gradient."""
+        agent, anchor, surfaces, order, visible = case
+        surface, along = 1 + (wall[0] - 1) % len(surfaces), wall[1]
+        point = surfaces.points[surface - 1]
+        # along the wall from the foot of the origin's normal
+        direction = np.array([-point[1], point[0]]) / np.linalg.norm(point)
+        agent = AgentPose(position=point / 2 + along * direction, velocity=[0.0, 0.0],
+                          orientation=agent.orientation)
+        if surface == 1 and np.array_equal(point, [10.0, 0.0]):
+            assert agent.position.tolist() == [5.0, along]
+        np.testing.assert_allclose(surfaces.mirror(agent.position, surface), agent.position,
+                                   atol=1e-12 * np.linalg.norm(point))
+        try:
+            ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
+        except DegenerateGeometryError:
+            assume(False)
+        assume(np.all(ref_params[:, 0] > 1e-3))
+        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
+        assert not degenerate.any()
+        assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
+        assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
+        for angle, ref in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
+            assert abs(wrap_angle(angle - ref)) <= 1e-12
+
+
+def scalar_variances(u, aoa, aod, carrier_freq, rms_bandwidth, rx, tx):
+    """The noise model written out for one component with Python floats."""
+
+    def squared_aperture(aperture, azimuth):
+        if isinstance(aperture, IsotropicAperture):
+            return aperture.d_squared
+        m = aperture.num_elements
+        gain = m * (m * m - 1) / 12.0
+        return (aperture.element_spacing * math.cos(azimuth - aperture.broadside)) ** 2 * gain
+
+    c2 = SPEED_OF_LIGHT**2
+    return (c2 / (8.0 * math.pi**2 * rms_bandwidth**2 * u**2),
+            c2 / (8.0 * math.pi**2 * carrier_freq**2 * u**2 * squared_aperture(rx, aoa)),
+            c2 / (8.0 * math.pi**2 * carrier_freq**2 * u**2 * squared_aperture(tx, aod)))
+
+
+apertures = st.one_of(
+    st.builds(IsotropicAperture, st.floats(1e-4, 0.1)),
+    st.builds(UniformLinearArray, st.integers(2, 16), st.floats(0.005, 0.1),
+              _coordinate(np.pi)),
+)
+
+
+class TestArrayNoiseModel:
+    """measurement_variances over a batch against the scalar formula.
+
+    numpy squares exactly while Python's ``x ** 2`` goes through libm pow,
+    which is 1 ulp off for about 0.1% of inputs; each entry has up to two
+    squared factors (the amplitude and a linear array's aperture), so the two
+    may differ by a few ulp: allowed 4 * eps relative."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rx=apertures, tx=apertures, data=st.data(),
+           n=st.integers(0, 12), carrier=st.floats(1e8, 1e11), bandwidth=st.floats(1e6, 1e9))
+    def test_matches_the_scalar_formula(self, rx, tx, data, n, carrier, bandwidth):
+        angle = _coordinate(np.pi)
+        amplitudes = np.array(data.draw(st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n)))
+        params = np.array(data.draw(st.lists(st.tuples(st.floats(0.1, 50.0), angle, angle),
+                                             min_size=n, max_size=n))).reshape(n, 3)
+        reference = [scalar_variances(u, aoa, aod, carrier, bandwidth, rx, tx)
+                     for u, (_, aoa, aod) in zip(amplitudes.tolist(), params.tolist())]
+        assume(all(min(v[1:]) < 1e300 for v in reference))  # far from endfire
+        variances = measurement_variances(params, amplitudes, carrier, bandwidth, rx, tx)
+        assert variances.shape == (n, 3)
+        reference = np.array(reference).reshape(n, 3)
+        assert np.all(np.abs(variances - reference) <= 4 * np.finfo(float).eps * reference)
+
+    def test_endfire_names_the_first_endfire_component(self):
+        ula = UniformLinearArray(num_elements=4, element_spacing=0.025)
+        iso = IsotropicAperture(0.005)
+        params = np.array([[2.0, 0.1, 0.2], [3.0, 0.3, math.pi / 2],
+                           [4.0, 0.5, 0.6], [5.0, math.pi / 2, 0.7]])
+        with pytest.raises(ZeroApertureError) as rx_side:
+            measurement_variances(params, np.ones(4), 6e9, 2e8, ula, iso)
+        assert rx_side.value.index == 3
+        with pytest.raises(ZeroApertureError) as both_sides:
+            measurement_variances(params, np.ones(4), 6e9, 2e8, ula, ula)
+        assert both_sides.value.index == 1

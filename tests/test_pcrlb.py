@@ -17,6 +17,7 @@ from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, channel_params
 from mpslam_bounds.pcrlb import (
     SingularFimError,
     StateSpaceModel,
+    _spd_inverse,
     extract_bounds,
     gain_matrix,
     predict_fim,
@@ -25,7 +26,17 @@ from mpslam_bounds.pcrlb import (
     surface_slice,
     transition_matrix,
 )
-from mpslam_bounds.scenario import ground_truth, scenario_from_mapping, snapshot_fim
+from mpslam_bounds.scenario import (
+    ground_truth,
+    measurement_truth,
+    scenario_from_mapping,
+    snapshot_fim,
+)
+
+
+def bounds_of(scenario):
+    """Bound records of a scenario along its own truth table."""
+    return run_recursion(scenario, measurement_truth(scenario, ground_truth(scenario)))
 
 
 def desk_mapping(**overrides):
@@ -122,15 +133,15 @@ class TestStateSpaceMatrices:
 
 class TestPredictAndFuse:
     def test_scalar_algebra_example(self):
-        j_prev = 2.0 * np.eye(3)
-        predicted = predict_fim(j_prev, np.eye(3), 0.5 * np.eye(3))
+        cov_prev = 0.5 * np.eye(3)  # information 2 I
+        predicted = predict_fim(cov_prev, np.eye(3), 0.5 * np.eye(3))
         np.testing.assert_allclose(predicted, np.eye(3), atol=1e-12)
 
     def test_lossless_prediction_with_identity_and_zero_noise(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(5, 5))
         j_prev = a @ a.T + 5 * np.eye(5)
-        predicted = predict_fim(j_prev, np.eye(5), np.zeros((5, 5)))
+        predicted = predict_fim(np.linalg.inv(j_prev), np.eye(5), np.zeros((5, 5)))
         np.testing.assert_allclose(predicted, j_prev, rtol=1e-10)
 
     def test_process_noise_never_increases_information(self):
@@ -142,26 +153,30 @@ class TestPredictAndFuse:
             f[0, 2] = f[1, 3] = 0.2
             b = rng.normal(size=(4, 2))
             q = b @ b.T
-            lossless = predict_fim(j_prev, f, np.zeros((4, 4)))
-            lossy = predict_fim(j_prev, f, q)
+            cov_prev = np.linalg.inv(j_prev)
+            lossless = predict_fim(cov_prev, f, np.zeros((4, 4)))
+            lossy = predict_fim(cov_prev, f, q)
             assert np.linalg.eigvalsh(lossless - lossy)[0] >= -1e-9
 
     def test_singular_information_rejected(self):
+        # a predicted covariance without (or with almost no) spread in one
+        # direction has no finite information
         with pytest.raises(SingularFimError):
-            predict_fim(np.zeros((3, 3)), np.eye(3), np.eye(3))
+            predict_fim(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)))
         nearly = np.diag([1.0, 1e-20, 1.0])
         with pytest.raises(SingularFimError):
-            predict_fim(nearly, np.eye(3), np.eye(3))
+            predict_fim(nearly, np.eye(3), np.zeros((3, 3)))
 
     def test_fuse_is_addition(self):
         """The recursion fuses by adding the snapshot to the prediction."""
         scenario = scenario_from_mapping(desk_mapping())
         model = scenario.model
-        j_pred = predict_fim(np.diag(1.0 / scenario.prior_covariance()),
-                             transition_matrix(model), process_noise_cov(model))
-        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1)
-        expected = extract_bounds(j_pred + snapshot, model.num_surfaces, step=1)
-        first = run_recursion(scenario)[0]
+        prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
+        j_pred = predict_fim(prior_cov, transition_matrix(model), process_noise_cov(model))
+        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
+        expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"),
+                                  model.num_surfaces, step=1)
+        first = bounds_of(scenario)[0]
         assert (first.peb, first.veb, first.oeb) == (expected.peb, expected.veb, expected.oeb)
         np.testing.assert_array_equal(first.meb, expected.meb)
 
@@ -179,7 +194,7 @@ class TestPredictAndFuse:
 
 class TestExtractBounds:
     def test_diagonal_example(self):
-        rec = extract_bounds(4.0 * np.eye(7), num_surfaces=1, step=3)
+        rec = extract_bounds(0.25 * np.eye(7), num_surfaces=1, step=3)  # information 4 I
         assert rec.step == 3
         assert rec.peb == pytest.approx(1.0 / math.sqrt(2.0))
         assert rec.veb == pytest.approx(1.0 / math.sqrt(2.0))
@@ -190,8 +205,8 @@ class TestExtractBounds:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(9, 9))
         j = a @ a.T + 3 * np.eye(9)
-        rec1 = extract_bounds(j, num_surfaces=2)
-        rec4 = extract_bounds(4.0 * j, num_surfaces=2)
+        rec1 = extract_bounds(np.linalg.inv(j), num_surfaces=2)
+        rec4 = extract_bounds(np.linalg.inv(4.0 * j), num_surfaces=2)
         assert rec4.peb == pytest.approx(rec1.peb / 2)
         assert rec4.veb == pytest.approx(rec1.veb / 2)
         assert rec4.oeb == pytest.approx(rec1.oeb / 2)
@@ -199,10 +214,10 @@ class TestExtractBounds:
 
     def test_block_diagonal_bounds_depend_on_own_blocks(self):
         j = np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
-        rec = extract_bounds(j, num_surfaces=1)
+        rec = extract_bounds(np.diag(1.0 / np.diag(j)), num_surfaces=1)
         j2 = j.copy()
         j2[5, 5] = j2[6, 6] = 16.0  # only the surface block changes
-        rec2 = extract_bounds(j2, num_surfaces=1)
+        rec2 = extract_bounds(np.diag(1.0 / np.diag(j2)), num_surfaces=1)
         assert rec2.peb == rec.peb and rec2.veb == rec.veb and rec2.oeb == rec.oeb
         assert rec2.meb[0] == pytest.approx(rec.meb[0] / 2)
 
@@ -210,12 +225,12 @@ class TestExtractBounds:
 def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.005)):
     terms = []
     for anchor in anchors:
-        variances = [
-            measurement_variances(p, 20.0 / p.distance, 6e9, 2e8, aperture, aperture)
-            for p in (channel_params(agent, anchor, c, surfaces) for c in order)
-        ]
+        params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
+                           for c in order])
+        variances = measurement_variances(params, 20.0 / params[:, 0], 6e9, 2e8,
+                                          aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
-        terms.append((jac, channel_fim(order, variances)))
+        terms.append((jac, channel_fim(order, range(order.size), variances)))
     return global_snapshot_fim(terms)
 
 
@@ -235,7 +250,7 @@ class TestRecursionCore:
         zero_q = np.zeros((dim, dim))
         j = j0.copy()
         for n in range(1, 6):
-            j = predict_fim(j, identity, zero_q) + snapshot
+            j = predict_fim(np.linalg.inv(j), identity, zero_q) + snapshot
             expected = j0 + n * snapshot
             assert np.max(np.abs(j - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
 
@@ -248,7 +263,7 @@ class TestRunRecursion:
         mapping["model"] = {"time_step": 0.1, "accel_noise_var": 0.0,
                             "orient_noise_var": 0.0, "surface_noise_var": 0.0}
         scenario = scenario_from_mapping(mapping)
-        records = run_recursion(scenario)
+        records = bounds_of(scenario)
         t = scenario.model.time_step
         pos_var, vel_var = 1.0, 1.0
         for rec in records:
@@ -261,10 +276,10 @@ class TestRunRecursion:
 
     def test_duplicated_anchor_weakly_tightens_all_bounds(self):
         mapping = desk_mapping()
-        base = run_recursion(scenario_from_mapping(mapping))
+        base = bounds_of(scenario_from_mapping(mapping))
         doubled = desk_mapping()
         doubled["anchors"] = mapping["anchors"] + [dict(mapping["anchors"][0])]
-        both = run_recursion(scenario_from_mapping(doubled))
+        both = bounds_of(scenario_from_mapping(doubled))
         for rec_a, rec_b in zip(base, both):
             assert rec_b.peb <= rec_a.peb * (1 + 1e-9)
             assert rec_b.veb <= rec_a.veb * (1 + 1e-9)
@@ -278,7 +293,7 @@ class TestRunRecursion:
         mapping["trajectory"] = {"kind": "waypoints", "n_steps": 20,
                                  "points": [{"time": 0.0, "position": [2.0, 1.5]},
                                             {"time": 2.0, "position": [2.0, 1.5]}]}
-        records = run_recursion(scenario_from_mapping(mapping))
+        records = bounds_of(scenario_from_mapping(mapping))
         pebs = [r.peb for r in records]
         for a, b in zip(pebs, pebs[1:]):
             assert b <= a * (1 + 1e-9)
@@ -287,7 +302,7 @@ class TestRunRecursion:
         mapping = desk_mapping(visibility={"default": False,
                                            "rules": [{"visible": True,
                                                       "components": [[0, 0]]}]})
-        records = run_recursion(scenario_from_mapping(mapping))
+        records = bounds_of(scenario_from_mapping(mapping))
         vebs = [r.veb for r in records[:6]]
         for a, b in zip(vebs, vebs[1:]):
             assert b < a
@@ -302,15 +317,56 @@ class TestRunRecursion:
         mapping["model"] = {"time_step": 0.1, "accel_noise_var": 1e6,
                             "orient_noise_var": 1e6, "surface_noise_var": 1e6}
         scenario = scenario_from_mapping(mapping)
-        records = run_recursion(scenario)
+        records = bounds_of(scenario)
         truth = ground_truth(scenario)
         for rec in records:
-            snap = snapshot_fim(scenario, truth[rec.step], rec.step)
+            snap = snapshot_fim(scenario, truth[rec.step], rec.step).information
             floor = 1e-6 * np.eye(snap.shape[0])
-            only = extract_bounds(snap + floor, scenario.model.num_surfaces)
+            only = extract_bounds(np.linalg.inv(snap + floor), scenario.model.num_surfaces)
             assert rec.peb == pytest.approx(only.peb, rel=0.01)
             assert rec.oeb == pytest.approx(only.oeb, rel=0.01)
             np.testing.assert_allclose(rec.meb, only.meb, rtol=0.01)
+
+    def test_blanked_step_carries_only_the_prediction(self, monkeypatch):
+        """Every anchor blanked at step 5: the table holds no observation
+        there, its snapshot information is exactly zero, the bound record is
+        the bound of the prediction, and the filter skips the update."""
+        import mpslam_bounds.ekf as ekf_module
+        from mpslam_bounds.scenario import draw_measurements
+        from mpslam_bounds.streams import derive_run_stream
+
+        mapping = desk_mapping()
+        mapping["visibility"] = {"default": True, "rules": [{"visible": False, "steps": [5]}]}
+        scenario = scenario_from_mapping(mapping)
+        table = measurement_truth(scenario, ground_truth(scenario))
+        blank = table[4]
+        assert blank.step == 5 and len(blank.blocks) == len(scenario.anchors)
+        assert all(b.components.size == 0 and b.params.shape == b.variances.shape == (0, 3)
+                   for b in blank.blocks)
+        assert not blank.information.any()
+        assert all(b.components.size for record in table if record is not blank
+                   for b in record.blocks)
+
+        model = scenario.model
+        transition, noise = transition_matrix(model), process_noise_cov(model)
+        cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
+        for record in table[:4]:
+            cov = _spd_inverse(predict_fim(cov, transition, noise) + record.information, "post")
+        expected = extract_bounds(_spd_inverse(predict_fim(cov, transition, noise), "pred"),
+                                  model.num_surfaces, step=5)
+        got = run_recursion(scenario, table)[4]
+        assert (got.step, got.peb, got.veb, got.oeb) == (5, expected.peb, expected.veb,
+                                                         expected.oeb)
+        np.testing.assert_array_equal(got.meb, expected.meb)
+
+        def no_linearization(*args, **kwargs):
+            raise AssertionError("a blanked step was linearized")
+
+        monkeypatch.setattr(ekf_module, "global_jacobian", no_linearization)
+        measured = draw_measurements(table, derive_run_stream(0, 0))[4]
+        assert all(b.components.size == 0 for b in measured)
+        state = ekf_module.EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
+        assert ekf_module.ekf_update(state, measured, scenario) is state
 
     def test_never_observed_surface_with_zero_prior_information_fails(self):
         mapping = desk_mapping(visibility={"default": False,
@@ -319,14 +375,15 @@ class TestRunRecursion:
         scenario = scenario_from_mapping(mapping)
         prior = scenario.prior_covariance()
         prior[5] = prior[6] = 1e16  # effectively no prior surface knowledge
+        table = measurement_truth(scenario, ground_truth(scenario))
         with pytest.raises(SingularFimError) as excinfo:
-            run_recursion(scenario, prior)
+            run_recursion(scenario, table, prior)
         assert "surface 1" in str(excinfo.value)
 
     def test_bit_identical_reruns(self):
         mapping = desk_mapping()
-        rec_a = run_recursion(scenario_from_mapping(mapping))
-        rec_b = run_recursion(scenario_from_mapping(mapping))
+        rec_a = bounds_of(scenario_from_mapping(mapping))
+        rec_b = bounds_of(scenario_from_mapping(mapping))
         for a, b in zip(rec_a, rec_b):
             assert a.peb == b.peb and a.veb == b.veb and a.oeb == b.oeb
             assert np.all(a.meb == b.meb)

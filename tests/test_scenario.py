@@ -217,7 +217,7 @@ class TestSnapshotInformation:
         mapping["visibility"] = {"default": True,
                                  "rules": [{"visible": False, "anchors": [1],
                                             "components": [[0, 0]], "steps": [10]}]}
-        info = snapshot_fim(scenario_from_mapping(mapping), pose, 10)
+        info = snapshot_fim(scenario_from_mapping(mapping), pose, 10).information
         assert np.isfinite(info).all() and info.trace() > 0.0
 
 
@@ -230,23 +230,24 @@ class TestMeasurements:
         truth = ground_truth(scenario)
         meas = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(0, 0))
         los = 0
-        assert meas and all(m.component == los for m in meas)
-        assert len(meas) == scenario.n_steps * len(scenario.anchors)
+        assert len(meas) == scenario.n_steps
+        blocks = [b for step in meas for b in step]
+        assert len(blocks) == scenario.n_steps * len(scenario.anchors)
+        assert all(b.components.tolist() == [los] and b.params.shape == (1, 3) for b in blocks)
 
     def test_huge_amplitude_measurements_hit_the_means(self):
         mapping = desk_mapping()
         mapping["amplitude_model"] = {"reference_amplitude": 1e9, "bounce_loss": 1.0}
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        table = {(r.step, r.anchor, r.component): r
-                 for r in measurement_truth(scenario, truth)}
-        meas = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(1, 0))
-        for m in meas:
-            row = table[(m.step, m.anchor, m.component)]
-            assert abs(m.distance - row.distance) < 1e-6
-            assert abs(m.aoa - row.aoa) < 1e-6
-            assert abs(m.aod - row.aod) < 1e-6
-            assert m.variances == row.variances
+        table = measurement_truth(scenario, truth)
+        meas = draw_measurements(table, derive_run_stream(1, 0))
+        for record, drawn in zip(table, meas, strict=True):
+            for row, m in zip(record.blocks, drawn, strict=True):
+                assert (m.step, m.anchor) == (row.step, row.anchor)
+                np.testing.assert_array_equal(m.components, row.components)
+                assert np.all(np.abs(m.params - row.params) < 1e-6)
+                np.testing.assert_array_equal(m.variances, row.variances)
 
     def test_empirical_variances_match_the_models(self):
         """10^4 draws of one component: empirical variances within 5%."""
@@ -259,25 +260,30 @@ class TestMeasurements:
         mapping["anchors"] = mapping["anchors"][:1]
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        rows = measurement_truth(scenario, truth)
-        meas = draw_measurements(rows, derive_run_stream(17, 0))
+        table = measurement_truth(scenario, truth)
+        meas = draw_measurements(table, derive_run_stream(17, 0))
+        ref = table[0].blocks[0]
+        assert ref.components.tolist() == list(range(scenario.order.size))
+        sample = np.stack([step[0].params for step in meas])
+        assert sample.shape == (10_000, scenario.order.size, 3)
         for component in range(scenario.order.size):
-            sample = [m for m in meas if m.component == component]
-            ref = next(r for r in rows if r.component == component)
-            assert len(sample) == 10_000
-            var_d = np.var([m.distance for m in sample])
-            var_aoa = np.var([m.aoa for m in sample])
-            var_aod = np.var([m.aod for m in sample])
-            assert var_d == pytest.approx(ref.variances[0], rel=0.05)
-            assert var_aoa == pytest.approx(ref.variances[1], rel=0.05)
-            assert var_aod == pytest.approx(ref.variances[2], rel=0.05)
+            for i in range(3):  # distance, arrival and departure azimuth
+                assert np.var(sample[:, component, i]) == pytest.approx(
+                    ref.variances[component, i], rel=0.05)
 
     def test_draws_are_reproducible(self):
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         a = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
         b = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
-        assert a == b
+        flat_a = [blk for step in a for blk in step]
+        flat_b = [blk for step in b for blk in step]
+        assert len(flat_a) == len(flat_b) == scenario.n_steps * len(scenario.anchors)
+        for x, y in zip(flat_a, flat_b):
+            assert (x.step, x.anchor) == (y.step, y.anchor)
+            np.testing.assert_array_equal(x.components, y.components)
+            np.testing.assert_array_equal(x.params, y.params)
+            np.testing.assert_array_equal(x.variances, y.variances)
 
     def test_measurement_means_come_from_the_shared_geometry(self):
         """The generator's means are exactly the channel parameters of the
@@ -286,12 +292,11 @@ class TestMeasurements:
 
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
-        rows = measurement_truth(scenario, truth)
-        for row in rows[:50]:
-            visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
-            params, _, _ = global_jacobian(truth[row.step], scenario.anchors[row.anchor],
-                                           scenario.order, scenario.surfaces, visible)
-            expected = params[visible.tolist().index(row.component)]
-            assert row.distance == expected[0]
-            assert row.aoa == expected[1]
-            assert row.aod == expected[2]
+        table = measurement_truth(scenario, truth)
+        for record in table[:5]:
+            for row in record.blocks:
+                visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
+                params, _, _ = global_jacobian(truth[row.step], scenario.anchors[row.anchor],
+                                               scenario.order, scenario.surfaces, visible)
+                np.testing.assert_array_equal(row.components, visible)
+                np.testing.assert_array_equal(row.params, params)
