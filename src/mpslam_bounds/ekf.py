@@ -2,16 +2,15 @@
 
 The filter tracks the same joint state as the bound recursion (agent
 position, velocity, orientation plus all surface points) under the same
-transition model, and linearizes the measurement model with the very same
-gradient code used to assemble the snapshot information: the measurement
-matrix of an update is the transposed joint-state gradient matrix restricted
-to the measured components. Measurements arrive as one block of arrays per
-(step, anchor), drawn around the scenario's truth table: the true component
-ids (oracle association), the noisy parameters and the noise variances they
-were drawn with. The filter uses those variances as its noise covariance R
-rather than evaluating the noise model again. This matches the assumptions
-under which the bound holds, so the filter's error is expected to approach
-the bound at high SNR.
+transition model, and its measurement update is the bound's own step taken
+at the estimate: the same gradient code, the same map from noise variances
+to channel information, the same fusion and the same posterior inversion.
+Measurements arrive as one block of arrays per (step, anchor), drawn around
+the scenario's truth table: the true component ids (oracle association), the
+noisy parameters and the noise variances they were drawn with, which the
+filter uses rather than evaluating the noise model again. This matches the
+assumptions under which the bound holds, so the filter's error is expected
+to approach the bound at high SNR.
 
 Per Monte-Carlo run the initial state estimate is drawn around the true
 initial state from the scenario prior (so the run ensemble is consistent
@@ -29,11 +28,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fim import global_jacobian
+from .fim import channel_fim, global_jacobian, global_snapshot_fim
 from .geometry import AgentPose, SurfaceMap, wrap_angle
-from .pcrlb import BoundRecord, run_recursion, transition_matrix, process_noise_cov
+from .pcrlb import (
+    BoundRecord, _spd_inverse, invert_posterior, process_noise_cov, run_recursion,
+    transition_matrix,
+)
 from .scenario import (
     AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
 )
@@ -70,14 +71,14 @@ def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) 
 
 def _linearize(
     mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Measurement model linearization at the current mean.
 
-    Returns (H, observed, predicted, noise_diag, angle_row) over the usable
-    measurement rows: per measured component its distance, arrival-azimuth
-    and departure-azimuth rows, anchors ascending. The noise variances are
-    the ones each block was drawn with. Rows whose geometry cannot be
-    evaluated at the current estimate are dropped with a diagnostic.
+    Returns per measured anchor (ascending) its (N, 3K) gradient matrix, its
+    length-3K channel information (:func:`~.fim.channel_fim` of the variances
+    the block was drawn with) and its length-3K innovation, angle entries
+    wrapped. Components whose geometry cannot be evaluated at the current
+    estimate get zero information and zero innovation, with a diagnostic.
     """
     pose = AgentPose.from_state(mean[:5])
     raw_points = mean[5:].reshape(-1, 2)
@@ -85,10 +86,8 @@ def _linearize(
     usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
     surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
     order = scenario.order
-    k_total = order.size
 
-    h_rows = [np.zeros((0, mean.shape[0]))]
-    observed, predicted, noise = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    terms = []
     for block in blocks:
         ks = block.components
         if not ks.size:
@@ -104,48 +103,34 @@ def _linearize(
                 "surface estimate near origin" if near else
                 "agent coincides with virtual anchor", order.components[k].bounces,
             )
-        cols = np.stack([ks, k_total + ks, 2 * k_total + ks], axis=1)[ok]
-        h_rows.append(jac[:, cols.ravel()].T)
-        observed.append(block.params[ok].ravel())
-        predicted.append(params[ok].ravel())
-        noise.append(block.variances[ok].ravel())
-
-    h_mat = np.concatenate(h_rows)
-    return (h_mat, np.concatenate(observed), np.concatenate(predicted), np.concatenate(noise),
-            np.tile([False, True, True], h_mat.shape[0] // 3))
+        residual = block.params[ok] - params[ok]
+        residual[:, 1:] = np.reshape([wrap_angle(v) for v in residual[:, 1:].ravel().tolist()],
+                                     (-1, 2))
+        innovation = np.zeros(order.dim)
+        innovation[np.add.outer([0, order.size, 2 * order.size], ks[ok])] = residual.T
+        terms.append((jac, channel_fim(order, ks[ok], block.variances[ok]), innovation))
+    return terms
 
 
 def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
-    """Measurement update with all components of one step stacked.
+    """Measurement update of one step in information form.
 
     ``blocks`` holds the step's measured anchor blocks (see
-    :func:`~.scenario.draw_measurements`). Innovations of angle rows are
-    wrapped; the covariance update uses the Joseph form and is symmetrized.
-    A numerically singular innovation covariance skips the whole stacked
-    update with a diagnostic.
+    :func:`~.scenario.draw_measurements`). As in the bound recursion,
+    J = P^{-1} + sum_j H_j Lambda_j H_j^T (here at the predicted mean) and
+    P_post = J^{-1}; the mean moves by P_post sum_j H_j Lambda_j nu_j. A
+    singular J raises :class:`~.pcrlb.SingularFimError`.
     """
-    h_mat, observed, predicted, noise_diag, angle_row = _linearize(
-        state.mean, blocks, scenario
-    )
-    if h_mat.shape[0] == 0:
+    terms = _linearize(state.mean, blocks, scenario)
+    if not terms:
         return state
-    innovation = observed - predicted
-    innovation[angle_row] = np.array([wrap_angle(v) for v in innovation[angle_row]])
-    innovation_cov = h_mat @ state.cov @ h_mat.T + np.diag(noise_diag)
-    try:
-        factor = cho_factor(0.5 * (innovation_cov + innovation_cov.T), lower=True)
-    except (LinAlgError, ValueError):
-        log.warning(
-            "step %d: singular innovation covariance, skipping update", blocks[0].step
-        )
-        return state
-    gain = cho_solve(factor, h_mat @ state.cov).T
-    mean = state.mean + gain @ innovation
+    step = blocks[0].step
+    j_post = _spd_inverse(state.cov, f"step {step}: predicted covariance")
+    j_post += global_snapshot_fim([(jac, lam) for jac, lam, _ in terms])
+    cov = invert_posterior(j_post, step)
+    mean = state.mean + cov @ sum(jac @ (lam * innovation) for jac, lam, innovation in terms)
     mean[4] = wrap_angle(mean[4])
-    identity = np.eye(state.mean.shape[0])
-    shrink = identity - gain @ h_mat
-    cov = shrink @ state.cov @ shrink.T + (gain * noise_diag) @ gain.T
-    return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
+    return EkfState(mean=mean, cov=cov)
 
 
 @dataclass

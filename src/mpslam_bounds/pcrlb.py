@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 CONDITION_LIMIT = 1e14
 
@@ -104,29 +104,33 @@ def process_noise_cov(model: StateSpaceModel) -> np.ndarray:
 def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     """Invert a symmetric positive-definite matrix; symmetrized output.
 
-    Raises :class:`SingularFimError` when the factorization fails or the
-    condition number exceeds ``CONDITION_LIMIT``.
+    Cholesky factor and solve against the identity (LAPACK ``potrf`` and
+    ``potrs``, called directly: the per-step cost of the filter update is
+    mostly call overhead at these sizes). Raises :class:`SingularFimError`
+    when the factorization fails or the condition number exceeds
+    ``CONDITION_LIMIT``.
     """
     sym = 0.5 * (matrix + matrix.T)
-    try:
-        factor = cho_factor(sym, lower=True, check_finite=False)
-    except (LinAlgError, ValueError) as exc:
-        raise SingularFimError(f"{what} is not positive definite: {exc}") from exc
+    factor, info = dpotrf(sym, lower=True, clean=False)
+    if info:
+        raise SingularFimError(f"{what} is not positive definite (leading minor {info})")
     eigvals = np.linalg.eigvalsh(sym)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > CONDITION_LIMIT:
         raise SingularFimError(
             f"{what} is numerically singular (condition number above {CONDITION_LIMIT:g})"
         )
-    inv = cho_solve(factor, np.eye(sym.shape[0]), check_finite=False)
+    inv, _ = dpotrs(factor, np.eye(sym.shape[0]), lower=True)
     return 0.5 * (inv + inv.T)
 
 
 def predict_fim(
-    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
+    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray,
+    what: str = "predicted covariance",
 ) -> np.ndarray:
-    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1}."""
+    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1};
+    ``what`` names the predicted covariance in a :class:`SingularFimError`."""
     predicted_cov = transition @ cov_post @ transition.T + process_cov
-    return _spd_inverse(predicted_cov, "predicted covariance")
+    return _spd_inverse(predicted_cov, what)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRe
     return BoundRecord(step=step, peb=peb, veb=veb, oeb=oeb, meb=meb)
 
 
-def _describe_weak_block(j: np.ndarray, num_surfaces: int) -> str:
+def _describe_weak_block(j: np.ndarray) -> str:
     """Name the state block with the least diagonal information (diagnostics)."""
     diag = np.diag(j)
     idx = int(np.argmin(diag))
@@ -163,6 +167,18 @@ def _describe_weak_block(j: np.ndarray, num_surfaces: int) -> str:
     if idx == 4:
         return "agent orientation"
     return f"surface {1 + (idx - 5) // 2}"
+
+
+def invert_posterior(j_post: np.ndarray, step: int) -> np.ndarray:
+    """Posterior covariance J_post^{-1} of one step of the bound or the filter;
+    a singular ``j_post`` raises :class:`SingularFimError` naming the step and
+    the state block with the least information."""
+    try:
+        return _spd_inverse(j_post, "posterior information")
+    except SingularFimError as exc:
+        raise SingularFimError(
+            f"step {step}: {exc} (weakest block: {_describe_weak_block(j_post)})"
+        ) from exc
 
 
 def run_recursion(scenario, table, prior: np.ndarray | None = None) -> list[BoundRecord]:
@@ -187,19 +203,11 @@ def run_recursion(scenario, table, prior: np.ndarray | None = None) -> list[Boun
 
     transition = transition_matrix(model)
     noise_cov = process_noise_cov(model)
-    j_post = np.diag(1.0 / prior)
+    cov = invert_posterior(np.diag(1.0 / prior), 1)
     records: list[BoundRecord] = []
-    step = 1
-    try:
-        cov = _spd_inverse(j_post, "posterior information")
-        for record in table:
-            step = record.step
-            j_post = predict_fim(cov, transition, noise_cov) + record.information
-            cov = _spd_inverse(j_post, "posterior information")
-            records.append(extract_bounds(cov, model.num_surfaces, step=step))
-    except SingularFimError as exc:
-        raise SingularFimError(
-            f"step {step}: {exc} (weakest block: "
-            f"{_describe_weak_block(j_post, model.num_surfaces)})"
-        ) from exc
+    for record in table:
+        j_post = predict_fim(cov, transition, noise_cov,
+                             f"step {record.step}: predicted covariance") + record.information
+        cov = invert_posterior(j_post, record.step)
+        records.append(extract_bounds(cov, model.num_surfaces, step=record.step))
     return records

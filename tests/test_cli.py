@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 import pytest
@@ -270,6 +271,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert "run 0" in err and "step 5" in err
+        assert not out.exists()
+
+    def test_singular_filter_information_is_numerical_failure(self, scenario_file, tmp_path,
+                                                               capsys, monkeypatch):
+        """An indefinite filter information at one step fails the run through
+        the same message as the bound; the bound itself stays fine."""
+        calls, fuse = [], ekf.global_snapshot_fim
+
+        def indefinite_at_step_5(anchor_terms):
+            # ekf_update fuses once per measured step, steps ascending
+            calls.append(None)
+            information = fuse(anchor_terms)
+            if len(calls) == 5:
+                return information - 1e12 * np.eye(len(information))
+            return information
+
+        monkeypatch.setattr(ekf, "global_snapshot_fim", indefinite_at_step_5)
+        out = tmp_path / "validate.csv"
+        code = main(["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "run 0" in err and "step 5" in err and "weakest block" in err
         assert not out.exists()
 
 

@@ -1,4 +1,8 @@
-"""EKF estimator: prediction, stacked updates and Monte-Carlo aggregation."""
+"""EKF estimator: prediction, information-form updates and Monte-Carlo aggregation."""
+
+import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from mpslam_bounds.ekf import (
     run_monte_carlo,
     run_single,
 )
-from mpslam_bounds.fim import global_jacobian
-from mpslam_bounds.geometry import virtual_anchor
+from mpslam_bounds.fim import channel_fim, global_jacobian
+from mpslam_bounds.geometry import AgentPose, SurfaceMap, virtual_anchor, wrap_angle
 from mpslam_bounds.pcrlb import (
     predict_fim,
     process_noise_cov,
@@ -23,11 +27,15 @@ from mpslam_bounds.pcrlb import (
 from mpslam_bounds.scenario import (
     draw_measurements,
     ground_truth,
+    load_scenario,
     measurement_truth,
     scenario_from_mapping,
 )
 from mpslam_bounds.streams import derive_run_stream
+from tests.reference_kalman import joseph_update
 from tests.test_pcrlb import desk_mapping
+
+DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 
 
 def small_scenario(**overrides):
@@ -37,6 +45,11 @@ def small_scenario(**overrides):
 def drawn_step(scenario, truth, step, rng):
     """The anchor blocks measured at ``step`` in one draw of the whole table."""
     return draw_measurements(measurement_truth(scenario, truth), rng)[step - 1]
+
+
+def component_columns(order, components):
+    """(3, n) columns of the listed components' distance, arrival and departure."""
+    return np.add.outer([0, order.size, 2 * order.size], np.asarray(components, dtype=int))
 
 
 class TestPredict:
@@ -92,34 +105,33 @@ class TestUpdate:
         ids=["isotropic", "ula"],
     )
     def test_measurement_matrix_is_transposed_joint_gradient(self, agent_aperture):
-        """The EKF's H equals the transposed joint-state gradient matrix
-        restricted to the measured components, and its noise variances are
-        the ones the measurements were drawn with, also where the aperture
-        depends on the azimuth."""
+        """Each anchor's linearization is the joint-state gradient matrix of
+        its measured components, its channel information maps the variances
+        the measurements were drawn with (also where the aperture depends on
+        the azimuth) and its innovation is observed minus predicted."""
         scenario = small_scenario(agent_aperture=agent_aperture)
+        order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
         mean = _joint_truth(truth[3], scenario.surfaces)
-        h_mat, observed, predicted, noise_diag, angle_row = _linearize(
-            mean, blocks, scenario
-        )
-        from mpslam_bounds.geometry import AgentPose, SurfaceMap
+        terms = _linearize(mean, blocks, scenario)
+        measured = [b for b in blocks if b.components.size]
+        assert len(terms) == len(measured) > 0
 
         pose = AgentPose.from_state(mean[:5])
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
-        rows = 0
-        for block in blocks:
-            anchor = scenario.anchors[block.anchor]
-            _, _, jac = global_jacobian(pose, anchor, scenario.order, surfaces,
-                                        block.components)
-            for k, variances in zip(block.components, block.variances):
-                for col, variance in zip((scenario.order.dist_index(k),
-                                          scenario.order.aoa_index(k),
-                                          scenario.order.aod_index(k)), variances):
-                    np.testing.assert_allclose(h_mat[rows], jac[:, col].T)
-                    assert noise_diag[rows] == variance
-                    rows += 1
-        assert rows == h_mat.shape[0] == 3 * sum(b.components.size for b in blocks)
+        for block, (jac, lam, innovation) in zip(measured, terms):
+            params, _, expected = global_jacobian(
+                pose, scenario.anchors[block.anchor], order, surfaces, block.components
+            )
+            cols = component_columns(order, block.components)
+            np.testing.assert_array_equal(jac[:, cols], expected[:, cols])
+            np.testing.assert_array_equal(
+                lam, channel_fim(order, block.components, block.variances))
+            residual = block.params - params
+            residual[:, 1:] = np.vectorize(wrap_angle)(residual[:, 1:])
+            np.testing.assert_array_equal(innovation[cols], residual.T)
+            assert not np.delete(innovation, cols.ravel()).any()
 
     def test_near_exact_measurements_pull_position_error_down(self):
         mapping = desk_mapping()
@@ -160,39 +172,117 @@ class TestUpdate:
             assert np.linalg.eigvalsh(state.cov)[0] > 0.0
 
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
+        """Components bouncing on a surface estimated at the origin get
+        exactly zero information and innovation; the rest keep theirs."""
         scenario = small_scenario()
+        order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
         mean = _joint_truth(truth[1], scenario.surfaces)
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
-        import logging
 
         with caplog.at_level(logging.WARNING):
-            h_mat, *_ = _linearize(mean, blocks, scenario)
-        measured = [k for b in blocks for k in b.components]
-        bounce_rows = sum(3 for k in measured if 1 in scenario.order.components[k].bounces)
-        assert h_mat.shape[0] == 3 * len(measured) - bounce_rows
+            terms = _linearize(mean, blocks, scenario)
+        assert len(terms) == len(blocks)
+        skipped = 0
+        for block, (_, lam, innovation) in zip(blocks, terms):
+            on_surface = np.array([1 in order.components[k].bounces for k in block.components])
+            kept = ~on_surface
+            np.testing.assert_array_equal(
+                lam, channel_fim(order, block.components[kept], block.variances[kept]))
+            dropped = component_columns(order, block.components[on_surface])
+            assert not lam[dropped].any() and not innovation[dropped].any()
+            skipped += on_surface.sum()
+        assert skipped > 0
         assert any("surface estimate" in rec.message for rec in caplog.records)
 
     def test_estimate_on_a_virtual_anchor_skips_that_component(self, caplog):
         scenario = small_scenario()
+        order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
-        rows = [(b.anchor, k, p) for b in blocks for k, p in zip(b.components, b.params)]
-        target = next(r for r in rows if scenario.order.components[r[1]].n_bounces == 1)
-        path = scenario.order.components[target[1]]
+        anchor, target = next((b.anchor, k) for b in blocks for k in b.components
+                              if order.components[k].n_bounces == 1)
+        path = order.components[target]
         mean = _joint_truth(truth[1], scenario.surfaces)
-        mean[0:2] = virtual_anchor(scenario.anchors[target[0]], path, scenario.surfaces)
-        import logging
+        mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
 
         with caplog.at_level(logging.WARNING):
-            h_mat, observed, *_ = _linearize(mean, blocks, scenario)
-        kept = [r for r in rows if r is not target]
-        assert h_mat.shape[0] == 3 * len(kept)
-        np.testing.assert_array_equal(observed, np.ravel([p for _, _, p in kept]))
+            terms = _linearize(mean, blocks, scenario)
+        assert len(terms) == len(blocks)
+        for block, (_, lam, innovation) in zip(blocks, terms):
+            skipped = (block.components == target) & (block.anchor == anchor)
+            np.testing.assert_array_equal(
+                lam, channel_fim(order, block.components[~skipped], block.variances[~skipped]))
+            dropped = component_columns(order, block.components[skipped])
+            assert not lam[dropped].any() and not innovation[dropped].any()
         warnings = [rec.message for rec in caplog.records if "skipping component" in rec.message]
-        assert warnings == [f"step 1 anchor {target[0] + 1}: agent coincides with virtual "
+        assert warnings == [f"step 1 anchor {anchor + 1}: agent coincides with virtual "
                             f"anchor, skipping component {path.bounces}"]
+
+
+def polygon_room(num_walls, apothem=3.5):
+    """Regular polygon room around the origin, two anchors, every component
+    visible: mirror images 2 h n of the origin about each wall."""
+    mapping = desk_mapping()
+    angles = 2 * math.pi * np.arange(num_walls) / num_walls + 0.1
+    mapping["surfaces"] = [[2 * apothem * math.cos(a), 2 * apothem * math.sin(a)]
+                           for a in angles]
+    mapping["anchors"][0]["position"] = [1.0, 0.5]
+    mapping["anchors"][1]["position"] = [-1.2, -0.8]
+    mapping["trajectory"] = {"kind": "waypoints", "n_steps": 3,
+                             "points": [{"time": 0.0, "position": [-1.5, 1.0]},
+                                        {"time": 0.3, "position": [-1.2, 0.8]}]}
+    mapping["prior"]["surface_var"] = 0.04
+    return scenario_from_mapping(mapping)
+
+
+def predicted_state(scenario, truth, step, seed):
+    """A correlated predicted covariance at the prior's scale, with a mean
+    drawn from a tenth of it around the truth."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(scenario.prior_covariance())
+    mixing = rng.normal(size=(scale.size, scale.size)) / np.sqrt(scale.size)
+    cov = (0.5 * np.eye(scale.size) + 0.5 * mixing @ mixing.T) * np.outer(scale, scale)
+    mean = _joint_truth(truth[step], scenario.surfaces)
+    return EkfState(mean=mean + 0.1 * scale * rng.standard_normal(scale.size), cov=cov)
+
+
+class TestInformationFormMatchesCovarianceForm:
+    """The information-form update equals the stacked Joseph-form Kalman
+    update (tests/reference_kalman.py) to 1e-9 relative."""
+
+    @staticmethod
+    def assert_same_update(state, blocks, scenario):
+        got = ekf_update(state, blocks, scenario)
+        expected = joseph_update(state, blocks, scenario)
+        for a, b in ((got.mean - state.mean, expected.mean - state.mean),
+                     (got.cov, expected.cov)):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
+
+    def test_desk_step(self):
+        scenario = load_scenario(DESK_SCENARIO)
+        truth = ground_truth(scenario)
+        blocks = drawn_step(scenario, truth, 7, derive_run_stream(0, 0))
+        self.assert_same_update(predicted_state(scenario, truth, 7, 1), blocks, scenario)
+
+    def test_dense_twelve_wall_step(self):
+        scenario = polygon_room(12)
+        assert scenario.order.size == 145 and scenario.dim == 29
+        truth = ground_truth(scenario)
+        blocks = drawn_step(scenario, truth, 2, derive_run_stream(0, 0))
+        assert all(b.components.size == 145 for b in blocks)
+        self.assert_same_update(predicted_state(scenario, truth, 2, 2), blocks, scenario)
+
+    def test_step_with_a_skipped_component(self, caplog):
+        scenario = load_scenario(DESK_SCENARIO)
+        truth = ground_truth(scenario)
+        blocks = drawn_step(scenario, truth, 5, derive_run_stream(0, 0))
+        state = predicted_state(scenario, truth, 5, 3)
+        state.mean[5:7] = 0.0  # surface 1 estimated at the origin: its bounces drop out
+        with caplog.at_level(logging.WARNING):
+            self.assert_same_update(state, blocks, scenario)
+        assert any("surface estimate near origin" in rec.message for rec in caplog.records)
 
 
 class TestMonteCarlo:
