@@ -22,13 +22,9 @@ from .fim import (
 from .geometry import (
     AgentPose,
     Anchor,
-    ChannelParams,
     DegenerateGeometryError,
     PathComponent,
     SurfaceMap,
-    channel_params,
-    mirrored_agent,
-    virtual_anchor,
 )
 from .pcrlb import (
     BoundRecord,
@@ -54,7 +50,6 @@ __all__ = [
     "AgentPose",
     "Anchor",
     "BoundRecord",
-    "ChannelParams",
     "ComponentOrder",
     "DegenerateGeometryError",
     "EkfState",
@@ -70,7 +65,6 @@ __all__ = [
     "ZeroApertureError",
     "angle_variance",
     "channel_fim",
-    "channel_params",
     "derive_run_stream",
     "extract_bounds",
     "generate_trajectory",
@@ -79,10 +73,8 @@ __all__ = [
     "ground_truth",
     "load_scenario",
     "measurement_truth",
-    "mirrored_agent",
     "predict_fim",
     "ranging_variance",
     "run_monte_carlo",
     "run_recursion",
-    "virtual_anchor",
 ]

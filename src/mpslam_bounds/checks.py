@@ -25,11 +25,10 @@ from .geometry import (
     AgentPose,
     Anchor,
     DegenerateGeometryError,
+    PathGeometry,
     SurfaceMap,
-    channel_params,
-    householder_chain,
-    mirrored_agent,
-    virtual_anchor,
+    path_geometry,
+    rotation_matrix,
     wrap_angle,
 )
 
@@ -57,27 +56,31 @@ def random_instance(rng: np.random.Generator, num_surfaces: int):
             orientation=rng.uniform(-np.pi, np.pi),
         )
         order = ComponentOrder.canonical(num_surfaces)
-        try:
-            distances = [
-                channel_params(agent, anchor, comp, surfaces).distance for comp in order
-            ]
-        except DegenerateGeometryError:
-            continue
-        if min(distances) > 0.5:
+        geo = _all_paths(agent, anchor, order, surfaces)
+        if not geo.degenerate.any() and geo.params[:, 0].min() > 0.5:
             return agent, anchor, surfaces, order
 
 
+def _all_paths(
+    agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+) -> PathGeometry:
+    return path_geometry(agent, anchor, order.first, order.second, surfaces)
+
+
 def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> np.ndarray:
-    """Stacked channel parameters [distances | arrival az. | departure az.]."""
+    """Stacked channel parameters [distances | arrival az. | departure az.].
+
+    Read from the batched geometry pass that :func:`~.fim.global_jacobian`
+    differentiates.
+    """
     pose = AgentPose.from_state(state[:5])
     surfaces = SurfaceMap(state[5:].reshape(-1, 2))
-    out = np.zeros(order.dim)
-    for k, comp in enumerate(order):
-        params = channel_params(pose, anchor, comp, surfaces)
-        out[order.dist_index(k)] = params.distance
-        out[order.aoa_index(k)] = params.aoa
-        out[order.aod_index(k)] = params.aod
-    return out
+    return _all_paths(pose, anchor, order, surfaces).params.T.ravel()
+
+
+def _anchor_to_mirrored(geo: PathGeometry, anchor: Anchor) -> np.ndarray:
+    """(n, 2) anchor-to-mirrored-agent vectors in the global frame."""
+    return geo.departure_local @ rotation_matrix(anchor.orientation).T
 
 
 def finite_difference_jacobian(
@@ -98,7 +101,7 @@ def finite_difference_jacobian(
         f_plus = channel_vector(forward, anchor, order)
         f_minus = channel_vector(backward, anchor, order)
         diff = f_plus - f_minus
-        diff[angle_entry] = [wrap_angle(v) for v in diff[angle_entry]]
+        diff[angle_entry] = wrap_angle(diff[angle_entry])
         jac[i, :] = diff / (2.0 * h)
     return jac
 
@@ -147,8 +150,7 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
         jac = full_jacobian(agent, anchor, order, surfaces)
-        for k, comp in enumerate(order):
-            value = float(jac[4, order.aoa_index(k)])
+        for comp, value in zip(order, jac[4, order.size:2 * order.size].tolist()):
             if abs(value + 1.0) > 1e-12:
                 failures.append(
                     f"orientation sensitivity: instance {i} path {comp.bounces} "
@@ -161,18 +163,15 @@ def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list
     failures = []
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        for comp in order:
-            if comp.is_los:
-                continue
-            va = virtual_anchor(anchor, comp, surfaces)
-            vm = mirrored_agent(agent.position, comp, surfaces)
-            direct = np.linalg.norm(agent.position - va)
-            mirrored = np.linalg.norm(vm - anchor.position)
-            if abs(direct - mirrored) > 1e-12 * max(1.0, direct):
-                failures.append(
-                    f"mirror length: instance {i} path {comp.bounces} "
-                    f"|{mirrored} - {direct}| too large"
-                )
+        geo = _all_paths(agent, anchor, order, surfaces)
+        direct = np.linalg.norm(geo.va_to_agent, axis=1)
+        mirrored = np.linalg.norm(_anchor_to_mirrored(geo, anchor), axis=1)
+        bad = np.abs(direct - mirrored) > 1e-12 * np.maximum(1.0, direct)
+        for k in np.flatnonzero(bad):
+            failures.append(
+                f"mirror length: instance {i} path {order.components[k].bounces} "
+                f"|{mirrored[k]} - {direct[k]}| too large"
+            )
     return failures
 
 
@@ -180,21 +179,22 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
     failures = []
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        for comp in order:
-            chain = householder_chain(comp, surfaces)
-            numeric = np.zeros((2, 2))
-            for axis in range(2):
-                h = FD_STEP * max(1.0, abs(agent.position[axis]))
-                for sign, target in ((1.0, 1), (-1.0, -1)):
-                    shifted = agent.position.copy()
-                    shifted[axis] += sign * h
-                    vm = mirrored_agent(shifted, comp, surfaces)
-                    numeric[:, axis] += target * (vm - anchor.position) / (2.0 * h)
-            if np.max(np.abs(numeric - chain.T)) > FD_TOL:
-                failures.append(
-                    f"mirrored-agent sensitivity: instance {i} path {comp.bounces} "
-                    f"deviates from the reflection product"
-                )
+        chain = _all_paths(agent, anchor, order, surfaces).chain
+        numeric = np.zeros((order.size, 2, 2))
+        for axis in range(2):
+            h = FD_STEP * max(1.0, abs(agent.position[axis]))
+            for sign in (1.0, -1.0):
+                position = agent.position.copy()
+                position[axis] += sign * h
+                shifted = AgentPose(position, agent.velocity, agent.orientation)
+                geo = _all_paths(shifted, anchor, order, surfaces)
+                numeric[:, :, axis] += sign * _anchor_to_mirrored(geo, anchor) / (2.0 * h)
+        bad = np.max(np.abs(numeric - chain.transpose(0, 2, 1)), axis=(1, 2)) > FD_TOL
+        for k in np.flatnonzero(bad):
+            failures.append(
+                f"mirrored-agent sensitivity: instance {i} path "
+                f"{order.components[k].bounces} deviates from the reflection product"
+            )
     return failures
 
 

@@ -104,8 +104,7 @@ def _linearize(
                 "agent coincides with virtual anchor", order.components[k].bounces,
             )
         residual = block.params[ok] - params[ok]
-        residual[:, 1:] = np.reshape([wrap_angle(v) for v in residual[:, 1:].ravel().tolist()],
-                                     (-1, 2))
+        residual[:, 1:] = wrap_angle(residual[:, 1:])
         innovation = np.zeros(order.dim)
         innovation[np.add.outer([0, order.size, 2 * order.size], ks[ok])] = residual.T
         terms.append((jac, channel_fim(order, ks[ok], block.variances[ok]), innovation))

@@ -41,8 +41,7 @@ from .geometry import (
     Anchor,
     PathComponent,
     SurfaceMap,
-    path_batch,
-    path_geometry,  # noqa: F401  re-exported: the scalar oracle of path_batch
+    path_geometry,
     rotation_matrix,
     rotation_matrix_derivative,
 )
@@ -183,8 +182,8 @@ def measurement_variances(
 class ComponentOrder:
     """Canonical ordering of the path components observed by one anchor.
 
-    Fixes the component set and the index maps into the stacked channel
-    parameter vector: component k occupies entries k (distance), K + k
+    Fixes the component set and its layout in the stacked channel parameter
+    vector: component k occupies entries k (distance), K + k
     (arrival azimuth) and 2K + k (departure azimuth). The canonical order is
     LOS first, then single bounces by ascending surface, then double bounces
     lexicographically by (first, second) surface.
@@ -201,7 +200,7 @@ class ComponentOrder:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate path components in order")
         self._components = comps
-        # Bounce surfaces as index arrays (0 = no bounce), see geometry.PathBatch.
+        # Bounce surfaces as index arrays (0 = no bounce), see geometry.PathGeometry.
         padded = np.array([c.bounces + (0,) * (2 - len(c.bounces)) for c in comps], dtype=int)
         self.first, self.second = padded[:, 0], padded[:, 1]
         self.n_bounces = np.count_nonzero(padded, axis=1)
@@ -233,15 +232,6 @@ class ComponentOrder:
         """Stacked channel parameter dimension 3K."""
         return 3 * len(self._components)
 
-    def dist_index(self, k: int) -> int:
-        return k
-
-    def aoa_index(self, k: int) -> int:
-        return self.size + k
-
-    def aod_index(self, k: int) -> int:
-        return 2 * self.size + k
-
     def __iter__(self):
         return iter(self._components)
 
@@ -259,7 +249,7 @@ def global_jacobian(
     """Channel parameters and their (N, 3K) gradient w.r.t. the joint state.
 
     Resolves the components with the given indices into ``order`` in one
-    batched pass (:func:`~.geometry.path_batch`). Returns their (n, 3)
+    batched pass (:func:`~.geometry.path_geometry`). Returns their (n, 3)
     channel parameters, their degenerate-geometry mask and the gradient
     matrix, whose column i holds the gradient of channel parameter i;
     columns of unlisted or degenerate components are zero.
@@ -281,7 +271,7 @@ def global_jacobian(
     """
     ks = np.asarray(components, dtype=int)
     first, second = order.first[ks], order.second[ks]
-    geo = path_batch(agent, anchor, first, second, surfaces)
+    geo = path_geometry(agent, anchor, first, second, surfaces)
     n_state, k_total = 5 + 2 * len(surfaces), order.size
     rot_anchor = rotation_matrix(anchor.orientation)
     dep, arr = geo.departure_local, geo.arrival_local

@@ -14,6 +14,12 @@ the agent) and mirrored agents (agent mirrored towards the anchor), from
 which noise-free channel parameters (path distance, angle of arrival at the
 agent, angle of departure at the anchor) follow.
 
+:func:`path_geometry` is the one implementation of that fold: it resolves
+many paths of one (agent, anchor) pair at once from the surfaces' stacked
+Householders, where surface 0 is the identity mirror that stands for "no
+bounce". The channel pass (``fim.global_jacobian``) and the self-check's
+finite differences both run on it.
+
 Conventions
 -----------
 * Surfaces are indexed 1..S. A surface line through the origin is not
@@ -29,7 +35,7 @@ All functions are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,12 +51,18 @@ class DegenerateGeometryError(ValueError):
     """A direction vector collapsed (agent on top of a virtual anchor, ...)."""
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle (radians) into (-pi, pi]."""
-    wrapped = math.remainder(angle, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
+    """Wrap angles (radians) into (-pi, pi]: a float for a scalar, else an array.
+
+    Exact: ``fmod`` is exact, and so is each 2 pi correction of a remainder
+    at least pi in magnitude (Sterbenz), so this equals the IEEE-remainder
+    form ``math.remainder(angle, 2 pi)`` bit for bit, -pi mapped to pi.
+    """
+    two_pi = 2.0 * math.pi
+    wrapped = np.fmod(angle, two_pi)
+    wrapped = np.where(wrapped > math.pi, wrapped - two_pi, wrapped)
+    wrapped = np.where(wrapped <= -math.pi, wrapped + two_pi, wrapped)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -110,25 +122,6 @@ class SurfaceMap:
         view = self._points.view()
         view.flags.writeable = False
         return view
-
-    def householder(self, surface: int) -> np.ndarray:
-        """Cached Householder reflection of surface ``surface`` (1-based)."""
-        self._check_index(surface)
-        return self.householders[surface]
-
-    def mirror(self, x: np.ndarray, surface: int) -> np.ndarray:
-        """Mirror ``x`` about surface ``surface`` (1-based).
-
-        Involutory; points on the surface line are fixed; the origin maps to
-        the surface point itself.
-        """
-        self._check_index(surface)
-        x = np.asarray(x, dtype=float)
-        return self.householders[surface] @ x + self.padded_points[surface]
-
-    def _check_index(self, surface: int) -> None:
-        if not 1 <= surface <= len(self):
-            raise ValueError(f"surface index {surface} outside 1..{len(self)}")
 
 
 @dataclass
@@ -223,128 +216,34 @@ class PathComponent:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Noise-free channel parameters of one path component."""
-
-    distance: float  # meters, total reflected path length
-    aoa: float  # radians, arrival azimuth in the agent frame
-    aod: float  # radians, departure azimuth in the anchor frame
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.distance, self.aoa, self.aod])
-
-
-def virtual_anchor(anchor: Anchor, path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
-    """Mirror the anchor through the bounce sequence (LOS returns the anchor)."""
-    point = anchor.position
-    for s in path.bounces:
-        point = surfaces.mirror(point, s)
-    return point
-
-
-def mirrored_agent(
-    agent_position: np.ndarray, path: PathComponent, surfaces: SurfaceMap
-) -> np.ndarray:
-    """Mirror the agent position through the reversed bounce sequence.
-
-    The mirrored agent sits where the anchor "sees" the agent arrive from;
-    its distance to the anchor equals the distance from the virtual anchor
-    to the agent exactly.
-    """
-    point = np.asarray(agent_position, dtype=float)
-    for s in reversed(path.bounces):
-        point = surfaces.mirror(point, s)
-    return point
-
-
-def householder_chain(path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
-    """Gradient-layout sensitivity of the anchor-to-mirrored-agent vector.
-
-    Returns the 2x2 matrix d(anchor->mirrored-agent)^T / d(agent position):
-    identity for LOS, H_s for a single bounce at s, H_{s2} H_s for a double
-    bounce (s, s2). The same matrix maps the virtual-anchor-to-agent vector
-    onto the anchor-to-mirrored-agent vector.
-    """
-    chain = np.eye(2)
-    for s in reversed(path.bounces):
-        chain = chain @ surfaces.householder(s)
-    return chain
-
-
-@dataclass(frozen=True)
 class PathGeometry:
-    """Geometric quantities of one (agent, anchor, path) triple."""
-
-    va_to_agent: np.ndarray  # agent position minus virtual anchor (global frame)
-    anchor_to_mirrored: np.ndarray  # mirrored agent minus anchor (global frame)
-    chain: np.ndarray  # householder_chain of the path
-    params: ChannelParams = field(repr=False)
-
-
-def path_geometry(
-    agent: AgentPose, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
-) -> PathGeometry:
-    """Resolve the full mirror geometry and channel parameters of one path.
-
-    Raises :class:`DegenerateGeometryError` when the agent coincides with the
-    virtual anchor (or, equivalently, the mirrored agent with the anchor).
-    """
-    va = virtual_anchor(anchor, path, surfaces)
-    vm = mirrored_agent(agent.position, path, surfaces)
-    r = agent.position - va
-    r_t = vm - anchor.position
-    dist = float(np.linalg.norm(r))
-    if dist <= DEGENERACY_EPS or np.linalg.norm(r_t) <= DEGENERACY_EPS:
-        raise DegenerateGeometryError(
-            f"agent coincides with virtual anchor for path {path.bounces}"
-        )
-    departure_local = rotation_matrix(anchor.orientation).T @ r_t
-    arrival_local = -(rotation_matrix(agent.orientation).T @ r)
-    params = ChannelParams(
-        distance=dist,
-        aoa=math.atan2(arrival_local[1], arrival_local[0]),
-        aod=math.atan2(departure_local[1], departure_local[0]),
-    )
-    return PathGeometry(r, r_t, householder_chain(path, surfaces), params)
-
-
-def channel_params(
-    agent: AgentPose, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
-) -> ChannelParams:
-    """Noise-free distance, arrival and departure azimuth of one path."""
-    return path_geometry(agent, anchor, path, surfaces).params
-
-
-@dataclass(frozen=True)
-class PathBatch:
     """Stacked mirror geometry of n paths of one (agent, anchor) pair.
 
-    :func:`path_batch` takes path i as its first (anchor-side) and second
+    :func:`path_geometry` takes path i as its first (anchor-side) and second
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
-    single bounce at s is (s, 0). Row i of a field holds what
-    :class:`PathGeometry` holds for path i; ``params`` rows are (distance,
-    arrival azimuth, departure azimuth), unusable where ``degenerate``.
+    single bounce at s is (s, 0). Row i of each field belongs to path i.
     """
 
     anchor_once: np.ndarray  # (n, 2) anchor mirrored at the first bounce only
     agent_once: np.ndarray  # (n, 2) agent mirrored at the second bounce only
-    va_to_agent: np.ndarray  # (n, 2)
-    departure_local: np.ndarray  # (n, 2)
-    arrival_local: np.ndarray  # (n, 2)
-    chain: np.ndarray  # (n, 2, 2)
-    params: np.ndarray  # (n, 3)
-    degenerate: np.ndarray  # (n,) bool
+    va_to_agent: np.ndarray  # (n, 2) agent minus virtual anchor, global frame
+    departure_local: np.ndarray  # (n, 2) mirrored agent minus anchor, anchor frame
+    arrival_local: np.ndarray  # (n, 2) virtual anchor minus agent, agent frame
+    chain: np.ndarray  # (n, 2, 2) H_second H_first: d(mirrored agent)^T / d(agent position)
+    params: np.ndarray  # (n, 3) distance, arrival azimuth, departure azimuth
+    degenerate: np.ndarray  # (n,) bool: agent on the virtual anchor, params unusable
 
 
-def path_batch(
+def path_geometry(
     agent: AgentPose, anchor: Anchor, first: np.ndarray, second: np.ndarray,
     surfaces: SurfaceMap,
-) -> PathBatch:
-    """Resolve n paths at once: the batched form of :func:`path_geometry`.
+) -> PathGeometry:
+    """Resolve the mirror geometry and channel parameters of n paths at once.
 
     Instead of raising, it flags as ``degenerate`` each path whose
     virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
-    local frame) is not longer than ``DEGENERACY_EPS``.
+    local frame) is not longer than ``DEGENERACY_EPS``: the agent coincides
+    with the path's virtual anchor.
     """
     houses, points = surfaces.householders, surfaces.padded_points
     h1, h2 = houses[first], houses[second]
@@ -359,5 +258,5 @@ def path_batch(
     params = np.stack(
         [lengths[0], np.arctan2(arr[:, 1], arr[:, 0]), np.arctan2(dep[:, 1], dep[:, 0])], axis=1
     )
-    return PathBatch(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
-                     (lengths <= DEGENERACY_EPS).any(axis=0))
+    return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
+                        (lengths <= DEGENERACY_EPS).any(axis=0))

@@ -418,8 +418,7 @@ def draw_measurements(
         for block in record.blocks:
             noise = rng.standard_normal(block.params.size).reshape(block.params.shape)
             params = block.params + np.sqrt(block.variances) * noise
-            params[:, 1:] = np.reshape([wrap_angle(v) for v in params[:, 1:].ravel().tolist()],
-                                       (-1, 2))
+            params[:, 1:] = wrap_angle(params[:, 1:])
             blocks.append(replace(block, params=params))
         drawn.append(tuple(blocks))
     return drawn

@@ -1,18 +1,19 @@
 """Loop-form reference of the batched channel gradient.
 
-One path at a time, with the scalar geometry of ``geometry.path_geometry``:
-the per-component form that ``fim.global_jacobian`` replaced by one batched
-pass. Tests compare the batched pass against it.
+One path at a time, with the scalar geometry of
+``tests/reference_geometry.py``: the per-component form that
+``fim.global_jacobian`` replaced by one batched pass. Tests compare the
+batched pass against it.
 """
 
 import numpy as np
 
 from mpslam_bounds.geometry import (
     DegenerateGeometryError,
-    path_geometry,
     rotation_matrix,
     rotation_matrix_derivative,
 )
+from tests.reference_geometry import householder, mirror, path_geometry
 
 
 def azimuth_gradient(r):
@@ -42,7 +43,7 @@ def _reflection_source_block(source, surfaces, surface):
     sq = float(p @ p)
     return (
         (2.0 / sq) * np.outer(source, p)
-        + (2.0 * float(source @ p) / sq) * surfaces.householder(surface)
+        + (2.0 * float(source @ p) / sq) * householder(surfaces, surface)
         - np.eye(2)
     )
 
@@ -56,7 +57,7 @@ def loop_jacobian(agent, anchor, order, surfaces, geoms):
     for k, (comp, geom) in enumerate(zip(order, geoms)):
         if geom is None:
             continue
-        i_d, i_aoa, i_aod = order.dist_index(k), order.aoa_index(k), order.aod_index(k)
+        i_d, i_aoa, i_aod = k, order.size + k, 2 * order.size + k
         departure_local = rot_anchor.T @ geom.anchor_to_mirrored
         arrival_local = -(rot_agent.T @ geom.va_to_agent)
         transfer = geom.chain @ rot_anchor
@@ -71,15 +72,15 @@ def loop_jacobian(agent, anchor, order, surfaces, geoms):
             before, after = comp.bounces[:i], comp.bounces[i + 1:]
             source, sink = anchor.position, agent.position
             for t in before:
-                source = surfaces.mirror(source, t)
+                source = mirror(surfaces, source, t)
             for t in reversed(after):
-                sink = surfaces.mirror(sink, t)
+                sink = mirror(surfaces, sink, t)
             direct = _reflection_source_block(source, surfaces, s)
             mirrored = -_reflection_source_block(sink, surfaces, s)
             for t in after:
-                direct = direct @ surfaces.householder(t)
+                direct = direct @ householder(surfaces, t)
             for t in reversed(before):
-                mirrored = mirrored @ surfaces.householder(t)
+                mirrored = mirrored @ householder(surfaces, t)
             row = 5 + 2 * (s - 1)
             jac[row:row + 2, i_d] = direct @ (geom.va_to_agent / geom.params.distance)
             jac[row:row + 2, i_aoa] = direct @ aoa_col

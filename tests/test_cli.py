@@ -10,8 +10,9 @@ import pytest
 
 from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
-from mpslam_bounds.geometry import PathComponent, virtual_anchor
+from mpslam_bounds.geometry import PathComponent
 from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
+from tests.reference_geometry import virtual_anchor
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -157,7 +158,7 @@ class TestValidateMode:
         separate geometry pass; the filter's own passes are not counted."""
         import mpslam_bounds.scenario as scenario_module
 
-        calls = {"global_jacobian": 0, "path_batch": 0, "measurement_variances": 0}
+        calls = {"global_jacobian": 0, "path_geometry": 0, "measurement_variances": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -175,7 +176,7 @@ class TestValidateMode:
         scenario = load_scenario(DESK_SCENARIO)
         pairs = scenario.n_steps * len(scenario.anchors)
         assert pairs == 80
-        assert calls == {"global_jacobian": pairs, "path_batch": 0,
+        assert calls == {"global_jacobian": pairs, "path_geometry": 0,
                          "measurement_variances": pairs}
 
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
@@ -300,3 +301,20 @@ class TestSelfCheck:
     def test_clean_build_passes(self, capsys):
         assert main(["--self-check"]) == 0
         assert "self-check passed" in capsys.readouterr().err
+
+    def test_perturbed_gradient_column_fails(self, capsys, monkeypatch):
+        """A wrong entry in the gradient the self-check differentiates
+        against (the LOS distance column's x row) exits 4 and names it."""
+        from mpslam_bounds import checks
+
+        exact = checks.global_jacobian
+
+        def perturbed(*args, **kwargs):
+            params, degenerate, jac = exact(*args, **kwargs)
+            jac[0, 0] += 1e-3
+            return params, degenerate, jac
+
+        monkeypatch.setattr(checks, "global_jacobian", perturbed)
+        assert main(["--self-check"]) == 4
+        err = capsys.readouterr().err
+        assert "gradient vs finite differences" in err and "self-check FAILED" in err

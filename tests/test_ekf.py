@@ -18,7 +18,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import channel_fim, global_jacobian
-from mpslam_bounds.geometry import AgentPose, SurfaceMap, virtual_anchor, wrap_angle
+from mpslam_bounds.geometry import AgentPose, SurfaceMap, wrap_angle
 from mpslam_bounds.pcrlb import (
     predict_fim,
     process_noise_cov,
@@ -32,6 +32,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
 )
 from mpslam_bounds.streams import derive_run_stream
+from tests.reference_geometry import virtual_anchor
 from tests.reference_kalman import joseph_update
 from tests.test_pcrlb import desk_mapping
 

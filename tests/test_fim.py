@@ -27,11 +27,9 @@ from mpslam_bounds.geometry import (
     DegenerateGeometryError,
     PathComponent,
     SurfaceMap,
-    channel_params,
-    path_geometry,
-    virtual_anchor,
     wrap_angle,
 )
+from tests import reference_geometry as ref
 from tests.reference_jacobian import azimuth_gradient, distance_gradient, loop_reference
 from tests.test_geometry import random_geometry
 
@@ -55,7 +53,7 @@ def fd_channel_gradient(agent, anchor, path, surfaces, coord, step=1e-6):
             pts[s, axis] += delta
         pose = AgentPose(position=position, velocity=agent.velocity,
                          orientation=orientation)
-        return channel_params(pose, anchor, path, SurfaceMap(pts)).as_array()
+        return ref.channel_params(pose, anchor, path, SurfaceMap(pts)).as_array()
 
     base = (agent.position[coord] if coord < 2
             else agent.orientation if coord == 2
@@ -127,12 +125,13 @@ class TestComponentOrder:
         assert order.dim == 15
 
     def test_index_maps_partition_blocks(self):
+        # component k's distance, arrival and departure entries are k, K + k, 2K + k
         order = ComponentOrder.canonical(3)
         k_total = order.size
         for k in range(k_total):
-            assert order.dist_index(k) == k
-            assert order.aoa_index(k) == k_total + k
-            assert order.aod_index(k) == 2 * k_total + k
+            diag = channel_fim(order, [k], [(1.0, 0.5, 0.25)])
+            assert np.flatnonzero(diag).tolist() == [k, k_total + k, 2 * k_total + k]
+            assert diag[[k, k_total + k, 2 * k_total + k]].tolist() == [1.0, 2.0, 4.0]
 
     def test_duplicate_components_rejected(self):
         with pytest.raises(ValueError):
@@ -312,12 +311,9 @@ class TestChannelFim:
     def test_existence_zeroing(self):
         order = self._order2()
         diag = channel_fim(order, [0], [(0.01, 0.04, 0.25)])
-        assert diag[order.dist_index(0)] == pytest.approx(100.0)
-        assert diag[order.aoa_index(0)] == pytest.approx(25.0)
-        assert diag[order.aod_index(0)] == pytest.approx(4.0)
-        assert diag[order.dist_index(1)] == 0.0
-        assert diag[order.aoa_index(1)] == 0.0
-        assert diag[order.aod_index(1)] == 0.0
+        # layout (distance | arrival | departure), K = 2: component 0 at 0, 2, 4
+        np.testing.assert_allclose(diag[[0, 2, 4]], [100.0, 25.0, 4.0])
+        np.testing.assert_array_equal(diag[[1, 3, 5]], 0.0)
 
     def test_all_absent_gives_zero_matrix(self):
         diag = channel_fim(self._order2(), [], np.zeros((0, 3)))
@@ -328,7 +324,7 @@ class TestChannelFim:
         surfaces = SurfaceMap([[2.0, 0.0]])
         anchor = Anchor(position=[0, 0])
         agent = AgentPose(position=[3, 4], velocity=[0, 0])
-        params = [channel_params(agent, anchor, c, surfaces) for c in order]
+        params = [ref.channel_params(agent, anchor, c, surfaces) for c in order]
         base = channel_fim(order, [0, 1], isotropic_variances(params, [1.0, 2.0], 1e9))
         scaled = channel_fim(order, [0, 1], isotropic_variances(params, [3.0, 6.0], 1e9))
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
@@ -369,8 +365,8 @@ class TestGlobalJacobian:
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
         _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
-        assert jac[:, order.dist_index(0)].any()
-        for idx in (order.dist_index(1), order.aoa_index(1), order.aod_index(1)):
+        assert jac[:, 0].any()
+        for idx in (1, order.size + 1, 2 * order.size + 1):
             np.testing.assert_allclose(jac[:, idx], 0.0)
 
 
@@ -384,14 +380,14 @@ class TestSnapshotFim:
             cand = Anchor(position=rng.uniform(-6, 6, size=2),
                           orientation=rng.uniform(-np.pi, np.pi))
             try:
-                params = [channel_params(agent, cand, c, surfaces) for c in order]
+                params = [ref.channel_params(agent, cand, c, surfaces) for c in order]
             except DegenerateGeometryError:
                 continue
             if min(p.distance for p in params) > 0.5:
                 anchors.append(cand)
         terms = []
         for a in anchors:
-            params = [channel_params(agent, a, c, surfaces) for c in order]
+            params = [ref.channel_params(agent, a, c, surfaces) for c in order]
             variances = isotropic_variances(params, [2.0 / p.distance for p in params])
             jac = full_jacobian(agent, a, order, surfaces)
             terms.append((jac, channel_fim(order, range(order.size), variances)))
@@ -421,7 +417,7 @@ class TestSnapshotFim:
         rng = np.random.default_rng(61)
         agent, anchor, surfaces, _ = random_geometry(rng, 2)
         order = ComponentOrder.canonical(2)
-        params = [channel_params(agent, anchor, c, surfaces) for c in order]
+        params = [ref.channel_params(agent, anchor, c, surfaces) for c in order]
         variances = isotropic_variances(params, [2.0 / p.distance for p in params])
         exist_off = np.ones(order.size, dtype=int)
         exist_off[2] = 0
@@ -492,26 +488,27 @@ class TestBatchedPass:
         assert params.shape == (visible.size, 3) and not degenerate.any()
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
-        for angle, ref in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
-            assert abs(wrap_angle(angle - ref)) <= 1e-12
+        for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
+            assert abs(wrap_angle(angle - expected)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(case=rooms(), data=st.data())
     def test_agent_on_a_virtual_anchor_flags_only_that_component(self, case, data):
         _, anchor, surfaces, order, _ = case
         target = data.draw(st.integers(0, order.size - 1))
-        agent = AgentPose(position=virtual_anchor(anchor, order.components[target], surfaces),
-                          velocity=[0.0, 0.0], orientation=data.draw(_coordinate(np.pi)))
+        on_target = ref.virtual_anchor(anchor, order.components[target], surfaces)
+        agent = AgentPose(position=on_target, velocity=[0.0, 0.0],
+                          orientation=data.draw(_coordinate(np.pi)))
         others = [c for k, c in enumerate(order) if k != target]
         try:
-            assume(min((path_geometry(agent, anchor, c, surfaces).params.distance
+            assume(min((ref.channel_params(agent, anchor, c, surfaces).distance
                         for c in others), default=1.0) > 1e-6)
         except DegenerateGeometryError:
             assume(False)
         params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces,
                                                   np.arange(order.size))
         assert degenerate.tolist() == [k == target for k in range(order.size)]
-        columns = [order.dist_index(target), order.aoa_index(target), order.aod_index(target)]
+        columns = [target, order.size + target, 2 * order.size + target]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
         assert np.all(np.isfinite(jac))
 
@@ -524,7 +521,7 @@ class TestBatchedPass:
     def test_agent_on_a_wall_line_matches_the_scalar_oracle(self, case, wall):
         """Agent on the line of one wall (exactly on an axis-aligned wall such
         as the example's x = 5, to rounding elsewhere): the batched pass agrees
-        with the scalar path_geometry and the loop-form gradient."""
+        with the scalar reference geometry and the loop-form gradient."""
         agent, anchor, surfaces, order, visible = case
         surface, along = 1 + (wall[0] - 1) % len(surfaces), wall[1]
         point = surfaces.points[surface - 1]
@@ -534,8 +531,8 @@ class TestBatchedPass:
                           orientation=agent.orientation)
         if surface == 1 and np.array_equal(point, [10.0, 0.0]):
             assert agent.position.tolist() == [5.0, along]
-        np.testing.assert_allclose(surfaces.mirror(agent.position, surface), agent.position,
-                                   atol=1e-12 * np.linalg.norm(point))
+        np.testing.assert_allclose(ref.mirror(surfaces, agent.position, surface),
+                                   agent.position, atol=1e-12 * np.linalg.norm(point))
         try:
             ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
         except DegenerateGeometryError:
@@ -545,8 +542,8 @@ class TestBatchedPass:
         assert not degenerate.any()
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
-        for angle, ref in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
-            assert abs(wrap_angle(angle - ref)) <= 1e-12
+        for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
+            assert abs(wrap_angle(angle - expected)) <= 1e-12
 
 
 def scalar_variances(u, aoa, aod, carrier_freq, rms_bandwidth, rx, tx):

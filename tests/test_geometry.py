@@ -1,55 +1,68 @@
-"""Mirror geometry: rotations, reflections, virtual anchors, channel parameters."""
+"""Mirror geometry: rotations, reflections, virtual anchors, channel parameters.
+
+The geometry facts are checked on the batched pass ``path_geometry``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mpslam_bounds.checks import random_instance
+from mpslam_bounds.fim import ComponentOrder
 from mpslam_bounds.geometry import (
     AgentPose,
     Anchor,
-    ChannelParams,
-    DegenerateGeometryError,
     PathComponent,
     SurfaceMap,
-    channel_params,
-    householder_chain,
-    mirrored_agent,
     path_geometry,
     rotation_matrix,
     rotation_matrix_derivative,
-    virtual_anchor,
     wrap_angle,
 )
 
 
 def householder(surface_point):
-    return SurfaceMap([surface_point]).householder(1)
+    return SurfaceMap([surface_point]).householders[1]
+
+
+def resolve(agent, anchor, paths, surfaces):
+    """The batched pass over the given paths, in the given order."""
+    order = ComponentOrder(paths)
+    return path_geometry(agent, anchor, order.first, order.second, surfaces)
+
+
+def at(position, orientation=0.0):
+    return AgentPose(position=position, velocity=[0.0, 0.0], orientation=orientation)
+
+
+def mirror(surfaces, x, surface):
+    """``x`` mirrored about one surface: an anchor at ``x`` mirrored at a first bounce."""
+    geo = resolve(at([0.0, 0.0]), Anchor(position=x), [PathComponent.single_bounce(surface)],
+                  surfaces)
+    return geo.anchor_once[0]
+
+
+def virtual_anchor(anchor, path, surfaces, agent=at([0.1, -0.3])):
+    return agent.position - resolve(agent, anchor, [path], surfaces).va_to_agent[0]
+
+
+def anchor_to_mirrored(geo, anchor):
+    """(n, 2) anchor-to-mirrored-agent vectors in the global frame."""
+    return geo.departure_local @ rotation_matrix(anchor.orientation).T
+
+
+def mirrored_agent(agent_position, path, surfaces, anchor=Anchor(position=[0.2, 0.7])):
+    geo = resolve(at(agent_position), anchor, [path], surfaces)
+    return anchor.position + anchor_to_mirrored(geo, anchor)[0]
 
 
 def random_geometry(rng, num_surfaces):
     """Random nondegenerate instance; anchors/agents inside a disc, walls outside."""
-    while True:
-        points = []
-        for _ in range(num_surfaces):
-            angle = rng.uniform(-np.pi, np.pi)
-            points.append(rng.uniform(1.5, 18.0) * np.array([np.cos(angle), np.sin(angle)]))
-        surfaces = SurfaceMap(np.array(points))
-        anchor = Anchor(position=rng.uniform(-6, 6, size=2),
-                        orientation=rng.uniform(-np.pi, np.pi))
-        agent = AgentPose(position=rng.uniform(-6, 6, size=2),
-                          velocity=rng.uniform(-2, 2, size=2),
-                          orientation=rng.uniform(-np.pi, np.pi))
-        paths = [PathComponent.los()]
-        paths += [PathComponent.single_bounce(s) for s in range(1, num_surfaces + 1)]
-        paths += [PathComponent.double_bounce(s, s2)
-                  for s in range(1, num_surfaces + 1)
-                  for s2 in range(1, num_surfaces + 1) if s != s2]
-        try:
-            if min(channel_params(agent, anchor, p, surfaces).distance for p in paths) > 0.5:
-                return agent, anchor, surfaces, paths
-        except DegenerateGeometryError:
-            continue
+    agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
+    return agent, anchor, surfaces, list(order)
 
 
 class TestRotation:
@@ -106,18 +119,18 @@ class TestHouseholder:
 
 
 class TestMirrorPoint:
-    """SurfaceMap.mirror about the wall x = 1 (surface point [2, 0])."""
+    """One mirror of the batched pass about the wall x = 1 (surface point [2, 0])."""
 
     wall = SurfaceMap([[2.0, 0.0]])
 
     def test_origin_maps_to_surface_point(self):
-        np.testing.assert_allclose(self.wall.mirror([0.0, 0.0], 1), [2.0, 0.0])
+        np.testing.assert_allclose(mirror(self.wall, [0.0, 0.0], 1), [2.0, 0.0])
 
     def test_point_on_surface_is_fixed(self):
-        np.testing.assert_allclose(self.wall.mirror([1.0, 1.0], 1), [1.0, 1.0])
+        np.testing.assert_allclose(mirror(self.wall, [1.0, 1.0], 1), [1.0, 1.0])
 
     def test_reflect_across_vertical_line(self):
-        np.testing.assert_allclose(self.wall.mirror([0.0, 2.0], 1), [2.0, 2.0])
+        np.testing.assert_allclose(mirror(self.wall, [0.0, 2.0], 1), [2.0, 2.0])
 
     def test_involution_on_random_points(self):
         rng = np.random.default_rng(3)
@@ -125,7 +138,7 @@ class TestMirrorPoint:
             surfaces = SurfaceMap([rng.uniform(0.5, 5.0, size=2)])
             x = rng.uniform(-5, 5, size=2)
             np.testing.assert_allclose(
-                surfaces.mirror(surfaces.mirror(x, 1), 1), x, atol=1e-12
+                mirror(surfaces, mirror(surfaces, x, 1), 1), x, atol=1e-12
             )
 
 
@@ -185,54 +198,47 @@ class TestVirtualPoints:
         rng = np.random.default_rng(11)
         for _ in range(200):
             agent, anchor, surfaces, paths = random_geometry(rng, 2)
-            for path in paths:
-                va = virtual_anchor(anchor, path, surfaces)
-                vm = mirrored_agent(agent.position, path, surfaces)
-                direct = np.linalg.norm(agent.position - va)
-                mirrored = np.linalg.norm(vm - anchor.position)
-                assert abs(direct - mirrored) < 1e-12 * max(1.0, direct)
+            geo = resolve(agent, anchor, paths, surfaces)
+            direct = np.linalg.norm(geo.va_to_agent, axis=1)
+            mirrored = np.linalg.norm(geo.departure_local, axis=1)
+            assert np.all(np.abs(direct - mirrored) < 1e-12 * np.maximum(1.0, direct))
 
 
 class TestHouseholderChain:
     def test_reduces_to_known_products(self):
         surfaces = SurfaceMap([[2.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(
-            householder_chain(PathComponent.los(), surfaces), np.eye(2)
-        )
-        np.testing.assert_allclose(
-            householder_chain(PathComponent.single_bounce(1), surfaces),
-            surfaces.householder(1),
-        )
-        np.testing.assert_allclose(
-            householder_chain(PathComponent.double_bounce(1, 2), surfaces),
-            surfaces.householder(2) @ surfaces.householder(1),
-        )
+        paths = [PathComponent.los(), PathComponent.single_bounce(1),
+                 PathComponent.double_bounce(1, 2)]
+        chain = resolve(at([0.5, 0.5]), Anchor(position=[-0.5, 0.2]), paths, surfaces).chain
+        houses = surfaces.householders
+        np.testing.assert_allclose(chain[0], np.eye(2))
+        np.testing.assert_allclose(chain[1], houses[1])
+        np.testing.assert_allclose(chain[2], houses[2] @ houses[1])
 
     def test_matches_finite_difference_of_mirrored_agent(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             agent, anchor, surfaces, paths = random_geometry(rng, 3)
-            for path in paths:
-                chain = householder_chain(path, surfaces)
-                numeric = np.zeros((2, 2))
-                for axis in range(2):
-                    h = 1e-6 * max(1.0, abs(agent.position[axis]))
-                    for sign in (1.0, -1.0):
-                        shifted = agent.position.copy()
-                        shifted[axis] += sign * h
-                        vm = mirrored_agent(shifted, path, surfaces)
-                        numeric[:, axis] += sign * vm / (2.0 * h)
-                # chain is the gradient-layout sensitivity: compare transposed
-                assert np.max(np.abs(numeric - chain.T)) < 1e-6
+            chain = resolve(agent, anchor, paths, surfaces).chain
+            numeric = np.zeros((len(paths), 2, 2))
+            for axis in range(2):
+                h = 1e-6 * max(1.0, abs(agent.position[axis]))
+                for sign in (1.0, -1.0):
+                    shifted = agent.position.copy()
+                    shifted[axis] += sign * h
+                    geo = resolve(at(shifted, agent.orientation), anchor, paths, surfaces)
+                    numeric[:, :, axis] += sign * anchor_to_mirrored(geo, anchor) / (2.0 * h)
+            # chain is the gradient-layout sensitivity: compare transposed
+            assert np.max(np.abs(numeric - chain.transpose(0, 2, 1))) < 1e-6
 
     def test_chain_maps_mirrored_vector_onto_direct_vector(self):
         rng = np.random.default_rng(19)
         agent, anchor, surfaces, paths = random_geometry(rng, 2)
-        for path in paths:
-            geom = path_geometry(agent, anchor, path, surfaces)
-            np.testing.assert_allclose(
-                geom.chain @ geom.anchor_to_mirrored, geom.va_to_agent, atol=1e-10
-            )
+        geo = resolve(agent, anchor, paths, surfaces)
+        np.testing.assert_allclose(
+            np.einsum("nij,nj->ni", geo.chain, anchor_to_mirrored(geo, anchor)),
+            geo.va_to_agent, atol=1e-10,
+        )
 
 
 def _line_through(surface_point):
@@ -259,42 +265,50 @@ def _segment_line_crossing(a, b, surface_point):
     return a + t * (b - a)
 
 
+def channel_params(agent, anchor, path, surfaces):
+    """(distance, arrival azimuth, departure azimuth) of one path."""
+    return resolve(agent, anchor, [path], surfaces).params[0]
+
+
 class TestChannelParams:
     def test_los_three_four_five(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
-        agent = AgentPose(position=[3.0, 4.0], velocity=[0.0, 0.0], orientation=0.0)
-        params = channel_params(agent, anchor, PathComponent.los(), SurfaceMap([[9.0, 9.0]]))
-        assert params.distance == pytest.approx(5.0)
-        assert params.aod == pytest.approx(math.atan2(4, 3))
-        assert params.aoa == pytest.approx(math.atan2(-4, -3))
+        agent = at([3.0, 4.0])
+        distance, aoa, aod = channel_params(agent, anchor, PathComponent.los(),
+                                            SurfaceMap([[9.0, 9.0]]))
+        assert distance == pytest.approx(5.0)
+        assert aod == pytest.approx(math.atan2(4, 3))
+        assert aoa == pytest.approx(math.atan2(-4, -3))
 
     def test_single_bounce_on_vertical_wall(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
-        agent = AgentPose(position=[0.0, 2.0], velocity=[0.0, 0.0], orientation=0.0)
+        agent = at([0.0, 2.0])
         surfaces = SurfaceMap([[2.0, 0.0]])
-        params = channel_params(agent, anchor, PathComponent.single_bounce(1), surfaces)
-        assert params.distance == pytest.approx(2.0 * math.sqrt(2.0))
-        assert params.aod == pytest.approx(math.pi / 4)
-        assert params.aoa == pytest.approx(-math.pi / 4)
+        distance, aoa, aod = channel_params(agent, anchor, PathComponent.single_bounce(1),
+                                            surfaces)
+        assert distance == pytest.approx(2.0 * math.sqrt(2.0))
+        assert aod == pytest.approx(math.pi / 4)
+        assert aoa == pytest.approx(-math.pi / 4)
 
     def test_agent_rotation_shifts_aoa_only(self):
         anchor = Anchor(position=[-1.0, 0.5], orientation=0.3)
         surfaces = SurfaceMap([[2.0, 0.0]])
         delta = 0.37
-        base = AgentPose(position=[1.0, 2.0], velocity=[0, 0], orientation=0.2)
-        rotated = AgentPose(position=[1.0, 2.0], velocity=[0, 0], orientation=0.2 + delta)
+        base = at([1.0, 2.0], 0.2)
+        rotated = at([1.0, 2.0], 0.2 + delta)
         for path in (PathComponent.los(), PathComponent.single_bounce(1)):
-            p0 = channel_params(base, anchor, path, surfaces)
-            p1 = channel_params(rotated, anchor, path, surfaces)
-            assert wrap_angle(p1.aoa - (p0.aoa - delta)) == pytest.approx(0.0, abs=1e-12)
-            assert p1.aod == pytest.approx(p0.aod)
-            assert p1.distance == pytest.approx(p0.distance)
+            d0, aoa0, aod0 = channel_params(base, anchor, path, surfaces)
+            d1, aoa1, aod1 = channel_params(rotated, anchor, path, surfaces)
+            assert wrap_angle(aoa1 - (aoa0 - delta)) == pytest.approx(0.0, abs=1e-12)
+            assert aod1 == pytest.approx(aod0)
+            assert d1 == pytest.approx(d0)
 
     def test_coincident_agent_and_virtual_anchor_degenerate(self):
         anchor = Anchor(position=[1.0, 1.0])
-        agent = AgentPose(position=[1.0, 1.0], velocity=[0, 0], orientation=0.0)
-        with pytest.raises(DegenerateGeometryError):
-            channel_params(agent, anchor, PathComponent.los(), SurfaceMap([[4.0, 0.0]]))
+        agent = at([1.0, 1.0])
+        surfaces = SurfaceMap([[4.0, 0.0]])
+        paths = [PathComponent.los(), PathComponent.single_bounce(1)]
+        assert resolve(agent, anchor, paths, surfaces).degenerate.tolist() == [True, False]
 
     def test_distance_equals_unfolded_ray_trace(self):
         """Reflect-and-measure oracle: unfold with images, intersect walls,
@@ -309,8 +323,7 @@ class TestChannelParams:
                 points.append(rng.uniform(4.0, 9.0) * np.array([np.cos(angle), np.sin(angle)]))
             surfaces = SurfaceMap(np.array(points))
             anchor = Anchor(position=rng.uniform(-1.5, 1.5, size=2))
-            agent = AgentPose(position=rng.uniform(-1.5, 1.5, size=2),
-                              velocity=[0, 0], orientation=0.0)
+            agent = at(rng.uniform(-1.5, 1.5, size=2))
             if checked_single < 40:
                 p1 = surfaces.points[0]
                 image = _reflect_across_line(anchor.position, p1)
@@ -319,7 +332,7 @@ class TestChannelParams:
                     length = (np.linalg.norm(anchor.position - hit)
                               + np.linalg.norm(agent.position - hit))
                     d = channel_params(agent, anchor,
-                                       PathComponent.single_bounce(1), surfaces).distance
+                                       PathComponent.single_bounce(1), surfaces)[0]
                     assert abs(d - length) < 1e-10
                     checked_single += 1
             if checked_double < 40:
@@ -336,12 +349,45 @@ class TestChannelParams:
                           + np.linalg.norm(hit2 - hit1)
                           + np.linalg.norm(agent.position - hit2))
                 d = channel_params(agent, anchor,
-                                   PathComponent.double_bounce(1, 2), surfaces).distance
+                                   PathComponent.double_bounce(1, 2), surfaces)[0]
                 assert abs(d - length) < 1e-10
                 checked_double += 1
 
 
+def remainder_wrap(angle):
+    """The IEEE-remainder form of wrap_angle for one float: the reference."""
+    wrapped = math.remainder(angle, 2.0 * math.pi)
+    if wrapped <= -math.pi:
+        wrapped += 2.0 * math.pi
+    return wrapped
+
+
+# multiples of pi (the tie and zero cases) and their floating-point neighbours
+_near_multiples_of_pi = st.builds(
+    lambda n, side: n * math.pi if side == 0 else math.nextafter(n * math.pi, side * math.inf),
+    st.integers(-10**6, 10**6), st.sampled_from([-1, 0, 1]),
+)
+_EDGES = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, -2 * math.pi, 0.0, -0.0,
+          math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+          math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0)]
+
+
 class TestAngleWrapping:
+    @settings(max_examples=300, deadline=None)
+    @example(angles=_EDGES)
+    @given(angles=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(-50.0, 50.0), _near_multiples_of_pi),
+                           max_size=30))
+    def test_matches_the_remainder_form_bit_for_bit(self, angles):
+        reference = np.array([remainder_wrap(a) for a in angles])
+        assert wrap_angle(np.array(angles)).tobytes() == reference.tobytes()
+        assert wrap_angle(np.reshape(angles, (-1, 1))).shape == (len(angles), 1)
+        for angle, expected in zip(angles, reference.tolist()):
+            wrapped = wrap_angle(angle)
+            assert type(wrapped) is float
+            assert math.copysign(1.0, wrapped) == math.copysign(1.0, expected)
+            assert wrapped == expected
+
     def test_wrap_into_half_open_interval(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)

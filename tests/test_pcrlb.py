@@ -13,7 +13,7 @@ from mpslam_bounds.fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, channel_params
+from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap
 from mpslam_bounds.pcrlb import (
     SingularFimError,
     StateSpaceModel,
@@ -32,6 +32,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
     snapshot_fim,
 )
+from tests.reference_geometry import channel_params
 
 
 def bounds_of(scenario):
