@@ -56,14 +56,14 @@ def random_instance(rng: np.random.Generator, num_surfaces: int):
             orientation=rng.uniform(-np.pi, np.pi),
         )
         order = ComponentOrder.canonical(num_surfaces)
-        geo = _all_paths(agent, anchor, order, surfaces)
-        if not geo.degenerate.any() and geo.params[:, 0].min() > 0.5:
+        if all_paths(agent, anchor, order, surfaces).params[:, 0].min() > 0.5:
             return agent, anchor, surfaces, order
 
 
-def _all_paths(
+def all_paths(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> PathGeometry:
+    """The batched geometry pass over every component of ``order``, in order."""
     return path_geometry(agent, anchor, order.first, order.second, surfaces)
 
 
@@ -75,12 +75,7 @@ def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> 
     """
     pose = AgentPose.from_state(state[:5])
     surfaces = SurfaceMap(state[5:].reshape(-1, 2))
-    return _all_paths(pose, anchor, order, surfaces).params.T.ravel()
-
-
-def _anchor_to_mirrored(geo: PathGeometry, anchor: Anchor) -> np.ndarray:
-    """(n, 2) anchor-to-mirrored-agent vectors in the global frame."""
-    return geo.departure_local @ rotation_matrix(anchor.orientation).T
+    return all_paths(pose, anchor, order, surfaces).params.T.ravel()
 
 
 def finite_difference_jacobian(
@@ -147,8 +142,10 @@ def check_jacobian_fd(rng: np.random.Generator, instances: int = 50) -> list[str
 
 def check_orientation_identity(rng: np.random.Generator, instances: int = 50) -> list[str]:
     failures = []
+    kinds = set()
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
+        kinds.update(comp.n_bounces for comp in order)
         jac = full_jacobian(agent, anchor, order, surfaces)
         for comp, value in zip(order, jac[4, order.size:2 * order.size].tolist()):
             if abs(value + 1.0) > 1e-12:
@@ -156,6 +153,8 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
                     f"orientation sensitivity: instance {i} path {comp.bounces} "
                     f"gave {value!r} instead of -1"
                 )
+    if kinds != {0, 1, 2}:
+        failures.append(f"orientation sensitivity: only {sorted(kinds)}-bounce paths drawn")
     return failures
 
 
@@ -163,9 +162,10 @@ def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list
     failures = []
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        geo = _all_paths(agent, anchor, order, surfaces)
+        geo = all_paths(agent, anchor, order, surfaces)
         direct = np.linalg.norm(geo.va_to_agent, axis=1)
-        mirrored = np.linalg.norm(_anchor_to_mirrored(geo, anchor), axis=1)
+        # the anchor-to-mirrored-agent vector, rotated into the anchor's frame
+        mirrored = np.linalg.norm(geo.departure_local, axis=1)
         bad = np.abs(direct - mirrored) > 1e-12 * np.maximum(1.0, direct)
         for k in np.flatnonzero(bad):
             failures.append(
@@ -179,7 +179,8 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
     failures = []
     for i in range(instances):
         agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        chain = _all_paths(agent, anchor, order, surfaces).chain
+        chain = all_paths(agent, anchor, order, surfaces).chain
+        to_global = rotation_matrix(anchor.orientation).T
         numeric = np.zeros((order.size, 2, 2))
         for axis in range(2):
             h = FD_STEP * max(1.0, abs(agent.position[axis]))
@@ -187,8 +188,9 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
                 position = agent.position.copy()
                 position[axis] += sign * h
                 shifted = AgentPose(position, agent.velocity, agent.orientation)
-                geo = _all_paths(shifted, anchor, order, surfaces)
-                numeric[:, :, axis] += sign * _anchor_to_mirrored(geo, anchor) / (2.0 * h)
+                # anchor-to-mirrored-agent vectors, back in the global frame
+                mirrored = all_paths(shifted, anchor, order, surfaces).departure_local @ to_global
+                numeric[:, :, axis] += sign * mirrored / (2.0 * h)
         bad = np.max(np.abs(numeric - chain.transpose(0, 2, 1)), axis=(1, 2)) > FD_TOL
         for k in np.flatnonzero(bad):
             failures.append(

@@ -84,8 +84,9 @@ def test_criterion_1_jacobian_matches_finite_differences():
 
 def test_criterion_2_orientation_identity():
     """Closed-form orientation sensitivity (row 4 of the arrival-azimuth
-    columns) equals -1 within 1e-12 on 60 random rooms with 1-4 surfaces,
-    all path kinds (the self-check's check_orientation_identity)."""
+    columns) equals -1 within 1e-12 on 60 random rooms with 1-4 surfaces
+    (the self-check's check_orientation_identity, which also fails unless
+    LOS, single and double bounces were all drawn)."""
     failures = check_orientation_identity(np.random.default_rng(20240802), instances=60)
     report(
         "criterion 2: orientation sensitivity is exactly -1",

@@ -154,29 +154,40 @@ class TestValidateMode:
 
     def test_truth_is_resolved_once_per_step_and_anchor(self, tmp_path, monkeypatch):
         """Validate mode evaluates the channel at the truth once per (step,
-        anchor): one gradient pass and one noise-model call each, and no
-        separate geometry pass; the filter's own passes are not counted."""
+        anchor): one gradient pass, holding one batched geometry pass, and one
+        noise-model call each; the filter's own passes are not counted."""
+        import mpslam_bounds.fim as fim_module
         import mpslam_bounds.scenario as scenario_module
 
         calls = {"global_jacobian": 0, "path_geometry": 0, "measurement_variances": 0}
+        in_truth = []
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return func(*args, **kwargs)
+                in_truth.append(name)
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    in_truth.pop()
             return wrapper
 
-        for name in calls:
+        def geometry_in_truth(*args, **kwargs):
+            calls["path_geometry"] += bool(in_truth)
+            return exact_geometry(*args, **kwargs)
+
+        for name in ("global_jacobian", "measurement_variances"):
             monkeypatch.setattr(scenario_module, name,
-                                counted(name, getattr(scenario_module, name, None)),
-                                raising=False)
+                                counted(name, getattr(scenario_module, name)))
+        exact_geometry = fim_module.path_geometry
+        monkeypatch.setattr(fim_module, "path_geometry", geometry_in_truth)
         out = tmp_path / "validate.csv"
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
         scenario = load_scenario(DESK_SCENARIO)
         pairs = scenario.n_steps * len(scenario.anchors)
         assert pairs == 80
-        assert calls == {"global_jacobian": pairs, "path_geometry": 0,
+        assert calls == {"global_jacobian": pairs, "path_geometry": pairs,
                          "measurement_variances": pairs}
 
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
@@ -318,3 +329,13 @@ class TestSelfCheck:
         assert main(["--self-check"]) == 4
         err = capsys.readouterr().err
         assert "gradient vs finite differences" in err and "self-check FAILED" in err
+
+    def test_rooms_without_double_bounces_fail(self, capsys, monkeypatch):
+        """Random rooms reduced to one surface never draw a double bounce, so
+        the orientation check reports the missing path kind and exits 4."""
+        from mpslam_bounds import checks
+
+        exact = checks.random_instance
+        monkeypatch.setattr(checks, "random_instance", lambda rng, _: exact(rng, 1))
+        assert main(["--self-check"]) == 4
+        assert "only [0, 1]-bounce paths drawn" in capsys.readouterr().err

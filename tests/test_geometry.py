@@ -10,14 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpslam_bounds.checks import random_instance
+from mpslam_bounds.checks import (
+    all_paths,
+    check_chain_fd,
+    check_mirror_lengths,
+    random_instance,
+)
 from mpslam_bounds.fim import ComponentOrder
 from mpslam_bounds.geometry import (
     AgentPose,
     Anchor,
     PathComponent,
     SurfaceMap,
-    path_geometry,
     rotation_matrix,
     rotation_matrix_derivative,
     wrap_angle,
@@ -30,8 +34,7 @@ def householder(surface_point):
 
 def resolve(agent, anchor, paths, surfaces):
     """The batched pass over the given paths, in the given order."""
-    order = ComponentOrder(paths)
-    return path_geometry(agent, anchor, order.first, order.second, surfaces)
+    return all_paths(agent, anchor, ComponentOrder(paths), surfaces)
 
 
 def at(position, orientation=0.0):
@@ -49,20 +52,16 @@ def virtual_anchor(anchor, path, surfaces, agent=at([0.1, -0.3])):
     return agent.position - resolve(agent, anchor, [path], surfaces).va_to_agent[0]
 
 
-def anchor_to_mirrored(geo, anchor):
-    """(n, 2) anchor-to-mirrored-agent vectors in the global frame."""
-    return geo.departure_local @ rotation_matrix(anchor.orientation).T
-
-
-def mirrored_agent(agent_position, path, surfaces, anchor=Anchor(position=[0.2, 0.7])):
-    geo = resolve(at(agent_position), anchor, [path], surfaces)
-    return anchor.position + anchor_to_mirrored(geo, anchor)[0]
-
-
 def random_geometry(rng, num_surfaces):
     """Random nondegenerate instance; anchors/agents inside a disc, walls outside."""
     agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
     return agent, anchor, surfaces, list(order)
+
+
+def mirrored_agent(agent_position, path, surfaces, anchor=Anchor(position=[0.2, 0.7])):
+    # the anchor is unrotated, so its frame is the global one
+    geo = resolve(at(agent_position), anchor, [path], surfaces)
+    return anchor.position + geo.departure_local[0]
 
 
 class TestRotation:
@@ -195,13 +194,7 @@ class TestVirtualPoints:
         )
 
     def test_mirror_lengths_match_on_random_instances(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            agent, anchor, surfaces, paths = random_geometry(rng, 2)
-            geo = resolve(agent, anchor, paths, surfaces)
-            direct = np.linalg.norm(geo.va_to_agent, axis=1)
-            mirrored = np.linalg.norm(geo.departure_local, axis=1)
-            assert np.all(np.abs(direct - mirrored) < 1e-12 * np.maximum(1.0, direct))
+        assert check_mirror_lengths(np.random.default_rng(11), instances=200) == []
 
 
 class TestHouseholderChain:
@@ -216,28 +209,15 @@ class TestHouseholderChain:
         np.testing.assert_allclose(chain[2], houses[2] @ houses[1])
 
     def test_matches_finite_difference_of_mirrored_agent(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            agent, anchor, surfaces, paths = random_geometry(rng, 3)
-            chain = resolve(agent, anchor, paths, surfaces).chain
-            numeric = np.zeros((len(paths), 2, 2))
-            for axis in range(2):
-                h = 1e-6 * max(1.0, abs(agent.position[axis]))
-                for sign in (1.0, -1.0):
-                    shifted = agent.position.copy()
-                    shifted[axis] += sign * h
-                    geo = resolve(at(shifted, agent.orientation), anchor, paths, surfaces)
-                    numeric[:, :, axis] += sign * anchor_to_mirrored(geo, anchor) / (2.0 * h)
-            # chain is the gradient-layout sensitivity: compare transposed
-            assert np.max(np.abs(numeric - chain.transpose(0, 2, 1))) < 1e-6
+        assert check_chain_fd(np.random.default_rng(7), instances=40) == []
 
     def test_chain_maps_mirrored_vector_onto_direct_vector(self):
         rng = np.random.default_rng(19)
         agent, anchor, surfaces, paths = random_geometry(rng, 2)
         geo = resolve(agent, anchor, paths, surfaces)
+        anchor_to_mirrored = geo.departure_local @ rotation_matrix(anchor.orientation).T
         np.testing.assert_allclose(
-            np.einsum("nij,nj->ni", geo.chain, anchor_to_mirrored(geo, anchor)),
-            geo.va_to_agent, atol=1e-10,
+            np.einsum("nij,nj->ni", geo.chain, anchor_to_mirrored), geo.va_to_agent, atol=1e-10,
         )
 
 
