@@ -12,28 +12,32 @@ filter uses rather than evaluating the noise model again. This matches the
 assumptions under which the bound holds, so the filter's error is expected
 to approach the bound at high SNR.
 
-Per Monte-Carlo run the initial state estimate is drawn around the true
-initial state from the scenario prior (so the run ensemble is consistent
-with the prior the recursion starts from), measurements are drawn from the
-run's own stream around the truth table shared by all runs and the bound,
-and squared errors are recorded per step. Runs are aggregated into RMSE
-time series paired with the bound records evaluated on the same ground
-truth.
+The Monte-Carlo runs are filtered as one batch that advances in lockstep:
+R runs hold (R, N) means and (R, N, N) covariances, and each measured
+(step, anchor) is linearized by one gradient pass for all of them. The
+predict and update steps also take a single unbatched state. Each run
+draws its initial estimate around the true initial state from the scenario
+prior (so the run ensemble is consistent with the prior the recursion
+starts from) and then its measurements, from its own stream, around the
+truth table shared by all runs and the bound; so a run's numbers do not
+depend on the batch it is in. Squared errors are recorded per step and run, and the runs
+are aggregated into RMSE time series paired with the bound records
+evaluated on the same ground truth.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .fim import channel_fim, global_jacobian, global_snapshot_fim
-from .geometry import AgentPose, SurfaceMap, wrap_angle
+from .geometry import AgentPose, SurfaceMap, dot2, wrap_angle
 from .pcrlb import (
-    BoundRecord, _spd_inverse, invert_posterior, process_noise_cov, run_recursion,
-    transition_matrix,
+    BoundRecord, SingularFimError, _spd_inverse, invert_posterior, process_noise_cov,
+    run_recursion, transition_matrix,
 )
 from .scenario import (
     AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
@@ -49,7 +53,8 @@ _SURFACE_NORM_FLOOR = 1e-6
 
 @dataclass
 class EkfState:
-    """Joint-state mean and covariance (same layout as the bound recursion)."""
+    """Joint-state mean and covariance (same layout as the bound recursion);
+    a batch of R runs holds an (R, N) mean and an (R, N, N) covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -57,34 +62,35 @@ class EkfState:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        n = self.mean.shape[0]
-        if self.cov.shape != (n, n):
+        if self.cov.shape != self.mean.shape + self.mean.shape[-1:]:
             raise ValueError("covariance shape must match the mean")
 
 
 def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) -> EkfState:
     """Time update: mean through the transition, covariance plus process noise."""
-    mean = transition @ state.mean
+    mean = (transition @ state.mean[..., None])[..., 0]
     cov = transition @ state.cov @ transition.T + noise_cov
-    return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
+    return EkfState(mean=mean, cov=0.5 * (cov + np.swapaxes(cov, -1, -2)))
 
 
 def _linearize(
     mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Measurement model linearization at the current mean.
+    """Measurement model linearization at the current mean, per batch entry.
 
-    Returns per measured anchor (ascending) its (N, 3K) gradient matrix, its
-    length-3K channel information (:func:`~.fim.channel_fim` of the variances
-    the block was drawn with) and its length-3K innovation, angle entries
-    wrapped. Components whose geometry cannot be evaluated at the current
-    estimate get zero information and zero innovation, with a diagnostic.
+    Returns per measured anchor (ascending) its (..., N, 3K) gradient
+    matrix, its (..., 3K) channel information (:func:`~.fim.channel_fim` of
+    the variances the block was drawn with) and its (..., 3K) innovation,
+    angle entries wrapped. A component whose geometry cannot be evaluated at
+    an entry's estimate gets zero information (an infinite variance) and
+    zero innovation in that entry, with a diagnostic.
     """
-    pose = AgentPose.from_state(mean[:5])
-    raw_points = mean[5:].reshape(-1, 2)
-    # usable[s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
-    usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
-    surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
+    pose = AgentPose.from_state(mean[..., :5])
+    raw_points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
+    # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
+    usable = np.linalg.norm(raw_points, axis=-1) > _SURFACE_NORM_FLOOR
+    usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
+    surfaces = SurfaceMap(np.where(usable[..., 1:, None], raw_points, [1.0, 0.0]))
     order = scenario.order
 
     terms = []
@@ -92,22 +98,25 @@ def _linearize(
         ks = block.components
         if not ks.size:
             continue
-        near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
+        near_origin = ~(usable[..., order.first[ks]] & usable[..., order.second[ks]])
         params, degenerate, jac = global_jacobian(
             pose, scenario.anchors[block.anchor], order, surfaces, ks
         )
         ok = ~(near_origin | degenerate)
-        for k, near in zip(ks[~ok], near_origin[~ok]):
+        for *entry, i in np.argwhere(~ok):
             log.warning(
-                "step %d anchor %d: %s, skipping component %s", block.step, block.anchor + 1,
-                "surface estimate near origin" if near else
-                "agent coincides with virtual anchor", order.components[k].bounces,
+                "step %d anchor %d%s: %s, skipping component %s", block.step, block.anchor + 1,
+                "".join(f", batch entry {e}" for e in entry),
+                "surface estimate near origin" if near_origin[(*entry, i)] else
+                "agent coincides with virtual anchor", order.components[ks[i]].bounces,
             )
-        residual = block.params[ok] - params[ok]
-        residual[:, 1:] = wrap_angle(residual[:, 1:])
-        innovation = np.zeros(order.dim)
-        innovation[np.add.outer([0, order.size, 2 * order.size], ks[ok])] = residual.T
-        terms.append((jac, channel_fim(order, ks[ok], block.variances[ok]), innovation))
+        residual = np.where(ok[..., None], block.params - params, 0.0)
+        residual[..., 1:] = wrap_angle(residual[..., 1:])
+        innovation = np.zeros(ok.shape[:-1] + (order.dim,))
+        innovation[..., np.add.outer([0, order.size, 2 * order.size], ks)] = np.swapaxes(
+            residual, -1, -2)
+        variances = np.where(ok[..., None], block.variances, np.inf)
+        terms.append((jac, channel_fim(order, ks, variances), innovation))
     return terms
 
 
@@ -115,10 +124,12 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
     """Measurement update of one step in information form.
 
     ``blocks`` holds the step's measured anchor blocks (see
-    :func:`~.scenario.draw_measurements`). As in the bound recursion,
+    :func:`~.scenario.draw_measurements`), with a leading run axis on their
+    parameters for a batched state. As in the bound recursion,
     J = P^{-1} + sum_j H_j Lambda_j H_j^T (here at the predicted mean) and
     P_post = J^{-1}; the mean moves by P_post sum_j H_j Lambda_j nu_j. A
-    singular J raises :class:`~.pcrlb.SingularFimError`.
+    singular J raises :class:`~.pcrlb.SingularFimError` whose ``index`` is
+    the first failing batch entry.
     """
     terms = _linearize(state.mean, blocks, scenario)
     if not terms:
@@ -127,19 +138,20 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
     j_post = _spd_inverse(state.cov, f"step {step}: predicted covariance")
     j_post += global_snapshot_fim([(jac, lam) for jac, lam, _ in terms])
     cov = invert_posterior(j_post, step)
-    mean = state.mean + cov @ sum(jac @ (lam * innovation) for jac, lam, innovation in terms)
-    mean[4] = wrap_angle(mean[4])
+    pull = sum(jac @ (lam * innovation)[..., None] for jac, lam, innovation in terms)
+    mean = state.mean + (cov @ pull)[..., 0]
+    mean[..., 4] = wrap_angle(mean[..., 4])
     return EkfState(mean=mean, cov=cov)
 
 
 @dataclass
 class RunMetrics:
-    """Per-step squared errors of a single run (steps 1..N)."""
+    """Per-step squared errors of a batch of runs (steps 1..N, runs in batch order)."""
 
-    position_sq: np.ndarray
-    velocity_sq: np.ndarray
-    orientation_sq: np.ndarray
-    map_sq: np.ndarray  # (N, S)
+    position_sq: np.ndarray  # (N, R)
+    velocity_sq: np.ndarray  # (N, R)
+    orientation_sq: np.ndarray  # (N, R)
+    map_sq: np.ndarray  # (N, R, S)
 
 
 @dataclass
@@ -154,6 +166,14 @@ class MonteCarloResult:
     runs: int
 
 
+class RunFailure(RuntimeError):
+    """A Monte-Carlo run failed; ``run`` is its index."""
+
+    def __init__(self, run: int, reason: str):
+        super().__init__(f"Monte-Carlo run {run} failed: {reason}")
+        self.run = run
+
+
 def _joint_truth(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
     return np.concatenate([pose.as_state(), surfaces.points.ravel()])
 
@@ -162,41 +182,65 @@ def run_single(
     scenario: Scenario,
     truth: list[AgentPose],
     table: list[StepTruth],
-    run_index: int,
+    runs: int | Sequence[int],
 ) -> RunMetrics:
-    """One Monte-Carlo run: draw initial error and measurements, filter, record errors."""
-    rng = derive_run_stream(scenario.mc.seed, run_index)
-    prior_diag = scenario.prior_covariance()
-    truth0 = _joint_truth(truth[0], scenario.surfaces)
-    mean0 = truth0 + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
-    mean0[4] = wrap_angle(mean0[4])
-    state = EkfState(mean=mean0, cov=np.diag(prior_diag))
+    """Filter Monte-Carlo runs as one lockstep batch and record their errors.
 
-    measured = draw_measurements(table, rng)
+    ``runs`` is a run index or a sequence of them, in batch order. Each run
+    draws its initial error and its measurements from its own stream, so its
+    errors do not depend on the rest of the batch. A run that fails (a
+    singular information matrix or a non-finite estimate) leaves the batch
+    with every run after it, and the step is redone for those before it; the
+    :class:`RunFailure` raised at the end names the first run in batch order
+    that fails and its step, as filtering the runs one by one would.
+    """
+    batch = np.atleast_1d(runs)
+    streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
+    prior_diag = scenario.prior_covariance()
+    draws = np.stack([stream.standard_normal(prior_diag.size) for stream in streams])
+    mean = _joint_truth(truth[0], scenario.surfaces) + np.sqrt(prior_diag) * draws
+    mean[:, 4] = wrap_angle(mean[:, 4])
+    state = EkfState(mean=mean, cov=np.repeat(np.diag(prior_diag)[None], batch.size, axis=0))
+    measured = draw_measurements(table, streams)
 
     transition = transition_matrix(scenario.model)
     noise_cov = process_noise_cov(scenario.model)
     n_steps = scenario.n_steps
     num_surfaces = len(scenario.surfaces)
     metrics = RunMetrics(
-        position_sq=np.zeros(n_steps),
-        velocity_sq=np.zeros(n_steps),
-        orientation_sq=np.zeros(n_steps),
-        map_sq=np.zeros((n_steps, num_surfaces)),
+        position_sq=np.zeros((n_steps, batch.size)),
+        velocity_sq=np.zeros((n_steps, batch.size)),
+        orientation_sq=np.zeros((n_steps, batch.size)),
+        map_sq=np.zeros((n_steps, batch.size, num_surfaces)),
     )
+    failure = None
     for n in range(1, n_steps + 1):
-        state = ekf_predict(state, transition, noise_cov)
-        state = ekf_update(state, measured[n - 1], scenario)
-        if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
-            raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
-        truth_state = _joint_truth(truth[n], scenario.surfaces)
-        err = state.mean - truth_state
-        metrics.position_sq[n - 1] = float(err[0] ** 2 + err[1] ** 2)
-        metrics.velocity_sq[n - 1] = float(err[2] ** 2 + err[3] ** 2)
-        metrics.orientation_sq[n - 1] = wrap_angle(float(err[4])) ** 2
-        for s in range(num_surfaces):
-            block = err[5 + 2 * s : 7 + 2 * s]
-            metrics.map_sq[n - 1, s] = float(block @ block)
+        while True:
+            live = len(state.mean)
+            blocks = [replace(b, params=b.params[:live]) for b in measured[n - 1]]
+            try:
+                stepped = ekf_update(ekf_predict(state, transition, noise_cov), blocks, scenario)
+                finite = (np.isfinite(stepped.mean).all(axis=-1)
+                          & np.isfinite(stepped.cov).all(axis=(-2, -1)))
+                if finite.all():
+                    break
+                entry = int(np.argmin(finite))
+                reason = f"step {n}: non-finite EKF mean or covariance"
+            except SingularFimError as exc:
+                entry, reason = exc.index, str(exc)
+            failure = RunFailure(int(batch[entry]), reason)
+            if entry == 0:
+                raise failure
+            state = EkfState(mean=state.mean[:entry], cov=state.cov[:entry])
+        state = stepped
+        err = state.mean - _joint_truth(truth[n], scenario.surfaces)
+        surface_err = err[:, 5:].reshape(live, num_surfaces, 2)
+        metrics.position_sq[n - 1, :live] = err[:, 0] ** 2 + err[:, 1] ** 2
+        metrics.velocity_sq[n - 1, :live] = err[:, 2] ** 2 + err[:, 3] ** 2
+        metrics.orientation_sq[n - 1, :live] = wrap_angle(err[:, 4]) ** 2
+        metrics.map_sq[n - 1, :live] = dot2(surface_err, surface_err)
+    if failure is not None:
+        raise failure
     return metrics
 
 
@@ -205,38 +249,26 @@ def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
 
     The ground truth and its truth table are built once and shared by the
     bound recursion and every run; runs differ in their initial estimate
-    draw and measurement noise. Runs execute sequentially in run
-    order (independent streams make the aggregation order-independent up to
-    the fixed summation order used here).
+    draw and measurement noise. All runs are filtered as one lockstep batch
+    (:func:`run_single`); a failure names the lowest-numbered failing run
+    and its step.
     """
     truth = ground_truth(scenario)
     table = measurement_truth(scenario, truth)
     bounds = run_recursion(scenario, table)
 
-    n_steps = scenario.n_steps
-    num_surfaces = len(scenario.surfaces)
-    sums = RunMetrics(
-        position_sq=np.zeros(n_steps),
-        velocity_sq=np.zeros(n_steps),
-        orientation_sq=np.zeros(n_steps),
-        map_sq=np.zeros((n_steps, num_surfaces)),
-    )
-    for run in range(scenario.mc.runs):
-        try:
-            metrics = run_single(scenario, truth, table, run)
-        except Exception as exc:
-            raise RuntimeError(f"Monte-Carlo run {run} failed: {exc}") from exc
-        sums.position_sq += metrics.position_sq
-        sums.velocity_sq += metrics.velocity_sq
-        sums.orientation_sq += metrics.orientation_sq
-        sums.map_sq += metrics.map_sq
-
     runs = scenario.mc.runs
+    try:
+        metrics = run_single(scenario, truth, table, range(runs))
+    except RunFailure:
+        raise
+    except Exception as exc:  # raised for the batch as a whole, so by run 0 too
+        raise RunFailure(0, str(exc)) from exc
     return MonteCarloResult(
         bounds=bounds,
-        rmse_position=np.sqrt(sums.position_sq / runs),
-        rmse_velocity=np.sqrt(sums.velocity_sq / runs),
-        rmse_orientation=np.sqrt(sums.orientation_sq / runs),
-        rmse_map=np.sqrt(sums.map_sq / runs),
+        rmse_position=np.sqrt(metrics.position_sq.sum(axis=1) / runs),
+        rmse_velocity=np.sqrt(metrics.velocity_sq.sum(axis=1) / runs),
+        rmse_orientation=np.sqrt(metrics.orientation_sq.sum(axis=1) / runs),
+        rmse_map=np.sqrt(metrics.map_sq.sum(axis=1) / runs),
         runs=runs,
     )

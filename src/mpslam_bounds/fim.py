@@ -41,6 +41,8 @@ from .geometry import (
     Anchor,
     PathComponent,
     SurfaceMap,
+    dot2,
+    matvec2,
     path_geometry,
     rotation_matrix,
     rotation_matrix_derivative,
@@ -239,6 +241,9 @@ class ComponentOrder:
         return len(self._components)
 
 
+# A degenerate path divides by a zero length, and the nan and inf it makes
+# flow on until its columns are zeroed at the end.
+@np.errstate(divide="ignore", invalid="ignore")
 def global_jacobian(
     agent: AgentPose,
     anchor: Anchor,
@@ -252,7 +257,9 @@ def global_jacobian(
     batched pass (:func:`~.geometry.path_geometry`). Returns their (n, 3)
     channel parameters, their degenerate-geometry mask and the gradient
     matrix, whose column i holds the gradient of channel parameter i;
-    columns of unlisted or degenerate components are zero.
+    columns of unlisted or degenerate components are zero. A batched agent
+    pose and surface map (one entry per Monte-Carlo run, see
+    :class:`~.geometry.SurfaceMap`) add their leading axes to all three.
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -275,45 +282,48 @@ def global_jacobian(
     n_state, k_total = 5 + 2 * len(surfaces), order.size
     rot_anchor = rotation_matrix(anchor.orientation)
     dep, arr = geo.departure_local, geo.arrival_local
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
-        dep_sq = np.einsum("ni,ni->n", dep, dep)[:, None]
-        az_dep = dep[:, ::-1] * _PERP / dep_sq
-        az_arr = arr[:, ::-1] * _PERP / np.einsum("ni,ni->n", arr, arr)[:, None]
-        unit_dep = dep / np.sqrt(dep_sq)
-        unit_r = geo.va_to_agent / geo.params[:, :1]
+    # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
+    dep_sq = dot2(dep, dep)[..., None]
+    az_dep = dep[..., ::-1] * _PERP / dep_sq
+    az_arr = arr[..., ::-1] * _PERP / dot2(arr, arr)[..., None]
+    unit_dep = dep / np.sqrt(dep_sq)
+    unit_r = geo.va_to_agent / geo.params[..., :1]
     transfer = geo.chain @ rot_anchor
-    aoa_col = -(az_arr @ rotation_matrix(agent.orientation).T)
-    position = np.stack([np.einsum("nij,nj->ni", transfer, unit_dep), aoa_col,
-                         np.einsum("nij,nj->ni", transfer, az_dep)])
+    aoa_col = -(az_arr @ np.swapaxes(rotation_matrix(agent.orientation), -1, -2))
+    position = np.stack([matvec2(transfer, unit_dep), aoa_col, matvec2(transfer, az_dep)],
+                        axis=-3)
 
     # Slot 0 is the first (anchor-side) bounce, slot 1 the second. The
     # direct vector's source is the anchor folded over the bounces before
     # the slot, the mirrored vector's the agent folded over those after it;
     # the later mirrors act on each block through their Householders.
-    ends = np.empty((2, 2, len(ks), 2))  # (direct source, mirrored sink) x slot
-    ends[0, 0], ends[0, 1] = anchor.position, geo.anchor_once
-    ends[1, 0], ends[1, 1] = geo.agent_once, agent.position
+    batch = geo.params.shape[:-2]
+    ends = np.empty(batch + (2, 2, len(ks), 2))  # (direct source, mirrored sink) x slot
+    ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = anchor.position, geo.anchor_once
+    ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, agent.position[..., None, :]
     slot, none = np.stack([first, second]), np.zeros_like(first)
     blocks = _reflection_source_blocks(ends, slot, surfaces)
-    direct = blocks[0] @ surfaces.householders[np.stack([second, none])]
-    mirrored = -blocks[1] @ surfaces.householders[np.stack([none, first])] @ rot_anchor
-    surface = np.stack([np.einsum("mnij,nj->mni", direct, unit_r),
-                        np.einsum("mnij,nj->mni", direct, aoa_col),
-                        np.einsum("mnij,nj->mni", mirrored, az_dep)])
+    houses = surfaces.householders
+    direct = blocks[..., 0, :, :, :, :] @ houses[..., np.stack([second, none]), :, :]
+    mirrored = -blocks[..., 1, :, :, :, :] @ houses[..., np.stack([none, first]), :, :]
+    mirrored = mirrored @ rot_anchor
+    # each slot's block acts on its path's vector: the vectors gain the slot axis
+    surface = np.stack([matvec2(direct, unit_r[..., None, :, :]),
+                        matvec2(direct, aoa_col[..., None, :, :]),
+                        matvec2(mirrored, az_dep[..., None, :, :])], axis=-4)
 
-    jac = np.zeros((n_state + 2, order.dim))
+    jac = np.zeros(batch + (n_state + 2, order.dim))
     cols = np.stack([ks, k_total + ks, 2 * k_total + ks])
-    jac[0:2, cols] = position.transpose(2, 0, 1)
-    jac[4, k_total + ks] = -np.einsum(
-        "ni,ni->n", geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
+    jac[..., 0:2, cols] = np.moveaxis(position, -1, -3)
+    jac[..., 4, k_total + ks] = -dot2(
+        geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
     )
     row_of = np.arange(3, n_state, 2)  # first state row of each surface
     row_of[0] = n_state
-    jac[row_of[slot][None, :, :, None] + [0, 1], cols[:, None, :, None]] = surface
+    jac[..., row_of[slot][None, :, :, None] + [0, 1], cols[:, None, :, None]] = surface
     if geo.degenerate.any():
-        jac[:, cols[:, geo.degenerate]] = 0.0
-    return geo.params, geo.degenerate, jac[:n_state]
+        jac[..., cols] = np.where(geo.degenerate[..., None, None, :], 0.0, jac[..., cols])
+    return geo.params, geo.degenerate, jac[..., :n_state, :]
 
 
 def _reflection_source_blocks(
@@ -322,13 +332,16 @@ def _reflection_source_blocks(
     """Sensitivity of the mirrored-source-to-agent vector to the surface point.
 
     Stacked gradient-layout 2x2 blocks for single reflections of ``source``
-    (..., 2) about ``surface`` (...): 2 a p^T / ||p||^2 + 2 (a . p / ||p||^2)
-    H - I with a the source, p the surface point and H its Householder.
+    (..., m, slot, n, 2) about ``surface`` (slot, n): 2 a p^T / ||p||^2 +
+    2 (a . p / ||p||^2) H - I with a the source, p the surface point and H
+    its Householder. A batched map's leading axes lead ``source`` as well.
     """
-    point, sq = surfaces.padded_points[surface], surfaces.sq_norms[surface][..., None, None]
+    point = surfaces.padded_points[..., None, surface, :]
+    sq = surfaces.sq_norms[..., None, surface][..., None, None]
     outer = source[..., :, None] * point[..., None, :]
-    dot = np.einsum("...i,...i->...", source, point)[..., None, None]
-    return (2.0 / sq) * outer + (2.0 * dot / sq) * surfaces.householders[surface] - np.eye(2)
+    dot = dot2(source, point)[..., None, None]
+    return ((2.0 / sq) * outer + (2.0 * dot / sq) * surfaces.householders[..., None, surface, :, :]
+            - np.eye(2))
 
 
 def channel_fim(
@@ -340,14 +353,16 @@ def channel_fim(
     components and ``variances`` their (n, 3) (distance, arrival-azimuth,
     departure-azimuth) measurement variances (see
     :func:`measurement_variances`). Each entry is 1 / variance; exactly zero
-    for absent components.
+    for absent components and for an infinite variance. Leading axes of
+    ``variances`` (one triple set per batch entry) lead the result.
     """
     ks = np.asarray(components, dtype=int)
     variances = np.asarray(variances, dtype=float)
-    if variances.shape != (ks.size, 3):
+    if variances.ndim < 2 or variances.shape[-2:] != (ks.size, 3):
         raise ValueError("variances must hold one triple per listed component")
-    diag = np.zeros(order.dim)
-    diag[np.add.outer([0, order.size, 2 * order.size], ks)] = 1.0 / variances.T
+    diag = np.zeros(variances.shape[:-2] + (order.dim,))
+    diag[..., np.add.outer([0, order.size, 2 * order.size], ks)] = 1.0 / np.swapaxes(
+        variances, -1, -2)
     return diag
 
 
@@ -357,19 +372,20 @@ def global_snapshot_fim(
     """Accumulate the snapshot information sum_j H_j Lambda_j H_j^T.
 
     ``anchor_terms`` holds per anchor the (N, 3K) gradient matrix and the
-    length-3K diagonal channel information. Anchors are summed in the given
+    length-3K diagonal channel information, or (..., N, 3K) and (..., 3K)
+    stacks with one entry per batch entry. Anchors are summed in the given
     order so the floating point result is reproducible. Symmetric positive
     semidefinite.
     """
     if not anchor_terms:
         raise ValueError("at least one anchor term is required")
-    dim_state = anchor_terms[0][0].shape[0]
-    total = np.zeros((dim_state, dim_state))
+    dim_state = anchor_terms[0][0].shape[-2]
+    total = 0.0
     for jac, lam in anchor_terms:
         lam = np.asarray(lam, dtype=float)
-        if jac.shape[0] != dim_state:
+        if jac.shape[-2] != dim_state:
             raise ValueError("inconsistent state dimensions across anchors")
-        if lam.shape != (jac.shape[1],):
+        if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
             raise ValueError("channel information must be a length-3K vector")
-        total += (jac * lam) @ jac.T
-    return 0.5 * (total + total.T)
+        total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
+    return 0.5 * (total + np.swapaxes(total, -1, -2))

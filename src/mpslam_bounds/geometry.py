@@ -65,24 +65,41 @@ def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    """2x2 counterclockwise rotation matrix."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products a0 b0 + a1 b1 of stacked 2-vectors, broadcast; equals
+    ``einsum("...i,...i->...", a, b)`` bit for bit, faster on large stacks."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def rotation_matrix_derivative(angle: float) -> np.ndarray:
+def matvec2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 matrices (..., 2, 2) times 2-vectors (..., 2), broadcast;
+    equals ``einsum("...ij,...j->...i", m, v)`` bit for bit."""
+    return m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
+
+
+def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
+    """2x2 counterclockwise rotation matrix; (..., 2, 2) for an array of angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.empty(np.shape(angle) + (2, 2))
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
+    return rot
+
+
+def rotation_matrix_derivative(angle: float | np.ndarray) -> np.ndarray:
     """Derivative of :func:`rotation_matrix` w.r.t. the angle.
 
     Equals ``rotation_matrix(angle + pi/2)``.
     """
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[-s, -c], [c, -s]])
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.empty(np.shape(angle) + (2, 2))
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = -s, -c, c, -s
+    return rot
 
 
-def _as_vec2(value, name: str) -> np.ndarray:
+def _as_vec2(value, name: str, batched: bool = False) -> np.ndarray:
+    """A finite 2-vector; with ``batched``, a (..., 2) stack of them."""
     vec = np.asarray(value, dtype=float)
-    if vec.shape != (2,):
+    if vec.shape[-1:] != (2,) or (vec.ndim != 1 and not batched):
         raise ValueError(f"{name} must be a 2-vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{name} must be finite, got {vec}")
@@ -90,35 +107,41 @@ def _as_vec2(value, name: str) -> np.ndarray:
 
 
 class SurfaceMap:
-    """Collection of S reflecting surfaces, each stored as its origin-mirror point."""
+    """Collection of S reflecting surfaces, each stored as its origin-mirror point.
+
+    ``points`` is (S, 2), or (..., S, 2) for one map per entry of a batch
+    (per Monte-Carlo run estimates); every stack below then carries the same
+    leading axes.
+    """
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2:
+        if pts.shape[-1] != 2:
             raise ValueError(f"surface map must be (S, 2), got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("surface points must be finite")
-        norms = np.linalg.norm(pts, axis=1)
-        bad = np.nonzero(norms <= DEGENERACY_EPS)[0]
+        bad = np.argwhere(np.linalg.norm(pts, axis=-1) <= DEGENERACY_EPS)
         if bad.size:
             raise ValueError(
-                f"surface {bad[0] + 1} passes through the origin and is not representable"
+                f"surface {bad[0, -1] + 1} passes through the origin and is not representable"
             )
         self._points = pts
-        sq = np.einsum("si,si->s", pts, pts)
-        houses = np.eye(2) - (2.0 / sq)[:, None, None] * (pts[:, :, None] * pts[:, None, :])
+        batch = pts.shape[:-2]
+        sq = dot2(pts, pts)
+        houses = np.eye(2) - (2.0 / sq)[..., None, None] * (pts[..., :, None] * pts[..., None, :])
         # Stacks indexed by the 1-based surface number; entry 0 is the identity
         # mirror (H = I, p = 0, unit norm) that stands for "no bounce".
-        self.householders = np.concatenate([np.eye(2)[None], houses])
-        self.padded_points = np.concatenate([np.zeros((1, 2)), pts])
-        self.sq_norms = np.concatenate([[1.0], sq])
+        self.householders = np.concatenate(
+            [np.broadcast_to(np.eye(2), batch + (1, 2, 2)), houses], axis=-3)
+        self.padded_points = np.concatenate([np.zeros(batch + (1, 2)), pts], axis=-2)
+        self.sq_norms = np.concatenate([np.ones(batch + (1,)), sq], axis=-1)
 
     def __len__(self) -> int:
-        return self._points.shape[0]
+        return self._points.shape[-2]
 
     @property
     def points(self) -> np.ndarray:
-        """All surface points as an (S, 2) array (read-only view)."""
+        """All surface points as an (..., S, 2) array (read-only view)."""
         view = self._points.view()
         view.flags.writeable = False
         return view
@@ -141,27 +164,36 @@ class Anchor:
 
 @dataclass
 class AgentPose:
-    """Kinematic agent state: position, velocity and heading offset."""
+    """Kinematic agent state: position, velocity and heading offset.
+
+    The fields may carry leading batch axes, one pose per Monte-Carlo run:
+    position and velocity (..., 2), orientation (...). An unbatched
+    orientation is a float.
+    """
 
     position: np.ndarray
     velocity: np.ndarray
-    orientation: float = 0.0
+    orientation: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        self.position = _as_vec2(self.position, "agent position")
-        self.velocity = _as_vec2(self.velocity, "agent velocity")
-        if not math.isfinite(self.orientation):
+        self.position = _as_vec2(self.position, "agent position", batched=True)
+        self.velocity = _as_vec2(self.velocity, "agent velocity", batched=True)
+        orientation = np.asarray(self.orientation, dtype=float)
+        if not self.velocity.shape == self.position.shape == orientation.shape + (2,):
+            raise ValueError("agent position, velocity and orientation batch shapes differ")
+        if not np.all(np.isfinite(orientation)):
             raise ValueError("agent orientation must be finite")
-        self.orientation = wrap_angle(float(self.orientation))
+        self.orientation = wrap_angle(orientation)
 
     def as_state(self) -> np.ndarray:
-        """5-vector [px, py, vx, vy, orientation]."""
-        return np.concatenate([self.position, self.velocity, [self.orientation]])
+        """(..., 5) state [px, py, vx, vy, orientation]."""
+        orientation = np.asarray(self.orientation)[..., None]
+        return np.concatenate([self.position, self.velocity, orientation], axis=-1)
 
     @classmethod
     def from_state(cls, state: np.ndarray) -> "AgentPose":
         state = np.asarray(state, dtype=float)
-        return cls(position=state[0:2], velocity=state[2:4], orientation=float(state[4]))
+        return cls(position=state[..., 0:2], velocity=state[..., 2:4], orientation=state[..., 4])
 
 
 @dataclass(frozen=True)
@@ -221,17 +253,18 @@ class PathGeometry:
 
     :func:`path_geometry` takes path i as its first (anchor-side) and second
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
-    single bounce at s is (s, 0). Row i of each field belongs to path i.
+    single bounce at s is (s, 0). Row i of each field belongs to path i;
+    a batched agent pose and surface map add their leading axes in front.
     """
 
-    anchor_once: np.ndarray  # (n, 2) anchor mirrored at the first bounce only
-    agent_once: np.ndarray  # (n, 2) agent mirrored at the second bounce only
-    va_to_agent: np.ndarray  # (n, 2) agent minus virtual anchor, global frame
-    departure_local: np.ndarray  # (n, 2) mirrored agent minus anchor, anchor frame
-    arrival_local: np.ndarray  # (n, 2) virtual anchor minus agent, agent frame
-    chain: np.ndarray  # (n, 2, 2) H_second H_first: d(mirrored agent)^T / d(agent position)
-    params: np.ndarray  # (n, 3) distance, arrival azimuth, departure azimuth
-    degenerate: np.ndarray  # (n,) bool: agent on the virtual anchor, params unusable
+    anchor_once: np.ndarray  # (..., n, 2) anchor mirrored at the first bounce only
+    agent_once: np.ndarray  # (..., n, 2) agent mirrored at the second bounce only
+    va_to_agent: np.ndarray  # (..., n, 2) agent minus virtual anchor, global frame
+    departure_local: np.ndarray  # (..., n, 2) mirrored agent minus anchor, anchor frame
+    arrival_local: np.ndarray  # (..., n, 2) virtual anchor minus agent, agent frame
+    chain: np.ndarray  # (..., n, 2, 2) H_second H_first: d(mirrored agent)^T / d(agent position)
+    params: np.ndarray  # (..., n, 3) distance, arrival azimuth, departure azimuth
+    degenerate: np.ndarray  # (..., n) bool: agent on the virtual anchor, params unusable
 
 
 def path_geometry(
@@ -240,23 +273,28 @@ def path_geometry(
 ) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
+    The agent pose and the surface map may carry the same leading batch axes
+    (one entry per Monte-Carlo run); the anchor and the paths are shared.
     Instead of raising, it flags as ``degenerate`` each path whose
     virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
     local frame) is not longer than ``DEGENERACY_EPS``: the agent coincides
     with the path's virtual anchor.
     """
     houses, points = surfaces.householders, surfaces.padded_points
-    h1, h2 = houses[first], houses[second]
-    anchor_once = h1 @ anchor.position + points[first]
-    agent_once = h2 @ agent.position + points[second]
-    r = agent.position - (np.einsum("nij,nj->ni", h2, anchor_once) + points[second])
-    r_t = np.einsum("nij,nj->ni", h1, agent_once) + points[first] - anchor.position
+    h1, h2 = houses[..., first, :, :], houses[..., second, :, :]
+    p1, p2 = points[..., first, :], points[..., second, :]
+    anchor_once = h1 @ anchor.position + p1
+    # one agent position per batch entry, applied to each of its n paths
+    agent_once = (h2 @ agent.position[..., None, :, None])[..., 0] + p2
+    r = agent.position[..., None, :] - (matvec2(h2, anchor_once) + p2)
+    r_t = matvec2(h1, agent_once) + p1 - anchor.position
     dep = r_t @ rotation_matrix(anchor.orientation)
     arr = -(r @ rotation_matrix(agent.orientation))
     vecs = np.stack([r, r_t, dep, arr])
-    lengths = np.sqrt(np.einsum("mni,mni->mn", vecs, vecs))
+    lengths = np.sqrt(dot2(vecs, vecs))
     params = np.stack(
-        [lengths[0], np.arctan2(arr[:, 1], arr[:, 0]), np.arctan2(dep[:, 1], dep[:, 0])], axis=1
+        [lengths[0], np.arctan2(arr[..., 1], arr[..., 0]), np.arctan2(dep[..., 1], dep[..., 0])],
+        axis=-1,
     )
     return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
                         (lengths <= DEGENERACY_EPS).any(axis=0))

@@ -11,10 +11,11 @@ random-walk. Posterior information is propagated as
 and the error bounds are square roots of traces of blocks of J_post^{-1}:
 position (PEB), velocity (VEB), orientation (OEB) and one mapping bound per
 surface (MEB). Each posterior is inverted once; its covariance yields the
-step's bounds and the next step's prediction. Every inversion goes through a
-symmetric positive-definite factorization followed by symmetrization;
-information matrices with condition number beyond 1e14 are rejected as
-singular.
+step's bounds and the next step's prediction. Every inversion checks for a
+symmetric positive-definite (Cholesky) factorization and inverts the
+symmetrized matrix; information matrices with condition number beyond 1e14
+are rejected as singular. The inversion takes stacks of matrices, one per
+Monte-Carlo run of the filter's batch.
 
 The snapshot information comes from the scenario's truth table, the one
 channel evaluation at the true poses that also feeds the measurement
@@ -29,13 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 CONDITION_LIMIT = 1e14
 
 
 class SingularFimError(RuntimeError):
-    """An information matrix was numerically singular (missing prior information)."""
+    """An information matrix was numerically singular (missing prior information).
+
+    ``index`` is the position, in a stack of matrices, of the first one that
+    failed (0 for a single matrix).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -102,25 +110,39 @@ def process_noise_cov(model: StateSpaceModel) -> np.ndarray:
 
 
 def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Invert a symmetric positive-definite matrix; symmetrized output.
+    """Invert a symmetric positive-definite matrix, or a (..., N, N) stack of
+    them; symmetrized output.
 
-    Cholesky factor and solve against the identity (LAPACK ``potrf`` and
-    ``potrs``, called directly: the per-step cost of the filter update is
-    mostly call overhead at these sizes). Raises :class:`SingularFimError`
-    when the factorization fails or the condition number exceeds
-    ``CONDITION_LIMIT``.
+    Raises :class:`SingularFimError`, with the stack position of the first
+    failing matrix, when its Cholesky factorization fails or its condition
+    number exceeds ``CONDITION_LIMIT``.
     """
-    sym = 0.5 * (matrix + matrix.T)
-    factor, info = dpotrf(sym, lower=True, clean=False)
-    if info:
-        raise SingularFimError(f"{what} is not positive definite (leading minor {info})")
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > CONDITION_LIMIT:
-        raise SingularFimError(
-            f"{what} is numerically singular (condition number above {CONDITION_LIMIT:g})"
-        )
-    inv, _ = dpotrs(factor, np.eye(sym.shape[0]), lower=True)
-    return 0.5 * (inv + inv.T)
+    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    stack = sym.reshape(-1, *sym.shape[-2:])
+    try:
+        np.linalg.cholesky(stack)
+        definite = np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        definite = np.array([_has_cholesky(m) for m in stack])
+    eigvals = np.linalg.eigvalsh(stack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
+    failed = ~definite | singular
+    if failed.any():
+        index = int(np.argmax(failed))
+        problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
+                   if definite[index] else "is not positive definite")
+        raise SingularFimError(f"{what} {problem}", index)
+    inv = np.linalg.inv(sym)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _has_cholesky(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def predict_fim(
@@ -170,14 +192,16 @@ def _describe_weak_block(j: np.ndarray) -> str:
 
 
 def invert_posterior(j_post: np.ndarray, step: int) -> np.ndarray:
-    """Posterior covariance J_post^{-1} of one step of the bound or the filter;
-    a singular ``j_post`` raises :class:`SingularFimError` naming the step and
-    the state block with the least information."""
+    """Posterior covariance J_post^{-1} of one step of the bound or the filter
+    (a stack of them for a batch of filter runs); a singular ``j_post``
+    raises :class:`SingularFimError` naming the step and the state block
+    with the least information, and keeping the failing stack position."""
     try:
         return _spd_inverse(j_post, "posterior information")
     except SingularFimError as exc:
+        weak = _describe_weak_block(j_post.reshape(-1, *j_post.shape[-2:])[exc.index])
         raise SingularFimError(
-            f"step {step}: {exc} (weakest block: {_describe_weak_block(j_post)})"
+            f"step {step}: {exc} (weakest block: {weak})", exc.index
         ) from exc
 
 

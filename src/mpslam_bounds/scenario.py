@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -201,14 +202,15 @@ class AnchorBlock:
     ``params`` holds per component its (distance, arrival azimuth, departure
     azimuth): noise-free in the truth table (:func:`measurement_truth`),
     noisy in a draw (:func:`draw_measurements`, angles wrapped to
-    (-pi, pi]). ``variances`` are the matching noise variances, evaluated at
-    the true pose; the draw keeps them.
+    (-pi, pi]; (R, n, 3) in a draw for a batch of R runs). ``variances`` are
+    the matching noise variances, evaluated at the true pose; the draw keeps
+    them.
     """
 
     step: int  # 1-based time index
     anchor: int  # 0-based anchor index
     components: np.ndarray  # (n,) indices into the scenario's component order
-    params: np.ndarray  # (n, 3)
+    params: np.ndarray  # (n, 3), or (R, n, 3)
     variances: np.ndarray  # (n, 3)
 
 
@@ -313,10 +315,11 @@ def _sampled_poses(
     poses = [spec.initial]
     kin = np.concatenate([spec.initial.position, spec.initial.velocity])
     heading = spec.initial.orientation
-    for _ in range(spec.n_steps):
+    # per step two acceleration variates, then one orientation variate
+    for noise in rng.standard_normal(3 * spec.n_steps).reshape(-1, 3):
         kin = np.array([kin[0] + t * kin[2], kin[1] + t * kin[3], kin[2], kin[3]])
-        kin = kin + gain @ (accel_std * rng.standard_normal(2))
-        heading = wrap_angle(heading + orient_std * rng.standard_normal())
+        kin = kin + gain @ (accel_std * noise[:2])
+        heading = wrap_angle(heading + orient_std * float(noise[2]))
         poses.append(AgentPose(position=kin[0:2], velocity=kin[2:4], orientation=heading))
     return poses
 
@@ -402,7 +405,7 @@ def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTr
 
 
 def draw_measurements(
-    table: list[StepTruth], rng: RandomStream
+    table: list[StepTruth], rng: RandomStream | Sequence[RandomStream]
 ) -> list[tuple[AnchorBlock, ...]]:
     """Draw noisy measurements around the truth table, one tuple of anchor
     blocks per step (fixed draw order).
@@ -410,15 +413,23 @@ def draw_measurements(
     Distances and azimuths are Gaussian around the noise-free channel
     parameters with the block's variances (a standard normal variate per
     value, scaled by the standard deviation); azimuths are wrapped. The
-    variances are carried over unchanged.
+    variances are carried over unchanged. Each stream draws the whole table
+    in one request. Given a sequence of streams, one per Monte-Carlo run of a
+    batch, each block's ``params`` gains a leading run axis.
     """
-    drawn = []
+    streams = [rng] if isinstance(rng, RandomStream) else rng
+    total = sum(block.params.size for record in table for block in record.blocks)
+    noise = np.stack([stream.standard_normal(total) for stream in streams])
+    if isinstance(rng, RandomStream):
+        noise = noise[0]
+    drawn, end = [], 0
     for record in table:
         blocks = []
         for block in record.blocks:
-            noise = rng.standard_normal(block.params.size).reshape(block.params.shape)
-            params = block.params + np.sqrt(block.variances) * noise
-            params[:, 1:] = wrap_angle(params[:, 1:])
+            start, end = end, end + block.params.size
+            chunk = noise[..., start:end].reshape(noise.shape[:-1] + block.params.shape)
+            params = block.params + np.sqrt(block.variances) * chunk
+            params[..., 1:] = wrap_angle(params[..., 1:])
             blocks.append(replace(block, params=params))
         drawn.append(tuple(blocks))
     return drawn

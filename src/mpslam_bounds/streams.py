@@ -7,23 +7,24 @@ streams are statistically independent and the mapping is pure arithmetic,
 so the same (seed, run) pair reproduces the same draws on every platform
 and regardless of how many runs execute or in which order.
 
-Normal variates are produced by the Box-Muller transform applied to the
-generator's uniform doubles (u1 in (0, 1], u2 in [0, 1)):
+Normal variates are produced by the Box-Muller transform applied to pairs of
+the generator's uniform doubles (u1 in (0, 1], u2 in [0, 1)):
 
     radius = sqrt(-2 ln u1)
     z0 = radius * cos(2 pi u2),   z1 = radius * sin(2 pi u2)
 
-with the second variate cached for the next request. The transform is fixed
-here rather than delegated to library distribution code so that the exact
-draw sequence is part of this package's contract.
+A request for m values takes the next uniforms two per pair, in order, and
+returns z0, z1 of each pair in turn; an odd count keeps the last z1 as a
+spare that opens the next request. So any sequence of requests yields the
+same values as one request of their total size. The transform is fixed here
+rather than delegated to library distribution code so that the exact draw
+sequence is part of this package's contract.
 
 Stream index 2^64 - 1 is reserved for sampling ground-truth trajectories;
 run indices must stay below it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -52,26 +53,19 @@ class RandomStream:
 
     def standard_normal(self, size: int | None = None):
         """Standard normal draws; scalar for ``size=None``, else a 1-D array."""
-        if size is None:
-            return self._next_normal()
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = self._next_normal()
-        return out
+        count = 1 if size is None else size
+        spare = [] if self._spare is None else [self._spare]
+        pairs = -(-(count - len(spare)) // 2)
+        uniforms = self._gen.random(2 * pairs)
+        radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[0::2]))  # 1 - u in (0, 1]: finite log
+        angle = 2.0 * np.pi * uniforms[1::2]
+        drawn = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+        out = np.concatenate([spare, drawn])
+        self._spare = float(out[count]) if out.size > count else None
+        return float(out[0]) if size is None else out[:count]
 
     def normal(self, mean: float, std: float) -> float:
-        return mean + std * self._next_normal()
-
-    def _next_normal(self) -> float:
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        u1 = 1.0 - self._gen.random()  # in (0, 1]: keeps the log finite
-        u2 = self._gen.random()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(angle)
-        return radius * math.cos(angle)
+        return mean + std * self.standard_normal()
 
 
 def derive_run_stream(seed: int, run_index: int) -> RandomStream:

@@ -1,0 +1,46 @@
+"""Sequential per-run reference of the Monte-Carlo filter.
+
+Filters one run at a time through unbatched ``ekf_predict`` and
+``ekf_update`` calls: the run's stream draws the initial error, then the
+measurements, and the loop records the squared errors of each step. This is
+the loop each run went through before ``ekf.run_single`` filtered all runs
+as one lockstep batch; tests compare the batch with it.
+"""
+
+import numpy as np
+
+from mpslam_bounds.ekf import EkfState, _joint_truth, ekf_predict, ekf_update
+from mpslam_bounds.geometry import wrap_angle
+from mpslam_bounds.pcrlb import process_noise_cov, transition_matrix
+from mpslam_bounds.scenario import draw_measurements
+from mpslam_bounds.streams import derive_run_stream
+
+
+def filter_run(scenario, truth, table, run_index):
+    """Per-step squared errors of one run: position, velocity, orientation
+    (each (n_steps,)) and map ((n_steps, S))."""
+    rng = derive_run_stream(scenario.mc.seed, run_index)
+    prior_diag = scenario.prior_covariance()
+    mean0 = _joint_truth(truth[0], scenario.surfaces)
+    mean0 = mean0 + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
+    mean0[4] = wrap_angle(mean0[4])
+    state = EkfState(mean=mean0, cov=np.diag(prior_diag))
+    measured = draw_measurements(table, rng)
+
+    transition = transition_matrix(scenario.model)
+    noise_cov = process_noise_cov(scenario.model)
+    n_steps, num_surfaces = scenario.n_steps, len(scenario.surfaces)
+    position, velocity = np.zeros(n_steps), np.zeros(n_steps)
+    orientation, surfaces = np.zeros(n_steps), np.zeros((n_steps, num_surfaces))
+    for n in range(1, n_steps + 1):
+        state = ekf_update(ekf_predict(state, transition, noise_cov), measured[n - 1], scenario)
+        if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
+            raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
+        err = state.mean - _joint_truth(truth[n], scenario.surfaces)
+        position[n - 1] = err[0] ** 2 + err[1] ** 2
+        velocity[n - 1] = err[2] ** 2 + err[3] ** 2
+        orientation[n - 1] = wrap_angle(float(err[4])) ** 2
+        for s in range(num_surfaces):
+            block = err[5 + 2 * s: 7 + 2 * s]
+            surfaces[n - 1, s] = block @ block
+    return position, velocity, orientation, surfaces

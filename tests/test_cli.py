@@ -1,6 +1,9 @@
 """Command line: CSV schema, determinism, exit codes and self-check."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +309,63 @@ class TestErrors:
         assert code == 3
         assert "run 0" in err and "step 5" in err and "weakest block" in err
         assert not out.exists()
+
+
+    def test_one_diverging_run_of_a_batch_is_named(self, scenario_file, tmp_path, capsys,
+                                                   monkeypatch):
+        """Of three runs filtered as one batch only run 1 diverges, at step 5;
+        runs 0 and 2 stay finite. The failure names run 1 and step 5."""
+        calls, update = [], ekf.ekf_update
+
+        def diverge_run_1_at_step_5(state, measurements, scenario):
+            # one batched update per step, steps ascending
+            calls.append(None)
+            updated = update(state, measurements, scenario)
+            if len(calls) == 5:
+                assert len(updated.mean) == 3
+                updated.mean[1, 0] = float("nan")
+            return updated
+
+        monkeypatch.setattr(ekf, "ekf_update", diverge_run_1_at_step_5)
+        out = tmp_path / "validate.csv"
+        code = main(["--scenario", str(scenario_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Monte-Carlo run 1 failed: step 5: non-finite" in err
+        assert "run 0" not in err and "run 2" not in err
+        assert not out.exists()
+
+    def test_singular_information_in_one_run_of_a_batch(self, scenario_file, tmp_path,
+                                                        capsys, monkeypatch):
+        """An indefinite fused information in run 2 of the batch at step 5
+        names run 2, the step and the weakest block."""
+        calls, fuse = [], ekf.global_snapshot_fim
+
+        def indefinite_run_2_at_step_5(anchor_terms):
+            calls.append(None)
+            information = fuse(anchor_terms)
+            if len(calls) == 5:
+                information[2] -= 1e12 * np.eye(information.shape[-1])
+            return information
+
+        monkeypatch.setattr(ekf, "global_snapshot_fim", indefinite_run_2_at_step_5)
+        out = tmp_path / "validate.csv"
+        code = main(["--scenario", str(scenario_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Monte-Carlo run 2 failed: step 5:" in err and "weakest block" in err
+        assert not out.exists()
+
+
+class TestPackaging:
+    def test_the_command_line_does_not_import_scipy(self):
+        """scipy is a test dependency only: importing the command line in a
+        fresh interpreter leaves it out of sys.modules."""
+        source = Path(__file__).resolve().parent.parent / "src"
+        check = "import sys, mpslam_bounds.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(source)}, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestSelfCheck:

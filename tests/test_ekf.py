@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
 )
 from mpslam_bounds.streams import derive_run_stream
+from tests.reference_filter import filter_run
 from tests.reference_geometry import virtual_anchor
 from tests.reference_kalman import joseph_update
 from tests.test_pcrlb import desk_mapping
@@ -286,6 +288,86 @@ class TestInformationFormMatchesCovarianceForm:
         assert any("surface estimate near origin" in rec.message for rec in caplog.records)
 
 
+def sparse_octagon():
+    """Octagon room, two anchors, only LOS and single bounces visible, anchor
+    2 blanked for steps 3-5 and every anchor blanked for steps 8-9."""
+    mapping = desk_mapping()
+    angles = 2 * math.pi * np.arange(8) / 8 + 0.1
+    mapping["surfaces"] = [[7.0 * math.cos(a), 7.0 * math.sin(a)] for a in angles]
+    mapping["anchors"][0]["position"] = [1.0, 0.5]
+    mapping["anchors"][1]["position"] = [-1.2, -0.8]
+    mapping["trajectory"] = {"kind": "waypoints", "n_steps": 12,
+                             "points": [{"time": 0.0, "position": [-1.5, 1.0]},
+                                        {"time": 1.2, "position": [0.3, 1.6]}]}
+    mapping["prior"]["surface_var"] = 0.04
+    mapping["visibility"] = {"default": False, "rules": [
+        {"visible": True, "components": [[s, s] for s in range(9)]},
+        {"visible": False, "anchors": [2], "steps": {"from": 3, "to": 5}},
+        {"visible": False, "steps": [8, 9]},
+    ]}
+    return scenario_from_mapping(mapping)
+
+
+class TestLockstepBatch:
+    """All runs filtered as one batch equal the runs filtered one by one
+    (tests/reference_filter.py) to 1e-12 relative."""
+
+    @staticmethod
+    def assert_matches_sequential(scenario, runs):
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        batch = run_single(scenario, truth, table, range(runs))
+        for run in range(runs):
+            expected = filter_run(scenario, truth, table, run)
+            got = (batch.position_sq[:, run], batch.velocity_sq[:, run],
+                   batch.orientation_sq[:, run], batch.map_sq[:, run])
+            for a, b in zip(got, expected):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_desk_three_runs(self):
+        self.assert_matches_sequential(load_scenario(DESK_SCENARIO), 3)
+
+    def test_sparse_octagon_with_blanked_steps(self):
+        scenario = sparse_octagon()
+        blanked = [n for n in range(1, 13)
+                   if not any(scenario.visibility.flags(j, n).any() for j in range(2))]
+        assert blanked == [8, 9]
+        self.assert_matches_sequential(scenario, 4)
+
+    def test_step_with_a_skipped_component(self, caplog):
+        """One batch entry estimates surface 1 at the origin: its bounces on
+        that surface drop out of that entry's update only."""
+        scenario = load_scenario(DESK_SCENARIO)
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        streams = [derive_run_stream(0, run) for run in range(3)]
+        blocks = draw_measurements(table, streams)[4]
+        states = [predicted_state(scenario, truth, 5, seed) for seed in range(3)]
+        states[1].mean[5:7] = 0.0
+        batch = EkfState(mean=np.stack([s.mean for s in states]),
+                         cov=np.stack([s.cov for s in states]))
+        with caplog.at_level(logging.WARNING):
+            got = ekf_update(batch, blocks, scenario)
+        skipped = [rec.message for rec in caplog.records if "skipping component" in rec.message]
+        assert skipped and all("batch entry 1: surface estimate near origin" in m
+                               for m in skipped)
+        for entry, state in enumerate(states):
+            entry_blocks = [replace(b, params=b.params[entry]) for b in blocks]
+            expected = ekf_update(state, entry_blocks, scenario)
+            np.testing.assert_allclose(got.mean[entry], expected.mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.cov[entry], expected.cov, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected.cov).max())
+
+    def test_run_errors_do_not_depend_on_the_batch(self):
+        scenario = small_scenario()
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        four = run_single(scenario, truth, table, range(4))
+        eight = run_single(scenario, truth, table, range(8))
+        for name in ("position_sq", "velocity_sq", "orientation_sq", "map_sq"):
+            np.testing.assert_array_equal(getattr(four, name)[:, 3], getattr(eight, name)[:, 3])
+
+
 class TestMonteCarlo:
     def test_single_run_near_noiseless_converges_to_the_map(self):
         mapping = desk_mapping()
@@ -349,4 +431,25 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(ekf_module, "run_single", explode)
         with pytest.raises(RuntimeError, match="run 0"):
+            run_monte_carlo(scenario)
+
+    def test_lowest_numbered_failing_run_is_named(self, monkeypatch):
+        """Run 2 diverges at step 5 and run 0 only at step 8: filtered one by
+        one, run 0 fails first, so the batch names run 0 and step 8."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = small_scenario(mc={"runs": 3, "seed": 7})
+        update = ekf_module.ekf_update
+
+        def diverge(state, blocks, scenario):
+            updated = update(state, blocks, scenario)
+            step = blocks[0].step
+            if step == 5 and len(updated.mean) == 3:
+                updated.mean[2, 0] = float("nan")
+            if step == 8:
+                updated.mean[0, 0] = float("nan")
+            return updated
+
+        monkeypatch.setattr(ekf_module, "ekf_update", diverge)
+        with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 8: non-finite"):
             run_monte_carlo(scenario)

@@ -168,6 +168,26 @@ class TestPredictAndFuse:
         with pytest.raises(SingularFimError):
             predict_fim(nearly, np.eye(3), np.zeros((3, 3)))
 
+    def test_stack_names_its_first_failing_matrix(self):
+        """A stack is inverted matrix by matrix; a failure keeps the position
+        of the first failing one, whichever test it fails."""
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(4, 3, 3))
+        stack = a @ np.swapaxes(a, -1, -2) + np.eye(3)
+        inverse = _spd_inverse(stack, "stack")
+        for m, inv in zip(stack, inverse):
+            np.testing.assert_array_equal(inv, _spd_inverse(m, "one"))
+        indefinite, nearly = stack.copy(), stack.copy()
+        indefinite[2] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(SingularFimError, match="stack is not positive definite") as exc:
+            _spd_inverse(indefinite, "stack")
+        assert exc.value.index == 2
+        nearly[1] = np.diag([1.0, 1e-20, 1.0])
+        nearly[3] = indefinite[2]
+        with pytest.raises(SingularFimError, match="stack is numerically singular") as exc:
+            _spd_inverse(nearly, "stack")
+        assert exc.value.index == 1
+
     def test_fuse_is_addition(self):
         """The recursion fuses by adding the snapshot to the prediction."""
         scenario = scenario_from_mapping(desk_mapping())
