@@ -169,9 +169,10 @@ def measurement_variances(
     is evaluated at the arrival azimuth, the transmit (anchor) aperture at
     the departure azimuth. An endfire aperture raises
     :class:`ZeroApertureError` whose ``index`` is the first such component.
-    The scenario's channel pass evaluates it once per (step, anchor) at the
-    true pose; the bound, the measurement generator and the estimator all
-    read that value.
+    The scenario's truth pass evaluates it at the true poses, once per
+    (block of steps, anchor) on the visible (step, component) entries
+    stacked as the n rows; the bound, the measurement generator and the
+    estimator all read those values.
     """
     params = np.asarray(params, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -258,8 +259,9 @@ def global_jacobian(
     channel parameters, their degenerate-geometry mask and the gradient
     matrix, whose column i holds the gradient of channel parameter i;
     columns of unlisted or degenerate components are zero. A batched agent
-    pose and surface map (one entry per Monte-Carlo run, see
-    :class:`~.geometry.SurfaceMap`) add their leading axes to all three.
+    pose (one entry per Monte-Carlo run or per step of a truth pass) adds
+    its leading axes to all three; the surface map is shared or batched
+    alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -289,7 +291,8 @@ def global_jacobian(
     unit_dep = dep / np.sqrt(dep_sq)
     unit_r = geo.va_to_agent / geo.params[..., :1]
     transfer = geo.chain @ rot_anchor
-    aoa_col = -(az_arr @ np.swapaxes(rotation_matrix(agent.orientation), -1, -2))
+    # a contiguous copy: numpy rounds a one-row product with a strided transpose differently
+    aoa_col = -(az_arr @ np.swapaxes(rotation_matrix(agent.orientation), -1, -2).copy())
     position = np.stack([matvec2(transfer, unit_dep), aoa_col, matvec2(transfer, az_dep)],
                         axis=-3)
 

@@ -166,9 +166,9 @@ class Anchor:
 class AgentPose:
     """Kinematic agent state: position, velocity and heading offset.
 
-    The fields may carry leading batch axes, one pose per Monte-Carlo run:
-    position and velocity (..., 2), orientation (...). An unbatched
-    orientation is a float.
+    The fields may carry leading batch axes, one pose per Monte-Carlo run
+    or per step: position and velocity (..., 2), orientation (...). An
+    unbatched orientation is a float.
     """
 
     position: np.ndarray
@@ -273,8 +273,9 @@ def path_geometry(
 ) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
-    The agent pose and the surface map may carry the same leading batch axes
-    (one entry per Monte-Carlo run); the anchor and the paths are shared.
+    The agent pose may carry leading batch axes (one entry per Monte-Carlo
+    run or per step), and the surface map the same ones or none; the anchor
+    and the paths are shared.
     Instead of raising, it flags as ``degenerate`` each path whose
     virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
     local frame) is not longer than ``DEGENERACY_EPS``: the agent coincides

@@ -7,9 +7,10 @@ Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
 the dataclass fields below exactly; unknown keys are rejected with the
 offending path so typos cannot silently change an experiment.
 
-The channel truth is evaluated once per scenario, in one batched pass per
-(step, anchor) at the true pose: path geometry, gradient and measurement
-variances of the visible components. Its output is the truth table
+The channel truth is evaluated once per scenario at the true poses: path
+geometry, gradient and measurement variances of the visible components, in
+one batched pass per (block of consecutive steps, anchor). A step's record
+does not depend on its block, bit for bit. The output is the truth table
 (:func:`measurement_truth`), one :class:`StepTruth` per step holding the
 snapshot information and one :class:`AnchorBlock` of arrays per anchor. The
 bound recursion reads the information, the generator draws around the
@@ -38,7 +39,6 @@ from .fim import (
     ZeroApertureError,
     channel_fim,
     global_jacobian,
-    global_snapshot_fim,
     measurement_variances,
 )
 from .geometry import AgentPose, Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
@@ -46,6 +46,12 @@ from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, trajectory_stream
 
 DEFAULT_ORIENTATION_PRIOR_VAR = math.radians(10.0) ** 2
+
+# PyYAML's C scanner and parser where built; the constructor stays the Python one
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# Cap on the stacked (steps, N + 2, 3K) float64 gradient of one truth pass
+# (one anchor at a time): 10 steps of an octagon room, all 40 of the desk.
+TRUTH_PASS_BYTES = 360_000
 
 
 class ScenarioError(ValueError):
@@ -143,7 +149,7 @@ class VisibilitySchedule:
         self._table = table
 
     def flags(self, anchor_index: int, step: int) -> np.ndarray:
-        """Existence flags of anchor ``anchor_index`` (0-based) at ``step`` (1-based)."""
+        """Existence flags of anchor ``anchor_index`` (0-based) at 1-based ``step``(s)."""
         return self._table[anchor_index, step]
 
 
@@ -339,69 +345,84 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 # Snapshot information and measurements
 
 
-def _visible_paths(
-    scenario: Scenario, pose: AgentPose, anchor_index: int, step: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Channel evaluation of every component visible to one anchor at ``step``.
+def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -> list[StepTruth]:
+    """Truth records of consecutive ``steps`` at their true ``poses``.
 
-    The one batched pass shared by the bound, the measurement generator and
-    the filter's noise covariance: returns the visible component indices,
-    their (n, 3) channel parameters and variances, and the anchor's (N, 3K)
-    gradient matrix. A degenerate geometry or an endfire aperture raises
-    with the step, the 1-based anchor and the component pair in the message.
+    Per anchor, on the poses stacked along a leading step axis, one
+    :func:`global_jacobian` call on the components visible at any of the
+    steps and one noise-model call on the visible (step, component) entries.
+    Hidden entries get zero weight (an infinite variance) in the information,
+    summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
+    earliest step, then the lowest anchor; degenerate geometry before endfire.
     """
-    anchor, order = scenario.anchors[anchor_index], scenario.order
-    visible = np.flatnonzero(scenario.visibility.flags(anchor_index, step))
-    params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
-
-    def where(i: int) -> str:
-        comp = order.components[visible[i]]
-        return f"step {step}, anchor {anchor_index + 1}, component {list(comp.pair)}"
-
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        raise DegenerateGeometryError(
-            f"{where(i)}: agent coincides with virtual anchor for path "
-            f"{order.components[visible[i]].bounces}"
-        )
-    amplitudes = scenario.amplitude_model.amplitude(params[:, 0], order.n_bounces[visible])
-    try:
-        variances = measurement_variances(
-            params, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
-            scenario.agent_aperture, anchor.aperture,
-        )
-    except ZeroApertureError as exc:
-        raise ZeroApertureError(f"{where(exc.index)}: {exc}") from exc
-    return visible, params, variances, jac
+    order = scenario.order
+    pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
+    total, columns, failures = 0.0, [], []
+    for j, anchor in enumerate(scenario.anchors):
+        shown = scenario.visibility.flags(j, steps).astype(bool)
+        union = np.flatnonzero(shown.any(axis=0))
+        shown = shown[:, union]
+        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, union)
+        bad = np.argwhere(degenerate & shown)
+        if bad.size:
+            b, i = bad[0]
+            comp = order.components[union[i]]
+            failures.append((b, j, comp, DegenerateGeometryError,
+                             f"agent coincides with virtual anchor for path {comp.bounces}"))
+            shown[b:] = False  # an earlier endfire aperture is still reported first
+        at, i = np.nonzero(shown)
+        entries = params[at, i]
+        amplitudes = scenario.amplitude_model.amplitude(entries[:, 0], order.n_bounces[union[i]])
+        try:
+            variances = measurement_variances(
+                entries, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+                scenario.agent_aperture, anchor.aperture,
+            )
+        except ZeroApertureError as exc:
+            comp = order.components[union[i[exc.index]]]
+            failures.append((at[exc.index], j, comp, ZeroApertureError, exc))
+        if failures:
+            continue
+        weights = np.full(shown.shape + (3,), np.inf)
+        weights[at, i] = variances
+        lam = channel_fim(order, union, weights)
+        total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
+        cuts = np.cumsum(shown.sum(axis=1))[:-1]
+        columns.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in
+                        zip(steps, shown, np.split(entries, cuts), np.split(variances, cuts))])
+    if failures:
+        b, j, comp, error, reason = min(failures, key=lambda failure: failure[0])
+        raise error(f"step {steps[b]}, anchor {j + 1}, component {list(comp.pair)}: {reason}")
+    information = 0.5 * (total + np.swapaxes(total, -1, -2))
+    return [StepTruth(int(n), information[b], tuple(column[b] for column in columns))
+            for b, n in enumerate(steps)]
 
 
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
     """Channel truth at one ground-truth pose under the schedule at ``step``.
 
-    Runs the channel pass once per anchor and returns the step's record of
-    the truth table: the snapshot information sum_j H_j Lambda_j H_j^T and
-    the anchors' visible components with their noise-free parameters and
+    The one-step case of the truth pass: the step's record of the truth
+    table, with the snapshot information sum_j H_j Lambda_j H_j^T and the
+    anchors' visible components with their noise-free parameters and
     variances. No gradient matrix is kept.
     """
-    order = scenario.order
-    blocks, terms = [], []
-    for j in range(len(scenario.anchors)):
-        visible, params, variances, jac = _visible_paths(scenario, pose, j, step)
-        blocks.append(AnchorBlock(step, j, visible, params, variances))
-        terms.append((jac, channel_fim(order, visible, variances)))
-    return StepTruth(step, global_snapshot_fim(terms), tuple(blocks))
+    return _truth_pass(scenario, [pose], np.array([step]))[0]
 
 
 def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTruth]:
     """The truth table: one :class:`StepTruth` per step 1..n_steps.
 
-    Built once per scenario; the bound recursion reads its information, the
-    generator draws around its parameters with its variances, and the filter
-    takes its noise covariance from those variances. Invisible components
-    emit nothing; the variances come from the true amplitude (amplitude
-    noise carries no state information here).
+    Built once per scenario, one pass per block of steps (``TRUTH_PASS_BYTES``);
+    the bound recursion reads its information, the generator draws around its
+    parameters with its variances, and the filter takes its noise covariance
+    from those variances. Invisible components emit nothing; the variances
+    come from the true amplitude (amplitude noise carries no state
+    information here).
     """
-    return [snapshot_fim(scenario, truth[n], n) for n in range(1, scenario.n_steps + 1)]
+    size = max(1, TRUTH_PASS_BYTES // (8 * (scenario.dim + 2) * scenario.order.dim))
+    steps = np.arange(1, scenario.n_steps + 1)
+    blocks = [steps[start:start + size] for start in range(0, steps.size, size)]
+    return [r for block in blocks for r in _truth_pass(scenario, [truth[n] for n in block], block)]
 
 
 def draw_measurements(
@@ -633,7 +654,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from None
     return scenario_from_mapping(root)

@@ -155,12 +155,25 @@ class TestValidateMode:
         assert "RMSE / bound" in err
         assert "assumptions" in err
 
-    def test_truth_is_resolved_once_per_step_and_anchor(self, tmp_path, monkeypatch):
-        """Validate mode evaluates the channel at the truth once per (step,
-        anchor): one gradient pass, holding one batched geometry pass, and one
-        noise-model call each; the filter's own passes are not counted."""
+    @pytest.mark.parametrize("pass_steps", [None, 12], ids=["default_cap", "12_step_cap"])
+    def test_truth_is_resolved_once_per_block_and_anchor(self, pass_steps, tmp_path,
+                                                          monkeypatch):
+        """Validate mode evaluates the channel at the truth once per (block of
+        steps, anchor): one gradient pass, holding one batched geometry pass,
+        and one noise-model call each; the filter's own passes are not
+        counted. The block holds as many steps as the pass cap admits; a cap
+        of 12 desk steps leaves 40 steps in three full blocks and a partial
+        one."""
         import mpslam_bounds.fim as fim_module
         import mpslam_bounds.scenario as scenario_module
+
+        scenario = load_scenario(DESK_SCENARIO)
+        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim  # one (N + 2, 3K) gradient
+        if pass_steps is not None:
+            monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
+        block = scenario_module.TRUTH_PASS_BYTES // step_bytes
+        passes = math.ceil(scenario.n_steps / block) * len(scenario.anchors)
+        assert passes == {None: 2, 12: 8}[pass_steps]
 
         calls = {"global_jacobian": 0, "path_geometry": 0, "measurement_variances": 0}
         in_truth = []
@@ -187,11 +200,8 @@ class TestValidateMode:
         out = tmp_path / "validate.csv"
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
-        scenario = load_scenario(DESK_SCENARIO)
-        pairs = scenario.n_steps * len(scenario.anchors)
-        assert pairs == 80
-        assert calls == {"global_jacobian": pairs, "path_geometry": pairs,
-                         "measurement_variances": pairs}
+        assert calls == {"global_jacobian": passes, "path_geometry": passes,
+                         "measurement_variances": passes}
 
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
         main(["--scenario", str(scenario_file), "--mode", "bounds"])
@@ -209,6 +219,21 @@ class TestErrors:
         path.write_text("anchors: []\n")
         assert main(["--scenario", str(path)]) == 2
         assert "anchors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_malformed_yaml_is_config_error(self, loader, tmp_path, capsys, monkeypatch):
+        """An unclosed flow sequence fails to parse with the C scanner and
+        parser as with the Python ones: exit 2 naming the file."""
+        import mpslam_bounds.scenario as scenario_module
+
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML was built without {loader}")
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "malformed.yaml"
+        path.write_text("anchors: [[0.3, 0.3]\nsurfaces: []\n")
+        assert main(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid YAML" in err
 
     def test_unknown_key_reported_with_path(self, tmp_path, capsys):
         mapping = desk_mapping()

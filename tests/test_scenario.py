@@ -1,17 +1,27 @@
 """Scenario loading, trajectories, visibility and measurement generation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mpslam_bounds.fim import ZeroApertureError
-from mpslam_bounds.geometry import AgentPose
+import mpslam_bounds.scenario as scenario_module
+from mpslam_bounds.fim import (
+    ZeroApertureError,
+    channel_fim,
+    global_jacobian,
+    global_snapshot_fim,
+    measurement_variances,
+)
+from mpslam_bounds.geometry import AgentPose, DegenerateGeometryError
 from mpslam_bounds.pcrlb import StateSpaceModel
 from mpslam_bounds.scenario import (
+    AnchorBlock,
     NcvTrajectory,
     ScenarioError,
+    StepTruth,
     WaypointTrajectory,
     draw_measurements,
     generate_trajectory,
@@ -23,6 +33,8 @@ from mpslam_bounds.scenario import (
 )
 from mpslam_bounds.streams import derive_run_stream
 from tests.test_pcrlb import desk_mapping
+
+DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 
 
 class TestLoader:
@@ -106,6 +118,16 @@ class TestLoader:
     def test_missing_file_reported(self):
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario("/nonexistent/path.yaml")
+
+    def test_c_and_python_loaders_read_the_same_mapping(self):
+        """The loader uses PyYAML's C scanner and parser where it has them;
+        the constructor and resolver stay the Python ones, so the shipped
+        scenario reads the same, value types included."""
+        text = DESK_SCENARIO.read_text()
+        python = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(yaml.load(text, Loader=scenario_module.YAML_LOADER)) == repr(python)
+        if hasattr(yaml, "CSafeLoader"):
+            assert scenario_module.YAML_LOADER is yaml.CSafeLoader
 
 
 class TestVisibilitySchedule:
@@ -219,6 +241,146 @@ class TestSnapshotInformation:
                                             "components": [[0, 0]], "steps": [10]}]}
         info = snapshot_fim(scenario_from_mapping(mapping), pose, 10).information
         assert np.isfinite(info).all() and info.trace() > 0.0
+
+
+def straight_run(**overrides):
+    """Two-anchor desk mapping whose agent heads +x at 1 m/s along y = 0.8:
+    step n of its 20 steps is at [0.5 + n / 10, 0.8]."""
+    mapping = desk_mapping(**overrides)
+    mapping["trajectory"] = {"kind": "waypoints", "n_steps": 20,
+                             "points": [{"time": 0.0, "position": [0.5, 0.8]},
+                                        {"time": 2.0, "position": [2.5, 0.8]}]}
+    return mapping
+
+
+ULA = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
+
+
+def step_bytes(scenario):
+    """Bytes of one step's (N + 2, 3K) float64 gradient in a truth pass."""
+    return 8 * (scenario.dim + 2) * scenario.order.dim
+
+
+def pass_steps(scenario):
+    """Steps in one truth pass under the module's cap."""
+    return scenario_module.TRUTH_PASS_BYTES // step_bytes(scenario)
+
+
+def reference_record(scenario, pose, step):
+    """One step's truth from unbatched per-anchor channel passes on the
+    visible components, summed as the snapshot information."""
+    order, blocks, terms = scenario.order, [], []
+    for j, anchor in enumerate(scenario.anchors):
+        visible = np.flatnonzero(scenario.visibility.flags(j, step))
+        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
+        assert not degenerate.any()
+        amplitudes = scenario.amplitude_model.amplitude(params[:, 0], order.n_bounces[visible])
+        variances = measurement_variances(
+            params, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+            scenario.agent_aperture, anchor.aperture)
+        blocks.append(AnchorBlock(step, j, visible, params, variances))
+        terms.append((jac, channel_fim(order, visible, variances)))
+    return StepTruth(step, global_snapshot_fim(terms), tuple(blocks))
+
+
+def record_bytes(record):
+    """A truth record as bytes: equal bytes mean bit-identical arrays."""
+    return record.step, record.information.tobytes(), [
+        (b.step, b.anchor, b.components.astype(np.int64).tobytes(), b.params.tobytes(),
+         b.variances.tobytes()) for b in record.blocks]
+
+
+def sparse_desk():
+    """The desk with line-of-sight and single bounces only. In passes of six
+    steps, anchor 2's blank (steps 5-9), the all-anchor blanks (12-13, 40),
+    anchor 1's line-of-sight-only run (22-26) and anchor 2's missing second
+    wall (30-31) straddle pass boundaries, and the last pass (37-40) is
+    partial."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["visibility"] = {"default": False, "rules": [
+        {"visible": True, "components": [[s, s] for s in range(5)]},
+        {"visible": False, "anchors": [2], "steps": {"from": 5, "to": 9}},
+        {"visible": False, "steps": [12, 13, 40]},
+        {"visible": False, "anchors": [1], "components": [[s, s] for s in range(1, 5)],
+         "steps": {"from": 22, "to": 26}},
+        {"visible": False, "anchors": [2], "components": [[2, 2]], "steps": [30, 31]},
+    ]}
+    return scenario_from_mapping(mapping)
+
+
+class TestTruthPass:
+    @pytest.mark.parametrize("case", ["desk", "sparse"])
+    def test_table_does_not_depend_on_the_pass_size(self, case, monkeypatch):
+        """Passes of six steps, one pass over the whole run and one-step
+        passes (snapshot_fim) build the same truth records bit for bit, and
+        so do unbatched per-anchor passes on the visible components only."""
+        scenario = load_scenario(DESK_SCENARIO) if case == "desk" else sparse_desk()
+        truth = ground_truth(scenario)
+        assert pass_steps(scenario) >= scenario.n_steps
+        whole = measurement_truth(scenario, truth)
+        monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", 6 * step_bytes(scenario))
+        blocked = measurement_truth(scenario, truth)
+        assert [r.step for r in whole] == [r.step for r in blocked] == list(range(1, 41))
+        for a, b in zip(whole, blocked, strict=True):
+            expected = record_bytes(reference_record(scenario, truth[a.step], a.step))
+            assert record_bytes(a) == record_bytes(b) == expected
+            assert record_bytes(snapshot_fim(scenario, truth[a.step], a.step)) == expected
+        if case == "sparse":
+            sizes = [[len(block.components) for block in r.blocks] for r in whole]
+            assert sizes[5 - 1] == [5, 0] and sizes[12 - 1] == sizes[40 - 1] == [0, 0]
+            assert sizes[22 - 1] == [1, 5] and sizes[30 - 1] == [5, 4]
+
+    def test_earliest_step_is_named_before_a_lower_anchor(self):
+        """Anchor 1's line of sight reaches the agent array at endfire at step
+        12, and the agent stands on anchor 2 at step 10: one pass holds both,
+        and the error names step 10, anchor 2."""
+        mapping = straight_run(agent_aperture=ULA)
+        mapping["anchors"][0]["position"] = [1.7, 3.0]
+        mapping["anchors"][1]["position"] = [1.5, 0.8]
+        scenario = scenario_from_mapping(mapping)
+        assert pass_steps(scenario) >= scenario.n_steps
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^step 10, anchor 2, component \[0, 0\]: agent coincides"):
+            measurement_truth(scenario, ground_truth(scenario))
+        mapping["anchors"][1]["position"] = [6.0, 4.0]
+        scenario = scenario_from_mapping(mapping)
+        with pytest.raises(ZeroApertureError,
+                           match=r"^step 12, anchor 1, component \[0, 0\]: squared aperture"):
+            measurement_truth(scenario, ground_truth(scenario))
+
+    def test_degenerate_geometry_is_named_before_endfire_at_one_step(self):
+        """At step 10 the agent stands on anchor 1, whose bounce off the wall
+        y = 3 arrives at the agent array's endfire: the degenerate line of
+        sight is named."""
+        mapping = straight_run(agent_aperture=ULA, surfaces=[[0.0, 6.0]])
+        mapping["anchors"][0]["position"] = [1.5, 0.8]
+        scenario = scenario_from_mapping(mapping)
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^step 10, anchor 1, component \[0, 0\]: agent coincides"):
+            measurement_truth(scenario, ground_truth(scenario))
+        mapping["visibility"] = {"default": True, "rules": [
+            {"visible": False, "anchors": [1], "components": [[0, 0]], "steps": [10]}]}
+        scenario = scenario_from_mapping(mapping)
+        with pytest.raises(ZeroApertureError,
+                           match=r"^step 10, anchor 1, component \[1, 1\]: squared aperture"):
+            measurement_truth(scenario, ground_truth(scenario))
+
+    def test_hidden_degenerate_component_does_not_raise(self):
+        """The agent stands on anchor 2 at step 10, where the schedule hides
+        that anchor's line of sight; the pass that also holds the visible
+        line of sight of steps 9 and 11 leaves the hidden one out."""
+        mapping = straight_run()
+        mapping["anchors"][1]["position"] = [1.5, 0.8]
+        mapping["visibility"] = {"default": True, "rules": [
+            {"visible": False, "anchors": [2], "components": [[0, 0]], "steps": [10]}]}
+        scenario = scenario_from_mapping(mapping)
+        truth = ground_truth(scenario)
+        assert pass_steps(scenario) >= scenario.n_steps
+        table = measurement_truth(scenario, truth)
+        los = 0
+        assert [table[n - 1].blocks[1].components[0] for n in (9, 10, 11)] == [los, 1, los]
+        assert all(np.isfinite(r.information).all() for r in table)
+        assert record_bytes(table[9]) == record_bytes(reference_record(scenario, truth[10], 10))
 
 
 class TestMeasurements:
