@@ -291,7 +291,7 @@ def global_jacobian(
     unit_dep = dep / np.sqrt(dep_sq)
     unit_r = geo.va_to_agent / geo.params[..., :1]
     transfer = geo.chain @ rot_anchor
-    # a contiguous copy: numpy rounds a one-row product with a strided transpose differently
+    # copied contiguous: a strided transpose makes one component round unlike several
     aoa_col = -(az_arr @ np.swapaxes(rotation_matrix(agent.orientation), -1, -2).copy())
     position = np.stack([matvec2(transfer, unit_dep), aoa_col, matvec2(transfer, az_dep)],
                         axis=-3)

@@ -357,7 +357,7 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
     """
     order = scenario.order
     pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
-    total, columns, failures = 0.0, [], []
+    total, per_anchor, failures = 0.0, [], []
     for j, anchor in enumerate(scenario.anchors):
         shown = scenario.visibility.flags(j, steps).astype(bool)
         union = np.flatnonzero(shown.any(axis=0))
@@ -370,31 +370,31 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
             failures.append((b, j, comp, DegenerateGeometryError,
                              f"agent coincides with virtual anchor for path {comp.bounces}"))
             shown[b:] = False  # an earlier endfire aperture is still reported first
-        at, i = np.nonzero(shown)
-        entries = params[at, i]
-        amplitudes = scenario.amplitude_model.amplitude(entries[:, 0], order.n_bounces[union[i]])
+        at, k = np.nonzero(shown)  # visible entries: step and position in the union
+        entries = params[at, k]
+        amplitudes = scenario.amplitude_model.amplitude(entries[:, 0], order.n_bounces[union[k]])
         try:
             variances = measurement_variances(
                 entries, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
                 scenario.agent_aperture, anchor.aperture,
             )
         except ZeroApertureError as exc:
-            comp = order.components[union[i[exc.index]]]
+            comp = order.components[union[k[exc.index]]]
             failures.append((at[exc.index], j, comp, ZeroApertureError, exc))
         if failures:
             continue
         weights = np.full(shown.shape + (3,), np.inf)
-        weights[at, i] = variances
+        weights[at, k] = variances
         lam = channel_fim(order, union, weights)
         total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
         cuts = np.cumsum(shown.sum(axis=1))[:-1]
-        columns.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in
-                        zip(steps, shown, np.split(entries, cuts), np.split(variances, cuts))])
+        per_anchor.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in zip(
+            steps, shown, np.split(entries, cuts), np.split(variances, cuts))])
     if failures:
         b, j, comp, error, reason = min(failures, key=lambda failure: failure[0])
         raise error(f"step {steps[b]}, anchor {j + 1}, component {list(comp.pair)}: {reason}")
     information = 0.5 * (total + np.swapaxes(total, -1, -2))
-    return [StepTruth(int(n), information[b], tuple(column[b] for column in columns))
+    return [StepTruth(int(n), information[b], tuple(blocks[b] for blocks in per_anchor))
             for b, n in enumerate(steps)]
 
 
