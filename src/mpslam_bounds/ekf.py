@@ -113,8 +113,7 @@ def _linearize(
         residual = np.where(ok[..., None], block.params - params, 0.0)
         residual[..., 1:] = wrap_angle(residual[..., 1:])
         innovation = np.zeros(ok.shape[:-1] + (order.dim,))
-        innovation[..., np.add.outer([0, order.size, 2 * order.size], ks)] = np.swapaxes(
-            residual, -1, -2)
+        innovation[..., order.columns(ks)] = np.swapaxes(residual, -1, -2)
         variances = np.where(ok[..., None], block.variances, np.inf)
         terms.append((jac, channel_fim(order, ks, variances), innovation))
     return terms

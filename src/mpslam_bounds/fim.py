@@ -186,10 +186,11 @@ class ComponentOrder:
     """Canonical ordering of the path components observed by one anchor.
 
     Fixes the component set and its layout in the stacked channel parameter
-    vector: component k occupies entries k (distance), K + k
-    (arrival azimuth) and 2K + k (departure azimuth). The canonical order is
-    LOS first, then single bounces by ascending surface, then double bounces
-    lexicographically by (first, second) surface.
+    vector: component k occupies entries k (distance), K + k (arrival
+    azimuth) and 2K + k (departure azimuth), as :meth:`columns` gives them.
+    The canonical order is LOS first, then single bounces by ascending
+    surface, then double bounces lexicographically by (first, second)
+    surface.
     """
 
     def __init__(self, components: Sequence[PathComponent]):
@@ -234,6 +235,11 @@ class ComponentOrder:
     def dim(self) -> int:
         """Stacked channel parameter dimension 3K."""
         return 3 * len(self._components)
+
+    def columns(self, components: Sequence[int] | np.ndarray) -> np.ndarray:
+        """(3, n) entries of the listed components in the stacked channel
+        vector: their distances, arrival azimuths and departure azimuths."""
+        return np.add.outer([0, self.size, 2 * self.size], components)
 
     def __iter__(self):
         return iter(self._components)
@@ -281,7 +287,7 @@ def global_jacobian(
     ks = np.asarray(components, dtype=int)
     first, second = order.first[ks], order.second[ks]
     geo = path_geometry(agent, anchor, first, second, surfaces)
-    n_state, k_total = 5 + 2 * len(surfaces), order.size
+    n_state = 5 + 2 * len(surfaces)
     rot_anchor = rotation_matrix(anchor.orientation)
     dep, arr = geo.departure_local, geo.arrival_local
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
@@ -316,9 +322,9 @@ def global_jacobian(
                         matvec2(mirrored, az_dep[..., None, :, :])], axis=-4)
 
     jac = np.zeros(batch + (n_state + 2, order.dim))
-    cols = np.stack([ks, k_total + ks, 2 * k_total + ks])
+    cols = order.columns(ks)
     jac[..., 0:2, cols] = np.moveaxis(position, -1, -3)
-    jac[..., 4, k_total + ks] = -dot2(
+    jac[..., 4, cols[1]] = -dot2(
         geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
     )
     row_of = np.arange(3, n_state, 2)  # first state row of each surface
@@ -364,8 +370,7 @@ def channel_fim(
     if variances.ndim < 2 or variances.shape[-2:] != (ks.size, 3):
         raise ValueError("variances must hold one triple per listed component")
     diag = np.zeros(variances.shape[:-2] + (order.dim,))
-    diag[..., np.add.outer([0, order.size, 2 * order.size], ks)] = 1.0 / np.swapaxes(
-        variances, -1, -2)
+    diag[..., order.columns(ks)] = 1.0 / np.swapaxes(variances, -1, -2)
     return diag
 
 

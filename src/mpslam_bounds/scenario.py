@@ -4,8 +4,9 @@ A scenario bundles anchors, the surface map, signal parameters, the
 state-transition model, a ground-truth trajectory specification, an
 amplitude model, a per-component visibility schedule, the initial prior and
 Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
-the dataclass fields below exactly; unknown keys are rejected with the
-offending path so typos cannot silently change an experiment.
+the dataclass fields below exactly: one reader walks a section's fields, a
+missing key takes the field's own default, and unknown keys are rejected
+with the offending path so typos cannot silently change an experiment.
 
 The channel truth is evaluated once per scenario at the true poses: path
 geometry, gradient and measurement variances of the visible components, in
@@ -24,7 +25,7 @@ azimuth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -252,6 +253,7 @@ class Scenario:
         for j, anchor in enumerate(self.anchors):
             if anchor.aperture is None:
                 raise ValueError(f"anchor {j + 1} has no aperture model")
+        self.prior.surface_vars(len(self.surfaces))
         self.order = ComponentOrder.canonical(len(self.surfaces))
 
     @property
@@ -477,6 +479,8 @@ def _as_float(value, path: str) -> float:
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     try:
         result = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{path}: expected a number within the float range") from None
     except (TypeError, ValueError):
         raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
     if not math.isfinite(result):
@@ -492,7 +496,7 @@ def _as_int(value, path: str) -> int:
             if float(value) != int(float(value)):
                 raise ValueError
             value = int(float(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{path}: expected an integer, got {value!r}") from None
     return int(value)
 
@@ -517,68 +521,88 @@ def _take(node: dict, key: str, path: str, default=None, required: bool = False)
     return default
 
 
+def _as_floats(value, path: str) -> float | tuple[float, ...]:
+    """One number, or a list of numbers read as a tuple."""
+    if isinstance(value, list):
+        return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _as_float(value, path)
+
+
+# The reader of a section field, by its annotation (a string in these modules)
+_READERS = {
+    "float": _as_float,
+    "int": _as_int,
+    "np.ndarray": _as_vec2,
+    "float | np.ndarray": _as_float,  # AgentPose.orientation, unbatched
+    "float | tuple[float, ...]": _as_floats,  # PriorSpec.surface_var
+}
+
+APERTURE_KINDS = {"isotropic": IsotropicAperture, "ula": UniformLinearArray}
+
+
+def _make(cls, path: str, **kwargs):
+    """``cls(**kwargs)``, its ValueError reported at ``path``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _build(cls, node, path: str, **given):
+    """The dataclass ``cls`` read from the mapping at ``path``.
+
+    Each init field not ``given`` reads its key with the reader of its
+    annotation. A missing key takes the field's own default; a field without
+    one is required. Keys that name no field are rejected.
+    """
+    node = _require_mapping(node, path)
+    for f in fields(cls):
+        if not f.init or f.name in given:
+            continue
+        if f.name in node:
+            given[f.name] = _READERS[f.type](node.pop(f.name), f"{path}.{f.name}")
+        elif f.default is MISSING:
+            raise ScenarioError(f"{path}.{f.name}: missing required key")
+    _reject_unknown(node, path)
+    return _make(cls, path, **given)
+
+
 def _parse_aperture(node, path: str) -> ApertureModel:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
-    if kind == "isotropic":
-        d_squared = _as_float(_take(node, "d_squared", path, required=True), f"{path}.d_squared")
-        _reject_unknown(node, path)
-        try:
-            return IsotropicAperture(d_squared)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    if kind == "ula":
-        num = _as_int(_take(node, "num_elements", path, required=True), f"{path}.num_elements")
-        spacing = _as_float(
-            _take(node, "element_spacing", path, required=True), f"{path}.element_spacing"
-        )
-        broadside = _as_float(_take(node, "broadside", path, default=0.0), f"{path}.broadside")
-        _reject_unknown(node, path)
-        try:
-            return UniformLinearArray(num, spacing, broadside)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(f"{path}.kind: expected 'isotropic' or 'ula', got {kind!r}")
+    if not isinstance(kind, str) or kind not in APERTURE_KINDS:
+        kinds = " or ".join(map(repr, APERTURE_KINDS))
+        raise ScenarioError(f"{path}.kind: expected {kinds}, got {kind!r}")
+    return _build(APERTURE_KINDS[kind], node, path)
 
 
 def _parse_trajectory(node, path: str, time_step: float) -> TrajectorySpec:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
-    if n_steps < 1:
-        raise ScenarioError(f"{path}.n_steps: must be >= 1")
-    if kind == "waypoints":
-        raw_points = _take(node, "points", path, required=True)
-        _reject_unknown(node, path)
-        if not isinstance(raw_points, list) or len(raw_points) < 2:
-            raise ScenarioError(f"{path}.points: need at least two waypoints")
-        times, positions = [], []
-        for i, entry in enumerate(raw_points):
-            entry = _require_mapping(entry, f"{path}.points[{i}]")
-            times.append(_as_float(_take(entry, "time", f"{path}.points[{i}]", required=True),
-                                   f"{path}.points[{i}].time"))
-            positions.append(_as_vec2(_take(entry, "position", f"{path}.points[{i}]",
-                                            required=True), f"{path}.points[{i}].position"))
-            _reject_unknown(entry, f"{path}.points[{i}]")
-        try:
-            spec = WaypointTrajectory(n_steps=n_steps, times=np.array(times),
-                                      positions=np.array(positions))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-        try:
-            spec.check_horizon(time_step)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.points: {exc}") from None
-        return spec
     if kind == "sampled_ncv":
-        position = _as_vec2(_take(node, "position", path, required=True), f"{path}.position")
-        velocity = _as_vec2(_take(node, "velocity", path, required=True), f"{path}.velocity")
-        orientation = _as_float(_take(node, "orientation", path, default=0.0),
-                                f"{path}.orientation")
-        _reject_unknown(node, path)
-        initial = AgentPose(position=position, velocity=velocity, orientation=orientation)
-        return NcvTrajectory(n_steps=n_steps, initial=initial)
-    raise ScenarioError(f"{path}.kind: expected 'waypoints' or 'sampled_ncv', got {kind!r}")
+        return _make(NcvTrajectory, path, n_steps=n_steps, initial=_build(AgentPose, node, path))
+    if kind != "waypoints":
+        raise ScenarioError(f"{path}.kind: expected 'waypoints' or 'sampled_ncv', got {kind!r}")
+    raw_points = _take(node, "points", path, required=True)
+    _reject_unknown(node, path)
+    if not isinstance(raw_points, list) or len(raw_points) < 2:
+        raise ScenarioError(f"{path}.points: need at least two waypoints")
+    times, positions = [], []
+    for i, entry in enumerate(raw_points):
+        entry = _require_mapping(entry, f"{path}.points[{i}]")
+        times.append(_as_float(_take(entry, "time", f"{path}.points[{i}]", required=True),
+                               f"{path}.points[{i}].time"))
+        positions.append(_as_vec2(_take(entry, "position", f"{path}.points[{i}]",
+                                        required=True), f"{path}.points[{i}].position"))
+        _reject_unknown(entry, f"{path}.points[{i}]")
+    spec = _make(WaypointTrajectory, path, n_steps=n_steps, times=np.array(times),
+                 positions=np.array(positions))
+    try:
+        spec.check_horizon(time_step)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.points: {exc}") from None
+    return spec
 
 
 def _parse_steps(node, path: str, n_steps: int) -> tuple[int, ...] | None:
@@ -664,138 +688,39 @@ def scenario_from_mapping(root) -> Scenario:
     """Build a scenario from an already-parsed mapping (the file's structure)."""
     root = _require_mapping(root, "scenario")
 
-    raw_anchors = _take(root, "anchors", "scenario", required=True)
+    def section(key: str, required: bool = True, default=None) -> tuple:
+        """The node under the top-level ``key``, and its path."""
+        return _take(root, key, "scenario", default, required), f"scenario.{key}"
+
+    raw_anchors, _ = section("anchors")
     if not isinstance(raw_anchors, list) or not raw_anchors:
         raise ScenarioError("scenario.anchors: expected a non-empty list")
     anchors = []
     for i, raw in enumerate(raw_anchors):
         apath = f"scenario.anchors[{i}]"
         raw = _require_mapping(raw, apath)
-        position = _as_vec2(_take(raw, "position", apath, required=True), f"{apath}.position")
-        orientation = _as_float(_take(raw, "orientation", apath, default=0.0),
-                                f"{apath}.orientation")
         aperture = _parse_aperture(_take(raw, "aperture", apath, required=True),
                                    f"{apath}.aperture")
-        _reject_unknown(raw, apath)
-        anchors.append(Anchor(position=position, orientation=orientation, aperture=aperture))
+        anchors.append(_build(Anchor, raw, apath, aperture=aperture))
 
-    raw_surfaces = _take(root, "surfaces", "scenario", required=True)
+    raw_surfaces, _ = section("surfaces")
     if not isinstance(raw_surfaces, list) or not raw_surfaces:
         raise ScenarioError("scenario.surfaces: expected a non-empty list of [x, y] points")
     surface_points = [_as_vec2(p, f"scenario.surfaces[{i}]") for i, p in enumerate(raw_surfaces)]
-    try:
-        surfaces = SurfaceMap(np.array(surface_points))
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.surfaces: {exc}") from None
+    surfaces = _make(SurfaceMap, "scenario.surfaces", points=np.array(surface_points))
 
-    sig = _require_mapping(_take(root, "signal", "scenario", required=True), "scenario.signal")
-    try:
-        signal = SignalModel(
-            carrier_freq=_as_float(_take(sig, "carrier_freq", "scenario.signal", required=True),
-                                   "scenario.signal.carrier_freq"),
-            rms_bandwidth=_as_float(_take(sig, "rms_bandwidth", "scenario.signal", required=True),
-                                    "scenario.signal.rms_bandwidth"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.signal: {exc}") from None
-    _reject_unknown(sig, "scenario.signal")
-
-    mod = _require_mapping(_take(root, "model", "scenario", required=True), "scenario.model")
-    try:
-        model = StateSpaceModel(
-            time_step=_as_float(_take(mod, "time_step", "scenario.model", required=True),
-                                "scenario.model.time_step"),
-            num_surfaces=len(surfaces),
-            accel_noise_var=_as_float(_take(mod, "accel_noise_var", "scenario.model",
-                                            default=0.0), "scenario.model.accel_noise_var"),
-            orient_noise_var=_as_float(_take(mod, "orient_noise_var", "scenario.model",
-                                             default=0.0), "scenario.model.orient_noise_var"),
-            surface_noise_var=_as_float(_take(mod, "surface_noise_var", "scenario.model",
-                                              default=0.0), "scenario.model.surface_noise_var"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.model: {exc}") from None
-    _reject_unknown(mod, "scenario.model")
-
-    trajectory = _parse_trajectory(_take(root, "trajectory", "scenario", required=True),
-                                   "scenario.trajectory", model.time_step)
-
-    amp = _require_mapping(_take(root, "amplitude_model", "scenario", required=True),
-                           "scenario.amplitude_model")
-    try:
-        amplitude_model = AmplitudeModel(
-            reference_amplitude=_as_float(
-                _take(amp, "reference_amplitude", "scenario.amplitude_model", required=True),
-                "scenario.amplitude_model.reference_amplitude"),
-            bounce_loss=_as_float(_take(amp, "bounce_loss", "scenario.amplitude_model",
-                                        default=0.5), "scenario.amplitude_model.bounce_loss"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.amplitude_model: {exc}") from None
-    _reject_unknown(amp, "scenario.amplitude_model")
-
-    pri = _require_mapping(_take(root, "prior", "scenario", default={}), "scenario.prior")
-    raw_surface_var = _take(pri, "surface_var", "scenario.prior", default=100.0)
-    if isinstance(raw_surface_var, list):
-        surface_var = tuple(
-            _as_float(v, f"scenario.prior.surface_var[{i}]")
-            for i, v in enumerate(raw_surface_var)
-        )
-        if len(surface_var) != len(surfaces):
-            raise ScenarioError(
-                f"scenario.prior.surface_var: expected {len(surfaces)} entries, "
-                f"got {len(surface_var)}"
-            )
-    else:
-        surface_var = _as_float(raw_surface_var, "scenario.prior.surface_var")
-    try:
-        prior = PriorSpec(
-            position_var=_as_float(_take(pri, "position_var", "scenario.prior", default=1.0),
-                                   "scenario.prior.position_var"),
-            velocity_var=_as_float(_take(pri, "velocity_var", "scenario.prior", default=1.0),
-                                   "scenario.prior.velocity_var"),
-            orientation_var=_as_float(
-                _take(pri, "orientation_var", "scenario.prior",
-                      default=DEFAULT_ORIENTATION_PRIOR_VAR),
-                "scenario.prior.orientation_var"),
-            surface_var=surface_var,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.prior: {exc}") from None
-    _reject_unknown(pri, "scenario.prior")
-
-    mc_node = _require_mapping(_take(root, "mc", "scenario", required=True), "scenario.mc")
-    try:
-        mc = MonteCarloConfig(
-            runs=_as_int(_take(mc_node, "runs", "scenario.mc", required=True),
-                         "scenario.mc.runs"),
-            seed=_as_int(_take(mc_node, "seed", "scenario.mc", required=True),
-                         "scenario.mc.seed"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.mc: {exc}") from None
-    _reject_unknown(mc_node, "scenario.mc")
-
-    agent_aperture = _parse_aperture(_take(root, "agent_aperture", "scenario", required=True),
-                                     "scenario.agent_aperture")
-
+    signal = _build(SignalModel, *section("signal"))
+    model = _build(StateSpaceModel, *section("model"), num_surfaces=len(surfaces))
+    trajectory = _parse_trajectory(*section("trajectory"), model.time_step)
+    amplitude_model = _build(AmplitudeModel, *section("amplitude_model"))
+    prior = _build(PriorSpec, *section("prior", False, {}))
+    mc = _build(MonteCarloConfig, *section("mc"))
+    agent_aperture = _parse_aperture(*section("agent_aperture"))
     order = ComponentOrder.canonical(len(surfaces))
-    visibility = _parse_visibility(_take(root, "visibility", "scenario"), "scenario.visibility",
-                                   len(anchors), trajectory.n_steps, order)
+    visibility = _parse_visibility(*section("visibility", False), len(anchors),
+                                   trajectory.n_steps, order)
     _reject_unknown(root, "scenario")
 
-    try:
-        return Scenario(
-            anchors=anchors,
-            surfaces=surfaces,
-            signal=signal,
-            model=model,
-            trajectory=trajectory,
-            amplitude_model=amplitude_model,
-            visibility=visibility,
-            prior=prior,
-            mc=mc,
-            agent_aperture=agent_aperture,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return _make(Scenario, "scenario", anchors=anchors, surfaces=surfaces, signal=signal,
+                 model=model, trajectory=trajectory, amplitude_model=amplitude_model,
+                 visibility=visibility, prior=prior, mc=mc, agent_aperture=agent_aperture)

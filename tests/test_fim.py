@@ -132,6 +132,8 @@ class TestComponentOrder:
             diag = channel_fim(order, [k], [(1.0, 0.5, 0.25)])
             assert np.flatnonzero(diag).tolist() == [k, k_total + k, 2 * k_total + k]
             assert diag[[k, k_total + k, 2 * k_total + k]].tolist() == [1.0, 2.0, 4.0]
+        assert order.columns([0, 4]).tolist() == [[0, 4], [k_total, k_total + 4],
+                                                  [2 * k_total, 2 * k_total + 4]]
 
     def test_duplicate_components_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Scenario loading, trajectories, visibility and measurement generation."""
 
 import math
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,18 +11,24 @@ import yaml
 
 import mpslam_bounds.scenario as scenario_module
 from mpslam_bounds.fim import (
+    IsotropicAperture,
+    UniformLinearArray,
     ZeroApertureError,
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
     measurement_variances,
 )
-from mpslam_bounds.geometry import AgentPose, DegenerateGeometryError
+from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError
 from mpslam_bounds.pcrlb import StateSpaceModel
 from mpslam_bounds.scenario import (
+    AmplitudeModel,
     AnchorBlock,
+    MonteCarloConfig,
     NcvTrajectory,
+    PriorSpec,
     ScenarioError,
+    SignalModel,
     StepTruth,
     WaypointTrajectory,
     draw_measurements,
@@ -35,6 +43,65 @@ from mpslam_bounds.streams import derive_run_stream
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
+
+
+def minimal_mapping(sampled=False):
+    """A scenario mapping with every optional key left out. Anchor 1 has an
+    isotropic aperture, anchor 2 a linear array; the trajectory follows
+    waypoints, or is sampled from the motion model."""
+    if sampled:
+        trajectory = {"kind": "sampled_ncv", "n_steps": 20, "position": [1.0, 1.0],
+                      "velocity": [1.5, 0.75]}
+    else:
+        trajectory = {"kind": "waypoints", "n_steps": 20,
+                      "points": [{"time": 0.0, "position": [1.0, 1.0]},
+                                 {"time": 2.0, "position": [4.0, 2.5]}]}
+    return {
+        "anchors": [
+            {"position": [0.0, 0.0], "aperture": {"kind": "isotropic", "d_squared": 0.005}},
+            {"position": [6.0, 4.0],
+             "aperture": {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}},
+        ],
+        "agent_aperture": {"kind": "isotropic", "d_squared": 0.005},
+        "surfaces": [[10.0, 0.0]],
+        "signal": {"carrier_freq": 6.0e9, "rms_bandwidth": 2.0e8},
+        "model": {"time_step": 0.1},
+        "trajectory": trajectory,
+        "amplitude_model": {"reference_amplitude": 30.0},
+        "mc": {"runs": 2, "seed": 7},
+    }
+
+
+# Every required key, as a dotted path into minimal_mapping() plus one
+# visibility rule (list entries by index); the sampled trajectory's own keys
+# are read from minimal_mapping(sampled=True).
+REQUIRED_KEYS = [
+    "anchors", "agent_aperture", "surfaces", "signal", "model", "trajectory",
+    "amplitude_model", "mc",
+    "anchors.0.position", "anchors.0.aperture", "anchors.0.aperture.kind",
+    "anchors.0.aperture.d_squared", "anchors.1.aperture.num_elements",
+    "anchors.1.aperture.element_spacing",
+    "agent_aperture.kind", "agent_aperture.d_squared",
+    "signal.carrier_freq", "signal.rms_bandwidth",
+    "model.time_step",
+    "trajectory.kind", "trajectory.n_steps", "trajectory.points",
+    "trajectory.points.0.time", "trajectory.points.0.position",
+    "amplitude_model.reference_amplitude",
+    "mc.runs", "mc.seed",
+    "visibility.rules.0.visible",
+]
+SAMPLED_REQUIRED_KEYS = ["trajectory.position", "trajectory.velocity"]
+
+
+def assert_fields_equal(actual, expected):
+    """Dataclasses with array fields, compared field by field."""
+    assert type(actual) is type(expected)
+    for f in fields(expected):
+        value, wanted = getattr(actual, f.name), getattr(expected, f.name)
+        if is_dataclass(wanted):
+            assert_fields_equal(value, wanted)
+        else:
+            np.testing.assert_array_equal(value, wanted)
 
 
 class TestLoader:
@@ -58,17 +125,62 @@ class TestLoader:
         with pytest.raises(ScenarioError, match="signal.bogus"):
             scenario_from_mapping(mapping)
 
-    def test_missing_required_key_reported(self):
-        mapping = desk_mapping()
-        del mapping["signal"]
-        with pytest.raises(ScenarioError, match="signal"):
+    @pytest.mark.parametrize("dotted", REQUIRED_KEYS + SAMPLED_REQUIRED_KEYS)
+    def test_missing_required_key_reported(self, dotted):
+        mapping = minimal_mapping(sampled=dotted in SAMPLED_REQUIRED_KEYS)
+        mapping["visibility"] = {"rules": [{"visible": True}]}
+        *parents, key = dotted.split(".")
+        node = mapping
+        for part in parents:
+            node = node[int(part) if part.isdigit() else part]
+        del node[key]
+        path = re.sub(r"\.(\d+)", r"[\1]", f"scenario.{dotted}")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: missing required key$"):
             scenario_from_mapping(mapping)
 
-    @pytest.mark.parametrize("section, key", [("trajectory", "n_steps"),
-                                              ("signal", "carrier_freq")])
-    def test_yaml_boolean_is_not_a_number(self, section, key):
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        waypoints = scenario_from_mapping(minimal_mapping())
+        sampled = scenario_from_mapping(minimal_mapping(sampled=True))
+        for scenario in (waypoints, sampled):
+            assert scenario.signal == SignalModel(carrier_freq=6.0e9, rms_bandwidth=2.0e8)
+            assert scenario.model == StateSpaceModel(time_step=0.1, num_surfaces=1)
+            assert scenario.amplitude_model == AmplitudeModel(reference_amplitude=30.0)
+            assert scenario.prior == PriorSpec()
+            assert scenario.mc == MonteCarloConfig(runs=2, seed=7)
+            assert scenario.agent_aperture == IsotropicAperture(d_squared=0.005)
+            assert_fields_equal(scenario.anchors[0], Anchor(
+                position=[0.0, 0.0], aperture=IsotropicAperture(d_squared=0.005)))
+            assert_fields_equal(scenario.anchors[1], Anchor(
+                position=[6.0, 4.0],
+                aperture=UniformLinearArray(num_elements=4, element_spacing=0.025)))
+            assert all(scenario.visibility.flags(j, n).all()
+                       for j in range(2) for n in range(1, 21))
+        assert_fields_equal(sampled.trajectory, NcvTrajectory(
+            n_steps=20, initial=AgentPose(position=[1.0, 1.0], velocity=[1.5, 0.75])))
+
+    def test_every_section_field_has_a_reader(self):
+        """A section field whose annotation has no reader fails here, not
+        when a file sets it; the loader supplies the ``given`` fields."""
+        given = {StateSpaceModel: {"num_surfaces"}, Anchor: {"aperture"}}
+        sections = [SignalModel, StateSpaceModel, AmplitudeModel, PriorSpec, MonteCarloConfig,
+                    Anchor, AgentPose, *scenario_module.APERTURE_KINDS.values()]
+        for cls in sections:
+            for f in fields(cls):
+                if f.init and f.name not in given.get(cls, ()):
+                    assert f.type in scenario_module._READERS, (cls.__name__, f.name, f.type)
+
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("trajectory", "n_steps", True, id="trajectory-n_steps"),
+        pytest.param("signal", "carrier_freq", True, id="signal-carrier_freq"),
+        pytest.param("mc", "runs", math.inf, id="mc-runs-inf"),
+        pytest.param("trajectory", "n_steps", math.inf, id="trajectory-n_steps-inf"),
+        pytest.param("signal", "carrier_freq", 10**400, id="signal-carrier_freq-400-digits"),
+    ])
+    def test_yaml_boolean_is_not_a_number(self, section, key, value):
+        """Booleans, an infinite integer and an integer too large for a
+        float are rejected naming the field."""
         mapping = desk_mapping()
-        mapping[section][key] = True
+        mapping[section][key] = value
         with pytest.raises(ScenarioError, match=f"{section}.{key}"):
             scenario_from_mapping(mapping)
 
