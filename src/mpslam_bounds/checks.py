@@ -216,7 +216,7 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
             variances = measurement_variances(
                 params, 2.0 / params[:, 0], 6e9, 1e8, aperture, aperture
             )
-            terms.append((jac, channel_fim(order, visible, variances)))
+            terms.append((jac, channel_fim(variances)))
         if len(terms) != 2:
             continue
         single = global_snapshot_fim(terms[:1])

@@ -8,21 +8,22 @@ nine significant digits, so identical invocations produce byte-identical
 files.
 
 Exit codes: 0 success, 2 configuration errors (message names the offending
-field), 3 numerical failures (singular information, degenerate true
-geometry, endfire aperture, failed run), 4 failed
-self-check (each violated invariant is listed).
+field), 3 numerical failures (singular or non-finite information, degenerate
+true geometry, endfire aperture, failed run, a non-finite CSV value), 4
+failed self-check (each violated invariant is listed).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .checks import run_self_check
 from .ekf import MonteCarloResult, run_monte_carlo
 from .fim import ZeroApertureError
 from .geometry import DegenerateGeometryError
-from .pcrlb import BoundRecord, SingularFimError, run_recursion
+from .pcrlb import BoundRecord, run_recursion  # its SingularFimError is a RuntimeError
 from .scenario import (
     MonteCarloConfig, ScenarioError, ground_truth, load_scenario, measurement_truth,
 )
@@ -43,6 +44,7 @@ def _fmt(value: float) -> str:
 
 
 def _csv_lines(bounds: list[BoundRecord], result: MonteCarloResult | None) -> list[str]:
+    """The CSV rows; a non-finite value raises FloatingPointError."""
     num_surfaces = bounds[0].meb.shape[0]
     header = ["n", "peb", "veb", "oeb"]
     header += [f"meb_{s}" for s in range(1, num_surfaces + 1)]
@@ -51,16 +53,14 @@ def _csv_lines(bounds: list[BoundRecord], result: MonteCarloResult | None) -> li
         header += [f"maperr_{s}" for s in range(1, num_surfaces + 1)]
     lines = [",".join(header)]
     for i, rec in enumerate(bounds):
-        row = [str(rec.step), _fmt(rec.peb), _fmt(rec.veb), _fmt(rec.oeb)]
-        row += [_fmt(v) for v in rec.meb]
+        row = [rec.peb, rec.veb, rec.oeb, *rec.meb]
         if result is not None:
-            row += [
-                _fmt(result.rmse_position[i]),
-                _fmt(result.rmse_velocity[i]),
-                _fmt(result.rmse_orientation[i]),
-            ]
-            row += [_fmt(v) for v in result.rmse_map[i]]
-        lines.append(",".join(row))
+            row += [result.rmse_position[i], result.rmse_velocity[i],
+                    result.rmse_orientation[i], *result.rmse_map[i]]
+        for column, value in zip(header[1:], row):
+            if not math.isfinite(value):
+                raise FloatingPointError(f"step {rec.step}: {column} is not finite ({value})")
+        lines.append(",".join([str(rec.step)] + [_fmt(v) for v in row]))
     return lines
 
 
@@ -163,12 +163,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             result = run_monte_carlo(scenario)
             bounds = result.bounds
-    except (SingularFimError, RuntimeError, DegenerateGeometryError, ZeroApertureError) as exc:
+        lines = _csv_lines(bounds, result)
+    except (RuntimeError, DegenerateGeometryError, ZeroApertureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
     try:
-        _write_csv(_csv_lines(bounds, result), args.out)
+        _write_csv(lines, args.out)
     except OSError as exc:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2

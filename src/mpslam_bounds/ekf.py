@@ -13,8 +13,8 @@ assumptions under which the bound holds, so the filter's error is expected
 to approach the bound at high SNR.
 
 The Monte-Carlo runs are filtered as one batch that advances in lockstep:
-R runs hold (R, N) means and (R, N, N) covariances, and each measured
-(step, anchor) is linearized by one gradient pass for all of them. The
+R runs hold (R, N) means and (R, N, N) covariances, and each measured step
+is linearized by one gradient pass for all of them and all anchors. The
 predict and update steps also take a single unbatched state. Each run
 draws its initial estimate around the true initial state from the scenario
 prior (so the run ensemble is consistent with the prior the recursion
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .fim import channel_fim, global_jacobian, global_snapshot_fim
-from .geometry import AgentPose, SurfaceMap, dot2, wrap_angle
+from .geometry import AgentPose, Anchor, SurfaceMap, dot2, wrap_angle
 from .pcrlb import (
     BoundRecord, SingularFimError, _spd_inverse, invert_posterior, process_noise_cov,
     run_recursion, transition_matrix,
@@ -75,48 +75,48 @@ def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) 
 
 def _linearize(
     mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Measurement model linearization at the current mean, per batch entry.
 
-    Returns per measured anchor (ascending) its (..., N, 3K) gradient
-    matrix, its (..., 3K) channel information (:func:`~.fim.channel_fim` of
-    the variances the block was drawn with) and its (..., 3K) innovation,
-    angle entries wrapped. A component whose geometry cannot be evaluated at
-    an entry's estimate gets zero information (an infinite variance) and
-    zero innovation in that entry, with a diagnostic.
+    One channel pass over every measured path of the step, all anchors at
+    once. Returns, in the compact layout of the n paths, the (..., N, 3n)
+    gradient, the (..., 3n) channel information of the variances the blocks
+    were drawn with and the (..., 3n) innovation, angles wrapped; None when
+    nothing was measured. A path whose geometry cannot be evaluated at an
+    entry's estimate gets zero information and innovation there, with a
+    diagnostic.
     """
+    blocks = [block for block in blocks if block.components.size]
+    if not blocks:
+        return None
     pose = AgentPose.from_state(mean[..., :5])
     raw_points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
     usable = np.linalg.norm(raw_points, axis=-1) > _SURFACE_NORM_FLOOR
     usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
     surfaces = SurfaceMap(np.where(usable[..., 1:, None], raw_points, [1.0, 0.0]))
-    order = scenario.order
+    order, anchors = scenario.order, scenario.anchors
 
-    terms = []
-    for block in blocks:
-        ks = block.components
-        if not ks.size:
-            continue
-        near_origin = ~(usable[..., order.first[ks]] & usable[..., order.second[ks]])
-        params, degenerate, jac = global_jacobian(
-            pose, scenario.anchors[block.anchor], order, surfaces, ks
+    ks = np.concatenate([block.components for block in blocks])
+    owner = np.concatenate([np.full(block.components.size, block.anchor) for block in blocks])
+    sources = Anchor(np.array([a.position for a in anchors])[owner],
+                     np.array([a.orientation for a in anchors])[owner])
+    near_origin = ~(usable[..., order.first[ks]] & usable[..., order.second[ks]])
+    params, degenerate, jac = global_jacobian(pose, sources, order, surfaces, ks)
+    ok = ~(near_origin | degenerate)
+    for *entry, i in np.argwhere(~ok):
+        log.warning(
+            "step %d anchor %d%s: %s, skipping component %s", blocks[0].step, owner[i] + 1,
+            "".join(f", batch entry {e}" for e in entry),
+            "surface estimate near origin" if near_origin[(*entry, i)] else
+            "agent coincides with virtual anchor", order.components[ks[i]].bounces,
         )
-        ok = ~(near_origin | degenerate)
-        for *entry, i in np.argwhere(~ok):
-            log.warning(
-                "step %d anchor %d%s: %s, skipping component %s", block.step, block.anchor + 1,
-                "".join(f", batch entry {e}" for e in entry),
-                "surface estimate near origin" if near_origin[(*entry, i)] else
-                "agent coincides with virtual anchor", order.components[ks[i]].bounces,
-            )
-        residual = np.where(ok[..., None], block.params - params, 0.0)
-        residual[..., 1:] = wrap_angle(residual[..., 1:])
-        innovation = np.zeros(ok.shape[:-1] + (order.dim,))
-        innovation[..., order.columns(ks)] = np.swapaxes(residual, -1, -2)
-        variances = np.where(ok[..., None], block.variances, np.inf)
-        terms.append((jac, channel_fim(order, ks, variances), innovation))
-    return terms
+    observed = np.concatenate([block.params for block in blocks], axis=-2)
+    residual = np.where(ok[..., None], observed - params, 0.0)
+    residual[..., 1:] = wrap_angle(residual[..., 1:])
+    innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (3 * ks.size,))
+    variances = np.concatenate([block.variances for block in blocks])
+    return jac, channel_fim(np.where(ok[..., None], variances, np.inf)), innovation
 
 
 def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
@@ -124,20 +124,20 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
 
     ``blocks`` holds the step's measured anchor blocks (see
     :func:`~.scenario.draw_measurements`), with a leading run axis on their
-    parameters for a batched state. As in the bound recursion,
-    J = P^{-1} + sum_j H_j Lambda_j H_j^T (here at the predicted mean) and
-    P_post = J^{-1}; the mean moves by P_post sum_j H_j Lambda_j nu_j. A
-    singular J raises :class:`~.pcrlb.SingularFimError` whose ``index`` is
-    the first failing batch entry.
+    parameters for a batched state. As in the bound recursion, J = P^{-1} +
+    H Lambda H^T at the predicted mean and P_post = J^{-1}; the mean moves by
+    P_post H Lambda nu. A singular J raises :class:`~.pcrlb.SingularFimError`
+    whose ``index`` is the first failing batch entry.
     """
-    terms = _linearize(state.mean, blocks, scenario)
-    if not terms:
+    linear = _linearize(state.mean, blocks, scenario)
+    if linear is None:
         return state
+    jac, lam, innovation = linear
     step = blocks[0].step
     j_post = _spd_inverse(state.cov, f"step {step}: predicted covariance")
-    j_post += global_snapshot_fim([(jac, lam) for jac, lam, _ in terms])
+    j_post += global_snapshot_fim([(jac, lam)])
     cov = invert_posterior(j_post, step)
-    pull = sum(jac @ (lam * innovation)[..., None] for jac, lam, innovation in terms)
+    pull = jac @ (lam * innovation)[..., None]
     mean = state.mean + (cov @ pull)[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
     return EkfState(mean=mean, cov=cov)

@@ -9,20 +9,21 @@ The joint state of dimension N = 5 + 2S stacks
 at 5 + 2*(s-1)). Each anchor observes, per path component, a distance, an
 arrival azimuth (agent frame) and a departure azimuth (anchor frame); the
 noise variances follow from the component amplitude, the signal bandwidth
-and carrier, and the array apertures. With K components per anchor, the
-per-anchor channel parameter vector stacks the K distances, then the K
-arrival azimuths, then the K departure azimuths (3K entries).
+and carrier, and the array apertures.
 
-Per anchor j this module builds
+A channel pass lists n paths, each a component seen from its own anchor, in
+the compact layout: the n distances, then the n arrival azimuths, then the n
+departure azimuths (3n entries). Over those paths this module builds
 
-* the diagonal channel information ``lambda_j`` (length 3K), built by
-  :func:`channel_fim` from the measurement variances of the visible
-  components: each entry is 1 / variance, and zero for an absent component,
-* the gradient matrix ``H_j`` of shape (N, 3K) whose column i is the
-  gradient of channel parameter i w.r.t. the joint state, built by
-  :func:`global_jacobian` in one batched pass over the visible components,
+* the gradient matrix ``H`` (N, 3n), column i the gradient of channel
+  parameter i w.r.t. the joint state (:func:`global_jacobian`),
+* the diagonal channel information ``lambda`` (3n), 1 / variance of each
+  parameter and zero for an infinite one (:func:`channel_fim`),
 
-and accumulates the snapshot information ``sum_j H_j diag(lambda_j) H_j^T``.
+and sums the snapshot information ``H diag(lambda) H^T``. The filter lists
+every measured path of a step, all anchors at once; the truth pass lists one
+anchor's components and scatters them into its 3K columns for K components
+(:meth:`ComponentOrder.columns`).
 Velocity rows are identically zero: a single snapshot carries no velocity
 information. The orientation row is nonzero only in the arrival-azimuth
 block, where every entry equals -1 in the plane.
@@ -258,16 +259,18 @@ def global_jacobian(
     surfaces: SurfaceMap,
     components: Sequence[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel parameters and their (N, 3K) gradient w.r.t. the joint state.
+    """Channel parameters and their (N, 3n) gradient w.r.t. the joint state.
 
-    Resolves the components with the given indices into ``order`` in one
-    batched pass (:func:`~.geometry.path_geometry`). Returns their (n, 3)
-    channel parameters, their degenerate-geometry mask and the gradient
-    matrix, whose column i holds the gradient of channel parameter i;
-    columns of unlisted or degenerate components are zero. A batched agent
-    pose (one entry per Monte-Carlo run or per step of a truth pass) adds
-    its leading axes to all three; the surface map is shared or batched
-    alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
+    Resolves the n paths of the components with the given indices into
+    ``order`` in one batched pass (:func:`~.geometry.path_geometry`), from
+    one anchor or from a stack of n anchors, one per path. Returns their
+    (n, 3) channel parameters, their degenerate-geometry mask and the
+    gradient matrix in the compact layout: column i, n + i and 2n + i hold
+    the gradients of path i's distance, arrival and departure azimuth;
+    columns of degenerate paths are zero. A batched agent pose (one entry per
+    Monte-Carlo run or per step of a truth pass) adds its leading axes to all
+    three; the surface map is shared or batched alike (per-run estimates, see
+    :class:`~.geometry.SurfaceMap`).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -287,7 +290,7 @@ def global_jacobian(
     ks = np.asarray(components, dtype=int)
     first, second = order.first[ks], order.second[ks]
     geo = path_geometry(agent, anchor, first, second, surfaces)
-    n_state = 5 + 2 * len(surfaces)
+    n_state, n = 5 + 2 * len(surfaces), ks.size
     rot_anchor = rotation_matrix(anchor.orientation)
     dep, arr = geo.departure_local, geo.arrival_local
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
@@ -307,7 +310,7 @@ def global_jacobian(
     # the slot, the mirrored vector's the agent folded over those after it;
     # the later mirrors act on each block through their Householders.
     batch = geo.params.shape[:-2]
-    ends = np.empty(batch + (2, 2, len(ks), 2))  # (direct source, mirrored sink) x slot
+    ends = np.empty(batch + (2, 2, n, 2))  # (direct source, mirrored sink) x slot
     ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = anchor.position, geo.anchor_once
     ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, agent.position[..., None, :]
     slot, none = np.stack([first, second]), np.zeros_like(first)
@@ -321,17 +324,17 @@ def global_jacobian(
                         matvec2(direct, aoa_col[..., None, :, :]),
                         matvec2(mirrored, az_dep[..., None, :, :])], axis=-4)
 
-    jac = np.zeros(batch + (n_state + 2, order.dim))
-    cols = order.columns(ks)
-    jac[..., 0:2, cols] = np.moveaxis(position, -1, -3)
-    jac[..., 4, cols[1]] = -dot2(
+    jac = np.zeros(batch + (n_state + 2, 3 * n))
+    jac[..., 0:2, :] = np.moveaxis(position, -1, -3).reshape(batch + (2, 3 * n))
+    jac[..., 4, n:2 * n] = -dot2(
         geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
     )
     row_of = np.arange(3, n_state, 2)  # first state row of each surface
     row_of[0] = n_state
-    jac[..., row_of[slot][None, :, :, None] + [0, 1], cols[:, None, :, None]] = surface
+    cols = np.arange(3 * n).reshape(3, 1, n, 1)
+    jac[..., row_of[slot][None, :, :, None] + [0, 1], cols] = surface
     if geo.degenerate.any():
-        jac[..., cols] = np.where(geo.degenerate[..., None, None, :], 0.0, jac[..., cols])
+        jac = np.where(np.tile(geo.degenerate, 3)[..., None, :], 0.0, jac)
     return geo.params, geo.degenerate, jac[..., :n_state, :]
 
 
@@ -353,47 +356,42 @@ def _reflection_source_blocks(
             - np.eye(2))
 
 
-def channel_fim(
-    order: ComponentOrder, components: Sequence[int] | np.ndarray, variances: np.ndarray
-) -> np.ndarray:
-    """Diagonal per-anchor channel information, returned as a length-3K vector.
+def channel_fim(variances: np.ndarray) -> np.ndarray:
+    """Diagonal channel information of n paths in the compact layout.
 
-    ``components`` lists the indices (into ``order``) of the present
-    components and ``variances`` their (n, 3) (distance, arrival-azimuth,
+    ``variances`` holds the paths' (..., n, 3) (distance, arrival-azimuth,
     departure-azimuth) measurement variances (see
-    :func:`measurement_variances`). Each entry is 1 / variance; exactly zero
-    for absent components and for an infinite variance. Leading axes of
-    ``variances`` (one triple set per batch entry) lead the result.
+    :func:`measurement_variances`); returns the (..., 3n) vector of
+    1 / variance, the n distances first, then the arrival and the departure
+    azimuths, as :func:`global_jacobian` lays out its columns. An infinite
+    variance (an absent path) gives exactly zero.
     """
-    ks = np.asarray(components, dtype=int)
     variances = np.asarray(variances, dtype=float)
-    if variances.ndim < 2 or variances.shape[-2:] != (ks.size, 3):
-        raise ValueError("variances must hold one triple per listed component")
-    diag = np.zeros(variances.shape[:-2] + (order.dim,))
-    diag[..., order.columns(ks)] = 1.0 / np.swapaxes(variances, -1, -2)
-    return diag
+    if variances.ndim < 2 or variances.shape[-1] != 3:
+        raise ValueError("variances must hold one triple per listed path")
+    return 1.0 / np.swapaxes(variances, -1, -2).reshape(variances.shape[:-2] + (-1,))
 
 
 def global_snapshot_fim(
-    anchor_terms: Sequence[tuple[np.ndarray, np.ndarray]],
+    terms: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Accumulate the snapshot information sum_j H_j Lambda_j H_j^T.
+    """Accumulate the snapshot information sum H Lambda H^T over terms.
 
-    ``anchor_terms`` holds per anchor the (N, 3K) gradient matrix and the
-    length-3K diagonal channel information, or (..., N, 3K) and (..., 3K)
-    stacks with one entry per batch entry. Anchors are summed in the given
-    order so the floating point result is reproducible. Symmetric positive
-    semidefinite.
+    Each term holds an (N, m) gradient matrix and its length-m diagonal
+    channel information (the compact layout of one channel pass), or
+    (..., N, m) and (..., m) stacks with one entry per batch entry. Terms are
+    summed in the given order so the floating point result is reproducible.
+    Symmetric positive semidefinite.
     """
-    if not anchor_terms:
-        raise ValueError("at least one anchor term is required")
-    dim_state = anchor_terms[0][0].shape[-2]
+    if not terms:
+        raise ValueError("at least one term is required")
+    dim_state = terms[0][0].shape[-2]
     total = 0.0
-    for jac, lam in anchor_terms:
+    for jac, lam in terms:
         lam = np.asarray(lam, dtype=float)
         if jac.shape[-2] != dim_state:
-            raise ValueError("inconsistent state dimensions across anchors")
+            raise ValueError("inconsistent state dimensions across terms")
         if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
-            raise ValueError("channel information must be a length-3K vector")
+            raise ValueError("channel information must hold one entry per gradient column")
         total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
     return 0.5 * (total + np.swapaxes(total, -1, -2))

@@ -149,17 +149,21 @@ class SurfaceMap:
 
 @dataclass
 class Anchor:
-    """Fixed transceiver with known position, orientation and array aperture."""
+    """Fixed transceiver with known position, orientation and array aperture;
+    a stack of n anchors (one per path) holds (n, 2) and (n,) arrays."""
 
     position: np.ndarray
-    orientation: float = 0.0
+    orientation: float | np.ndarray = 0.0
     aperture: "ApertureModel | None" = None
 
     def __post_init__(self):
-        self.position = _as_vec2(self.position, "anchor position")
-        if not math.isfinite(self.orientation):
+        self.position = _as_vec2(self.position, "anchor position", batched=True)
+        orientation = np.asarray(self.orientation, dtype=float)
+        if self.position.ndim > 2 or self.position.shape != orientation.shape + (2,):
+            raise ValueError("anchor position and orientation shapes differ")
+        if not np.all(np.isfinite(orientation)):
             raise ValueError("anchor orientation must be finite")
-        self.orientation = wrap_angle(float(self.orientation))
+        self.orientation = wrap_angle(orientation)
 
 
 @dataclass
@@ -230,10 +234,6 @@ class PathComponent:
         return cls((int(first), int(second)))
 
     @property
-    def is_los(self) -> bool:
-        return not self.bounces
-
-    @property
     def n_bounces(self) -> int:
         return len(self.bounces)
 
@@ -274,8 +274,8 @@ def path_geometry(
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
     The agent pose may carry leading batch axes (one entry per Monte-Carlo
-    run or per step), and the surface map the same ones or none; the anchor
-    and the paths are shared.
+    run or per step), and the surface map the same ones or none; the paths
+    are shared, and so is the anchor unless it stacks one per path.
     Instead of raising, it flags as ``degenerate`` each path whose
     virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
     local frame) is not longer than ``DEGENERACY_EPS``: the agent coincides
@@ -284,12 +284,15 @@ def path_geometry(
     houses, points = surfaces.householders, surfaces.padded_points
     h1, h2 = houses[..., first, :, :], houses[..., second, :, :]
     p1, p2 = points[..., first, :], points[..., second, :]
-    anchor_once = h1 @ anchor.position + p1
+    rot_anchor = rotation_matrix(anchor.orientation)
+    # a single anchor keeps its matrix products: they round unlike the stacked form
+    single = anchor.position.ndim == 1
+    anchor_once = (h1 @ anchor.position if single else matvec2(h1, anchor.position)) + p1
     # one agent position per batch entry, applied to each of its n paths
     agent_once = (h2 @ agent.position[..., None, :, None])[..., 0] + p2
     r = agent.position[..., None, :] - (matvec2(h2, anchor_once) + p2)
     r_t = matvec2(h1, agent_once) + p1 - anchor.position
-    dep = r_t @ rotation_matrix(anchor.orientation)
+    dep = r_t @ rot_anchor if single else matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
     arr = -(r @ rotation_matrix(agent.orientation))
     vecs = np.stack([r, r_t, dep, arr])
     lengths = np.sqrt(dot2(vecs, vecs))

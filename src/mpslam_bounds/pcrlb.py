@@ -13,9 +13,9 @@ position (PEB), velocity (VEB), orientation (OEB) and one mapping bound per
 surface (MEB). Each posterior is inverted once; its covariance yields the
 step's bounds and the next step's prediction. Every inversion checks for a
 symmetric positive-definite (Cholesky) factorization and inverts the
-symmetrized matrix; information matrices with condition number beyond 1e14
-are rejected as singular. The inversion takes stacks of matrices, one per
-Monte-Carlo run of the filter's batch.
+symmetrized matrix; it rejects non-finite matrices and condition numbers
+beyond 1e14 (screened from above by tr(A) tr(A^-1)). The inversion takes
+stacks of matrices, one per Monte-Carlo run of the filter's batch.
 
 The snapshot information comes from the scenario's truth table, the one
 channel evaluation at the true poses that also feeds the measurement
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONDITION_LIMIT = 1e14
+SCREEN_LIMIT = 1e-2 * CONDITION_LIMIT  # on tr(A) tr(A^-1) >= condition; 1e-2 for rounding
 
 
 class SingularFimError(RuntimeError):
@@ -114,16 +115,24 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     them; symmetrized output.
 
     Raises :class:`SingularFimError`, with the stack position of the first
-    failing matrix, when its Cholesky factorization fails or its condition
-    number exceeds ``CONDITION_LIMIT``.
+    failing matrix, when it is not finite, when its Cholesky factorization
+    fails or when its condition number exceeds ``CONDITION_LIMIT``, tested
+    exactly unless tr(A) tr(A^-1) <= ``SCREEN_LIMIT`` throughout the stack.
     """
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularFimError(f"{what} is not finite", int(np.argmin(finite)))
     try:
         np.linalg.cholesky(stack)
-        definite = np.ones(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
         definite = np.array([_has_cholesky(m) for m in stack])
+    else:
+        definite, inv = np.ones(len(stack), dtype=bool), np.linalg.inv(sym)
+        screen = np.einsum("kii->k", stack) * np.einsum("kii->k", inv.reshape(stack.shape))
+        if np.all(screen <= SCREEN_LIMIT):
+            return 0.5 * (inv + np.swapaxes(inv, -1, -2))
     eigvals = np.linalg.eigvalsh(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
@@ -171,10 +180,8 @@ def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRe
     peb = float(np.sqrt(cov[0, 0] + cov[1, 1]))
     veb = float(np.sqrt(cov[2, 2] + cov[3, 3]))
     oeb = float(np.sqrt(cov[4, 4]))
-    meb = np.empty(num_surfaces)
-    for s in range(1, num_surfaces + 1):
-        sl = surface_slice(s)
-        meb[s - 1] = np.sqrt(cov[sl, sl].trace())
+    diag = np.diagonal(cov)[5:5 + 2 * num_surfaces]
+    meb = np.sqrt(diag[0::2] + diag[1::2])  # the 2x2 traces
     return BoundRecord(step=step, peb=peb, veb=veb, oeb=oeb, meb=meb)
 
 

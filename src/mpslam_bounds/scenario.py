@@ -53,6 +53,7 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # Cap on the stacked (steps, N + 2, 3K) float64 gradient of one truth pass
 # (one anchor at a time): 10 steps of an octagon room, all 40 of the desk.
 TRUTH_PASS_BYTES = 360_000
+MAX_STEPS = 1_000_000  # longest trajectory of a file; 10^6 desk steps hold 1.4 GB of information
 
 
 class ScenarioError(ValueError):
@@ -354,8 +355,9 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
     :func:`global_jacobian` call on the components visible at any of the
     steps and one noise-model call on the visible (step, component) entries.
     Hidden entries get zero weight (an infinite variance) in the information,
-    summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
-    earliest step, then the lowest anchor; degenerate geometry before endfire.
+    summed as :func:`~.fim.global_snapshot_fim` does over all 3K columns. A
+    failure names the earliest step, then the lowest anchor; degenerate
+    geometry before endfire.
     """
     order = scenario.order
     pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
@@ -387,8 +389,13 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
             continue
         weights = np.full(shown.shape + (3,), np.inf)
         weights[at, k] = variances
-        lam = channel_fim(order, union, weights)
-        total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
+        # summed over all 3K columns: the compact sum rounds differently
+        cols, dense = order.columns(union).ravel(), np.zeros(jac.shape[:-1] + (order.dim,))
+        lam = np.zeros(steps.shape + (order.dim,))
+        dense[..., cols], lam[:, cols] = jac, channel_fim(weights)
+        del jac  # each gradient is freed once used, so the peak memory does not grow
+        total = total + (dense * lam[..., None, :]) @ np.swapaxes(dense, -1, -2)
+        del dense
         cuts = np.cumsum(shown.sum(axis=1))[:-1]
         per_anchor.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in zip(
             steps, shown, np.split(entries, cuts), np.split(variances, cuts))])
@@ -580,6 +587,8 @@ def _parse_trajectory(node, path: str, time_step: float) -> TrajectorySpec:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
+    if n_steps > MAX_STEPS:  # checked before any per-step array exists
+        raise ScenarioError(f"{path}.n_steps: must be at most {MAX_STEPS}")
     if kind == "sampled_ncv":
         return _make(NcvTrajectory, path, n_steps=n_steps, initial=_build(AgentPose, node, path))
     if kind != "waypoints":

@@ -28,7 +28,6 @@ def stacked_linearization(mean, blocks, scenario):
     usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
     surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
     order = scenario.order
-    k_total = order.size
 
     h_rows = [np.zeros((0, mean.shape[0]))]
     observed, predicted, noise = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
@@ -41,7 +40,8 @@ def stacked_linearization(mean, blocks, scenario):
             pose, scenario.anchors[block.anchor], order, surfaces, ks
         )
         ok = ~(near_origin | degenerate)
-        cols = np.stack([ks, k_total + ks, 2 * k_total + ks], axis=1)[ok]
+        # the compact columns of component i: i, n + i, 2n + i
+        cols = np.arange(3 * ks.size).reshape(3, -1).T[ok]
         h_rows.append(jac[:, cols.ravel()].T)
         observed.append(block.params[ok].ravel())
         predicted.append(params[ok].ravel())

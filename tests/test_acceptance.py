@@ -108,7 +108,7 @@ def test_criterion_3_structural_zeros():
         variances = measurement_variances(params, 2.0 / params[:, 0], 6e9, 1e8,
                                           aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
-        lam = channel_fim(order, range(order.size), variances)
+        lam = channel_fim(variances)
         snapshot = global_snapshot_fim([(jac, lam)])
         ok &= not snapshot[2:4, :].any() and not snapshot[:, 2:4].any()
         # canonical order puts the LOS component first

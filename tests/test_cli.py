@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,45 @@ class TestValidateMode:
         assert calls == {"global_jacobian": passes, "path_geometry": passes,
                          "measurement_variances": passes}
 
+    def test_filter_linearizes_once_per_measured_step(self, tmp_path, monkeypatch):
+        """Validate mode makes one gradient pass per measured filter step, for
+        all anchors and all runs of the batch at once, besides the truth
+        table's one pass per (block of steps, anchor): on the desk with two
+        runs, 40 filter passes and 2 truth passes."""
+        import mpslam_bounds.scenario as scenario_module
+
+        calls = []
+
+        def counted(module):
+            exact = module.global_jacobian
+
+            def wrapper(*args, **kwargs):
+                calls.append(module.__name__.rpartition(".")[2])
+                return exact(*args, **kwargs)
+            return wrapper
+
+        for module in (ekf, scenario_module):
+            monkeypatch.setattr(module, "global_jacobian", counted(module))
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert (calls.count("ekf"), calls.count("scenario"), len(calls)) == (40, 2, 42)
+
+    def test_validate_run_takes_no_eigenvalues(self, tmp_path, monkeypatch):
+        """Every inversion of a desk validate run passes the trace screen, so
+        none computes eigenvalues."""
+        calls, exact = [], np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "4",
+                     "--out", str(out)]) == 0
+        assert calls == []
+
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
         main(["--scenario", str(scenario_file), "--mode", "bounds"])
         captured = capsys.readouterr()
@@ -267,6 +308,70 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert "numerical failure" in err and expected in err
+
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    def test_overflowing_aperture_is_numerical_failure(self, mode, tmp_path, capsys):
+        """A 1e308 m^2 agent aperture overflows the angle noise model, and the
+        information turns non-finite: exit 3 naming step 1, raised before
+        any numpy.linalg call could fail on it."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["agent_aperture"]["d_squared"] = 1e308
+        path = tmp_path / "huge_aperture.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with np.errstate(all="ignore"):
+            code = main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"])
+        assert code == 3
+        assert ("numerical failure: step 1: posterior information is not finite"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("column, step", [("peb", 3), ("maperr_1", 5)])
+    def test_non_finite_csv_value_is_numerical_failure(self, column, step, scenario_file,
+                                                       tmp_path, capsys, monkeypatch):
+        """A value that turns non-finite with no error on the way is caught
+        before anything is written: exit 3 naming the column and the step."""
+        import mpslam_bounds.cli as cli_module
+
+        exact = cli_module.run_monte_carlo
+
+        def poisoned(scenario):
+            result = exact(scenario)
+            if column == "peb":
+                result.bounds[step - 1] = replace(result.bounds[step - 1], peb=math.nan)
+            else:
+                result.rmse_map[step - 1, 0] = math.inf
+            return result
+
+        monkeypatch.setattr(cli_module, "run_monte_carlo", poisoned)
+        out = tmp_path / "validate.csv"
+        code = main(["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)])
+        assert code == 3
+        assert (f"numerical failure: step {step}: {column} is not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, n_steps", [("sampled_ncv", 10**12), ("sampled_ncv", 10**30),
+                                               ("waypoints", 10**400)],
+                             ids=["sampled_1e12", "sampled_1e30", "waypoints_1e400"])
+    def test_huge_step_count_is_config_error(self, kind, n_steps, tmp_path, capsys):
+        """A step count beyond the limit exits 2 naming the field before any
+        per-step array (the visibility table, the poses) is allocated."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        if kind == "sampled_ncv":
+            mapping["trajectory"] = {"kind": kind, "position": [1.0, 1.0],
+                                     "velocity": [0.5, 0.2]}
+        mapping["trajectory"]["n_steps"] = n_steps
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        tracemalloc.start()
+        try:
+            code = main(["--scenario", str(path), "--mode", "bounds"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert ("error: scenario.trajectory.n_steps: must be at most 1000000"
+                in capsys.readouterr().err)
+        assert peak < 2**24
 
     @pytest.mark.parametrize("rule, field", [
         ({"visible": False, "anchors": [], "steps": [999]}, "rules[0].steps[0]"),
@@ -407,7 +512,8 @@ class TestSelfCheck:
 
         def perturbed(*args, **kwargs):
             params, degenerate, jac = exact(*args, **kwargs)
-            jac[0, 0] += 1e-3
+            if jac.size:  # a pass on no component has no column
+                jac[0, 0] += 1e-3
             return params, degenerate, jac
 
         monkeypatch.setattr(checks, "global_jacobian", perturbed)

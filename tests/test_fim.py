@@ -129,11 +129,13 @@ class TestComponentOrder:
         order = ComponentOrder.canonical(3)
         k_total = order.size
         for k in range(k_total):
-            diag = channel_fim(order, [k], [(1.0, 0.5, 0.25)])
-            assert np.flatnonzero(diag).tolist() == [k, k_total + k, 2 * k_total + k]
-            assert diag[[k, k_total + k, 2 * k_total + k]].tolist() == [1.0, 2.0, 4.0]
+            assert order.columns([k]).ravel().tolist() == [k, k_total + k, 2 * k_total + k]
         assert order.columns([0, 4]).tolist() == [[0, 4], [k_total, k_total + 4],
                                                   [2 * k_total, 2 * k_total + 4]]
+        # a channel pass lays out its n listed paths alike, n in place of K
+        assert channel_fim([(1.0, 0.5, 0.25)]).tolist() == [1.0, 2.0, 4.0]
+        assert channel_fim([(1.0, 0.5, 0.25), (2.0, 4.0, 8.0)]).tolist() == [
+            1.0, 0.5, 2.0, 0.25, 4.0, 0.125]
 
     def test_duplicate_components_rejected(self):
         with pytest.raises(ValueError):
@@ -311,15 +313,15 @@ class TestChannelFim:
         return ComponentOrder([PathComponent.los(), PathComponent.single_bounce(1)])
 
     def test_existence_zeroing(self):
-        order = self._order2()
-        diag = channel_fim(order, [0], [(0.01, 0.04, 0.25)])
-        # layout (distance | arrival | departure), K = 2: component 0 at 0, 2, 4
+        # an absent path has infinite variances
+        diag = channel_fim([(0.01, 0.04, 0.25), (np.inf, np.inf, np.inf)])
+        # layout (distance | arrival | departure), n = 2: path 0 at 0, 2, 4
         np.testing.assert_allclose(diag[[0, 2, 4]], [100.0, 25.0, 4.0])
         np.testing.assert_array_equal(diag[[1, 3, 5]], 0.0)
 
     def test_all_absent_gives_zero_matrix(self):
-        diag = channel_fim(self._order2(), [], np.zeros((0, 3)))
-        np.testing.assert_allclose(diag, np.zeros(6))
+        assert channel_fim(np.zeros((0, 3))).shape == (0,)
+        np.testing.assert_array_equal(channel_fim(np.full((2, 3), np.inf)), np.zeros(6))
 
     def test_amplitude_scaling_is_quadratic(self):
         order = self._order2()
@@ -327,15 +329,15 @@ class TestChannelFim:
         anchor = Anchor(position=[0, 0])
         agent = AgentPose(position=[3, 4], velocity=[0, 0])
         params = [ref.channel_params(agent, anchor, c, surfaces) for c in order]
-        base = channel_fim(order, [0, 1], isotropic_variances(params, [1.0, 2.0], 1e9))
-        scaled = channel_fim(order, [0, 1], isotropic_variances(params, [3.0, 6.0], 1e9))
+        base = channel_fim(isotropic_variances(params, [1.0, 2.0], 1e9))
+        scaled = channel_fim(isotropic_variances(params, [3.0, 6.0], 1e9))
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
     def test_one_triple_per_component_required(self):
         with pytest.raises(ValueError):
-            channel_fim(self._order2(), [0, 1], [(0.01, 0.04, 0.25)])
+            channel_fim([(0.01, 0.04), (0.25, 0.01)])
         with pytest.raises(ValueError):
-            channel_fim(self._order2(), [0], [0.01, 0.04, 0.25])
+            channel_fim([0.01, 0.04, 0.25])
 
 
 class TestGlobalJacobian:
@@ -364,12 +366,14 @@ class TestGlobalJacobian:
         np.testing.assert_allclose(jac[5:, :], 0.0)
 
     def test_absent_components_get_zero_columns(self):
+        """Listing all but one component gives the full gradient's columns
+        of the listed ones, in the compact layout."""
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
         _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
-        assert jac[:, 0].any()
-        for idx in (1, order.size + 1, 2 * order.size + 1):
-            np.testing.assert_allclose(jac[:, idx], 0.0)
+        assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
+        full = full_jacobian(agent, anchor, order, surfaces)
+        np.testing.assert_array_equal(jac, full[:, order.columns(present).ravel()])
 
 
 class TestSnapshotFim:
@@ -392,7 +396,7 @@ class TestSnapshotFim:
             params = [ref.channel_params(agent, a, c, surfaces) for c in order]
             variances = isotropic_variances(params, [2.0 / p.distance for p in params])
             jac = full_jacobian(agent, a, order, surfaces)
-            terms.append((jac, channel_fim(order, range(order.size), variances)))
+            terms.append((jac, channel_fim(variances)))
         return terms
 
     def test_two_identical_anchors_double_the_information(self):
@@ -428,7 +432,7 @@ class TestSnapshotFim:
         for exist in (exist_off, exist_on):
             present = np.flatnonzero(exist)
             _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
-            lam = channel_fim(order, present, variances[present])
+            lam = channel_fim(variances[present])
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(diff.trace(), 1.0)
@@ -488,10 +492,50 @@ class TestBatchedPass:
         assume(np.all(ref_params[:, 0] > 1e-3))
         params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
         assert params.shape == (visible.size, 3) and not degenerate.any()
+        ref_jac = ref_jac[:, order.columns(visible).ravel()]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
         for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
             assert abs(wrap_angle(angle - expected)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=rooms(), other=st.tuples(_coordinate(6.0), _coordinate(6.0), _coordinate(np.pi)),
+           data=st.data())
+    def test_paths_from_several_anchors_match_one_pass_per_anchor(self, case, other, data):
+        """One pass over the paths of two anchors, each path leaving from its
+        own anchor, for a batch of two poses, equals one pass per anchor laid
+        side by side: the distances of both, then the arrivals, then the
+        departures."""
+        agent, anchor, surfaces, order, visible = case
+        other = Anchor(position=other[:2], orientation=other[2])
+        also = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=order.size,
+                                                 max_size=order.size)))
+        poses = AgentPose.from_state(np.stack([agent.as_state(), agent.as_state() + 0.25]))
+        per_anchor = [global_jacobian(poses, a, order, surfaces, ks)
+                      for a, ks in ((anchor, visible), (other, also))]
+        assume(not any(degenerate.any() or (params[..., 0] < 1e-3).any()
+                       for params, degenerate, _ in per_anchor))
+        owner = np.repeat([0, 1], [visible.size, also.size])
+        stack = Anchor(np.array([anchor.position, other.position])[owner],
+                       np.array([anchor.orientation, other.orientation])[owner])
+        params, degenerate, jac = global_jacobian(poses, stack, order, surfaces,
+                                                  np.concatenate([visible, also]))
+        n_state = 5 + 2 * len(surfaces)
+        expected = np.concatenate([j.reshape(2, n_state, 3, -1) for _, _, j in per_anchor],
+                                  axis=-1).reshape(jac.shape)
+        ref_params = np.concatenate([p for p, _, _ in per_anchor], axis=-2)
+        assert not degenerate.any() and params.shape == ref_params.shape == (2, owner.size, 3)
+        assert np.all(np.abs(jac - expected) <= 1e-12 * np.abs(expected).max(axis=-2)[:, None])
+        assert np.all(np.abs(params[..., 0] - ref_params[..., 0]) <= 1e-12)
+        assert np.all(np.abs(wrap_angle(params[..., 1:] - ref_params[..., 1:])) <= 1e-12)
+
+    def test_stacked_anchor_shapes_must_agree(self):
+        Anchor(position=np.zeros((3, 2)), orientation=np.zeros(3))
+        for position, orientation in ((np.zeros((3, 2)), np.zeros(2)),
+                                      (np.zeros((3, 2)), 0.0),
+                                      (np.zeros((1, 3, 2)), np.zeros((1, 3)))):
+            with pytest.raises(ValueError, match="shapes differ"):
+                Anchor(position=position, orientation=orientation)
 
     @settings(max_examples=60, deadline=None)
     @given(case=rooms(), data=st.data())
@@ -542,6 +586,7 @@ class TestBatchedPass:
         assume(np.all(ref_params[:, 0] > 1e-3))
         params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
         assert not degenerate.any()
+        ref_jac = ref_jac[:, order.columns(visible).ravel()]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
         for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):

@@ -15,6 +15,7 @@ from mpslam_bounds.fim import (
 )
 from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap
 from mpslam_bounds.pcrlb import (
+    CONDITION_LIMIT,
     SingularFimError,
     StateSpaceModel,
     _spd_inverse,
@@ -213,6 +214,140 @@ class TestPredictAndFuse:
             assert np.linalg.eigvalsh(p_pred - p_post)[0] >= -1e-9
 
 
+def exact_spd_inverse(matrix, what):
+    """The inversion rule without the trace screen, kept as the reference:
+    a Cholesky test and the eigenvalue condition test on every matrix of
+    the stack, then the inverse."""
+    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    stack = sym.reshape(-1, *sym.shape[-2:])
+    definite = []
+    for m in stack:
+        try:
+            np.linalg.cholesky(m)
+            definite.append(True)
+        except np.linalg.LinAlgError:
+            definite.append(False)
+    definite = np.array(definite)
+    eigvals = np.linalg.eigvalsh(stack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
+    failed = ~definite | singular
+    if failed.any():
+        index = int(np.argmax(failed))
+        problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
+                   if definite[index] else "is not positive definite")
+        raise SingularFimError(f"{what} {problem}", index)
+    inv = np.linalg.inv(sym)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def conditioned(rng, dim, condition, scale=1.0, indefinite=False):
+    """A random symmetric matrix with eigenvalues spread over [1, condition]
+    (both ends taken) times ``scale``; one eigenvalue negated if indefinite."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigvals = np.exp(rng.uniform(0.0, np.log(condition), size=dim))
+    eigvals[:2] = [1.0, condition]
+    if indefinite:
+        eigvals[rng.integers(dim)] *= -1.0
+    return scale * (basis * eigvals) @ basis.T
+
+
+class TestScreenedInversion:
+    """The trace screen on top of the exact rule: the same decisions,
+    messages and failing index as the rule without it (exact_spd_inverse),
+    and bit-identical inverses."""
+
+    @staticmethod
+    def outcome(invert, stack):
+        try:
+            return invert(stack, "stack")
+        except SingularFimError as exc:
+            return str(exc), exc.index
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls, exact = [], np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_matches_the_exact_rule_on_random_stacks(self, monkeypatch):
+        """Seeded stacks of 1-6 matrices of size 2-21, each with a condition
+        number log-uniform in [1, 1e16] at a scale in [1e-6, 1e6], one in ten
+        indefinite."""
+        rng = np.random.default_rng(20261018)
+        calls = self.count_eigvalsh(monkeypatch)
+        kinds = {"screened": 0, "exact": 0, "singular": 0, "not definite": 0}
+        for _ in range(400):
+            dim = int(rng.integers(2, 22))
+            stack = np.stack([
+                conditioned(rng, dim, 10.0 ** rng.uniform(0.0, 16.0), 10.0 ** rng.uniform(-6, 6),
+                            indefinite=rng.random() < 0.1)
+                for _ in range(int(rng.integers(1, 7)))])
+            before = len(calls)
+            got = self.outcome(_spd_inverse, stack)
+            screened = len(calls) == before
+            expected = self.outcome(exact_spd_inverse, stack)
+            if isinstance(expected, tuple):
+                assert got == expected
+                kinds["singular" if "singular" in expected[0] else "not definite"] += 1
+            else:
+                assert got.tobytes() == expected.tobytes()
+                kinds["screened" if screened else "exact"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    @pytest.mark.parametrize("condition, accepted", [(0.99e14, True), (1.01e14, False)],
+                             ids=["just_below", "just_above"])
+    def test_condition_limit(self, condition, accepted, monkeypatch):
+        """A diagonal matrix (exact eigenvalues) just inside or outside the
+        condition limit fails the screen and takes the exact test."""
+        matrix = np.diag([condition, 1.0, 3.0])
+        calls = self.count_eigvalsh(monkeypatch)
+        got = self.outcome(_spd_inverse, matrix)
+        assert len(calls) == 1
+        if accepted:
+            assert got.tobytes() == exact_spd_inverse(matrix, "stack").tobytes()
+        else:
+            assert got == ("stack is numerically singular (condition number above 1e+14)", 0)
+
+    @pytest.mark.parametrize("condition", [1e12, 1e13, 5e13])
+    def test_fallback_zone_is_accepted_through_eigenvalues(self, condition, monkeypatch):
+        """Between the screen limit and the condition limit a matrix is
+        accepted, but only by the exact test; the stack's other matrices are
+        well conditioned."""
+        rng = np.random.default_rng(7)
+        stack = np.stack([conditioned(rng, 13, 10.0), conditioned(rng, 13, condition),
+                          conditioned(rng, 13, 1e3)])
+        calls = self.count_eigvalsh(monkeypatch)
+        got = _spd_inverse(stack, "stack")
+        assert len(calls) == 1
+        assert got.tobytes() == exact_spd_inverse(stack, "stack").tobytes()
+
+    def test_well_conditioned_stack_takes_no_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        stack = np.stack([conditioned(rng, 21, c) for c in (1.0, 1e4, 1e8, 1e9)])
+        calls = self.count_eigvalsh(monkeypatch)
+        got = _spd_inverse(stack, "stack")
+        assert calls == []
+        assert got.tobytes() == exact_spd_inverse(stack, "stack").tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_rejected_before_any_factorization(self, bad, monkeypatch):
+        """The first stack entry with a non-finite value is named, and no
+        numpy.linalg routine sees the stack."""
+        rng = np.random.default_rng(9)
+        stack = np.stack([conditioned(rng, 5, 10.0) for _ in range(4)])
+        stack[2, 1, 3] = bad
+        stack[3, 0, 0] = bad
+        for name in ("cholesky", "eigvalsh", "inv"):
+            monkeypatch.setattr(np.linalg, name, None)
+        assert self.outcome(_spd_inverse, stack) == ("stack is not finite", 2)
+
+
 class TestExtractBounds:
     def test_diagonal_example(self):
         rec = extract_bounds(0.25 * np.eye(7), num_surfaces=1, step=3)  # information 4 I
@@ -251,7 +386,7 @@ def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.0
         variances = measurement_variances(params, 20.0 / params[:, 0], 6e9, 2e8,
                                           aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
-        terms.append((jac, channel_fim(order, range(order.size), variances)))
+        terms.append((jac, channel_fim(variances)))
     return global_snapshot_fim(terms)
 
 

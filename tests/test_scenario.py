@@ -380,7 +380,8 @@ def pass_steps(scenario):
 
 def reference_record(scenario, pose, step):
     """One step's truth from unbatched per-anchor channel passes on the
-    visible components, summed as the snapshot information."""
+    visible components, scattered into each anchor's 3K columns and summed
+    as the snapshot information."""
     order, blocks, terms = scenario.order, [], []
     for j, anchor in enumerate(scenario.anchors):
         visible = np.flatnonzero(scenario.visibility.flags(j, step))
@@ -391,7 +392,10 @@ def reference_record(scenario, pose, step):
             params, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
             scenario.agent_aperture, anchor.aperture)
         blocks.append(AnchorBlock(step, j, visible, params, variances))
-        terms.append((jac, channel_fim(order, visible, variances)))
+        dense, lam = np.zeros((scenario.dim, order.dim)), np.zeros(order.dim)
+        dense[:, order.columns(visible).ravel()] = jac
+        lam[order.columns(visible).ravel()] = channel_fim(variances)
+        terms.append((dense, lam))
     return StepTruth(step, global_snapshot_fim(terms), tuple(blocks))
 
 
