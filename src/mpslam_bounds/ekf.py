@@ -80,11 +80,10 @@ def _linearize(
 
     One channel pass over every measured path of the step, all anchors at
     once. Returns, in the compact layout of the n paths, the (..., N, 3n)
-    gradient, the (..., 3n) channel information of the variances the blocks
-    were drawn with and the (..., 3n) innovation, angles wrapped; None when
-    nothing was measured. A path whose geometry cannot be evaluated at an
-    entry's estimate gets zero information and innovation there, with a
-    diagnostic.
+    gradient, the (..., 3n) information of the variances the blocks were
+    drawn with and the (..., 3n) innovation, angles wrapped; None when
+    nothing was measured. A path whose geometry fails at an entry's estimate
+    gets zero information and innovation there, with a diagnostic.
     """
     blocks = [block for block in blocks if block.components.size]
     if not blocks:
@@ -96,7 +95,6 @@ def _linearize(
     usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
     surfaces = SurfaceMap(np.where(usable[..., 1:, None], raw_points, [1.0, 0.0]))
     order, anchors = scenario.order, scenario.anchors
-
     ks = np.concatenate([block.components for block in blocks])
     owner = np.concatenate([np.full(block.components.size, block.anchor) for block in blocks])
     sources = Anchor(np.array([a.position for a in anchors])[owner],

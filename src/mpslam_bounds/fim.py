@@ -21,9 +21,8 @@ departure azimuths (3n entries). Over those paths this module builds
   parameter and zero for an infinite one (:func:`channel_fim`),
 
 and sums the snapshot information ``H diag(lambda) H^T``. The filter lists
-every measured path of a step, all anchors at once; the truth pass lists one
-anchor's components and scatters them into its 3K columns for K components
-(:meth:`ComponentOrder.columns`).
+every measured path of a step, all anchors at once; the truth pass lists
+one anchor's K components, scattered into its 3K columns.
 Velocity rows are identically zero: a single snapshot carries no velocity
 information. The orientation row is nonzero only in the arrival-azimuth
 block, where every entry equals -1 in the plane.
@@ -263,14 +262,13 @@ def global_jacobian(
 
     Resolves the n paths of the components with the given indices into
     ``order`` in one batched pass (:func:`~.geometry.path_geometry`), from
-    one anchor or from a stack of n anchors, one per path. Returns their
-    (n, 3) channel parameters, their degenerate-geometry mask and the
-    gradient matrix in the compact layout: column i, n + i and 2n + i hold
-    the gradients of path i's distance, arrival and departure azimuth;
-    columns of degenerate paths are zero. A batched agent pose (one entry per
-    Monte-Carlo run or per step of a truth pass) adds its leading axes to all
-    three; the surface map is shared or batched alike (per-run estimates, see
-    :class:`~.geometry.SurfaceMap`).
+    one anchor or a stack of n anchors, one per path. Returns their (n, 3)
+    channel parameters, their degenerate-geometry mask and the compact
+    gradient: columns i, n + i and 2n + i hold the gradients of path i's
+    distance, arrival and departure azimuth, zero for a degenerate path. A
+    batched agent pose (one entry per Monte-Carlo run or per step of a truth
+    pass) adds its leading axes to all three; the surface map is shared or
+    batched alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -359,11 +357,9 @@ def _reflection_source_blocks(
 def channel_fim(variances: np.ndarray) -> np.ndarray:
     """Diagonal channel information of n paths in the compact layout.
 
-    ``variances`` holds the paths' (..., n, 3) (distance, arrival-azimuth,
-    departure-azimuth) measurement variances (see
-    :func:`measurement_variances`); returns the (..., 3n) vector of
-    1 / variance, the n distances first, then the arrival and the departure
-    azimuths, as :func:`global_jacobian` lays out its columns. An infinite
+    Maps the paths' (..., n, 3) measurement variances (see
+    :func:`measurement_variances`) to the (..., 3n) vector of 1 / variance,
+    in the layout of :func:`global_jacobian`'s columns; an infinite
     variance (an absent path) gives exactly zero.
     """
     variances = np.asarray(variances, dtype=float)

@@ -96,10 +96,10 @@ def rotation_matrix_derivative(angle: float | np.ndarray) -> np.ndarray:
     return rot
 
 
-def _as_vec2(value, name: str, batched: bool = False) -> np.ndarray:
-    """A finite 2-vector; with ``batched``, a (..., 2) stack of them."""
+def _as_vec2(value, name: str) -> np.ndarray:
+    """A finite 2-vector, or a (..., 2) stack of them."""
     vec = np.asarray(value, dtype=float)
-    if vec.shape[-1:] != (2,) or (vec.ndim != 1 and not batched):
+    if vec.shape[-1:] != (2,):
         raise ValueError(f"{name} must be a 2-vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{name} must be finite, got {vec}")
@@ -157,7 +157,7 @@ class Anchor:
     aperture: "ApertureModel | None" = None
 
     def __post_init__(self):
-        self.position = _as_vec2(self.position, "anchor position", batched=True)
+        self.position = _as_vec2(self.position, "anchor position")
         orientation = np.asarray(self.orientation, dtype=float)
         if self.position.ndim > 2 or self.position.shape != orientation.shape + (2,):
             raise ValueError("anchor position and orientation shapes differ")
@@ -180,8 +180,8 @@ class AgentPose:
     orientation: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        self.position = _as_vec2(self.position, "agent position", batched=True)
-        self.velocity = _as_vec2(self.velocity, "agent velocity", batched=True)
+        self.position = _as_vec2(self.position, "agent position")
+        self.velocity = _as_vec2(self.velocity, "agent velocity")
         orientation = np.asarray(self.orientation, dtype=float)
         if not self.velocity.shape == self.position.shape == orientation.shape + (2,):
             raise ValueError("agent position, velocity and orientation batch shapes differ")
@@ -232,6 +232,10 @@ class PathComponent:
     @classmethod
     def double_bounce(cls, first: int, second: int) -> "PathComponent":
         return cls((int(first), int(second)))
+
+    @property
+    def is_los(self) -> bool:
+        return not self.bounces
 
     @property
     def n_bounces(self) -> int:
@@ -285,8 +289,7 @@ def path_geometry(
     h1, h2 = houses[..., first, :, :], houses[..., second, :, :]
     p1, p2 = points[..., first, :], points[..., second, :]
     rot_anchor = rotation_matrix(anchor.orientation)
-    # a single anchor keeps its matrix products: they round unlike the stacked form
-    single = anchor.position.ndim == 1
+    single = anchor.position.ndim == 1  # keeps the @ products, which round unlike matvec2
     anchor_once = (h1 @ anchor.position if single else matvec2(h1, anchor.position)) + p1
     # one agent position per batch entry, applied to each of its n paths
     agent_once = (h2 @ agent.position[..., None, :, None])[..., 0] + p2

@@ -127,7 +127,7 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        definite = np.array([_has_cholesky(m) for m in stack])
+        definite, inv = np.array([_has_cholesky(m) for m in stack]), None
     else:
         definite, inv = np.ones(len(stack), dtype=bool), np.linalg.inv(sym)
         screen = np.einsum("kii->k", stack) * np.einsum("kii->k", inv.reshape(stack.shape))
@@ -142,7 +142,7 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
         problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
                    if definite[index] else "is not positive definite")
         raise SingularFimError(f"{what} {problem}", index)
-    inv = np.linalg.inv(sym)
+    inv = np.linalg.inv(sym) if inv is None else inv  # inverted already when it factored
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
@@ -180,8 +180,10 @@ def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRe
     peb = float(np.sqrt(cov[0, 0] + cov[1, 1]))
     veb = float(np.sqrt(cov[2, 2] + cov[3, 3]))
     oeb = float(np.sqrt(cov[4, 4]))
-    diag = np.diagonal(cov)[5:5 + 2 * num_surfaces]
-    meb = np.sqrt(diag[0::2] + diag[1::2])  # the 2x2 traces
+    meb = np.empty(num_surfaces)
+    for s in range(1, num_surfaces + 1):
+        sl = surface_slice(s)
+        meb[s - 1] = np.sqrt(cov[sl, sl].trace())
     return BoundRecord(step=step, peb=peb, veb=veb, oeb=oeb, meb=meb)
 
 

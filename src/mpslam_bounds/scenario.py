@@ -53,7 +53,9 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # Cap on the stacked (steps, N + 2, 3K) float64 gradient of one truth pass
 # (one anchor at a time): 10 steps of an octagon room, all 40 of the desk.
 TRUTH_PASS_BYTES = 360_000
-MAX_STEPS = 1_000_000  # longest trajectory of a file; 10^6 desk steps hold 1.4 GB of information
+# Cap on the per-step tables of a scenario: per step, (anchor, component) int8
+# visibility flags and 3 + 3 float64 truth, and the (N, N) float64 information.
+STEP_TABLE_BYTES = 2**30
 
 
 class ScenarioError(ValueError):
@@ -355,9 +357,8 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
     :func:`global_jacobian` call on the components visible at any of the
     steps and one noise-model call on the visible (step, component) entries.
     Hidden entries get zero weight (an infinite variance) in the information,
-    summed as :func:`~.fim.global_snapshot_fim` does over all 3K columns. A
-    failure names the earliest step, then the lowest anchor; degenerate
-    geometry before endfire.
+    summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
+    earliest step, then the lowest anchor; degenerate geometry before endfire.
     """
     order = scenario.order
     pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
@@ -387,14 +388,13 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
             failures.append((at[exc.index], j, comp, ZeroApertureError, exc))
         if failures:
             continue
-        weights = np.full(shown.shape + (3,), np.inf)
-        weights[at, k] = variances
+        weights = np.full((steps.size, order.size, 3), np.inf)
+        weights[at, union[k]] = variances
         # summed over all 3K columns: the compact sum rounds differently
-        cols, dense = order.columns(union).ravel(), np.zeros(jac.shape[:-1] + (order.dim,))
-        lam = np.zeros(steps.shape + (order.dim,))
-        dense[..., cols], lam[:, cols] = jac, channel_fim(weights)
+        dense = np.zeros(jac.shape[:-1] + (order.dim,))
+        dense[..., order.columns(union).ravel()] = jac
         del jac  # each gradient is freed once used, so the peak memory does not grow
-        total = total + (dense * lam[..., None, :]) @ np.swapaxes(dense, -1, -2)
+        total = total + (dense * channel_fim(weights)[..., None, :]) @ np.swapaxes(dense, -1, -2)
         del dense
         cuts = np.cumsum(shown.sum(axis=1))[:-1]
         per_anchor.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in zip(
@@ -540,7 +540,7 @@ _READERS = {
     "float": _as_float,
     "int": _as_int,
     "np.ndarray": _as_vec2,
-    "float | np.ndarray": _as_float,  # AgentPose.orientation, unbatched
+    "float | np.ndarray": _as_float,  # AgentPose and Anchor orientation, unbatched
     "float | tuple[float, ...]": _as_floats,  # PriorSpec.surface_var
 }
 
@@ -583,12 +583,12 @@ def _parse_aperture(node, path: str) -> ApertureModel:
     return _build(APERTURE_KINDS[kind], node, path)
 
 
-def _parse_trajectory(node, path: str, time_step: float) -> TrajectorySpec:
+def _parse_trajectory(node, path: str, time_step: float, max_steps: int) -> TrajectorySpec:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
-    if n_steps > MAX_STEPS:  # checked before any per-step array exists
-        raise ScenarioError(f"{path}.n_steps: must be at most {MAX_STEPS}")
+    if n_steps > max_steps:  # checked before any per-step array exists
+        raise ScenarioError(f"{path}.n_steps: must be at most {max_steps} in this room")
     if kind == "sampled_ncv":
         return _make(NcvTrajectory, path, n_steps=n_steps, initial=_build(AgentPose, node, path))
     if kind != "waypoints":
@@ -720,12 +720,13 @@ def scenario_from_mapping(root) -> Scenario:
 
     signal = _build(SignalModel, *section("signal"))
     model = _build(StateSpaceModel, *section("model"), num_surfaces=len(surfaces))
-    trajectory = _parse_trajectory(*section("trajectory"), model.time_step)
+    order = ComponentOrder.canonical(len(surfaces))
+    max_steps = STEP_TABLE_BYTES // (49 * len(anchors) * order.size + 8 * model.dim**2) - 1
+    trajectory = _parse_trajectory(*section("trajectory"), model.time_step, max_steps)
     amplitude_model = _build(AmplitudeModel, *section("amplitude_model"))
     prior = _build(PriorSpec, *section("prior", False, {}))
     mc = _build(MonteCarloConfig, *section("mc"))
     agent_aperture = _parse_aperture(*section("agent_aperture"))
-    order = ComponentOrder.canonical(len(surfaces))
     visibility = _parse_visibility(*section("visibility", False), len(anchors),
                                    trajectory.n_steps, order)
     _reject_unknown(root, "scenario")

@@ -349,17 +349,21 @@ class TestErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind, n_steps", [("sampled_ncv", 10**12), ("sampled_ncv", 10**30),
-                                               ("waypoints", 10**400)],
-                             ids=["sampled_1e12", "sampled_1e30", "waypoints_1e400"])
-    def test_huge_step_count_is_config_error(self, kind, n_steps, tmp_path, capsys):
-        """A step count beyond the limit exits 2 naming the field before any
-        per-step array (the visibility table, the poses) is allocated."""
+    @pytest.mark.parametrize("kind, n_steps, n_anchors, limit", [
+        ("sampled_ncv", 10**12, 2, 355778), ("sampled_ncv", 10**30, 2, 355778),
+        ("waypoints", 10**400, 2, 355778), ("waypoints", 10**4, 1000, 1285),
+    ], ids=["sampled_1e12", "sampled_1e30", "waypoints_1e400", "waypoints_1e4_1000_anchors"])
+    def test_huge_step_count_is_config_error(self, kind, n_steps, n_anchors, limit,
+                                             tmp_path, capsys):
+        """A step count whose per-step tables would pass ``STEP_TABLE_BYTES``
+        exits 2 naming the field before any per-step array (the visibility
+        table, the poses) is allocated; the limit falls as the room grows."""
         mapping = yaml.safe_load(DESK_SCENARIO.read_text())
         if kind == "sampled_ncv":
             mapping["trajectory"] = {"kind": kind, "position": [1.0, 1.0],
                                      "velocity": [0.5, 0.2]}
         mapping["trajectory"]["n_steps"] = n_steps
+        mapping["anchors"] = (mapping["anchors"] * n_anchors)[:n_anchors]
         path = tmp_path / "long.yaml"
         path.write_text(yaml.safe_dump(mapping))
         tracemalloc.start()
@@ -369,7 +373,7 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert ("error: scenario.trajectory.n_steps: must be at most 1000000"
+        assert (f"error: scenario.trajectory.n_steps: must be at most {limit} in this room"
                 in capsys.readouterr().err)
         assert peak < 2**24
 

@@ -19,7 +19,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import channel_fim, global_jacobian
-from mpslam_bounds.geometry import AgentPose, SurfaceMap, wrap_angle
+from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
     predict_fim,
@@ -117,9 +117,9 @@ class TestUpdate:
         joint-state gradient matrix of its measured components; its channel
         information maps the variances the measurements were drawn with
         (also where the aperture depends on the azimuth) and its innovation
-        is observed minus predicted. The one pass over all anchors rounds
-        unlike one pass per anchor: gradients agree to 1e-13 of each
-        column's largest entry, innovations to 1e-13 absolute."""
+        is observed minus predicted. Each anchor is passed stacked, once per
+        path, as the one pass over all anchors lists it, so the expected
+        terms take the same arithmetic and must match bit for bit."""
         scenario = small_scenario(agent_aperture=agent_aperture)
         order = scenario.order
         truth = ground_truth(scenario)
@@ -133,9 +133,10 @@ class TestUpdate:
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
         gradients, residuals = [], []
         for block in measured:
-            params, _, gradient = global_jacobian(
-                pose, scenario.anchors[block.anchor], order, surfaces, block.components
-            )
+            anchor, n = scenario.anchors[block.anchor], block.components.size
+            stacked = Anchor(np.tile(anchor.position, (n, 1)), np.full(n, anchor.orientation))
+            params, _, gradient = global_jacobian(pose, stacked, order, surfaces,
+                                                  block.components)
             residual = block.params - params
             residual[:, 1:] = np.vectorize(wrap_angle)(residual[:, 1:])
             gradients.append(gradient)
@@ -143,10 +144,10 @@ class TestUpdate:
         expected = side_by_side(gradients)
         assert jac.shape == expected.shape == (scenario.dim, 3 * sum(
             b.components.size for b in measured))
-        assert np.all(np.abs(jac - expected) <= 1e-13 * np.abs(expected).max(axis=0))
+        np.testing.assert_array_equal(jac, expected)
         np.testing.assert_array_equal(
             lam, side_by_side([channel_fim(b.variances) for b in measured]))
-        np.testing.assert_allclose(innovation, side_by_side(residuals), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(innovation, side_by_side(residuals))
 
     def test_near_exact_measurements_pull_position_error_down(self):
         mapping = desk_mapping()
