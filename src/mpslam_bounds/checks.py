@@ -27,6 +27,7 @@ from .geometry import (
     DegenerateGeometryError,
     PathGeometry,
     SurfaceMap,
+    joint_state,
     path_geometry,
     rotation_matrix,
     wrap_angle,
@@ -121,17 +122,13 @@ def full_jacobian(
     return jac
 
 
-def _joint_state(agent: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
-    return np.concatenate([agent.as_state(), surfaces.points.ravel()])
-
-
 def check_jacobian_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
     failures = []
     for i in range(instances):
         num_surfaces = int(rng.integers(1, 5))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         analytic = full_jacobian(agent, anchor, order, surfaces)
-        numeric = finite_difference_jacobian(_joint_state(agent, surfaces), anchor, order)
+        numeric = finite_difference_jacobian(joint_state(agent, surfaces), anchor, order)
         worst = column_mismatch(analytic, numeric)
         if worst > FD_TOL:
             failures.append(

@@ -19,6 +19,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .checks import run_self_check
 from .ekf import MonteCarloResult, run_monte_carlo
 from .fim import ZeroApertureError
@@ -55,8 +57,7 @@ def _csv_lines(bounds: list[BoundRecord], result: MonteCarloResult | None) -> li
     for i, rec in enumerate(bounds):
         row = [rec.peb, rec.veb, rec.oeb, *rec.meb]
         if result is not None:
-            row += [result.rmse_position[i], result.rmse_velocity[i],
-                    result.rmse_orientation[i], *result.rmse_map[i]]
+            row += [*result.rmse[i]]
         for column, value in zip(header[1:], row):
             if not math.isfinite(value):
                 raise FloatingPointError(f"step {rec.step}: {column} is not finite ({value})")
@@ -66,25 +67,16 @@ def _csv_lines(bounds: list[BoundRecord], result: MonteCarloResult | None) -> li
 
 def _summary(bounds: list[BoundRecord], result: MonteCarloResult | None) -> str:
     out = ["== bound summary (min / max / final) =="]
-    series = {
-        "peb": [r.peb for r in bounds],
-        "veb": [r.veb for r in bounds],
-        "oeb": [r.oeb for r in bounds],
-    }
-    for s in range(bounds[0].meb.shape[0]):
-        series[f"meb_{s + 1}"] = [r.meb[s] for r in bounds]
-    for name, values in series.items():
-        out.append(
-            f"  {name:<8} {_fmt(min(values))} / {_fmt(max(values))} / {_fmt(values[-1])}"
-        )
+    table = np.array([[r.peb, r.veb, r.oeb, *r.meb] for r in bounds])  # (N, 3 + S)
+    surfaces = range(1, table.shape[1] - 2)
+    for name, values in zip(["peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces], table.T):
+        out.append(f"  {name:<8} {_fmt(values.min())} / {_fmt(values.max())} / {_fmt(values[-1])}")
     if result is not None:
         out.append(f"== final RMSE / bound ratios ({result.runs} runs) ==")
-        final = bounds[-1]
-        out.append(f"  position    {result.rmse_position[-1] / final.peb:.3f}")
-        out.append(f"  velocity    {result.rmse_velocity[-1] / final.veb:.3f}")
-        out.append(f"  orientation {result.rmse_orientation[-1] / final.oeb:.3f}")
-        for s in range(final.meb.shape[0]):
-            out.append(f"  surface {s + 1}   {result.rmse_map[-1, s] / final.meb[s]:.3f}")
+        labels = ["position   ", "velocity   ", "orientation"]
+        labels += [f"surface {s}  " for s in surfaces]
+        ratios = result.rmse[-1] / table[-1]
+        out += [f"  {label} {ratio:.3f}" for label, ratio in zip(labels, ratios)]
     out.append("== modeling assumptions behind the bound ==")
     for i, text in enumerate(_ASSUMPTIONS, start=1):
         out.append(f"  {i}. {text}")

@@ -2,9 +2,11 @@
 
 The filter tracks the same joint state as the bound recursion (agent
 position, velocity, orientation plus all surface points) under the same
-transition model, and its measurement update is the bound's own step taken
-at the estimate: the same gradient code, the same map from noise variances
-to channel information, the same fusion and the same posterior inversion.
+transition model, and its covariance takes the bound's own steps: the same
+prediction and the same fusion and inversion (:func:`~.pcrlb.fuse`), with
+the information linearized at the estimate through the same gradient code
+and the same map from noise variances to channel information. It adds only
+the mean: predict, then pull by P H Lambda nu.
 Measurements arrive as one block of arrays per (step, anchor), drawn around
 the scenario's truth table: the true component ids (oracle association), the
 noisy parameters and the noise variances they were drawn with, which the
@@ -17,10 +19,11 @@ R runs hold (R, N) means and (R, N, N) covariances, and each measured step
 is linearized by one gradient pass for all of them and all anchors. The
 predict and update steps also take a single unbatched state. Each run
 draws its initial estimate around the true initial state from the scenario
-prior (so the run ensemble is consistent with the prior the recursion
-starts from) and then its measurements, from its own stream, around the
-truth table shared by all runs and the bound; so a run's numbers do not
-depend on the batch it is in. Squared errors are recorded per step and run, and the runs
+prior and starts from the prior diagonal as its covariance, as the
+recursion does; then it draws its measurements, from its own stream, around
+the truth table shared by all runs and the bound; so a run's numbers do not
+depend on the batch it is in. Squared errors are summed into the bound's
+state blocks (:func:`~.pcrlb.block_sums`) per step and run, and the runs
 are aggregated into RMSE time series paired with the bound records
 evaluated on the same ground truth.
 """
@@ -34,9 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .fim import channel_fim, global_jacobian, global_snapshot_fim
-from .geometry import AgentPose, Anchor, SurfaceMap, dot2, wrap_angle
+from .geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from .pcrlb import (
-    BoundRecord, SingularFimError, _spd_inverse, invert_posterior, process_noise_cov,
+    BoundRecord, SingularFimError, block_sums, fuse, predict_cov, process_noise_cov,
     run_recursion, transition_matrix,
 )
 from .scenario import (
@@ -69,8 +72,7 @@ class EkfState:
 def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) -> EkfState:
     """Time update: mean through the transition, covariance plus process noise."""
     mean = (transition @ state.mean[..., None])[..., 0]
-    cov = transition @ state.cov @ transition.T + noise_cov
-    return EkfState(mean=mean, cov=0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    return EkfState(mean=mean, cov=predict_cov(state.cov, transition, noise_cov))
 
 
 def _linearize(
@@ -122,19 +124,17 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
 
     ``blocks`` holds the step's measured anchor blocks (see
     :func:`~.scenario.draw_measurements`), with a leading run axis on their
-    parameters for a batched state. As in the bound recursion, J = P^{-1} +
-    H Lambda H^T at the predicted mean and P_post = J^{-1}; the mean moves by
-    P_post H Lambda nu. A singular J raises :class:`~.pcrlb.SingularFimError`
+    parameters for a batched state. The covariance is the bound's fusion,
+    P_post = (P^{-1} + H Lambda H^T)^{-1} with H at the predicted mean; the
+    mean moves by P_post H Lambda nu. A step with no measurement returns the
+    state as it is. A singular matrix raises :class:`~.pcrlb.SingularFimError`
     whose ``index`` is the first failing batch entry.
     """
     linear = _linearize(state.mean, blocks, scenario)
     if linear is None:
         return state
     jac, lam, innovation = linear
-    step = blocks[0].step
-    j_post = _spd_inverse(state.cov, f"step {step}: predicted covariance")
-    j_post += global_snapshot_fim([(jac, lam)])
-    cov = invert_posterior(j_post, step)
+    cov = fuse(state.cov, global_snapshot_fim([(jac, lam)]), blocks[0].step)
     pull = jac @ (lam * innovation)[..., None]
     mean = state.mean + (cov @ pull)[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
@@ -142,24 +142,12 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
 
 
 @dataclass
-class RunMetrics:
-    """Per-step squared errors of a batch of runs (steps 1..N, runs in batch order)."""
-
-    position_sq: np.ndarray  # (N, R)
-    velocity_sq: np.ndarray  # (N, R)
-    orientation_sq: np.ndarray  # (N, R)
-    map_sq: np.ndarray  # (N, R, S)
-
-
-@dataclass
 class MonteCarloResult:
-    """Aggregated RMSE time series paired with the bound records (steps 1..N)."""
+    """RMSE time series paired with the bound records (steps 1..N); ``rmse``
+    is (N, 3 + S): position, velocity, orientation, then each surface."""
 
     bounds: list[BoundRecord]
-    rmse_position: np.ndarray
-    rmse_velocity: np.ndarray
-    rmse_orientation: np.ndarray
-    rmse_map: np.ndarray  # (N, S)
+    rmse: np.ndarray
     runs: int
 
 
@@ -171,19 +159,17 @@ class RunFailure(RuntimeError):
         self.run = run
 
 
-def _joint_truth(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
-    return np.concatenate([pose.as_state(), surfaces.points.ravel()])
-
-
 def run_single(
     scenario: Scenario,
     truth: list[AgentPose],
     table: list[StepTruth],
     runs: int | Sequence[int],
-) -> RunMetrics:
+) -> np.ndarray:
     """Filter Monte-Carlo runs as one lockstep batch and record their errors.
 
-    ``runs`` is a run index or a sequence of them, in batch order. Each run
+    ``runs`` is a run index or a sequence of them, in batch order. Returns
+    the (N, 3 + S, R) squared errors of steps 1..N summed into the state
+    blocks (:func:`~.pcrlb.block_sums`), orientation wrapped. Each run
     draws its initial error and its measurements from its own stream, so its
     errors do not depend on the rest of the batch. A run that fails (a
     singular information matrix or a non-finite estimate) leaves the batch
@@ -195,7 +181,7 @@ def run_single(
     streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
     prior_diag = scenario.prior_covariance()
     draws = np.stack([stream.standard_normal(prior_diag.size) for stream in streams])
-    mean = _joint_truth(truth[0], scenario.surfaces) + np.sqrt(prior_diag) * draws
+    mean = joint_state(truth[0], scenario.surfaces) + np.sqrt(prior_diag) * draws
     mean[:, 4] = wrap_angle(mean[:, 4])
     state = EkfState(mean=mean, cov=np.repeat(np.diag(prior_diag)[None], batch.size, axis=0))
     measured = draw_measurements(table, streams)
@@ -204,12 +190,7 @@ def run_single(
     noise_cov = process_noise_cov(scenario.model)
     n_steps = scenario.n_steps
     num_surfaces = len(scenario.surfaces)
-    metrics = RunMetrics(
-        position_sq=np.zeros((n_steps, batch.size)),
-        velocity_sq=np.zeros((n_steps, batch.size)),
-        orientation_sq=np.zeros((n_steps, batch.size)),
-        map_sq=np.zeros((n_steps, batch.size, num_surfaces)),
-    )
+    squared = np.zeros((n_steps, 3 + num_surfaces, batch.size))  # runs last, summed contiguously
     failure = None
     for n in range(1, n_steps + 1):
         while True:
@@ -230,15 +211,12 @@ def run_single(
                 raise failure
             state = EkfState(mean=state.mean[:entry], cov=state.cov[:entry])
         state = stepped
-        err = state.mean - _joint_truth(truth[n], scenario.surfaces)
-        surface_err = err[:, 5:].reshape(live, num_surfaces, 2)
-        metrics.position_sq[n - 1, :live] = err[:, 0] ** 2 + err[:, 1] ** 2
-        metrics.velocity_sq[n - 1, :live] = err[:, 2] ** 2 + err[:, 3] ** 2
-        metrics.orientation_sq[n - 1, :live] = wrap_angle(err[:, 4]) ** 2
-        metrics.map_sq[n - 1, :live] = dot2(surface_err, surface_err)
+        err = state.mean - joint_state(truth[n], scenario.surfaces)
+        err[:, 4] = wrap_angle(err[:, 4])
+        squared[n - 1, :, :live] = block_sums(err * err, num_surfaces).T
     if failure is not None:
         raise failure
-    return metrics
+    return squared
 
 
 def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
@@ -256,16 +234,9 @@ def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
 
     runs = scenario.mc.runs
     try:
-        metrics = run_single(scenario, truth, table, range(runs))
+        squared = run_single(scenario, truth, table, range(runs))
     except RunFailure:
         raise
     except Exception as exc:  # raised for the batch as a whole, so by run 0 too
         raise RunFailure(0, str(exc)) from exc
-    return MonteCarloResult(
-        bounds=bounds,
-        rmse_position=np.sqrt(metrics.position_sq.sum(axis=1) / runs),
-        rmse_velocity=np.sqrt(metrics.velocity_sq.sum(axis=1) / runs),
-        rmse_orientation=np.sqrt(metrics.orientation_sq.sum(axis=1) / runs),
-        rmse_map=np.sqrt(metrics.map_sq.sum(axis=1) / runs),
-        runs=runs,
-    )
+    return MonteCarloResult(bounds=bounds, rmse=np.sqrt(squared.sum(axis=-1) / runs), runs=runs)

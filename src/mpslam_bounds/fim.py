@@ -111,9 +111,11 @@ class UniformLinearArray:
 
 ApertureModel = IsotropicAperture | UniformLinearArray
 
-# The variance models below take scalars or arrays (broadcast elementwise).
+# The variance models below take scalars or arrays (broadcast elementwise). An
+# overflow gives 0, inf or nan, with no warning; the truth pass reports it.
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def ranging_variance(amplitude: float | np.ndarray, rms_bandwidth: float) -> float | np.ndarray:
     """Distance measurement variance (m^2) at a given normalized amplitude.
 
@@ -124,9 +126,10 @@ def ranging_variance(amplitude: float | np.ndarray, rms_bandwidth: float) -> flo
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     if not rms_bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {rms_bandwidth}")
-    return SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * rms_bandwidth**2 * amplitude**2)
+    return SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * np.float64(rms_bandwidth)**2 * amplitude**2)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def angle_variance(
     amplitude: float | np.ndarray, carrier_freq: float, squared_aperture: float | np.ndarray
 ) -> float | np.ndarray:
@@ -149,7 +152,7 @@ def angle_variance(
             int(endfire[0, 0]),
         )
     return SPEED_OF_LIGHT**2 / (
-        8.0 * math.pi**2 * carrier_freq**2 * amplitude**2 * squared_aperture
+        8.0 * math.pi**2 * np.float64(carrier_freq)**2 * amplitude**2 * squared_aperture
     )
 
 

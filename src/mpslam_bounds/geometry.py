@@ -200,6 +200,12 @@ class AgentPose:
         return cls(position=state[..., 0:2], velocity=state[..., 2:4], orientation=state[..., 4])
 
 
+def joint_state(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
+    """Joint state vector: the pose's (x, y, vx, vy, orientation), then the
+    surface points in order."""
+    return np.concatenate([pose.as_state(), surfaces.points.ravel()])
+
+
 @dataclass(frozen=True)
 class PathComponent:
     """A propagation path, identified by its sequence of reflecting surfaces.

@@ -2,20 +2,22 @@
 
 The joint state follows a nearly-constant-velocity transition: position
 integrates velocity over the step length, orientation and surface points
-random-walk. Posterior information is propagated as
+random-walk. The recursion is the information-form posterior bound of
+Tichavsky, Muravchik and Nehorai (IEEE TSP 1998). From the prior diagonal
+as the start covariance, each step is
 
-    P_prev = J_prev^{-1}                         (posterior covariance)
-    J_pred = (F P_prev F^T + Q)^{-1}             (prediction)
-    J_post = J_snapshot + J_pred                 (fusion)
+    P_pred = F P F^T + Q                         (prediction, :func:`predict_cov`)
+    P      = (P_pred^{-1} + J_snapshot)^{-1}     (fusion, :func:`fuse`)
 
-and the error bounds are square roots of traces of blocks of J_post^{-1}:
-position (PEB), velocity (VEB), orientation (OEB) and one mapping bound per
-surface (MEB). Each posterior is inverted once; its covariance yields the
-step's bounds and the next step's prediction. Every inversion checks for a
-symmetric positive-definite (Cholesky) factorization and inverts the
-symmetrized matrix; it rejects non-finite matrices and condition numbers
-beyond 1e14 (screened from above by tr(A) tr(A^-1)). The inversion takes
-stacks of matrices, one per Monte-Carlo run of the filter's batch.
+and the error bounds are square roots of traces of blocks of P: position
+(PEB), velocity (VEB), orientation (OEB) and one mapping bound per surface
+(MEB), read out by :func:`block_sums`. The EKF takes the same two steps and
+the same readout; it adds only the mean, so its covariance run at the truth
+is this recursion. Every inversion checks for a symmetric positive-definite
+(Cholesky) factorization and inverts the symmetrized matrix; it rejects
+non-finite matrices and condition numbers beyond 1e14 (screened from above
+by tr(A) tr(A^-1)). The inversion takes stacks of matrices, one per
+Monte-Carlo run of the filter's batch.
 
 The snapshot information comes from the scenario's truth table, the one
 channel evaluation at the true poses that also feeds the measurement
@@ -27,6 +29,7 @@ surface s (1-based) at 5 + 2*(s-1). Reports use 1-based surface ids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +157,19 @@ def _has_cholesky(matrix: np.ndarray) -> bool:
     return True
 
 
+def predict_cov(cov: np.ndarray, transition: np.ndarray, process_cov: np.ndarray) -> np.ndarray:
+    """Predicted covariance F P F^T + Q of one covariance or a stack; symmetrized."""
+    predicted = transition @ cov @ transition.T + process_cov
+    return 0.5 * (predicted + np.swapaxes(predicted, -1, -2))
+
+
 def predict_fim(
     cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray,
     what: str = "predicted covariance",
 ) -> np.ndarray:
     """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1};
     ``what`` names the predicted covariance in a :class:`SingularFimError`."""
-    predicted_cov = transition @ cov_post @ transition.T + process_cov
-    return _spd_inverse(predicted_cov, what)
+    return _spd_inverse(predict_cov(cov_post, transition, process_cov), what)
 
 
 @dataclass(frozen=True)
@@ -175,72 +183,81 @@ class BoundRecord:
     meb: np.ndarray = field(repr=False)  # m, one entry per surface (1-based id s -> meb[s-1])
 
 
+@functools.cache
+def _block_starts(num_surfaces: int) -> np.ndarray:
+    starts = np.r_[0, 2, 4, 5 + 2 * np.arange(num_surfaces)]
+    starts.flags.writeable = False
+    return starts
+
+
+def block_sums(values: np.ndarray, num_surfaces: int) -> np.ndarray:
+    """Sum per-row values (..., N) into the (..., 3 + S) state blocks:
+    position, velocity, orientation, then each surface."""
+    return np.add.reduceat(values, _block_starts(num_surfaces), axis=-1)
+
+
 def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRecord:
     """Square-root trace bounds of the posterior covariance blocks."""
-    peb = float(np.sqrt(cov[0, 0] + cov[1, 1]))
-    veb = float(np.sqrt(cov[2, 2] + cov[3, 3]))
-    oeb = float(np.sqrt(cov[4, 4]))
-    meb = np.empty(num_surfaces)
-    for s in range(1, num_surfaces + 1):
-        sl = surface_slice(s)
-        meb[s - 1] = np.sqrt(cov[sl, sl].trace())
-    return BoundRecord(step=step, peb=peb, veb=veb, oeb=oeb, meb=meb)
+    bounds = np.sqrt(block_sums(np.diagonal(cov), num_surfaces))
+    return BoundRecord(step=step, peb=float(bounds[0]), veb=float(bounds[1]),
+                       oeb=float(bounds[2]), meb=bounds[3:])
 
 
-def _describe_weak_block(j: np.ndarray) -> str:
-    """Name the state block with the least diagonal information (diagnostics)."""
-    diag = np.diag(j)
-    idx = int(np.argmin(diag))
-    if idx < 2:
-        return "agent position"
-    if idx < 4:
-        return "agent velocity"
-    if idx == 4:
-        return "agent orientation"
-    return f"surface {1 + (idx - 5) // 2}"
+def _block_name(row: int) -> str:
+    if row >= 5:
+        return f"surface {1 + (row - 5) // 2}"
+    return "agent " + ("position", "position", "velocity", "velocity", "orientation")[row]
 
 
-def invert_posterior(j_post: np.ndarray, step: int) -> np.ndarray:
-    """Posterior covariance J_post^{-1} of one step of the bound or the filter
-    (a stack of them for a batch of filter runs); a singular ``j_post``
-    raises :class:`SingularFimError` naming the step and the state block
-    with the least information, and keeping the failing stack position."""
+def _inverse_at(matrix: np.ndarray, step: int, what: str, weakest) -> np.ndarray:
+    """:func:`_spd_inverse` whose error names the step and a state block of the
+    failing matrix: that of its first row holding a non-finite entry, else
+    the one ``weakest`` picks from its diagonal. Keeps the stack position."""
     try:
-        return _spd_inverse(j_post, "posterior information")
+        return _spd_inverse(matrix, what)
     except SingularFimError as exc:
-        weak = _describe_weak_block(j_post.reshape(-1, *j_post.shape[-2:])[exc.index])
+        failed = matrix.reshape(-1, *matrix.shape[-2:])[exc.index]
+        finite = np.isfinite(failed).all(axis=-1)
+        row = int(np.argmin(finite)) if not finite.all() else int(weakest(np.diag(failed)))
         raise SingularFimError(
-            f"step {step}: {exc} (weakest block: {weak})", exc.index
+            f"step {step}: {exc} (weakest block: {_block_name(row)})", exc.index
         ) from exc
 
 
-def run_recursion(scenario, table, prior: np.ndarray | None = None) -> list[BoundRecord]:
+def invert_posterior(j_post: np.ndarray, step: int) -> np.ndarray:
+    """Posterior covariance J_post^{-1} of one step (a stack of them for a
+    batch of filter runs); a singular ``j_post`` raises
+    :class:`SingularFimError` naming the step and the state block with the
+    least information, and keeping the failing stack position."""
+    return _inverse_at(j_post, step, "posterior information", np.argmin)
+
+
+def fuse(cov_pred: np.ndarray, information: np.ndarray, step: int) -> np.ndarray:
+    """Posterior covariance (P_pred^{-1} + J)^{-1} of one step of the bound or
+    the filter (stacks of them for a batch of filter runs). A singular
+    predicted covariance raises :class:`SingularFimError` naming the block
+    with the largest variance; a singular posterior, the block with the
+    least information."""
+    j_pred = _inverse_at(cov_pred, step, "predicted covariance", np.argmax)
+    return invert_posterior(j_pred + information, step)
+
+
+def run_recursion(scenario, table) -> list[BoundRecord]:
     """Evaluate the bound recursion along a scenario's truth table.
 
     ``table`` is the scenario's truth table (``scenario.measurement_truth``),
     one record per step with its snapshot information built from the true
-    geometry and the visibility schedule. Starts from the diagonal prior
-    covariance (the scenario's unless an explicit diagonal is given), then
-    alternates prediction and fusion. Each posterior is inverted once: its
-    covariance gives the step's bounds and the next step's prediction.
+    geometry and the visibility schedule. Starts from the scenario's diagonal
+    prior covariance, then alternates prediction and fusion; each step's
+    covariance gives its bounds and the next step's prediction.
     Deterministic: identical inputs give bit-identical output.
     """
     model = scenario.model
-    if prior is None:
-        prior = scenario.prior_covariance()
-    prior = np.asarray(prior, dtype=float)
-    if prior.ndim != 1 or prior.shape[0] != model.dim:
-        raise ValueError(f"prior covariance diagonal must have length {model.dim}")
-    if not np.all(prior > 0):
-        raise ValueError("prior variances must be positive")
-
     transition = transition_matrix(model)
     noise_cov = process_noise_cov(model)
-    cov = invert_posterior(np.diag(1.0 / prior), 1)
+    cov = np.diag(scenario.prior_covariance())
     records: list[BoundRecord] = []
     for record in table:
-        j_post = predict_fim(cov, transition, noise_cov,
-                             f"step {record.step}: predicted covariance") + record.information
-        cov = invert_posterior(j_post, record.step)
+        cov = fuse(predict_cov(cov, transition, noise_cov), record.information, record.step)
         records.append(extract_bounds(cov, model.num_surfaces, step=record.step))
     return records

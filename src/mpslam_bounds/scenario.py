@@ -359,6 +359,8 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
     Hidden entries get zero weight (an infinite variance) in the information,
     summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
     earliest step, then the lowest anchor; degenerate geometry before endfire.
+    A visible entry whose noise variance is not finite and positive (an
+    overflowing noise model) raises :class:`FloatingPointError`.
     """
     order = scenario.order
     pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
@@ -386,6 +388,13 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
         except ZeroApertureError as exc:
             comp = order.components[union[k[exc.index]]]
             failures.append((at[exc.index], j, comp, ZeroApertureError, exc))
+        else:
+            bad = np.argwhere(~(np.isfinite(variances) & (variances > 0)))
+            if bad.size:  # an overflowing or underflowing noise model
+                i, c = bad[0]
+                failures.append((at[i], j, order.components[union[k[i]]], FloatingPointError,
+                                 f"{('distance', 'arrival', 'departure')[c]} variance "
+                                 f"{variances[i, c]} is not finite and positive"))
         if failures:
             continue
         weights = np.full((steps.size, order.size, 3), np.inf)

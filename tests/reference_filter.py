@@ -9,19 +9,19 @@ as one lockstep batch; tests compare the batch with it.
 
 import numpy as np
 
-from mpslam_bounds.ekf import EkfState, _joint_truth, ekf_predict, ekf_update
-from mpslam_bounds.geometry import wrap_angle
+from mpslam_bounds.ekf import EkfState, ekf_predict, ekf_update
+from mpslam_bounds.geometry import joint_state, wrap_angle
 from mpslam_bounds.pcrlb import process_noise_cov, transition_matrix
 from mpslam_bounds.scenario import draw_measurements
 from mpslam_bounds.streams import derive_run_stream
 
 
 def filter_run(scenario, truth, table, run_index):
-    """Per-step squared errors of one run: position, velocity, orientation
-    (each (n_steps,)) and map ((n_steps, S))."""
+    """Per-step squared errors of one run, (n_steps, 3 + S): position,
+    velocity, orientation, then each surface."""
     rng = derive_run_stream(scenario.mc.seed, run_index)
     prior_diag = scenario.prior_covariance()
-    mean0 = _joint_truth(truth[0], scenario.surfaces)
+    mean0 = joint_state(truth[0], scenario.surfaces)
     mean0 = mean0 + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
     mean0[4] = wrap_angle(mean0[4])
     state = EkfState(mean=mean0, cov=np.diag(prior_diag))
@@ -36,11 +36,11 @@ def filter_run(scenario, truth, table, run_index):
         state = ekf_update(ekf_predict(state, transition, noise_cov), measured[n - 1], scenario)
         if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
-        err = state.mean - _joint_truth(truth[n], scenario.surfaces)
+        err = state.mean - joint_state(truth[n], scenario.surfaces)
         position[n - 1] = err[0] ** 2 + err[1] ** 2
         velocity[n - 1] = err[2] ** 2 + err[3] ** 2
         orientation[n - 1] = wrap_angle(float(err[4])) ** 2
         for s in range(num_surfaces):
             block = err[5 + 2 * s: 7 + 2 * s]
             surfaces[n - 1, s] = block @ block
-    return position, velocity, orientation, surfaces
+    return np.column_stack([position, velocity, orientation, surfaces])

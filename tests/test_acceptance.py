@@ -220,9 +220,9 @@ def test_criterion_7_bound_attainment_at_desk_scale():
     peb = np.array([b.peb for b in result.bounds])
     oeb = np.array([b.oeb for b in result.bounds])
     meb = np.stack([b.meb for b in result.bounds])
-    pos_ratio = (result.rmse_position / peb)[burn:]
-    orient_ratio = (result.rmse_orientation / oeb)[burn:]
-    map_ratio = (result.rmse_map / meb)[burn:]
+    pos_ratio = (result.rmse[:, 0] / peb)[burn:]
+    orient_ratio = (result.rmse[:, 2] / oeb)[burn:]
+    map_ratio = (result.rmse[:, 3:] / meb)[burn:]
 
     pos_ok = pos_ratio.min() >= 0.9 and pos_ratio.max() <= 1.6
     orient_ok = orient_ratio.min() >= 0.9 and orient_ratio.max() <= 1.6

@@ -11,7 +11,6 @@ import pytest
 from mpslam_bounds.ekf import (
     EkfState,
     MonteCarloResult,
-    _joint_truth,
     _linearize,
     ekf_predict,
     ekf_update,
@@ -19,7 +18,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import channel_fim, global_jacobian
-from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, wrap_angle
+from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
     predict_fim,
@@ -124,7 +123,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
-        mean = _joint_truth(truth[3], scenario.surfaces)
+        mean = joint_state(truth[3], scenario.surfaces)
         jac, lam, innovation = _linearize(mean, blocks, scenario)
         measured = [b for b in blocks if b.components.size]
         assert len(measured) == 2
@@ -159,7 +158,7 @@ class TestUpdate:
         meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
         prior = scenario.prior_covariance() * 0.01
         rng = derive_run_stream(9, 0)
-        mean = _joint_truth(truth[1], scenario.surfaces)
+        mean = joint_state(truth[1], scenario.surfaces)
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
         before = np.linalg.norm(state.mean[:2] - truth[1].position)
@@ -176,7 +175,7 @@ class TestUpdate:
         truth = ground_truth(scenario)
         rng = derive_run_stream(scenario.mc.seed, 0)
         prior = scenario.prior_covariance()
-        mean = _joint_truth(truth[0], scenario.surfaces)
+        mean = joint_state(truth[0], scenario.surfaces)
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
         measured = draw_measurements(measurement_truth(scenario, truth), rng)
@@ -194,7 +193,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
-        mean = _joint_truth(truth[1], scenario.surfaces)
+        mean = joint_state(truth[1], scenario.surfaces)
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
 
         with caplog.at_level(logging.WARNING):
@@ -218,7 +217,7 @@ class TestUpdate:
         for anchor, block in enumerate(blocks):
             target = next(k for k in block.components if order.components[k].n_bounces == 1)
             path = order.components[target]
-            mean = _joint_truth(truth[1], scenario.surfaces)
+            mean = joint_state(truth[1], scenario.surfaces)
             mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
 
             caplog.clear()
@@ -258,7 +257,7 @@ def predicted_state(scenario, truth, step, seed):
     scale = np.sqrt(scenario.prior_covariance())
     mixing = rng.normal(size=(scale.size, scale.size)) / np.sqrt(scale.size)
     cov = (0.5 * np.eye(scale.size) + 0.5 * mixing @ mixing.T) * np.outer(scale, scale)
-    mean = _joint_truth(truth[step], scenario.surfaces)
+    mean = joint_state(truth[step], scenario.surfaces)
     return EkfState(mean=mean + 0.1 * scale * rng.standard_normal(scale.size), cov=cov)
 
 
@@ -333,11 +332,11 @@ class TestFilterAtTheTruthIsTheBound:
         table = measurement_truth(scenario, truth)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
-        state = EkfState(mean=_joint_truth(truth[0], scenario.surfaces),
+        state = EkfState(mean=joint_state(truth[0], scenario.surfaces),
                          cov=np.diag(scenario.prior_covariance()))
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             predicted = ekf_predict(state, transition, noise)
-            at_truth = EkfState(_joint_truth(truth[record.step], scenario.surfaces),
+            at_truth = EkfState(joint_state(truth[record.step], scenario.surfaces),
                                 predicted.cov)
             state = ekf_update(at_truth, record.blocks, scenario)
             np.testing.assert_allclose(state.mean, at_truth.mean, rtol=0, atol=1e-12)
@@ -358,10 +357,7 @@ class TestLockstepBatch:
         batch = run_single(scenario, truth, table, range(runs))
         for run in range(runs):
             expected = filter_run(scenario, truth, table, run)
-            got = (batch.position_sq[:, run], batch.velocity_sq[:, run],
-                   batch.orientation_sq[:, run], batch.map_sq[:, run])
-            for a, b in zip(got, expected):
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch[:, :, run], expected, rtol=1e-12, atol=0)
 
     def test_desk_three_runs(self):
         self.assert_matches_sequential(load_scenario(DESK_SCENARIO), 3)
@@ -403,8 +399,7 @@ class TestLockstepBatch:
         table = measurement_truth(scenario, truth)
         four = run_single(scenario, truth, table, range(4))
         eight = run_single(scenario, truth, table, range(8))
-        for name in ("position_sq", "velocity_sq", "orientation_sq", "map_sq"):
-            np.testing.assert_array_equal(getattr(four, name)[:, 3], getattr(eight, name)[:, 3])
+        np.testing.assert_array_equal(four[..., 3], eight[..., 3])
 
 
 class TestMonteCarlo:
@@ -417,9 +412,9 @@ class TestMonteCarlo:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        metrics = run_single(scenario, truth, table, 0)
-        assert np.sqrt(metrics.map_sq[-1]).max() < 1e-3
-        assert np.sqrt(metrics.position_sq[-1]) < 1e-3
+        squared = run_single(scenario, truth, table, 0)
+        assert np.sqrt(squared[-1, 3:]).max() < 1e-3
+        assert np.sqrt(squared[-1, 0]) < 1e-3
 
     def test_rmse_tracks_bounds_on_the_small_scenario(self):
         mapping = desk_mapping()
@@ -432,7 +427,7 @@ class TestMonteCarlo:
         result = run_monte_carlo(scenario)
         assert isinstance(result, MonteCarloResult)
         peb = np.array([b.peb for b in result.bounds])
-        ratio = result.rmse_position / peb
+        ratio = result.rmse[:, 0] / peb
         # lower-bound consistency with finite-sample slack
         assert np.all(ratio >= 1.0 - 0.15)
         assert ratio[5:].max() < 2.5
@@ -448,8 +443,8 @@ class TestMonteCarlo:
         result_a = run_monte_carlo(scenario)
         mapping["mc"] = {"runs": 120, "seed": 11}
         result_b = run_monte_carlo(scenario_from_mapping(mapping))
-        a = result_a.rmse_position[10:].mean()
-        b = result_b.rmse_position[10:].mean()
+        a = result_a.rmse[10:, 0].mean()
+        b = result_b.rmse[10:, 0].mean()
         assert abs(a - b) / b < 0.10
 
     def test_mc_aggregation_is_reproducible(self):
@@ -457,8 +452,7 @@ class TestMonteCarlo:
         mapping["mc"] = {"runs": 5, "seed": 3}
         res_a = run_monte_carlo(scenario_from_mapping(mapping))
         res_b = run_monte_carlo(scenario_from_mapping(mapping))
-        np.testing.assert_array_equal(res_a.rmse_position, res_b.rmse_position)
-        np.testing.assert_array_equal(res_a.rmse_map, res_b.rmse_map)
+        np.testing.assert_array_equal(res_a.rmse, res_b.rmse)
 
     def test_failed_run_reports_its_index(self, monkeypatch):
         import mpslam_bounds.ekf as ekf_module

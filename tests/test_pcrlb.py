@@ -20,7 +20,9 @@ from mpslam_bounds.pcrlb import (
     StateSpaceModel,
     _spd_inverse,
     extract_bounds,
+    fuse,
     gain_matrix,
+    invert_posterior,
     predict_fim,
     process_noise_cov,
     run_recursion,
@@ -188,6 +190,22 @@ class TestPredictAndFuse:
         with pytest.raises(SingularFimError, match="stack is numerically singular") as exc:
             _spd_inverse(nearly, "stack")
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("which", ["predicted covariance", "posterior information"])
+    def test_non_finite_stack_names_the_block_of_its_first_bad_row(self, which):
+        """A NaN off the diagonal in a surface 2 row of entry 1 names that
+        surface, not the block an argmin over the diagonal would pick."""
+        stack = np.repeat(np.eye(9)[None], 3, axis=0)
+        stack[1, 7, 2] = np.nan
+        stack[2, 0, 0] = np.nan
+        if which == "predicted covariance":
+            call = lambda: fuse(stack, np.zeros((9, 9)), 4)  # noqa: E731
+        else:
+            call = lambda: invert_posterior(stack, 4)  # noqa: E731
+        with pytest.raises(SingularFimError) as excinfo:
+            call()
+        assert excinfo.value.index == 1
+        assert str(excinfo.value) == f"step 4: {which} is not finite (weakest block: surface 2)"
 
     def test_fuse_is_addition(self):
         """The recursion fuses by adding the snapshot to the prediction."""
@@ -528,12 +546,12 @@ class TestRunRecursion:
         mapping = desk_mapping(visibility={"default": False,
                                            "rules": [{"visible": True,
                                                       "components": [[0, 0]]}]})
+        mapping["prior"]["surface_var"] = [1e16]  # effectively no prior surface knowledge
         scenario = scenario_from_mapping(mapping)
-        prior = scenario.prior_covariance()
-        prior[5] = prior[6] = 1e16  # effectively no prior surface knowledge
         table = measurement_truth(scenario, ground_truth(scenario))
         with pytest.raises(SingularFimError) as excinfo:
-            run_recursion(scenario, table, prior)
+            run_recursion(scenario, table)
+        assert "step 1: predicted covariance" in str(excinfo.value)
         assert "surface 1" in str(excinfo.value)
 
     def test_bit_identical_reruns(self):
