@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .checks import run_self_check
-from .ekf import MonteCarloResult, run_monte_carlo
+from .ekf import MonteCarloResult, max_runs, run_monte_carlo
 from .fim import ZeroApertureError
 from .geometry import DegenerateGeometryError
 from .pcrlb import BoundRecord, run_recursion  # its SingularFimError is a RuntimeError
@@ -147,6 +147,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    if args.mode == "validate" and scenario.mc.runs > (limit := max_runs(scenario)):
+        field = "--mc-runs" if args.mc_runs is not None else "scenario.mc.runs"
+        print(f"error: {field}: must be at most {limit} in this room", file=sys.stderr)
+        return 2
 
     try:
         if args.mode == "bounds":

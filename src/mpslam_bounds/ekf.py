@@ -43,9 +43,10 @@ from .pcrlb import (
     run_recursion, transition_matrix,
 )
 from .scenario import (
-    AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
+    STEP_TABLE_BYTES, AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth,
+    measurement_truth,
 )
-from .streams import derive_run_stream
+from .streams import derive_run_stream, standard_normals
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +181,7 @@ def run_single(
     batch = np.atleast_1d(runs)
     streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
     prior_diag = scenario.prior_covariance()
-    draws = np.stack([stream.standard_normal(prior_diag.size) for stream in streams])
+    draws = standard_normals(streams, prior_diag.size)
     mean = joint_state(truth[0], scenario.surfaces) + np.sqrt(prior_diag) * draws
     mean[:, 4] = wrap_angle(mean[:, 4])
     state = EkfState(mean=mean, cov=np.repeat(np.diag(prior_diag)[None], batch.size, axis=0))
@@ -217,6 +218,17 @@ def run_single(
     if failure is not None:
         raise failure
     return squared
+
+
+def max_runs(scenario: Scenario) -> int:
+    """The most Monte-Carlo runs one batch may filter within ``STEP_TABLE_BYTES``.
+
+    Per run the batch holds its draws (the initial error and one noise value
+    per measured scalar), its noisy measurements, its mean and its
+    covariance; each visible (step, anchor, component) measures 3 scalars.
+    """
+    dim, measured = scenario.dim, 3 * scenario.visibility.visible_count()
+    return STEP_TABLE_BYTES // (8 * (2 * (dim + measured) + dim * dim))
 
 
 def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:

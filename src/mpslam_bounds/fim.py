@@ -252,8 +252,9 @@ class ComponentOrder:
 
 
 # A degenerate path divides by a zero length, and the nan and inf it makes
-# flow on until its columns are zeroed at the end.
-@np.errstate(divide="ignore", invalid="ignore")
+# flow on until its columns are zeroed at the end; a pose or surface beyond
+# the float range overflows, and the truth pass reports the distance it gives.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def global_jacobian(
     agent: AgentPose,
     anchor: Anchor,

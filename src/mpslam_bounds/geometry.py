@@ -114,6 +114,9 @@ class SurfaceMap:
     leading axes.
     """
 
+    # A point beyond the square root of the float range overflows its squares;
+    # the truth pass reports the distance that gives.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[-1] != 2:

@@ -44,7 +44,7 @@ from .fim import (
 )
 from .geometry import AgentPose, Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
-from .streams import RandomStream, trajectory_stream
+from .streams import RandomStream, standard_normals, trajectory_stream
 
 DEFAULT_ORIENTATION_PRIOR_VAR = math.radians(10.0) ** 2
 
@@ -155,6 +155,10 @@ class VisibilitySchedule:
     def flags(self, anchor_index: int, step: int) -> np.ndarray:
         """Existence flags of anchor ``anchor_index`` (0-based) at 1-based ``step``(s)."""
         return self._table[anchor_index, step]
+
+    def visible_count(self) -> int:
+        """Visible (anchor, step, component) entries over steps 1..n."""
+        return int(np.count_nonzero(self._table[:, 1:]))
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ def _waypoint_poses(spec: WaypointTrajectory, time_step: float) -> list[AgentPos
         velocity = (spec.positions[seg + 1] - spec.positions[seg]) / dt
         alpha = (t - spec.times[seg]) / dt
         position = spec.positions[seg] + alpha * (spec.positions[seg + 1] - spec.positions[seg])
-        if np.linalg.norm(velocity) > 1e-12:
+        if math.hypot(*velocity) > 1e-12:
             heading = math.atan2(velocity[1], velocity[0])
         poses.append(AgentPose(position=position, velocity=velocity, orientation=heading))
     return poses
@@ -359,8 +363,9 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
     Hidden entries get zero weight (an infinite variance) in the information,
     summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
     earliest step, then the lowest anchor; degenerate geometry before endfire.
-    A visible entry whose noise variance is not finite and positive (an
-    overflowing noise model) raises :class:`FloatingPointError`.
+    A visible entry whose distance, amplitude or noise variance is not finite
+    and positive (a geometry or noise model beyond the float range) raises
+    :class:`FloatingPointError`.
     """
     order = scenario.order
     pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
@@ -377,13 +382,24 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
             failures.append((b, j, comp, DegenerateGeometryError,
                              f"agent coincides with virtual anchor for path {comp.bounces}"))
             shown[b:] = False  # an earlier endfire aperture is still reported first
+        distance = params[..., 0]
+        reached = np.isfinite(distance) & (distance > 0)
+        amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
+                                                        order.n_bounces[union])
+        bad = np.argwhere(~(reached & np.isfinite(amplitudes) & (amplitudes > 0)) & shown)
+        if bad.size:  # a distance or amplitude beyond the float range
+            b, i = bad[0]
+            value = (f"distance {distance[b, i]}" if not reached[b, i]
+                     else f"amplitude {amplitudes[b, i]}")
+            failures.append((b, j, order.components[union[i]], FloatingPointError,
+                             f"{value} is not finite and positive"))
+            shown[b:] = False
         at, k = np.nonzero(shown)  # visible entries: step and position in the union
         entries = params[at, k]
-        amplitudes = scenario.amplitude_model.amplitude(entries[:, 0], order.n_bounces[union[k]])
         try:
             variances = measurement_variances(
-                entries, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
-                scenario.agent_aperture, anchor.aperture,
+                entries, amplitudes[at, k], scenario.signal.carrier_freq,
+                scenario.signal.rms_bandwidth, scenario.agent_aperture, anchor.aperture,
             )
         except ZeroApertureError as exc:
             comp = order.components[union[k[exc.index]]]
@@ -458,7 +474,7 @@ def draw_measurements(
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
     total = sum(block.params.size for record in table for block in record.blocks)
-    noise = np.stack([stream.standard_normal(total) for stream in streams])
+    noise = standard_normals(streams, total)
     if isinstance(rng, RandomStream):
         noise = noise[0]
     drawn, end = [], 0

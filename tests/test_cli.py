@@ -50,6 +50,22 @@ def huge_aperture():
     return overflowing_desk("agent_aperture", "d_squared", "arrival")
 
 
+def far_waypoint():
+    """Desk scenario whose last waypoint lies at x = 1e308: the distance of
+    the first step's LOS overflows."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["trajectory"]["points"][-1]["position"] = [1e308, 3.8]
+    return mapping, "step 1, anchor 1, component [0, 0]: distance inf is not finite"
+
+
+def far_surface():
+    """Desk scenario with surface 3 at [-1e308, 0]: its mirror overflows, and
+    the first single bounce off it has no finite distance."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["surfaces"][2] = [-1e308, 0.0]
+    return mapping, "step 1, anchor 1, component [3, 3]: distance nan is not finite"
+
+
 def degenerate_desk(anchor_position, **overrides):
     """Desk scenario on a straight run whose step 10 pose is at [1.5, 0.8]."""
     mapping = yaml.safe_load(DESK_SCENARIO.read_text())
@@ -317,7 +333,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
-                                      bounce_at_endfire, huge_bandwidth, huge_aperture])
+                                      bounce_at_endfire, huge_bandwidth, huge_aperture,
+                                      far_waypoint, far_surface])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         """Exit 3 naming the step (and the block, or the anchor and component),
         with no numpy warning on the way."""
@@ -385,6 +402,38 @@ class TestErrors:
         assert (f"error: scenario.trajectory.n_steps: must be at most {limit} in this room"
                 in capsys.readouterr().err)
         assert peak < 2**24
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_run_batch_beyond_the_table_limit_is_config_error(self, source, tmp_path, capsys):
+        """A run count whose batch (draws, noisy measurements, means and
+        covariances) would pass ``STEP_TABLE_BYTES`` exits 2 naming where the
+        count came from, before any stream or per-run array is built."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        argv = ["--mc-runs", "1000000000"] if source == "flag" else []
+        if source == "file":
+            mapping["mc"]["runs"] = 10**9
+        path = tmp_path / "many.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        tracemalloc.start()
+        try:
+            code = main(["--scenario", str(path), *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = "--mc-runs" if source == "flag" else "scenario.mc.runs"
+        assert code == 2
+        assert (f"error: {field}: must be at most 16064 in this room"
+                in capsys.readouterr().err)
+        assert peak < 2**24
+
+    def test_run_count_does_not_limit_bounds_mode(self, tmp_path):
+        """Bounds mode filters no runs, so the file's run count is not sized."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["mc"]["runs"] = 10**9
+        path = tmp_path / "many.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["--scenario", str(path), "--mode", "bounds",
+                     "--out", str(tmp_path / "bounds.csv")]) == 0
 
     @pytest.mark.parametrize("rule, field", [
         ({"visible": False, "anchors": [], "steps": [999]}, "rules[0].steps[0]"),
@@ -509,6 +558,21 @@ class TestPackaging:
         result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": str(source)}, check=True)
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    def test_neither_mode_imports_numpy_random(self, mode, tmp_path):
+        """The streams draw their own Philox words, so a desk call in a fresh
+        interpreter leaves numpy.random, and the secrets and OpenSSL modules
+        it brings, out of sys.modules."""
+        source = Path(__file__).resolve().parent.parent / "src"
+        argv = ["--scenario", str(DESK_SCENARIO), "--mode", mode, "--mc-runs", "2",
+                "--out", str(tmp_path / "out.csv")]
+        check = (f"import sys; from mpslam_bounds.cli import main; code = main({argv!r}); "
+                 "print(code, [m for m in ('numpy.random', 'secrets', '_hashlib') "
+                 "if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(source)}, check=True)
+        assert result.stdout.strip() == "0 []"
 
 
 class TestSelfCheck:

@@ -1,16 +1,26 @@
-"""Counter-based stream derivation and the Box-Muller normal transform."""
+"""Counter-based stream derivation, the Philox kernel and the Box-Muller
+normal transform."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import mpslam_bounds.scenario as scenario_module
+import mpslam_bounds.streams as streams_module
+from mpslam_bounds.scenario import ground_truth, scenario_from_mapping
 from mpslam_bounds.streams import (
     GROUND_TRUTH_STREAM,
     RandomStream,
     derive_run_stream,
+    standard_normals,
     trajectory_stream,
+    uniforms,
 )
+
+DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 
 
 class TestDeterminism:
@@ -120,3 +130,109 @@ class TestValidation:
         with pytest.raises(ValueError):
             RandomStream(2**64, 0)
         RandomStream(2**64 - 1, 0)  # boundary is fine
+
+
+class OracleStream:
+    """numpy's ``Generator(Philox(key=[seed, stream]))`` with the package's
+    Box-Muller transform on its uniforms: what the streams drew before they
+    had their own kernel, and what they must still draw bit for bit."""
+
+    def __init__(self, seed, stream_index):
+        key = np.array([seed, stream_index], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._spare = None
+
+    def uniform(self, size=None):
+        return self._gen.random(size)
+
+    def standard_normal(self, size=None):
+        count = 1 if size is None else size
+        spare = [] if self._spare is None else [self._spare]
+        pairs = -(-(count - len(spare)) // 2)
+        u = self._gen.random(2 * pairs)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        drawn = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+        out = np.concatenate([spare, drawn])
+        self._spare = float(out[count]) if out.size > count else None
+        return float(out[0]) if size is None else out[:count]
+
+
+KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1),
+        (98765, GROUND_TRUTH_STREAM), (98765, 7)]
+LENGTHS = [1, 3, 4, 5, 4093]
+
+
+class TestNumpyPhiloxOracle:
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    @pytest.mark.parametrize("count", LENGTHS)
+    def test_uniforms_are_numpys_bit_for_bit(self, key, count):
+        np.testing.assert_array_equal(RandomStream(*key).uniform(count),
+                                      OracleStream(*key).uniform(count))
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    @pytest.mark.parametrize("count", LENGTHS)
+    def test_normals_are_numpys_bit_for_bit(self, key, count):
+        np.testing.assert_array_equal(RandomStream(*key).standard_normal(count),
+                                      OracleStream(*key).standard_normal(count))
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_split_requests_follow_the_oracle(self, key):
+        """Odd counts keep a spare that opens the next request; scalar draws,
+        uniform draws in between (which leave the spare alone) and requests
+        that start mid-block all read the oracle's values."""
+        stream, oracle = RandomStream(*key), OracleStream(*key)
+        normal = "standard_normal"
+        for name, size in [(normal, 3), (normal, None), ("uniform", 5), (normal, 1), (normal, 4),
+                           ("uniform", None), (normal, 7), (normal, 0), ("uniform", 4093),
+                           (normal, 4093), (normal, 2)]:
+            got, expected = getattr(stream, name)(size), getattr(oracle, name)(size)
+            assert type(got) is type(expected)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_requests_beyond_one_chunk_of_blocks(self):
+        """A request longer than one kernel chunk, starting mid-block."""
+        count = 4 * streams_module._CHUNK + 7
+        stream, oracle = RandomStream(5, 6), OracleStream(5, 6)
+        stream.uniform(3), oracle.uniform(3)
+        np.testing.assert_array_equal(stream.uniform(count), oracle.uniform(count))
+
+    def test_batched_draws_are_the_per_stream_draws_row_by_row(self):
+        """One batched call over more streams than one chunk holds gives, row
+        by row, what each stream draws on its own, spare included."""
+        runs, count = 40, 2001  # 40 rows of 501 blocks: two chunks of streams
+        assert runs * (count // 4) > streams_module._CHUNK
+        batch = [derive_run_stream(98765, run) for run in range(runs)]
+        single = [derive_run_stream(98765, run) for run in range(runs)]
+        np.testing.assert_array_equal(standard_normals(batch, 13),
+                                      [s.standard_normal(13) for s in single])
+        np.testing.assert_array_equal(standard_normals(batch, count),
+                                      [s.standard_normal(count) for s in single])
+        np.testing.assert_array_equal(uniforms(batch, count), [s.uniform(count) for s in single])
+        np.testing.assert_array_equal(standard_normals(batch, 2),
+                                      [s.standard_normal(2) for s in single])
+
+    def test_batched_draw_needs_streams_at_one_position(self):
+        ahead = derive_run_stream(1, 1)
+        ahead.uniform(2)
+        with pytest.raises(ValueError, match="same position"):
+            uniforms([derive_run_stream(1, 0), ahead], 4)
+        spare = derive_run_stream(1, 1)
+        spare.standard_normal(1)
+        with pytest.raises(ValueError, match="same position"):
+            standard_normals([derive_run_stream(1, 0), spare], 4)
+
+    def test_sampled_ground_truth_is_unchanged(self, monkeypatch):
+        """A sampled_ncv trajectory drawn from the package's stream equals
+        the one drawn from the oracle, bit for bit."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["trajectory"] = {"kind": "sampled_ncv", "n_steps": 40,
+                                 "position": [1.0, 1.0], "velocity": [0.5, 0.2]}
+        scenario = scenario_from_mapping(mapping)
+        drawn = ground_truth(scenario)
+        monkeypatch.setattr(scenario_module, "trajectory_stream",
+                            lambda seed: OracleStream(seed, GROUND_TRUTH_STREAM))
+        expected = ground_truth(scenario)
+        np.testing.assert_array_equal([p.as_state() for p in drawn],
+                                      [p.as_state() for p in expected])
+        assert not np.array_equal(drawn[1].as_state(), drawn[2].as_state())
