@@ -1,31 +1,27 @@
 """Reference EKF-SLAM estimator with oracle data association.
 
-The filter tracks the same joint state as the bound recursion (agent
-position, velocity, orientation plus all surface points) under the same
-transition model, and its covariance takes the bound's own steps: the same
-prediction and the same fusion and inversion (:func:`~.pcrlb.fuse`), with
-the information linearized at the estimate through the same gradient code
-and the same map from noise variances to channel information. It adds only
-the mean: predict, then pull by P H Lambda nu.
-Measurements arrive as one block of arrays per (step, anchor), drawn around
-the scenario's truth table: the true component ids (oracle association), the
-noisy parameters and the noise variances they were drawn with, which the
-filter uses rather than evaluating the noise model again. This matches the
-assumptions under which the bound holds, so the filter's error is expected
-to approach the bound at high SNR.
+The filter tracks the same joint state as the bound recursion under the same
+transition model, and its covariance takes the bound's own steps
+(:func:`~.pcrlb.predict_cov`, :func:`~.pcrlb.fuse`), with the information
+linearized at the estimate through the same gradient and noise code. It adds
+only the mean: predict, then pull by P H Lambda nu. Measurements arrive as
+one block of arrays per (step, anchor), drawn around the scenario's truth
+table: the true component ids (oracle association), the noisy parameters
+and the noise variances they were drawn with, which the filter uses rather
+than evaluating the noise model again. This matches the assumptions under
+which the bound holds, so the filter's error is expected to approach the
+bound at high SNR.
 
-The Monte-Carlo runs are filtered as one batch that advances in lockstep:
-R runs hold (R, N) means and (R, N, N) covariances, and each measured step
-is linearized by one gradient pass for all of them and all anchors. The
-predict and update steps also take a single unbatched state. Each run
-draws its initial estimate around the true initial state from the scenario
-prior and starts from the prior diagonal as its covariance, as the
-recursion does; then it draws its measurements, from its own stream, around
-the truth table shared by all runs and the bound; so a run's numbers do not
-depend on the batch it is in. Squared errors are summed into the bound's
-state blocks (:func:`~.pcrlb.block_sums`) per step and run, and the runs
-are aggregated into RMSE time series paired with the bound records
-evaluated on the same ground truth.
+The bound and the Monte-Carlo runs advance as one lockstep batch
+(:func:`run_single`): entry 0 of an (R + 1, N, N) covariance stack is the
+bound, fusing the truth table's information, and entries 1..R are the runs,
+with (R, N) means and one gradient pass per measured step for all runs and
+anchors; one prediction and one fusion call per step serve them all. Each
+run draws its initial estimate around the true initial state from the prior
+and its measurements from its own stream, so its numbers do not depend on
+the batch it is in. Squared errors are summed into the bound's state blocks
+per step and run and aggregated into RMSE time series paired with the bound
+records. The predict and update steps also take a single state.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ import numpy as np
 from .fim import channel_fim, global_jacobian, global_snapshot_fim
 from .geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from .pcrlb import (
-    BoundRecord, SingularFimError, block_sums, fuse, predict_cov, process_noise_cov,
-    run_recursion, transition_matrix,
+    BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
+    process_noise_cov, transition_matrix,
 )
 from .scenario import (
     STEP_TABLE_BYTES, AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth,
@@ -105,7 +101,7 @@ def _linearize(
     near_origin = ~(usable[..., order.first[ks]] & usable[..., order.second[ks]])
     params, degenerate, jac = global_jacobian(pose, sources, order, surfaces, ks)
     ok = ~(near_origin | degenerate)
-    for *entry, i in np.argwhere(~ok):
+    for *entry, i in () if ok.all() else np.argwhere(~ok):
         log.warning(
             "step %d anchor %d%s: %s, skipping component %s", blocks[0].step, owner[i] + 1,
             "".join(f", batch entry {e}" for e in entry),
@@ -120,6 +116,19 @@ def _linearize(
     return jac, channel_fim(np.where(ok[..., None], variances, np.inf)), innovation
 
 
+def _measurement_step(
+    mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (..., N, N) information H Lambda H^T and the (..., N, 1) pull
+    g = H Lambda nu of one step, linearized at ``mean`` (:func:`_linearize`);
+    None when nothing was measured."""
+    linear = _linearize(mean, blocks, scenario)
+    if linear is None:
+        return None
+    jac, lam, innovation = linear
+    return global_snapshot_fim([(jac, lam)]), jac @ (lam * innovation)[..., None]
+
+
 def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
     """Measurement update of one step in information form.
 
@@ -131,13 +140,11 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
     state as it is. A singular matrix raises :class:`~.pcrlb.SingularFimError`
     whose ``index`` is the first failing batch entry.
     """
-    linear = _linearize(state.mean, blocks, scenario)
-    if linear is None:
+    terms = _measurement_step(state.mean, blocks, scenario)
+    if terms is None:
         return state
-    jac, lam, innovation = linear
-    cov = fuse(state.cov, global_snapshot_fim([(jac, lam)]), blocks[0].step)
-    pull = jac @ (lam * innovation)[..., None]
-    mean = state.mean + (cov @ pull)[..., 0]
+    cov = fuse(state.cov, terms[0], blocks[0].step)
+    mean = state.mean + (cov @ terms[1])[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
     return EkfState(mean=mean, cov=cov)
 
@@ -162,62 +169,80 @@ class RunFailure(RuntimeError):
 
 def run_single(
     scenario: Scenario,
-    truth: list[AgentPose],
+    truth: list[AgentPose] | None,
     table: list[StepTruth],
     runs: int | Sequence[int],
-) -> np.ndarray:
-    """Filter Monte-Carlo runs as one lockstep batch and record their errors.
+) -> tuple[list[BoundRecord], np.ndarray]:
+    """Step the bound and Monte-Carlo runs as one lockstep batch.
 
-    ``runs`` is a run index or a sequence of them, in batch order. Returns
-    the (N, 3 + S, R) squared errors of steps 1..N summed into the state
-    blocks (:func:`~.pcrlb.block_sums`), orientation wrapped. Each run
-    draws its initial error and its measurements from its own stream, so its
-    errors do not depend on the rest of the batch. A run that fails (a
-    singular information matrix or a non-finite estimate) leaves the batch
-    with every run after it, and the step is redone for those before it; the
-    :class:`RunFailure` raised at the end names the first run in batch order
-    that fails and its step, as filtering the runs one by one would.
+    Covariance entry 0 is the bound, fusing the truth table's information;
+    entries 1..R are the runs ``runs`` (a run index or a sequence, in batch
+    order; with none, ``truth`` is not read), fusing the information
+    linearized at their estimates. Returns the bound records of steps 1..N
+    and the runs' (N, 3 + S, R) squared errors in the state blocks
+    (:func:`~.pcrlb.block_sums`). A bound failure raises at once. A run that
+    fails (a singular information matrix or a non-finite estimate) leaves the
+    batch with every run after it, and the step is redone; an exception
+    raised for the runs as a whole fails them all. The bound steps on to the
+    end; then the :class:`RunFailure` raised names the first run in batch
+    order that failed and its step, as filtering the runs one by one would.
     """
     batch = np.atleast_1d(runs)
-    streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
-    prior_diag = scenario.prior_covariance()
-    draws = standard_normals(streams, prior_diag.size)
-    mean = joint_state(truth[0], scenario.surfaces) + np.sqrt(prior_diag) * draws
-    mean[:, 4] = wrap_angle(mean[:, 4])
-    state = EkfState(mean=mean, cov=np.repeat(np.diag(prior_diag)[None], batch.size, axis=0))
-    measured = draw_measurements(table, streams)
-
-    transition = transition_matrix(scenario.model)
-    noise_cov = process_noise_cov(scenario.model)
-    n_steps = scenario.n_steps
+    transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
     num_surfaces = len(scenario.surfaces)
-    squared = np.zeros((n_steps, 3 + num_surfaces, batch.size))  # runs last, summed contiguously
-    failure = None
-    for n in range(1, n_steps + 1):
+    prior_var = scenario.prior_covariance()
+    cov = np.repeat(np.diag(prior_var)[None], 1 + batch.size, axis=0)
+    mean = np.zeros((0, prior_var.size))
+    squared = np.zeros((len(table), 3 + num_surfaces, batch.size))  # runs last: contiguous sums
+    bounds, failure = [], None
+    if batch.size:
+        try:
+            streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
+            true_states = np.stack([joint_state(pose, scenario.surfaces) for pose in truth])
+            mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
+            mean[:, 4] = wrap_angle(mean[:, 4])
+            measured = draw_measurements(table, streams)
+        except Exception as exc:  # raised for the runs as a whole, so by the first too
+            failure, mean, cov = RunFailure(int(batch[0]), str(exc)), mean[:0], cov[:1]
+    for n, record in enumerate(table, start=1):
         while True:
-            live = len(state.mean)
-            blocks = [replace(b, params=b.params[:live]) for b in measured[n - 1]]
+            live = len(mean)
+            ahead, moved = predict_cov(cov, transition, noise_cov), mean
+            if not live:  # the bound alone
+                ahead = fuse(ahead, record.information, n)
+                break
             try:
-                stepped = ekf_update(ekf_predict(state, transition, noise_cov), blocks, scenario)
-                finite = (np.isfinite(stepped.mean).all(axis=-1)
-                          & np.isfinite(stepped.cov).all(axis=(-2, -1)))
+                moved = (transition @ mean[..., None])[..., 0]
+                linear = _measurement_step(moved, measured[n - 1], scenario)
+                if linear is None:  # no run measures anything: the bound fuses alone
+                    ahead[:1] = fuse(ahead[:1], record.information, n)
+                else:
+                    ahead = fuse(ahead, np.concatenate([record.information[None], linear[0]]), n)
+                    moved = moved + (ahead[1:] @ linear[1])[..., 0]
+                    moved[:, 4] = wrap_angle(moved[:, 4])
+                finite = np.isfinite(moved).all(-1) & np.isfinite(ahead[1:]).all((-2, -1))
                 if finite.all():
                     break
                 entry = int(np.argmin(finite))
                 reason = f"step {n}: non-finite EKF mean or covariance"
             except SingularFimError as exc:
-                entry, reason = exc.index, str(exc)
+                if exc.index == 0:  # the bound's
+                    raise
+                entry, reason = exc.index - 1, str(exc)
+            except Exception as exc:  # raised for the runs as a whole, so by the first too
+                entry, reason = 0, str(exc)
             failure = RunFailure(int(batch[entry]), reason)
-            if entry == 0:
-                raise failure
-            state = EkfState(mean=state.mean[:entry], cov=state.cov[:entry])
-        state = stepped
-        err = state.mean - joint_state(truth[n], scenario.surfaces)
-        err[:, 4] = wrap_angle(err[:, 4])
-        squared[n - 1, :, :live] = block_sums(err * err, num_surfaces).T
+            mean, cov = mean[:entry], cov[:entry + 1]
+            measured = [[replace(b, params=b.params[:entry]) for b in step] for step in measured]
+        mean, cov = moved, ahead
+        bounds.append(extract_bounds(cov[0], num_surfaces, step=n))
+        if live:
+            err = mean - true_states[n]
+            err[:, 4] = wrap_angle(err[:, 4])
+            squared[n - 1, :, :live] = block_sums(err * err, num_surfaces).T
     if failure is not None:
         raise failure
-    return squared
+    return bounds, squared
 
 
 def max_runs(scenario: Scenario) -> int:
@@ -235,20 +260,13 @@ def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
     """Bounds plus estimator RMSE over the scenario's Monte-Carlo ensemble.
 
     The ground truth and its truth table are built once and shared by the
-    bound recursion and every run; runs differ in their initial estimate
-    draw and measurement noise. All runs are filtered as one lockstep batch
-    (:func:`run_single`); a failure names the lowest-numbered failing run
-    and its step.
+    bound and every run; runs differ in their initial estimate draw and
+    measurement noise. The bound and all runs step as one lockstep batch
+    (:func:`run_single`): a bound failure is raised as in bounds mode, and
+    wins; a run failure names the lowest-numbered failing run and its step.
     """
     truth = ground_truth(scenario)
     table = measurement_truth(scenario, truth)
-    bounds = run_recursion(scenario, table)
-
     runs = scenario.mc.runs
-    try:
-        squared = run_single(scenario, truth, table, range(runs))
-    except RunFailure:
-        raise
-    except Exception as exc:  # raised for the batch as a whole, so by run 0 too
-        raise RunFailure(0, str(exc)) from exc
+    bounds, squared = run_single(scenario, truth, table, range(runs))
     return MonteCarloResult(bounds=bounds, rmse=np.sqrt(squared.sum(axis=-1) / runs), runs=runs)

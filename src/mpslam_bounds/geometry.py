@@ -243,10 +243,6 @@ class PathComponent:
         return cls((int(first), int(second)))
 
     @property
-    def is_los(self) -> bool:
-        return not self.bounces
-
-    @property
     def n_bounces(self) -> int:
         return len(self.bounces)
 

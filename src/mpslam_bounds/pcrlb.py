@@ -13,11 +13,12 @@ and the error bounds are square roots of traces of blocks of P: position
 (PEB), velocity (VEB), orientation (OEB) and one mapping bound per surface
 (MEB), read out by :func:`block_sums`. The EKF takes the same two steps and
 the same readout; it adds only the mean, so its covariance run at the truth
-is this recursion. Every inversion checks for a symmetric positive-definite
-(Cholesky) factorization and inverts the symmetrized matrix; it rejects
-non-finite matrices and condition numbers beyond 1e14 (screened from above
-by tr(A) tr(A^-1)). The inversion takes stacks of matrices, one per
-Monte-Carlo run of the filter's batch.
+is this recursion, and the bound steps as entry 0 of the filter's lockstep
+batch (:func:`~.ekf.run_single`; alone in bounds mode). Every inversion
+checks for a symmetric positive-definite (Cholesky) factorization and
+inverts the symmetrized matrix; it rejects non-finite matrices and condition
+numbers beyond 1e14 (screened from above by tr(A) tr(A^-1)). A stack gives
+each entry the bits of its unbatched call.
 
 The snapshot information comes from the scenario's truth table, the one
 channel evaluation at the true poses that also feeds the measurement
@@ -224,22 +225,14 @@ def _inverse_at(matrix: np.ndarray, step: int, what: str, weakest) -> np.ndarray
         ) from exc
 
 
-def invert_posterior(j_post: np.ndarray, step: int) -> np.ndarray:
-    """Posterior covariance J_post^{-1} of one step (a stack of them for a
-    batch of filter runs); a singular ``j_post`` raises
-    :class:`SingularFimError` naming the step and the state block with the
-    least information, and keeping the failing stack position."""
-    return _inverse_at(j_post, step, "posterior information", np.argmin)
-
-
 def fuse(cov_pred: np.ndarray, information: np.ndarray, step: int) -> np.ndarray:
     """Posterior covariance (P_pred^{-1} + J)^{-1} of one step of the bound or
-    the filter (stacks of them for a batch of filter runs). A singular
+    the filter (stacks of them for the lockstep batch). A singular
     predicted covariance raises :class:`SingularFimError` naming the block
     with the largest variance; a singular posterior, the block with the
-    least information."""
+    least information. Either keeps the failing stack position."""
     j_pred = _inverse_at(cov_pred, step, "predicted covariance", np.argmax)
-    return invert_posterior(j_pred + information, step)
+    return _inverse_at(j_pred + information, step, "posterior information", np.argmin)
 
 
 def run_recursion(scenario, table) -> list[BoundRecord]:
@@ -249,15 +242,8 @@ def run_recursion(scenario, table) -> list[BoundRecord]:
     one record per step with its snapshot information built from the true
     geometry and the visibility schedule. Starts from the scenario's diagonal
     prior covariance, then alternates prediction and fusion; each step's
-    covariance gives its bounds and the next step's prediction.
-    Deterministic: identical inputs give bit-identical output.
+    covariance gives its bounds and the next step's prediction: the filter's
+    lockstep loop (:func:`~.ekf.run_single`) with no runs. Deterministic.
     """
-    model = scenario.model
-    transition = transition_matrix(model)
-    noise_cov = process_noise_cov(model)
-    cov = np.diag(scenario.prior_covariance())
-    records: list[BoundRecord] = []
-    for record in table:
-        cov = fuse(predict_cov(cov, transition, noise_cov), record.information, record.step)
-        records.append(extract_bounds(cov, model.num_surfaces, step=record.step))
-    return records
+    from .ekf import run_single  # ekf imports this module at load time
+    return run_single(scenario, None, table, ())[0]

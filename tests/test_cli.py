@@ -278,6 +278,23 @@ class TestValidateMode:
                      "--out", str(out)]) == 0
         assert calls == []
 
+    def test_validate_run_inverts_twice_per_step_for_bound_and_runs(self, tmp_path,
+                                                                    monkeypatch):
+        """The bound steps as entry 0 of the runs' stack: a desk validate call
+        with 2 runs inverts one predicted covariance stack and one posterior
+        stack per step, 80 calls over 40 steps (160 with the bound apart)."""
+        calls, exact = [], np.linalg.inv
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 80
+
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
         main(["--scenario", str(scenario_file), "--mode", "bounds"])
         captured = capsys.readouterr()
@@ -462,17 +479,17 @@ class TestErrors:
 
     def test_diverging_run_is_numerical_failure(self, scenario_file, tmp_path, capsys,
                                                 monkeypatch):
-        calls, update = [], ekf.ekf_update
+        calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_at_step_5(state, measurements, scenario):
-            # run_single calls the update once per step, steps ascending
+        def diverge_at_step_5(mean, blocks, scenario):
+            # run_single linearizes the runs once per measured step, steps ascending
             calls.append(None)
-            updated = update(state, measurements, scenario)
+            information, pull = measurement_step(mean, blocks, scenario)
             if len(calls) == 5:
-                updated.mean[0] = float("nan")
-            return updated
+                pull[0] = float("nan")
+            return information, pull
 
-        monkeypatch.setattr(ekf, "ekf_update", diverge_at_step_5)
+        monkeypatch.setattr(ekf, "_measurement_step", diverge_at_step_5)
         out = tmp_path / "validate.csv"
         code = main(["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)])
         err = capsys.readouterr().err
@@ -487,7 +504,7 @@ class TestErrors:
         calls, fuse = [], ekf.global_snapshot_fim
 
         def indefinite_at_step_5(anchor_terms):
-            # ekf_update fuses once per measured step, steps ascending
+            # the filter's information is built once per measured step, steps ascending
             calls.append(None)
             information = fuse(anchor_terms)
             if len(calls) == 5:
@@ -507,18 +524,18 @@ class TestErrors:
                                                    monkeypatch):
         """Of three runs filtered as one batch only run 1 diverges, at step 5;
         runs 0 and 2 stay finite. The failure names run 1 and step 5."""
-        calls, update = [], ekf.ekf_update
+        calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_run_1_at_step_5(state, measurements, scenario):
-            # one batched update per step, steps ascending
+        def diverge_run_1_at_step_5(mean, blocks, scenario):
+            # one batched linearization per measured step, steps ascending
             calls.append(None)
-            updated = update(state, measurements, scenario)
+            information, pull = measurement_step(mean, blocks, scenario)
             if len(calls) == 5:
-                assert len(updated.mean) == 3
-                updated.mean[1, 0] = float("nan")
-            return updated
+                assert len(pull) == 3
+                pull[1, 0] = float("nan")
+            return information, pull
 
-        monkeypatch.setattr(ekf, "ekf_update", diverge_run_1_at_step_5)
+        monkeypatch.setattr(ekf, "_measurement_step", diverge_run_1_at_step_5)
         out = tmp_path / "validate.csv"
         code = main(["--scenario", str(scenario_file), "--out", str(out)])
         err = capsys.readouterr().err
@@ -548,13 +565,51 @@ class TestErrors:
         assert "Monte-Carlo run 2 failed: step 5:" in err and "weakest block" in err
         assert not out.exists()
 
+    def test_singular_bound_reads_as_in_bounds_mode_after_a_run_failure(
+            self, scenario_file, tmp_path, capsys, monkeypatch):
+        """The truth information at step 6 is indefinite and run 0 diverges
+        at step 3: the validate call exits 3 with the message of bounds mode,
+        not the run's, since the bound steps on alone and its failure wins."""
+        import mpslam_bounds.cli as cli_module
+
+        exact_truth, exact_step = ekf.measurement_truth, ekf._measurement_step
+
+        def indefinite_at_step_6(scenario, truth):
+            table = exact_truth(scenario, truth)
+            table[5] = replace(table[5], information=table[5].information
+                               - 1e12 * np.eye(scenario.dim))
+            return table
+
+        def diverge_at_step_3(mean, blocks, scenario):
+            information, pull = exact_step(mean, blocks, scenario)
+            if blocks[0].step == 3:
+                pull[0] = float("nan")
+            return information, pull
+
+        out = tmp_path / "out.csv"
+        validate = ["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)]
+        monkeypatch.setattr(ekf, "_measurement_step", diverge_at_step_3)
+        assert main(validate) == 3
+        assert "numerical failure: Monte-Carlo run 0 failed: step 3:" in capsys.readouterr().err
+        for module in (cli_module, ekf):
+            monkeypatch.setattr(module, "measurement_truth", indefinite_at_step_6)
+        assert main(["--scenario", str(scenario_file), "--mode", "bounds",
+                     "--out", str(out)]) == 3
+        bounds_err = capsys.readouterr().err
+        assert bounds_err.startswith("numerical failure: step 6: posterior information")
+        assert main(validate) == 3
+        assert capsys.readouterr().err == bounds_err
+        assert not out.exists()
+
 
 class TestPackaging:
-    def test_the_command_line_does_not_import_scipy(self):
-        """scipy is a test dependency only: importing the command line in a
-        fresh interpreter leaves it out of sys.modules."""
+    @pytest.mark.parametrize("module", ["scipy", "mpslam_bounds.checks"])
+    def test_importing_the_command_line_leaves_out(self, module):
+        """scipy is a test dependency only, and ``checks`` is imported by
+        ``--self-check`` alone: importing the command line in a fresh
+        interpreter leaves each out of sys.modules."""
         source = Path(__file__).resolve().parent.parent / "src"
-        check = "import sys, mpslam_bounds.cli; print('scipy' in sys.modules)"
+        check = f"import sys, mpslam_bounds.cli; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": str(source)}, check=True)
         assert result.stdout.strip() == "False"

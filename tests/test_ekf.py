@@ -21,12 +21,15 @@ from mpslam_bounds.fim import channel_fim, global_jacobian
 from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
+    fuse,
+    predict_cov,
     predict_fim,
     process_noise_cov,
     run_recursion,
     transition_matrix,
 )
 from mpslam_bounds.scenario import (
+    MonteCarloConfig,
     draw_measurements,
     ground_truth,
     load_scenario,
@@ -298,9 +301,8 @@ class TestInformationFormMatchesCovarianceForm:
         assert any("surface estimate near origin" in rec.message for rec in caplog.records)
 
 
-def sparse_octagon():
-    """Octagon room, two anchors, only LOS and single bounces visible, anchor
-    2 blanked for steps 3-5 and every anchor blanked for steps 8-9."""
+def octagon_mapping():
+    """Octagon room, two anchors, every component visible, 12 steps."""
     mapping = desk_mapping()
     angles = 2 * math.pi * np.arange(8) / 8 + 0.1
     mapping["surfaces"] = [[7.0 * math.cos(a), 7.0 * math.sin(a)] for a in angles]
@@ -310,6 +312,17 @@ def sparse_octagon():
                              "points": [{"time": 0.0, "position": [-1.5, 1.0]},
                                         {"time": 1.2, "position": [0.3, 1.6]}]}
     mapping["prior"]["surface_var"] = 0.04
+    return mapping
+
+
+def dense_octagon():
+    return scenario_from_mapping(octagon_mapping())
+
+
+def sparse_octagon():
+    """The octagon with only LOS and single bounces visible, anchor 2
+    blanked for steps 3-5 and every anchor blanked for steps 8-9."""
+    mapping = octagon_mapping()
     mapping["visibility"] = {"default": False, "rules": [
         {"visible": True, "components": [[s, s] for s in range(9)]},
         {"visible": False, "anchors": [2], "steps": {"from": 3, "to": 5}},
@@ -346,6 +359,63 @@ class TestFilterAtTheTruthIsTheBound:
                                        rtol=1e-13, atol=0)
 
 
+def unbatched_recursion(scenario, table):
+    """The bound as it stepped before it joined the filter's batch: one
+    unbatched prediction and fusion per step from the prior diagonal."""
+    transition, noise = transition_matrix(scenario.model), process_noise_cov(scenario.model)
+    cov, records = np.diag(scenario.prior_covariance()), []
+    for record in table:
+        cov = fuse(predict_cov(cov, transition, noise), record.information, record.step)
+        records.append(extract_bounds(cov, len(scenario.surfaces), record.step))
+    return records
+
+
+def bound_bits(records):
+    return [(r.step, r.peb, r.veb, r.oeb, *r.meb) for r in records]
+
+
+class TestBoundInTheBatch:
+    """The bound steps as entry 0 of the filter's lockstep batch and keeps
+    its bits: validate mode's bounds are run_recursion's, and both are one
+    unbatched prediction and fusion per step, with or without runs."""
+
+    CASES = {"desk": lambda: load_scenario(DESK_SCENARIO), "dense_octagon": dense_octagon,
+             "sparse_octagon": sparse_octagon}
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_bounds_are_the_recursion(self, case, runs):
+        scenario = self.CASES[case]()
+        scenario.mc = MonteCarloConfig(runs=runs, seed=11)
+        table = measurement_truth(scenario, ground_truth(scenario))
+        expected = bound_bits(unbatched_recursion(scenario, table))
+        assert bound_bits(run_recursion(scenario, table)) == expected
+        assert bound_bits(run_monte_carlo(scenario).bounds) == expected
+
+    def test_run_failure_is_raised_after_the_bound_steps_to_the_end(self, monkeypatch):
+        """Every run fails by step 3: the bound steps on alone to the end, and
+        then the first run's failure is raised (tests/test_cli.py checks that
+        a bound failure after it wins)."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = small_scenario(mc={"runs": 2, "seed": 7})
+        stepped, read_out = [], ekf_module.extract_bounds
+        measurement_step = ekf_module._measurement_step
+
+        def run_1_then_run_0_diverge(mean, blocks, scenario):
+            information, pull = measurement_step(mean, blocks, scenario)
+            if (blocks[0].step, len(pull)) in ((2, 2), (3, 1)):
+                pull[-1] = float("nan")
+            return information, pull
+
+        monkeypatch.setattr(ekf_module, "_measurement_step", run_1_then_run_0_diverge)
+        monkeypatch.setattr(ekf_module, "extract_bounds",
+                            lambda *args, **kw: stepped.append(None) or read_out(*args, **kw))
+        with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 3: non-finite"):
+            run_monte_carlo(scenario)
+        assert len(stepped) == scenario.n_steps
+
+
 class TestLockstepBatch:
     """All runs filtered as one batch equal the runs filtered one by one
     (tests/reference_filter.py) to 1e-12 relative."""
@@ -354,7 +424,7 @@ class TestLockstepBatch:
     def assert_matches_sequential(scenario, runs):
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        batch = run_single(scenario, truth, table, range(runs))
+        _, batch = run_single(scenario, truth, table, range(runs))
         for run in range(runs):
             expected = filter_run(scenario, truth, table, run)
             np.testing.assert_allclose(batch[:, :, run], expected, rtol=1e-12, atol=0)
@@ -397,8 +467,8 @@ class TestLockstepBatch:
         scenario = small_scenario()
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        four = run_single(scenario, truth, table, range(4))
-        eight = run_single(scenario, truth, table, range(8))
+        _, four = run_single(scenario, truth, table, range(4))
+        _, eight = run_single(scenario, truth, table, range(8))
         np.testing.assert_array_equal(four[..., 3], eight[..., 3])
 
 
@@ -412,7 +482,7 @@ class TestMonteCarlo:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        squared = run_single(scenario, truth, table, 0)
+        _, squared = run_single(scenario, truth, table, 0)
         assert np.sqrt(squared[-1, 3:]).max() < 1e-3
         assert np.sqrt(squared[-1, 0]) < 1e-3
 
@@ -462,7 +532,7 @@ class TestMonteCarlo:
         def explode(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(ekf_module, "run_single", explode)
+        monkeypatch.setattr(ekf_module, "draw_measurements", explode)
         with pytest.raises(RuntimeError, match="run 0"):
             run_monte_carlo(scenario)
 
@@ -472,17 +542,17 @@ class TestMonteCarlo:
         import mpslam_bounds.ekf as ekf_module
 
         scenario = small_scenario(mc={"runs": 3, "seed": 7})
-        update = ekf_module.ekf_update
+        measurement_step = ekf_module._measurement_step
 
-        def diverge(state, blocks, scenario):
-            updated = update(state, blocks, scenario)
+        def diverge(mean, blocks, scenario):
+            information, pull = measurement_step(mean, blocks, scenario)
             step = blocks[0].step
-            if step == 5 and len(updated.mean) == 3:
-                updated.mean[2, 0] = float("nan")
+            if step == 5 and len(mean) == 3:
+                pull[2] = float("nan")
             if step == 8:
-                updated.mean[0, 0] = float("nan")
-            return updated
+                pull[0] = float("nan")
+            return information, pull
 
-        monkeypatch.setattr(ekf_module, "ekf_update", diverge)
+        monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
         with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 8: non-finite"):
             run_monte_carlo(scenario)

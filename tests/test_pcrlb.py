@@ -22,7 +22,6 @@ from mpslam_bounds.pcrlb import (
     extract_bounds,
     fuse,
     gain_matrix,
-    invert_posterior,
     predict_fim,
     process_noise_cov,
     run_recursion,
@@ -201,7 +200,8 @@ class TestPredictAndFuse:
         if which == "predicted covariance":
             call = lambda: fuse(stack, np.zeros((9, 9)), 4)  # noqa: E731
         else:
-            call = lambda: invert_posterior(stack, 4)  # noqa: E731
+            # the identity's information plus (stack - identity) sums to stack exactly
+            call = lambda: fuse(np.eye(9), stack - np.eye(9), 4)  # noqa: E731
         with pytest.raises(SingularFimError) as excinfo:
             call()
         assert excinfo.value.index == 1

@@ -1,5 +1,6 @@
 """Scenario loading, trajectories, visibility and measurement generation."""
 
+import copy
 import math
 import re
 from dataclasses import fields, is_dataclass
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mpslam_bounds.scenario as scenario_module
 from mpslam_bounds.fim import (
@@ -20,13 +23,14 @@ from mpslam_bounds.fim import (
     measurement_variances,
 )
 from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError
-from mpslam_bounds.pcrlb import StateSpaceModel
+from mpslam_bounds.pcrlb import StateSpaceModel, run_recursion
 from mpslam_bounds.scenario import (
     AmplitudeModel,
     AnchorBlock,
     MonteCarloConfig,
     NcvTrajectory,
     PriorSpec,
+    Scenario,
     ScenarioError,
     SignalModel,
     StepTruth,
@@ -578,3 +582,59 @@ class TestMeasurements:
                                                scenario.order, scenario.surfaces, visible)
                 np.testing.assert_array_equal(row.components, visible)
                 np.testing.assert_array_equal(row.params, params)
+
+
+def mapping_paths(node, prefix=()):
+    """Every path into a mapping below its root: mapping keys and list positions."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from mapping_paths(child, prefix + (key,))
+
+
+DESK_MAPPING = yaml.safe_load(DESK_SCENARIO.read_text())
+DROP = object()
+# The errors cli.main reports as numerical failures (exit 3).
+NUMERICAL_FAILURES = (RuntimeError, DegenerateGeometryError, ZeroApertureError,
+                      FloatingPointError)
+MUTATION = st.tuples(
+    st.sampled_from(sorted(mapping_paths(DESK_MAPPING), key=str)),
+    st.sampled_from([DROP, None, True, "x", 0, -1, 0.5, 1e-308, 1e308, -1e308, 10**400,
+                     math.nan, math.inf, -math.inf, [], {}, [1e308, 0.0]]),
+)
+
+
+class TestMutatedDeskMapping:
+    """Every input ends in exit 0, 2 or 3: a desk mapping with one or two
+    values dropped or replaced (wrong types, +-1e308, 10**400, NaN, inf,
+    empty lists) either fails to load with a ScenarioError, or loads and
+    gives a finite bound or one of the errors the CLI maps to exit 3."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(MUTATION, min_size=1, max_size=2))
+    def test_loads_or_is_rejected_and_the_bound_is_finite_or_fails(self, mutations):
+        mapping = copy.deepcopy(DESK_MAPPING)
+        for path, value in mutations:
+            parent = mapping
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier mutation removed the path
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        try:
+            scenario = scenario_from_mapping(mapping)
+        except ScenarioError:
+            return
+        assert isinstance(scenario, Scenario)
+        try:
+            records = run_recursion(scenario, measurement_truth(scenario, ground_truth(scenario)))
+        except NUMERICAL_FAILURES:
+            return
+        assert np.isfinite([[r.peb, r.veb, r.oeb, *r.meb] for r in records]).all()
