@@ -16,6 +16,7 @@ import numpy as np
 from .fim import (
     ComponentOrder,
     IsotropicAperture,
+    PathPlan,
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
@@ -65,7 +66,7 @@ def all_paths(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> PathGeometry:
     """The batched geometry pass over every component of ``order``, in order."""
-    return path_geometry(agent, anchor, order.first, order.second, surfaces)
+    return path_geometry(agent, PathPlan(order, range(order.size), anchor), surfaces)
 
 
 def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> np.ndarray:
@@ -116,7 +117,8 @@ def full_jacobian(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
-    _, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, range(order.size))
+    _, degenerate, jac = global_jacobian(agent, PathPlan(order, range(order.size), anchor),
+                                         surfaces)
     if degenerate.any():
         raise DegenerateGeometryError("agent coincides with a virtual anchor")
     return jac
@@ -207,7 +209,7 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         visible = np.flatnonzero(rng.random(order.size) < 0.7)
         terms = []
         for a in (anchor, anchor2):
-            params, degenerate, jac = global_jacobian(agent, a, order, surfaces, visible)
+            params, degenerate, jac = global_jacobian(agent, PathPlan(order, visible, a), surfaces)
             if degenerate.any():
                 break
             variances = measurement_variances(

@@ -16,7 +16,10 @@ The bound and the Monte-Carlo runs advance as one lockstep batch
 (:func:`run_single`): entry 0 of an (R + 1, N, N) covariance stack is the
 bound, fusing the truth table's information, and entries 1..R are the runs,
 with (R, N) means and one gradient pass per measured step for all runs and
-anchors; one prediction and one fusion call per step serve them all. Each
+anchors, through one :class:`~.fim.PathPlan` per step layout (which
+components of which anchors the step measured), built once per call; each
+step reads its observations and variances as a contiguous slice of the
+drawn rows. One prediction and one fusion call per step serve them all. Each
 run draws its initial estimate around the true initial state from the prior
 and its measurements from its own stream, so its numbers do not depend on
 the batch it is in. Squared errors are summed into the bound's state blocks
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fim import channel_fim, global_jacobian, global_snapshot_fim
+from .fim import PathPlan, channel_fim, global_jacobian, global_snapshot_fim
 from .geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from .pcrlb import (
     BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
@@ -72,20 +75,65 @@ def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) 
     return EkfState(mean=mean, cov=predict_cov(state.cov, transition, noise_cov))
 
 
+@dataclass(frozen=True)
+class MeasuredStep:
+    """One step's measurements over its n measured paths, all anchors at once
+    (anchors ascending, each block's components in order): the
+    :class:`~.fim.PathPlan` of that path list (None when nothing was
+    measured), each path's anchor index, the drawn (..., n, 3) parameters
+    and the (n, 3) variances they were drawn with."""
+
+    step: int
+    plan: PathPlan | None
+    owner: np.ndarray
+    observed: np.ndarray
+    variances: np.ndarray
+
+
+def _measured_steps(
+    measured: Sequence[Sequence[AnchorBlock]], scenario: Scenario
+) -> list[MeasuredStep]:
+    """Drawn steps (see :func:`~.scenario.draw_measurements`) as contiguous
+    row slices of one table of all their blocks, each with the plan of its
+    path list, every path seen from its own anchor. A plan is built once per
+    distinct list and lives as long as the returned steps."""
+    blocks = [block for step in measured for block in step]
+    observed = np.concatenate([block.params for block in blocks], axis=-2)
+    variances = np.concatenate([block.variances for block in blocks])
+    positions = np.array([anchor.position for anchor in scenario.anchors])
+    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
+    plans, steps, stop = {}, [], 0
+    for step in measured:
+        key = tuple((block.anchor, block.components.tobytes()) for block in step
+                    if block.components.size)
+        if key not in plans:
+            owner = np.concatenate([np.full(block.components.size, block.anchor)
+                                    for block in step])
+            components = np.concatenate([block.components for block in step])
+            plans[key] = owner, PathPlan(scenario.order, components, Anchor(
+                positions[owner], orientations[owner])) if key else None
+        owner, plan = plans[key]
+        start, stop = stop, stop + owner.size
+        steps.append(MeasuredStep(step[0].step, plan, owner, observed[..., start:stop, :],
+                                  variances[start:stop]))
+    return steps
+
+
 def _linearize(
-    mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
+    mean: np.ndarray, measured: MeasuredStep, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Measurement model linearization at the current mean, per batch entry.
 
     One channel pass over every measured path of the step, all anchors at
-    once. Returns, in the compact layout of the n paths, the (..., N, 3n)
-    gradient, the (..., 3n) information of the variances the blocks were
-    drawn with and the (..., 3n) innovation, angles wrapped; None when
-    nothing was measured. A path whose geometry fails at an entry's estimate
-    gets zero information and innovation there, with a diagnostic.
+    once, through the step's plan. Returns, in the compact layout of the n
+    paths, the (..., N, 3n) gradient, the (..., 3n) information of the
+    variances the paths were drawn with and the (..., 3n) innovation,
+    angles wrapped; None when nothing was measured. A path whose geometry
+    fails at an entry's estimate gets zero information and innovation
+    there, with a diagnostic.
     """
-    blocks = [block for block in blocks if block.components.size]
-    if not blocks:
+    plan = measured.plan
+    if plan is None:
         return None
     pose = AgentPose.from_state(mean[..., :5])
     raw_points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
@@ -93,36 +141,33 @@ def _linearize(
     usable = np.linalg.norm(raw_points, axis=-1) > _SURFACE_NORM_FLOOR
     usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
     surfaces = SurfaceMap(np.where(usable[..., 1:, None], raw_points, [1.0, 0.0]))
-    order, anchors = scenario.order, scenario.anchors
-    ks = np.concatenate([block.components for block in blocks])
-    owner = np.concatenate([np.full(block.components.size, block.anchor) for block in blocks])
-    sources = Anchor(np.array([a.position for a in anchors])[owner],
-                     np.array([a.orientation for a in anchors])[owner])
-    near_origin = ~(usable[..., order.first[ks]] & usable[..., order.second[ks]])
-    params, degenerate, jac = global_jacobian(pose, sources, order, surfaces, ks)
+    near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
+    params, degenerate, jac = global_jacobian(pose, plan, surfaces)
     ok = ~(near_origin | degenerate)
     for *entry, i in () if ok.all() else np.argwhere(~ok):
         log.warning(
-            "step %d anchor %d%s: %s, skipping component %s", blocks[0].step, owner[i] + 1,
-            "".join(f", batch entry {e}" for e in entry),
+            "step %d anchor %d%s: %s, skipping component %s", measured.step,
+            measured.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
             "surface estimate near origin" if near_origin[(*entry, i)] else
-            "agent coincides with virtual anchor", order.components[ks[i]].bounces,
+            "agent coincides with virtual anchor",
+            scenario.order.components[plan.components[i]].bounces,
         )
-    observed = np.concatenate([block.params for block in blocks], axis=-2)
-    residual = np.where(ok[..., None], observed - params, 0.0)
+    residual = np.where(ok[..., None], measured.observed - params, 0.0)
     residual[..., 1:] = wrap_angle(residual[..., 1:])
-    innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (3 * ks.size,))
-    variances = np.concatenate([block.variances for block in blocks])
-    return jac, channel_fim(np.where(ok[..., None], variances, np.inf)), innovation
+    innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (-1,))
+    return jac, channel_fim(np.where(ok[..., None], measured.variances, np.inf)), innovation
 
 
+# An estimate beyond the float range overflows in the channel pass and its
+# sums; the non-finite mean or covariance this gives fails the run after the step.
+@np.errstate(over="ignore", invalid="ignore")
 def _measurement_step(
-    mean: np.ndarray, blocks: Sequence[AnchorBlock], scenario: Scenario
+    mean: np.ndarray, measured: MeasuredStep, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The (..., N, N) information H Lambda H^T and the (..., N, 1) pull
     g = H Lambda nu of one step, linearized at ``mean`` (:func:`_linearize`);
     None when nothing was measured."""
-    linear = _linearize(mean, blocks, scenario)
+    linear = _linearize(mean, measured, scenario)
     if linear is None:
         return None
     jac, lam, innovation = linear
@@ -140,10 +185,11 @@ def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenari
     state as it is. A singular matrix raises :class:`~.pcrlb.SingularFimError`
     whose ``index`` is the first failing batch entry.
     """
-    terms = _measurement_step(state.mean, blocks, scenario)
-    if terms is None:
+    if not any(block.components.size for block in blocks):
         return state
-    cov = fuse(state.cov, terms[0], blocks[0].step)
+    measured = _measured_steps([blocks], scenario)[0]
+    terms = _measurement_step(state.mean, measured, scenario)
+    cov = fuse(state.cov, terms[0], measured.step)
     mean = state.mean + (cov @ terms[1])[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
     return EkfState(mean=mean, cov=cov)
@@ -201,7 +247,7 @@ def run_single(
             true_states = np.stack([joint_state(pose, scenario.surfaces) for pose in truth])
             mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
             mean[:, 4] = wrap_angle(mean[:, 4])
-            measured = draw_measurements(table, streams)
+            measured = _measured_steps(draw_measurements(table, streams), scenario)
         except Exception as exc:  # raised for the runs as a whole, so by the first too
             failure, mean, cov = RunFailure(int(batch[0]), str(exc)), mean[:0], cov[:1]
     for n, record in enumerate(table, start=1):
@@ -233,7 +279,7 @@ def run_single(
                 entry, reason = 0, str(exc)
             failure = RunFailure(int(batch[entry]), reason)
             mean, cov = mean[:entry], cov[:entry + 1]
-            measured = [[replace(b, params=b.params[:entry]) for b in step] for step in measured]
+            measured = [replace(step, observed=step.observed[:entry]) for step in measured]
         mean, cov = moved, ahead
         bounds.append(extract_bounds(cov[0], num_surfaces, step=n))
         if live:

@@ -22,7 +22,9 @@ departure azimuths (3n entries). Over those paths this module builds
 
 and sums the snapshot information ``H diag(lambda) H^T``. The filter lists
 every measured path of a step, all anchors at once; the truth pass lists
-one anchor's K components, scattered into its 3K columns.
+one anchor's K components, scattered into its 3K columns. What a pass needs
+of its path list alone (bounce indices, anchor rotations, gather and
+scatter indices) is a :class:`PathPlan`, built once per distinct list.
 Velocity rows are identically zero: a single snapshot carries no velocity
 information. The orientation row is nonzero only in the arrival-azimuth
 block, where every entry equals -1 in the plane.
@@ -45,7 +47,6 @@ from .geometry import (
     matvec2,
     path_geometry,
     rotation_matrix,
-    rotation_matrix_derivative,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -251,28 +252,49 @@ class ComponentOrder:
         return len(self._components)
 
 
+class PathPlan:
+    """The estimate-independent part of a channel pass over n listed paths
+    (components of ``order``, all seen from one anchor or each from its own,
+    see :class:`~.geometry.Anchor`), built once per distinct list: the bounce
+    index arrays, the anchor position(s) and rotation matrices, each bounce
+    slot's Householder gather indices and the gradient's surface scatter rows
+    and columns. Slot 0 is a path's first (anchor-side) bounce, slot 1 its
+    second; an empty slot (surface 0) scatters to two scratch rows past the
+    state rows, so LOS columns have zero surface rows."""
+
+    def __init__(self, order: ComponentOrder, components: Sequence[int] | np.ndarray,
+                 anchor: Anchor):
+        self.components = np.asarray(components, dtype=int)
+        self.first, self.second = order.first[self.components], order.second[self.components]
+        self.anchor_position = anchor.position
+        self.anchor_rotation = rotation_matrix(anchor.orientation)
+        n = self.components.size
+        self.slot, none = np.stack([self.first, self.second]), np.zeros(n, dtype=int)
+        # the Householders after each slot: of the direct vector (its later
+        # bounces) and of the mirrored one (its earlier bounces)
+        self.direct_houses = np.stack([self.second, none])
+        self.mirrored_houses = np.stack([none, self.first])
+        # surface s has state rows 3 + 2s and 4 + 2s; -2 and -1 are the scratch rows
+        self.rows = np.where(self.slot > 0, 3 + 2 * self.slot, -2)[None, :, :, None] + [0, 1]
+        self.cols = np.arange(3 * n).reshape(3, 1, n, 1)
+
+
 # A degenerate path divides by a zero length, and the nan and inf it makes
 # flow on until its columns are zeroed at the end; a pose or surface beyond
 # the float range overflows, and the truth pass reports the distance it gives.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def global_jacobian(
-    agent: AgentPose,
-    anchor: Anchor,
-    order: ComponentOrder,
-    surfaces: SurfaceMap,
-    components: Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def global_jacobian(agent: AgentPose, plan: PathPlan,
+                    surfaces: SurfaceMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel parameters and their (N, 3n) gradient w.r.t. the joint state.
 
-    Resolves the n paths of the components with the given indices into
-    ``order`` in one batched pass (:func:`~.geometry.path_geometry`), from
-    one anchor or a stack of n anchors, one per path. Returns their (n, 3)
-    channel parameters, their degenerate-geometry mask and the compact
-    gradient: columns i, n + i and 2n + i hold the gradients of path i's
-    distance, arrival and departure azimuth, zero for a degenerate path. A
-    batched agent pose (one entry per Monte-Carlo run or per step of a truth
-    pass) adds its leading axes to all three; the surface map is shared or
-    batched alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
+    Resolves the n paths of ``plan`` in one batched pass
+    (:func:`~.geometry.path_geometry`). Returns their (n, 3) channel
+    parameters, their degenerate-geometry mask and the compact gradient:
+    columns i, n + i and 2n + i hold the gradients of path i's distance,
+    arrival and departure azimuth, zero for a degenerate path. A batched
+    agent pose (one entry per Monte-Carlo run or per step of a truth pass)
+    adds its leading axes to all three; the surface map is shared or batched
+    alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -286,14 +308,11 @@ def global_jacobian(
       departure azimuth lives on the anchor-to-mirrored-agent vector, whose
       block has the same closed form with the anchor and agent roles
       swapped and the sign flipped. Each path has a first and a second
-      bounce slot; an empty slot (surface 0) writes to two scratch rows
-      below the state rows, so LOS columns have zero surface rows.
+      bounce slot, scattered as the plan lays them out.
     """
-    ks = np.asarray(components, dtype=int)
-    first, second = order.first[ks], order.second[ks]
-    geo = path_geometry(agent, anchor, first, second, surfaces)
-    n_state, n = 5 + 2 * len(surfaces), ks.size
-    rot_anchor = rotation_matrix(anchor.orientation)
+    geo = path_geometry(agent, plan, surfaces)
+    n_state, n = 5 + 2 * len(surfaces), plan.components.size
+    rot_anchor, rot_agent = plan.anchor_rotation, geo.agent_rotation
     dep, arr = geo.departure_local, geo.arrival_local
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
     dep_sq = dot2(dep, dep)[..., None]
@@ -303,23 +322,19 @@ def global_jacobian(
     unit_r = geo.va_to_agent / geo.params[..., :1]
     transfer = geo.chain @ rot_anchor
     # copied contiguous: a strided transpose makes one component round unlike several
-    aoa_col = -(az_arr @ np.swapaxes(rotation_matrix(agent.orientation), -1, -2).copy())
-    position = np.stack([matvec2(transfer, unit_dep), aoa_col, matvec2(transfer, az_dep)],
-                        axis=-3)
+    aoa_col = -(az_arr @ np.swapaxes(rot_agent, -1, -2).copy())
 
-    # Slot 0 is the first (anchor-side) bounce, slot 1 the second. The
-    # direct vector's source is the anchor folded over the bounces before
+    # The direct vector's source is the anchor folded over the bounces before
     # the slot, the mirrored vector's the agent folded over those after it;
     # the later mirrors act on each block through their Householders.
     batch = geo.params.shape[:-2]
     ends = np.empty(batch + (2, 2, n, 2))  # (direct source, mirrored sink) x slot
-    ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = anchor.position, geo.anchor_once
+    ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = plan.anchor_position, geo.anchor_once
     ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, agent.position[..., None, :]
-    slot, none = np.stack([first, second]), np.zeros_like(first)
-    blocks = _reflection_source_blocks(ends, slot, surfaces)
+    blocks = _reflection_source_blocks(ends, plan.slot, surfaces)
     houses = surfaces.householders
-    direct = blocks[..., 0, :, :, :, :] @ houses[..., np.stack([second, none]), :, :]
-    mirrored = -blocks[..., 1, :, :, :, :] @ houses[..., np.stack([none, first]), :, :]
+    direct = blocks[..., 0, :, :, :, :] @ houses[..., plan.direct_houses, :, :]
+    mirrored = -blocks[..., 1, :, :, :, :] @ houses[..., plan.mirrored_houses, :, :]
     mirrored = mirrored @ rot_anchor
     # each slot's block acts on its path's vector: the vectors gain the slot axis
     surface = np.stack([matvec2(direct, unit_r[..., None, :, :]),
@@ -327,14 +342,13 @@ def global_jacobian(
                         matvec2(mirrored, az_dep[..., None, :, :])], axis=-4)
 
     jac = np.zeros(batch + (n_state + 2, 3 * n))
-    jac[..., 0:2, :] = np.moveaxis(position, -1, -3).reshape(batch + (2, 3 * n))
-    jac[..., 4, n:2 * n] = -dot2(
-        geo.va_to_agent @ rotation_matrix_derivative(agent.orientation), az_arr
-    )
-    row_of = np.arange(3, n_state, 2)  # first state row of each surface
-    row_of[0] = n_state
-    cols = np.arange(3 * n).reshape(3, 1, n, 1)
-    jac[..., row_of[slot][None, :, :, None] + [0, 1], cols] = surface
+    for part, rows in enumerate((matvec2(transfer, unit_dep), aoa_col,
+                                 matvec2(transfer, az_dep))):
+        jac[..., 0:2, part * n:(part + 1) * n] = np.swapaxes(rows, -1, -2)
+    # d rot / d angle: the rotation's second column, then its first negated
+    rot_dot = np.stack([rot_agent[..., :, 1], -rot_agent[..., :, 0]], axis=-1)
+    jac[..., 4, n:2 * n] = -dot2(geo.va_to_agent @ rot_dot, az_arr)
+    jac[..., plan.rows, plan.cols] = surface
     if geo.degenerate.any():
         jac = np.where(np.tile(geo.degenerate, 3)[..., None, :], 0.0, jac)
     return geo.params, geo.degenerate, jac[..., :n_state, :]

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .fim import ApertureModel
+    from .fim import ApertureModel, PathPlan
 
 # Direction vectors shorter than this are treated as degenerate geometry.
 DEGENERACY_EPS = 1e-9
@@ -85,17 +85,6 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return rot
 
 
-def rotation_matrix_derivative(angle: float | np.ndarray) -> np.ndarray:
-    """Derivative of :func:`rotation_matrix` w.r.t. the angle.
-
-    Equals ``rotation_matrix(angle + pi/2)``.
-    """
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.empty(np.shape(angle) + (2, 2))
-    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = -s, -c, c, -s
-    return rot
-
-
 def _as_vec2(value, name: str) -> np.ndarray:
     """A finite 2-vector, or a (..., 2) stack of them."""
     vec = np.asarray(value, dtype=float)
@@ -123,21 +112,23 @@ class SurfaceMap:
             raise ValueError(f"surface map must be (S, 2), got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("surface points must be finite")
-        bad = np.argwhere(np.linalg.norm(pts, axis=-1) <= DEGENERACY_EPS)
-        if bad.size:
-            raise ValueError(
-                f"surface {bad[0, -1] + 1} passes through the origin and is not representable"
-            )
-        self._points = pts
-        batch = pts.shape[:-2]
         sq = dot2(pts, pts)
-        houses = np.eye(2) - (2.0 / sq)[..., None, None] * (pts[..., :, None] * pts[..., None, :])
+        through_origin = np.sqrt(sq) <= DEGENERACY_EPS  # the norm, bit for bit
+        if through_origin.any():
+            raise ValueError(f"surface {np.argwhere(through_origin)[0, -1] + 1} passes "
+                             "through the origin and is not representable")
+        self._points = pts
         # Stacks indexed by the 1-based surface number; entry 0 is the identity
         # mirror (H = I, p = 0, unit norm) that stands for "no bounce".
-        self.householders = np.concatenate(
-            [np.broadcast_to(np.eye(2), batch + (1, 2, 2)), houses], axis=-3)
-        self.padded_points = np.concatenate([np.zeros(batch + (1, 2)), pts], axis=-2)
-        self.sq_norms = np.concatenate([np.ones(batch + (1,)), sq], axis=-1)
+        padded = pts.shape[:-2] + (pts.shape[-2] + 1,)
+        self.householders = np.empty(padded + (2, 2))
+        self.householders[..., 0, :, :] = np.eye(2)
+        self.householders[..., 1:, :, :] = np.eye(2) - (2.0 / sq)[..., None, None] * (
+            pts[..., :, None] * pts[..., None, :])
+        self.padded_points = np.zeros(padded + (2,))
+        self.padded_points[..., 1:, :] = pts
+        self.sq_norms = np.ones(padded)
+        self.sq_norms[..., 1:] = sq
 
     def __len__(self) -> int:
         return self._points.shape[-2]
@@ -264,6 +255,7 @@ class PathGeometry:
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
     single bounce at s is (s, 0). Row i of each field belongs to path i;
     a batched agent pose and surface map add their leading axes in front.
+    The agent rotation is evaluated once per pass and kept for the gradient.
     """
 
     anchor_once: np.ndarray  # (..., n, 2) anchor mirrored at the first bounce only
@@ -274,34 +266,35 @@ class PathGeometry:
     chain: np.ndarray  # (..., n, 2, 2) H_second H_first: d(mirrored agent)^T / d(agent position)
     params: np.ndarray  # (..., n, 3) distance, arrival azimuth, departure azimuth
     degenerate: np.ndarray  # (..., n) bool: agent on the virtual anchor, params unusable
+    agent_rotation: np.ndarray  # (..., 2, 2) agent frame to global frame
 
 
-def path_geometry(
-    agent: AgentPose, anchor: Anchor, first: np.ndarray, second: np.ndarray,
-    surfaces: SurfaceMap,
-) -> PathGeometry:
+def path_geometry(agent: AgentPose, plan: "PathPlan", surfaces: SurfaceMap) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
-    The agent pose may carry leading batch axes (one entry per Monte-Carlo
-    run or per step), and the surface map the same ones or none; the paths
-    are shared, and so is the anchor unless it stacks one per path.
-    Instead of raising, it flags as ``degenerate`` each path whose
-    virtual-anchor-to-agent or anchor-to-mirrored-agent vector (global or
-    local frame) is not longer than ``DEGENERACY_EPS``: the agent coincides
-    with the path's virtual anchor.
+    The paths, with their bounce surfaces and anchor (shared, or one per
+    path), are those of a :class:`~.fim.PathPlan`. The agent pose may carry
+    leading batch axes (one entry per Monte-Carlo run or per step), and the
+    surface map the same ones or none. Instead of raising, it flags as
+    ``degenerate`` each path whose virtual-anchor-to-agent or
+    anchor-to-mirrored-agent vector (global or local frame) is not longer
+    than ``DEGENERACY_EPS``: the agent coincides with the path's virtual
+    anchor.
     """
     houses, points = surfaces.householders, surfaces.padded_points
+    first, second = plan.first, plan.second
     h1, h2 = houses[..., first, :, :], houses[..., second, :, :]
     p1, p2 = points[..., first, :], points[..., second, :]
-    rot_anchor = rotation_matrix(anchor.orientation)
-    single = anchor.position.ndim == 1  # keeps the @ products, which round unlike matvec2
-    anchor_once = (h1 @ anchor.position if single else matvec2(h1, anchor.position)) + p1
+    position, rot_anchor = plan.anchor_position, plan.anchor_rotation
+    single = position.ndim == 1  # keeps the @ products, which round unlike matvec2
+    anchor_once = (h1 @ position if single else matvec2(h1, position)) + p1
     # one agent position per batch entry, applied to each of its n paths
     agent_once = (h2 @ agent.position[..., None, :, None])[..., 0] + p2
     r = agent.position[..., None, :] - (matvec2(h2, anchor_once) + p2)
-    r_t = matvec2(h1, agent_once) + p1 - anchor.position
+    r_t = matvec2(h1, agent_once) + p1 - position
     dep = r_t @ rot_anchor if single else matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
-    arr = -(r @ rotation_matrix(agent.orientation))
+    rot_agent = rotation_matrix(agent.orientation)
+    arr = -(r @ rot_agent)
     vecs = np.stack([r, r_t, dep, arr])
     lengths = np.sqrt(dot2(vecs, vecs))
     params = np.stack(
@@ -309,4 +302,4 @@ def path_geometry(
         axis=-1,
     )
     return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
-                        (lengths <= DEGENERACY_EPS).any(axis=0))
+                        (lengths <= DEGENERACY_EPS).any(axis=0), rot_agent)

@@ -158,6 +158,9 @@ def _has_cholesky(matrix: np.ndarray) -> bool:
     return True
 
 
+# A covariance near the float range overflows in the symmetrizing sum; the
+# fusion reports the non-finite prediction.
+@np.errstate(over="ignore")
 def predict_cov(cov: np.ndarray, transition: np.ndarray, process_cov: np.ndarray) -> np.ndarray:
     """Predicted covariance F P F^T + Q of one covariance or a stack; symmetrized."""
     predicted = transition @ cov @ transition.T + process_cov

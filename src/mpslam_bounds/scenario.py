@@ -17,9 +17,11 @@ snapshot information and one :class:`AnchorBlock` of arrays per anchor. The
 bound recursion reads the information, the generator draws around the
 blocks' parameters with their variances, and the estimator takes its noise
 covariance from the same variances, so all three read the same numbers.
-Draw order is fixed: steps ascending, anchors ascending, components in
-canonical order, and per component distance, arrival azimuth, departure
-azimuth.
+Each anchor's :class:`~.fim.PathPlan` is built once per component union and
+shared by the blocks of steps. Draw order is fixed: steps ascending, anchors
+ascending, components in canonical order, and per component distance,
+arrival azimuth, departure azimuth; the draw scales and wraps all rows of
+the table in one pass.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .fim import (
     ApertureModel,
     ComponentOrder,
     IsotropicAperture,
+    PathPlan,
     UniformLinearArray,
     ZeroApertureError,
     channel_fim,
@@ -89,6 +92,7 @@ class AmplitudeModel:
         if not 0 < self.bounce_loss <= 1:
             raise ValueError("bounce_loss must lie in (0, 1]")
 
+    @np.errstate(over="ignore")  # an overflow gives inf, which the truth pass reports
     def amplitude(
         self, distance: float | np.ndarray, n_bounces: int | np.ndarray
     ) -> float | np.ndarray:
@@ -354,12 +358,15 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 # Snapshot information and measurements
 
 
-def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -> list[StepTruth]:
+def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray,
+                plans: dict[tuple[int, bytes], PathPlan]) -> list[StepTruth]:
     """Truth records of consecutive ``steps`` at their true ``poses``.
 
     Per anchor, on the poses stacked along a leading step axis, one
     :func:`global_jacobian` call on the components visible at any of the
     steps and one noise-model call on the visible (step, component) entries.
+    ``plans`` keeps each anchor's :class:`~.fim.PathPlan` per component list,
+    shared by the passes of one table.
     Hidden entries get zero weight (an infinite variance) in the information,
     summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
     earliest step, then the lowest anchor; degenerate geometry before endfire.
@@ -374,7 +381,10 @@ def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray) -
         shown = scenario.visibility.flags(j, steps).astype(bool)
         union = np.flatnonzero(shown.any(axis=0))
         shown = shown[:, union]
-        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, union)
+        key = (j, union.tobytes())
+        if key not in plans:
+            plans[key] = PathPlan(order, union, anchor)
+        params, degenerate, jac = global_jacobian(pose, plans[key], scenario.surfaces)
         bad = np.argwhere(degenerate & shown)
         if bad.size:
             b, i = bad[0]
@@ -440,7 +450,7 @@ def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
     anchors' visible components with their noise-free parameters and
     variances. No gradient matrix is kept.
     """
-    return _truth_pass(scenario, [pose], np.array([step]))[0]
+    return _truth_pass(scenario, [pose], np.array([step]), {})[0]
 
 
 def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTruth]:
@@ -455,8 +465,9 @@ def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTr
     """
     size = max(1, TRUTH_PASS_BYTES // (8 * (scenario.dim + 2) * scenario.order.dim))
     steps = np.arange(1, scenario.n_steps + 1)
-    blocks = [steps[start:start + size] for start in range(0, steps.size, size)]
-    return [r for block in blocks for r in _truth_pass(scenario, [truth[n] for n in block], block)]
+    blocks, plans = [steps[start:start + size] for start in range(0, steps.size, size)], {}
+    return [record for block in blocks
+            for record in _truth_pass(scenario, [truth[n] for n in block], block, plans)]
 
 
 def draw_measurements(
@@ -469,25 +480,25 @@ def draw_measurements(
     parameters with the block's variances (a standard normal variate per
     value, scaled by the standard deviation); azimuths are wrapped. The
     variances are carried over unchanged. Each stream draws the whole table
-    in one request. Given a sequence of streams, one per Monte-Carlo run of a
-    batch, each block's ``params`` gains a leading run axis.
+    in one request, and the table's rows, all blocks in draw order, are
+    scaled and wrapped in one pass; each block's ``params`` is its slice of
+    those rows. Given a sequence of streams, one per Monte-Carlo run of a
+    batch, the rows and each block's ``params`` gain a leading run axis.
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
-    total = sum(block.params.size for record in table for block in record.blocks)
-    noise = standard_normals(streams, total)
+    blocks = [block for record in table for block in record.blocks]
+    truth = np.concatenate([block.params for block in blocks])
+    drawn = standard_normals(streams, truth.size).reshape((len(streams),) + truth.shape)
     if isinstance(rng, RandomStream):
-        noise = noise[0]
-    drawn, end = [], 0
-    for record in table:
-        blocks = []
-        for block in record.blocks:
-            start, end = end, end + block.params.size
-            chunk = noise[..., start:end].reshape(noise.shape[:-1] + block.params.shape)
-            params = block.params + np.sqrt(block.variances) * chunk
-            params[..., 1:] = wrap_angle(params[..., 1:])
-            blocks.append(replace(block, params=params))
-        drawn.append(tuple(blocks))
-    return drawn
+        drawn = drawn[0]
+    # scaled and shifted in place: the bits of truth + std * noise, no temporaries
+    drawn *= np.sqrt(np.concatenate([block.variances for block in blocks]))
+    drawn += truth
+    drawn[..., 1:] = wrap_angle(drawn[..., 1:])
+    rows = iter(np.split(drawn, np.cumsum([block.components.size for block in blocks])[:-1],
+                         axis=-2))
+    return [tuple(replace(block, params=next(rows)) for block in record.blocks)
+            for record in table]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ batched pass against it.
 
 import numpy as np
 
-from mpslam_bounds.geometry import (
-    DegenerateGeometryError,
-    rotation_matrix,
-    rotation_matrix_derivative,
-)
+from mpslam_bounds.geometry import DegenerateGeometryError, rotation_matrix
 from tests.reference_geometry import householder, mirror, path_geometry
+
+
+def rotation_matrix_derivative(angle):
+    """Derivative of ``rotation_matrix`` w.r.t. the angle.
+
+    Equals ``rotation_matrix(angle + pi/2)``.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[-s, -c], [c, -s]])
 
 
 def azimuth_gradient(r):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR, EkfState
-from mpslam_bounds.fim import global_jacobian
+from mpslam_bounds.fim import PathPlan, global_jacobian
 from mpslam_bounds.geometry import AgentPose, SurfaceMap, wrap_angle
 
 
@@ -37,7 +37,7 @@ def stacked_linearization(mean, blocks, scenario):
             continue
         near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
         params, degenerate, jac = global_jacobian(
-            pose, scenario.anchors[block.anchor], order, surfaces, ks
+            pose, PathPlan(order, ks, scenario.anchors[block.anchor]), surfaces
         )
         ok = ~(near_origin | degenerate)
         # the compact columns of component i: i, n + i, 2n + i

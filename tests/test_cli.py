@@ -50,6 +50,31 @@ def huge_aperture():
     return overflowing_desk("agent_aperture", "d_squared", "arrival")
 
 
+def huge_prior(key, block):
+    """Desk scenario with a prior variance of 1e308 in ``prior.key``: the
+    first prediction overflows and is not finite."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["prior"][key] = 1e308
+    return mapping, f"step 1: predicted covariance is not finite (weakest block: {block})"
+
+
+def huge_position_prior():
+    return huge_prior("position_var", "agent position")
+
+
+def huge_surface_prior():
+    return huge_prior("surface_var", "surface 1")
+
+
+def huge_reference_amplitude():
+    """Desk scenario whose amplitudes overflow: the LOS distance variance
+    of the first step underflows to 0."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["amplitude_model"]["reference_amplitude"] = 1e308
+    return mapping, ("step 1, anchor 1, component [0, 0]: distance variance 0.0 "
+                     "is not finite and positive")
+
+
 def far_waypoint():
     """Desk scenario whose last waypoint lies at x = 1e308: the distance of
     the first step's LOS overflows."""
@@ -263,6 +288,35 @@ class TestValidateMode:
                      "--out", str(out)]) == 0
         assert (calls.count("ekf"), calls.count("scenario"), len(calls)) == (40, 2, 42)
 
+    @pytest.mark.parametrize("pass_steps", [None, 12])
+    def test_one_path_plan_per_path_list(self, pass_steps, tmp_path, monkeypatch):
+        """A desk validate call builds one filter plan for its 40 steps, which
+        all measure the same components, and the truth pass one plan per
+        anchor and visible-component union, shared by its blocks of steps:
+        one per anchor in one block or in four."""
+        import mpslam_bounds.scenario as scenario_module
+
+        scenario = load_scenario(DESK_SCENARIO)
+        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim
+        if pass_steps is not None:
+            monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
+        built = {"ekf": 0, "scenario": 0}
+
+        def counted(module):
+            exact = module.PathPlan
+
+            def wrapper(*args, **kwargs):
+                built[module.__name__.rpartition(".")[2]] += 1
+                return exact(*args, **kwargs)
+            return wrapper
+
+        for module in (ekf, scenario_module):
+            monkeypatch.setattr(module, "PathPlan", counted(module))
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert built == {"ekf": 1, "scenario": len(scenario.anchors)}
+
     def test_validate_run_takes_no_eigenvalues(self, tmp_path, monkeypatch):
         """Every inversion of a desk validate run passes the trace screen, so
         none computes eigenvalues."""
@@ -351,7 +405,8 @@ class TestErrors:
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
                                       bounce_at_endfire, huge_bandwidth, huge_aperture,
-                                      far_waypoint, far_surface])
+                                      huge_position_prior, huge_surface_prior,
+                                      huge_reference_amplitude, far_waypoint, far_surface])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         """Exit 3 naming the step (and the block, or the anchor and component),
         with no numpy warning on the way."""
@@ -481,10 +536,10 @@ class TestErrors:
                                                 monkeypatch):
         calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_at_step_5(mean, blocks, scenario):
+        def diverge_at_step_5(mean, measured, scenario):
             # run_single linearizes the runs once per measured step, steps ascending
             calls.append(None)
-            information, pull = measurement_step(mean, blocks, scenario)
+            information, pull = measurement_step(mean, measured, scenario)
             if len(calls) == 5:
                 pull[0] = float("nan")
             return information, pull
@@ -526,10 +581,10 @@ class TestErrors:
         runs 0 and 2 stay finite. The failure names run 1 and step 5."""
         calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_run_1_at_step_5(mean, blocks, scenario):
+        def diverge_run_1_at_step_5(mean, measured, scenario):
             # one batched linearization per measured step, steps ascending
             calls.append(None)
-            information, pull = measurement_step(mean, blocks, scenario)
+            information, pull = measurement_step(mean, measured, scenario)
             if len(calls) == 5:
                 assert len(pull) == 3
                 pull[1, 0] = float("nan")
@@ -580,9 +635,9 @@ class TestErrors:
                                - 1e12 * np.eye(scenario.dim))
             return table
 
-        def diverge_at_step_3(mean, blocks, scenario):
-            information, pull = exact_step(mean, blocks, scenario)
-            if blocks[0].step == 3:
+        def diverge_at_step_3(mean, measured, scenario):
+            information, pull = exact_step(mean, measured, scenario)
+            if measured.step == 3:
                 pull[0] = float("nan")
             return information, pull
 

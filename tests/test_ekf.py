@@ -12,12 +12,13 @@ from mpslam_bounds.ekf import (
     EkfState,
     MonteCarloResult,
     _linearize,
+    _measured_steps,
     ekf_predict,
     ekf_update,
     run_monte_carlo,
     run_single,
 )
-from mpslam_bounds.fim import channel_fim, global_jacobian
+from mpslam_bounds.fim import PathPlan, channel_fim, global_jacobian
 from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
@@ -29,6 +30,7 @@ from mpslam_bounds.pcrlb import (
     transition_matrix,
 )
 from mpslam_bounds.scenario import (
+    AnchorBlock,
     MonteCarloConfig,
     draw_measurements,
     ground_truth,
@@ -52,6 +54,12 @@ def small_scenario(**overrides):
 def drawn_step(scenario, truth, step, rng):
     """The anchor blocks measured at ``step`` in one draw of the whole table."""
     return draw_measurements(measurement_truth(scenario, truth), rng)[step - 1]
+
+
+def linearize(mean, blocks, scenario):
+    """The filter's linearization of one step's anchor blocks, through the
+    step plan the lockstep loop builds."""
+    return _linearize(mean, _measured_steps([blocks], scenario)[0], scenario)
 
 
 def side_by_side(blocks):
@@ -127,7 +135,7 @@ class TestUpdate:
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
         mean = joint_state(truth[3], scenario.surfaces)
-        jac, lam, innovation = _linearize(mean, blocks, scenario)
+        jac, lam, innovation = linearize(mean, blocks, scenario)
         measured = [b for b in blocks if b.components.size]
         assert len(measured) == 2
 
@@ -137,8 +145,8 @@ class TestUpdate:
         for block in measured:
             anchor, n = scenario.anchors[block.anchor], block.components.size
             stacked = Anchor(np.tile(anchor.position, (n, 1)), np.full(n, anchor.orientation))
-            params, _, gradient = global_jacobian(pose, stacked, order, surfaces,
-                                                  block.components)
+            params, _, gradient = global_jacobian(
+                pose, PathPlan(order, block.components, stacked), surfaces)
             residual = block.params - params
             residual[:, 1:] = np.vectorize(wrap_angle)(residual[:, 1:])
             gradients.append(gradient)
@@ -200,7 +208,7 @@ class TestUpdate:
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
 
         with caplog.at_level(logging.WARNING):
-            _, lam, innovation = _linearize(mean, blocks, scenario)
+            _, lam, innovation = linearize(mean, blocks, scenario)
         components = np.concatenate([b.components for b in blocks])
         on_surface = np.tile([1 in order.components[k].bounces for k in components], 3)
         variances = np.concatenate([b.variances for b in blocks])
@@ -225,7 +233,7 @@ class TestUpdate:
 
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                _, lam, innovation = _linearize(mean, blocks, scenario)
+                _, lam, innovation = linearize(mean, blocks, scenario)
             skipped = np.tile(np.concatenate([(b.components == target) & (b.anchor == anchor)
                                               for b in blocks]), 3)
             assert np.count_nonzero(skipped) == 3
@@ -402,9 +410,9 @@ class TestBoundInTheBatch:
         stepped, read_out = [], ekf_module.extract_bounds
         measurement_step = ekf_module._measurement_step
 
-        def run_1_then_run_0_diverge(mean, blocks, scenario):
-            information, pull = measurement_step(mean, blocks, scenario)
-            if (blocks[0].step, len(pull)) in ((2, 2), (3, 1)):
+        def run_1_then_run_0_diverge(mean, measured, scenario):
+            information, pull = measurement_step(mean, measured, scenario)
+            if (measured.step, len(pull)) in ((2, 2), (3, 1)):
                 pull[-1] = float("nan")
             return information, pull
 
@@ -470,6 +478,80 @@ class TestLockstepBatch:
         _, four = run_single(scenario, truth, table, range(4))
         _, eight = run_single(scenario, truth, table, range(8))
         np.testing.assert_array_equal(four[..., 3], eight[..., 3])
+
+
+class TestStepPlans:
+    """The filter builds one path plan per distinct step layout (which
+    components of which anchors it measured) and reads each step's rows of
+    one drawn table; sharing a plan moves no bit."""
+
+    @staticmethod
+    def counted_plans(monkeypatch):
+        import mpslam_bounds.ekf as ekf_module
+
+        built, exact = [], ekf_module.PathPlan
+
+        def counted(order, components, anchor):
+            built.append(np.array(components))
+            return exact(order, components, anchor)
+
+        monkeypatch.setattr(ekf_module, "PathPlan", counted)
+        return built
+
+    @staticmethod
+    def layouts(table):
+        """The distinct non-empty (anchor, components) lists of a table's steps."""
+        lists = {tuple((b.anchor, tuple(b.components)) for b in record.blocks
+                       if b.components.size) for record in table}
+        return lists - {()}
+
+    def test_sparse_octagon_builds_one_plan_per_path_list(self, monkeypatch):
+        """Both anchors, anchor 1 alone (anchor 2 blanked for steps 3-5) and
+        nothing at all (steps 8-9): two plans for twelve steps."""
+        scenario = sparse_octagon()
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        assert len(self.layouts(table)) == 2
+        built = self.counted_plans(monkeypatch)
+        run_single(scenario, truth, table, range(2))
+        assert len(built) == 2
+
+    def test_equal_path_counts_with_other_components_do_not_share(self):
+        """Steps 1 and 2 measure two components of anchor 1 each, but not the
+        same two; step 4 measures step 1's components from anchor 2; step 3
+        repeats step 1's list and shares its plan."""
+        scenario = load_scenario(DESK_SCENARIO)
+        lists = {1: (0, [0, 1]), 2: (0, [0, 2]), 3: (0, [0, 1]), 4: (1, [0, 1])}
+        measured = [tuple(AnchorBlock(n, j, np.array(ks if j == seen else [], dtype=int),
+                                      np.zeros((len(ks) * (j == seen), 3)),
+                                      np.ones((len(ks) * (j == seen), 3)))
+                          for j in range(2))
+                    for n, (seen, ks) in lists.items()]
+        steps = _measured_steps(measured, scenario)
+        plans = [step.plan for step in steps]
+        assert plans[0] is plans[2]
+        assert len({id(plan) for plan in plans}) == 3
+        for step, (seen, ks) in zip(steps, lists.values()):
+            assert step.plan.components.tolist() == ks and step.owner.tolist() == [seen] * 2
+            np.testing.assert_array_equal(step.plan.anchor_position,
+                                          [scenario.anchors[seen].position] * 2)
+
+    @pytest.mark.parametrize("case", ["desk", "sparse_octagon"])
+    def test_a_shared_plan_gives_the_bytes_of_a_fresh_one(self, case, monkeypatch):
+        """The lockstep batch with one plan per layout equals, byte for byte,
+        the batch with a plan built afresh at every step."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = load_scenario(DESK_SCENARIO) if case == "desk" else sparse_octagon()
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        shared_bounds, shared = run_single(scenario, truth, table, range(3))
+        exact = ekf_module._measured_steps
+        monkeypatch.setattr(ekf_module, "_measured_steps", lambda measured, scenario: [
+            exact([step], scenario)[0] for step in measured])
+        fresh_bounds, fresh = run_single(scenario, truth, table, range(3))
+        assert shared.tobytes() == fresh.tobytes()
+        assert bound_bits(shared_bounds) == bound_bits(fresh_bounds)
 
 
 class TestMonteCarlo:
@@ -544,9 +626,9 @@ class TestMonteCarlo:
         scenario = small_scenario(mc={"runs": 3, "seed": 7})
         measurement_step = ekf_module._measurement_step
 
-        def diverge(mean, blocks, scenario):
-            information, pull = measurement_step(mean, blocks, scenario)
-            step = blocks[0].step
+        def diverge(mean, measured, scenario):
+            information, pull = measurement_step(mean, measured, scenario)
+            step = measured.step
             if step == 5 and len(mean) == 3:
                 pull[2] = float("nan")
             if step == 8:

