@@ -43,6 +43,9 @@ from tests.reference_geometry import channel_params
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 # Criterion 9's CSV as pinned before the gradient code was restructured.
 PINNED_DESK_VALIDATE = Path(__file__).resolve().parent / "data" / "desk_validate.csv"
+# Criterion 9's desk bounds through run_recursion, each float at full (repr)
+# precision; written by pin_desk_bounds() only when a change is meant to move them.
+PINNED_DESK_BOUNDS = Path(__file__).resolve().parent / "data" / "desk_bounds.csv"
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -269,41 +272,65 @@ def test_criterion_8_generator_calibration():
     )
 
 
-def pinned_deviation(csv_text: str, pinned_text: str) -> tuple[float, float]:
-    """Worst relative deviation from a pinned CSV: (bound columns, RMSE columns).
+def desk_bound_rows() -> list[list[float]]:
+    """The desk bounds through the library, one row per step: peb, veb, oeb, meb_*."""
+    return [[r.peb, r.veb, r.oeb, *r.meb] for r in bounds_of(load_scenario(DESK_SCENARIO))]
 
-    The layout (header, row count, step column) must match exactly.
-    """
+
+def pin_desk_bounds() -> None:
+    """Write PINNED_DESK_BOUNDS from the current code (repr round-trips each float)."""
+    rows = desk_bound_rows()
+    header = ["n", "peb", "veb", "oeb"] + [f"meb_{s}" for s in range(1, len(rows[0]) - 2)]
+    lines = [",".join(header)] + [",".join([str(n)] + [repr(float(v)) for v in row])
+                                  for n, row in enumerate(rows, start=1)]
+    PINNED_DESK_BOUNDS.write_text("\n".join(lines) + "\n")
+
+
+def pinned_bound_deviation(rows: list[list[float]], pinned_text: str) -> float:
+    """Worst relative deviation of unrounded bound rows from their pin."""
+    pinned = [line.split(",") for line in pinned_text.splitlines()[1:]]
+    assert [int(ref[0]) for ref in pinned] == list(range(1, len(rows) + 1))
+    expected = np.array([[float(v) for v in ref[1:]] for ref in pinned])
+    return float(np.max(np.abs(np.array(rows) - expected) / np.abs(expected)))
+
+
+def pinned_deviation(csv_text: str, pinned_text: str) -> float:
+    """Worst relative deviation of the rmse_*/maperr_* columns from a pinned
+    CSV. The layout (header, row count, step column) must match exactly."""
     rows = [line.split(",") for line in csv_text.splitlines()]
     pinned = [line.split(",") for line in pinned_text.splitlines()]
     assert rows[0] == pinned[0] and len(rows) == len(pinned)
-    worst = {"bound": 0.0, "rmse": 0.0}
+    worst = 0.0
     for row, ref in zip(rows[1:], pinned[1:]):
         assert row[0] == ref[0]
         for name, value, expected in zip(rows[0][1:], row[1:], ref[1:]):
-            kind = "rmse" if name.startswith(("rmse_", "maperr_")) else "bound"
-            value, expected = float(value), float(expected)
-            dev = abs(value - expected) / max(abs(expected), 1e-300)
-            worst[kind] = max(worst[kind], dev)
-    return worst["bound"], worst["rmse"]
+            if name.startswith(("rmse_", "maperr_")):
+                value, expected = float(value), float(expected)
+                worst = max(worst, abs(value - expected) / max(abs(expected), 1e-300))
+    return worst
 
 
 def test_criterion_9_byte_identical_csv(tmp_path):
-    """Two CLI invocations with the same scenario and seed: identical bytes,
-    and the values of the pinned CSV (bound columns to 1e-12 relative,
-    rmse/maperr columns to 1e-9 relative)."""
+    """Two CLI invocations with the same scenario and seed: identical bytes;
+    the bound columns print the library's bounds, which match their
+    unrounded pin to 1e-12 relative, and the rmse/maperr columns match the
+    pinned CSV to 1e-9 relative. (Comparing 12-digit printed bound cells at
+    1e-12 would fail on any flip of their last digit.)"""
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ["--scenario", str(DESK_SCENARIO), "--mc-runs", "10", "--seed", "98765"]
     code_a = main(args + ["--out", str(out_a)])
     code_b = main(args + ["--out", str(out_b)])
     identical = out_a.read_bytes() == out_b.read_bytes()
-    bound_dev, rmse_dev = pinned_deviation(
-        out_a.read_text(), PINNED_DESK_VALIDATE.read_text()
-    )
+    bounds = desk_bound_rows()
+    printed = [line.split(",")[1:1 + len(bounds[0])]
+               for line in out_a.read_text().splitlines()[1:]]
+    prints_bounds = printed == [[f"{v:.12g}" for v in row] for row in bounds]
+    bound_dev = pinned_bound_deviation(bounds, PINNED_DESK_BOUNDS.read_text())
+    rmse_dev = pinned_deviation(out_a.read_text(), PINNED_DESK_VALIDATE.read_text())
     report(
         "criterion 9: byte-identical CSV across invocations, pinned values",
-        code_a == 0 and code_b == 0 and identical
+        code_a == 0 and code_b == 0 and identical and prints_bounds
         and bound_dev <= 1e-12 and rmse_dev <= 1e-9,
         f"{out_a.stat().st_size} bytes, pinned deviation bounds {bound_dev:.1e} "
         f"rmse {rmse_dev:.1e}",
