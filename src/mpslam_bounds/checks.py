@@ -207,19 +207,19 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
         agent2, anchor2, _, _ = random_instance(rng, num_surfaces)
         visible = np.flatnonzero(rng.random(order.size) < 0.7)
-        terms = []
-        for a in (anchor, anchor2):
-            params, degenerate, jac = global_jacobian(agent, PathPlan(order, visible, a), surfaces)
-            if degenerate.any():
-                break
-            variances = measurement_variances(
-                params, 2.0 / params[:, 0], 6e9, 1e8, aperture, aperture
-            )
-            terms.append((jac, channel_fim(variances)))
-        if len(terms) != 2:
+        # one compact pass over both anchors' paths, the first anchor's listed first
+        n = visible.size
+        both_anchors = Anchor(np.repeat([anchor.position, anchor2.position], n, axis=0),
+                              np.repeat([anchor.orientation, anchor2.orientation], n))
+        params, degenerate, jac = global_jacobian(
+            agent, PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
+        if degenerate.any():
             continue
-        single = global_snapshot_fim(terms[:1])
-        both = global_snapshot_fim(terms)
+        lam = channel_fim(measurement_variances(
+            params, 2.0 / params[:, 0], 6e9, 1e8, aperture, aperture))
+        first = np.add.outer([0, 2 * n, 4 * n], np.arange(n)).ravel()  # the first anchor's columns
+        single = global_snapshot_fim(jac[:, first], lam[first])
+        both = global_snapshot_fim(jac, lam)
         for name, matrix in (("one anchor", single), ("two anchors", both),
                              ("anchor increment", both - single)):
             min_eig = float(np.linalg.eigvalsh(matrix)[0])

@@ -36,14 +36,14 @@ from typing import Sequence
 import numpy as np
 
 from .fim import PathPlan, channel_fim, global_jacobian, global_snapshot_fim
-from .geometry import AgentPose, Anchor, SurfaceMap, joint_state, wrap_angle
+from .geometry import AgentPose, SurfaceMap, joint_state, wrap_angle
 from .pcrlb import (
     BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
     process_noise_cov, transition_matrix,
 )
 from .scenario import (
     STEP_TABLE_BYTES, AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth,
-    measurement_truth,
+    layout_plan, measurement_truth,
 )
 from .streams import derive_run_stream, standard_normals
 
@@ -95,13 +95,12 @@ def _measured_steps(
 ) -> list[MeasuredStep]:
     """Drawn steps (see :func:`~.scenario.draw_measurements`) as contiguous
     row slices of one table of all their blocks, each with the plan of its
-    path list, every path seen from its own anchor. A plan is built once per
-    distinct list and lives as long as the returned steps."""
+    path list, every path seen from its own anchor
+    (:func:`~.scenario.layout_plan`, as the truth pass builds it). A plan is
+    built once per distinct list and lives as long as the returned steps."""
     blocks = [block for step in measured for block in step]
     observed = np.concatenate([block.params for block in blocks], axis=-2)
     variances = np.concatenate([block.variances for block in blocks])
-    positions = np.array([anchor.position for anchor in scenario.anchors])
-    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
     plans, steps, stop = {}, [], 0
     for step in measured:
         key = tuple((block.anchor, block.components.tobytes()) for block in step
@@ -110,8 +109,7 @@ def _measured_steps(
             owner = np.concatenate([np.full(block.components.size, block.anchor)
                                     for block in step])
             components = np.concatenate([block.components for block in step])
-            plans[key] = owner, PathPlan(scenario.order, components, Anchor(
-                positions[owner], orientations[owner])) if key else None
+            plans[key] = owner, layout_plan(scenario, owner, components) if key else None
         owner, plan = plans[key]
         start, stop = stop, stop + owner.size
         steps.append(MeasuredStep(step[0].step, plan, owner, observed[..., start:stop, :],
@@ -171,7 +169,7 @@ def _measurement_step(
     if linear is None:
         return None
     jac, lam, innovation = linear
-    return global_snapshot_fim([(jac, lam)]), jac @ (lam * innovation)[..., None]
+    return global_snapshot_fim(jac, lam), jac @ (lam * innovation)[..., None]
 
 
 def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
@@ -254,6 +252,9 @@ def run_single(
         while True:
             live = len(mean)
             ahead, moved = predict_cov(cov, transition, noise_cov), mean
+            # The bound fuses every step, also one that no anchor measures
+            # (zero information): that fusion's inversions are where a
+            # singular prediction is caught and named (exit 3), so it stays.
             if not live:  # the bound alone
                 ahead = fuse(ahead, record.information, n)
                 break

@@ -20,11 +20,12 @@ departure azimuths (3n entries). Over those paths this module builds
 * the diagonal channel information ``lambda`` (3n), 1 / variance of each
   parameter and zero for an infinite one (:func:`channel_fim`),
 
-and sums the snapshot information ``H diag(lambda) H^T``. The filter lists
-every measured path of a step, all anchors at once; the truth pass lists
-one anchor's K components, scattered into its 3K columns. What a pass needs
-of its path list alone (bounce indices, anchor rotations, gather and
-scatter indices) is a :class:`PathPlan`, built once per distinct list.
+and sums the snapshot information ``H diag(lambda) H^T`` over those 3n
+columns (:func:`global_snapshot_fim`). The filter and the truth pass list
+the same paths the same way: every path a step measures, all anchors at
+once, anchors ascending. What a pass needs of its path list alone (bounce
+indices, anchor rotations, gather and scatter indices) is a
+:class:`PathPlan`, built once per distinct list.
 Velocity rows are identically zero: a single snapshot carries no velocity
 information. The orientation row is nonzero only in the arrival-azimuth
 block, where every entry equals -1 in the plane.
@@ -174,9 +175,9 @@ def measurement_variances(
     the departure azimuth. An endfire aperture raises
     :class:`ZeroApertureError` whose ``index`` is the first such component.
     The scenario's truth pass evaluates it at the true poses, once per
-    (block of steps, anchor) on the visible (step, component) entries
-    stacked as the n rows; the bound, the measurement generator and the
-    estimator all read those values.
+    anchor of each step layout in a block of steps, on that anchor's
+    visible (step, component) entries stacked as the n rows; the bound, the
+    measurement generator and the estimator all read those values.
     """
     params = np.asarray(params, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -189,12 +190,12 @@ def measurement_variances(
 class ComponentOrder:
     """Canonical ordering of the path components observed by one anchor.
 
-    Fixes the component set and its layout in the stacked channel parameter
-    vector: component k occupies entries k (distance), K + k (arrival
-    azimuth) and 2K + k (departure azimuth), as :meth:`columns` gives them.
-    The canonical order is LOS first, then single bounces by ascending
-    surface, then double bounces lexicographically by (first, second)
-    surface.
+    Fixes the component set and the indices that visibility schedules, path
+    plans and anchor blocks use for it. A channel pass lays out only the
+    paths it lists (see :func:`global_jacobian`), so no layout over all K
+    components is ever formed. The canonical order is LOS first, then
+    single bounces by ascending surface, then double bounces
+    lexicographically by (first, second) surface.
     """
 
     def __init__(self, components: Sequence[PathComponent]):
@@ -239,11 +240,6 @@ class ComponentOrder:
     def dim(self) -> int:
         """Stacked channel parameter dimension 3K."""
         return 3 * len(self._components)
-
-    def columns(self, components: Sequence[int] | np.ndarray) -> np.ndarray:
-        """(3, n) entries of the listed components in the stacked channel
-        vector: their distances, arrival azimuths and departure azimuths."""
-        return np.add.outer([0, self.size, 2 * self.size], components)
 
     def __iter__(self):
         return iter(self._components)
@@ -386,26 +382,14 @@ def channel_fim(variances: np.ndarray) -> np.ndarray:
     return 1.0 / np.swapaxes(variances, -1, -2).reshape(variances.shape[:-2] + (-1,))
 
 
-def global_snapshot_fim(
-    terms: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Accumulate the snapshot information sum H Lambda H^T over terms.
-
-    Each term holds an (N, m) gradient matrix and its length-m diagonal
-    channel information (the compact layout of one channel pass), or
-    (..., N, m) and (..., m) stacks with one entry per batch entry. Terms are
-    summed in the given order so the floating point result is reproducible.
-    Symmetric positive semidefinite.
-    """
-    if not terms:
-        raise ValueError("at least one term is required")
-    dim_state = terms[0][0].shape[-2]
-    total = 0.0
-    for jac, lam in terms:
-        lam = np.asarray(lam, dtype=float)
-        if jac.shape[-2] != dim_state:
-            raise ValueError("inconsistent state dimensions across terms")
-        if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
-            raise ValueError("channel information must hold one entry per gradient column")
-        total = total + (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
+def global_snapshot_fim(jac: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Snapshot information H diag(lambda) H^T of one channel pass: the
+    (N, m) gradient ``jac`` and its length-m channel information ``lam``
+    (:func:`global_jacobian`, :func:`channel_fim`), or (..., N, m) and
+    (..., m) stacks, each entry with the bits of its unbatched call. Anchors
+    add up as columns side by side in one pass. Symmetric PSD."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
+        raise ValueError("channel information must hold one entry per gradient column")
+    total = (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
     return 0.5 * (total + np.swapaxes(total, -1, -2))

@@ -8,20 +8,22 @@ the dataclass fields below exactly: one reader walks a section's fields, a
 missing key takes the field's own default, and unknown keys are rejected
 with the offending path so typos cannot silently change an experiment.
 
-The channel truth is evaluated once per scenario at the true poses: path
-geometry, gradient and measurement variances of the visible components, in
-one batched pass per (block of consecutive steps, anchor). A step's record
-does not depend on its block, bit for bit. The output is the truth table
+The channel truth is evaluated once per scenario at the true poses, in the
+filter's own layout: per block of consecutive steps and per step layout
+(which components of which anchors a step sees), one batched pass over
+exactly the visible paths of all anchors, through the filter's
+:class:`~.fim.PathPlan` of that layout (:func:`layout_plan`, built once per
+layout). A step's record does not depend on its block, bit for bit. The
+output is the truth table
 (:func:`measurement_truth`), one :class:`StepTruth` per step holding the
 snapshot information and one :class:`AnchorBlock` of arrays per anchor. The
 bound recursion reads the information, the generator draws around the
 blocks' parameters with their variances, and the estimator takes its noise
-covariance from the same variances, so all three read the same numbers.
-Each anchor's :class:`~.fim.PathPlan` is built once per component union and
-shared by the blocks of steps. Draw order is fixed: steps ascending, anchors
-ascending, components in canonical order, and per component distance,
-arrival azimuth, departure azimuth; the draw scales and wraps all rows of
-the table in one pass.
+covariance from the same variances, so all three read the same numbers;
+the filter's pass at the truth gives the same information, bit for bit.
+Draw order is fixed: steps ascending, anchors ascending, components in
+canonical order, and per component distance, arrival azimuth, departure
+azimuth; the draw scales and wraps all rows of the table in one pass.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .fim import (
     ZeroApertureError,
     channel_fim,
     global_jacobian,
+    global_snapshot_fim,
     measurement_variances,
 )
 from .geometry import AgentPose, Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
@@ -53,8 +56,8 @@ DEFAULT_ORIENTATION_PRIOR_VAR = math.radians(10.0) ** 2
 
 # PyYAML's C scanner and parser where built; the constructor stays the Python one
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# Cap on the stacked (steps, N + 2, 3K) float64 gradient of one truth pass
-# (one anchor at a time): 10 steps of an octagon room, all 40 of the desk.
+# Cap on a truth block's stacked float64 gradients, each step sized as if it saw every
+# component of every anchor, (N + 2) x 3K x anchors: 5 two-anchor octagon steps, 29 desk.
 TRUTH_PASS_BYTES = 360_000
 # Cap on the per-step tables of a scenario: per step, (anchor, component) int8
 # visibility flags and 3 + 3 float64 truth, and the (N, N) float64 information.
@@ -358,97 +361,103 @@ def ground_truth(scenario: Scenario) -> list[AgentPose]:
 # Snapshot information and measurements
 
 
+def layout_plan(scenario: Scenario, owner: np.ndarray, components: np.ndarray) -> PathPlan:
+    """The :class:`~.fim.PathPlan` of one step layout: path i is component
+    ``components[i]`` seen from anchor ``owner[i]`` (0-based), anchors
+    ascending. The truth pass and the filter build their plans here."""
+    positions = np.array([anchor.position for anchor in scenario.anchors])
+    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
+    return PathPlan(scenario.order, components, Anchor(positions[owner], orientations[owner]))
+
+
 def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray,
-                plans: dict[tuple[int, bytes], PathPlan]) -> list[StepTruth]:
+                plans: dict[bytes, PathPlan]) -> list[StepTruth]:
     """Truth records of consecutive ``steps`` at their true ``poses``.
 
-    Per anchor, on the poses stacked along a leading step axis, one
-    :func:`global_jacobian` call on the components visible at any of the
-    steps and one noise-model call on the visible (step, component) entries.
-    ``plans`` keeps each anchor's :class:`~.fim.PathPlan` per component list,
-    shared by the passes of one table.
-    Hidden entries get zero weight (an infinite variance) in the information,
-    summed as :func:`~.fim.global_snapshot_fim` does. A failure names the
-    earliest step, then the lowest anchor; degenerate geometry before endfire.
-    A visible entry whose distance, amplitude or noise variance is not finite
-    and positive (a geometry or noise model beyond the float range) raises
-    :class:`FloatingPointError`.
+    Per step layout (which components of which anchors are visible), on the
+    poses of its steps stacked along a leading axis, one
+    :func:`global_jacobian` call over exactly the visible paths, through the
+    layout's plan (kept in ``plans``, shared by the passes of one table), and
+    one noise-model call per anchor; the information is the filter's
+    :func:`~.fim.global_snapshot_fim` of that compact pass. A failure names
+    the earliest step, then the lowest anchor; degenerate geometry before
+    endfire. A visible entry whose distance, amplitude or noise variance is
+    not finite and positive (a geometry or noise model beyond the float
+    range) raises :class:`FloatingPointError`.
     """
-    order = scenario.order
-    pose = AgentPose.from_state(np.stack([p.as_state() for p in poses]))
-    total, per_anchor, failures = 0.0, [], []
-    for j, anchor in enumerate(scenario.anchors):
-        shown = scenario.visibility.flags(j, steps).astype(bool)
-        union = np.flatnonzero(shown.any(axis=0))
-        shown = shown[:, union]
-        key = (j, union.tobytes())
+    order, n_anchors = scenario.order, len(scenario.anchors)
+    states = np.stack([p.as_state() for p in poses])
+    shown = np.stack([scenario.visibility.flags(j, steps) for j in range(n_anchors)], axis=1)
+    layouts: dict[bytes, list[int]] = {}
+    for b, flags in enumerate(shown):
+        layouts.setdefault(flags.tobytes(), []).append(b)
+    information, blocks, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
+    for key, rows in layouts.items():
+        owner, components = np.nonzero(shown[rows[0]])
+        cuts = np.searchsorted(owner, np.arange(n_anchors + 1))
+        own = [slice(cuts[j], cuts[j + 1]) for j in range(n_anchors)]  # each anchor's paths
         if key not in plans:
-            plans[key] = PathPlan(order, union, anchor)
-        params, degenerate, jac = global_jacobian(pose, plans[key], scenario.surfaces)
-        bad = np.argwhere(degenerate & shown)
-        if bad.size:
-            b, i = bad[0]
-            comp = order.components[union[i]]
-            failures.append((b, j, comp, DegenerateGeometryError,
-                             f"agent coincides with virtual anchor for path {comp.bounces}"))
-            shown[b:] = False  # an earlier endfire aperture is still reported first
+            plans[key] = layout_plan(scenario, owner, components)
+        params, degenerate, jac = global_jacobian(
+            AgentPose.from_state(states[rows]), plans[key], scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
         amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
-                                                        order.n_bounces[union])
-        bad = np.argwhere(~(reached & np.isfinite(amplitudes) & (amplitudes > 0)) & shown)
-        if bad.size:  # a distance or amplitude beyond the float range
-            b, i = bad[0]
-            value = (f"distance {distance[b, i]}" if not reached[b, i]
-                     else f"amplitude {amplitudes[b, i]}")
-            failures.append((b, j, order.components[union[i]], FloatingPointError,
-                             f"{value} is not finite and positive"))
-            shown[b:] = False
-        at, k = np.nonzero(shown)  # visible entries: step and position in the union
-        entries = params[at, k]
-        try:
-            variances = measurement_variances(
-                entries, amplitudes[at, k], scenario.signal.carrier_freq,
-                scenario.signal.rms_bandwidth, scenario.agent_aperture, anchor.aperture,
-            )
-        except ZeroApertureError as exc:
-            comp = order.components[union[k[exc.index]]]
-            failures.append((at[exc.index], j, comp, ZeroApertureError, exc))
-        else:
-            bad = np.argwhere(~(np.isfinite(variances) & (variances > 0)))
+                                                        order.n_bounces[components])
+        usable = reached & np.isfinite(amplitudes) & (amplitudes > 0)
+        variances = np.empty_like(params)
+        for j, (anchor, paths) in enumerate(zip(scenario.anchors, own)):
+            comps, cut = components[paths], len(rows)  # steps checked so far: rows[:cut]
+            bad = np.argwhere(degenerate[:, paths])
+            if bad.size:
+                cut, i = bad[0]
+                failures.append((rows[cut], j, comps[i], DegenerateGeometryError,
+                                 "agent coincides with virtual anchor for path "
+                                 f"{order.components[comps[i]].bounces}"))
+            bad = np.argwhere(~usable[:cut, paths])
+            if bad.size:  # a distance or amplitude beyond the float range
+                cut, i = bad[0]
+                at = cut, paths.start + i
+                value = f"amplitude {amplitudes[at]}" if reached[at] else f"distance {distance[at]}"
+                failures.append((rows[cut], j, comps[i], FloatingPointError,
+                                 f"{value} is not finite and positive"))
+            try:
+                variances[:cut, paths] = measurement_variances(
+                    params[:cut, paths].reshape(-1, 3), amplitudes[:cut, paths].ravel(),
+                    scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+                    scenario.agent_aperture, anchor.aperture,
+                ).reshape(cut, comps.size, 3)
+            except ZeroApertureError as exc:
+                g, i = divmod(exc.index, comps.size)
+                failures.append((rows[g], j, comps[i], ZeroApertureError, exc))
+                continue
+            bad = np.argwhere(~(np.isfinite(variances[:cut, paths]) & (variances[:cut, paths] > 0)))
             if bad.size:  # an overflowing or underflowing noise model
-                i, c = bad[0]
-                failures.append((at[i], j, order.components[union[k[i]]], FloatingPointError,
+                g, i, c = bad[0]
+                failures.append((rows[g], j, comps[i], FloatingPointError,
                                  f"{('distance', 'arrival', 'departure')[c]} variance "
-                                 f"{variances[i, c]} is not finite and positive"))
+                                 f"{variances[g, paths.start + i, c]} is not finite and positive"))
         if failures:
             continue
-        weights = np.full((steps.size, order.size, 3), np.inf)
-        weights[at, union[k]] = variances
-        # summed over all 3K columns: the compact sum rounds differently
-        dense = np.zeros(jac.shape[:-1] + (order.dim,))
-        dense[..., order.columns(union).ravel()] = jac
+        information[rows] = global_snapshot_fim(jac, channel_fim(variances))
         del jac  # each gradient is freed once used, so the peak memory does not grow
-        total = total + (dense * channel_fim(weights)[..., None, :]) @ np.swapaxes(dense, -1, -2)
-        del dense
-        cuts = np.cumsum(shown.sum(axis=1))[:-1]
-        per_anchor.append([AnchorBlock(int(n), j, union[row], p, v) for n, row, p, v in zip(
-            steps, shown, np.split(entries, cuts), np.split(variances, cuts))])
+        for g, b in enumerate(rows):
+            blocks[b] = tuple(AnchorBlock(int(steps[b]), j, components[paths], params[g, paths],
+                                          variances[g, paths]) for j, paths in enumerate(own))
     if failures:
-        b, j, comp, error, reason = min(failures, key=lambda failure: failure[0])
-        raise error(f"step {steps[b]}, anchor {j + 1}, component {list(comp.pair)}: {reason}")
-    information = 0.5 * (total + np.swapaxes(total, -1, -2))
-    return [StepTruth(int(n), information[b], tuple(blocks[b] for blocks in per_anchor))
-            for b, n in enumerate(steps)]
+        b, j, k, error, reason = min(failures, key=lambda failure: failure[:2])
+        raise error(f"step {steps[b]}, anchor {j + 1}, "
+                    f"component {list(order.components[k].pair)}: {reason}")
+    return [StepTruth(int(n), information[b], blocks[b]) for b, n in enumerate(steps)]
 
 
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
     """Channel truth at one ground-truth pose under the schedule at ``step``.
 
     The one-step case of the truth pass: the step's record of the truth
-    table, with the snapshot information sum_j H_j Lambda_j H_j^T and the
-    anchors' visible components with their noise-free parameters and
-    variances. No gradient matrix is kept.
+    table, with the snapshot information H Lambda H^T of one compact pass
+    over every anchor's visible components, and those components with their
+    noise-free parameters and variances. No gradient matrix is kept.
     """
     return _truth_pass(scenario, [pose], np.array([step]), {})[0]
 
@@ -463,7 +472,8 @@ def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTr
     come from the true amplitude (amplitude noise carries no state
     information here).
     """
-    size = max(1, TRUTH_PASS_BYTES // (8 * (scenario.dim + 2) * scenario.order.dim))
+    size = max(1, TRUTH_PASS_BYTES
+               // (8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)))
     steps = np.arange(1, scenario.n_steps + 1)
     blocks, plans = [steps[start:start + size] for start in range(0, steps.size, size)], {}
     return [record for block in blocks

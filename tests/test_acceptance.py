@@ -112,7 +112,7 @@ def test_criterion_3_structural_zeros():
                                           aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
         lam = channel_fim(variances)
-        snapshot = global_snapshot_fim([(jac, lam)])
+        snapshot = global_snapshot_fim(jac, lam)
         ok &= not snapshot[2:4, :].any() and not snapshot[:, 2:4].any()
         # canonical order puts the LOS component first
         for col in (0, order.size, 2 * order.size):

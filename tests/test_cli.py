@@ -217,24 +217,26 @@ class TestValidateMode:
         assert "assumptions" in err
 
     @pytest.mark.parametrize("pass_steps", [None, 12], ids=["default_cap", "12_step_cap"])
-    def test_truth_is_resolved_once_per_block_and_anchor(self, pass_steps, tmp_path,
-                                                          monkeypatch):
+    def test_truth_is_resolved_once_per_block_and_step_layout(self, pass_steps, tmp_path,
+                                                               monkeypatch):
         """Validate mode evaluates the channel at the truth once per (block of
-        steps, anchor): one gradient pass, holding one batched geometry pass,
-        and one noise-model call each; the filter's own passes are not
-        counted. The block holds as many steps as the pass cap admits; a cap
-        of 12 desk steps leaves 40 steps in three full blocks and a partial
-        one."""
+        steps, step layout): one gradient pass over all anchors, holding one
+        batched geometry pass, and one noise-model call per anchor; the
+        filter's own passes are not counted. Every desk step has the same
+        layout. The block holds as many steps as the pass cap admits (29 desk
+        steps by default); a cap of 12 leaves 40 steps in three full blocks
+        and a partial one."""
         import mpslam_bounds.fim as fim_module
         import mpslam_bounds.scenario as scenario_module
 
         scenario = load_scenario(DESK_SCENARIO)
-        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim  # one (N + 2, 3K) gradient
+        # one step's gradient as if every component of every anchor were visible
+        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
         if pass_steps is not None:
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
         block = scenario_module.TRUTH_PASS_BYTES // step_bytes
-        passes = math.ceil(scenario.n_steps / block) * len(scenario.anchors)
-        assert passes == {None: 2, 12: 8}[pass_steps]
+        passes = math.ceil(scenario.n_steps / block)
+        assert passes == {None: 2, 12: 4}[pass_steps]
 
         calls = {"global_jacobian": 0, "path_geometry": 0, "measurement_variances": 0}
         in_truth = []
@@ -262,13 +264,13 @@ class TestValidateMode:
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
         assert calls == {"global_jacobian": passes, "path_geometry": passes,
-                         "measurement_variances": passes}
+                         "measurement_variances": passes * len(scenario.anchors)}
 
     def test_filter_linearizes_once_per_measured_step(self, tmp_path, monkeypatch):
         """Validate mode makes one gradient pass per measured filter step, for
         all anchors and all runs of the batch at once, besides the truth
-        table's one pass per (block of steps, anchor): on the desk with two
-        runs, 40 filter passes and 2 truth passes."""
+        table's one pass per (block of steps, step layout): on the desk with
+        two runs, 40 filter passes and 2 truth passes."""
         import mpslam_bounds.scenario as scenario_module
 
         calls = []
@@ -290,20 +292,21 @@ class TestValidateMode:
 
     @pytest.mark.parametrize("pass_steps", [None, 12])
     def test_one_path_plan_per_path_list(self, pass_steps, tmp_path, monkeypatch):
-        """A desk validate call builds one filter plan for its 40 steps, which
-        all measure the same components, and the truth pass one plan per
-        anchor and visible-component union, shared by its blocks of steps:
-        one per anchor in one block or in four."""
+        """A desk validate call builds one plan per step layout for the filter
+        and one for the truth pass, through the same layout_plan: all 40
+        desk steps measure the same components of both anchors, so one each,
+        the truth pass's shared by its blocks of steps (two, or four under a
+        12-step cap)."""
         import mpslam_bounds.scenario as scenario_module
 
         scenario = load_scenario(DESK_SCENARIO)
-        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim
+        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
         if pass_steps is not None:
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
         built = {"ekf": 0, "scenario": 0}
 
         def counted(module):
-            exact = module.PathPlan
+            exact = module.layout_plan
 
             def wrapper(*args, **kwargs):
                 built[module.__name__.rpartition(".")[2]] += 1
@@ -311,11 +314,11 @@ class TestValidateMode:
             return wrapper
 
         for module in (ekf, scenario_module):
-            monkeypatch.setattr(module, "PathPlan", counted(module))
+            monkeypatch.setattr(module, "layout_plan", counted(module))
         out = tmp_path / "validate.csv"
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
-        assert built == {"ekf": 1, "scenario": len(scenario.anchors)}
+        assert built == {"ekf": 1, "scenario": 1}
 
     def test_validate_run_takes_no_eigenvalues(self, tmp_path, monkeypatch):
         """Every inversion of a desk validate run passes the trace screen, so
@@ -558,10 +561,10 @@ class TestErrors:
         the same message as the bound; the bound itself stays fine."""
         calls, fuse = [], ekf.global_snapshot_fim
 
-        def indefinite_at_step_5(anchor_terms):
+        def indefinite_at_step_5(jac, lam):
             # the filter's information is built once per measured step, steps ascending
             calls.append(None)
-            information = fuse(anchor_terms)
+            information = fuse(jac, lam)
             if len(calls) == 5:
                 return information - 1e12 * np.eye(len(information))
             return information
@@ -605,9 +608,9 @@ class TestErrors:
         names run 2, the step and the weakest block."""
         calls, fuse = [], ekf.global_snapshot_fim
 
-        def indefinite_run_2_at_step_5(anchor_terms):
+        def indefinite_run_2_at_step_5(jac, lam):
             calls.append(None)
-            information = fuse(anchor_terms)
+            information = fuse(jac, lam)
             if len(calls) == 5:
                 information[2] -= 1e12 * np.eye(information.shape[-1])
             return information

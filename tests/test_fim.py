@@ -66,6 +66,12 @@ def fd_channel_gradient(agent, anchor, path, surfaces, coord, step=1e-6):
     return diff / (2.0 * h)
 
 
+def compact_columns(order, components):
+    """Columns of the listed components in a pass over all K components of
+    ``order``: their distances, then arrival, then departure azimuths."""
+    return np.add.outer([0, order.size, 2 * order.size], components).ravel()
+
+
 def rel_err(analytic, numeric):
     scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-9)
     return np.linalg.norm(np.asarray(analytic) - np.asarray(numeric)) / scale
@@ -126,14 +132,8 @@ class TestComponentOrder:
         assert order.dim == 15
 
     def test_index_maps_partition_blocks(self):
-        # component k's distance, arrival and departure entries are k, K + k, 2K + k
-        order = ComponentOrder.canonical(3)
-        k_total = order.size
-        for k in range(k_total):
-            assert order.columns([k]).ravel().tolist() == [k, k_total + k, 2 * k_total + k]
-        assert order.columns([0, 4]).tolist() == [[0, 4], [k_total, k_total + 4],
-                                                  [2 * k_total, 2 * k_total + 4]]
-        # a channel pass lays out its n listed paths alike, n in place of K
+        # a channel pass over n listed paths puts path i's distance, arrival
+        # and departure entries at i, n + i and 2n + i
         assert channel_fim([(1.0, 0.5, 0.25)]).tolist() == [1.0, 2.0, 4.0]
         assert channel_fim([(1.0, 0.5, 0.25), (2.0, 4.0, 8.0)]).tolist() == [
             1.0, 0.5, 2.0, 0.25, 4.0, 0.125]
@@ -374,7 +374,7 @@ class TestGlobalJacobian:
         _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
         assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
         full = full_jacobian(agent, anchor, order, surfaces)
-        np.testing.assert_array_equal(jac, full[:, order.columns(present).ravel()])
+        np.testing.assert_array_equal(jac, full[:, compact_columns(order, present)])
 
 
 class TestSnapshotFim:
@@ -400,22 +400,29 @@ class TestSnapshotFim:
             terms.append((jac, channel_fim(variances)))
         return terms
 
+    @staticmethod
+    def side_by_side(terms):
+        """One pass's (gradient, information) from several anchors' terms:
+        their columns listed side by side."""
+        return (np.concatenate([jac for jac, _ in terms], axis=-1),
+                np.concatenate([lam for _, lam in terms]))
+
     def test_two_identical_anchors_double_the_information(self):
         terms = self._terms(n_anchors=1)
-        single = global_snapshot_fim(terms)
-        double = global_snapshot_fim(terms + terms)
+        single = global_snapshot_fim(*terms[0])
+        double = global_snapshot_fim(*self.side_by_side(terms + terms))
         np.testing.assert_allclose(double, 2.0 * single, rtol=1e-12)
 
     def test_all_absent_gives_zero(self):
         terms = self._terms(n_anchors=1)
         jac, lam = terms[0]
-        zero = global_snapshot_fim([(np.zeros_like(jac), np.zeros_like(lam))])
+        zero = global_snapshot_fim(np.zeros_like(jac), np.zeros_like(lam))
         np.testing.assert_allclose(zero, 0.0)
 
     def test_psd_and_anchor_increment_psd(self):
         terms = self._terms(n_anchors=2)
-        one = global_snapshot_fim(terms[:1])
-        both = global_snapshot_fim(terms)
+        one = global_snapshot_fim(*terms[0])
+        both = global_snapshot_fim(*self.side_by_side(terms))
         for matrix in (one, both, both - one):
             eigs = np.linalg.eigvalsh(matrix)
             assert eigs[0] >= -1e-10 * max(matrix.trace(), 1.0)
@@ -434,7 +441,7 @@ class TestSnapshotFim:
             present = np.flatnonzero(exist)
             _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
             lam = channel_fim(variances[present])
-            terms.append(global_snapshot_fim([(jac, lam)]))
+            terms.append(global_snapshot_fim(jac, lam))
         diff = terms[1] - terms[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(diff.trace(), 1.0)
 
@@ -442,11 +449,11 @@ class TestSnapshotFim:
         terms = self._terms(n_anchors=1)
         jac, lam = terms[0]
         with pytest.raises(ValueError):
-            global_snapshot_fim([(jac, lam[:-1])])
+            global_snapshot_fim(jac, lam[:-1])
         with pytest.raises(ValueError):
-            global_snapshot_fim([(jac, np.diag(lam))])
+            global_snapshot_fim(jac, np.diag(lam))
         with pytest.raises(ValueError):
-            global_snapshot_fim([(jac, lam), (jac[:-1, :], lam)])
+            global_snapshot_fim(jac[None], lam)  # a batched gradient needs batched information
 
 
 def _coordinate(bound):
@@ -494,7 +501,7 @@ class TestBatchedPass:
         plan = PathPlan(order, visible, anchor)
         params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert params.shape == (visible.size, 3) and not degenerate.any()
-        ref_jac = ref_jac[:, order.columns(visible).ravel()]
+        ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
         for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):
@@ -589,7 +596,7 @@ class TestBatchedPass:
         plan = PathPlan(order, visible, anchor)
         params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert not degenerate.any()
-        ref_jac = ref_jac[:, order.columns(visible).ravel()]
+        ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
         assert np.all(np.abs(params[:, 0] - ref_params[:, 0]) <= 1e-12)
         for angle, expected in zip(params[:, 1:].ravel(), ref_params[:, 1:].ravel()):

@@ -405,7 +405,9 @@ def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.0
                                           aperture, aperture)
         jac = full_jacobian(agent, anchor, order, surfaces)
         terms.append((jac, channel_fim(variances)))
-    return global_snapshot_fim(terms)
+    # one pass over every anchor's paths: their columns side by side
+    return global_snapshot_fim(np.concatenate([jac for jac, _ in terms], axis=-1),
+                               np.concatenate([lam for _, lam in terms]))
 
 
 class TestRecursionCore:

@@ -13,17 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mpslam_bounds.scenario as scenario_module
+from mpslam_bounds.ekf import _measured_steps, _measurement_step
 from mpslam_bounds.fim import (
     IsotropicAperture,
-    PathPlan,
     UniformLinearArray,
     ZeroApertureError,
-    channel_fim,
     global_jacobian,
-    global_snapshot_fim,
     measurement_variances,
 )
-from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError
+from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError, joint_state
 from mpslam_bounds.pcrlb import StateSpaceModel, run_recursion
 from mpslam_bounds.scenario import (
     AmplitudeModel,
@@ -45,6 +43,7 @@ from mpslam_bounds.scenario import (
     snapshot_fim,
 )
 from mpslam_bounds.streams import derive_run_stream
+from tests.test_ekf import dense_octagon, sparse_octagon
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -374,8 +373,9 @@ ULA = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
 
 
 def step_bytes(scenario):
-    """Bytes of one step's (N + 2, 3K) float64 gradient in a truth pass."""
-    return 8 * (scenario.dim + 2) * scenario.order.dim
+    """Bytes of one step's gradients in a truth pass, sized as if every
+    component of every anchor were visible: (N + 2) x 3K x anchors float64."""
+    return 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
 
 
 def pass_steps(scenario):
@@ -384,25 +384,31 @@ def pass_steps(scenario):
 
 
 def reference_record(scenario, pose, step):
-    """One step's truth from unbatched per-anchor channel passes on the
-    visible components, scattered into each anchor's 3K columns and summed
-    as the snapshot information."""
-    order, blocks, terms = scenario.order, [], []
-    for j, anchor in enumerate(scenario.anchors):
-        visible = np.flatnonzero(scenario.visibility.flags(j, step))
-        params, degenerate, jac = global_jacobian(pose, PathPlan(order, visible, anchor),
-                                                  scenario.surfaces)
-        assert not degenerate.any()
-        amplitudes = scenario.amplitude_model.amplitude(params[:, 0], order.n_bounces[visible])
+    """One step's truth from the filter's own unbatched pass at the true
+    state: the step's visible paths of all anchors through the filter's plan
+    for them, the noise model per anchor on its paths, and the information
+    of the filter's measurement step over those paths."""
+    order, dim = scenario.order, scenario.dim
+    visible = [np.flatnonzero(scenario.visibility.flags(j, step))
+               for j in range(len(scenario.anchors))]
+    blocks = [AnchorBlock(step, j, ks, np.zeros((ks.size, 3)), np.zeros((ks.size, 3)))
+              for j, ks in enumerate(visible)]
+    plan = _measured_steps([blocks], scenario)[0].plan
+    if plan is None:  # no anchor sees anything
+        return StepTruth(step, np.zeros((dim, dim)), tuple(blocks))
+    params, degenerate, _ = global_jacobian(pose, plan, scenario.surfaces)
+    assert not degenerate.any()
+    cuts = np.cumsum([0] + [ks.size for ks in visible])
+    for j, (anchor, ks) in enumerate(zip(scenario.anchors, visible)):
+        own = params[cuts[j]:cuts[j + 1]]
+        amplitudes = scenario.amplitude_model.amplitude(own[:, 0], order.n_bounces[ks])
         variances = measurement_variances(
-            params, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+            own, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
             scenario.agent_aperture, anchor.aperture)
-        blocks.append(AnchorBlock(step, j, visible, params, variances))
-        dense, lam = np.zeros((scenario.dim, order.dim)), np.zeros(order.dim)
-        dense[:, order.columns(visible).ravel()] = jac
-        lam[order.columns(visible).ravel()] = channel_fim(variances)
-        terms.append((dense, lam))
-    return StepTruth(step, global_snapshot_fim(terms), tuple(blocks))
+        blocks[j] = AnchorBlock(step, j, ks, own, variances)
+    information, _ = _measurement_step(joint_state(pose, scenario.surfaces),
+                                       _measured_steps([blocks], scenario)[0], scenario)
+    return StepTruth(step, information, tuple(blocks))
 
 
 def record_bytes(record):
@@ -431,24 +437,28 @@ def sparse_desk():
 
 
 class TestTruthPass:
-    @pytest.mark.parametrize("case", ["desk", "sparse"])
+    CASES = {"desk": lambda: load_scenario(DESK_SCENARIO), "sparse_desk": sparse_desk,
+             "dense_octagon": dense_octagon, "sparse_octagon": sparse_octagon}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_table_does_not_depend_on_the_pass_size(self, case, monkeypatch):
-        """Passes of six steps, one pass over the whole run and one-step
-        passes (snapshot_fim) build the same truth records bit for bit, and
-        so do unbatched per-anchor passes on the visible components only."""
-        scenario = load_scenario(DESK_SCENARIO) if case == "desk" else sparse_desk()
+        """One pass over the whole run, passes of six, three and one steps,
+        and snapshot_fim build the same truth records bit for bit; so does
+        the filter's own unbatched pass at the truth over each step's
+        visible paths. In the sparse cases passes mix step layouts."""
+        scenario = self.CASES[case]()
         truth = ground_truth(scenario)
-        assert pass_steps(scenario) >= scenario.n_steps
-        whole = measurement_truth(scenario, truth)
-        monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", 6 * step_bytes(scenario))
-        blocked = measurement_truth(scenario, truth)
-        assert [r.step for r in whole] == [r.step for r in blocked] == list(range(1, 41))
-        for a, b in zip(whole, blocked, strict=True):
-            expected = record_bytes(reference_record(scenario, truth[a.step], a.step))
-            assert record_bytes(a) == record_bytes(b) == expected
-            assert record_bytes(snapshot_fim(scenario, truth[a.step], a.step)) == expected
-        if case == "sparse":
-            sizes = [[len(block.components) for block in r.blocks] for r in whole]
+        expected = [record_bytes(reference_record(scenario, truth[n], n))
+                    for n in range(1, scenario.n_steps + 1)]
+        for size in (scenario.n_steps, 6, 3, 1):
+            monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", size * step_bytes(scenario))
+            table = measurement_truth(scenario, truth)
+            assert [r.step for r in table] == list(range(1, scenario.n_steps + 1))
+            assert [record_bytes(r) for r in table] == expected
+        assert [record_bytes(snapshot_fim(scenario, truth[n], n))
+                for n in range(1, scenario.n_steps + 1)] == expected
+        if case == "sparse_desk":
+            sizes = [[len(block.components) for block in r.blocks] for r in table]
             assert sizes[5 - 1] == [5, 0] and sizes[12 - 1] == sizes[40 - 1] == [0, 0]
             assert sizes[22 - 1] == [1, 5] and sizes[30 - 1] == [5, 4]
 
@@ -571,17 +581,19 @@ class TestMeasurements:
 
     def test_measurement_means_come_from_the_shared_geometry(self):
         """The generator's means are exactly the channel parameters of the
-        bound's gradient pass (single source of truth)."""
+        filter's gradient pass at the truth, through the filter's plan of the
+        step (single source of truth)."""
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         for record in table[:5]:
             for row in record.blocks:
                 visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
-                plan = PathPlan(scenario.order, visible, scenario.anchors[row.anchor])
-                params, _, _ = global_jacobian(truth[row.step], plan, scenario.surfaces)
                 np.testing.assert_array_equal(row.components, visible)
-                np.testing.assert_array_equal(row.params, params)
+            plan = _measured_steps([record.blocks], scenario)[0].plan
+            params, _, _ = global_jacobian(truth[record.step], plan, scenario.surfaces)
+            np.testing.assert_array_equal(
+                np.concatenate([row.params for row in record.blocks]), params)
 
 
 def mapping_paths(node, prefix=()):
