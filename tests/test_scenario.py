@@ -442,15 +442,16 @@ class TestTruthPass:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_table_does_not_depend_on_the_pass_size(self, case, monkeypatch):
-        """One pass over the whole run, passes of six, three and one steps,
-        and snapshot_fim build the same truth records bit for bit; so does
-        the filter's own unbatched pass at the truth over each step's
-        visible paths. In the sparse cases passes mix step layouts."""
+        """Passes under the default cap, one pass over the whole run, passes
+        of six, three and one steps, and snapshot_fim build the same truth
+        records bit for bit; so does the filter's own unbatched pass at the
+        truth over each step's visible paths. In the sparse cases passes mix
+        step layouts."""
         scenario = self.CASES[case]()
         truth = ground_truth(scenario)
         expected = [record_bytes(reference_record(scenario, truth[n], n))
                     for n in range(1, scenario.n_steps + 1)]
-        for size in (scenario.n_steps, 6, 3, 1):
+        for size in (pass_steps(scenario), scenario.n_steps, 6, 3, 1):
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", size * step_bytes(scenario))
             table = measurement_truth(scenario, truth)
             assert [r.step for r in table] == list(range(1, scenario.n_steps + 1))
