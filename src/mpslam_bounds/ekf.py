@@ -22,9 +22,9 @@ step reads its observations and variances as a contiguous slice of the
 drawn rows. One prediction and one fusion call per step serve them all. Each
 run draws its initial estimate around the true initial state from the prior
 and its measurements from its own stream, so its numbers do not depend on
-the batch it is in. Squared errors are summed into the bound's state blocks
-per step and run and aggregated into RMSE time series paired with the bound
-records. The predict and update steps also take a single state.
+the batch it is in. Its squared errors from the rows of the batched ground
+truth are summed into the bound's state blocks, for RMSE time series paired
+with the bound records. Predict and update also take a single state.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class RunFailure(RuntimeError):
 
 def run_single(
     scenario: Scenario,
-    truth: list[AgentPose] | None,
+    truth: AgentPose | None,
     table: list[StepTruth],
     runs: int | Sequence[int],
 ) -> tuple[list[BoundRecord], np.ndarray]:
@@ -242,7 +242,7 @@ def run_single(
     if batch.size:
         try:
             streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
-            true_states = np.stack([joint_state(pose, scenario.surfaces) for pose in truth])
+            true_states = joint_state(truth, scenario.surfaces)
             mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
             mean[:, 4] = wrap_angle(mean[:, 4])
             measured = _measured_steps(draw_measurements(table, streams), scenario)

@@ -175,8 +175,8 @@ def measurement_variances(
     the departure azimuth. An endfire aperture raises
     :class:`ZeroApertureError` whose ``index`` is the first such component.
     The scenario's truth pass evaluates it at the true poses, once per
-    anchor of each step layout in a block of steps, on that anchor's
-    visible (step, component) entries stacked as the n rows; the bound, the
+    anchor in each pass of a step layout, on that anchor's visible
+    (step, component) entries stacked as the n rows; the bound, the
     measurement generator and the estimator all read those values.
     """
     params = np.asarray(params, dtype=float)

@@ -196,8 +196,9 @@ class AgentPose:
 
 def joint_state(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
     """Joint state vector: the pose's (x, y, vx, vy, orientation), then the
-    surface points in order."""
-    return np.concatenate([pose.as_state(), surfaces.points.ravel()])
+    surface points in order; one row per entry of a batched pose."""
+    state = pose.as_state()
+    return np.concatenate([state, np.tile(surfaces.points.ravel(), state.shape[:-1] + (1,))], -1)
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,19 @@ the dataclass fields below exactly: one reader walks a section's fields, a
 missing key takes the field's own default, and unknown keys are rejected
 with the offending path so typos cannot silently change an experiment.
 
-The channel truth is evaluated once per scenario at the true poses, in the
-filter's own layout: per block of consecutive steps and per step layout
-(which components of which anchors a step sees), one batched pass over
-exactly the visible paths of all anchors, through the filter's
-:class:`~.fim.PathPlan` of that layout (:func:`layout_plan`, built once per
-layout). A step's record does not depend on its block, bit for bit. The
-output is the truth table
-(:func:`measurement_truth`), one :class:`StepTruth` per step holding the
-snapshot information and one :class:`AnchorBlock` of arrays per anchor. The
-bound recursion reads the information, the generator draws around the
-blocks' parameters with their variances, and the estimator takes its noise
-covariance from the same variances, so all three read the same numbers;
-the filter's pass at the truth gives the same information, bit for bit.
+The ground truth is one :class:`~.geometry.AgentPose` with a leading step
+axis, built in whole arrays. The channel truth is evaluated once at it, in
+the filter's own layout: per step layout (which components of which anchors
+a step sees), one batched pass over exactly the visible paths of all
+anchors through the filter's :class:`~.fim.PathPlan` of that layout
+(:func:`layout_plan`), cut only where the gradients pass a memory cap. A
+step's record does not depend on its pass, bit for bit. The output is the
+truth table (:func:`measurement_truth`), one :class:`StepTruth` per step
+holding the snapshot information and one :class:`AnchorBlock` of arrays per
+anchor. The bound recursion reads the information, the generator draws
+around the blocks' parameters with their variances, and the estimator takes
+its noise covariance from the same variances, so all three read the same
+numbers; the filter's pass at the truth gives the same information.
 Draw order is fixed: steps ascending, anchors ascending, components in
 canonical order, and per component distance, arrival azimuth, departure
 azimuth; the draw scales and wraps all rows of the table in one pass.
@@ -56,8 +56,8 @@ DEFAULT_ORIENTATION_PRIOR_VAR = math.radians(10.0) ** 2
 
 # PyYAML's C scanner and parser where built; the constructor stays the Python one
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# Cap on a truth block's stacked float64 gradients, each step sized as if it saw every
-# component of every anchor, (N + 2) x 3K x anchors: 5 two-anchor octagon steps, 29 desk.
+# Cap on a truth pass's stacked float64 gradients, (N + 2) x 3 x (visible paths) per
+# step: 5 steps of a dense two-anchor octagon, 29 of the desk, 30 of the sparse one.
 TRUTH_PASS_BYTES = 360_000
 # Cap on the per-step tables of a scenario: per step, (anchor, component) int8
 # visibility flags and 3 + 3 float64 truth, and the (N, N) float64 information.
@@ -293,63 +293,68 @@ class Scenario:
 
 def generate_trajectory(
     spec: TrajectorySpec, model: StateSpaceModel, rng: RandomStream | None = None
-) -> list[AgentPose]:
-    """Ground-truth poses at steps 0..n_steps (step n at time n * time_step).
+) -> AgentPose:
+    """Ground-truth poses at steps 0..n_steps (step n at time n * time_step),
+    one :class:`AgentPose` with a leading step axis.
 
     Waypoint trajectories are deterministic and never touch ``rng``; sampled
     trajectories draw two acceleration variates and one orientation variate
-    per step from it.
+    per step from it. A pose beyond the float range raises
+    :class:`FloatingPointError` naming its step.
     """
     if isinstance(spec, WaypointTrajectory):
-        return _waypoint_poses(spec, model.time_step)
-    if isinstance(spec, NcvTrajectory):
+        states = _waypoint_states(spec, model.time_step)
+    elif isinstance(spec, NcvTrajectory):
         if rng is None:
             raise ValueError("a sampled trajectory needs a random stream")
-        return _sampled_poses(spec, model, rng)
-    raise TypeError(f"unknown trajectory spec {type(spec)!r}")
+        states = _sampled_states(spec, model, rng)
+    else:
+        raise TypeError(f"unknown trajectory spec {type(spec)!r}")
+    bad = np.argwhere(~np.isfinite(states))
+    if bad.size:
+        n, part = bad[0][0], ("position", "velocity", "orientation")[bad[0][1] // 2]
+        raise FloatingPointError(f"step {n}: true agent {part} is not finite")
+    return AgentPose.from_state(states)
 
 
-def _waypoint_poses(spec: WaypointTrajectory, time_step: float) -> list[AgentPose]:
+# An overflow gives a state that is not finite, which generate_trajectory names.
+@np.errstate(over="ignore", invalid="ignore")
+def _waypoint_states(spec: WaypointTrajectory, time_step: float) -> np.ndarray:
+    """The (n + 1, 5) states: each step on its segment, heading along the
+    segment of the last step that moved (0 before any did), by ``math.atan2``
+    and ``math.hypot``; numpy's SIMD forms may round otherwise."""
     spec.check_horizon(time_step)
-    poses = []
-    heading = 0.0
-    for n in range(spec.n_steps + 1):
-        t = n * time_step
-        seg = int(np.searchsorted(spec.times, t, side="right")) - 1
-        seg = min(max(seg, 0), spec.times.size - 2)
-        dt = spec.times[seg + 1] - spec.times[seg]
-        velocity = (spec.positions[seg + 1] - spec.positions[seg]) / dt
-        alpha = (t - spec.times[seg]) / dt
-        position = spec.positions[seg] + alpha * (spec.positions[seg + 1] - spec.positions[seg])
-        if math.hypot(*velocity) > 1e-12:
-            heading = math.atan2(velocity[1], velocity[0])
-        poses.append(AgentPose(position=position, velocity=velocity, orientation=heading))
-    return poses
+    t = np.arange(spec.n_steps + 1) * time_step
+    seg = np.clip(np.searchsorted(spec.times, t, side="right") - 1, 0, spec.times.size - 2)
+    dt, delta = np.diff(spec.times), np.diff(spec.positions, axis=0)
+    velocity = delta / dt[:, None]
+    moving = np.array([math.hypot(*v) > 1e-12 for v in velocity])[seg]
+    headings = np.array([math.atan2(v[1], v[0]) for v in velocity])
+    last = np.maximum.accumulate(np.where(moving, np.arange(seg.size), -1))
+    position = spec.positions[seg] + ((t - spec.times[seg]) / dt[seg])[:, None] * delta[seg]
+    heading = np.where(last >= 0, headings[seg[last]], 0.0)
+    return np.concatenate([position, velocity[seg], heading[:, None]], axis=1)
 
 
-def _sampled_poses(
-    spec: NcvTrajectory, model: StateSpaceModel, rng: RandomStream
-) -> list[AgentPose]:
-    t = model.time_step
-    gain = gain_matrix(t)
-    accel_std = math.sqrt(model.accel_noise_var)
-    orient_std = math.sqrt(model.orient_noise_var)
-    poses = [spec.initial]
+@np.errstate(over="ignore", invalid="ignore")
+def _sampled_states(spec: NcvTrajectory, model: StateSpaceModel, rng: RandomStream) -> np.ndarray:
+    t, gain = model.time_step, gain_matrix(model.time_step)
+    accel_std, orient_std = math.sqrt(model.accel_noise_var), math.sqrt(model.orient_noise_var)
     kin = np.concatenate([spec.initial.position, spec.initial.velocity])
-    heading = spec.initial.orientation
+    kins, headings = [kin], [spec.initial.orientation]
     # per step two acceleration variates, then one orientation variate
     for noise in rng.standard_normal(3 * spec.n_steps).reshape(-1, 3):
         kin = np.array([kin[0] + t * kin[2], kin[1] + t * kin[3], kin[2], kin[3]])
         kin = kin + gain @ (accel_std * noise[:2])
-        heading = wrap_angle(heading + orient_std * float(noise[2]))
-        poses.append(AgentPose(position=kin[0:2], velocity=kin[2:4], orientation=heading))
-    return poses
+        kins.append(kin)
+        headings.append(wrap_angle(headings[-1] + orient_std * float(noise[2])))
+    return np.column_stack([np.array(kins), headings])
 
 
-def ground_truth(scenario: Scenario) -> list[AgentPose]:
-    """Ground-truth poses of a scenario; the trajectory stream is only
-    created for sampled trajectories, so bound-only evaluation of waypoint
-    scenarios never constructs a random generator."""
+def ground_truth(scenario: Scenario) -> AgentPose:
+    """Ground-truth poses of a scenario (:func:`generate_trajectory`); the
+    trajectory stream is only created for sampled trajectories, so bound-only
+    evaluation of waypoint scenarios never constructs a random generator."""
     if isinstance(scenario.trajectory, NcvTrajectory):
         rng = trajectory_stream(scenario.mc.seed)
     else:
@@ -370,36 +375,39 @@ def layout_plan(scenario: Scenario, owner: np.ndarray, components: np.ndarray) -
     return PathPlan(scenario.order, components, Anchor(positions[owner], orientations[owner]))
 
 
-def _truth_pass(scenario: Scenario, poses: list[AgentPose], steps: np.ndarray,
-                plans: dict[bytes, PathPlan]) -> list[StepTruth]:
-    """Truth records of consecutive ``steps`` at their true ``poses``.
+def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
+    """Truth records of ``steps`` at their true (steps, 5) ``states``.
 
-    Per step layout (which components of which anchors are visible), on the
-    poses of its steps stacked along a leading axis, one
-    :func:`global_jacobian` call over exactly the visible paths, through the
-    layout's plan (kept in ``plans``, shared by the passes of one table), and
-    one noise-model call per anchor; the information is the filter's
-    :func:`~.fim.global_snapshot_fim` of that compact pass. A failure names
-    the earliest step, then the lowest anchor; degenerate geometry before
-    endfire. A visible entry whose distance, amplitude or noise variance is
-    not finite and positive (a geometry or noise model beyond the float
-    range) raises :class:`FloatingPointError`.
+    Per step layout (which components of which anchors are visible), one
+    :func:`layout_plan`; per pass of its steps, stacked along a leading
+    axis, one :func:`global_jacobian` call over exactly the visible paths,
+    one noise-model call per anchor and the filter's
+    :func:`~.fim.global_snapshot_fim`. A pass takes as many steps as keep
+    their gradients within ``TRUTH_PASS_BYTES`` (a layout without visible
+    paths, all in one). Failures are gathered over all passes; the earliest
+    step, then the lowest anchor is raised, degenerate geometry before
+    endfire. A visible distance, amplitude or noise variance that is not
+    finite and positive raises :class:`FloatingPointError`.
     """
     order, n_anchors = scenario.order, len(scenario.anchors)
-    states = np.stack([p.as_state() for p in poses])
     shown = np.stack([scenario.visibility.flags(j, steps) for j in range(n_anchors)], axis=1)
     layouts: dict[bytes, list[int]] = {}
     for b, flags in enumerate(shown):
         layouts.setdefault(flags.tobytes(), []).append(b)
-    information, blocks, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
-    for key, rows in layouts.items():
-        owner, components = np.nonzero(shown[rows[0]])
+    passes = []
+    for steps_of in layouts.values():
+        owner, components = np.nonzero(shown[steps_of[0]])
         cuts = np.searchsorted(owner, np.arange(n_anchors + 1))
         own = [slice(cuts[j], cuts[j + 1]) for j in range(n_anchors)]  # each anchor's paths
-        if key not in plans:
-            plans[key] = layout_plan(scenario, owner, components)
+        width = 24 * (scenario.dim + 2) * owner.size  # bytes of one step's gradient
+        size = max(1, TRUTH_PASS_BYTES // width) if width else len(steps_of)
+        plan = layout_plan(scenario, owner, components)
+        passes += [(plan, own, steps_of[i:i + size]) for i in range(0, len(steps_of), size)]
+    information, blocks, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
+    for plan, own, rows in passes:
+        components = plan.components
         params, degenerate, jac = global_jacobian(
-            AgentPose.from_state(states[rows]), plans[key], scenario.surfaces)
+            AgentPose.from_state(states[rows]), plan, scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
         amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
@@ -459,25 +467,16 @@ def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
     over every anchor's visible components, and those components with their
     noise-free parameters and variances. No gradient matrix is kept.
     """
-    return _truth_pass(scenario, [pose], np.array([step]), {})[0]
+    return _truth_pass(scenario, pose.as_state()[None], np.array([step]))[0]
 
 
-def measurement_truth(scenario: Scenario, truth: list[AgentPose]) -> list[StepTruth]:
-    """The truth table: one :class:`StepTruth` per step 1..n_steps.
-
-    Built once per scenario, one pass per block of steps (``TRUTH_PASS_BYTES``);
-    the bound recursion reads its information, the generator draws around its
-    parameters with its variances, and the filter takes its noise covariance
-    from those variances. Invisible components emit nothing; the variances
-    come from the true amplitude (amplitude noise carries no state
-    information here).
-    """
-    size = max(1, TRUTH_PASS_BYTES
-               // (8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)))
-    steps = np.arange(1, scenario.n_steps + 1)
-    blocks, plans = [steps[start:start + size] for start in range(0, steps.size, size)], {}
-    return [record for block in blocks
-            for record in _truth_pass(scenario, [truth[n] for n in block], block, plans)]
+def measurement_truth(scenario: Scenario, truth: AgentPose) -> list[StepTruth]:
+    """The truth table: one :class:`StepTruth` per step 1..n_steps at the
+    batched ground truth ``truth`` (:func:`ground_truth`), one pass per step
+    layout (:func:`_truth_pass`). Invisible components emit nothing; the
+    variances come from the true amplitude (amplitude noise carries no state
+    information here)."""
+    return _truth_pass(scenario, truth.as_state()[1:], np.arange(1, scenario.n_steps + 1))
 
 
 def draw_measurements(

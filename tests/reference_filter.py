@@ -21,8 +21,8 @@ def filter_run(scenario, truth, table, run_index):
     velocity, orientation, then each surface."""
     rng = derive_run_stream(scenario.mc.seed, run_index)
     prior_diag = scenario.prior_covariance()
-    mean0 = joint_state(truth[0], scenario.surfaces)
-    mean0 = mean0 + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
+    true_states = joint_state(truth, scenario.surfaces)
+    mean0 = true_states[0] + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
     mean0[4] = wrap_angle(mean0[4])
     state = EkfState(mean=mean0, cov=np.diag(prior_diag))
     measured = draw_measurements(table, rng)
@@ -36,7 +36,7 @@ def filter_run(scenario, truth, table, run_index):
         state = ekf_update(ekf_predict(state, transition, noise_cov), measured[n - 1], scenario)
         if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
-        err = state.mean - joint_state(truth[n], scenario.surfaces)
+        err = state.mean - true_states[n]
         position[n - 1] = err[0] ** 2 + err[1] ** 2
         velocity[n - 1] = err[2] ** 2 + err[3] ** 2
         orientation[n - 1] = wrap_angle(float(err[4])) ** 2

@@ -22,6 +22,12 @@ from mpslam_bounds.geometry import (
 )
 
 
+def pose_at(truth: AgentPose, step: int) -> AgentPose:
+    """The unbatched pose of ``step`` in a batched ground truth (steps 0..n
+    along the leading axis)."""
+    return AgentPose.from_state(truth.as_state()[step])
+
+
 def householder(surfaces: SurfaceMap, surface: int) -> np.ndarray:
     """Householder reflection of surface ``surface`` (1-based)."""
     if not 1 <= surface <= len(surfaces):

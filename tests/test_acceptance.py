@@ -38,7 +38,7 @@ from mpslam_bounds.scenario import (
 )
 import yaml
 
-from tests.reference_geometry import channel_params
+from tests.reference_geometry import channel_params, pose_at
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 # Criterion 9's CSV as pinned before the gradient code was restructured.
@@ -130,7 +130,7 @@ def test_criterion_4_psd_and_bound_ordering():
 
     min_rel_eig = 0.0
     for n in (1, 10, 20, 40):
-        snap = snapshot_fim(scenario, truth[n], n).information
+        snap = snapshot_fim(scenario, pose_at(truth, n), n).information
         eigs = np.linalg.eigvalsh(snap)
         min_rel_eig = min(min_rel_eig, eigs[0] / max(snap.trace(), 1.0))
     psd_ok = min_rel_eig >= -1e-10
@@ -179,7 +179,7 @@ def test_criterion_5_pure_information_accumulation():
     running = np.zeros((dim, dim))
     worst = 0.0
     for n in range(1, 11):
-        snap = snapshot_fim(scenario, truth[n], n).information
+        snap = snapshot_fim(scenario, pose_at(truth, n), n).information
         j = predict_fim(np.linalg.inv(j), identity, zero_noise) + snap
         running += snap
         expected = j0 + running

@@ -20,7 +20,7 @@ from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
 from mpslam_bounds.geometry import PathComponent
 from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
-from tests.reference_geometry import virtual_anchor
+from tests.reference_geometry import pose_at, virtual_anchor
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -83,6 +83,24 @@ def far_waypoint():
     return mapping, "step 1, anchor 1, component [0, 0]: distance inf is not finite"
 
 
+def far_velocity():
+    """Desk scenario on a sampled trajectory whose initial velocity of
+    1.7e308 m/s carries the agent past the float range at step 11."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["trajectory"] = {"kind": "sampled_ncv", "n_steps": 40, "position": [0.8, 0.8],
+                             "velocity": [1.7e308, 0.0]}
+    return mapping, "step 11: true agent position is not finite"
+
+
+def far_waypoints():
+    """Desk scenario whose waypoints lie at x = -1e308 and x = 1e308: their
+    difference overflows, and no step has a finite position."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["trajectory"]["points"][0]["position"] = [-1e308, 0.8]
+    mapping["trajectory"]["points"][-1]["position"] = [1e308, 3.8]
+    return mapping, "step 0: true agent position is not finite"
+
+
 def far_surface():
     """Desk scenario with surface 3 at [-1e308, 0]: its mirror overflows, and
     the first single bounce off it has no finite distance."""
@@ -115,7 +133,7 @@ def bounce_at_endfire():
     LOS and three other single bounces in anchor 1's batch."""
     mapping, _ = degenerate_desk([0.3, 0.3])
     scenario = scenario_from_mapping(mapping)
-    pose = ground_truth(scenario)[10]
+    pose = pose_at(ground_truth(scenario), 10)
     # arrival from the virtual anchor of anchor 1 in wall 4 (y = -1)
     arrival = virtual_anchor(scenario.anchors[0], PathComponent.single_bounce(4),
                              scenario.surfaces) - pose.position
@@ -217,25 +235,25 @@ class TestValidateMode:
         assert "assumptions" in err
 
     @pytest.mark.parametrize("pass_steps", [None, 12], ids=["default_cap", "12_step_cap"])
-    def test_truth_is_resolved_once_per_block_and_step_layout(self, pass_steps, tmp_path,
+    def test_truth_is_resolved_once_per_pass_of_a_step_layout(self, pass_steps, tmp_path,
                                                                monkeypatch):
-        """Validate mode evaluates the channel at the truth once per (block of
-        steps, step layout): one gradient pass over all anchors, holding one
-        batched geometry pass, and one noise-model call per anchor; the
-        filter's own passes are not counted. Every desk step has the same
-        layout. The block holds as many steps as the pass cap admits (29 desk
-        steps by default); a cap of 12 leaves 40 steps in three full blocks
-        and a partial one."""
+        """Validate mode evaluates the channel at the truth once per truth
+        pass: one gradient pass over all anchors, holding one batched
+        geometry pass, and one noise-model call per anchor; the filter's own
+        passes are not counted. Every desk step has the same layout, all 34
+        paths visible. A pass holds as many of its steps as the pass cap
+        admits (29 desk steps by default); a cap of 12 leaves 40 steps in
+        three full passes and a partial one."""
         import mpslam_bounds.fim as fim_module
         import mpslam_bounds.scenario as scenario_module
 
         scenario = load_scenario(DESK_SCENARIO)
-        # one step's gradient as if every component of every anchor were visible
-        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
+        # one step's gradient over the visible paths: every component of every anchor
+        step_bytes = 24 * (scenario.dim + 2) * scenario.order.size * len(scenario.anchors)
         if pass_steps is not None:
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
-        block = scenario_module.TRUTH_PASS_BYTES // step_bytes
-        passes = math.ceil(scenario.n_steps / block)
+        size = scenario_module.TRUTH_PASS_BYTES // step_bytes
+        passes = math.ceil(scenario.n_steps / size)
         assert passes == {None: 2, 12: 4}[pass_steps]
 
         calls = {"global_jacobian": 0, "path_geometry": 0, "measurement_variances": 0}
@@ -269,8 +287,8 @@ class TestValidateMode:
     def test_filter_linearizes_once_per_measured_step(self, tmp_path, monkeypatch):
         """Validate mode makes one gradient pass per measured filter step, for
         all anchors and all runs of the batch at once, besides the truth
-        table's one pass per (block of steps, step layout): on the desk with
-        two runs, 40 filter passes and 2 truth passes."""
+        table's passes, one per step layout unless the pass cap cuts it: on
+        the desk with two runs, 40 filter passes and 2 truth passes."""
         import mpslam_bounds.scenario as scenario_module
 
         calls = []
@@ -293,14 +311,14 @@ class TestValidateMode:
     @pytest.mark.parametrize("pass_steps", [None, 12])
     def test_one_path_plan_per_path_list(self, pass_steps, tmp_path, monkeypatch):
         """A desk validate call builds one plan per step layout for the filter
-        and one for the truth pass, through the same layout_plan: all 40
+        and one for the truth table, through the same layout_plan: all 40
         desk steps measure the same components of both anchors, so one each,
-        the truth pass's shared by its blocks of steps (two, or four under a
-        12-step cap)."""
+        the truth table's shared by the passes of that layout (two, or four
+        under a 12-step cap)."""
         import mpslam_bounds.scenario as scenario_module
 
         scenario = load_scenario(DESK_SCENARIO)
-        step_bytes = 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
+        step_bytes = 24 * (scenario.dim + 2) * scenario.order.size * len(scenario.anchors)
         if pass_steps is not None:
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
         built = {"ekf": 0, "scenario": 0}
@@ -409,7 +427,8 @@ class TestErrors:
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
                                       bounce_at_endfire, huge_bandwidth, huge_aperture,
                                       huge_position_prior, huge_surface_prior,
-                                      huge_reference_amplitude, far_waypoint, far_surface])
+                                      huge_reference_amplitude, far_waypoint, far_velocity,
+                                      far_waypoints, far_surface])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         """Exit 3 naming the step (and the block, or the anchor and component),
         with no numpy warning on the way."""

@@ -134,7 +134,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
-        mean = joint_state(truth[3], scenario.surfaces)
+        mean = joint_state(truth, scenario.surfaces)[3]
         jac, lam, innovation = linearize(mean, blocks, scenario)
         measured = [b for b in blocks if b.components.size]
         assert len(measured) == 2
@@ -169,12 +169,12 @@ class TestUpdate:
         meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
         prior = scenario.prior_covariance() * 0.01
         rng = derive_run_stream(9, 0)
-        mean = joint_state(truth[1], scenario.surfaces)
+        mean = joint_state(truth, scenario.surfaces)[1]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
-        before = np.linalg.norm(state.mean[:2] - truth[1].position)
+        before = np.linalg.norm(state.mean[:2] - truth.position[1])
         updated = ekf_update(state, meas, scenario)
-        after = np.linalg.norm(updated.mean[:2] - truth[1].position)
+        after = np.linalg.norm(updated.mean[:2] - truth.position[1])
         assert after < before
 
     def test_covariance_stays_positive_definite_over_fifty_steps(self):
@@ -186,7 +186,7 @@ class TestUpdate:
         truth = ground_truth(scenario)
         rng = derive_run_stream(scenario.mc.seed, 0)
         prior = scenario.prior_covariance()
-        mean = joint_state(truth[0], scenario.surfaces)
+        mean = joint_state(truth, scenario.surfaces)[0]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
         measured = draw_measurements(measurement_truth(scenario, truth), rng)
@@ -204,7 +204,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
-        mean = joint_state(truth[1], scenario.surfaces)
+        mean = joint_state(truth, scenario.surfaces)[1]
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
 
         with caplog.at_level(logging.WARNING):
@@ -228,7 +228,7 @@ class TestUpdate:
         for anchor, block in enumerate(blocks):
             target = next(k for k in block.components if order.components[k].n_bounces == 1)
             path = order.components[target]
-            mean = joint_state(truth[1], scenario.surfaces)
+            mean = joint_state(truth, scenario.surfaces)[1]
             mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
 
             caplog.clear()
@@ -268,7 +268,7 @@ def predicted_state(scenario, truth, step, seed):
     scale = np.sqrt(scenario.prior_covariance())
     mixing = rng.normal(size=(scale.size, scale.size)) / np.sqrt(scale.size)
     cov = (0.5 * np.eye(scale.size) + 0.5 * mixing @ mixing.T) * np.outer(scale, scale)
-    mean = joint_state(truth[step], scenario.surfaces)
+    mean = joint_state(truth, scenario.surfaces)[step]
     return EkfState(mean=mean + 0.1 * scale * rng.standard_normal(scale.size), cov=cov)
 
 
@@ -361,14 +361,14 @@ class TestFilterAtTheTruthIsTheBound:
         table = measurement_truth(scenario, truth)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
-        state = EkfState(mean=joint_state(truth[0], scenario.surfaces),
+        state = EkfState(mean=joint_state(truth, scenario.surfaces)[0],
                          cov=np.diag(scenario.prior_covariance()))
         blank = min((r.step for r in table if not any(b.components.size for b in r.blocks)),
                     default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             predicted = ekf_predict(state, transition, noise)
-            at_truth = EkfState(joint_state(truth[record.step], scenario.surfaces),
+            at_truth = EkfState(joint_state(truth, scenario.surfaces)[record.step],
                                 predicted.cov)
             state = ekf_update(at_truth, record.blocks, scenario)
             np.testing.assert_allclose(state.mean, at_truth.mean, rtol=0, atol=1e-12)

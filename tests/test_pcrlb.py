@@ -34,7 +34,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
     snapshot_fim,
 )
-from tests.reference_geometry import channel_params
+from tests.reference_geometry import channel_params, pose_at
 
 
 def bounds_of(scenario):
@@ -213,7 +213,7 @@ class TestPredictAndFuse:
         model = scenario.model
         prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
         j_pred = predict_fim(prior_cov, transition_matrix(model), process_noise_cov(model))
-        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
+        snapshot = snapshot_fim(scenario, pose_at(ground_truth(scenario), 1), 1).information
         expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"),
                                   model.num_surfaces, step=1)
         first = bounds_of(scenario)[0]
@@ -496,7 +496,7 @@ class TestRunRecursion:
         records = bounds_of(scenario)
         truth = ground_truth(scenario)
         for rec in records:
-            snap = snapshot_fim(scenario, truth[rec.step], rec.step).information
+            snap = snapshot_fim(scenario, pose_at(truth, rec.step), rec.step).information
             floor = 1e-6 * np.eye(snap.shape[0])
             only = extract_bounds(np.linalg.inv(snap + floor), scenario.model.num_surfaces)
             assert rec.peb == pytest.approx(only.peb, rel=0.01)

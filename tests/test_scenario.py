@@ -43,6 +43,7 @@ from mpslam_bounds.scenario import (
     snapshot_fim,
 )
 from mpslam_bounds.streams import derive_run_stream
+from tests.reference_geometry import pose_at
 from tests.test_ekf import dense_octagon, sparse_octagon
 from tests.test_pcrlb import desk_mapping
 
@@ -279,8 +280,7 @@ class TestTrajectories:
             initial=AgentPose(position=[0.0, 0.0], velocity=[1.0, 0.0]),
         )
         poses = generate_trajectory(spec, model, derive_run_stream(0, 0))
-        positions = np.array([p.position for p in poses])
-        np.testing.assert_allclose(positions, [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
+        np.testing.assert_allclose(poses.position, [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
 
     def test_two_waypoints_give_constant_velocity_line(self):
         model = StateSpaceModel(time_step=0.5, num_surfaces=0)
@@ -290,10 +290,10 @@ class TestTrajectories:
             positions=np.array([[0.0, 0.0], [2.0, 2.0]]),
         )
         poses = generate_trajectory(spec, model)
-        for n, pose in enumerate(poses):
-            np.testing.assert_allclose(pose.position, [0.5 * n, 0.5 * n], atol=1e-12)
-            np.testing.assert_allclose(pose.velocity, [1.0, 1.0], atol=1e-12)
-            assert pose.orientation == pytest.approx(math.pi / 4)
+        steps = np.arange(5)[:, None]
+        np.testing.assert_allclose(poses.position, [0.5, 0.5] * steps, atol=1e-12)
+        np.testing.assert_allclose(poses.velocity, [[1.0, 1.0]] * 5, atol=1e-12)
+        np.testing.assert_allclose(poses.orientation, [math.pi / 4] * 5)
 
     def test_waypoints_must_cover_the_horizon(self):
         model = StateSpaceModel(time_step=1.0, num_surfaces=0)
@@ -318,7 +318,7 @@ class TestTrajectories:
             initial=AgentPose(position=[0.0, 0.0], velocity=[0.0, 0.0]),
         )
         poses = generate_trajectory(spec, model, derive_run_stream(3, 1))
-        velocity_steps = np.diff([p.velocity for p in poses], axis=0)
+        velocity_steps = np.diff(poses.velocity, axis=0)
         # velocity increments are T * accel draws: mean within 4 sigma / sqrt(n)
         sigma = 2.0
         assert abs(velocity_steps[:, 0].mean()) < 4 * sigma / math.sqrt(100_000)
@@ -333,7 +333,37 @@ class TestTrajectories:
         monkeypatch.setattr(scenario_module, "trajectory_stream", boom)
         scenario = scenario_from_mapping(desk_mapping())
         poses = ground_truth(scenario)
-        assert len(poses) == scenario.n_steps + 1
+        assert poses.as_state().shape == (scenario.n_steps + 1, 5)
+
+    @pytest.mark.parametrize("times, positions", [
+        ([0.0, 2.0], [[0.0, 0.0], [2.0, 2.0]]),
+        # standing first (heading 0), a move, a stand that keeps the heading,
+        # a segment no step time falls in, and a last point past the horizon
+        ([-0.5, 0.55, 0.8, 1.05, 1.42, 1.45, 2.1, 3.0],
+         [[0.8, 0.8], [0.8, 0.8], [2.0, 0.8], [2.0, 0.8], [1.0, 3.8], [1.2, 3.9],
+          [-4.4, 3.8], [-4.4, 3.8]]),
+        ([0.0, 0.7, 2.0], [[1.0, 1.0], [-1.0, -1.0 + 1e-13], [-1.0, -1.0]]),
+    ])
+    def test_waypoints_match_the_per_step_loop(self, times, positions):
+        """The array interpolation gives the states of the per-step loop
+        it replaced, bit for bit: position and velocity on the step's
+        segment, the heading of the last step whose segment moved."""
+        model = StateSpaceModel(time_step=0.1, num_surfaces=0)
+        spec = WaypointTrajectory(n_steps=20, times=np.array(times),
+                                  positions=np.array(positions))
+        rows, heading = [], 0.0
+        for n in range(spec.n_steps + 1):
+            t = n * model.time_step
+            seg = int(np.searchsorted(spec.times, t, side="right")) - 1
+            seg = min(max(seg, 0), spec.times.size - 2)
+            dt = spec.times[seg + 1] - spec.times[seg]
+            velocity = (spec.positions[seg + 1] - spec.positions[seg]) / dt
+            alpha = (t - spec.times[seg]) / dt
+            position = spec.positions[seg] + alpha * (spec.positions[seg + 1] - spec.positions[seg])
+            if math.hypot(*velocity) > 1e-12:
+                heading = math.atan2(velocity[1], velocity[0])
+            rows.append(AgentPose(position, velocity, heading).as_state())
+        np.testing.assert_array_equal(generate_trajectory(spec, model).as_state(), rows)
 
 
 class TestSnapshotInformation:
@@ -349,7 +379,7 @@ class TestSnapshotInformation:
         # at step 10 the agent is at [1.5, 0.8] heading +x: anchor 1's LOS
         # arrives along the array axis
         scenario = scenario_from_mapping(mapping)
-        pose = ground_truth(scenario)[10]
+        pose = pose_at(ground_truth(scenario), 10)
         with pytest.raises(ZeroApertureError, match=r"step 10, anchor 1, component \[0, 0\]"):
             snapshot_fim(scenario, pose, 10)
         mapping["visibility"] = {"default": True,
@@ -372,15 +402,31 @@ def straight_run(**overrides):
 ULA = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
 
 
-def step_bytes(scenario):
-    """Bytes of one step's gradients in a truth pass, sized as if every
-    component of every anchor were visible: (N + 2) x 3K x anchors float64."""
-    return 8 * (scenario.dim + 2) * scenario.order.dim * len(scenario.anchors)
+def step_bytes(scenario, step):
+    """Bytes of one step's gradient in a truth pass, (N + 2) x 3 x (visible
+    paths of all anchors) float64."""
+    visible = sum(np.count_nonzero(scenario.visibility.flags(j, step))
+                  for j in range(len(scenario.anchors)))
+    return 24 * (scenario.dim + 2) * visible
+
+
+def widest_step_bytes(scenario):
+    """Bytes of the widest step's gradient in a truth pass."""
+    return max(step_bytes(scenario, n) for n in range(1, scenario.n_steps + 1))
 
 
 def pass_steps(scenario):
-    """Steps in one truth pass under the module's cap."""
-    return scenario_module.TRUTH_PASS_BYTES // step_bytes(scenario)
+    """Steps of the widest layout in one truth pass under the module's cap."""
+    return scenario_module.TRUTH_PASS_BYTES // widest_step_bytes(scenario)
+
+
+def step_layouts(scenario):
+    """Steps 1..n grouped by step layout, in order of first appearance."""
+    layouts = {}
+    for n in range(1, scenario.n_steps + 1):
+        flags = [scenario.visibility.flags(j, n) for j in range(len(scenario.anchors))]
+        layouts.setdefault(np.stack(flags).tobytes(), []).append(n)
+    return list(layouts.values())
 
 
 def reference_record(scenario, pose, step):
@@ -419,11 +465,12 @@ def record_bytes(record):
 
 
 def sparse_desk():
-    """The desk with line-of-sight and single bounces only. In passes of six
-    steps, anchor 2's blank (steps 5-9), the all-anchor blanks (12-13, 40),
+    """The desk with line-of-sight and single bounces only, in five step
+    layouts: anchor 2's blank (steps 5-9), the all-anchor blanks (12-13, 40),
     anchor 1's line-of-sight-only run (22-26) and anchor 2's missing second
-    wall (30-31) straddle pass boundaries, and the last pass (37-40) is
-    partial."""
+    wall (30-31) cut the widest layout's 25 steps into five runs, so its
+    passes of six steps join steps that are not consecutive, and its last
+    pass is partial."""
     mapping = yaml.safe_load(DESK_SCENARIO.read_text())
     mapping["visibility"] = {"default": False, "rules": [
         {"visible": True, "components": [[s, s] for s in range(5)]},
@@ -443,20 +490,22 @@ class TestTruthPass:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_table_does_not_depend_on_the_pass_size(self, case, monkeypatch):
         """Passes under the default cap, one pass over the whole run, passes
-        of six, three and one steps, and snapshot_fim build the same truth
-        records bit for bit; so does the filter's own unbatched pass at the
-        truth over each step's visible paths. In the sparse cases passes mix
-        step layouts."""
+        of six, three and one steps of the widest layout (as many or more of
+        a narrower one), and snapshot_fim build the same truth records bit
+        for bit; so does the filter's own unbatched pass at the truth over
+        each step's visible paths. In the sparse cases a layout's passes join
+        steps that are not consecutive."""
         scenario = self.CASES[case]()
         truth = ground_truth(scenario)
-        expected = [record_bytes(reference_record(scenario, truth[n], n))
+        expected = [record_bytes(reference_record(scenario, pose_at(truth, n), n))
                     for n in range(1, scenario.n_steps + 1)]
         for size in (pass_steps(scenario), scenario.n_steps, 6, 3, 1):
-            monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", size * step_bytes(scenario))
+            monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES",
+                                size * widest_step_bytes(scenario))
             table = measurement_truth(scenario, truth)
             assert [r.step for r in table] == list(range(1, scenario.n_steps + 1))
             assert [record_bytes(r) for r in table] == expected
-        assert [record_bytes(snapshot_fim(scenario, truth[n], n))
+        assert [record_bytes(snapshot_fim(scenario, pose_at(truth, n), n))
                 for n in range(1, scenario.n_steps + 1)] == expected
         if case == "sparse_desk":
             sizes = [[len(block.components) for block in r.blocks] for r in table]
@@ -466,20 +515,59 @@ class TestTruthPass:
     def test_earliest_step_is_named_before_a_lower_anchor(self):
         """Anchor 1's line of sight reaches the agent array at endfire at step
         12, and the agent stands on anchor 2 at step 10: one pass holds both,
-        and the error names step 10, anchor 2."""
+        and the error names step 10, anchor 2. So it does where step 10 has a
+        layout of its own (anchor 1's single bounce hidden there), first seen
+        after the layout of step 12, whose pass runs first."""
         mapping = straight_run(agent_aperture=ULA)
         mapping["anchors"][0]["position"] = [1.7, 3.0]
         mapping["anchors"][1]["position"] = [1.5, 0.8]
         scenario = scenario_from_mapping(mapping)
-        assert pass_steps(scenario) >= scenario.n_steps
+        assert pass_steps(scenario) >= scenario.n_steps and len(step_layouts(scenario)) == 1
         with pytest.raises(DegenerateGeometryError,
                            match=r"^step 10, anchor 2, component \[0, 0\]: agent coincides"):
             measurement_truth(scenario, ground_truth(scenario))
+        mapping["visibility"] = {"default": True, "rules": [
+            {"visible": False, "anchors": [1], "components": [[1, 1]], "steps": [10]}]}
+        scenario = scenario_from_mapping(mapping)
+        assert step_layouts(scenario) == [[n for n in range(1, 21) if n != 10], [10]]
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^step 10, anchor 2, component \[0, 0\]: agent coincides"):
+            measurement_truth(scenario, ground_truth(scenario))
+        mapping["visibility"] = {"default": True}
         mapping["anchors"][1]["position"] = [6.0, 4.0]
         scenario = scenario_from_mapping(mapping)
         with pytest.raises(ZeroApertureError,
                            match=r"^step 12, anchor 1, component \[0, 0\]: squared aperture"):
             measurement_truth(scenario, ground_truth(scenario))
+
+    def test_one_pass_per_step_layout(self, monkeypatch):
+        """On the sparse octagon, with three step layouts (18, 9 and no
+        visible paths), the default cap makes one truth pass per layout. A
+        cap of two widest steps cuts each layout's steps into
+        ceil(steps x width / cap) passes, one for the layout without visible
+        paths, and no pass's gradient passes the cap."""
+        scenario = sparse_octagon()
+        truth, layouts = ground_truth(scenario), step_layouts(scenario)
+        widths = [step_bytes(scenario, steps[0]) for steps in layouts]
+        row_bytes = 24 * (scenario.dim + 2)  # one step's gradient bytes per visible path
+        assert [len(steps) for steps in layouts] == [7, 3, 2]
+        assert [width // row_bytes for width in widths] == [18, 9, 0]
+        passes, exact = [], scenario_module.global_jacobian
+
+        def counted(agent, plan, surfaces):
+            passes.append((len(agent.position), plan.components.size))
+            return exact(agent, plan, surfaces)
+
+        monkeypatch.setattr(scenario_module, "global_jacobian", counted)
+        measurement_truth(scenario, truth)
+        assert passes == [(len(steps), width // row_bytes) for steps, width in zip(layouts, widths)]
+        cap = 2 * widest_step_bytes(scenario)
+        monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", cap)
+        passes.clear()
+        measurement_truth(scenario, truth)
+        assert len(passes) == sum(math.ceil(len(steps) * width / cap) if width else 1
+                                  for steps, width in zip(layouts, widths)) == 4 + 1 + 1
+        assert all(steps * paths * row_bytes <= cap for steps, paths in passes)
 
     def test_degenerate_geometry_is_named_before_endfire_at_one_step(self):
         """At step 10 the agent stands on anchor 1, whose bounce off the wall
@@ -500,8 +588,8 @@ class TestTruthPass:
 
     def test_hidden_degenerate_component_does_not_raise(self):
         """The agent stands on anchor 2 at step 10, where the schedule hides
-        that anchor's line of sight; the pass that also holds the visible
-        line of sight of steps 9 and 11 leaves the hidden one out."""
+        that anchor's line of sight: the pass of step 10's layout leaves the
+        hidden path out, and steps 9 and 11 keep their line of sight."""
         mapping = straight_run()
         mapping["anchors"][1]["position"] = [1.5, 0.8]
         mapping["visibility"] = {"default": True, "rules": [
@@ -513,7 +601,7 @@ class TestTruthPass:
         los = 0
         assert [table[n - 1].blocks[1].components[0] for n in (9, 10, 11)] == [los, 1, los]
         assert all(np.isfinite(r.information).all() for r in table)
-        assert record_bytes(table[9]) == record_bytes(reference_record(scenario, truth[10], 10))
+        assert record_bytes(table[9]) == record_bytes(reference_record(scenario, pose_at(truth, 10), 10))
 
 
 class TestMeasurements:
@@ -592,7 +680,7 @@ class TestMeasurements:
                 visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
                 np.testing.assert_array_equal(row.components, visible)
             plan = _measured_steps([record.blocks], scenario)[0].plan
-            params, _, _ = global_jacobian(truth[record.step], plan, scenario.surfaces)
+            params, _, _ = global_jacobian(pose_at(truth, record.step), plan, scenario.surfaces)
             np.testing.assert_array_equal(
                 np.concatenate([row.params for row in record.blocks]), params)
 

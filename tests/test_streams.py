@@ -233,6 +233,5 @@ class TestNumpyPhiloxOracle:
         monkeypatch.setattr(scenario_module, "trajectory_stream",
                             lambda seed: OracleStream(seed, GROUND_TRUTH_STREAM))
         expected = ground_truth(scenario)
-        np.testing.assert_array_equal([p.as_state() for p in drawn],
-                                      [p.as_state() for p in expected])
-        assert not np.array_equal(drawn[1].as_state(), drawn[2].as_state())
+        np.testing.assert_array_equal(drawn.as_state(), expected.as_state())
+        assert not np.array_equal(drawn.as_state()[1], drawn.as_state()[2])
