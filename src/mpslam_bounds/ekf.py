@@ -4,46 +4,44 @@ The filter tracks the same joint state as the bound recursion under the same
 transition model, and its covariance takes the bound's own steps
 (:func:`~.pcrlb.predict_cov`, :func:`~.pcrlb.fuse`), with the information
 linearized at the estimate through the same gradient and noise code. It adds
-only the mean: predict, then pull by P H Lambda nu. Measurements arrive as
-one block of arrays per (step, anchor), drawn around the scenario's truth
-table: the true component ids (oracle association), the noisy parameters
-and the noise variances they were drawn with, which the filter uses rather
-than evaluating the noise model again. This matches the assumptions under
-which the bound holds, so the filter's error is expected to approach the
-bound at high SNR.
+only the mean: predict, then pull by P H Lambda nu. Measurements are drawn
+around the scenario's truth table, one (..., n, 3) array of rows per step in
+its record's path order; the filter reads the record for the rest: the
+step layout's plan, each path's anchor and component (oracle association)
+and the noise variances the rows were drawn with, which it uses rather than
+evaluating the noise model again. This matches the assumptions under which
+the bound holds, so the filter's error is expected to approach the bound at
+high SNR.
 
 The bound and the Monte-Carlo runs advance as one lockstep batch
 (:func:`run_single`): entry 0 of an (R + 1, N, N) covariance stack is the
 bound, fusing the truth table's information, and entries 1..R are the runs,
 with (R, N) means and one gradient pass per measured step for all runs and
-anchors, through one :class:`~.fim.PathPlan` per step layout (which
-components of which anchors the step measured), built once per call; each
-step reads its observations and variances as a contiguous slice of the
-drawn rows. One prediction and one fusion call per step serve them all. Each
-run draws its initial estimate around the true initial state from the prior
-and its measurements from its own stream, so its numbers do not depend on
-the batch it is in. Its squared errors from the rows of the batched ground
-truth are summed into the bound's state blocks, for RMSE time series paired
-with the bound records. Predict and update also take a single state.
+anchors, through the plan the truth pass built for the step's layout. One
+prediction and one fusion call per step serve them all. Each run draws its
+initial estimate around the true initial state from the prior and its
+measurements from its own stream, so its numbers do not depend on the batch
+it is in. Its squared errors from the rows of the batched ground truth are
+summed into the bound's state blocks, for RMSE time series paired with the
+bound records. Predict and update also take a single state.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fim import PathPlan, channel_fim, global_jacobian, global_snapshot_fim
+from .fim import channel_fim, global_jacobian, global_snapshot_fim
 from .geometry import AgentPose, SurfaceMap, joint_state, wrap_angle
 from .pcrlb import (
     BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
     process_noise_cov, transition_matrix,
 )
 from .scenario import (
-    STEP_TABLE_BYTES, AnchorBlock, Scenario, StepTruth, draw_measurements, ground_truth,
-    layout_plan, measurement_truth,
+    STEP_TABLE_BYTES, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
 )
 from .streams import derive_run_stream, standard_normals
 
@@ -75,64 +73,22 @@ def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) 
     return EkfState(mean=mean, cov=predict_cov(state.cov, transition, noise_cov))
 
 
-@dataclass(frozen=True)
-class MeasuredStep:
-    """One step's measurements over its n measured paths, all anchors at once
-    (anchors ascending, each block's components in order): the
-    :class:`~.fim.PathPlan` of that path list (None when nothing was
-    measured), each path's anchor index, the drawn (..., n, 3) parameters
-    and the (n, 3) variances they were drawn with."""
-
-    step: int
-    plan: PathPlan | None
-    owner: np.ndarray
-    observed: np.ndarray
-    variances: np.ndarray
-
-
-def _measured_steps(
-    measured: Sequence[Sequence[AnchorBlock]], scenario: Scenario
-) -> list[MeasuredStep]:
-    """Drawn steps (see :func:`~.scenario.draw_measurements`) as contiguous
-    row slices of one table of all their blocks, each with the plan of its
-    path list, every path seen from its own anchor
-    (:func:`~.scenario.layout_plan`, as the truth pass builds it). A plan is
-    built once per distinct list and lives as long as the returned steps."""
-    blocks = [block for step in measured for block in step]
-    observed = np.concatenate([block.params for block in blocks], axis=-2)
-    variances = np.concatenate([block.variances for block in blocks])
-    plans, steps, stop = {}, [], 0
-    for step in measured:
-        key = tuple((block.anchor, block.components.tobytes()) for block in step
-                    if block.components.size)
-        if key not in plans:
-            owner = np.concatenate([np.full(block.components.size, block.anchor)
-                                    for block in step])
-            components = np.concatenate([block.components for block in step])
-            plans[key] = owner, layout_plan(scenario, owner, components) if key else None
-        owner, plan = plans[key]
-        start, stop = stop, stop + owner.size
-        steps.append(MeasuredStep(step[0].step, plan, owner, observed[..., start:stop, :],
-                                  variances[start:stop]))
-    return steps
-
-
 def _linearize(
-    mean: np.ndarray, measured: MeasuredStep, scenario: Scenario
+    mean: np.ndarray, record: StepTruth, observed: np.ndarray, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Measurement model linearization at the current mean, per batch entry.
 
-    One channel pass over every measured path of the step, all anchors at
-    once, through the step's plan. Returns, in the compact layout of the n
+    One channel pass over every path of the step's record, all anchors at
+    once, through the record's plan. Returns, in the compact layout of the n
     paths, the (..., N, 3n) gradient, the (..., 3n) information of the
-    variances the paths were drawn with and the (..., 3n) innovation,
-    angles wrapped; None when nothing was measured. A path whose geometry
-    fails at an entry's estimate gets zero information and innovation
-    there, with a diagnostic.
+    variances the ``observed`` (..., n, 3) rows were drawn with and the
+    (..., 3n) innovation, angles wrapped; None when the step has no paths. A
+    path whose geometry fails at an entry's estimate gets zero information
+    and innovation there, with a diagnostic.
     """
-    plan = measured.plan
-    if plan is None:
+    if not record.owner.size:
         return None
+    plan = record.plan
     pose = AgentPose.from_state(mean[..., :5])
     raw_points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
@@ -144,50 +100,52 @@ def _linearize(
     ok = ~(near_origin | degenerate)
     for *entry, i in () if ok.all() else np.argwhere(~ok):
         log.warning(
-            "step %d anchor %d%s: %s, skipping component %s", measured.step,
-            measured.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
+            "step %d anchor %d%s: %s, skipping component %s", record.step,
+            record.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
             "surface estimate near origin" if near_origin[(*entry, i)] else
             "agent coincides with virtual anchor",
             scenario.order.components[plan.components[i]].bounces,
         )
-    residual = np.where(ok[..., None], measured.observed - params, 0.0)
+    residual = np.where(ok[..., None], observed - params, 0.0)
     residual[..., 1:] = wrap_angle(residual[..., 1:])
     innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (-1,))
-    return jac, channel_fim(np.where(ok[..., None], measured.variances, np.inf)), innovation
+    return jac, channel_fim(np.where(ok[..., None], record.variances, np.inf)), innovation
 
 
 # An estimate beyond the float range overflows in the channel pass and its
 # sums; the non-finite mean or covariance this gives fails the run after the step.
 @np.errstate(over="ignore", invalid="ignore")
 def _measurement_step(
-    mean: np.ndarray, measured: MeasuredStep, scenario: Scenario
+    mean: np.ndarray, record: StepTruth, observed: np.ndarray, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The (..., N, N) information H Lambda H^T and the (..., N, 1) pull
     g = H Lambda nu of one step, linearized at ``mean`` (:func:`_linearize`);
-    None when nothing was measured."""
-    linear = _linearize(mean, measured, scenario)
+    None when the step has no paths."""
+    linear = _linearize(mean, record, observed, scenario)
     if linear is None:
         return None
     jac, lam, innovation = linear
     return global_snapshot_fim(jac, lam), jac @ (lam * innovation)[..., None]
 
 
-def ekf_update(state: EkfState, blocks: Sequence[AnchorBlock], scenario: Scenario) -> EkfState:
+def ekf_update(
+    state: EkfState, record: StepTruth, observed: np.ndarray, scenario: Scenario
+) -> EkfState:
     """Measurement update of one step in information form.
 
-    ``blocks`` holds the step's measured anchor blocks (see
-    :func:`~.scenario.draw_measurements`), with a leading run axis on their
-    parameters for a batched state. The covariance is the bound's fusion,
-    P_post = (P^{-1} + H Lambda H^T)^{-1} with H at the predicted mean; the
-    mean moves by P_post H Lambda nu. A step with no measurement returns the
-    state as it is. A singular matrix raises :class:`~.pcrlb.SingularFimError`
-    whose ``index`` is the first failing batch entry.
+    ``observed`` holds the step's drawn (n, 3) rows (see
+    :func:`~.scenario.draw_measurements`) for the paths of its truth
+    ``record``, with a leading run axis for a batched state. The covariance
+    is the bound's fusion, P_post = (P^{-1} + H Lambda H^T)^{-1} with H at
+    the predicted mean; the mean moves by P_post H Lambda nu. A step with no
+    paths returns the state as it is. A singular matrix raises
+    :class:`~.pcrlb.SingularFimError` whose ``index`` is the first failing
+    batch entry.
     """
-    if not any(block.components.size for block in blocks):
+    terms = _measurement_step(state.mean, record, observed, scenario)
+    if terms is None:
         return state
-    measured = _measured_steps([blocks], scenario)[0]
-    terms = _measurement_step(state.mean, measured, scenario)
-    cov = fuse(state.cov, terms[0], measured.step)
+    cov = fuse(state.cov, terms[0], record.step)
     mean = state.mean + (cov @ terms[1])[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
     return EkfState(mean=mean, cov=cov)
@@ -245,7 +203,7 @@ def run_single(
             true_states = joint_state(truth, scenario.surfaces)
             mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
             mean[:, 4] = wrap_angle(mean[:, 4])
-            measured = _measured_steps(draw_measurements(table, streams), scenario)
+            observed = draw_measurements(table, streams)
         except Exception as exc:  # raised for the runs as a whole, so by the first too
             failure, mean, cov = RunFailure(int(batch[0]), str(exc)), mean[:0], cov[:1]
     for n, record in enumerate(table, start=1):
@@ -260,7 +218,7 @@ def run_single(
                 break
             try:
                 moved = (transition @ mean[..., None])[..., 0]
-                linear = _measurement_step(moved, measured[n - 1], scenario)
+                linear = _measurement_step(moved, record, observed[n - 1], scenario)
                 if linear is None:  # no run measures anything: the bound fuses alone
                     ahead[:1] = fuse(ahead[:1], record.information, n)
                 else:
@@ -280,7 +238,7 @@ def run_single(
                 entry, reason = 0, str(exc)
             failure = RunFailure(int(batch[entry]), reason)
             mean, cov = mean[:entry], cov[:entry + 1]
-            measured = [replace(step, observed=step.observed[:entry]) for step in measured]
+            observed = [rows[:entry] for rows in observed]
         mean, cov = moved, ahead
         bounds.append(extract_bounds(cov[0], num_surfaces, step=n))
         if live:

@@ -34,7 +34,7 @@ block, where every entry equals -1 in the plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -98,17 +98,21 @@ class UniformLinearArray:
     num_elements: int
     element_spacing: float
     broadside: float = 0.0
+    gain: float = field(init=False, repr=False)  # M (M^2 - 1) / 12
 
     def __post_init__(self):
         if self.num_elements < 2:
             raise ValueError("a linear array needs at least 2 elements")
         if not (self.element_spacing > 0 and math.isfinite(self.element_spacing)):
             raise ValueError("element spacing must be positive and finite")
+        m = self.num_elements
+        try:
+            object.__setattr__(self, "gain", m * (m * m - 1) / 12.0)
+        except OverflowError:  # an integer gain beyond the float range
+            raise ValueError("num_elements is too large: its gain passes the float range") from None
 
     def squared_aperture(self, azimuth: float | np.ndarray) -> float | np.ndarray:
-        m = self.num_elements
-        gain = m * (m * m - 1) / 12.0
-        return (self.element_spacing * np.cos(azimuth - self.broadside)) ** 2 * gain
+        return (self.element_spacing * np.cos(azimuth - self.broadside)) ** 2 * self.gain
 
 
 ApertureModel = IsotropicAperture | UniformLinearArray
@@ -191,7 +195,7 @@ class ComponentOrder:
     """Canonical ordering of the path components observed by one anchor.
 
     Fixes the component set and the indices that visibility schedules, path
-    plans and anchor blocks use for it. A channel pass lays out only the
+    plans and truth records use for it. A channel pass lays out only the
     paths it lists (see :func:`global_jacobian`), so no layout over all K
     components is ever formed. The canonical order is LOS first, then
     single bounces by ascending surface, then double bounces
@@ -251,12 +255,14 @@ class ComponentOrder:
 class PathPlan:
     """The estimate-independent part of a channel pass over n listed paths
     (components of ``order``, all seen from one anchor or each from its own,
-    see :class:`~.geometry.Anchor`), built once per distinct list: the bounce
-    index arrays, the anchor position(s) and rotation matrices, each bounce
-    slot's Householder gather indices and the gradient's surface scatter rows
-    and columns. Slot 0 is a path's first (anchor-side) bounce, slot 1 its
-    second; an empty slot (surface 0) scatters to two scratch rows past the
-    state rows, so LOS columns have zero surface rows."""
+    see :class:`~.geometry.Anchor`): the bounce index arrays, the anchor
+    position(s) and rotation matrices, each bounce slot's Householder gather
+    indices and the gradient's surface scatter rows and columns. The truth
+    pass builds one per step layout and keeps it in the layout's step
+    records, and the filter linearizes through that same plan. Slot 0 is a
+    path's first (anchor-side) bounce, slot 1 its second; an empty slot
+    (surface 0) scatters to two scratch rows past the state rows, so LOS
+    columns have zero surface rows."""
 
     def __init__(self, order: ComponentOrder, components: Sequence[int] | np.ndarray,
                  anchor: Anchor):

@@ -11,25 +11,26 @@ with the offending path so typos cannot silently change an experiment.
 The ground truth is one :class:`~.geometry.AgentPose` with a leading step
 axis, built in whole arrays. The channel truth is evaluated once at it, in
 the filter's own layout: per step layout (which components of which anchors
-a step sees), one batched pass over exactly the visible paths of all
-anchors through the filter's :class:`~.fim.PathPlan` of that layout
-(:func:`layout_plan`), cut only where the gradients pass a memory cap. A
-step's record does not depend on its pass, bit for bit. The output is the
-truth table (:func:`measurement_truth`), one :class:`StepTruth` per step
-holding the snapshot information and one :class:`AnchorBlock` of arrays per
-anchor. The bound recursion reads the information, the generator draws
-around the blocks' parameters with their variances, and the estimator takes
-its noise covariance from the same variances, so all three read the same
-numbers; the filter's pass at the truth gives the same information.
-Draw order is fixed: steps ascending, anchors ascending, components in
-canonical order, and per component distance, arrival azimuth, departure
-azimuth; the draw scales and wraps all rows of the table in one pass.
+a step sees), one :class:`~.fim.PathPlan` and one batched pass over exactly
+the visible paths of all anchors, cut only where the gradients pass a
+memory cap. A step's record does not depend on its pass, bit for bit. The
+output is the truth table (:func:`measurement_truth`), one
+:class:`StepTruth` per step holding the snapshot information, its layout's
+plan, and per path its anchor, noise-free parameters and variances. The
+bound recursion reads the information, the generator draws around the
+parameters with their variances, and the estimator linearizes through the
+same plan and takes its noise covariance from the same variances, so all
+three read the same numbers; the filter's pass at the truth gives the same
+information. Draw order is fixed: steps ascending, anchors ascending,
+components in canonical order, and per component distance, arrival azimuth,
+departure azimuth; the draw scales and wraps all rows of the table in one
+pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -217,32 +218,21 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class AnchorBlock:
-    """The components one anchor observes at one step, as arrays.
-
-    ``params`` holds per component its (distance, arrival azimuth, departure
-    azimuth): noise-free in the truth table (:func:`measurement_truth`),
-    noisy in a draw (:func:`draw_measurements`, angles wrapped to
-    (-pi, pi]; (R, n, 3) in a draw for a batch of R runs). ``variances`` are
-    the matching noise variances, evaluated at the true pose; the draw keeps
-    them.
-    """
+class StepTruth:
+    """Channel truth of one step: the snapshot ``information`` (N, N), the
+    step layout's :class:`~.fim.PathPlan` (built once by the truth pass and
+    shared by the layout's steps and the filter), each path's 0-based anchor
+    (``owner``), and per path its noise-free (distance, arrival azimuth,
+    departure azimuth) ``params`` and their ``variances`` at the true pose,
+    (n, 3) each. Paths run anchors ascending, each anchor's components in
+    canonical order; a step that sees nothing has n = 0 and no information."""
 
     step: int  # 1-based time index
-    anchor: int  # 0-based anchor index
-    components: np.ndarray  # (n,) indices into the scenario's component order
-    params: np.ndarray  # (n, 3), or (R, n, 3)
-    variances: np.ndarray  # (n, 3)
-
-
-@dataclass(frozen=True)
-class StepTruth:
-    """Channel truth of one step: the snapshot information (N, N) and one
-    :class:`AnchorBlock` per anchor, anchors ascending."""
-
-    step: int
     information: np.ndarray
-    blocks: tuple[AnchorBlock, ...]
+    plan: PathPlan
+    owner: np.ndarray
+    params: np.ndarray
+    variances: np.ndarray
 
 
 @dataclass
@@ -366,30 +356,23 @@ def ground_truth(scenario: Scenario) -> AgentPose:
 # Snapshot information and measurements
 
 
-def layout_plan(scenario: Scenario, owner: np.ndarray, components: np.ndarray) -> PathPlan:
-    """The :class:`~.fim.PathPlan` of one step layout: path i is component
-    ``components[i]`` seen from anchor ``owner[i]`` (0-based), anchors
-    ascending. The truth pass and the filter build their plans here."""
-    positions = np.array([anchor.position for anchor in scenario.anchors])
-    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
-    return PathPlan(scenario.order, components, Anchor(positions[owner], orientations[owner]))
-
-
 def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
     """Truth records of ``steps`` at their true (steps, 5) ``states``.
 
     Per step layout (which components of which anchors are visible), one
-    :func:`layout_plan`; per pass of its steps, stacked along a leading
-    axis, one :func:`global_jacobian` call over exactly the visible paths,
-    one noise-model call per anchor and the filter's
-    :func:`~.fim.global_snapshot_fim`. A pass takes as many steps as keep
-    their gradients within ``TRUTH_PASS_BYTES`` (a layout without visible
-    paths, all in one). Failures are gathered over all passes; the earliest
-    step, then the lowest anchor is raised, degenerate geometry before
-    endfire. A visible distance, amplitude or noise variance that is not
-    finite and positive raises :class:`FloatingPointError`.
+    :class:`~.fim.PathPlan`, every path seen from its own anchor; per pass of
+    its steps, stacked along a leading axis, one :func:`global_jacobian`
+    call over exactly the visible paths, one noise-model call per anchor and
+    the filter's :func:`~.fim.global_snapshot_fim`. A pass takes as many
+    steps as keep their gradients within ``TRUTH_PASS_BYTES`` (a layout
+    without visible paths, all in one). Failures are gathered over all
+    passes; the earliest step, then the lowest anchor is raised, degenerate
+    geometry before endfire. A visible distance, amplitude or noise variance
+    that is not finite and positive raises :class:`FloatingPointError`.
     """
     order, n_anchors = scenario.order, len(scenario.anchors)
+    positions = np.array([anchor.position for anchor in scenario.anchors])
+    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
     shown = np.stack([scenario.visibility.flags(j, steps) for j in range(n_anchors)], axis=1)
     layouts: dict[bytes, list[int]] = {}
     for b, flags in enumerate(shown):
@@ -401,10 +384,11 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         own = [slice(cuts[j], cuts[j + 1]) for j in range(n_anchors)]  # each anchor's paths
         width = 24 * (scenario.dim + 2) * owner.size  # bytes of one step's gradient
         size = max(1, TRUTH_PASS_BYTES // width) if width else len(steps_of)
-        plan = layout_plan(scenario, owner, components)
-        passes += [(plan, own, steps_of[i:i + size]) for i in range(0, len(steps_of), size)]
-    information, blocks, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
-    for plan, own, rows in passes:
+        plan = PathPlan(order, components, Anchor(positions[owner], orientations[owner]))
+        passes += [(plan, owner, own, steps_of[i:i + size])
+                   for i in range(0, len(steps_of), size)]
+    information, paths_of, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
+    for plan, owner, own, rows in passes:
         components = plan.components
         params, degenerate, jac = global_jacobian(
             AgentPose.from_state(states[rows]), plan, scenario.surfaces)
@@ -450,13 +434,12 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         information[rows] = global_snapshot_fim(jac, channel_fim(variances))
         del jac  # each gradient is freed once used, so the peak memory does not grow
         for g, b in enumerate(rows):
-            blocks[b] = tuple(AnchorBlock(int(steps[b]), j, components[paths], params[g, paths],
-                                          variances[g, paths]) for j, paths in enumerate(own))
+            paths_of[b] = plan, owner, params[g], variances[g]
     if failures:
         b, j, k, error, reason = min(failures, key=lambda failure: failure[:2])
         raise error(f"step {steps[b]}, anchor {j + 1}, "
                     f"component {list(order.components[k].pair)}: {reason}")
-    return [StepTruth(int(n), information[b], blocks[b]) for b, n in enumerate(steps)]
+    return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]
 
 
 def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
@@ -481,33 +464,28 @@ def measurement_truth(scenario: Scenario, truth: AgentPose) -> list[StepTruth]:
 
 def draw_measurements(
     table: list[StepTruth], rng: RandomStream | Sequence[RandomStream]
-) -> list[tuple[AnchorBlock, ...]]:
-    """Draw noisy measurements around the truth table, one tuple of anchor
-    blocks per step (fixed draw order).
+) -> list[np.ndarray]:
+    """Draw noisy measurements around the truth table: per step, the drawn
+    (n, 3) rows of its n paths, in its record's path order (fixed draw order).
 
     Distances and azimuths are Gaussian around the noise-free channel
-    parameters with the block's variances (a standard normal variate per
-    value, scaled by the standard deviation); azimuths are wrapped. The
-    variances are carried over unchanged. Each stream draws the whole table
-    in one request, and the table's rows, all blocks in draw order, are
-    scaled and wrapped in one pass; each block's ``params`` is its slice of
-    those rows. Given a sequence of streams, one per Monte-Carlo run of a
-    batch, the rows and each block's ``params`` gain a leading run axis.
+    parameters with the record's variances (a standard normal variate per
+    value, scaled by the standard deviation); azimuths are wrapped. Each
+    stream draws the whole table in one request, and the table's rows, all
+    steps in draw order, are scaled and wrapped in one pass; each step's
+    rows are its slice of them. Given a sequence of streams, one per
+    Monte-Carlo run of a batch, the rows gain a leading run axis.
     """
     streams = [rng] if isinstance(rng, RandomStream) else rng
-    blocks = [block for record in table for block in record.blocks]
-    truth = np.concatenate([block.params for block in blocks])
+    truth = np.concatenate([record.params for record in table])
     drawn = standard_normals(streams, truth.size).reshape((len(streams),) + truth.shape)
     if isinstance(rng, RandomStream):
         drawn = drawn[0]
     # scaled and shifted in place: the bits of truth + std * noise, no temporaries
-    drawn *= np.sqrt(np.concatenate([block.variances for block in blocks]))
+    drawn *= np.sqrt(np.concatenate([record.variances for record in table]))
     drawn += truth
     drawn[..., 1:] = wrap_angle(drawn[..., 1:])
-    rows = iter(np.split(drawn, np.cumsum([block.components.size for block in blocks])[:-1],
-                         axis=-2))
-    return [tuple(replace(block, params=next(rows)) for block in record.blocks)
-            for record in table]
+    return np.split(drawn, np.cumsum([record.owner.size for record in table])[:-1], axis=-2)
 
 
 # ---------------------------------------------------------------------------

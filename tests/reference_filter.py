@@ -33,7 +33,8 @@ def filter_run(scenario, truth, table, run_index):
     position, velocity = np.zeros(n_steps), np.zeros(n_steps)
     orientation, surfaces = np.zeros(n_steps), np.zeros((n_steps, num_surfaces))
     for n in range(1, n_steps + 1):
-        state = ekf_update(ekf_predict(state, transition, noise_cov), measured[n - 1], scenario)
+        state = ekf_update(ekf_predict(state, transition, noise_cov), table[n - 1],
+                           measured[n - 1], scenario)
         if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
         err = state.mean - true_states[n]

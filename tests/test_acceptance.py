@@ -260,10 +260,10 @@ def test_criterion_8_generator_calibration():
     table = measurement_truth(scenario, truth)
     meas = draw_measurements(table, derive_run_stream(20240808, 0))
     # one anchor, every component visible at every step: stack the steps
-    ref = table[0].blocks[0]
-    sample = np.stack([blocks[0].params for blocks in meas])
+    ref = table[0]
+    sample = np.stack(meas)
     assert sample.shape == (10_000, scenario.order.size, 3)
-    assert all(np.array_equal(blocks[0].components, ref.components) for blocks in meas)
+    assert all(record.plan is ref.plan for record in table)
     worst = float(np.max(np.abs(sample.var(axis=0) / ref.variances - 1.0)))
     report(
         "criterion 8: measurement generator calibrated to the variance models",

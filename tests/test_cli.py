@@ -310,33 +310,43 @@ class TestValidateMode:
 
     @pytest.mark.parametrize("pass_steps", [None, 12])
     def test_one_path_plan_per_path_list(self, pass_steps, tmp_path, monkeypatch):
-        """A desk validate call builds one plan per step layout for the filter
-        and one for the truth table, through the same layout_plan: all 40
-        desk steps measure the same components of both anchors, so one each,
-        the truth table's shared by the passes of that layout (two, or four
-        under a 12-step cap)."""
+        """A desk validate call builds one path plan: all 40 desk steps see
+        the same components of both anchors, so the truth pass builds one
+        for that step layout, shared by its passes (two, or four under a
+        12-step cap), and the filter linearizes every step through that
+        same plan object, its records' own."""
         import mpslam_bounds.scenario as scenario_module
+        from mpslam_bounds.fim import PathPlan
 
         scenario = load_scenario(DESK_SCENARIO)
         step_bytes = 24 * (scenario.dim + 2) * scenario.order.size * len(scenario.anchors)
         if pass_steps is not None:
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", pass_steps * step_bytes)
-        built = {"ekf": 0, "scenario": 0}
+        built, exact_init = [], PathPlan.__init__
 
-        def counted(module):
-            exact = module.layout_plan
+        def counted_init(plan, *args, **kwargs):
+            built.append(plan)
+            exact_init(plan, *args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                built[module.__name__.rpartition(".")[2]] += 1
-                return exact(*args, **kwargs)
+        monkeypatch.setattr(PathPlan, "__init__", counted_init)
+        passed = {"ekf": [], "scenario": []}
+
+        def through(module):
+            exact = module.global_jacobian
+
+            def wrapper(agent, plan, surfaces):
+                passed[module.__name__.rpartition(".")[2]].append(plan)
+                return exact(agent, plan, surfaces)
             return wrapper
 
         for module in (ekf, scenario_module):
-            monkeypatch.setattr(module, "layout_plan", counted(module))
+            monkeypatch.setattr(module, "global_jacobian", through(module))
         out = tmp_path / "validate.csv"
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
-        assert built == {"ekf": 1, "scenario": 1}
+        assert len(built) == 1
+        assert (len(passed["ekf"]), len(passed["scenario"])) == (40, 4 if pass_steps else 2)
+        assert all(plan is built[0] for plans in passed.values() for plan in plans)
 
     def test_validate_run_takes_no_eigenvalues(self, tmp_path, monkeypatch):
         """Every inversion of a desk validate run passes the trace screen, so
@@ -497,6 +507,31 @@ class TestErrors:
                 in capsys.readouterr().err)
         assert peak < 2**24
 
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    @pytest.mark.parametrize("field", ["agent_aperture", "anchors[1].aperture"])
+    def test_ula_gain_beyond_the_float_range_is_config_error(self, field, mode, tmp_path,
+                                                            capsys):
+        """A linear array whose gain M (M^2 - 1) / 12 passes the float range
+        exits 2 naming the aperture; a large gain within the range still
+        reaches the numerics and exits 3."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        ula = {"kind": "ula", "num_elements": 10**200, "element_spacing": 0.025}
+        if field == "agent_aperture":
+            mapping["agent_aperture"] = ula
+        else:
+            mapping["anchors"][1]["aperture"] = ula
+        path = tmp_path / "ula.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        argv = ["--scenario", str(path), "--mode", mode, "--mc-runs", "1",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert (f"error: scenario.{field}: num_elements is too large: its gain passes "
+                "the float range" in capsys.readouterr().err)
+        ula["num_elements"] = 10**7
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(argv) == 3
+        assert "numerical failure: step 1:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_run_batch_beyond_the_table_limit_is_config_error(self, source, tmp_path, capsys):
         """A run count whose batch (draws, noisy measurements, means and
@@ -558,10 +593,10 @@ class TestErrors:
                                                 monkeypatch):
         calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_at_step_5(mean, measured, scenario):
+        def diverge_at_step_5(mean, record, observed, scenario):
             # run_single linearizes the runs once per measured step, steps ascending
             calls.append(None)
-            information, pull = measurement_step(mean, measured, scenario)
+            information, pull = measurement_step(mean, record, observed, scenario)
             if len(calls) == 5:
                 pull[0] = float("nan")
             return information, pull
@@ -603,10 +638,10 @@ class TestErrors:
         runs 0 and 2 stay finite. The failure names run 1 and step 5."""
         calls, measurement_step = [], ekf._measurement_step
 
-        def diverge_run_1_at_step_5(mean, measured, scenario):
+        def diverge_run_1_at_step_5(mean, record, observed, scenario):
             # one batched linearization per measured step, steps ascending
             calls.append(None)
-            information, pull = measurement_step(mean, measured, scenario)
+            information, pull = measurement_step(mean, record, observed, scenario)
             if len(calls) == 5:
                 assert len(pull) == 3
                 pull[1, 0] = float("nan")
@@ -657,9 +692,9 @@ class TestErrors:
                                - 1e12 * np.eye(scenario.dim))
             return table
 
-        def diverge_at_step_3(mean, measured, scenario):
-            information, pull = exact_step(mean, measured, scenario)
-            if measured.step == 3:
+        def diverge_at_step_3(mean, record, observed, scenario):
+            information, pull = exact_step(mean, record, observed, scenario)
+            if record.step == 3:
                 pull[0] = float("nan")
             return information, pull
 

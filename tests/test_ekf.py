@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mpslam_bounds.ekf import (
     EkfState,
     MonteCarloResult,
     _linearize,
-    _measured_steps,
     ekf_predict,
     ekf_update,
     run_monte_carlo,
@@ -30,7 +30,6 @@ from mpslam_bounds.pcrlb import (
     transition_matrix,
 )
 from mpslam_bounds.scenario import (
-    AnchorBlock,
     MonteCarloConfig,
     draw_measurements,
     ground_truth,
@@ -52,14 +51,9 @@ def small_scenario(**overrides):
 
 
 def drawn_step(scenario, truth, step, rng):
-    """The anchor blocks measured at ``step`` in one draw of the whole table."""
-    return draw_measurements(measurement_truth(scenario, truth), rng)[step - 1]
-
-
-def linearize(mean, blocks, scenario):
-    """The filter's linearization of one step's anchor blocks, through the
-    step plan the lockstep loop builds."""
-    return _linearize(mean, _measured_steps([blocks], scenario)[0], scenario)
+    """The truth record of ``step`` and its rows in one draw of the whole table."""
+    table = measurement_truth(scenario, truth)
+    return table[step - 1], draw_measurements(table, rng)[step - 1]
 
 
 def side_by_side(blocks):
@@ -110,9 +104,11 @@ class TestPredict:
 
 class TestUpdate:
     def test_no_measurements_leave_state_unchanged(self):
-        scenario = small_scenario()
+        scenario = small_scenario(visibility={"default": False})
+        record = measurement_truth(scenario, ground_truth(scenario))[0]
+        assert record.owner.size == 0
         state = EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
-        updated = ekf_update(state, [], scenario)
+        updated = ekf_update(state, record, np.zeros((0, 3)), scenario)
         np.testing.assert_array_equal(updated.mean, state.mean)
         np.testing.assert_array_equal(updated.cov, state.cov)
 
@@ -133,30 +129,29 @@ class TestUpdate:
         scenario = small_scenario(agent_aperture=agent_aperture)
         order = scenario.order
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
+        record, observed = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
         mean = joint_state(truth, scenario.surfaces)[3]
-        jac, lam, innovation = linearize(mean, blocks, scenario)
-        measured = [b for b in blocks if b.components.size]
-        assert len(measured) == 2
+        jac, lam, innovation = _linearize(mean, record, observed, scenario)
+        owners = [record.owner == j for j in range(len(scenario.anchors))]
+        assert len(owners) == 2 and all(own.any() for own in owners)
 
         pose = AgentPose.from_state(mean[:5])
         surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
         gradients, residuals = [], []
-        for block in measured:
-            anchor, n = scenario.anchors[block.anchor], block.components.size
+        for anchor, own in zip(scenario.anchors, owners):
+            n = np.count_nonzero(own)
             stacked = Anchor(np.tile(anchor.position, (n, 1)), np.full(n, anchor.orientation))
             params, _, gradient = global_jacobian(
-                pose, PathPlan(order, block.components, stacked), surfaces)
-            residual = block.params - params
+                pose, PathPlan(order, record.plan.components[own], stacked), surfaces)
+            residual = observed[own] - params
             residual[:, 1:] = np.vectorize(wrap_angle)(residual[:, 1:])
             gradients.append(gradient)
             residuals.append(residual.T.ravel())
         expected = side_by_side(gradients)
-        assert jac.shape == expected.shape == (scenario.dim, 3 * sum(
-            b.components.size for b in measured))
+        assert jac.shape == expected.shape == (scenario.dim, 3 * record.owner.size)
         np.testing.assert_array_equal(jac, expected)
         np.testing.assert_array_equal(
-            lam, side_by_side([channel_fim(b.variances) for b in measured]))
+            lam, side_by_side([channel_fim(record.variances[own]) for own in owners]))
         np.testing.assert_array_equal(innovation, side_by_side(residuals))
 
     def test_near_exact_measurements_pull_position_error_down(self):
@@ -166,14 +161,14 @@ class TestUpdate:
                                  "rules": [{"visible": True, "components": [[0, 0]]}]}
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
+        record, meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
         prior = scenario.prior_covariance() * 0.01
         rng = derive_run_stream(9, 0)
         mean = joint_state(truth, scenario.surfaces)[1]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
         before = np.linalg.norm(state.mean[:2] - truth.position[1])
-        updated = ekf_update(state, meas, scenario)
+        updated = ekf_update(state, record, meas, scenario)
         after = np.linalg.norm(updated.mean[:2] - truth.position[1])
         assert after < before
 
@@ -189,12 +184,13 @@ class TestUpdate:
         mean = joint_state(truth, scenario.surfaces)[0]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
-        measured = draw_measurements(measurement_truth(scenario, truth), rng)
+        table = measurement_truth(scenario, truth)
+        measured = draw_measurements(table, rng)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
         for n in range(1, 51):
             state = ekf_predict(state, transition, noise)
-            state = ekf_update(state, measured[n - 1], scenario)
+            state = ekf_update(state, table[n - 1], measured[n - 1], scenario)
             assert np.linalg.eigvalsh(state.cov)[0] > 0.0
 
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
@@ -203,16 +199,16 @@ class TestUpdate:
         scenario = small_scenario()
         order = scenario.order
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
+        record, observed = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
         mean = joint_state(truth, scenario.surfaces)[1]
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
 
         with caplog.at_level(logging.WARNING):
-            _, lam, innovation = linearize(mean, blocks, scenario)
-        components = np.concatenate([b.components for b in blocks])
-        on_surface = np.tile([1 in order.components[k].bounces for k in components], 3)
-        variances = np.concatenate([b.variances for b in blocks])
-        np.testing.assert_array_equal(lam[~on_surface], channel_fim(variances)[~on_surface])
+            _, lam, innovation = _linearize(mean, record, observed, scenario)
+        on_surface = np.tile([1 in order.components[k].bounces
+                              for k in record.plan.components], 3)
+        np.testing.assert_array_equal(lam[~on_surface],
+                                      channel_fim(record.variances)[~on_surface])
         assert on_surface.any() and not lam[on_surface].any()
         assert not innovation[on_surface].any() and innovation[~on_surface].all()
         assert any("surface estimate" in rec.message for rec in caplog.records)
@@ -223,21 +219,23 @@ class TestUpdate:
         scenario = small_scenario()
         order = scenario.order
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
-        variances = np.concatenate([b.variances for b in blocks])
-        for anchor, block in enumerate(blocks):
-            target = next(k for k in block.components if order.components[k].n_bounces == 1)
+        record, observed = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
+        components = record.plan.components
+        assert len(scenario.anchors) == 2
+        for anchor in range(len(scenario.anchors)):
+            target = next(k for k in components[record.owner == anchor]
+                          if order.components[k].n_bounces == 1)
             path = order.components[target]
             mean = joint_state(truth, scenario.surfaces)[1]
             mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
 
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                _, lam, innovation = linearize(mean, blocks, scenario)
-            skipped = np.tile(np.concatenate([(b.components == target) & (b.anchor == anchor)
-                                              for b in blocks]), 3)
+                _, lam, innovation = _linearize(mean, record, observed, scenario)
+            skipped = np.tile((components == target) & (record.owner == anchor), 3)
             assert np.count_nonzero(skipped) == 3
-            np.testing.assert_array_equal(lam[~skipped], channel_fim(variances)[~skipped])
+            np.testing.assert_array_equal(lam[~skipped],
+                                          channel_fim(record.variances)[~skipped])
             assert not lam[skipped].any() and not innovation[skipped].any()
             warnings = [rec.message for rec in caplog.records
                         if "skipping component" in rec.message]
@@ -277,9 +275,9 @@ class TestInformationFormMatchesCovarianceForm:
     update (tests/reference_kalman.py) to 1e-9 relative."""
 
     @staticmethod
-    def assert_same_update(state, blocks, scenario):
-        got = ekf_update(state, blocks, scenario)
-        expected = joseph_update(state, blocks, scenario)
+    def assert_same_update(state, record, observed, scenario):
+        got = ekf_update(state, record, observed, scenario)
+        expected = joseph_update(state, record, observed, scenario)
         for a, b in ((got.mean - state.mean, expected.mean - state.mean),
                      (got.cov, expected.cov)):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
@@ -287,25 +285,27 @@ class TestInformationFormMatchesCovarianceForm:
     def test_desk_step(self):
         scenario = load_scenario(DESK_SCENARIO)
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 7, derive_run_stream(0, 0))
-        self.assert_same_update(predicted_state(scenario, truth, 7, 1), blocks, scenario)
+        record, observed = drawn_step(scenario, truth, 7, derive_run_stream(0, 0))
+        self.assert_same_update(predicted_state(scenario, truth, 7, 1), record, observed,
+                                scenario)
 
     def test_dense_twelve_wall_step(self):
         scenario = polygon_room(12)
         assert scenario.order.size == 145 and scenario.dim == 29
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 2, derive_run_stream(0, 0))
-        assert all(b.components.size == 145 for b in blocks)
-        self.assert_same_update(predicted_state(scenario, truth, 2, 2), blocks, scenario)
+        record, observed = drawn_step(scenario, truth, 2, derive_run_stream(0, 0))
+        assert np.bincount(record.owner).tolist() == [145, 145]
+        self.assert_same_update(predicted_state(scenario, truth, 2, 2), record, observed,
+                                scenario)
 
     def test_step_with_a_skipped_component(self, caplog):
         scenario = load_scenario(DESK_SCENARIO)
         truth = ground_truth(scenario)
-        blocks = drawn_step(scenario, truth, 5, derive_run_stream(0, 0))
+        record, observed = drawn_step(scenario, truth, 5, derive_run_stream(0, 0))
         state = predicted_state(scenario, truth, 5, 3)
         state.mean[5:7] = 0.0  # surface 1 estimated at the origin: its bounces drop out
         with caplog.at_level(logging.WARNING):
-            self.assert_same_update(state, blocks, scenario)
+            self.assert_same_update(state, record, observed, scenario)
         assert any("surface estimate near origin" in rec.message for rec in caplog.records)
 
 
@@ -341,8 +341,8 @@ def sparse_octagon():
 
 class TestFilterAtTheTruthIsTheBound:
     """The filter's step taken at the truth is the bound's step: predict,
-    reset the mean to the true state, update on the truth table's
-    noise-free blocks. The truth table's information is the filter's own
+    reset the mean to the true state, update on the truth record's
+    noise-free parameters. The truth table's information is the filter's own
     compact pass at the truth, so its covariance gives the recursion's
     bounds bit for bit, up to the first step that no anchor measures. There
     the bound still fuses zero information (inverting the prediction and
@@ -363,14 +363,13 @@ class TestFilterAtTheTruthIsTheBound:
         noise = process_noise_cov(scenario.model)
         state = EkfState(mean=joint_state(truth, scenario.surfaces)[0],
                          cov=np.diag(scenario.prior_covariance()))
-        blank = min((r.step for r in table if not any(b.components.size for b in r.blocks)),
-                    default=math.inf)
+        blank = min((r.step for r in table if not r.owner.size), default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             predicted = ekf_predict(state, transition, noise)
             at_truth = EkfState(joint_state(truth, scenario.surfaces)[record.step],
                                 predicted.cov)
-            state = ekf_update(at_truth, record.blocks, scenario)
+            state = ekf_update(at_truth, record, record.params, scenario)
             np.testing.assert_allclose(state.mean, at_truth.mean, rtol=0, atol=1e-12)
             got = extract_bounds(state.cov, len(scenario.surfaces), record.step)
             got = [got.peb, got.veb, got.oeb, *got.meb]
@@ -424,9 +423,9 @@ class TestBoundInTheBatch:
         stepped, read_out = [], ekf_module.extract_bounds
         measurement_step = ekf_module._measurement_step
 
-        def run_1_then_run_0_diverge(mean, measured, scenario):
-            information, pull = measurement_step(mean, measured, scenario)
-            if (measured.step, len(pull)) in ((2, 2), (3, 1)):
+        def run_1_then_run_0_diverge(mean, record, observed, scenario):
+            information, pull = measurement_step(mean, record, observed, scenario)
+            if (record.step, len(pull)) in ((2, 2), (3, 1)):
                 pull[-1] = float("nan")
             return information, pull
 
@@ -468,19 +467,18 @@ class TestLockstepBatch:
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         streams = [derive_run_stream(0, run) for run in range(3)]
-        blocks = draw_measurements(table, streams)[4]
+        record, observed = table[4], draw_measurements(table, streams)[4]
         states = [predicted_state(scenario, truth, 5, seed) for seed in range(3)]
         states[1].mean[5:7] = 0.0
         batch = EkfState(mean=np.stack([s.mean for s in states]),
                          cov=np.stack([s.cov for s in states]))
         with caplog.at_level(logging.WARNING):
-            got = ekf_update(batch, blocks, scenario)
+            got = ekf_update(batch, record, observed, scenario)
         skipped = [rec.message for rec in caplog.records if "skipping component" in rec.message]
         assert skipped and all("batch entry 1: surface estimate near origin" in m
                                for m in skipped)
         for entry, state in enumerate(states):
-            entry_blocks = [replace(b, params=b.params[entry]) for b in blocks]
-            expected = ekf_update(state, entry_blocks, scenario)
+            expected = ekf_update(state, record, observed[entry], scenario)
             np.testing.assert_allclose(got.mean[entry], expected.mean, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got.cov[entry], expected.cov, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected.cov).max())
@@ -495,75 +493,84 @@ class TestLockstepBatch:
 
 
 class TestStepPlans:
-    """The filter builds one path plan per distinct step layout (which
-    components of which anchors it measured) and reads each step's rows of
-    one drawn table; sharing a plan moves no bit."""
+    """The truth pass builds one path plan per step layout (which components
+    of which anchors a step sees), and the filter linearizes each step
+    through its record's plan; sharing a plan moves no bit."""
 
     @staticmethod
     def counted_plans(monkeypatch):
-        import mpslam_bounds.ekf as ekf_module
+        """The plans built from here on, wherever they are built."""
+        built, exact = [], PathPlan.__init__
 
-        built, exact = [], ekf_module.layout_plan
+        def counted(plan, *args, **kwargs):
+            built.append(plan)
+            exact(plan, *args, **kwargs)
 
-        def counted(scenario, owner, components):
-            built.append(np.array(components))
-            return exact(scenario, owner, components)
-
-        monkeypatch.setattr(ekf_module, "layout_plan", counted)
+        monkeypatch.setattr(PathPlan, "__init__", counted)
         return built
 
-    @staticmethod
-    def layouts(table):
-        """The distinct non-empty (anchor, components) lists of a table's steps."""
-        lists = {tuple((b.anchor, tuple(b.components)) for b in record.blocks
-                       if b.components.size) for record in table}
-        return lists - {()}
-
-    def test_sparse_octagon_builds_one_plan_per_path_list(self, monkeypatch):
+    def test_sparse_octagon_builds_one_plan_per_step_layout(self, monkeypatch):
         """Both anchors, anchor 1 alone (anchor 2 blanked for steps 3-5) and
-        nothing at all (steps 8-9): two plans for twelve steps."""
+        nothing at all (steps 8-9): three plans for twelve steps, all built by
+        the truth pass; the lockstep batch builds none and linearizes every
+        measured step through its record's own plan."""
+        import mpslam_bounds.ekf as ekf_module
+
         scenario = sparse_octagon()
         truth = ground_truth(scenario)
-        table = measurement_truth(scenario, truth)
-        assert len(self.layouts(table)) == 2
         built = self.counted_plans(monkeypatch)
+        table = measurement_truth(scenario, truth)
+        assert len(built) == 3
+        assert {id(record.plan) for record in table} == {id(plan) for plan in built}
+        assert [np.unique(record.owner).tolist() for record in table] == (
+            [[0, 1]] * 2 + [[0]] * 3 + [[0, 1]] * 2 + [[]] * 2 + [[0, 1]] * 3)
+        linearized, exact = [], ekf_module.global_jacobian
+        monkeypatch.setattr(ekf_module, "global_jacobian", lambda agent, plan, surfaces: (
+            linearized.append(plan) or exact(agent, plan, surfaces)))
         run_single(scenario, truth, table, range(2))
-        assert len(built) == 2
+        assert len(built) == 3
+        assert linearized == [record.plan for record in table if record.owner.size]
 
     def test_equal_path_counts_with_other_components_do_not_share(self):
-        """Steps 1 and 2 measure two components of anchor 1 each, but not the
-        same two; step 4 measures step 1's components from anchor 2; step 3
-        repeats step 1's list and shares its plan."""
-        scenario = load_scenario(DESK_SCENARIO)
-        lists = {1: (0, [0, 1]), 2: (0, [0, 2]), 3: (0, [0, 1]), 4: (1, [0, 1])}
-        measured = [tuple(AnchorBlock(n, j, np.array(ks if j == seen else [], dtype=int),
-                                      np.zeros((len(ks) * (j == seen), 3)),
-                                      np.ones((len(ks) * (j == seen), 3)))
-                          for j in range(2))
-                    for n, (seen, ks) in lists.items()]
-        steps = _measured_steps(measured, scenario)
-        plans = [step.plan for step in steps]
+        """Steps 1 and 2 see two components of anchor 1 each, but not the
+        same two; step 4 sees step 1's components from anchor 2; step 3
+        repeats step 1's layout and shares its plan."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        los, first, second = [0, 0], [1, 1], [2, 2]
+        mapping["visibility"] = {"default": False, "rules": [
+            {"visible": True, "anchors": [1], "components": [los, first], "steps": [1, 3]},
+            {"visible": True, "anchors": [1], "components": [los, second], "steps": [2]},
+            {"visible": True, "anchors": [2], "components": [los, first], "steps": [4]},
+        ]}
+        scenario = scenario_from_mapping(mapping)
+        table = measurement_truth(scenario, ground_truth(scenario))[:4]
+        plans = [record.plan for record in table]
         assert plans[0] is plans[2]
         assert len({id(plan) for plan in plans}) == 3
-        for step, (seen, ks) in zip(steps, lists.values()):
-            assert step.plan.components.tolist() == ks and step.owner.tolist() == [seen] * 2
-            np.testing.assert_array_equal(step.plan.anchor_position,
+        pair = {k: list(c.pair) for k, c in enumerate(scenario.order)}
+        for record, (seen, pairs) in zip(table, [(0, [los, first]), (0, [los, second]),
+                                                 (0, [los, first]), (1, [los, first])]):
+            assert [pair[k] for k in record.plan.components] == pairs
+            assert record.owner.tolist() == [seen] * 2
+            np.testing.assert_array_equal(record.plan.anchor_position,
                                           [scenario.anchors[seen].position] * 2)
 
     @pytest.mark.parametrize("case", ["desk", "sparse_octagon"])
-    def test_a_shared_plan_gives_the_bytes_of_a_fresh_one(self, case, monkeypatch):
-        """The lockstep batch with one plan per layout equals, byte for byte,
-        the batch with a plan built afresh at every step."""
-        import mpslam_bounds.ekf as ekf_module
-
+    def test_a_shared_plan_gives_the_bytes_of_a_fresh_one(self, case):
+        """The lockstep batch on the truth table's plans, one per step
+        layout, equals byte for byte the batch on a plan built afresh for
+        every step."""
         scenario = load_scenario(DESK_SCENARIO) if case == "desk" else sparse_octagon()
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         shared_bounds, shared = run_single(scenario, truth, table, range(3))
-        exact = ekf_module._measured_steps
-        monkeypatch.setattr(ekf_module, "_measured_steps", lambda measured, scenario: [
-            exact([step], scenario)[0] for step in measured])
-        fresh_bounds, fresh = run_single(scenario, truth, table, range(3))
+        positions = np.array([anchor.position for anchor in scenario.anchors])
+        orientations = np.array([anchor.orientation for anchor in scenario.anchors])
+        fresh_table = [replace(record, plan=PathPlan(
+            scenario.order, record.plan.components,
+            Anchor(positions[record.owner], orientations[record.owner]))) for record in table]
+        assert all(a.plan is not b.plan for a, b in zip(table, fresh_table))
+        fresh_bounds, fresh = run_single(scenario, truth, fresh_table, range(3))
         assert shared.tobytes() == fresh.tobytes()
         assert bound_bits(shared_bounds) == bound_bits(fresh_bounds)
 
@@ -640,9 +647,9 @@ class TestMonteCarlo:
         scenario = small_scenario(mc={"runs": 3, "seed": 7})
         measurement_step = ekf_module._measurement_step
 
-        def diverge(mean, measured, scenario):
-            information, pull = measurement_step(mean, measured, scenario)
-            step = measured.step
+        def diverge(mean, record, observed, scenario):
+            information, pull = measurement_step(mean, record, observed, scenario)
+            step = record.step
             if step == 5 and len(mean) == 3:
                 pull[2] = float("nan")
             if step == 8:

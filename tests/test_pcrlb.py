@@ -516,12 +516,11 @@ class TestRunRecursion:
         scenario = scenario_from_mapping(mapping)
         table = measurement_truth(scenario, ground_truth(scenario))
         blank = table[4]
-        assert blank.step == 5 and len(blank.blocks) == len(scenario.anchors)
-        assert all(b.components.size == 0 and b.params.shape == b.variances.shape == (0, 3)
-                   for b in blank.blocks)
+        assert blank.step == 5 and blank.owner.size == blank.plan.components.size == 0
+        assert blank.params.shape == blank.variances.shape == (0, 3)
         assert not blank.information.any()
-        assert all(b.components.size for record in table if record is not blank
-                   for b in record.blocks)
+        assert all(np.unique(record.owner).size == len(scenario.anchors)
+                   for record in table if record is not blank)
 
         model = scenario.model
         transition, noise = transition_matrix(model), process_noise_cov(model)
@@ -540,9 +539,9 @@ class TestRunRecursion:
 
         monkeypatch.setattr(ekf_module, "global_jacobian", no_linearization)
         measured = draw_measurements(table, derive_run_stream(0, 0))[4]
-        assert all(b.components.size == 0 for b in measured)
+        assert measured.shape == (0, 3)
         state = ekf_module.EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
-        assert ekf_module.ekf_update(state, measured, scenario) is state
+        assert ekf_module.ekf_update(state, blank, measured, scenario) is state
 
     def test_never_observed_surface_with_zero_prior_information_fails(self):
         mapping = desk_mapping(visibility={"default": False,

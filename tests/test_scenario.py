@@ -3,7 +3,7 @@
 import copy
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mpslam_bounds.scenario as scenario_module
-from mpslam_bounds.ekf import _measured_steps, _measurement_step
+from mpslam_bounds.ekf import _measurement_step
 from mpslam_bounds.fim import (
     IsotropicAperture,
+    PathPlan,
     UniformLinearArray,
     ZeroApertureError,
     global_jacobian,
@@ -25,7 +26,6 @@ from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError, j
 from mpslam_bounds.pcrlb import StateSpaceModel, run_recursion
 from mpslam_bounds.scenario import (
     AmplitudeModel,
-    AnchorBlock,
     MonteCarloConfig,
     NcvTrajectory,
     PriorSpec,
@@ -431,37 +431,41 @@ def step_layouts(scenario):
 
 def reference_record(scenario, pose, step):
     """One step's truth from the filter's own unbatched pass at the true
-    state: the step's visible paths of all anchors through the filter's plan
-    for them, the noise model per anchor on its paths, and the information
-    of the filter's measurement step over those paths."""
+    state: the step's visible paths of all anchors through a plan built
+    here for them, every path seen from its own anchor, the noise model per
+    anchor on its paths, and the information of the filter's measurement
+    step over those paths."""
     order, dim = scenario.order, scenario.dim
-    visible = [np.flatnonzero(scenario.visibility.flags(j, step))
-               for j in range(len(scenario.anchors))]
-    blocks = [AnchorBlock(step, j, ks, np.zeros((ks.size, 3)), np.zeros((ks.size, 3)))
-              for j, ks in enumerate(visible)]
-    plan = _measured_steps([blocks], scenario)[0].plan
-    if plan is None:  # no anchor sees anything
-        return StepTruth(step, np.zeros((dim, dim)), tuple(blocks))
+    owner, components = np.nonzero(np.stack([scenario.visibility.flags(j, step)
+                                             for j in range(len(scenario.anchors))]))
+    positions = np.array([anchor.position for anchor in scenario.anchors])
+    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
+    plan = PathPlan(order, components, Anchor(positions[owner], orientations[owner]))
+    record = StepTruth(step, np.zeros((dim, dim)), plan, owner, np.zeros((0, 3)), np.zeros((0, 3)))
+    if not owner.size:  # no anchor sees anything
+        return record
     params, degenerate, _ = global_jacobian(pose, plan, scenario.surfaces)
     assert not degenerate.any()
-    cuts = np.cumsum([0] + [ks.size for ks in visible])
-    for j, (anchor, ks) in enumerate(zip(scenario.anchors, visible)):
-        own = params[cuts[j]:cuts[j + 1]]
-        amplitudes = scenario.amplitude_model.amplitude(own[:, 0], order.n_bounces[ks])
-        variances = measurement_variances(
-            own, amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
+    variances = np.empty_like(params)
+    for j, anchor in enumerate(scenario.anchors):
+        own = owner == j
+        amplitudes = scenario.amplitude_model.amplitude(params[own, 0],
+                                                        order.n_bounces[components[own]])
+        variances[own] = measurement_variances(
+            params[own], amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
             scenario.agent_aperture, anchor.aperture)
-        blocks[j] = AnchorBlock(step, j, ks, own, variances)
-    information, _ = _measurement_step(joint_state(pose, scenario.surfaces),
-                                       _measured_steps([blocks], scenario)[0], scenario)
-    return StepTruth(step, information, tuple(blocks))
+    record = replace(record, params=params, variances=variances)
+    information, _ = _measurement_step(joint_state(pose, scenario.surfaces), record, params,
+                                       scenario)
+    return replace(record, information=information)
 
 
 def record_bytes(record):
     """A truth record as bytes: equal bytes mean bit-identical arrays."""
-    return record.step, record.information.tobytes(), [
-        (b.step, b.anchor, b.components.astype(np.int64).tobytes(), b.params.tobytes(),
-         b.variances.tobytes()) for b in record.blocks]
+    return (record.step, record.information.tobytes(), record.owner.astype(np.int64).tobytes(),
+            record.plan.components.astype(np.int64).tobytes(),
+            record.plan.anchor_position.tobytes(), record.params.tobytes(),
+            record.variances.tobytes())
 
 
 def sparse_desk():
@@ -508,7 +512,7 @@ class TestTruthPass:
         assert [record_bytes(snapshot_fim(scenario, pose_at(truth, n), n))
                 for n in range(1, scenario.n_steps + 1)] == expected
         if case == "sparse_desk":
-            sizes = [[len(block.components) for block in r.blocks] for r in table]
+            sizes = [np.bincount(r.owner, minlength=2).tolist() for r in table]
             assert sizes[5 - 1] == [5, 0] and sizes[12 - 1] == sizes[40 - 1] == [0, 0]
             assert sizes[22 - 1] == [1, 5] and sizes[30 - 1] == [5, 4]
 
@@ -599,7 +603,8 @@ class TestTruthPass:
         assert pass_steps(scenario) >= scenario.n_steps
         table = measurement_truth(scenario, truth)
         los = 0
-        assert [table[n - 1].blocks[1].components[0] for n in (9, 10, 11)] == [los, 1, los]
+        assert [table[n - 1].plan.components[table[n - 1].owner == 1][0]
+                for n in (9, 10, 11)] == [los, 1, los]
         assert all(np.isfinite(r.information).all() for r in table)
         assert record_bytes(table[9]) == record_bytes(reference_record(scenario, pose_at(truth, 10), 10))
 
@@ -611,12 +616,14 @@ class TestMeasurements:
                                                       "components": [[0, 0]]}]})
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
-        meas = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(0, 0))
-        los = 0
+        table = measurement_truth(scenario, truth)
+        meas = draw_measurements(table, derive_run_stream(0, 0))
+        los, anchors = 0, len(scenario.anchors)
         assert len(meas) == scenario.n_steps
-        blocks = [b for step in meas for b in step]
-        assert len(blocks) == scenario.n_steps * len(scenario.anchors)
-        assert all(b.components.tolist() == [los] and b.params.shape == (1, 3) for b in blocks)
+        for record, drawn in zip(table, meas, strict=True):
+            assert record.plan.components.tolist() == [los] * anchors
+            assert record.owner.tolist() == list(range(anchors))
+            assert record.params.shape == record.variances.shape == drawn.shape == (anchors, 3)
 
     def test_huge_amplitude_measurements_hit_the_means(self):
         mapping = desk_mapping()
@@ -626,11 +633,8 @@ class TestMeasurements:
         table = measurement_truth(scenario, truth)
         meas = draw_measurements(table, derive_run_stream(1, 0))
         for record, drawn in zip(table, meas, strict=True):
-            for row, m in zip(record.blocks, drawn, strict=True):
-                assert (m.step, m.anchor) == (row.step, row.anchor)
-                np.testing.assert_array_equal(m.components, row.components)
-                assert np.all(np.abs(m.params - row.params) < 1e-6)
-                np.testing.assert_array_equal(m.variances, row.variances)
+            assert drawn.shape == record.params.shape and record.owner.size
+            assert np.all(np.abs(drawn - record.params) < 1e-6)
 
     def test_empirical_variances_match_the_models(self):
         """10^4 draws of one component: empirical variances within 5%."""
@@ -645,9 +649,9 @@ class TestMeasurements:
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         meas = draw_measurements(table, derive_run_stream(17, 0))
-        ref = table[0].blocks[0]
-        assert ref.components.tolist() == list(range(scenario.order.size))
-        sample = np.stack([step[0].params for step in meas])
+        ref = table[0]
+        assert ref.plan.components.tolist() == list(range(scenario.order.size))
+        sample = np.stack(meas)
         assert sample.shape == (10_000, scenario.order.size, 3)
         for component in range(scenario.order.size):
             for i in range(3):  # distance, arrival and departure azimuth
@@ -657,32 +661,28 @@ class TestMeasurements:
     def test_draws_are_reproducible(self):
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
         a = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
         b = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
-        flat_a = [blk for step in a for blk in step]
-        flat_b = [blk for step in b for blk in step]
-        assert len(flat_a) == len(flat_b) == scenario.n_steps * len(scenario.anchors)
-        for x, y in zip(flat_a, flat_b):
-            assert (x.step, x.anchor) == (y.step, y.anchor)
-            np.testing.assert_array_equal(x.components, y.components)
-            np.testing.assert_array_equal(x.params, y.params)
-            np.testing.assert_array_equal(x.variances, y.variances)
+        assert len(a) == len(b) == scenario.n_steps
+        for record, x, y in zip(table, a, b):
+            assert x.shape == record.params.shape
+            np.testing.assert_array_equal(x, y)
 
     def test_measurement_means_come_from_the_shared_geometry(self):
         """The generator's means are exactly the channel parameters of the
-        filter's gradient pass at the truth, through the filter's plan of the
-        step (single source of truth)."""
+        filter's gradient pass at the truth, through the step's own plan
+        (single source of truth)."""
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         for record in table[:5]:
-            for row in record.blocks:
-                visible = np.flatnonzero(scenario.visibility.flags(row.anchor, row.step))
-                np.testing.assert_array_equal(row.components, visible)
-            plan = _measured_steps([record.blocks], scenario)[0].plan
-            params, _, _ = global_jacobian(pose_at(truth, record.step), plan, scenario.surfaces)
-            np.testing.assert_array_equal(
-                np.concatenate([row.params for row in record.blocks]), params)
+            for j in range(len(scenario.anchors)):
+                visible = np.flatnonzero(scenario.visibility.flags(j, record.step))
+                np.testing.assert_array_equal(record.plan.components[record.owner == j], visible)
+            params, _, _ = global_jacobian(pose_at(truth, record.step), record.plan,
+                                           scenario.surfaces)
+            np.testing.assert_array_equal(record.params, params)
 
 
 def mapping_paths(node, prefix=()):
