@@ -66,7 +66,7 @@ def all_paths(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> PathGeometry:
     """The batched geometry pass over every component of ``order``, in order."""
-    return path_geometry(agent, PathPlan(order, range(order.size), anchor), surfaces)
+    return path_geometry(agent.as_state(), PathPlan(order, range(order.size), anchor), surfaces)
 
 
 def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> np.ndarray:
@@ -117,8 +117,8 @@ def full_jacobian(
     agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
-    _, degenerate, jac = global_jacobian(agent, PathPlan(order, range(order.size), anchor),
-                                         surfaces)
+    _, degenerate, jac = global_jacobian(agent.as_state(),
+                                         PathPlan(order, range(order.size), anchor), surfaces)
     if degenerate.any():
         raise DegenerateGeometryError("agent coincides with a virtual anchor")
     return jac
@@ -212,7 +212,7 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         both_anchors = Anchor(np.repeat([anchor.position, anchor2.position], n, axis=0),
                               np.repeat([anchor.orientation, anchor2.orientation], n))
         params, degenerate, jac = global_jacobian(
-            agent, PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
+            agent.as_state(), PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
         if degenerate.any():
             continue
         lam = channel_fim(measurement_variances(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,9 +26,7 @@ from .ekf import MonteCarloResult, max_runs, run_monte_carlo
 from .fim import ZeroApertureError
 from .geometry import DegenerateGeometryError
 from .pcrlb import BoundRecord, run_recursion  # its SingularFimError is a RuntimeError
-from .scenario import (
-    MonteCarloConfig, ScenarioError, ground_truth, load_scenario, measurement_truth,
-)
+from .scenario import ScenarioError, ground_truth, load_scenario, measurement_truth
 
 _ASSUMPTIONS = (
     "every component is detected and associated with its true propagation path",
@@ -138,14 +137,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.mc_runs is not None or args.seed is not None:
+    for flag, name, value in (("--mc-runs", "runs", args.mc_runs), ("--seed", "seed", args.seed)):
+        if value is None:
+            continue
         try:
-            scenario.mc = MonteCarloConfig(
-                runs=args.mc_runs if args.mc_runs is not None else scenario.mc.runs,
-                seed=args.seed if args.seed is not None else scenario.mc.seed,
-            )
+            scenario.mc = replace(scenario.mc, **{name: value})
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {flag}: {exc}", file=sys.stderr)
             return 2
     if args.mode == "validate" and scenario.mc.runs > (limit := max_runs(scenario)):
         field = "--mc-runs" if args.mc_runs is not None else "scenario.mc.runs"

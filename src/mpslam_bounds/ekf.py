@@ -6,24 +6,25 @@ transition model, and its covariance takes the bound's own steps
 linearized at the estimate through the same gradient and noise code. It adds
 only the mean: predict, then pull by P H Lambda nu. Measurements are drawn
 around the scenario's truth table, one (..., n, 3) array of rows per step in
-its record's path order; the filter reads the record for the rest: the
-step layout's plan, each path's anchor and component (oracle association)
-and the noise variances the rows were drawn with, which it uses rather than
-evaluating the noise model again. This matches the assumptions under which
-the bound holds, so the filter's error is expected to approach the bound at
-high SNR.
+its record's path order; the filter reads the record for the rest: the step
+layout's plan, each path's anchor and component (oracle association) and the
+information of the noise variances the rows were drawn with, which it uses
+rather than evaluating the noise model again. This matches the assumptions
+under which the bound holds, so the filter's error is expected to approach
+the bound at high SNR.
 
 The bound and the Monte-Carlo runs advance as one lockstep batch
 (:func:`run_single`): entry 0 of an (R + 1, N, N) covariance stack is the
 bound, fusing the truth table's information, and entries 1..R are the runs,
 with (R, N) means and one gradient pass per measured step for all runs and
-anchors, through the plan the truth pass built for the step's layout. One
-prediction and one fusion call per step serve them all. Each run draws its
-initial estimate around the true initial state from the prior and its
-measurements from its own stream, so its numbers do not depend on the batch
-it is in. Its squared errors from the rows of the batched ground truth are
-summed into the bound's state blocks, for RMSE time series paired with the
-bound records. Predict and update also take a single state.
+anchors, through the plan the truth pass built for the step's layout, at the
+poses read from the means. One prediction and one fusion call per step serve
+them all. Each run draws its initial estimate around the true initial state
+from the prior and its measurements from its own stream, so its numbers do
+not depend on the batch it is in. Its squared errors from the rows of the
+batched ground truth are summed into the bound's state blocks, for RMSE time
+series paired with the bound records. Predict and update also take a single
+state.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fim import channel_fim, global_jacobian, global_snapshot_fim
-from .geometry import AgentPose, SurfaceMap, joint_state, wrap_angle
+from .fim import global_jacobian, global_snapshot_fim
+from .geometry import AgentPose, SurfaceMap, dot2, joint_state, wrap_angle
 from .pcrlb import (
     BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
     process_noise_cov, transition_matrix,
@@ -79,37 +80,44 @@ def _linearize(
     """Measurement model linearization at the current mean, per batch entry.
 
     One channel pass over every path of the step's record, all anchors at
-    once, through the record's plan. Returns, in the compact layout of the n
-    paths, the (..., N, 3n) gradient, the (..., 3n) information of the
-    variances the ``observed`` (..., n, 3) rows were drawn with and the
-    (..., 3n) innovation, angles wrapped; None when the step has no paths. A
-    path whose geometry fails at an entry's estimate gets zero information
-    and innovation there, with a diagnostic.
+    once, through the record's plan, at the pose in the mean (orientation
+    wrapped). Returns, in the compact layout of the n paths, the (..., N, 3n)
+    gradient, the (..., 3n) information of the variances the ``observed``
+    (..., n, 3) rows were drawn with (the record's ``channel_information``)
+    and the (..., 3n) innovation, angles wrapped; None when the step has no
+    paths. A path whose geometry fails at an entry's estimate gets zero
+    information and innovation there, with a diagnostic.
     """
     if not record.owner.size:
         return None
-    plan = record.plan
-    pose = AgentPose.from_state(mean[..., :5])
-    raw_points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
+    if not np.isfinite(mean[..., :5]).all():
+        raise ValueError("agent estimate must be finite")
+    plan, near_origin = record.plan, np.zeros(mean.shape[:-1] + record.owner.shape, dtype=bool)
+    points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
-    usable = np.linalg.norm(raw_points, axis=-1) > _SURFACE_NORM_FLOOR
-    usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
-    surfaces = SurfaceMap(np.where(usable[..., 1:, None], raw_points, [1.0, 0.0]))
-    near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
-    params, degenerate, jac = global_jacobian(pose, plan, surfaces)
-    ok = ~(near_origin | degenerate)
-    for *entry, i in () if ok.all() else np.argwhere(~ok):
-        log.warning(
-            "step %d anchor %d%s: %s, skipping component %s", record.step,
-            record.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
-            "surface estimate near origin" if near_origin[(*entry, i)] else
-            "agent coincides with virtual anchor",
-            scenario.order.components[plan.components[i]].bounces,
-        )
-    residual = np.where(ok[..., None], observed - params, 0.0)
+    usable = np.sqrt(dot2(points, points)) > _SURFACE_NORM_FLOOR  # the norm, bit for bit
+    if not usable.all():
+        usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
+        points = np.where(usable[..., 1:, None], points, [1.0, 0.0])
+        near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
+    params, degenerate, jac = global_jacobian(mean, plan, SurfaceMap(points))
+    residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * len(record.owner),))
+    lam[...] = record.channel_information
+    skipped = near_origin | degenerate
+    if skipped.any():
+        for *entry, i in np.argwhere(skipped):
+            log.warning(
+                "step %d anchor %d%s: %s, skipping component %s", record.step,
+                record.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
+                "surface estimate near origin" if near_origin[(*entry, i)] else
+                "agent coincides with virtual anchor",
+                scenario.order.components[plan.components[i]].bounces,
+            )
+        residual[skipped] = 0.0
+        lam[np.tile(skipped, 3)] = 0.0
     residual[..., 1:] = wrap_angle(residual[..., 1:])
     innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (-1,))
-    return jac, channel_fim(np.where(ok[..., None], record.variances, np.inf)), innovation
+    return jac, lam, innovation
 
 
 # An estimate beyond the float range overflows in the channel pass and its
@@ -137,7 +145,8 @@ def ekf_update(
     :func:`~.scenario.draw_measurements`) for the paths of its truth
     ``record``, with a leading run axis for a batched state. The covariance
     is the bound's fusion, P_post = (P^{-1} + H Lambda H^T)^{-1} with H at
-    the predicted mean; the mean moves by P_post H Lambda nu. A step with no
+    the predicted mean, whose orientation is read as it is (wrapped, as this
+    update leaves it); the mean moves by P_post H Lambda nu. A step with no
     paths returns the state as it is. A singular matrix raises
     :class:`~.pcrlb.SingularFimError` whose ``index`` is the first failing
     batch entry.

@@ -33,6 +33,8 @@ block, where every entry equals -1 in the plane.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,9 +42,9 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    AgentPose,
     Anchor,
     PathComponent,
+    PathGeometry,
     SurfaceMap,
     dot2,
     matvec2,
@@ -199,7 +201,8 @@ class ComponentOrder:
     paths it lists (see :func:`global_jacobian`), so no layout over all K
     components is ever formed. The canonical order is LOS first, then
     single bounces by ascending surface, then double bounces
-    lexicographically by (first, second) surface.
+    lexicographically by (first, second) surface. A canonical order is built
+    once per surface count and shared, so its index arrays are read-only.
     """
 
     def __init__(self, components: Sequence[PathComponent]):
@@ -217,18 +220,16 @@ class ComponentOrder:
         padded = np.array([c.bounces + (0,) * (2 - len(c.bounces)) for c in comps], dtype=int)
         self.first, self.second = padded[:, 0], padded[:, 1]
         self.n_bounces = np.count_nonzero(padded, axis=1)
+        for index in (self.first, self.second, self.n_bounces):
+            index.flags.writeable = False
 
     @classmethod
+    @functools.cache
     def canonical(cls, num_surfaces: int) -> "ComponentOrder":
         """Full component set for S surfaces: LOS, S single, S(S-1) double bounces."""
-        comps = [PathComponent.los()]
-        comps += [PathComponent.single_bounce(s) for s in range(1, num_surfaces + 1)]
-        comps += [
-            PathComponent.double_bounce(s, s2)
-            for s in range(1, num_surfaces + 1)
-            for s2 in range(1, num_surfaces + 1)
-            if s != s2
-        ]
+        surfaces = range(1, num_surfaces + 1)
+        comps = [PathComponent.los()] + [PathComponent.single_bounce(s) for s in surfaces]
+        comps += [PathComponent.double_bounce(*s) for s in itertools.permutations(surfaces, 2)]
         return cls(comps)
 
     @property
@@ -256,8 +257,9 @@ class PathPlan:
     """The estimate-independent part of a channel pass over n listed paths
     (components of ``order``, all seen from one anchor or each from its own,
     see :class:`~.geometry.Anchor`): the bounce index arrays, the anchor
-    position(s) and rotation matrices, each bounce slot's Householder gather
-    indices and the gradient's surface scatter rows and columns. The truth
+    position(s) and rotation matrices, the bounce surfaces stacked per slot
+    (``slot``, from which a pass gathers each slot's Householders and points
+    once) and the gradient's surface scatter rows and columns. The truth
     pass builds one per step layout and keeps it in the layout's step
     records, and the filter linearizes through that same plan. Slot 0 is a
     path's first (anchor-side) bounce, slot 1 its second; an empty slot
@@ -270,33 +272,28 @@ class PathPlan:
         self.first, self.second = order.first[self.components], order.second[self.components]
         self.anchor_position = anchor.position
         self.anchor_rotation = rotation_matrix(anchor.orientation)
-        n = self.components.size
-        self.slot, none = np.stack([self.first, self.second]), np.zeros(n, dtype=int)
-        # the Householders after each slot: of the direct vector (its later
-        # bounces) and of the mirrored one (its earlier bounces)
-        self.direct_houses = np.stack([self.second, none])
-        self.mirrored_houses = np.stack([none, self.first])
+        self.slot = np.stack([self.first, self.second])
         # surface s has state rows 3 + 2s and 4 + 2s; -2 and -1 are the scratch rows
         self.rows = np.where(self.slot > 0, 3 + 2 * self.slot, -2)[None, :, :, None] + [0, 1]
-        self.cols = np.arange(3 * n).reshape(3, 1, n, 1)
+        self.cols = np.arange(3 * self.components.size).reshape(3, 1, -1, 1)
 
 
 # A degenerate path divides by a zero length, and the nan and inf it makes
 # flow on until its columns are zeroed at the end; a pose or surface beyond
 # the float range overflows, and the truth pass reports the distance it gives.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def global_jacobian(agent: AgentPose, plan: PathPlan,
+def global_jacobian(state: np.ndarray, plan: PathPlan,
                     surfaces: SurfaceMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel parameters and their (N, 3n) gradient w.r.t. the joint state.
 
-    Resolves the n paths of ``plan`` in one batched pass
-    (:func:`~.geometry.path_geometry`). Returns their (n, 3) channel
-    parameters, their degenerate-geometry mask and the compact gradient:
-    columns i, n + i and 2n + i hold the gradients of path i's distance,
-    arrival and departure azimuth, zero for a degenerate path. A batched
-    agent pose (one entry per Monte-Carlo run or per step of a truth pass)
-    adds its leading axes to all three; the surface map is shared or batched
-    alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
+    Resolves the n paths of ``plan`` in one batched pass at the agent pose
+    of ``state`` (:func:`~.geometry.path_geometry`). Returns their (n, 3)
+    channel parameters, their degenerate-geometry mask and the compact
+    gradient: columns i, n + i and 2n + i hold the gradients of path i's
+    distance, arrival and departure azimuth, zero for a degenerate path. A
+    batched state (one entry per Monte-Carlo run or per step of a truth
+    pass) adds its leading axes to all three; the surface map is shared or
+    batched alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -312,15 +309,14 @@ def global_jacobian(agent: AgentPose, plan: PathPlan,
       swapped and the sign flipped. Each path has a first and a second
       bounce slot, scattered as the plan lays them out.
     """
-    geo = path_geometry(agent, plan, surfaces)
+    geo = path_geometry(state, plan, surfaces)
     n_state, n = 5 + 2 * len(surfaces), plan.components.size
     rot_anchor, rot_agent = plan.anchor_rotation, geo.agent_rotation
     dep, arr = geo.departure_local, geo.arrival_local
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
-    dep_sq = dot2(dep, dep)[..., None]
-    az_dep = dep[..., ::-1] * _PERP / dep_sq
-    az_arr = arr[..., ::-1] * _PERP / dot2(arr, arr)[..., None]
-    unit_dep = dep / np.sqrt(dep_sq)
+    az_dep = dep[..., ::-1] * _PERP / geo.squared[2][..., None]
+    az_arr = arr[..., ::-1] * _PERP / geo.squared[3][..., None]
+    unit_dep = dep / geo.lengths[2][..., None]
     unit_r = geo.va_to_agent / geo.params[..., :1]
     transfer = geo.chain @ rot_anchor
     # copied contiguous: a strided transpose makes one component round unlike several
@@ -328,16 +324,17 @@ def global_jacobian(agent: AgentPose, plan: PathPlan,
 
     # The direct vector's source is the anchor folded over the bounces before
     # the slot, the mirrored vector's the agent folded over those after it;
-    # the later mirrors act on each block through their Householders.
+    # the later mirror, if any, acts on each block through its Householder:
+    # the second bounce's on slot 0's direct block, the first's on slot 1's mirrored one.
     batch = geo.params.shape[:-2]
     ends = np.empty(batch + (2, 2, n, 2))  # (direct source, mirrored sink) x slot
     ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = plan.anchor_position, geo.anchor_once
-    ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, agent.position[..., None, :]
-    blocks = _reflection_source_blocks(ends, plan.slot, surfaces)
-    houses = surfaces.householders
-    direct = blocks[..., 0, :, :, :, :] @ houses[..., plan.direct_houses, :, :]
-    mirrored = -blocks[..., 1, :, :, :, :] @ houses[..., plan.mirrored_houses, :, :]
-    mirrored = mirrored @ rot_anchor
+    ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, state[..., None, 0:2]
+    blocks = _reflection_source_blocks(ends, geo, surfaces.sq_norms[..., plan.slot])
+    blocks[..., 0, 0, :, :, :] = blocks[..., 0, 0, :, :, :] @ geo.houses[..., 1, :, :, :]
+    blocks[..., 1, 1, :, :, :] = blocks[..., 1, 1, :, :, :] @ geo.houses[..., 0, :, :, :]
+    direct = blocks[..., 0, :, :, :, :]
+    mirrored = -blocks[..., 1, :, :, :, :] @ rot_anchor
     # each slot's block acts on its path's vector: the vectors gain the slot axis
     surface = np.stack([matvec2(direct, unit_r[..., None, :, :]),
                         matvec2(direct, aoa_col[..., None, :, :]),
@@ -357,21 +354,21 @@ def global_jacobian(agent: AgentPose, plan: PathPlan,
 
 
 def _reflection_source_blocks(
-    source: np.ndarray, surface: np.ndarray, surfaces: SurfaceMap
+    source: np.ndarray, geo: PathGeometry, sq_norms: np.ndarray
 ) -> np.ndarray:
     """Sensitivity of the mirrored-source-to-agent vector to the surface point.
 
     Stacked gradient-layout 2x2 blocks for single reflections of ``source``
-    (..., m, slot, n, 2) about ``surface`` (slot, n): 2 a p^T / ||p||^2 +
-    2 (a . p / ||p||^2) H - I with a the source, p the surface point and H
-    its Householder. A batched map's leading axes lead ``source`` as well.
+    (..., m, slot, n, 2) about each slot's surface (point p and Householder
+    H as the pass ``geo`` gathered them, ||p||^2 in ``sq_norms``):
+    2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with a the source. A
+    batched map's leading axes lead ``source`` as well.
     """
-    point = surfaces.padded_points[..., None, surface, :]
-    sq = surfaces.sq_norms[..., None, surface][..., None, None]
+    point = geo.points[..., None, :, :, :]
+    sq = sq_norms[..., None, :, :, None, None]
     outer = source[..., :, None] * point[..., None, :]
     dot = dot2(source, point)[..., None, None]
-    return ((2.0 / sq) * outer + (2.0 * dot / sq) * surfaces.householders[..., None, surface, :, :]
-            - np.eye(2))
+    return (2.0 / sq) * outer + (2.0 * dot / sq) * geo.houses[..., None, :, :, :, :] - np.eye(2)
 
 
 def channel_fim(variances: np.ndarray) -> np.ndarray:

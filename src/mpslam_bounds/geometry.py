@@ -16,9 +16,10 @@ agent, angle of departure at the anchor) follow.
 
 :func:`path_geometry` is the one implementation of that fold: it resolves
 many paths of one (agent, anchor) pair at once from the surfaces' stacked
-Householders, where surface 0 is the identity mirror that stands for "no
-bounce". The channel pass (``fim.global_jacobian``) and the self-check's
-finite differences both run on it.
+Householders, gathered once per bounce slot, where surface 0 is the
+identity mirror that stands for "no bounce". The channel pass
+(``fim.global_jacobian``) and the self-check's finite differences both run
+on it.
 
 Conventions
 -----------
@@ -256,7 +257,8 @@ class PathGeometry:
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
     single bounce at s is (s, 0). Row i of each field belongs to path i;
     a batched agent pose and surface map add their leading axes in front.
-    The agent rotation is evaluated once per pass and kept for the gradient.
+    What the gradient reuses is kept: the agent rotation, each bounce slot's
+    Householders and points, the path vectors' squared lengths and lengths.
     """
 
     anchor_once: np.ndarray  # (..., n, 2) anchor mirrored at the first bounce only
@@ -268,39 +270,48 @@ class PathGeometry:
     params: np.ndarray  # (..., n, 3) distance, arrival azimuth, departure azimuth
     degenerate: np.ndarray  # (..., n) bool: agent on the virtual anchor, params unusable
     agent_rotation: np.ndarray  # (..., 2, 2) agent frame to global frame
+    houses: np.ndarray  # (..., 2, n, 2, 2) Householders of each slot (first, second bounce)
+    points: np.ndarray  # (..., 2, n, 2) surface points of each slot, zero for no bounce
+    squared: np.ndarray  # (4, ..., n) squared lengths of path_geometry's r, r_t, dep, arr
+    lengths: np.ndarray  # (4, ..., n) their lengths
 
 
-def path_geometry(agent: AgentPose, plan: "PathPlan", surfaces: SurfaceMap) -> PathGeometry:
+def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
     The paths, with their bounce surfaces and anchor (shared, or one per
-    path), are those of a :class:`~.fim.PathPlan`. The agent pose may carry
-    leading batch axes (one entry per Monte-Carlo run or per step), and the
-    surface map the same ones or none. Instead of raising, it flags as
-    ``degenerate`` each path whose virtual-anchor-to-agent or
+    path), are those of a :class:`~.fim.PathPlan`. The agent's position and
+    orientation are entries 0:2 and 4 of ``state``, an (..., 5) pose state
+    (:meth:`AgentPose.as_state`) or a joint state, finite and wrapped. Its
+    leading axes batch the pass (one entry per Monte-Carlo run or per step),
+    and the surface map carries the same ones or none. Instead of raising,
+    it flags as ``degenerate`` each path whose virtual-anchor-to-agent or
     anchor-to-mirrored-agent vector (global or local frame) is not longer
     than ``DEGENERACY_EPS``: the agent coincides with the path's virtual
     anchor.
     """
-    houses, points = surfaces.householders, surfaces.padded_points
-    first, second = plan.first, plan.second
-    h1, h2 = houses[..., first, :, :], houses[..., second, :, :]
-    p1, p2 = points[..., first, :], points[..., second, :]
-    position, rot_anchor = plan.anchor_position, plan.anchor_rotation
+    houses = surfaces.householders[..., plan.slot, :, :]
+    points = surfaces.padded_points[..., plan.slot, :]
+    h1, h2 = houses[..., 0, :, :, :], houses[..., 1, :, :, :]
+    p1, p2 = points[..., 0, :, :], points[..., 1, :, :]
+    agent, position, rot_anchor = state[..., 0:2], plan.anchor_position, plan.anchor_rotation
     single = position.ndim == 1  # keeps the @ products, which round unlike matvec2
     anchor_once = (h1 @ position if single else matvec2(h1, position)) + p1
     # one agent position per batch entry, applied to each of its n paths
-    agent_once = (h2 @ agent.position[..., None, :, None])[..., 0] + p2
-    r = agent.position[..., None, :] - (matvec2(h2, anchor_once) + p2)
+    agent_once = (h2 @ agent[..., None, :, None])[..., 0] + p2
+    r = agent[..., None, :] - (matvec2(h2, anchor_once) + p2)
     r_t = matvec2(h1, agent_once) + p1 - position
     dep = r_t @ rot_anchor if single else matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
-    rot_agent = rotation_matrix(agent.orientation)
+    # copied contiguous: numpy may run sin and cos through another loop on strides
+    rot_agent = rotation_matrix(state[..., 4].copy())
     arr = -(r @ rot_agent)
     vecs = np.stack([r, r_t, dep, arr])
-    lengths = np.sqrt(dot2(vecs, vecs))
+    squared = dot2(vecs, vecs)
+    lengths = np.sqrt(squared)
     params = np.stack(
         [lengths[0], np.arctan2(arr[..., 1], arr[..., 0]), np.arctan2(dep[..., 1], dep[..., 0])],
         axis=-1,
     )
     return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
-                        (lengths <= DEGENERACY_EPS).any(axis=0), rot_agent)
+                        (lengths <= DEGENERACY_EPS).any(axis=0), rot_agent, houses, points,
+                        squared, lengths)

@@ -125,18 +125,20 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     """
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2))
         raise SingularFimError(f"{what} is not finite", int(np.argmin(finite)))
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         definite, inv = np.array([_has_cholesky(m) for m in stack]), None
     else:
-        definite, inv = np.ones(len(stack), dtype=bool), np.linalg.inv(sym)
-        screen = np.einsum("kii->k", stack) * np.einsum("kii->k", inv.reshape(stack.shape))
+        inv = np.linalg.inv(sym)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf trace fails the screen
+            screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
         if np.all(screen <= SCREEN_LIMIT):
             return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+        definite = np.ones(len(stack), dtype=bool)
     eigvals = np.linalg.eigvalsh(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)

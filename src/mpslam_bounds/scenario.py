@@ -222,10 +222,12 @@ class StepTruth:
     """Channel truth of one step: the snapshot ``information`` (N, N), the
     step layout's :class:`~.fim.PathPlan` (built once by the truth pass and
     shared by the layout's steps and the filter), each path's 0-based anchor
-    (``owner``), and per path its noise-free (distance, arrival azimuth,
+    (``owner``), per path its noise-free (distance, arrival azimuth,
     departure azimuth) ``params`` and their ``variances`` at the true pose,
-    (n, 3) each. Paths run anchors ascending, each anchor's components in
-    canonical order; a step that sees nothing has n = 0 and no information."""
+    (n, 3) each, and their (3n) ``channel_information``
+    (:func:`~.fim.channel_fim`). Paths run anchors ascending, each anchor's
+    components in canonical order; a step that sees nothing has n = 0 and
+    no information."""
 
     step: int  # 1-based time index
     information: np.ndarray
@@ -233,6 +235,7 @@ class StepTruth:
     owner: np.ndarray
     params: np.ndarray
     variances: np.ndarray
+    channel_information: np.ndarray
 
 
 @dataclass
@@ -357,7 +360,9 @@ def ground_truth(scenario: Scenario) -> AgentPose:
 
 
 def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
-    """Truth records of ``steps`` at their true (steps, 5) ``states``.
+    """Truth records of ``steps`` at their true (steps, 5) ``states``, rows of
+    the ground truth's validated :class:`~.geometry.AgentPose` (finite, heading
+    wrapped).
 
     Per step layout (which components of which anchors are visible), one
     :class:`~.fim.PathPlan`, every path seen from its own anchor; per pass of
@@ -390,8 +395,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     information, paths_of, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
     for plan, owner, own, rows in passes:
         components = plan.components
-        params, degenerate, jac = global_jacobian(
-            AgentPose.from_state(states[rows]), plan, scenario.surfaces)
+        params, degenerate, jac = global_jacobian(states[rows], plan, scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
         amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
@@ -431,10 +435,10 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
                                  f"{variances[g, paths.start + i, c]} is not finite and positive"))
         if failures:
             continue
-        information[rows] = global_snapshot_fim(jac, channel_fim(variances))
+        information[rows] = global_snapshot_fim(jac, lam := channel_fim(variances))
         del jac  # each gradient is freed once used, so the peak memory does not grow
         for g, b in enumerate(rows):
-            paths_of[b] = plan, owner, params[g], variances[g]
+            paths_of[b] = plan, owner, params[g], variances[g], lam[g]
     if failures:
         b, j, k, error, reason = min(failures, key=lambda failure: failure[:2])
         raise error(f"step {steps[b]}, anchor {j + 1}, "

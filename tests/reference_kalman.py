@@ -13,7 +13,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR, EkfState
 from mpslam_bounds.fim import PathPlan, global_jacobian
-from mpslam_bounds.geometry import AgentPose, SurfaceMap, wrap_angle
+from mpslam_bounds.geometry import SurfaceMap, wrap_angle
 
 
 def stacked_linearization(mean, record, observed, scenario):
@@ -25,7 +25,6 @@ def stacked_linearization(mean, record, observed, scenario):
     surface estimate near the origin, or the estimate on a virtual anchor)
     contribute no rows.
     """
-    pose = AgentPose.from_state(mean[:5])
     raw_points = mean[5:].reshape(-1, 2)
     usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
     surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
@@ -39,7 +38,7 @@ def stacked_linearization(mean, record, observed, scenario):
         if not ks.size:
             continue
         near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
-        params, degenerate, jac = global_jacobian(pose, PathPlan(order, ks, anchor), surfaces)
+        params, degenerate, jac = global_jacobian(mean, PathPlan(order, ks, anchor), surfaces)
         ok = ~(near_origin | degenerate)
         # the compact columns of component i: i, n + i, 2n + i
         cols = np.arange(3 * ks.size).reshape(3, -1).T[ok]

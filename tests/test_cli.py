@@ -308,6 +308,55 @@ class TestValidateMode:
                      "--out", str(out)]) == 0
         assert (calls.count("ekf"), calls.count("scenario"), len(calls)) == (40, 2, 42)
 
+    def test_filter_builds_no_agent_pose(self, tmp_path, monkeypatch):
+        """The filter reads each step's agent pose from its means as arrays:
+        a desk validate call builds the ground truth's one AgentPose, and
+        none inside the lockstep batch."""
+        from mpslam_bounds.geometry import AgentPose
+
+        built, in_batch, exact_check = [], [], AgentPose.__post_init__
+
+        def counted(pose):
+            built.append(bool(in_batch))
+            exact_check(pose)
+
+        def batch(*args, **kwargs):
+            in_batch.append(None)
+            try:
+                return exact_batch(*args, **kwargs)
+            finally:
+                in_batch.pop()
+
+        exact_batch = ekf.run_single
+        monkeypatch.setattr(AgentPose, "__post_init__", counted)
+        monkeypatch.setattr(ekf, "run_single", batch)
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert built == [False]
+
+    def test_channel_information_is_taken_once_per_record(self, tmp_path, monkeypatch):
+        """1 / variance depends only on the truth record: the truth pass
+        computes it for its steps (one call per pass, two on the desk) and
+        the filter reads it from the records at each of its 40 measured
+        steps, without a call of its own."""
+        import mpslam_bounds.fim as fim_module
+        import mpslam_bounds.scenario as scenario_module
+
+        calls, exact = [], fim_module.channel_fim
+
+        def counted(variances):
+            calls.append(np.shape(variances)[:-2])
+            return exact(variances)
+
+        for module in (fim_module, scenario_module, ekf):
+            if hasattr(module, "channel_fim"):
+                monkeypatch.setattr(module, "channel_fim", counted)
+        out = tmp_path / "validate.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 2 and sum(steps for steps, in calls) == 40
+
     @pytest.mark.parametrize("pass_steps", [None, 12])
     def test_one_path_plan_per_path_list(self, pass_steps, tmp_path, monkeypatch):
         """A desk validate call builds one path plan: all 40 desk steps see
@@ -554,6 +603,34 @@ class TestErrors:
         assert (f"error: {field}: must be at most 16064 in this room"
                 in capsys.readouterr().err)
         assert peak < 2**24
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--mc-runs", "0", "mc.runs must be >= 1"),
+        ("--seed", "-1", "mc.seed must be an unsigned 64-bit integer"),
+        ("--seed", str(2**64), "mc.seed must be an unsigned 64-bit integer"),
+    ])
+    def test_bad_run_count_or_seed_flag_names_the_flag(self, flag, value, rule, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {rule}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("runs", 0, "mc.runs must be >= 1"),
+        ("seed", -1, "mc.seed must be an unsigned 64-bit integer"),
+    ])
+    def test_bad_run_count_or_seed_in_the_file_names_the_section(self, key, value, rule,
+                                                                  tmp_path, capsys):
+        """A flag that overrides the bad value does not hide it: the file is
+        checked as it is loaded."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["mc"][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        flag = {"runs": "--mc-runs", "seed": "--seed"}[key]
+        assert main(["--scenario", str(path), flag, "1"]) == 2
+        assert capsys.readouterr().err == f"error: scenario.mc: {rule}\n"
 
     def test_run_count_does_not_limit_bounds_mode(self, tmp_path):
         """Bounds mode filters no runs, so the file's run count is not sized."""

@@ -192,7 +192,8 @@ def path_columns(agent, anchor, path, surfaces):
 
     Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
     """
-    _, _, jac = global_jacobian(agent, PathPlan(ComponentOrder([path]), [0], anchor), surfaces)
+    _, _, jac = global_jacobian(agent.as_state(), PathPlan(ComponentOrder([path]), [0], anchor),
+                               surfaces)
     return jac[:, 0], jac[:, 1], jac[:, 2]
 
 
@@ -371,7 +372,7 @@ class TestGlobalJacobian:
         of the listed ones, in the compact layout."""
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
-        _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
+        _, _, jac = global_jacobian(agent.as_state(), PathPlan(order, present, anchor), surfaces)
         assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
         full = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_array_equal(jac, full[:, compact_columns(order, present)])
@@ -439,7 +440,8 @@ class TestSnapshotFim:
         terms = []
         for exist in (exist_off, exist_on):
             present = np.flatnonzero(exist)
-            _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
+            _, _, jac = global_jacobian(agent.as_state(), PathPlan(order, present, anchor),
+                                        surfaces)
             lam = channel_fim(variances[present])
             terms.append(global_snapshot_fim(jac, lam))
         diff = terms[1] - terms[0]
@@ -499,7 +501,7 @@ class TestBatchedPass:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = PathPlan(order, visible, anchor)
-        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
+        params, degenerate, jac = global_jacobian(agent.as_state(), plan, surfaces)
         assert params.shape == (visible.size, 3) and not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
@@ -519,7 +521,7 @@ class TestBatchedPass:
         other = Anchor(position=other[:2], orientation=other[2])
         also = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=order.size,
                                                  max_size=order.size)))
-        poses = AgentPose.from_state(np.stack([agent.as_state(), agent.as_state() + 0.25]))
+        poses = np.stack([agent.as_state(), agent.as_state() + 0.25])
         per_anchor = [global_jacobian(poses, PathPlan(order, ks, a), surfaces)
                       for a, ks in ((anchor, visible), (other, also))]
         assume(not any(degenerate.any() or (params[..., 0] < 1e-3).any()
@@ -561,7 +563,7 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         params, degenerate, jac = global_jacobian(
-            agent, PathPlan(order, np.arange(order.size), anchor), surfaces)
+            agent.as_state(), PathPlan(order, np.arange(order.size), anchor), surfaces)
         assert degenerate.tolist() == [k == target for k in range(order.size)]
         columns = [target, order.size + target, 2 * order.size + target]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
@@ -594,7 +596,7 @@ class TestBatchedPass:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = PathPlan(order, visible, anchor)
-        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
+        params, degenerate, jac = global_jacobian(agent.as_state(), plan, surfaces)
         assert not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))

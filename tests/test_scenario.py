@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 import mpslam_bounds.scenario as scenario_module
 from mpslam_bounds.ekf import _measurement_step
 from mpslam_bounds.fim import (
+    ComponentOrder,
     IsotropicAperture,
     PathPlan,
     UniformLinearArray,
     ZeroApertureError,
+    channel_fim,
     global_jacobian,
     measurement_variances,
 )
@@ -117,6 +119,18 @@ class TestLoader:
         assert scenario.n_steps == 40
         assert scenario.order.size == 1 + 4 + 12
         assert scenario.dim == 13
+
+    def test_a_load_builds_the_canonical_order_once(self, monkeypatch):
+        """The loader and the Scenario share one canonical order, built once
+        per surface count; a Scenario built in code gets the same one."""
+        built, exact = [], ComponentOrder.__init__
+        monkeypatch.setattr(ComponentOrder, "__init__", lambda order, components: (
+            built.append(order) or exact(order, components)))
+        ComponentOrder.canonical.cache_clear()
+        scenario = load_scenario("scenarios/desk.yaml")
+        assert built == [scenario.order] and scenario.order is ComponentOrder.canonical(4)
+        assert replace(scenario).order is scenario.order and len(built) == 1
+        assert not scenario.order.first.flags.writeable
 
     def test_unknown_top_level_key_rejected(self):
         mapping = desk_mapping()
@@ -441,10 +455,11 @@ def reference_record(scenario, pose, step):
     positions = np.array([anchor.position for anchor in scenario.anchors])
     orientations = np.array([anchor.orientation for anchor in scenario.anchors])
     plan = PathPlan(order, components, Anchor(positions[owner], orientations[owner]))
-    record = StepTruth(step, np.zeros((dim, dim)), plan, owner, np.zeros((0, 3)), np.zeros((0, 3)))
+    record = StepTruth(step, np.zeros((dim, dim)), plan, owner, np.zeros((0, 3)), np.zeros((0, 3)),
+                       np.zeros(0))
     if not owner.size:  # no anchor sees anything
         return record
-    params, degenerate, _ = global_jacobian(pose, plan, scenario.surfaces)
+    params, degenerate, _ = global_jacobian(pose.as_state(), plan, scenario.surfaces)
     assert not degenerate.any()
     variances = np.empty_like(params)
     for j, anchor in enumerate(scenario.anchors):
@@ -454,7 +469,8 @@ def reference_record(scenario, pose, step):
         variances[own] = measurement_variances(
             params[own], amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
             scenario.agent_aperture, anchor.aperture)
-    record = replace(record, params=params, variances=variances)
+    record = replace(record, params=params, variances=variances,
+                     channel_information=channel_fim(variances))
     information, _ = _measurement_step(joint_state(pose, scenario.surfaces), record, params,
                                        scenario)
     return replace(record, information=information)
@@ -465,7 +481,7 @@ def record_bytes(record):
     return (record.step, record.information.tobytes(), record.owner.astype(np.int64).tobytes(),
             record.plan.components.astype(np.int64).tobytes(),
             record.plan.anchor_position.tobytes(), record.params.tobytes(),
-            record.variances.tobytes())
+            record.variances.tobytes(), record.channel_information.tobytes())
 
 
 def sparse_desk():
@@ -558,9 +574,9 @@ class TestTruthPass:
         assert [width // row_bytes for width in widths] == [18, 9, 0]
         passes, exact = [], scenario_module.global_jacobian
 
-        def counted(agent, plan, surfaces):
-            passes.append((len(agent.position), plan.components.size))
-            return exact(agent, plan, surfaces)
+        def counted(state, plan, surfaces):
+            passes.append((len(state), plan.components.size))
+            return exact(state, plan, surfaces)
 
         monkeypatch.setattr(scenario_module, "global_jacobian", counted)
         measurement_truth(scenario, truth)
@@ -680,7 +696,7 @@ class TestMeasurements:
             for j in range(len(scenario.anchors)):
                 visible = np.flatnonzero(scenario.visibility.flags(j, record.step))
                 np.testing.assert_array_equal(record.plan.components[record.owner == j], visible)
-            params, _, _ = global_jacobian(pose_at(truth, record.step), record.plan,
+            params, _, _ = global_jacobian(truth.as_state()[record.step], record.plan,
                                            scenario.surfaces)
             np.testing.assert_array_equal(record.params, params)
 
