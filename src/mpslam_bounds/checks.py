@@ -201,7 +201,6 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
 
 def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[str]:
     failures = []
-    aperture = IsotropicAperture(0.01)
     for i in range(instances):
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
@@ -216,7 +215,7 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         if degenerate.any():
             continue
         lam = channel_fim(measurement_variances(
-            params, 2.0 / params[:, 0], 6e9, 1e8, aperture, aperture))
+            2.0 / params[:, 0], np.full((2 * n, 2), 0.01), 6e9, 1e8))  # isotropic arrays
         first = np.add.outer([0, 2 * n, 4 * n], np.arange(n)).ravel()  # the first anchor's columns
         single = global_snapshot_fim(jac[:, first], lam[first])
         both = global_snapshot_fim(jac, lam)

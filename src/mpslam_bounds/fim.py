@@ -63,15 +63,7 @@ ZERO_APERTURE_EPS = 1e-18
 
 
 class ZeroApertureError(ValueError):
-    """Squared array aperture vanished (endfire); angle variance undefined.
-
-    ``index`` is the position, along the first axis, of the first endfire
-    entry of an array evaluation (0 for a scalar one).
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """Squared array aperture vanished (endfire); angle variance undefined."""
 
 
 @dataclass(frozen=True)
@@ -152,45 +144,36 @@ def angle_variance(
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     if not carrier_freq > 0:
         raise ValueError(f"carrier frequency must be positive, got {carrier_freq}")
-    squared = np.atleast_1d(squared_aperture)
-    endfire = np.argwhere(squared < ZERO_APERTURE_EPS)
-    if endfire.size:
+    squared = np.asarray(squared_aperture)
+    endfire = squared < ZERO_APERTURE_EPS
+    if endfire.any():
         raise ZeroApertureError(
-            f"squared aperture {squared[tuple(endfire[0])]} below {ZERO_APERTURE_EPS} m^2",
-            int(endfire[0, 0]),
-        )
+            f"squared aperture {squared[endfire][0]} below {ZERO_APERTURE_EPS} m^2")
     return SPEED_OF_LIGHT**2 / (
         8.0 * math.pi**2 * np.float64(carrier_freq)**2 * amplitude**2 * squared_aperture
     )
 
 
 def measurement_variances(
-    params: np.ndarray,
     amplitudes: np.ndarray,
+    squared_apertures: np.ndarray,
     carrier_freq: float,
     rms_bandwidth: float,
-    rx_aperture: ApertureModel,
-    tx_aperture: ApertureModel,
 ) -> np.ndarray:
-    """(distance, arrival-azimuth, departure-azimuth) variances of n components.
+    """(distance, arrival-azimuth, departure-azimuth) variances of paths.
 
-    ``params`` holds the components' (n, 3) channel parameters (distance,
-    arrival azimuth, departure azimuth), ``amplitudes`` their (n,)
-    amplitudes; returns the (n, 3) variances. The receive (agent) aperture
-    is evaluated at the arrival azimuth, the transmit (anchor) aperture at
-    the departure azimuth. An endfire aperture raises
-    :class:`ZeroApertureError` whose ``index`` is the first such component.
-    The scenario's truth pass evaluates it at the true poses, once per
-    anchor in each pass of a step layout, on that anchor's visible
-    (step, component) entries stacked as the n rows; the bound, the
+    ``amplitudes`` holds the paths' (..., n) amplitudes and
+    ``squared_apertures`` their (..., n, 2) squared apertures: the receive
+    (agent) array's at the arrival azimuth, then the transmit (anchor)
+    array's at the departure azimuth. Returns the (..., n, 3) variances. An
+    endfire aperture raises :class:`ZeroApertureError`. The scenario's truth
+    pass evaluates it once per pass at the true poses; the bound, the
     measurement generator and the estimator all read those values.
     """
-    params = np.asarray(params, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    squared = np.stack([rx_aperture.squared_aperture(params[:, 1]),
-                        tx_aperture.squared_aperture(params[:, 2])], axis=1)
-    return np.concatenate([ranging_variance(amplitudes, rms_bandwidth)[:, None],
-                           angle_variance(amplitudes[:, None], carrier_freq, squared)], axis=1)
+    return np.concatenate([ranging_variance(amplitudes, rms_bandwidth)[..., None],
+                           angle_variance(amplitudes[..., None], carrier_freq, squared_apertures)],
+                          axis=-1)
 
 
 class ComponentOrder:
@@ -256,8 +239,9 @@ class ComponentOrder:
 class PathPlan:
     """The estimate-independent part of a channel pass over n listed paths
     (components of ``order``, all seen from one anchor or each from its own,
-    see :class:`~.geometry.Anchor`): the bounce index arrays, the anchor
-    position(s) and rotation matrices, the bounce surfaces stacked per slot
+    see :class:`~.geometry.Anchor`): the bounce index arrays, each path's
+    anchor position and rotation matrix (a lone anchor repeated along the
+    paths), the bounce surfaces stacked per slot
     (``slot``, from which a pass gathers each slot's Householders and points
     once) and the gradient's surface scatter rows and columns. The truth
     pass builds one per step layout and keeps it in the layout's step
@@ -270,8 +254,9 @@ class PathPlan:
                  anchor: Anchor):
         self.components = np.asarray(components, dtype=int)
         self.first, self.second = order.first[self.components], order.second[self.components]
-        self.anchor_position = anchor.position
-        self.anchor_rotation = rotation_matrix(anchor.orientation)
+        n = self.components.size
+        self.anchor_position = np.broadcast_to(anchor.position, (n, 2))
+        self.anchor_rotation = np.broadcast_to(rotation_matrix(anchor.orientation), (n, 2, 2))
         self.slot = np.stack([self.first, self.second])
         # surface s has state rows 3 + 2s and 4 + 2s; -2 and -1 are the scratch rows
         self.rows = np.where(self.slot > 0, 3 + 2 * self.slot, -2)[None, :, :, None] + [0, 1]

@@ -15,9 +15,9 @@ which noise-free channel parameters (path distance, angle of arrival at the
 agent, angle of departure at the anchor) follow.
 
 :func:`path_geometry` is the one implementation of that fold: it resolves
-many paths of one (agent, anchor) pair at once from the surfaces' stacked
-Householders, gathered once per bounce slot, where surface 0 is the
-identity mirror that stands for "no bounce". The channel pass
+many paths of one agent pose, each from its own anchor, at once from the
+surfaces' stacked Householders, gathered once per bounce slot, where
+surface 0 is the identity mirror that stands for "no bounce". The channel pass
 (``fim.global_jacobian``) and the self-check's finite differences both run
 on it.
 
@@ -251,7 +251,7 @@ class PathComponent:
 
 @dataclass(frozen=True)
 class PathGeometry:
-    """Stacked mirror geometry of n paths of one (agent, anchor) pair.
+    """Stacked mirror geometry of n paths of one agent pose, each from its own anchor.
 
     :func:`path_geometry` takes path i as its first (anchor-side) and second
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
@@ -279,9 +279,9 @@ class PathGeometry:
 def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
-    The paths, with their bounce surfaces and anchor (shared, or one per
-    path), are those of a :class:`~.fim.PathPlan`. The agent's position and
-    orientation are entries 0:2 and 4 of ``state``, an (..., 5) pose state
+    The paths, with their bounce surfaces and each one's anchor, are those
+    of a :class:`~.fim.PathPlan`. The agent's position and orientation are
+    entries 0:2 and 4 of ``state``, an (..., 5) pose state
     (:meth:`AgentPose.as_state`) or a joint state, finite and wrapped. Its
     leading axes batch the pass (one entry per Monte-Carlo run or per step),
     and the surface map carries the same ones or none. Instead of raising,
@@ -295,13 +295,12 @@ def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> 
     h1, h2 = houses[..., 0, :, :, :], houses[..., 1, :, :, :]
     p1, p2 = points[..., 0, :, :], points[..., 1, :, :]
     agent, position, rot_anchor = state[..., 0:2], plan.anchor_position, plan.anchor_rotation
-    single = position.ndim == 1  # keeps the @ products, which round unlike matvec2
-    anchor_once = (h1 @ position if single else matvec2(h1, position)) + p1
+    anchor_once = matvec2(h1, position) + p1
     # one agent position per batch entry, applied to each of its n paths
     agent_once = (h2 @ agent[..., None, :, None])[..., 0] + p2
     r = agent[..., None, :] - (matvec2(h2, anchor_once) + p2)
     r_t = matvec2(h1, agent_once) + p1 - position
-    dep = r_t @ rot_anchor if single else matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
+    dep = matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
     # copied contiguous: numpy may run sin and cos through another loop on strides
     rot_agent = rotation_matrix(state[..., 4].copy())
     arr = -(r @ rot_agent)

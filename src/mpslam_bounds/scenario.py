@@ -38,6 +38,7 @@ import numpy as np
 import yaml
 
 from .fim import (
+    ZERO_APERTURE_EPS,
     ApertureModel,
     ComponentOrder,
     IsotropicAperture,
@@ -367,15 +368,17 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     Per step layout (which components of which anchors are visible), one
     :class:`~.fim.PathPlan`, every path seen from its own anchor; per pass of
     its steps, stacked along a leading axis, one :func:`global_jacobian`
-    call over exactly the visible paths, one noise-model call per anchor and
-    the filter's :func:`~.fim.global_snapshot_fim`. A pass takes as many
-    steps as keep their gradients within ``TRUTH_PASS_BYTES`` (a layout
-    without visible paths, all in one). Failures are gathered over all
-    passes; the earliest step, then the lowest anchor is raised, degenerate
-    geometry before endfire. A visible distance, amplitude or noise variance
-    that is not finite and positive raises :class:`FloatingPointError`.
+    call over exactly the visible paths, one noise-model call and the
+    filter's :func:`~.fim.global_snapshot_fim`. A pass takes as many steps as
+    keep their gradients within ``TRUTH_PASS_BYTES`` (a layout without
+    visible paths, all in one). One rule names the first failure over all
+    passes: the earliest step, then the lowest anchor, then the kind, then
+    the first path. The kinds, highest priority first: degenerate geometry,
+    a distance or amplitude that is not finite and positive
+    (:class:`FloatingPointError`), endfire (:class:`~.fim.ZeroApertureError`),
+    a noise variance that is not finite and positive (``FloatingPointError``).
     """
-    order, n_anchors = scenario.order, len(scenario.anchors)
+    order, signal, n_anchors = scenario.order, scenario.signal, len(scenario.anchors)
     positions = np.array([anchor.position for anchor in scenario.anchors])
     orientations = np.array([anchor.orientation for anchor in scenario.anchors])
     shown = np.stack([scenario.visibility.flags(j, steps) for j in range(n_anchors)], axis=1)
@@ -394,45 +397,43 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
                    for i in range(0, len(steps_of), size)]
     information, paths_of, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
     for plan, owner, own, rows in passes:
-        components = plan.components
         params, degenerate, jac = global_jacobian(states[rows], plan, scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
         amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
-                                                        order.n_bounces[components])
+                                                        order.n_bounces[plan.components])
         usable = reached & np.isfinite(amplitudes) & (amplitudes > 0)
-        variances = np.empty_like(params)
-        for j, (anchor, paths) in enumerate(zip(scenario.anchors, own)):
-            comps, cut = components[paths], len(rows)  # steps checked so far: rows[:cut]
-            bad = np.argwhere(degenerate[:, paths])
-            if bad.size:
-                cut, i = bad[0]
-                failures.append((rows[cut], j, comps[i], DegenerateGeometryError,
-                                 "agent coincides with virtual anchor for path "
-                                 f"{order.components[comps[i]].bounces}"))
-            bad = np.argwhere(~usable[:cut, paths])
-            if bad.size:  # a distance or amplitude beyond the float range
-                cut, i = bad[0]
-                at = cut, paths.start + i
+        squared = np.empty(params.shape[:-1] + (2,))
+        squared[..., 0] = scenario.agent_aperture.squared_aperture(params[..., 1])
+        for anchor, paths in zip(scenario.anchors, own):
+            squared[..., paths, 1] = anchor.aperture.squared_aperture(params[..., paths, 2])
+        endfire = squared < ZERO_APERTURE_EPS
+        blind = endfire.any(axis=-1)  # a path at either array's endfire
+        measured = usable & ~blind  # the other paths take placeholders
+        variances = measurement_variances(np.where(measured, amplitudes, 1.0),
+                                          np.where(measured[..., None], squared, 1.0),
+                                          signal.carrier_freq, signal.rms_bandwidth)
+        unfit = ~(np.isfinite(variances) & (variances > 0)) & measured[..., None]
+        kind, g, i = np.nonzero([degenerate, ~usable, blind, unfit.any(axis=-1)])
+        if kind.size:
+            first = np.lexsort((i, kind, owner[i], g))[0]
+            kind, at = kind[first], (g[first], i[first])
+            if kind == 0:
+                reason = ("agent coincides with virtual anchor for path "
+                          f"{order.components[plan.components[at[1]]].bounces}")
+            elif kind == 1:  # a distance or amplitude beyond the float range
                 value = f"amplitude {amplitudes[at]}" if reached[at] else f"distance {distance[at]}"
-                failures.append((rows[cut], j, comps[i], FloatingPointError,
-                                 f"{value} is not finite and positive"))
-            try:
-                variances[:cut, paths] = measurement_variances(
-                    params[:cut, paths].reshape(-1, 3), amplitudes[:cut, paths].ravel(),
-                    scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
-                    scenario.agent_aperture, anchor.aperture,
-                ).reshape(cut, comps.size, 3)
-            except ZeroApertureError as exc:
-                g, i = divmod(exc.index, comps.size)
-                failures.append((rows[g], j, comps[i], ZeroApertureError, exc))
-                continue
-            bad = np.argwhere(~(np.isfinite(variances[:cut, paths]) & (variances[:cut, paths] > 0)))
-            if bad.size:  # an overflowing or underflowing noise model
-                g, i, c = bad[0]
-                failures.append((rows[g], j, comps[i], FloatingPointError,
-                                 f"{('distance', 'arrival', 'departure')[c]} variance "
-                                 f"{variances[g, paths.start + i, c]} is not finite and positive"))
+                reason = f"{value} is not finite and positive"
+            elif kind == 2:
+                value = squared[at][endfire[at]][0]
+                reason = f"squared aperture {value} below {ZERO_APERTURE_EPS} m^2"
+            else:  # an overflowing or underflowing noise model
+                c = np.argmax(unfit[at])
+                reason = (f"{('distance', 'arrival', 'departure')[c]} variance {variances[at][c]} "
+                          "is not finite and positive")
+            error = (DegenerateGeometryError, FloatingPointError, ZeroApertureError,
+                     FloatingPointError)[kind]
+            failures.append((rows[at[0]], owner[at[1]], plan.components[at[1]], error, reason))
         if failures:
             continue
         information[rows] = global_snapshot_fim(jac, lam := channel_fim(variances))
@@ -440,7 +441,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         for g, b in enumerate(rows):
             paths_of[b] = plan, owner, params[g], variances[g], lam[g]
     if failures:
-        b, j, k, error, reason = min(failures, key=lambda failure: failure[:2])
+        b, j, k, error, reason = min(failures, key=lambda failure: failure[0])
         raise error(f"step {steps[b]}, anchor {j + 1}, "
                     f"component {list(order.components[k].pair)}: {reason}")
     return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]

@@ -23,12 +23,7 @@ from mpslam_bounds.checks import (
 )
 from mpslam_bounds.cli import main
 from mpslam_bounds.ekf import run_monte_carlo
-from mpslam_bounds.fim import (
-    IsotropicAperture,
-    channel_fim,
-    global_snapshot_fim,
-    measurement_variances,
-)
+from mpslam_bounds.fim import channel_fim, global_snapshot_fim, measurement_variances
 from mpslam_bounds.pcrlb import predict_fim, run_recursion
 from mpslam_bounds.scenario import (
     ground_truth,
@@ -105,11 +100,11 @@ def test_criterion_3_structural_zeros():
     for _ in range(20):
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        aperture = IsotropicAperture(0.01)
         params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
                            for c in order])
-        variances = measurement_variances(params, 2.0 / params[:, 0], 6e9, 1e8,
-                                          aperture, aperture)
+        # isotropic arrays of 0.01 m^2
+        variances = measurement_variances(2.0 / params[:, 0], np.full((order.size, 2), 0.01),
+                                          6e9, 1e8)
         jac = full_jacobian(agent, anchor, order, surfaces)
         lam = channel_fim(variances)
         snapshot = global_snapshot_fim(jac, lam)

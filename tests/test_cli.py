@@ -128,6 +128,16 @@ def los_at_endfire():
     return degenerate_desk([1.5, 3.0], agent_aperture=ula)
 
 
+def variance_before_endfire():
+    """The line of sight at endfire at step 10, and a bandwidth of 1e308
+    that underflows every distance variance to 0 from step 1: step 1 is
+    named, on the lowest anchor."""
+    mapping, _ = los_at_endfire()
+    mapping["signal"]["rms_bandwidth"] = 1e308
+    return mapping, ("step 1, anchor 1, component [0, 0]: distance variance 0.0 "
+                     "is not finite and positive")
+
+
 def bounce_at_endfire():
     """A single bounce at the agent array's endfire at step 10, behind the
     LOS and three other single bounces in anchor 1's batch."""
@@ -239,7 +249,7 @@ class TestValidateMode:
                                                                monkeypatch):
         """Validate mode evaluates the channel at the truth once per truth
         pass: one gradient pass over all anchors, holding one batched
-        geometry pass, and one noise-model call per anchor; the filter's own
+        geometry pass, and one noise-model call for all anchors; the filter's own
         passes are not counted. Every desk step has the same layout, all 34
         paths visible. A pass holds as many of its steps as the pass cap
         admits (29 desk steps by default); a cap of 12 leaves 40 steps in
@@ -282,7 +292,7 @@ class TestValidateMode:
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
         assert calls == {"global_jacobian": passes, "path_geometry": passes,
-                         "measurement_variances": passes * len(scenario.anchors)}
+                         "measurement_variances": passes}
 
     def test_filter_linearizes_once_per_measured_step(self, tmp_path, monkeypatch):
         """Validate mode makes one gradient pass per measured filter step, for
@@ -484,7 +494,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
-                                      bounce_at_endfire, huge_bandwidth, huge_aperture,
+                                      bounce_at_endfire, variance_before_endfire,
+                                      huge_bandwidth, huge_aperture,
                                       huge_position_prior, huge_surface_prior,
                                       huge_reference_amplitude, far_waypoint, far_velocity,
                                       far_waypoints, far_surface])

@@ -305,9 +305,8 @@ class TestMappingSubmatrices:
 
 def isotropic_variances(params, amplitudes, carrier_freq=6e9, rms_bandwidth=1e8):
     """(n, 3) variances of the given components under a 0.01 m^2 isotropic aperture."""
-    aperture = IsotropicAperture(0.01)
-    return measurement_variances(np.array([p.as_array() for p in params]), amplitudes,
-                                 carrier_freq, rms_bandwidth, aperture, aperture)
+    return measurement_variances(amplitudes, np.full((len(params), 2), 0.01),
+                                 carrier_freq, rms_bandwidth)
 
 
 class TestChannelFim:
@@ -647,19 +646,21 @@ class TestArrayNoiseModel:
         reference = [scalar_variances(u, aoa, aod, carrier, bandwidth, rx, tx)
                      for u, (_, aoa, aod) in zip(amplitudes.tolist(), params.tolist())]
         assume(all(min(v[1:]) < 1e300 for v in reference))  # far from endfire
-        variances = measurement_variances(params, amplitudes, carrier, bandwidth, rx, tx)
+        squared = np.stack([rx.squared_aperture(params[:, 1]),
+                            tx.squared_aperture(params[:, 2])], axis=-1)
+        variances = measurement_variances(amplitudes, squared, carrier, bandwidth)
         assert variances.shape == (n, 3)
         reference = np.array(reference).reshape(n, 3)
         assert np.all(np.abs(variances - reference) <= 4 * np.finfo(float).eps * reference)
+        # any leading shape: each entry keeps its bits
+        stacked = measurement_variances(np.stack([amplitudes] * 2), np.stack([squared] * 2),
+                                        carrier, bandwidth)
+        assert stacked.shape == (2, n, 3) and (stacked == variances).all()
 
     def test_endfire_names_the_first_endfire_component(self):
-        ula = UniformLinearArray(num_elements=4, element_spacing=0.025)
-        iso = IsotropicAperture(0.005)
-        params = np.array([[2.0, 0.1, 0.2], [3.0, 0.3, math.pi / 2],
-                           [4.0, 0.5, 0.6], [5.0, math.pi / 2, 0.7]])
-        with pytest.raises(ZeroApertureError) as rx_side:
-            measurement_variances(params, np.ones(4), 6e9, 2e8, ula, iso)
-        assert rx_side.value.index == 3
-        with pytest.raises(ZeroApertureError) as both_sides:
-            measurement_variances(params, np.ones(4), 6e9, 2e8, ula, ula)
-        assert both_sides.value.index == 1
+        """Of a (2, 2) stack of paths, the second path of the first row is at
+        the receive array's endfire and the first path of the second row at
+        the transmit array's: the first in row order is named."""
+        squared = np.array([[[0.01, 0.02], [3e-19, 0.01]], [[0.01, 2e-19], [0.01, 0.01]]])
+        with pytest.raises(ZeroApertureError, match=r"^squared aperture 3e-19 below 1e-18 m\^2$"):
+            measurement_variances(np.ones((2, 2)), squared, 6e9, 2e8)

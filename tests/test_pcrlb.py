@@ -401,8 +401,9 @@ def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.0
     for anchor in anchors:
         params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
                            for c in order])
-        variances = measurement_variances(params, 20.0 / params[:, 0], 6e9, 2e8,
-                                          aperture, aperture)
+        squared = np.stack([aperture.squared_aperture(params[:, 1]),
+                            aperture.squared_aperture(params[:, 2])], axis=-1)
+        variances = measurement_variances(20.0 / params[:, 0], squared, 6e9, 2e8)
         jac = full_jacobian(agent, anchor, order, surfaces)
         terms.append((jac, channel_fim(variances)))
     # one pass over every anchor's paths: their columns side by side

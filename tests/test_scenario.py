@@ -447,8 +447,8 @@ def reference_record(scenario, pose, step):
     """One step's truth from the filter's own unbatched pass at the true
     state: the step's visible paths of all anchors through a plan built
     here for them, every path seen from its own anchor, the noise model per
-    anchor on its paths, and the information of the filter's measurement
-    step over those paths."""
+    anchor on its paths' apertures, and the information of the filter's
+    measurement step over those paths."""
     order, dim = scenario.order, scenario.dim
     owner, components = np.nonzero(np.stack([scenario.visibility.flags(j, step)
                                              for j in range(len(scenario.anchors))]))
@@ -466,9 +466,10 @@ def reference_record(scenario, pose, step):
         own = owner == j
         amplitudes = scenario.amplitude_model.amplitude(params[own, 0],
                                                         order.n_bounces[components[own]])
+        squared = np.stack([scenario.agent_aperture.squared_aperture(params[own, 1]),
+                            anchor.aperture.squared_aperture(params[own, 2])], axis=-1)
         variances[own] = measurement_variances(
-            params[own], amplitudes, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth,
-            scenario.agent_aperture, anchor.aperture)
+            amplitudes, squared, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth)
     record = replace(record, params=params, variances=variances,
                      channel_information=channel_fim(variances))
     information, _ = _measurement_step(joint_state(pose, scenario.surfaces), record, params,
@@ -558,6 +559,25 @@ class TestTruthPass:
         scenario = scenario_from_mapping(mapping)
         with pytest.raises(ZeroApertureError,
                            match=r"^step 12, anchor 1, component \[0, 0\]: squared aperture"):
+            measurement_truth(scenario, ground_truth(scenario))
+
+    def test_earliest_step_is_named_before_a_later_endfire_of_its_anchor(self):
+        """A bandwidth of 1e308 underflows every distance variance to 0 from
+        step 1, and anchor 1's line of sight reaches the agent array at
+        endfire at step 10: step 1 is named, on anchor 1. Where only step 10
+        shows anything, the endfire is named before the variance of the same
+        path."""
+        mapping = straight_run(agent_aperture=ULA)
+        mapping["anchors"][0]["position"] = [1.5, 3.0]
+        mapping["signal"]["rms_bandwidth"] = 1e308
+        scenario = scenario_from_mapping(mapping)
+        with pytest.raises(FloatingPointError, match=r"^step 1, anchor 1, component \[0, 0\]: "
+                           r"distance variance 0.0 is not finite and positive$"):
+            measurement_truth(scenario, ground_truth(scenario))
+        mapping["visibility"] = {"default": False, "rules": [{"visible": True, "steps": [10]}]}
+        scenario = scenario_from_mapping(mapping)
+        with pytest.raises(ZeroApertureError,
+                           match=r"^step 10, anchor 1, component \[0, 0\]: squared aperture"):
             measurement_truth(scenario, ground_truth(scenario))
 
     def test_one_pass_per_step_layout(self, monkeypatch):
