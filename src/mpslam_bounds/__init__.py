@@ -27,7 +27,6 @@ from .geometry import (
     SurfaceMap,
 )
 from .pcrlb import (
-    BoundRecord,
     SingularFimError,
     StateSpaceModel,
     extract_bounds,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentPose",
     "Anchor",
-    "BoundRecord",
     "ComponentOrder",
     "DegenerateGeometryError",
     "EkfState",

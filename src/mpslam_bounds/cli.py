@@ -16,7 +16,6 @@ failed self-check (each violated invariant is listed).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ import numpy as np
 from .ekf import MonteCarloResult, max_runs, run_monte_carlo
 from .fim import ZeroApertureError
 from .geometry import DegenerateGeometryError
-from .pcrlb import BoundRecord, run_recursion  # its SingularFimError is a RuntimeError
+from .pcrlb import run_recursion  # its SingularFimError is a RuntimeError
 from .scenario import ScenarioError, ground_truth, load_scenario, measurement_truth
 
 _ASSUMPTIONS = (
@@ -43,37 +42,35 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _csv_lines(bounds: list[BoundRecord], result: MonteCarloResult | None) -> list[str]:
-    """The CSV rows; a non-finite value raises FloatingPointError."""
-    num_surfaces = bounds[0].meb.shape[0]
-    header = ["n", "peb", "veb", "oeb"]
-    header += [f"meb_{s}" for s in range(1, num_surfaces + 1)]
+def _csv_lines(bounds: np.ndarray, result: MonteCarloResult | None) -> list[str]:
+    """The CSV rows of the (N, 3 + S) bound table, beside the RMSE table in
+    validate mode; the first non-finite value (earliest step, then leftmost
+    column) raises FloatingPointError."""
+    surfaces = range(1, bounds.shape[1] - 2)
+    header = ["n", "peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces]
+    table = bounds
     if result is not None:
-        header += ["rmse_pos", "rmse_vel", "rmse_orient"]
-        header += [f"maperr_{s}" for s in range(1, num_surfaces + 1)]
-    lines = [",".join(header)]
-    for i, rec in enumerate(bounds):
-        row = [rec.peb, rec.veb, rec.oeb, *rec.meb]
-        if result is not None:
-            row += [*result.rmse[i]]
-        for column, value in zip(header[1:], row):
-            if not math.isfinite(value):
-                raise FloatingPointError(f"step {rec.step}: {column} is not finite ({value})")
-        lines.append(",".join([str(rec.step)] + [_fmt(v) for v in row]))
-    return lines
+        header += ["rmse_pos", "rmse_vel", "rmse_orient"] + [f"maperr_{s}" for s in surfaces]
+        table = np.hstack([bounds, result.rmse])
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise FloatingPointError(
+            f"step {row + 1}: {header[column + 1]} is not finite ({table[row, column]})")
+    rows = (",".join([str(n)] + [_fmt(v) for v in row]) for n, row in enumerate(table.tolist(), 1))
+    return [",".join(header), *rows]
 
 
-def _summary(bounds: list[BoundRecord], result: MonteCarloResult | None) -> str:
+def _summary(bounds: np.ndarray, result: MonteCarloResult | None) -> str:
     out = ["== bound summary (min / max / final) =="]
-    table = np.array([[r.peb, r.veb, r.oeb, *r.meb] for r in bounds])  # (N, 3 + S)
-    surfaces = range(1, table.shape[1] - 2)
-    for name, values in zip(["peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces], table.T):
+    surfaces = range(1, bounds.shape[1] - 2)
+    for name, values in zip(["peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces], bounds.T):
         out.append(f"  {name:<8} {_fmt(values.min())} / {_fmt(values.max())} / {_fmt(values[-1])}")
     if result is not None:
         out.append(f"== final RMSE / bound ratios ({result.runs} runs) ==")
         labels = ["position   ", "velocity   ", "orientation"]
         labels += [f"surface {s}  " for s in surfaces]
-        ratios = result.rmse[-1] / table[-1]
+        ratios = result.rmse[-1] / bounds[-1]
         out += [f"  {label} {ratio:.3f}" for label, ratio in zip(labels, ratios)]
     out.append("== modeling assumptions behind the bound ==")
     for i, text in enumerate(_ASSUMPTIONS, start=1):

@@ -23,8 +23,8 @@ them all. Each run draws its initial estimate around the true initial state
 from the prior and its measurements from its own stream, so its numbers do
 not depend on the batch it is in. Its squared errors from the rows of the
 batched ground truth are summed into the bound's state blocks, for RMSE time
-series paired with the bound records. Predict and update also take a single
-state.
+series in the columns of the (N, 3 + S) bound table. Predict and update also
+take a single state.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from .fim import global_jacobian, global_snapshot_fim
 from .geometry import AgentPose, SurfaceMap, dot2, joint_state, wrap_angle
 from .pcrlb import (
-    BoundRecord, SingularFimError, block_sums, extract_bounds, fuse, predict_cov,
-    process_noise_cov, transition_matrix,
+    SingularFimError, block_sums, extract_bounds, fuse, predict_cov, process_noise_cov,
+    transition_matrix,
 )
 from .scenario import (
     STEP_TABLE_BYTES, Scenario, StepTruth, draw_measurements, ground_truth, measurement_truth,
@@ -162,10 +162,10 @@ def ekf_update(
 
 @dataclass
 class MonteCarloResult:
-    """RMSE time series paired with the bound records (steps 1..N); ``rmse``
-    is (N, 3 + S): position, velocity, orientation, then each surface."""
+    """Bound table and RMSE time series of steps 1..N, both (N, 3 + S):
+    position, velocity, orientation, then each surface."""
 
-    bounds: list[BoundRecord]
+    bounds: np.ndarray
     rmse: np.ndarray
     runs: int
 
@@ -183,20 +183,21 @@ def run_single(
     truth: AgentPose | None,
     table: list[StepTruth],
     runs: int | Sequence[int],
-) -> tuple[list[BoundRecord], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Step the bound and Monte-Carlo runs as one lockstep batch.
 
     Covariance entry 0 is the bound, fusing the truth table's information;
     entries 1..R are the runs ``runs`` (a run index or a sequence, in batch
     order; with none, ``truth`` is not read), fusing the information
-    linearized at their estimates. Returns the bound records of steps 1..N
-    and the runs' (N, 3 + S, R) squared errors in the state blocks
-    (:func:`~.pcrlb.block_sums`). A bound failure raises at once. A run that
-    fails (a singular information matrix or a non-finite estimate) leaves the
-    batch with every run after it, and the step is redone; an exception
-    raised for the runs as a whole fails them all. The bound steps on to the
-    end; then the :class:`RunFailure` raised names the first run in batch
-    order that failed and its step, as filtering the runs one by one would.
+    linearized at their estimates. Returns the (N, 3 + S) bound table of
+    steps 1..N (:func:`~.pcrlb.extract_bounds`) and the runs' (N, 3 + S, R)
+    squared errors in the same state blocks. A bound failure raises at
+    once. A run that fails (a singular information matrix or a non-finite
+    estimate) leaves the batch with every run after it, and the step is
+    redone; an exception raised for the runs as a whole fails them all. The
+    bound steps on to the end; then the :class:`RunFailure` raised names the
+    first run in batch order that failed and its step, as filtering the runs
+    one by one would.
     """
     batch = np.atleast_1d(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
@@ -204,8 +205,8 @@ def run_single(
     prior_var = scenario.prior_covariance()
     cov = np.repeat(np.diag(prior_var)[None], 1 + batch.size, axis=0)
     mean = np.zeros((0, prior_var.size))
-    squared = np.zeros((len(table), 3 + num_surfaces, batch.size))  # runs last: contiguous sums
-    bounds, failure = [], None
+    bounds, failure = np.empty((len(table), 3 + num_surfaces)), None
+    squared = np.zeros(bounds.shape + batch.shape)  # runs last: contiguous sums
     if batch.size:
         try:
             streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
@@ -249,7 +250,7 @@ def run_single(
             mean, cov = mean[:entry], cov[:entry + 1]
             observed = [rows[:entry] for rows in observed]
         mean, cov = moved, ahead
-        bounds.append(extract_bounds(cov[0], num_surfaces, step=n))
+        bounds[n - 1] = extract_bounds(cov[0], num_surfaces)
         if live:
             err = mean - true_states[n]
             err[:, 4] = wrap_angle(err[:, 4])

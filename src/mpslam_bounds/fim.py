@@ -105,6 +105,7 @@ class UniformLinearArray:
         except OverflowError:  # an integer gain beyond the float range
             raise ValueError("num_elements is too large: its gain passes the float range") from None
 
+    @np.errstate(over="ignore")  # an overflow gives inf, which the truth pass reports
     def squared_aperture(self, azimuth: float | np.ndarray) -> float | np.ndarray:
         return (self.element_spacing * np.cos(azimuth - self.broadside)) ** 2 * self.gain
 

@@ -11,14 +11,15 @@ as the start covariance, each step is
 
 and the error bounds are square roots of traces of blocks of P: position
 (PEB), velocity (VEB), orientation (OEB) and one mapping bound per surface
-(MEB), read out by :func:`block_sums`. The EKF takes the same two steps and
-the same readout; it adds only the mean, so its covariance run at the truth
-is this recursion, and the bound steps as entry 0 of the filter's lockstep
-batch (:func:`~.ekf.run_single`; alone in bounds mode). Every inversion
-checks for a symmetric positive-definite (Cholesky) factorization and
-inverts the symmetrized matrix; it rejects non-finite matrices and condition
-numbers beyond 1e14 (screened from above by tr(A) tr(A^-1)). A stack gives
-each entry the bits of its unbatched call.
+(MEB), read out by :func:`extract_bounds` as one row of the (N, 3 + S)
+bound table, in the columns of the filter's RMSE. The EKF takes the same
+two steps and the same readout; it adds only the mean, so its covariance
+run at the truth is this recursion, and the bound steps as entry 0 of the
+filter's lockstep batch (:func:`~.ekf.run_single`; alone in bounds mode).
+Every inversion checks for a symmetric positive-definite (Cholesky)
+factorization and inverts the symmetrized matrix; it rejects non-finite
+matrices and condition numbers beyond 1e14 (screened from above by
+tr(A) tr(A^-1)). A stack gives each entry the bits of its unbatched call.
 
 The snapshot information comes from the scenario's truth table, the one
 channel evaluation at the true poses that also feeds the measurement
@@ -31,7 +32,7 @@ surface s (1-based) at 5 + 2*(s-1). Reports use 1-based surface ids.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,17 +179,6 @@ def predict_fim(
     return _spd_inverse(predict_cov(cov_post, transition, process_cov), what)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
-    """Error bounds extracted from one posterior information matrix."""
-
-    step: int
-    peb: float  # m, position
-    veb: float  # m/s, velocity
-    oeb: float  # rad, orientation
-    meb: np.ndarray = field(repr=False)  # m, one entry per surface (1-based id s -> meb[s-1])
-
-
 @functools.cache
 def _block_starts(num_surfaces: int) -> np.ndarray:
     starts = np.r_[0, 2, 4, 5 + 2 * np.arange(num_surfaces)]
@@ -202,11 +192,11 @@ def block_sums(values: np.ndarray, num_surfaces: int) -> np.ndarray:
     return np.add.reduceat(values, _block_starts(num_surfaces), axis=-1)
 
 
-def extract_bounds(cov: np.ndarray, num_surfaces: int, step: int = 0) -> BoundRecord:
-    """Square-root trace bounds of the posterior covariance blocks."""
-    bounds = np.sqrt(block_sums(np.diagonal(cov), num_surfaces))
-    return BoundRecord(step=step, peb=float(bounds[0]), veb=float(bounds[1]),
-                       oeb=float(bounds[2]), meb=bounds[3:])
+def extract_bounds(cov: np.ndarray, num_surfaces: int) -> np.ndarray:
+    """Square-root trace bounds of the posterior covariance blocks: the
+    (3 + S) row peb, veb, oeb, then each surface's meb (1-based id s at
+    column 2 + s), or a (..., 3 + S) stack of rows for a stack."""
+    return np.sqrt(block_sums(np.diagonal(cov, axis1=-2, axis2=-1), num_surfaces))
 
 
 def _block_name(row: int) -> str:
@@ -240,7 +230,7 @@ def fuse(cov_pred: np.ndarray, information: np.ndarray, step: int) -> np.ndarray
     return _inverse_at(j_pred + information, step, "posterior information", np.argmin)
 
 
-def run_recursion(scenario, table) -> list[BoundRecord]:
+def run_recursion(scenario, table) -> np.ndarray:
     """Evaluate the bound recursion along a scenario's truth table.
 
     ``table`` is the scenario's truth table (``scenario.measurement_truth``),
@@ -248,7 +238,8 @@ def run_recursion(scenario, table) -> list[BoundRecord]:
     geometry and the visibility schedule. Starts from the scenario's diagonal
     prior covariance, then alternates prediction and fusion; each step's
     covariance gives its bounds and the next step's prediction: the filter's
-    lockstep loop (:func:`~.ekf.run_single`) with no runs. Deterministic.
+    lockstep loop (:func:`~.ekf.run_single`) with no runs. Returns the
+    (N, 3 + S) bound table, row n - 1 for step n. Deterministic.
     """
     from .ekf import run_single  # ekf imports this module at load time
     return run_single(scenario, None, table, ())[0]

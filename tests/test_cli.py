@@ -50,6 +50,16 @@ def huge_aperture():
     return overflowing_desk("agent_aperture", "d_squared", "arrival")
 
 
+def huge_ula_spacing():
+    """Desk scenario whose anchor 2 is a ULA with a 1e200 m element spacing:
+    its squared aperture overflows to inf, and the departure variance is 0."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["anchors"][1]["aperture"] = {"kind": "ula", "num_elements": 6,
+                                         "element_spacing": 1e200, "broadside": -0.35}
+    return mapping, ("step 1, anchor 2, component [0, 0]: departure variance 0.0 "
+                     "is not finite and positive")
+
+
 def huge_prior(key, block):
     """Desk scenario with a prior variance of 1e308 in ``prior.key``: the
     first prediction overflows and is not finite."""
@@ -495,7 +505,7 @@ class TestErrors:
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
                                       bounce_at_endfire, variance_before_endfire,
-                                      huge_bandwidth, huge_aperture,
+                                      huge_bandwidth, huge_aperture, huge_ula_spacing,
                                       huge_position_prior, huge_surface_prior,
                                       huge_reference_amplitude, far_waypoint, far_velocity,
                                       far_waypoints, far_surface])
@@ -514,28 +524,37 @@ class TestErrors:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.parametrize("column, step", [("peb", 3), ("maperr_1", 5)])
-    def test_non_finite_csv_value_is_numerical_failure(self, column, step, scenario_file,
+    # CSV column -> (table, column index, the non-finite value put there)
+    POISON = {"peb": ("bounds", 0, math.nan), "veb": ("bounds", 1, math.nan),
+              "rmse_pos": ("rmse", 0, math.inf), "maperr_1": ("rmse", 3, math.inf)}
+
+    @pytest.mark.parametrize("column, step, other", [
+        ("peb", 3, None), ("maperr_1", 5, None),
+        ("maperr_1", 5, ("peb", 7)), ("veb", 3, ("rmse_pos", 3)),
+    ], ids=["peb-3", "maperr_1-5", "earliest_step_first", "leftmost_column_first"])
+    def test_non_finite_csv_value_is_numerical_failure(self, column, step, other, scenario_file,
                                                        tmp_path, capsys, monkeypatch):
         """A value that turns non-finite with no error on the way is caught
-        before anything is written: exit 3 naming the column and the step."""
+        before anything is written: exit 3 naming the column and the step of
+        the first non-finite cell, the earliest step first, then the leftmost
+        column; ``other`` poisons a later cell too."""
         import mpslam_bounds.cli as cli_module
 
         exact = cli_module.run_monte_carlo
 
         def poisoned(scenario):
             result = exact(scenario)
-            if column == "peb":
-                result.bounds[step - 1] = replace(result.bounds[step - 1], peb=math.nan)
-            else:
-                result.rmse[step - 1, 3] = math.inf
+            for name, n in [(column, step)] + ([other] if other else []):
+                table, index, value = self.POISON[name]
+                getattr(result, table)[n - 1, index] = value
             return result
 
         monkeypatch.setattr(cli_module, "run_monte_carlo", poisoned)
         out = tmp_path / "validate.csv"
         code = main(["--scenario", str(scenario_file), "--mc-runs", "1", "--out", str(out)])
         assert code == 3
-        assert (f"numerical failure: step {step}: {column} is not finite"
+        value = self.POISON[column][2]
+        assert (f"numerical failure: step {step}: {column} is not finite ({value})\n"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -215,10 +215,8 @@ class TestPredictAndFuse:
         j_pred = predict_fim(prior_cov, transition_matrix(model), process_noise_cov(model))
         snapshot = snapshot_fim(scenario, pose_at(ground_truth(scenario), 1), 1).information
         expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"),
-                                  model.num_surfaces, step=1)
-        first = bounds_of(scenario)[0]
-        assert (first.peb, first.veb, first.oeb) == (expected.peb, expected.veb, expected.oeb)
-        np.testing.assert_array_equal(first.meb, expected.meb)
+                                  model.num_surfaces)
+        np.testing.assert_array_equal(bounds_of(scenario)[0], expected)
 
     def test_fusion_shrinks_covariance(self):
         rng = np.random.default_rng(19)
@@ -368,12 +366,10 @@ class TestScreenedInversion:
 
 class TestExtractBounds:
     def test_diagonal_example(self):
-        rec = extract_bounds(0.25 * np.eye(7), num_surfaces=1, step=3)  # information 4 I
-        assert rec.step == 3
-        assert rec.peb == pytest.approx(1.0 / math.sqrt(2.0))
-        assert rec.veb == pytest.approx(1.0 / math.sqrt(2.0))
-        assert rec.oeb == pytest.approx(0.5)
-        assert rec.meb[0] == pytest.approx(1.0 / math.sqrt(2.0))
+        row = extract_bounds(0.25 * np.eye(7), num_surfaces=1)  # information 4 I
+        assert row.shape == (4,)  # peb, veb, oeb, meb_1
+        half = 1.0 / math.sqrt(2.0)
+        assert row == pytest.approx([half, half, 0.5, half])
 
     def test_scaling_information_scales_bounds(self):
         rng = np.random.default_rng(23)
@@ -381,10 +377,8 @@ class TestExtractBounds:
         j = a @ a.T + 3 * np.eye(9)
         rec1 = extract_bounds(np.linalg.inv(j), num_surfaces=2)
         rec4 = extract_bounds(np.linalg.inv(4.0 * j), num_surfaces=2)
-        assert rec4.peb == pytest.approx(rec1.peb / 2)
-        assert rec4.veb == pytest.approx(rec1.veb / 2)
-        assert rec4.oeb == pytest.approx(rec1.oeb / 2)
-        np.testing.assert_allclose(rec4.meb, rec1.meb / 2)
+        assert rec4[:3] == pytest.approx(rec1[:3] / 2)
+        np.testing.assert_allclose(rec4[3:], rec1[3:] / 2)
 
     def test_block_diagonal_bounds_depend_on_own_blocks(self):
         j = np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
@@ -392,8 +386,19 @@ class TestExtractBounds:
         j2 = j.copy()
         j2[5, 5] = j2[6, 6] = 16.0  # only the surface block changes
         rec2 = extract_bounds(np.diag(1.0 / np.diag(j2)), num_surfaces=1)
-        assert rec2.peb == rec.peb and rec2.veb == rec.veb and rec2.oeb == rec.oeb
-        assert rec2.meb[0] == pytest.approx(rec.meb[0] / 2)
+        assert np.array_equal(rec2[:3], rec[:3])
+        assert rec2[3] == pytest.approx(rec[3] / 2)
+
+    def test_stack_gives_each_entry_its_unbatched_row(self):
+        """A (4, N, N) stack of covariances gives the (4, 3 + S) stack of rows,
+        each entry's row the bits of its unbatched call."""
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(4, 9, 9))
+        stack = np.linalg.inv(a @ np.swapaxes(a, -1, -2) + 3 * np.eye(9))
+        rows = extract_bounds(stack, num_surfaces=2)
+        assert rows.shape == (4, 5)
+        for cov, row in zip(stack, rows):
+            np.testing.assert_array_equal(row, extract_bounds(cov, num_surfaces=2))
 
 
 def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.005)):
@@ -443,13 +448,12 @@ class TestRunRecursion:
         records = bounds_of(scenario)
         t = scenario.model.time_step
         pos_var, vel_var = 1.0, 1.0
-        for rec in records:
-            n = rec.step
+        for n, (peb, veb, oeb, meb_1) in enumerate(records, start=1):
             expected_peb = math.sqrt(2.0 * (pos_var + (n * t) ** 2 * vel_var))
-            assert rec.peb == pytest.approx(expected_peb, rel=1e-9)
-            assert rec.veb == pytest.approx(math.sqrt(2.0 * vel_var), rel=1e-9)
-            assert rec.oeb == pytest.approx(math.sqrt(0.0305), rel=1e-9)
-            assert rec.meb[0] == pytest.approx(math.sqrt(8.0), rel=1e-9)
+            assert peb == pytest.approx(expected_peb, rel=1e-9)
+            assert veb == pytest.approx(math.sqrt(2.0 * vel_var), rel=1e-9)
+            assert oeb == pytest.approx(math.sqrt(0.0305), rel=1e-9)
+            assert meb_1 == pytest.approx(math.sqrt(8.0), rel=1e-9)
 
     def test_duplicated_anchor_weakly_tightens_all_bounds(self):
         mapping = desk_mapping()
@@ -457,11 +461,8 @@ class TestRunRecursion:
         doubled = desk_mapping()
         doubled["anchors"] = mapping["anchors"] + [dict(mapping["anchors"][0])]
         both = bounds_of(scenario_from_mapping(doubled))
-        for rec_a, rec_b in zip(base, both):
-            assert rec_b.peb <= rec_a.peb * (1 + 1e-9)
-            assert rec_b.veb <= rec_a.veb * (1 + 1e-9)
-            assert rec_b.oeb <= rec_a.oeb * (1 + 1e-9)
-            assert np.all(rec_b.meb <= rec_a.meb * (1 + 1e-9))
+        assert base.shape == both.shape
+        assert np.all(both <= base * (1 + 1e-9))
 
     def test_stationary_agent_peb_nonincreasing_without_process_noise(self):
         mapping = desk_mapping()
@@ -471,7 +472,7 @@ class TestRunRecursion:
                                  "points": [{"time": 0.0, "position": [2.0, 1.5]},
                                             {"time": 2.0, "position": [2.0, 1.5]}]}
         records = bounds_of(scenario_from_mapping(mapping))
-        pebs = [r.peb for r in records]
+        pebs = records[:, 0]
         for a, b in zip(pebs, pebs[1:]):
             assert b <= a * (1 + 1e-9)
 
@@ -480,7 +481,7 @@ class TestRunRecursion:
                                            "rules": [{"visible": True,
                                                       "components": [[0, 0]]}]})
         records = bounds_of(scenario_from_mapping(mapping))
-        vebs = [r.veb for r in records[:6]]
+        vebs = records[:6, 1]
         for a, b in zip(vebs, vebs[1:]):
             assert b < a
 
@@ -496,17 +497,17 @@ class TestRunRecursion:
         scenario = scenario_from_mapping(mapping)
         records = bounds_of(scenario)
         truth = ground_truth(scenario)
-        for rec in records:
-            snap = snapshot_fim(scenario, pose_at(truth, rec.step), rec.step).information
+        for step, rec in enumerate(records, start=1):
+            snap = snapshot_fim(scenario, pose_at(truth, step), step).information
             floor = 1e-6 * np.eye(snap.shape[0])
             only = extract_bounds(np.linalg.inv(snap + floor), scenario.model.num_surfaces)
-            assert rec.peb == pytest.approx(only.peb, rel=0.01)
-            assert rec.oeb == pytest.approx(only.oeb, rel=0.01)
-            np.testing.assert_allclose(rec.meb, only.meb, rtol=0.01)
+            assert rec[0] == pytest.approx(only[0], rel=0.01)  # peb
+            assert rec[2] == pytest.approx(only[2], rel=0.01)  # oeb
+            np.testing.assert_allclose(rec[3:], only[3:], rtol=0.01)
 
     def test_blanked_step_carries_only_the_prediction(self, monkeypatch):
         """Every anchor blanked at step 5: the table holds no observation
-        there, its snapshot information is exactly zero, the bound record is
+        there, its snapshot information is exactly zero, the bound row is
         the bound of the prediction, and the filter skips the update."""
         import mpslam_bounds.ekf as ekf_module
         from mpslam_bounds.scenario import draw_measurements
@@ -529,11 +530,8 @@ class TestRunRecursion:
         for record in table[:4]:
             cov = _spd_inverse(predict_fim(cov, transition, noise) + record.information, "post")
         expected = extract_bounds(_spd_inverse(predict_fim(cov, transition, noise), "pred"),
-                                  model.num_surfaces, step=5)
-        got = run_recursion(scenario, table)[4]
-        assert (got.step, got.peb, got.veb, got.oeb) == (5, expected.peb, expected.veb,
-                                                         expected.oeb)
-        np.testing.assert_array_equal(got.meb, expected.meb)
+                                  model.num_surfaces)
+        np.testing.assert_array_equal(run_recursion(scenario, table)[4], expected)  # step 5
 
         def no_linearization(*args, **kwargs):
             raise AssertionError("a blanked step was linearized")
@@ -560,6 +558,4 @@ class TestRunRecursion:
         mapping = desk_mapping()
         rec_a = bounds_of(scenario_from_mapping(mapping))
         rec_b = bounds_of(scenario_from_mapping(mapping))
-        for a, b in zip(rec_a, rec_b):
-            assert a.peb == b.peb and a.veb == b.veb and a.oeb == b.oeb
-            assert np.all(a.meb == b.meb)
+        assert np.array_equal(rec_a, rec_b)
