@@ -86,12 +86,11 @@ def _linearize(
     (..., n, 3) rows were drawn with (the record's ``channel_information``)
     and the (..., 3n) innovation, angles wrapped; None when the step has no
     paths. A path whose geometry fails at an entry's estimate gets zero
-    information and innovation there, with a diagnostic.
+    information and innovation there, with a diagnostic; a non-finite pose
+    gives its entry non-finite information, which the fusion names.
     """
     if not record.owner.size:
         return None
-    if not np.isfinite(mean[..., :5]).all():
-        raise ValueError("agent estimate must be finite")
     plan, near_origin = record.plan, np.zeros(mean.shape[:-1] + record.owner.shape, dtype=bool)
     points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
@@ -170,14 +169,7 @@ class MonteCarloResult:
     runs: int
 
 
-class RunFailure(RuntimeError):
-    """A Monte-Carlo run failed; ``run`` is its index."""
-
-    def __init__(self, run: int, reason: str):
-        super().__init__(f"Monte-Carlo run {run} failed: {reason}")
-        self.run = run
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def run_single(
     scenario: Scenario,
     truth: AgentPose | None,
@@ -192,12 +184,13 @@ def run_single(
     linearized at their estimates. Returns the (N, 3 + S) bound table of
     steps 1..N (:func:`~.pcrlb.extract_bounds`) and the runs' (N, 3 + S, R)
     squared errors in the same state blocks. A bound failure raises at
-    once. A run that fails (a singular information matrix or a non-finite
-    estimate) leaves the batch with every run after it, and the step is
-    redone; an exception raised for the runs as a whole fails them all. The
-    bound steps on to the end; then the :class:`RunFailure` raised names the
-    first run in batch order that failed and its step, as filtering the runs
-    one by one would.
+    once. A run fails where the fusion raises :class:`~.pcrlb.SingularFimError`
+    at its stack position or where its mean or covariance is not finite after
+    the step (an overflow takes inf, with no warning); it leaves the batch
+    with every run after it, and the step is redone. An exception in the
+    runs' initial draw fails them all. The bound steps on to the end; then the
+    RuntimeError raised names the first run in batch order that failed and
+    its step, as filtering the runs one by one would.
     """
     batch = np.atleast_1d(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
@@ -215,7 +208,7 @@ def run_single(
             mean[:, 4] = wrap_angle(mean[:, 4])
             observed = draw_measurements(table, streams)
         except Exception as exc:  # raised for the runs as a whole, so by the first too
-            failure, mean, cov = RunFailure(int(batch[0]), str(exc)), mean[:0], cov[:1]
+            failure, mean, cov = (int(batch[0]), str(exc)), mean[:0], cov[:1]
     for n, record in enumerate(table, start=1):
         while True:
             live = len(mean)
@@ -244,9 +237,7 @@ def run_single(
                 if exc.index == 0:  # the bound's
                     raise
                 entry, reason = exc.index - 1, str(exc)
-            except Exception as exc:  # raised for the runs as a whole, so by the first too
-                entry, reason = 0, str(exc)
-            failure = RunFailure(int(batch[entry]), reason)
+            failure = (int(batch[entry]), reason)
             mean, cov = mean[:entry], cov[:entry + 1]
             observed = [rows[:entry] for rows in observed]
         mean, cov = moved, ahead
@@ -256,7 +247,7 @@ def run_single(
             err[:, 4] = wrap_angle(err[:, 4])
             squared[n - 1, :, :live] = block_sums(err * err, num_surfaces).T
     if failure is not None:
-        raise failure
+        raise RuntimeError("Monte-Carlo run {} failed: {}".format(*failure))
     return bounds, squared
 
 

@@ -122,7 +122,7 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     Raises :class:`SingularFimError`, with the stack position of the first
     failing matrix, when it is not finite, when its Cholesky factorization
     fails or when its condition number exceeds ``CONDITION_LIMIT``, tested
-    exactly unless tr(A) tr(A^-1) <= ``SCREEN_LIMIT`` throughout the stack.
+    exactly unless the stack inverts with tr(A) tr(A^-1) <= ``SCREEN_LIMIT``.
     """
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
@@ -131,17 +131,17 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
         raise SingularFimError(f"{what} is not finite", int(np.argmin(finite)))
     try:
         np.linalg.cholesky(stack)
+        inv = np.linalg.inv(sym)
     except np.linalg.LinAlgError:
         definite, inv = np.array([_has_cholesky(m) for m in stack]), None
     else:
-        inv = np.linalg.inv(sym)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf trace fails the screen
             screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
         if np.all(screen <= SCREEN_LIMIT):
             return 0.5 * (inv + np.swapaxes(inv, -1, -2))
         definite = np.ones(len(stack), dtype=bool)
     eigvals = np.linalg.eigvalsh(stack)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
     failed = ~definite | singular
     if failed.any():
@@ -149,7 +149,7 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
         problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
                    if definite[index] else "is not positive definite")
         raise SingularFimError(f"{what} {problem}", index)
-    inv = np.linalg.inv(sym) if inv is None else inv  # inverted already when it factored
+    inv = np.linalg.inv(sym) if inv is None else inv  # inverted already when it could be
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
@@ -171,12 +171,10 @@ def predict_cov(cov: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
 
 
 def predict_fim(
-    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray,
-    what: str = "predicted covariance",
+    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
 ) -> np.ndarray:
-    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1};
-    ``what`` names the predicted covariance in a :class:`SingularFimError`."""
-    return _spd_inverse(predict_cov(cov_post, transition, process_cov), what)
+    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1}."""
+    return _spd_inverse(predict_cov(cov_post, transition, process_cov), "predicted covariance")
 
 
 @functools.cache

@@ -5,8 +5,8 @@ state-transition model, a ground-truth trajectory specification, an
 amplitude model, a per-component visibility schedule, the initial prior and
 Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
 the dataclass fields below exactly: one reader walks a section's fields, a
-missing key takes the field's own default, and unknown keys are rejected
-with the offending path so typos cannot silently change an experiment.
+missing key takes the field's own default, and an unknown or repeated key is
+rejected, named by its path or line, so typos cannot silently change an experiment.
 
 The ground truth is one :class:`~.geometry.AgentPose` with a leading step
 axis, built in whole arrays. The channel truth is evaluated once at it, in
@@ -68,6 +68,19 @@ STEP_TABLE_BYTES = 2**30
 
 class ScenarioError(ValueError):
     """Scenario file failed validation; the message names the offending field."""
+
+
+def _flatten_unique(loader, node) -> None:
+    """The loader's ``flatten_mapping``; a key repeated in one mapping raises ConstructorError."""
+    if not hasattr(node, "own_keys"):  # first call only: later ones see its merged keys
+        node.own_keys = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := (key_node.tag, key_node.value)) in node.own_keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key[1]!r}", key_node.start_mark)
+                node.own_keys.add(key)
+    yaml.constructor.SafeConstructor.flatten_mapping(loader, node)
 
 
 @dataclass(frozen=True)
@@ -715,7 +728,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        root = yaml.load(text, Loader=YAML_LOADER)
+        root = yaml.load(text, type("Loader", (YAML_LOADER,), {"flatten_mapping": _flatten_unique}))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from None
     return scenario_from_mapping(root)

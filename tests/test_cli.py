@@ -119,6 +119,37 @@ def far_surface():
     return mapping, "step 1, anchor 1, component [3, 3]: distance nan is not finite"
 
 
+def singular_prediction(section, key, value, block):
+    """Desk scenario with ``section.key`` at ``value``: the first prediction
+    factors but is singular in working precision (1e30) or overflows the
+    eigenvalue ratio (1e200), and the exact condition test names it."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping[section][key] = value
+    return mapping, ("step 1: predicted covariance is numerically singular (condition number "
+                     f"above 1e+14) (weakest block: {block})")
+
+
+def flat_velocity_prior():
+    return singular_prediction("prior", "velocity_var", 1e30, "agent velocity")
+
+
+def huge_accel_noise():
+    return singular_prediction("model", "accel_noise_var", 1e30, "agent velocity")
+
+
+def flat_position_prior():
+    return singular_prediction("prior", "position_var", 1e200, "agent position")
+
+
+def huge_time_step():
+    """Desk scenario with a 1e100 s time step: the process noise overflows,
+    and the first prediction is not finite."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["model"]["time_step"] = 1e100
+    mapping["trajectory"]["points"][-1]["time"] = 4e101
+    return mapping, "step 1: predicted covariance is not finite (weakest block: agent position)"
+
+
 def degenerate_desk(anchor_position, **overrides):
     """Desk scenario on a straight run whose step 10 pose is at [1.5, 0.8]."""
     mapping = yaml.safe_load(DESK_SCENARIO.read_text())
@@ -449,6 +480,19 @@ class TestValidateMode:
                      "--out", str(out)]) == 0
         assert len(calls) == 80
 
+    def test_whole_float_step_count_reads_as_the_integer(self, tmp_path):
+        """``n_steps: 40.0`` gives the CSV of ``n_steps: 40``, byte for byte."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        outputs = []
+        for n_steps in (40, 40.0):
+            mapping["trajectory"]["n_steps"] = n_steps
+            path = tmp_path / f"steps-{n_steps!r}.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            outputs.append(tmp_path / f"steps-{n_steps!r}.csv")
+            assert main(["--scenario", str(path), "--mc-runs", "2", "--out", str(outputs[-1])]) == 0
+        assert "n_steps: 40.0" in path.read_text()
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
     def test_stdout_receives_csv_when_no_out(self, scenario_file, capsys):
         main(["--scenario", str(scenario_file), "--mode", "bounds"])
         captured = capsys.readouterr()
@@ -481,6 +525,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path}: invalid YAML" in err
 
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_duplicate_yaml_key_is_config_error(self, loader, tmp_path, capsys, monkeypatch):
+        """A key repeated within one mapping exits 2 naming the key and its
+        line, with the C parser as with the Python one; a key that overrides
+        one a ``<<`` merge brought in is not repeated."""
+        import mpslam_bounds.scenario as scenario_module
+
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML was built without {loader}")
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", getattr(yaml, loader))
+        text = DESK_SCENARIO.read_text()
+        assert text.endswith("mc:\n  runs: 100\n  seed: 98765\n")
+        repeated = text.replace("  runs: 100\n", "  runs: 3\n  runs: 100\n")
+        line = repeated.splitlines().index("  runs: 100") + 1
+        path = tmp_path / "repeated.yaml"
+        path.write_text(repeated)
+        out = tmp_path / "out.csv"
+        assert main(["--scenario", str(path), "--mc-runs", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid YAML: ")
+        assert f"found duplicate key 'runs'\n  in \"<unicode string>\", line {line}," in err
+        assert not out.exists()
+        path.write_text(text.replace("  runs: 100\n", "  <<: {runs: 3}\n  runs: 1\n"))
+        assert load_scenario(path).mc.runs == 1
+
     def test_unknown_key_reported_with_path(self, tmp_path, capsys):
         mapping = desk_mapping()
         mapping["model"]["bogus_knob"] = 1.0
@@ -508,7 +577,8 @@ class TestErrors:
                                       huge_bandwidth, huge_aperture, huge_ula_spacing,
                                       huge_position_prior, huge_surface_prior,
                                       huge_reference_amplitude, far_waypoint, far_velocity,
-                                      far_waypoints, far_surface])
+                                      far_waypoints, far_surface, flat_velocity_prior,
+                                      huge_accel_noise, flat_position_prior, huge_time_step])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         """Exit 3 naming the step (and the block, or the anchor and component),
         with no numpy warning on the way."""
@@ -678,8 +748,14 @@ class TestErrors:
         ({"visible": True, "anchors": [1, 0]}, "rules[0].anchors[1]"),
         ({"visible": False, "components": [[0, 0], [9, 9]]}, "rules[0].components[1]"),
         ({"visible": False, "components": [[1, 1], [2, 0]]}, "rules[0].components[1]"),
+        ({"visible": False, "steps": {"from": 5, "to": 2}}, "rules[0].steps"),
+        ({"visible": False, "steps": 3}, "rules[0].steps"),
+        ({"visible": False, "anchors": 1}, "rules[0].anchors"),
+        ({"visible": False, "components": "los"}, "rules[0].components"),
+        ({"visible": False, "components": [0, 0]}, "rules[0].components[0]"),
     ], ids=["step_999_no_anchors", "step_0", "anchor_5", "anchor_0", "unknown_surface",
-            "no_such_pair"])
+            "no_such_pair", "reversed_step_range", "steps_not_a_list", "anchors_not_a_list",
+            "components_not_a_list", "component_not_a_pair"])
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     def test_bad_visibility_rule_is_config_error(self, rule, field, mode, tmp_path, capsys):
         mapping = yaml.safe_load(DESK_SCENARIO.read_text())
@@ -688,6 +764,14 @@ class TestErrors:
         path.write_text(yaml.safe_dump(mapping))
         assert main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"]) == 2
         assert f"error: scenario.visibility.{field}: " in capsys.readouterr().err
+
+    def test_visibility_rules_as_a_mapping_is_config_error(self, tmp_path, capsys):
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping["visibility"] = {"default": True, "rules": {"visible": False}}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["--scenario", str(path), "--mode", "bounds"]) == 2
+        assert "error: scenario.visibility.rules: expected a list" in capsys.readouterr().err
 
     def test_unwritable_out_is_config_error(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

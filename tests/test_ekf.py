@@ -660,3 +660,41 @@ class TestMonteCarlo:
         monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
         with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 8: non-finite"):
             run_monte_carlo(scenario)
+
+    def test_non_finite_estimate_fails_its_own_run_at_its_step(self, monkeypatch):
+        """Run 2's predicted estimate turns inf at step 5: only its own
+        information is non-finite, and the fusion names run 2 and step 5."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = small_scenario(mc={"runs": 3, "seed": 7})
+        measurement_step = ekf_module._measurement_step
+
+        def diverge(mean, record, observed, scenario):
+            if record.step == 5 and len(mean) == 3:
+                mean[2, 0] = math.inf
+            return measurement_step(mean, record, observed, scenario)
+
+        monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
+        with pytest.raises(RuntimeError) as caught:
+            run_monte_carlo(scenario)
+        assert str(caught.value) == ("Monte-Carlo run 2 failed: step 5: posterior information "
+                                     "is not finite (weakest block: agent position)")
+
+    def test_overflowing_estimate_fails_its_own_run_with_no_warning(self, monkeypatch):
+        """Run 2 takes a finite pull of 1e308 at step 5: its squared error
+        overflows to inf with no RuntimeWarning, and its next step fails,
+        naming run 2 and step 6."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = small_scenario(mc={"runs": 3, "seed": 7})
+        measurement_step = ekf_module._measurement_step
+
+        def diverge(mean, record, observed, scenario):
+            information, pull = measurement_step(mean, record, observed, scenario)
+            if record.step == 5 and len(mean) == 3:
+                pull[2] = 1e308
+            return information, pull
+
+        monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
+        with pytest.raises(RuntimeError, match="^Monte-Carlo run 2 failed: step 6: "):
+            run_monte_carlo(scenario)

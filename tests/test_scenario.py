@@ -737,16 +737,16 @@ NUMERICAL_FAILURES = (RuntimeError, DegenerateGeometryError, ZeroApertureError,
                       FloatingPointError)
 MUTATION = st.tuples(
     st.sampled_from(sorted(mapping_paths(DESK_MAPPING), key=str)),
-    st.sampled_from([DROP, None, True, "x", 0, -1, 0.5, 1e-308, 1e308, -1e308, 10**400,
-                     math.nan, math.inf, -math.inf, [], {}, [1e308, 0.0]]),
+    st.sampled_from([DROP, None, True, "x", 0, -1, 0.5, 1e-308, 1e30, 1e200, 1e308, -1e308,
+                     10**400, math.nan, math.inf, -math.inf, [], {}, [1e308, 0.0]]),
 )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMutatedDeskMapping:
     """Every input ends in exit 0, 2 or 3: a desk mapping with one or two
-    values dropped or replaced (wrong types, +-1e308, 10**400, NaN, inf,
-    empty lists) either fails to load with a ScenarioError, or loads and
+    values dropped or replaced (wrong types, 1e30, 1e200, +-1e308, 10**400,
+    NaN, inf, empty lists) either fails to load with a ScenarioError, or loads and
     gives a finite bound or one of the errors the CLI maps to exit 3, with
     no numpy warning on the way (a RuntimeWarning is an error here)."""
 
