@@ -13,11 +13,9 @@ from .fim import (
     IsotropicAperture,
     UniformLinearArray,
     ZeroApertureError,
-    angle_variance,
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
-    ranging_variance,
 )
 from .geometry import (
     AgentPose,
@@ -61,7 +59,6 @@ __all__ = [
     "SurfaceMap",
     "UniformLinearArray",
     "ZeroApertureError",
-    "angle_variance",
     "channel_fim",
     "derive_run_stream",
     "extract_bounds",
@@ -72,7 +69,6 @@ __all__ = [
     "load_scenario",
     "measurement_truth",
     "predict_fim",
-    "ranging_variance",
     "run_monte_carlo",
     "run_recursion",
 ]

@@ -187,10 +187,9 @@ def run_single(
     once. A run fails where the fusion raises :class:`~.pcrlb.SingularFimError`
     at its stack position or where its mean or covariance is not finite after
     the step (an overflow takes inf, with no warning); it leaves the batch
-    with every run after it, and the step is redone. An exception in the
-    runs' initial draw fails them all. The bound steps on to the end; then the
-    RuntimeError raised names the first run in batch order that failed and
-    its step, as filtering the runs one by one would.
+    with every run after it, and the step is redone. The bound steps on to
+    the end; then the RuntimeError raised names the first run in batch order
+    that failed and its step, as filtering the runs one by one would.
     """
     batch = np.atleast_1d(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
@@ -201,27 +200,22 @@ def run_single(
     bounds, failure = np.empty((len(table), 3 + num_surfaces)), None
     squared = np.zeros(bounds.shape + batch.shape)  # runs last: contiguous sums
     if batch.size:
-        try:
-            streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
-            true_states = joint_state(truth, scenario.surfaces)
-            mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
-            mean[:, 4] = wrap_angle(mean[:, 4])
-            observed = draw_measurements(table, streams)
-        except Exception as exc:  # raised for the runs as a whole, so by the first too
-            failure, mean, cov = (int(batch[0]), str(exc)), mean[:0], cov[:1]
+        streams = [derive_run_stream(scenario.mc.seed, int(run)) for run in batch]
+        true_states = joint_state(truth, scenario.surfaces)
+        mean = true_states[0] + np.sqrt(prior_var) * standard_normals(streams, prior_var.size)
+        mean[:, 4] = wrap_angle(mean[:, 4])
+        observed = draw_measurements(table, streams)
     for n, record in enumerate(table, start=1):
         while True:
             live = len(mean)
-            ahead, moved = predict_cov(cov, transition, noise_cov), mean
-            # The bound fuses every step, also one that no anchor measures
-            # (zero information): that fusion's inversions are where a
-            # singular prediction is caught and named (exit 3), so it stays.
-            if not live:  # the bound alone
-                ahead = fuse(ahead, record.information, n)
-                break
+            ahead, moved, linear = predict_cov(cov, transition, noise_cov), mean, None
             try:
-                moved = (transition @ mean[..., None])[..., 0]
-                linear = _measurement_step(moved, record, observed[n - 1], scenario)
+                if live:
+                    moved = (transition @ mean[..., None])[..., 0]
+                    linear = _measurement_step(moved, record, observed[n - 1], scenario)
+                # The bound fuses every step, also one that no anchor measures
+                # (zero information): that fusion's inversions are where a
+                # singular prediction is caught and named (exit 3), so it stays.
                 if linear is None:  # no run measures anything: the bound fuses alone
                     ahead[:1] = fuse(ahead[:1], record.information, n)
                 else:

@@ -58,12 +58,13 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _PERP = np.array([-1.0, 1.0])
 
 # Squared apertures below this (m^2) make the angle variance blow up
-# (array endfire); treat as no usable angle information.
+# (array endfire): the truth pass fails a path that sees one.
 ZERO_APERTURE_EPS = 1e-18
 
 
 class ZeroApertureError(ValueError):
-    """Squared array aperture vanished (endfire); angle variance undefined."""
+    """Squared array aperture vanished (endfire) at a path the truth pass
+    measures; its angle variance is undefined."""
 
 
 @dataclass(frozen=True)
@@ -112,69 +113,28 @@ class UniformLinearArray:
 
 ApertureModel = IsotropicAperture | UniformLinearArray
 
-# The variance models below take scalars or arrays (broadcast elementwise). An
-# overflow gives 0, inf or nan, with no warning; the truth pass reports it.
-
-
+# Pure arithmetic: an overflow or a zero amplitude or aperture gives 0, inf or
+# nan, with no warning; the truth pass judges every path it measures.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def ranging_variance(amplitude: float | np.ndarray, rms_bandwidth: float) -> float | np.ndarray:
-    """Distance measurement variance (m^2) at a given normalized amplitude.
-
-    c^2 / (8 pi^2 beta^2 u^2) with beta the root-mean-square signal
-    bandwidth in Hz and u the amplitude (square root of component SNR).
-    """
-    if not np.all(amplitude > 0):
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if not rms_bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {rms_bandwidth}")
-    return SPEED_OF_LIGHT**2 / (8.0 * math.pi**2 * np.float64(rms_bandwidth)**2 * amplitude**2)
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def angle_variance(
-    amplitude: float | np.ndarray, carrier_freq: float, squared_aperture: float | np.ndarray
-) -> float | np.ndarray:
-    """Azimuth measurement variance (rad^2); same form for arrival and departure.
-
-    c^2 / (8 pi^2 f_c^2 u^2 D^2) with D^2 the squared array aperture (m^2)
-    evaluated at the relevant azimuth. Raises :class:`ZeroApertureError`
-    near endfire (D^2 < 1e-18 m^2); callers must mark such components
-    nonexistent or use an isotropic aperture.
-    """
-    if not np.all(amplitude > 0):
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if not carrier_freq > 0:
-        raise ValueError(f"carrier frequency must be positive, got {carrier_freq}")
-    squared = np.asarray(squared_aperture)
-    endfire = squared < ZERO_APERTURE_EPS
-    if endfire.any():
-        raise ZeroApertureError(
-            f"squared aperture {squared[endfire][0]} below {ZERO_APERTURE_EPS} m^2")
-    return SPEED_OF_LIGHT**2 / (
-        8.0 * math.pi**2 * np.float64(carrier_freq)**2 * amplitude**2 * squared_aperture
-    )
-
-
-def measurement_variances(
-    amplitudes: np.ndarray,
-    squared_apertures: np.ndarray,
-    carrier_freq: float,
-    rms_bandwidth: float,
-) -> np.ndarray:
+def measurement_variances(amplitudes: np.ndarray, squared_apertures: np.ndarray,
+                          carrier_freq: float, rms_bandwidth: float) -> np.ndarray:
     """(distance, arrival-azimuth, departure-azimuth) variances of paths.
 
-    ``amplitudes`` holds the paths' (..., n) amplitudes and
-    ``squared_apertures`` their (..., n, 2) squared apertures: the receive
-    (agent) array's at the arrival azimuth, then the transmit (anchor)
-    array's at the departure azimuth. Returns the (..., n, 3) variances. An
-    endfire aperture raises :class:`ZeroApertureError`. The scenario's truth
-    pass evaluates it once per pass at the true poses; the bound, the
-    measurement generator and the estimator all read those values.
+    ``amplitudes`` holds the paths' (..., n) amplitudes u and
+    ``squared_apertures`` their (..., n, 2) squared apertures D^2 (m^2): the
+    receive (agent) array's at the arrival azimuth, then the transmit
+    (anchor) array's at the departure azimuth. Returns the (..., n, 3)
+    variances: c^2 / (8 pi^2 beta^2 u^2) with beta the RMS bandwidth, then
+    per azimuth c^2 / (8 pi^2 f_c^2 u^2 D^2) with f_c the carrier (Hz). The
+    scenario's truth pass evaluates it once per pass at the true poses; the
+    bound, the measurement generator and the estimator all read those values.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    return np.concatenate([ranging_variance(amplitudes, rms_bandwidth)[..., None],
-                           angle_variance(amplitudes[..., None], carrier_freq, squared_apertures)],
-                          axis=-1)
+    squared = np.asarray(amplitudes, dtype=float) ** 2
+    scale = 8.0 * math.pi**2
+    return np.concatenate(
+        [(SPEED_OF_LIGHT**2 / (scale * np.float64(rms_bandwidth)**2 * squared))[..., None],
+         SPEED_OF_LIGHT**2 / (scale * np.float64(carrier_freq)**2 * squared[..., None]
+                              * squared_apertures)], axis=-1)
 
 
 class ComponentOrder:

@@ -121,8 +121,9 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 
     Raises :class:`SingularFimError`, with the stack position of the first
     failing matrix, when it is not finite, when its Cholesky factorization
-    fails or when its condition number exceeds ``CONDITION_LIMIT``, tested
-    exactly unless the stack inverts with tr(A) tr(A^-1) <= ``SCREEN_LIMIT``.
+    fails, when its condition number exceeds ``CONDITION_LIMIT`` (tested
+    exactly unless the stack inverts with tr(A) tr(A^-1) <= ``SCREEN_LIMIT``)
+    or when its inverse passes the float range.
     """
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
@@ -131,25 +132,35 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
         raise SingularFimError(f"{what} is not finite", int(np.argmin(finite)))
     try:
         np.linalg.cholesky(stack)
-        inv = np.linalg.inv(sym)
+        inv = _symmetric_inverse(sym)
     except np.linalg.LinAlgError:
         definite, inv = np.array([_has_cholesky(m) for m in stack]), None
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf trace fails the screen
             screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
-        if np.all(screen <= SCREEN_LIMIT):
-            return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+        if np.all(screen <= SCREEN_LIMIT) and np.isfinite(inv).all():
+            return inv
         definite = np.ones(len(stack), dtype=bool)
     eigvals = np.linalg.eigvalsh(stack)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
     failed = ~definite | singular
+    if inv is None and not failed.any():  # the stack failed as a whole, no matrix alone
+        inv = _symmetric_inverse(sym)
+    if inv is not None:
+        failed |= ~np.isfinite(inv.reshape(stack.shape)).all(axis=(1, 2))
     if failed.any():
         index = int(np.argmax(failed))
-        problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
-                   if definite[index] else "is not positive definite")
+        problem = ("is not positive definite" if not definite[index] else
+                   f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
+                   if singular[index] else "has no finite inverse")
         raise SingularFimError(f"{what} {problem}", index)
-    inv = np.linalg.inv(sym) if inv is None else inv  # inverted already when it could be
+    return inv
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite inverse fails in _spd_inverse
+def _symmetric_inverse(sym: np.ndarray) -> np.ndarray:
+    inv = np.linalg.inv(sym)
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 

@@ -110,13 +110,13 @@ class AmplitudeModel:
         if not 0 < self.bounce_loss <= 1:
             raise ValueError("bounce_loss must lie in (0, 1]")
 
-    @np.errstate(over="ignore")  # an overflow gives inf, which the truth pass reports
+    # A zero distance (degenerate geometry) or an overflow gives inf or nan,
+    # with no warning; the truth pass reports it.
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def amplitude(
         self, distance: float | np.ndarray, n_bounces: int | np.ndarray
     ) -> float | np.ndarray:
         """Amplitude at the given distances and bounce counts (scalars or arrays)."""
-        if not np.all(distance > 0):
-            raise ValueError("distance must be positive")
         return self.reference_amplitude * (1.0 / distance) * self.bounce_loss**n_bounces
 
 
@@ -390,6 +390,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     a distance or amplitude that is not finite and positive
     (:class:`FloatingPointError`), endfire (:class:`~.fim.ZeroApertureError`),
     a noise variance that is not finite and positive (``FloatingPointError``).
+    The amplitude and noise models check nothing: this rule is the one judge.
     """
     order, signal, n_anchors = scenario.order, scenario.signal, len(scenario.anchors)
     positions = np.array([anchor.position for anchor in scenario.anchors])
@@ -413,8 +414,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         params, degenerate, jac = global_jacobian(states[rows], plan, scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
-        amplitudes = scenario.amplitude_model.amplitude(np.where(reached, distance, 1.0),
-                                                        order.n_bounces[plan.components])
+        amplitudes = scenario.amplitude_model.amplitude(distance, order.n_bounces[plan.components])
         usable = reached & np.isfinite(amplitudes) & (amplitudes > 0)
         squared = np.empty(params.shape[:-1] + (2,))
         squared[..., 0] = scenario.agent_aperture.squared_aperture(params[..., 1])
@@ -422,10 +422,9 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
             squared[..., paths, 1] = anchor.aperture.squared_aperture(params[..., paths, 2])
         endfire = squared < ZERO_APERTURE_EPS
         blind = endfire.any(axis=-1)  # a path at either array's endfire
-        measured = usable & ~blind  # the other paths take placeholders
-        variances = measurement_variances(np.where(measured, amplitudes, 1.0),
-                                          np.where(measured[..., None], squared, 1.0),
-                                          signal.carrier_freq, signal.rms_bandwidth)
+        measured = usable & ~blind  # only these paths' variances are judged
+        variances = measurement_variances(amplitudes, squared, signal.carrier_freq,
+                                          signal.rms_bandwidth)
         unfit = ~(np.isfinite(variances) & (variances > 0)) & measured[..., None]
         kind, g, i = np.nonzero([degenerate, ~usable, blind, unfit.any(axis=-1)])
         if kind.size:

@@ -85,6 +85,15 @@ def huge_reference_amplitude():
                      "is not finite and positive")
 
 
+def tiny_bounce_loss():
+    """Desk scenario with a bounce loss of 1e-300: the double-bounce
+    amplitudes underflow to 0."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["amplitude_model"]["bounce_loss"] = 1e-300
+    return mapping, ("step 1, anchor 1, component [1, 2]: amplitude 0.0 "
+                     "is not finite and positive")
+
+
 def far_waypoint():
     """Desk scenario whose last waypoint lies at x = 1e308: the distance of
     the first step's LOS overflows."""
@@ -148,6 +157,17 @@ def huge_time_step():
     mapping["model"]["time_step"] = 1e100
     mapping["trajectory"]["points"][-1]["time"] = 4e101
     return mapping, "step 1: predicted covariance is not finite (weakest block: agent position)"
+
+
+def tiny_prior():
+    """Desk scenario with every prior variance at 1e-320 and no process
+    noise: the first prediction is finite and positive definite, but its
+    inverse passes the float range."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    mapping["prior"] = {key: 1e-320 for key in mapping["prior"]}
+    mapping["model"].update(accel_noise_var=0.0, orient_noise_var=0.0, surface_noise_var=0.0)
+    return mapping, ("step 1: predicted covariance has no finite inverse "
+                     "(weakest block: agent position)")
 
 
 def degenerate_desk(anchor_position, **overrides):
@@ -576,9 +596,10 @@ class TestErrors:
                                       bounce_at_endfire, variance_before_endfire,
                                       huge_bandwidth, huge_aperture, huge_ula_spacing,
                                       huge_position_prior, huge_surface_prior,
-                                      huge_reference_amplitude, far_waypoint, far_velocity,
-                                      far_waypoints, far_surface, flat_velocity_prior,
-                                      huge_accel_noise, flat_position_prior, huge_time_step])
+                                      huge_reference_amplitude, tiny_bounce_loss,
+                                      far_waypoint, far_velocity, far_waypoints, far_surface,
+                                      flat_velocity_prior, huge_accel_noise, flat_position_prior,
+                                      huge_time_step, tiny_prior])
     def test_numerical_failure_exit_code(self, case, mode, tmp_path, capsys):
         """Exit 3 naming the step (and the block, or the anchor and component),
         with no numpy warning on the way."""

@@ -190,6 +190,18 @@ class TestPredictAndFuse:
             _spd_inverse(nearly, "stack")
         assert exc.value.index == 1
 
+    def test_inverse_beyond_the_float_range_is_rejected(self):
+        """A finite positive-definite matrix of subnormal variances has an
+        inverse past the float range: it fails, named at its stack position,
+        rather than coming back as inf or nan."""
+        with pytest.raises(SingularFimError, match="^x has no finite inverse$") as exc:
+            _spd_inverse(np.diag([1e-320, 1e-320]), "x")
+        assert exc.value.index == 0
+        stack = np.stack([np.eye(2), np.diag([1e-320, 1e-320]), np.diag([1e-320, 1.0])])
+        with pytest.raises(SingularFimError, match="^x has no finite inverse$") as exc:
+            _spd_inverse(stack, "x")
+        assert exc.value.index == 1
+
     @pytest.mark.parametrize("which", ["predicted covariance", "posterior information"])
     def test_non_finite_stack_names_the_block_of_its_first_bad_row(self, which):
         """A NaN off the diagonal in a surface 2 row of entry 1 names that

@@ -626,6 +626,15 @@ class TestTruthPass:
                            match=r"^step 10, anchor 1, component \[1, 1\]: squared aperture"):
             measurement_truth(scenario, ground_truth(scenario))
 
+    def test_amplitude_model_checks_nothing(self):
+        """A degenerate path's zero distance gives an infinite amplitude, or a
+        nan one where the bounce loss underflows to 0, with no warning and no
+        error: the truth pass names the degenerate geometry."""
+        amplitudes = AmplitudeModel(30.0, 1e-200).amplitude(np.array([0.0, 0.0, 2.0]),
+                                                            np.array([0, 2, 1]))
+        assert np.isposinf(amplitudes[0]) and np.isnan(amplitudes[1])
+        assert amplitudes[2] == 15.0 * 1e-200
+
     def test_hidden_degenerate_component_does_not_raise(self):
         """The agent stands on anchor 2 at step 10, where the schedule hides
         that anchor's line of sight: the pass of step 10's layout leaves the
