@@ -18,7 +18,6 @@ from .fim import (
     global_snapshot_fim,
 )
 from .geometry import (
-    AgentPose,
     Anchor,
     DegenerateGeometryError,
     PathComponent,
@@ -44,7 +43,6 @@ from .streams import derive_run_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentPose",
     "Anchor",
     "ComponentOrder",
     "DegenerateGeometryError",

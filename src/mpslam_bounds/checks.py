@@ -23,12 +23,10 @@ from .fim import (
     measurement_variances,
 )
 from .geometry import (
-    AgentPose,
     Anchor,
     DegenerateGeometryError,
     PathGeometry,
     SurfaceMap,
-    joint_state,
     path_geometry,
     rotation_matrix,
     wrap_angle,
@@ -39,7 +37,9 @@ FD_TOL = 1e-6
 
 
 def random_instance(rng: np.random.Generator, num_surfaces: int):
-    """Random nondegenerate (agent, anchor, surfaces) with all components usable."""
+    """Random nondegenerate (state, anchor, surfaces, order) with all
+    components usable; ``state`` is the joint state, the agent's
+    [x, y, vx, vy, orientation] then the surface points."""
     while True:
         points = []
         for _ in range(num_surfaces):
@@ -52,21 +52,18 @@ def random_instance(rng: np.random.Generator, num_surfaces: int):
             orientation=rng.uniform(-np.pi, np.pi),
             aperture=IsotropicAperture(0.01),
         )
-        agent = AgentPose(
-            position=rng.uniform(-6.0, 6.0, size=2),
-            velocity=rng.uniform(-2.0, 2.0, size=2),
-            orientation=rng.uniform(-np.pi, np.pi),
-        )
+        state = np.concatenate([rng.uniform(-6.0, 6.0, size=2), rng.uniform(-2.0, 2.0, size=2),
+                                [rng.uniform(-np.pi, np.pi)], surfaces.points.ravel()])
         order = ComponentOrder.canonical(num_surfaces)
-        if all_paths(agent, anchor, order, surfaces).params[:, 0].min() > 0.5:
-            return agent, anchor, surfaces, order
+        if all_paths(state, anchor, order, surfaces).params[:, 0].min() > 0.5:
+            return state, anchor, surfaces, order
 
 
 def all_paths(
-    agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> PathGeometry:
     """The batched geometry pass over every component of ``order``, in order."""
-    return path_geometry(agent.as_state(), PathPlan(order, range(order.size), anchor), surfaces)
+    return path_geometry(state, PathPlan(order, range(order.size), anchor), surfaces)
 
 
 def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> np.ndarray:
@@ -75,9 +72,8 @@ def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> 
     Read from the batched geometry pass that :func:`~.fim.global_jacobian`
     differentiates.
     """
-    pose = AgentPose.from_state(state[:5])
     surfaces = SurfaceMap(state[5:].reshape(-1, 2))
-    return all_paths(pose, anchor, order, surfaces).params.T.ravel()
+    return all_paths(state, anchor, order, surfaces).params.T.ravel()
 
 
 def finite_difference_jacobian(
@@ -114,11 +110,11 @@ def column_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def full_jacobian(
-    agent: AgentPose, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
-    _, degenerate, jac = global_jacobian(agent.as_state(),
-                                         PathPlan(order, range(order.size), anchor), surfaces)
+    _, degenerate, jac = global_jacobian(state, PathPlan(order, range(order.size), anchor),
+                                         surfaces)
     if degenerate.any():
         raise DegenerateGeometryError("agent coincides with a virtual anchor")
     return jac
@@ -128,9 +124,9 @@ def check_jacobian_fd(rng: np.random.Generator, instances: int = 50) -> list[str
     failures = []
     for i in range(instances):
         num_surfaces = int(rng.integers(1, 5))
-        agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        analytic = full_jacobian(agent, anchor, order, surfaces)
-        numeric = finite_difference_jacobian(joint_state(agent, surfaces), anchor, order)
+        state, anchor, surfaces, order = random_instance(rng, num_surfaces)
+        analytic = full_jacobian(state, anchor, order, surfaces)
+        numeric = finite_difference_jacobian(state, anchor, order)
         worst = column_mismatch(analytic, numeric)
         if worst > FD_TOL:
             failures.append(
@@ -143,9 +139,9 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
     failures = []
     kinds = set()
     for i in range(instances):
-        agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
+        state, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
         kinds.update(comp.n_bounces for comp in order)
-        jac = full_jacobian(agent, anchor, order, surfaces)
+        jac = full_jacobian(state, anchor, order, surfaces)
         for comp, value in zip(order, jac[4, order.size:2 * order.size].tolist()):
             if abs(value + 1.0) > 1e-12:
                 failures.append(
@@ -160,8 +156,8 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
 def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list[str]:
     failures = []
     for i in range(instances):
-        agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        geo = all_paths(agent, anchor, order, surfaces)
+        state, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
+        geo = all_paths(state, anchor, order, surfaces)
         direct = np.linalg.norm(geo.va_to_agent, axis=1)
         # the anchor-to-mirrored-agent vector, rotated into the anchor's frame
         mirrored = np.linalg.norm(geo.departure_local, axis=1)
@@ -177,16 +173,15 @@ def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list
 def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
     failures = []
     for i in range(instances):
-        agent, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
-        chain = all_paths(agent, anchor, order, surfaces).chain
+        state, anchor, surfaces, order = random_instance(rng, int(rng.integers(2, 5)))
+        chain = all_paths(state, anchor, order, surfaces).chain
         to_global = rotation_matrix(anchor.orientation).T
         numeric = np.zeros((order.size, 2, 2))
         for axis in range(2):
-            h = FD_STEP * max(1.0, abs(agent.position[axis]))
+            h = FD_STEP * max(1.0, abs(state[axis]))
             for sign in (1.0, -1.0):
-                position = agent.position.copy()
-                position[axis] += sign * h
-                shifted = AgentPose(position, agent.velocity, agent.orientation)
+                shifted = state.copy()
+                shifted[axis] += sign * h
                 # anchor-to-mirrored-agent vectors, back in the global frame
                 mirrored = all_paths(shifted, anchor, order, surfaces).departure_local @ to_global
                 numeric[:, :, axis] += sign * mirrored / (2.0 * h)
@@ -203,15 +198,15 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
     failures = []
     for i in range(instances):
         num_surfaces = int(rng.integers(1, 4))
-        agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        agent2, anchor2, _, _ = random_instance(rng, num_surfaces)
+        state, anchor, surfaces, order = random_instance(rng, num_surfaces)
+        _, anchor2, _, _ = random_instance(rng, num_surfaces)
         visible = np.flatnonzero(rng.random(order.size) < 0.7)
         # one compact pass over both anchors' paths, the first anchor's listed first
         n = visible.size
         both_anchors = Anchor(np.repeat([anchor.position, anchor2.position], n, axis=0),
                               np.repeat([anchor.orientation, anchor2.orientation], n))
         params, degenerate, jac = global_jacobian(
-            agent.as_state(), PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
+            state, PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
         if degenerate.any():
             continue
         lam = channel_fim(measurement_variances(

@@ -161,47 +161,6 @@ class Anchor:
         self.orientation = wrap_angle(orientation)
 
 
-@dataclass
-class AgentPose:
-    """Kinematic agent state: position, velocity and heading offset.
-
-    The fields may carry leading batch axes, one pose per Monte-Carlo run
-    or per step: position and velocity (..., 2), orientation (...). An
-    unbatched orientation is a float.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    orientation: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        self.position = _as_vec2(self.position, "agent position")
-        self.velocity = _as_vec2(self.velocity, "agent velocity")
-        orientation = np.asarray(self.orientation, dtype=float)
-        if not self.velocity.shape == self.position.shape == orientation.shape + (2,):
-            raise ValueError("agent position, velocity and orientation batch shapes differ")
-        if not np.all(np.isfinite(orientation)):
-            raise ValueError("agent orientation must be finite")
-        self.orientation = wrap_angle(orientation)
-
-    def as_state(self) -> np.ndarray:
-        """(..., 5) state [px, py, vx, vy, orientation]."""
-        orientation = np.asarray(self.orientation)[..., None]
-        return np.concatenate([self.position, self.velocity, orientation], axis=-1)
-
-    @classmethod
-    def from_state(cls, state: np.ndarray) -> "AgentPose":
-        state = np.asarray(state, dtype=float)
-        return cls(position=state[..., 0:2], velocity=state[..., 2:4], orientation=state[..., 4])
-
-
-def joint_state(pose: AgentPose, surfaces: SurfaceMap) -> np.ndarray:
-    """Joint state vector: the pose's (x, y, vx, vy, orientation), then the
-    surface points in order; one row per entry of a batched pose."""
-    state = pose.as_state()
-    return np.concatenate([state, np.tile(surfaces.points.ravel(), state.shape[:-1] + (1,))], -1)
-
-
 @dataclass(frozen=True)
 class PathComponent:
     """A propagation path, identified by its sequence of reflecting surfaces.
@@ -282,7 +241,7 @@ def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> 
     The paths, with their bounce surfaces and each one's anchor, are those
     of a :class:`~.fim.PathPlan`. The agent's position and orientation are
     entries 0:2 and 4 of ``state``, an (..., 5) pose state
-    (:meth:`AgentPose.as_state`) or a joint state, finite and wrapped. Its
+    [px, py, vx, vy, orientation] or a joint state, finite and wrapped. Its
     leading axes batch the pass (one entry per Monte-Carlo run or per step),
     and the surface map carries the same ones or none. Instead of raising,
     it flags as ``degenerate`` each path whose virtual-anchor-to-agent or

@@ -8,8 +8,8 @@ the dataclass fields below exactly: one reader walks a section's fields, a
 missing key takes the field's own default, and an unknown or repeated key is
 rejected, named by its path or line, so typos cannot silently change an experiment.
 
-The ground truth is one :class:`~.geometry.AgentPose` with a leading step
-axis, built in whole arrays. The channel truth is evaluated once at it, in
+The ground truth is one (n + 1, N) array of joint states, steps 0..n,
+built in whole arrays. The channel truth is evaluated once at it, in
 the filter's own layout: per step layout (which components of which anchors
 a step sees), one :class:`~.fim.PathPlan` and one batched pass over exactly
 the visible paths of all anchors, cut only where the gradients pass a
@@ -50,7 +50,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import AgentPose, Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
+from .geometry import Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -155,14 +155,25 @@ class WaypointTrajectory:
 
 @dataclass(frozen=True)
 class NcvTrajectory:
-    """Trajectory sampled from the nearly-constant-velocity model itself."""
+    """Trajectory sampled from the nearly-constant-velocity model itself,
+    starting at ``position`` with ``velocity`` and heading ``orientation``."""
 
     n_steps: int
-    initial: AgentPose
+    position: np.ndarray
+    velocity: np.ndarray
+    orientation: float = 0.0
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        for name in ("position", "velocity"):
+            vec = np.asarray(getattr(self, name), dtype=float)
+            if vec.shape != (2,) or not np.all(np.isfinite(vec)):
+                raise ValueError(f"agent {name} must be a finite 2-vector, got {vec}")
+            object.__setattr__(self, name, vec)
+        if not math.isfinite(self.orientation):
+            raise ValueError("agent orientation must be finite")
+        object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
 
 TrajectorySpec = WaypointTrajectory | NcvTrajectory
@@ -300,13 +311,14 @@ class Scenario:
 
 def generate_trajectory(
     spec: TrajectorySpec, model: StateSpaceModel, rng: RandomStream | None = None
-) -> AgentPose:
-    """Ground-truth poses at steps 0..n_steps (step n at time n * time_step),
-    one :class:`AgentPose` with a leading step axis.
+) -> np.ndarray:
+    """Ground-truth agent states at steps 0..n_steps (step n at time
+    n * time_step): the (n_steps + 1, 5) rows [px, py, vx, vy, orientation],
+    the orientation wrapped into (-pi, pi].
 
     Waypoint trajectories are deterministic and never touch ``rng``; sampled
     trajectories draw two acceleration variates and one orientation variate
-    per step from it. A pose beyond the float range raises
+    per step from it. A state beyond the float range raises
     :class:`FloatingPointError` naming its step.
     """
     if isinstance(spec, WaypointTrajectory):
@@ -321,7 +333,8 @@ def generate_trajectory(
     if bad.size:
         n, part = bad[0][0], ("position", "velocity", "orientation")[bad[0][1] // 2]
         raise FloatingPointError(f"step {n}: true agent {part} is not finite")
-    return AgentPose.from_state(states)
+    states[:, 4] = wrap_angle(states[:, 4])  # atan2's -pi is pi
+    return states
 
 
 # An overflow gives a state that is not finite, which generate_trajectory names.
@@ -347,8 +360,8 @@ def _waypoint_states(spec: WaypointTrajectory, time_step: float) -> np.ndarray:
 def _sampled_states(spec: NcvTrajectory, model: StateSpaceModel, rng: RandomStream) -> np.ndarray:
     t, gain = model.time_step, gain_matrix(model.time_step)
     accel_std, orient_std = math.sqrt(model.accel_noise_var), math.sqrt(model.orient_noise_var)
-    kin = np.concatenate([spec.initial.position, spec.initial.velocity])
-    kins, headings = [kin], [spec.initial.orientation]
+    kin = np.concatenate([spec.position, spec.velocity])
+    kins, headings = [kin], [spec.orientation]
     # per step two acceleration variates, then one orientation variate
     for noise in rng.standard_normal(3 * spec.n_steps).reshape(-1, 3):
         kin = np.array([kin[0] + t * kin[2], kin[1] + t * kin[3], kin[2], kin[3]])
@@ -358,15 +371,19 @@ def _sampled_states(spec: NcvTrajectory, model: StateSpaceModel, rng: RandomStre
     return np.column_stack([np.array(kins), headings])
 
 
-def ground_truth(scenario: Scenario) -> AgentPose:
-    """Ground-truth poses of a scenario (:func:`generate_trajectory`); the
-    trajectory stream is only created for sampled trajectories, so bound-only
-    evaluation of waypoint scenarios never constructs a random generator."""
+def ground_truth(scenario: Scenario) -> np.ndarray:
+    """The (n_steps + 1, N) joint truth of a scenario: the agent states of
+    :func:`generate_trajectory`, each row followed by the surface points in
+    order. The trajectory stream is only created for sampled trajectories, so
+    bound-only evaluation of waypoint scenarios never constructs a random
+    generator."""
     if isinstance(scenario.trajectory, NcvTrajectory):
         rng = trajectory_stream(scenario.mc.seed)
     else:
         rng = None
-    return generate_trajectory(scenario.trajectory, scenario.model, rng)
+    states = generate_trajectory(scenario.trajectory, scenario.model, rng)
+    surfaces = np.tile(scenario.surfaces.points.ravel(), (states.shape[0], 1))
+    return np.concatenate([states, surfaces], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +391,8 @@ def ground_truth(scenario: Scenario) -> AgentPose:
 
 
 def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
-    """Truth records of ``steps`` at their true (steps, 5) ``states``, rows of
-    the ground truth's validated :class:`~.geometry.AgentPose` (finite, heading
-    wrapped).
+    """Truth records of ``steps`` at their true joint ``states``, rows of the
+    ground truth (finite, heading wrapped).
 
     Per step layout (which components of which anchors are visible), one
     :class:`~.fim.PathPlan`, every path seen from its own anchor; per pass of
@@ -459,24 +475,25 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]
 
 
-def snapshot_fim(scenario: Scenario, pose: AgentPose, step: int) -> StepTruth:
-    """Channel truth at one ground-truth pose under the schedule at ``step``.
+def snapshot_fim(scenario: Scenario, state: np.ndarray, step: int) -> StepTruth:
+    """Channel truth at one ground-truth joint ``state`` (a row of
+    :func:`ground_truth`) under the schedule at ``step``.
 
     The one-step case of the truth pass: the step's record of the truth
     table, with the snapshot information H Lambda H^T of one compact pass
     over every anchor's visible components, and those components with their
     noise-free parameters and variances. No gradient matrix is kept.
     """
-    return _truth_pass(scenario, pose.as_state()[None], np.array([step]))[0]
+    return _truth_pass(scenario, state[None], np.array([step]))[0]
 
 
-def measurement_truth(scenario: Scenario, truth: AgentPose) -> list[StepTruth]:
-    """The truth table: one :class:`StepTruth` per step 1..n_steps at the
-    batched ground truth ``truth`` (:func:`ground_truth`), one pass per step
+def measurement_truth(scenario: Scenario, truth: np.ndarray) -> list[StepTruth]:
+    """The truth table: one :class:`StepTruth` per step 1..n_steps at rows
+    1..n_steps of the joint truth ``truth`` (:func:`ground_truth`), one pass per step
     layout (:func:`_truth_pass`). Invisible components emit nothing; the
     variances come from the true amplitude (amplitude noise carries no state
     information here)."""
-    return _truth_pass(scenario, truth.as_state()[1:], np.arange(1, scenario.n_steps + 1))
+    return _truth_pass(scenario, truth[1:], np.arange(1, scenario.n_steps + 1))
 
 
 def draw_measurements(
@@ -579,8 +596,8 @@ def _as_floats(value, path: str) -> float | tuple[float, ...]:
 _READERS = {
     "float": _as_float,
     "int": _as_int,
-    "np.ndarray": _as_vec2,
-    "float | np.ndarray": _as_float,  # AgentPose and Anchor orientation, unbatched
+    "np.ndarray": _as_vec2,  # Anchor and NcvTrajectory position, NcvTrajectory velocity
+    "float | np.ndarray": _as_float,  # Anchor orientation, unbatched
     "float | tuple[float, ...]": _as_floats,  # PriorSpec.surface_var
 }
 
@@ -630,7 +647,7 @@ def _parse_trajectory(node, path: str, time_step: float, max_steps: int) -> Traj
     if n_steps > max_steps:  # checked before any per-step array exists
         raise ScenarioError(f"{path}.n_steps: must be at most {max_steps} in this room")
     if kind == "sampled_ncv":
-        return _make(NcvTrajectory, path, n_steps=n_steps, initial=_build(AgentPose, node, path))
+        return _build(NcvTrajectory, node, path, n_steps=n_steps)
     if kind != "waypoints":
         raise ScenarioError(f"{path}.kind: expected 'waypoints' or 'sampled_ncv', got {kind!r}")
     raw_points = _take(node, "points", path, required=True)

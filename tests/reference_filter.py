@@ -10,19 +10,19 @@ as one lockstep batch; tests compare the batch with it.
 import numpy as np
 
 from mpslam_bounds.ekf import EkfState, ekf_predict, ekf_update
-from mpslam_bounds.geometry import joint_state, wrap_angle
+from mpslam_bounds.geometry import wrap_angle
 from mpslam_bounds.pcrlb import process_noise_cov, transition_matrix
 from mpslam_bounds.scenario import draw_measurements
 from mpslam_bounds.streams import derive_run_stream
 
 
 def filter_run(scenario, truth, table, run_index):
-    """Per-step squared errors of one run, (n_steps, 3 + S): position,
-    velocity, orientation, then each surface."""
+    """Per-step squared errors of one run from the (n + 1, N) joint truth
+    ``truth``, (n_steps, 3 + S): position, velocity, orientation, then each
+    surface."""
     rng = derive_run_stream(scenario.mc.seed, run_index)
     prior_diag = scenario.prior_covariance()
-    true_states = joint_state(truth, scenario.surfaces)
-    mean0 = true_states[0] + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
+    mean0 = truth[0] + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
     mean0[4] = wrap_angle(mean0[4])
     state = EkfState(mean=mean0, cov=np.diag(prior_diag))
     measured = draw_measurements(table, rng)
@@ -37,7 +37,7 @@ def filter_run(scenario, truth, table, run_index):
                            measured[n - 1], scenario)
         if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
-        err = state.mean - true_states[n]
+        err = state.mean - truth[n]
         position[n - 1] = err[0] ** 2 + err[1] ** 2
         velocity[n - 1] = err[2] ** 2 + err[3] ** 2
         orientation[n - 1] = wrap_angle(float(err[4])) ** 2

@@ -13,7 +13,6 @@ import numpy as np
 
 from mpslam_bounds.geometry import (
     DEGENERACY_EPS,
-    AgentPose,
     Anchor,
     DegenerateGeometryError,
     PathComponent,
@@ -22,10 +21,9 @@ from mpslam_bounds.geometry import (
 )
 
 
-def pose_at(truth: AgentPose, step: int) -> AgentPose:
-    """The unbatched pose of ``step`` in a batched ground truth (steps 0..n
-    along the leading axis)."""
-    return AgentPose.from_state(truth.as_state()[step])
+def agent_state(position, velocity=(0.0, 0.0), orientation=0.0) -> np.ndarray:
+    """The (5,) agent state [x, y, vx, vy, orientation]."""
+    return np.array([*position, *velocity, orientation], dtype=float)
 
 
 def householder(surfaces: SurfaceMap, surface: int) -> np.ndarray:
@@ -96,22 +94,23 @@ class PathGeometry:
 
 
 def path_geometry(
-    agent: AgentPose, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
 ) -> PathGeometry:
-    """Resolve the mirror geometry and channel parameters of one path.
+    """Resolve the mirror geometry and channel parameters of one path; the
+    agent's position and orientation are entries 0:2 and 4 of its state row.
 
     Raises :class:`DegenerateGeometryError` when the agent coincides with the
     virtual anchor (or, equivalently, the mirrored agent with the anchor).
     """
-    r = agent.position - virtual_anchor(anchor, path, surfaces)
-    r_t = mirrored_agent(agent.position, path, surfaces) - anchor.position
+    r = agent[0:2] - virtual_anchor(anchor, path, surfaces)
+    r_t = mirrored_agent(agent[0:2], path, surfaces) - anchor.position
     dist = float(np.linalg.norm(r))
     if dist <= DEGENERACY_EPS or np.linalg.norm(r_t) <= DEGENERACY_EPS:
         raise DegenerateGeometryError(
             f"agent coincides with virtual anchor for path {path.bounces}"
         )
     departure_local = rotation_matrix(anchor.orientation).T @ r_t
-    arrival_local = -(rotation_matrix(agent.orientation).T @ r)
+    arrival_local = -(rotation_matrix(agent[4]).T @ r)
     params = ChannelParams(
         distance=dist,
         aoa=math.atan2(arrival_local[1], arrival_local[0]),
@@ -121,7 +120,7 @@ def path_geometry(
 
 
 def channel_params(
-    agent: AgentPose, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
 ) -> ChannelParams:
     """Noise-free distance, arrival and departure azimuth of one path."""
     return path_geometry(agent, anchor, path, surfaces).params

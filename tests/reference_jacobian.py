@@ -54,11 +54,12 @@ def _reflection_source_block(source, surfaces, surface):
 
 
 def loop_jacobian(agent, anchor, order, surfaces, geoms):
-    """(N, 3K) gradient from one resolved geometry per component (None = absent)."""
+    """(N, 3K) gradient from one resolved geometry per component (None = absent),
+    at the agent state row ``agent``."""
     jac = np.zeros((5 + 2 * len(surfaces), order.dim))
     rot_anchor = rotation_matrix(anchor.orientation)
-    rot_agent = rotation_matrix(agent.orientation)
-    rot_agent_dot = rotation_matrix_derivative(agent.orientation)
+    rot_agent = rotation_matrix(agent[4])
+    rot_agent_dot = rotation_matrix_derivative(agent[4])
     for k, (comp, geom) in enumerate(zip(order, geoms)):
         if geom is None:
             continue
@@ -75,7 +76,7 @@ def loop_jacobian(agent, anchor, order, surfaces, geoms):
         jac[4, i_aoa] = -(geom.va_to_agent @ rot_agent_dot) @ az_arrival
         for i, s in enumerate(comp.bounces):
             before, after = comp.bounces[:i], comp.bounces[i + 1:]
-            source, sink = anchor.position, agent.position
+            source, sink = anchor.position, agent[0:2]
             for t in before:
                 source = mirror(surfaces, source, t)
             for t in reversed(after):

@@ -33,7 +33,7 @@ from mpslam_bounds.scenario import (
 )
 import yaml
 
-from tests.reference_geometry import channel_params, pose_at
+from tests.reference_geometry import channel_params
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 # Criterion 9's CSV as pinned before the gradient code was restructured.
@@ -67,9 +67,8 @@ def test_criterion_1_jacobian_matches_finite_differences():
     for _ in range(200):
         num_surfaces = int(rng.integers(1, 6))
         surface_counts.add(num_surfaces)
-        agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        state = np.concatenate([agent.as_state(), surfaces.points.ravel()])
-        analytic = full_jacobian(agent, anchor, order, surfaces)
+        state, anchor, surfaces, order = random_instance(rng, num_surfaces)
+        analytic = full_jacobian(state, anchor, order, surfaces)
         numeric = finite_difference_jacobian(state, anchor, order)
         worst = max(worst, column_mismatch(analytic, numeric))
     elapsed = time.perf_counter() - start
@@ -125,7 +124,7 @@ def test_criterion_4_psd_and_bound_ordering():
 
     min_rel_eig = 0.0
     for n in (1, 10, 20, 40):
-        snap = snapshot_fim(scenario, pose_at(truth, n), n).information
+        snap = snapshot_fim(scenario, truth[n], n).information
         eigs = np.linalg.eigvalsh(snap)
         min_rel_eig = min(min_rel_eig, eigs[0] / max(snap.trace(), 1.0))
     psd_ok = min_rel_eig >= -1e-10
@@ -167,7 +166,7 @@ def test_criterion_5_pure_information_accumulation():
     running = np.zeros((dim, dim))
     worst = 0.0
     for n in range(1, 11):
-        snap = snapshot_fim(scenario, pose_at(truth, n), n).information
+        snap = snapshot_fim(scenario, truth[n], n).information
         j = predict_fim(np.linalg.inv(j), identity, zero_noise) + snap
         running += snap
         expected = j0 + running

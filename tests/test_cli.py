@@ -20,7 +20,7 @@ from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
 from mpslam_bounds.geometry import PathComponent
 from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
-from tests.reference_geometry import pose_at, virtual_anchor
+from tests.reference_geometry import virtual_anchor
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -204,13 +204,13 @@ def bounce_at_endfire():
     LOS and three other single bounces in anchor 1's batch."""
     mapping, _ = degenerate_desk([0.3, 0.3])
     scenario = scenario_from_mapping(mapping)
-    pose = pose_at(ground_truth(scenario), 10)
+    state = ground_truth(scenario)[10]
     # arrival from the virtual anchor of anchor 1 in wall 4 (y = -1)
     arrival = virtual_anchor(scenario.anchors[0], PathComponent.single_bounce(4),
-                             scenario.surfaces) - pose.position
+                             scenario.surfaces) - state[0:2]
     mapping["agent_aperture"] = {
         "kind": "ula", "num_elements": 4, "element_spacing": 0.025,
-        "broadside": math.atan2(arrival[1], arrival[0]) - pose.orientation + math.pi / 2,
+        "broadside": math.atan2(arrival[1], arrival[0]) - float(state[4]) + math.pi / 2,
     }
     return mapping, "step 10, anchor 1, component [4, 4]: squared aperture"
 
@@ -378,33 +378,6 @@ class TestValidateMode:
         assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
                      "--out", str(out)]) == 0
         assert (calls.count("ekf"), calls.count("scenario"), len(calls)) == (40, 2, 42)
-
-    def test_filter_builds_no_agent_pose(self, tmp_path, monkeypatch):
-        """The filter reads each step's agent pose from its means as arrays:
-        a desk validate call builds the ground truth's one AgentPose, and
-        none inside the lockstep batch."""
-        from mpslam_bounds.geometry import AgentPose
-
-        built, in_batch, exact_check = [], [], AgentPose.__post_init__
-
-        def counted(pose):
-            built.append(bool(in_batch))
-            exact_check(pose)
-
-        def batch(*args, **kwargs):
-            in_batch.append(None)
-            try:
-                return exact_batch(*args, **kwargs)
-            finally:
-                in_batch.pop()
-
-        exact_batch = ekf.run_single
-        monkeypatch.setattr(AgentPose, "__post_init__", counted)
-        monkeypatch.setattr(ekf, "run_single", batch)
-        out = tmp_path / "validate.csv"
-        assert main(["--scenario", str(DESK_SCENARIO), "--mc-runs", "2",
-                     "--out", str(out)]) == 0
-        assert built == [False]
 
     def test_channel_information_is_taken_once_per_record(self, tmp_path, monkeypatch):
         """1 / variance depends only on the truth record: the truth pass

@@ -19,7 +19,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import PathPlan, channel_fim, global_jacobian
-from mpslam_bounds.geometry import Anchor, SurfaceMap, joint_state, wrap_angle
+from mpslam_bounds.geometry import Anchor, SurfaceMap, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
     fuse,
@@ -130,7 +130,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
-        mean = joint_state(truth, scenario.surfaces)[3]
+        mean = truth[3]
         jac, lam, innovation = _linearize(mean, record, observed, scenario)
         owners = [record.owner == j for j in range(len(scenario.anchors))]
         assert len(owners) == 2 and all(own.any() for own in owners)
@@ -163,12 +163,12 @@ class TestUpdate:
         record, meas = drawn_step(scenario, truth, 1, derive_run_stream(1, 0))
         prior = scenario.prior_covariance() * 0.01
         rng = derive_run_stream(9, 0)
-        mean = joint_state(truth, scenario.surfaces)[1]
+        mean = truth[1]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
-        before = np.linalg.norm(state.mean[:2] - truth.position[1])
+        before = np.linalg.norm(state.mean[:2] - truth[1, 0:2])
         updated = ekf_update(state, record, meas, scenario)
-        after = np.linalg.norm(updated.mean[:2] - truth.position[1])
+        after = np.linalg.norm(updated.mean[:2] - truth[1, 0:2])
         assert after < before
 
     def test_covariance_stays_positive_definite_over_fifty_steps(self):
@@ -180,7 +180,7 @@ class TestUpdate:
         truth = ground_truth(scenario)
         rng = derive_run_stream(scenario.mc.seed, 0)
         prior = scenario.prior_covariance()
-        mean = joint_state(truth, scenario.surfaces)[0]
+        mean = truth[0]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         state = EkfState(mean=mean, cov=np.diag(prior))
         table = measurement_truth(scenario, truth)
@@ -199,7 +199,7 @@ class TestUpdate:
         order = scenario.order
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 1, derive_run_stream(0, 0))
-        mean = joint_state(truth, scenario.surfaces)[1]
+        mean = truth[1].copy()
         mean[5:7] = [0.0, 0.0]  # surface estimate collapsed onto the origin
 
         with caplog.at_level(logging.WARNING):
@@ -225,7 +225,7 @@ class TestUpdate:
             target = next(k for k in components[record.owner == anchor]
                           if order.components[k].n_bounces == 1)
             path = order.components[target]
-            mean = joint_state(truth, scenario.surfaces)[1]
+            mean = truth[1].copy()
             mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
 
             caplog.clear()
@@ -265,7 +265,7 @@ def predicted_state(scenario, truth, step, seed):
     scale = np.sqrt(scenario.prior_covariance())
     mixing = rng.normal(size=(scale.size, scale.size)) / np.sqrt(scale.size)
     cov = (0.5 * np.eye(scale.size) + 0.5 * mixing @ mixing.T) * np.outer(scale, scale)
-    mean = joint_state(truth, scenario.surfaces)[step]
+    mean = truth[step]
     return EkfState(mean=mean + 0.1 * scale * rng.standard_normal(scale.size), cov=cov)
 
 
@@ -360,13 +360,13 @@ class TestFilterAtTheTruthIsTheBound:
         table = measurement_truth(scenario, truth)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
-        state = EkfState(mean=joint_state(truth, scenario.surfaces)[0],
+        state = EkfState(mean=truth[0],
                          cov=np.diag(scenario.prior_covariance()))
         blank = min((r.step for r in table if not r.owner.size), default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             predicted = ekf_predict(state, transition, noise)
-            at_truth = EkfState(joint_state(truth, scenario.surfaces)[record.step],
+            at_truth = EkfState(truth[record.step],
                                 predicted.cov)
             state = ekf_update(at_truth, record, record.params, scenario)
             np.testing.assert_allclose(state.mean, at_truth.mean, rtol=0, atol=1e-12)

@@ -20,7 +20,6 @@ from mpslam_bounds.fim import (
     measurement_variances,
 )
 from mpslam_bounds.geometry import (
-    AgentPose,
     Anchor,
     DegenerateGeometryError,
     PathComponent,
@@ -39,22 +38,19 @@ def fd_channel_gradient(agent, anchor, path, surfaces, coord, step=1e-6):
     """
 
     def evaluate(delta):
-        position = agent.position.copy()
-        orientation = agent.orientation
+        state = agent.copy()
         pts = surfaces.points.copy()
         if coord < 2:
-            position[coord] += delta
+            state[coord] += delta
         elif coord == 2:
-            orientation += delta
+            state[4] = wrap_angle(state[4] + delta)
         else:
             s, axis = divmod(coord - 3, 2)
             pts[s, axis] += delta
-        pose = AgentPose(position=position, velocity=agent.velocity,
-                         orientation=orientation)
-        return ref.channel_params(pose, anchor, path, SurfaceMap(pts)).as_array()
+        return ref.channel_params(state, anchor, path, SurfaceMap(pts)).as_array()
 
-    base = (agent.position[coord] if coord < 2
-            else agent.orientation if coord == 2
+    base = (agent[coord] if coord < 2
+            else agent[4] if coord == 2
             else surfaces.points[(coord - 3) // 2, (coord - 3) % 2])
     h = step * max(1.0, abs(base))
     diff = evaluate(h) - evaluate(-h)
@@ -196,7 +192,7 @@ def path_columns(agent, anchor, path, surfaces):
 
     Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
     """
-    _, _, jac = global_jacobian(agent.as_state(), PathPlan(ComponentOrder([path]), [0], anchor),
+    _, _, jac = global_jacobian(agent, PathPlan(ComponentOrder([path]), [0], anchor),
                                surfaces)
     return jac[:, 0], jac[:, 1], jac[:, 2]
 
@@ -209,7 +205,7 @@ class TestMappingBlock:
     def test_los_block_is_zero(self):
         surfaces = SurfaceMap([[2.0, 0.0]])
         anchor = Anchor(position=[1.0, 1.0])
-        agent = AgentPose(position=[3.0, 4.0], velocity=[0, 0], orientation=0.2)
+        agent = ref.agent_state([3.0, 4.0], orientation=0.2)
         for col in path_columns(agent, anchor, PathComponent.los(), surfaces):
             np.testing.assert_array_equal(col[5:], 0.0)
 
@@ -218,14 +214,14 @@ class TestMappingBlock:
         # minus its position rows
         surfaces = SurfaceMap([[2.0, 0.0]])
         anchor = Anchor(position=[0.0, 0.0], orientation=0.3)
-        agent = AgentPose(position=[0.5, 2.0], velocity=[0, 0], orientation=-0.4)
+        agent = ref.agent_state([0.5, 2.0], orientation=-0.4)
         _, aoa_col, _ = path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces)
         np.testing.assert_allclose(aoa_col[5:7], -aoa_col[0:2], atol=1e-12)
 
     def test_uninvolved_surface_gives_zero_block(self):
         surfaces = SurfaceMap([[2.0, 0.0], [0.0, 3.0]])
         anchor = Anchor(position=[1.0, 0.5])
-        agent = AgentPose(position=[-0.5, 1.5], velocity=[0, 0])
+        agent = ref.agent_state([-0.5, 1.5])
         for col in path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces):
             np.testing.assert_array_equal(col[7:9], 0.0)
             assert col[5:7].any()
@@ -265,7 +261,7 @@ class TestPositioningSubmatrices:
 
     def test_los_distance_column_is_unit_direction(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
-        agent = AgentPose(position=[3.0, 4.0], velocity=[0, 0], orientation=0.0)
+        agent = ref.agent_state([3.0, 4.0])
         surfaces = SurfaceMap([[20.0, 0.0]])
         dist_col, aoa_col, _ = path_columns(agent, anchor, PathComponent.los(), surfaces)
         np.testing.assert_allclose(dist_col[0:2], [0.6, 0.8], atol=1e-12)
@@ -301,7 +297,7 @@ class TestMappingSubmatrices:
         # the direct block is -I there, so the surface rows of the distance
         # column are minus its position rows
         anchor = Anchor(position=[0.0, 0.0], orientation=0.15)
-        agent = AgentPose(position=[0.5, 2.0], velocity=[0, 0], orientation=-0.4)
+        agent = ref.agent_state([0.5, 2.0], orientation=-0.4)
         surfaces = SurfaceMap([[2.0, 0.0]])
         dist_col, _, _ = path_columns(agent, anchor, PathComponent.single_bounce(1), surfaces)
         np.testing.assert_allclose(dist_col[5:7], -dist_col[0:2], atol=1e-12)
@@ -332,7 +328,7 @@ class TestChannelFim:
         order = self._order2()
         surfaces = SurfaceMap([[2.0, 0.0]])
         anchor = Anchor(position=[0, 0])
-        agent = AgentPose(position=[3, 4], velocity=[0, 0])
+        agent = ref.agent_state([3, 4])
         params = [ref.channel_params(agent, anchor, c, surfaces) for c in order]
         base = channel_fim(isotropic_variances(params, [1.0, 2.0], 1e9))
         scaled = channel_fim(isotropic_variances(params, [3.0, 6.0], 1e9))
@@ -375,7 +371,7 @@ class TestGlobalJacobian:
         of the listed ones, in the compact layout."""
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
-        _, _, jac = global_jacobian(agent.as_state(), PathPlan(order, present, anchor), surfaces)
+        _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
         assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
         full = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_array_equal(jac, full[:, compact_columns(order, present)])
@@ -443,7 +439,7 @@ class TestSnapshotFim:
         terms = []
         for exist in (exist_off, exist_on):
             present = np.flatnonzero(exist)
-            _, _, jac = global_jacobian(agent.as_state(), PathPlan(order, present, anchor),
+            _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor),
                                         surfaces)
             lam = channel_fim(variances[present])
             terms.append(global_snapshot_fim(jac, lam))
@@ -475,8 +471,8 @@ def rooms(draw):
         points.append([radius * math.cos(angle), radius * math.sin(angle)])
     anchor = Anchor(position=[draw(_coordinate(6.0)), draw(_coordinate(6.0))],
                     orientation=draw(_coordinate(np.pi)))
-    agent = AgentPose(position=[draw(_coordinate(6.0)), draw(_coordinate(6.0))],
-                      velocity=[0.0, 0.0], orientation=draw(_coordinate(np.pi)))
+    agent = ref.agent_state([draw(_coordinate(6.0)), draw(_coordinate(6.0))],
+                            orientation=draw(_coordinate(np.pi)))
     order = ComponentOrder.canonical(num_surfaces)
     subset = draw(st.lists(st.booleans(), min_size=order.size, max_size=order.size))
     return agent, anchor, SurfaceMap(points), order, np.flatnonzero(subset)
@@ -504,7 +500,7 @@ class TestBatchedPass:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = PathPlan(order, visible, anchor)
-        params, degenerate, jac = global_jacobian(agent.as_state(), plan, surfaces)
+        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert params.shape == (visible.size, 3) and not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))
@@ -524,7 +520,7 @@ class TestBatchedPass:
         other = Anchor(position=other[:2], orientation=other[2])
         also = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=order.size,
                                                  max_size=order.size)))
-        poses = np.stack([agent.as_state(), agent.as_state() + 0.25])
+        poses = np.stack([agent, agent + 0.25])
         per_anchor = [global_jacobian(poses, PathPlan(order, ks, a), surfaces)
                       for a, ks in ((anchor, visible), (other, also))]
         assume(not any(degenerate.any() or (params[..., 0] < 1e-3).any()
@@ -557,8 +553,7 @@ class TestBatchedPass:
         _, anchor, surfaces, order, _ = case
         target = data.draw(st.integers(0, order.size - 1))
         on_target = ref.virtual_anchor(anchor, order.components[target], surfaces)
-        agent = AgentPose(position=on_target, velocity=[0.0, 0.0],
-                          orientation=data.draw(_coordinate(np.pi)))
+        agent = ref.agent_state(on_target, orientation=data.draw(_coordinate(np.pi)))
         others = [c for k, c in enumerate(order) if k != target]
         try:
             assume(min((ref.channel_params(agent, anchor, c, surfaces).distance
@@ -566,14 +561,14 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         params, degenerate, jac = global_jacobian(
-            agent.as_state(), PathPlan(order, np.arange(order.size), anchor), surfaces)
+            agent, PathPlan(order, np.arange(order.size), anchor), surfaces)
         assert degenerate.tolist() == [k == target for k in range(order.size)]
         columns = [target, order.size + target, 2 * order.size + target]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
         assert np.all(np.isfinite(jac))
 
     @settings(max_examples=80, deadline=None)
-    @example(case=(AgentPose(position=[0.0, 0.0], velocity=[0.0, 0.0], orientation=0.3),
+    @example(case=(ref.agent_state([0.0, 0.0], orientation=0.3),
                    Anchor(position=[0.3, 0.3], orientation=0.7),
                    SurfaceMap([[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0]]),
                    ComponentOrder.canonical(4), np.arange(17)), wall=(1, 1.25))
@@ -587,19 +582,18 @@ class TestBatchedPass:
         point = surfaces.points[surface - 1]
         # along the wall from the foot of the origin's normal
         direction = np.array([-point[1], point[0]]) / np.linalg.norm(point)
-        agent = AgentPose(position=point / 2 + along * direction, velocity=[0.0, 0.0],
-                          orientation=agent.orientation)
+        agent = ref.agent_state(point / 2 + along * direction, orientation=agent[4])
         if surface == 1 and np.array_equal(point, [10.0, 0.0]):
-            assert agent.position.tolist() == [5.0, along]
-        np.testing.assert_allclose(ref.mirror(surfaces, agent.position, surface),
-                                   agent.position, atol=1e-12 * np.linalg.norm(point))
+            assert agent[0:2].tolist() == [5.0, along]
+        np.testing.assert_allclose(ref.mirror(surfaces, agent[0:2], surface),
+                                   agent[0:2], atol=1e-12 * np.linalg.norm(point))
         try:
             ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
         except DegenerateGeometryError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = PathPlan(order, visible, anchor)
-        params, degenerate, jac = global_jacobian(agent.as_state(), plan, surfaces)
+        params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac).max(axis=0))

@@ -18,13 +18,13 @@ from mpslam_bounds.checks import (
 )
 from mpslam_bounds.fim import ComponentOrder
 from mpslam_bounds.geometry import (
-    AgentPose,
     Anchor,
     PathComponent,
     SurfaceMap,
     rotation_matrix,
     wrap_angle,
 )
+from tests.reference_geometry import agent_state
 from tests.reference_jacobian import rotation_matrix_derivative
 
 
@@ -38,7 +38,7 @@ def resolve(agent, anchor, paths, surfaces):
 
 
 def at(position, orientation=0.0):
-    return AgentPose(position=position, velocity=[0.0, 0.0], orientation=orientation)
+    return agent_state(position, orientation=orientation)
 
 
 def mirror(surfaces, x, surface):
@@ -49,7 +49,7 @@ def mirror(surfaces, x, surface):
 
 
 def virtual_anchor(anchor, path, surfaces, agent=at([0.1, -0.3])):
-    return agent.position - resolve(agent, anchor, [path], surfaces).va_to_agent[0]
+    return agent[0:2] - resolve(agent, anchor, [path], surfaces).va_to_agent[0]
 
 
 def random_geometry(rng, num_surfaces):
@@ -307,10 +307,10 @@ class TestChannelParams:
             if checked_single < 40:
                 p1 = surfaces.points[0]
                 image = _reflect_across_line(anchor.position, p1)
-                hit = _segment_line_crossing(image, agent.position, p1)
+                hit = _segment_line_crossing(image, agent[0:2], p1)
                 if hit is not None:
                     length = (np.linalg.norm(anchor.position - hit)
-                              + np.linalg.norm(agent.position - hit))
+                              + np.linalg.norm(agent[0:2] - hit))
                     d = channel_params(agent, anchor,
                                        PathComponent.single_bounce(1), surfaces)[0]
                     assert abs(d - length) < 1e-10
@@ -319,7 +319,7 @@ class TestChannelParams:
                 pa, pb = surfaces.points
                 image1 = _reflect_across_line(anchor.position, pa)
                 image2 = _reflect_across_line(image1, pb)
-                hit2 = _segment_line_crossing(image2, agent.position, pb)
+                hit2 = _segment_line_crossing(image2, agent[0:2], pb)
                 if hit2 is None:
                     continue
                 hit1 = _segment_line_crossing(image1, hit2, pa)
@@ -327,7 +327,7 @@ class TestChannelParams:
                     continue
                 length = (np.linalg.norm(anchor.position - hit1)
                           + np.linalg.norm(hit2 - hit1)
-                          + np.linalg.norm(agent.position - hit2))
+                          + np.linalg.norm(agent[0:2] - hit2))
                 d = channel_params(agent, anchor,
                                    PathComponent.double_bounce(1, 2), surfaces)[0]
                 assert abs(d - length) < 1e-10

@@ -13,7 +13,7 @@ from mpslam_bounds.fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from mpslam_bounds.geometry import AgentPose, Anchor, SurfaceMap
+from mpslam_bounds.geometry import Anchor, SurfaceMap
 from mpslam_bounds.pcrlb import (
     CONDITION_LIMIT,
     SingularFimError,
@@ -34,7 +34,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
     snapshot_fim,
 )
-from tests.reference_geometry import channel_params, pose_at
+from tests.reference_geometry import agent_state, channel_params
 
 
 def bounds_of(scenario):
@@ -225,7 +225,7 @@ class TestPredictAndFuse:
         model = scenario.model
         prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
         j_pred = predict_fim(prior_cov, transition_matrix(model), process_noise_cov(model))
-        snapshot = snapshot_fim(scenario, pose_at(ground_truth(scenario), 1), 1).information
+        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
         expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"),
                                   model.num_surfaces)
         np.testing.assert_array_equal(bounds_of(scenario)[0], expected)
@@ -432,7 +432,7 @@ class TestRecursionCore:
     def test_pure_information_accumulation(self):
         """With identity transition and zero noise the posterior is the prior
         plus the running snapshot sum."""
-        agent = AgentPose(position=[1.0, 2.0], velocity=[0, 0], orientation=0.1)
+        agent = agent_state([1.0, 2.0], orientation=0.1)
         anchors = [Anchor(position=[0, 0], orientation=0.2),
                    Anchor(position=[5, 1], orientation=2.0)]
         surfaces = SurfaceMap([[8.0, 0.0]])
@@ -510,7 +510,7 @@ class TestRunRecursion:
         records = bounds_of(scenario)
         truth = ground_truth(scenario)
         for step, rec in enumerate(records, start=1):
-            snap = snapshot_fim(scenario, pose_at(truth, step), step).information
+            snap = snapshot_fim(scenario, truth[step], step).information
             floor = 1e-6 * np.eye(snap.shape[0])
             only = extract_bounds(np.linalg.inv(snap + floor), scenario.model.num_surfaces)
             assert rec[0] == pytest.approx(only[0], rel=0.01)  # peb

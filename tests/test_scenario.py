@@ -24,7 +24,7 @@ from mpslam_bounds.fim import (
     global_jacobian,
     measurement_variances,
 )
-from mpslam_bounds.geometry import AgentPose, Anchor, DegenerateGeometryError, joint_state
+from mpslam_bounds.geometry import Anchor, DegenerateGeometryError, wrap_angle
 from mpslam_bounds.pcrlb import StateSpaceModel, run_recursion
 from mpslam_bounds.scenario import (
     AmplitudeModel,
@@ -45,7 +45,6 @@ from mpslam_bounds.scenario import (
     snapshot_fim,
 )
 from mpslam_bounds.streams import derive_run_stream
-from tests.reference_geometry import pose_at
 from tests.test_ekf import dense_octagon, sparse_octagon
 from tests.test_pcrlb import desk_mapping
 
@@ -175,14 +174,15 @@ class TestLoader:
             assert all(scenario.visibility.flags(j, n).all()
                        for j in range(2) for n in range(1, 21))
         assert_fields_equal(sampled.trajectory, NcvTrajectory(
-            n_steps=20, initial=AgentPose(position=[1.0, 1.0], velocity=[1.5, 0.75])))
+            n_steps=20, position=[1.0, 1.0], velocity=[1.5, 0.75]))
 
     def test_every_section_field_has_a_reader(self):
         """A section field whose annotation has no reader fails here, not
         when a file sets it; the loader supplies the ``given`` fields."""
-        given = {StateSpaceModel: {"num_surfaces"}, Anchor: {"aperture"}}
+        given = {StateSpaceModel: {"num_surfaces"}, Anchor: {"aperture"},
+                 NcvTrajectory: {"n_steps"}}
         sections = [SignalModel, StateSpaceModel, AmplitudeModel, PriorSpec, MonteCarloConfig,
-                    Anchor, AgentPose, *scenario_module.APERTURE_KINDS.values()]
+                    Anchor, NcvTrajectory, *scenario_module.APERTURE_KINDS.values()]
         for cls in sections:
             for f in fields(cls):
                 if f.init and f.name not in given.get(cls, ()):
@@ -289,12 +289,9 @@ class TestVisibilitySchedule:
 class TestTrajectories:
     def test_noiseless_ncv_walks_straight(self):
         model = StateSpaceModel(time_step=1.0, num_surfaces=0)
-        spec = NcvTrajectory(
-            n_steps=3,
-            initial=AgentPose(position=[0.0, 0.0], velocity=[1.0, 0.0]),
-        )
-        poses = generate_trajectory(spec, model, derive_run_stream(0, 0))
-        np.testing.assert_allclose(poses.position, [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
+        spec = NcvTrajectory(n_steps=3, position=[0.0, 0.0], velocity=[1.0, 0.0])
+        states = generate_trajectory(spec, model, derive_run_stream(0, 0))
+        np.testing.assert_allclose(states[:, 0:2], [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
 
     def test_two_waypoints_give_constant_velocity_line(self):
         model = StateSpaceModel(time_step=0.5, num_surfaces=0)
@@ -303,11 +300,11 @@ class TestTrajectories:
             times=np.array([0.0, 2.0]),
             positions=np.array([[0.0, 0.0], [2.0, 2.0]]),
         )
-        poses = generate_trajectory(spec, model)
+        states = generate_trajectory(spec, model)
         steps = np.arange(5)[:, None]
-        np.testing.assert_allclose(poses.position, [0.5, 0.5] * steps, atol=1e-12)
-        np.testing.assert_allclose(poses.velocity, [[1.0, 1.0]] * 5, atol=1e-12)
-        np.testing.assert_allclose(poses.orientation, [math.pi / 4] * 5)
+        np.testing.assert_allclose(states[:, 0:2], [0.5, 0.5] * steps, atol=1e-12)
+        np.testing.assert_allclose(states[:, 2:4], [[1.0, 1.0]] * 5, atol=1e-12)
+        np.testing.assert_allclose(states[:, 4], [math.pi / 4] * 5)
 
     def test_waypoints_must_cover_the_horizon(self):
         model = StateSpaceModel(time_step=1.0, num_surfaces=0)
@@ -319,6 +316,41 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="needs"):
             generate_trajectory(spec, model)
 
+    def test_heading_of_minus_zero_dy_is_pi(self):
+        """A segment from [1, 0] to [0, -0.0] has dy = -0.0, whose atan2
+        heading is -pi; the trajectory wraps it, so every heading is pi."""
+        model = StateSpaceModel(time_step=0.5, num_surfaces=0)
+        spec = WaypointTrajectory(n_steps=4, times=np.array([0.0, 2.0]),
+                                  positions=np.array([[1.0, 0.0], [0.0, -0.0]]))
+        dy = spec.positions[1, 1] - spec.positions[0, 1]
+        assert math.atan2(dy, -1.0) == -math.pi
+        assert generate_trajectory(spec, model)[:, 4].tolist() == [math.pi] * 5
+
+    def test_sampled_initial_orientation_is_wrapped(self):
+        """An initial orientation of 4.0 is read as wrap_angle(4.0), built
+        directly and from a file: step 0 holds it, and the whole trajectory
+        equals that of wrap_angle(4.0), bit for bit."""
+        model = StateSpaceModel(time_step=0.1, num_surfaces=0, accel_noise_var=0.01,
+                                orient_noise_var=0.01)
+
+        def sampled(orientation):
+            spec = NcvTrajectory(n_steps=20, position=[0.8, 0.8], velocity=[0.9, 0.75],
+                                 orientation=orientation)
+            return generate_trajectory(spec, model, derive_run_stream(5, 0))
+
+        states = sampled(4.0)
+        assert states[0, 4] == wrap_angle(4.0) != 4.0
+        assert states.tobytes() == sampled(wrap_angle(4.0)).tobytes()
+        mapping = desk_mapping()
+        mapping["trajectory"] = {"kind": "sampled_ncv", "n_steps": 20, "position": [0.8, 0.8],
+                                 "velocity": [0.9, 0.75], "orientation": 4.0}
+        scenario = scenario_from_mapping(mapping)
+        assert scenario.trajectory.orientation == wrap_angle(4.0)
+        truth = ground_truth(scenario)
+        assert truth[0, 4] == wrap_angle(4.0)
+        mapping["trajectory"]["orientation"] = wrap_angle(4.0)
+        assert truth.tobytes() == ground_truth(scenario_from_mapping(mapping)).tobytes()
+
     def test_waypoint_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             WaypointTrajectory(n_steps=2, times=np.array([0.0, 0.0]),
@@ -327,12 +359,9 @@ class TestTrajectories:
     def test_process_noise_sample_mean_is_centered(self):
         model = StateSpaceModel(time_step=1.0, num_surfaces=0,
                                 accel_noise_var=4.0, orient_noise_var=0.25)
-        spec = NcvTrajectory(
-            n_steps=100_000,
-            initial=AgentPose(position=[0.0, 0.0], velocity=[0.0, 0.0]),
-        )
-        poses = generate_trajectory(spec, model, derive_run_stream(3, 1))
-        velocity_steps = np.diff(poses.velocity, axis=0)
+        spec = NcvTrajectory(n_steps=100_000, position=[0.0, 0.0], velocity=[0.0, 0.0])
+        states = generate_trajectory(spec, model, derive_run_stream(3, 1))
+        velocity_steps = np.diff(states[:, 2:4], axis=0)
         # velocity increments are T * accel draws: mean within 4 sigma / sqrt(n)
         sigma = 2.0
         assert abs(velocity_steps[:, 0].mean()) < 4 * sigma / math.sqrt(100_000)
@@ -346,8 +375,7 @@ class TestTrajectories:
 
         monkeypatch.setattr(scenario_module, "trajectory_stream", boom)
         scenario = scenario_from_mapping(desk_mapping())
-        poses = ground_truth(scenario)
-        assert poses.as_state().shape == (scenario.n_steps + 1, 5)
+        assert ground_truth(scenario).shape == (scenario.n_steps + 1, scenario.dim)
 
     @pytest.mark.parametrize("times, positions", [
         ([0.0, 2.0], [[0.0, 0.0], [2.0, 2.0]]),
@@ -376,8 +404,8 @@ class TestTrajectories:
             position = spec.positions[seg] + alpha * (spec.positions[seg + 1] - spec.positions[seg])
             if math.hypot(*velocity) > 1e-12:
                 heading = math.atan2(velocity[1], velocity[0])
-            rows.append(AgentPose(position, velocity, heading).as_state())
-        np.testing.assert_array_equal(generate_trajectory(spec, model).as_state(), rows)
+            rows.append([*position, *velocity, wrap_angle(heading)])
+        np.testing.assert_array_equal(generate_trajectory(spec, model), rows)
 
 
 class TestSnapshotInformation:
@@ -393,13 +421,13 @@ class TestSnapshotInformation:
         # at step 10 the agent is at [1.5, 0.8] heading +x: anchor 1's LOS
         # arrives along the array axis
         scenario = scenario_from_mapping(mapping)
-        pose = pose_at(ground_truth(scenario), 10)
+        state = ground_truth(scenario)[10]
         with pytest.raises(ZeroApertureError, match=r"step 10, anchor 1, component \[0, 0\]"):
-            snapshot_fim(scenario, pose, 10)
+            snapshot_fim(scenario, state, 10)
         mapping["visibility"] = {"default": True,
                                  "rules": [{"visible": False, "anchors": [1],
                                             "components": [[0, 0]], "steps": [10]}]}
-        info = snapshot_fim(scenario_from_mapping(mapping), pose, 10).information
+        info = snapshot_fim(scenario_from_mapping(mapping), state, 10).information
         assert np.isfinite(info).all() and info.trace() > 0.0
 
 
@@ -443,9 +471,9 @@ def step_layouts(scenario):
     return list(layouts.values())
 
 
-def reference_record(scenario, pose, step):
+def reference_record(scenario, state, step):
     """One step's truth from the filter's own unbatched pass at the true
-    state: the step's visible paths of all anchors through a plan built
+    joint ``state``: the step's visible paths of all anchors through a plan built
     here for them, every path seen from its own anchor, the noise model per
     anchor on its paths' apertures, and the information of the filter's
     measurement step over those paths."""
@@ -459,7 +487,7 @@ def reference_record(scenario, pose, step):
                        np.zeros(0))
     if not owner.size:  # no anchor sees anything
         return record
-    params, degenerate, _ = global_jacobian(pose.as_state(), plan, scenario.surfaces)
+    params, degenerate, _ = global_jacobian(state, plan, scenario.surfaces)
     assert not degenerate.any()
     variances = np.empty_like(params)
     for j, anchor in enumerate(scenario.anchors):
@@ -472,8 +500,7 @@ def reference_record(scenario, pose, step):
             amplitudes, squared, scenario.signal.carrier_freq, scenario.signal.rms_bandwidth)
     record = replace(record, params=params, variances=variances,
                      channel_information=channel_fim(variances))
-    information, _ = _measurement_step(joint_state(pose, scenario.surfaces), record, params,
-                                       scenario)
+    information, _ = _measurement_step(state, record, params, scenario)
     return replace(record, information=information)
 
 
@@ -518,7 +545,7 @@ class TestTruthPass:
         steps that are not consecutive."""
         scenario = self.CASES[case]()
         truth = ground_truth(scenario)
-        expected = [record_bytes(reference_record(scenario, pose_at(truth, n), n))
+        expected = [record_bytes(reference_record(scenario, truth[n], n))
                     for n in range(1, scenario.n_steps + 1)]
         for size in (pass_steps(scenario), scenario.n_steps, 6, 3, 1):
             monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES",
@@ -526,7 +553,7 @@ class TestTruthPass:
             table = measurement_truth(scenario, truth)
             assert [r.step for r in table] == list(range(1, scenario.n_steps + 1))
             assert [record_bytes(r) for r in table] == expected
-        assert [record_bytes(snapshot_fim(scenario, pose_at(truth, n), n))
+        assert [record_bytes(snapshot_fim(scenario, truth[n], n))
                 for n in range(1, scenario.n_steps + 1)] == expected
         if case == "sparse_desk":
             sizes = [np.bincount(r.owner, minlength=2).tolist() for r in table]
@@ -651,7 +678,7 @@ class TestTruthPass:
         assert [table[n - 1].plan.components[table[n - 1].owner == 1][0]
                 for n in (9, 10, 11)] == [los, 1, los]
         assert all(np.isfinite(r.information).all() for r in table)
-        assert record_bytes(table[9]) == record_bytes(reference_record(scenario, pose_at(truth, 10), 10))
+        assert record_bytes(table[9]) == record_bytes(reference_record(scenario, truth[10], 10))
 
 
 class TestMeasurements:
@@ -725,8 +752,7 @@ class TestMeasurements:
             for j in range(len(scenario.anchors)):
                 visible = np.flatnonzero(scenario.visibility.flags(j, record.step))
                 np.testing.assert_array_equal(record.plan.components[record.owner == j], visible)
-            params, _, _ = global_jacobian(truth.as_state()[record.step], record.plan,
-                                           scenario.surfaces)
+            params, _, _ = global_jacobian(truth[record.step], record.plan, scenario.surfaces)
             np.testing.assert_array_equal(record.params, params)
 
 

@@ -233,5 +233,5 @@ class TestNumpyPhiloxOracle:
         monkeypatch.setattr(scenario_module, "trajectory_stream",
                             lambda seed: OracleStream(seed, GROUND_TRUTH_STREAM))
         expected = ground_truth(scenario)
-        np.testing.assert_array_equal(drawn.as_state(), expected.as_state())
-        assert not np.array_equal(drawn.as_state()[1], drawn.as_state()[2])
+        np.testing.assert_array_equal(drawn, expected)
+        assert not np.array_equal(drawn[1], drawn[2])
