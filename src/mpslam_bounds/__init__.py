@@ -20,7 +20,6 @@ from .fim import (
 from .geometry import (
     Anchor,
     DegenerateGeometryError,
-    PathComponent,
     SurfaceMap,
 )
 from .pcrlb import (
@@ -49,7 +48,6 @@ __all__ = [
     "EkfState",
     "IsotropicAperture",
     "MonteCarloResult",
-    "PathComponent",
     "Scenario",
     "ScenarioError",
     "SingularFimError",

@@ -140,12 +140,12 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
     kinds = set()
     for i in range(instances):
         state, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 5)))
-        kinds.update(comp.n_bounces for comp in order)
+        kinds.update(order.n_bounces.tolist())
         jac = full_jacobian(state, anchor, order, surfaces)
-        for comp, value in zip(order, jac[4, order.size:2 * order.size].tolist()):
+        for k, value in enumerate(jac[4, order.size:2 * order.size].tolist()):
             if abs(value + 1.0) > 1e-12:
                 failures.append(
-                    f"orientation sensitivity: instance {i} path {comp.bounces} "
+                    f"orientation sensitivity: instance {i} path {order.bounces(k)} "
                     f"gave {value!r} instead of -1"
                 )
     if kinds != {0, 1, 2}:
@@ -164,7 +164,7 @@ def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list
         bad = np.abs(direct - mirrored) > 1e-12 * np.maximum(1.0, direct)
         for k in np.flatnonzero(bad):
             failures.append(
-                f"mirror length: instance {i} path {order.components[k].bounces} "
+                f"mirror length: instance {i} path {order.bounces(k)} "
                 f"|{mirrored[k]} - {direct[k]}| too large"
             )
     return failures
@@ -189,7 +189,7 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
         for k in np.flatnonzero(bad):
             failures.append(
                 f"mirrored-agent sensitivity: instance {i} path "
-                f"{order.components[k].bounces} deviates from the reflection product"
+                f"{order.bounces(k)} deviates from the reflection product"
             )
     return failures
 

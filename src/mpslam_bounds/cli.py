@@ -43,9 +43,9 @@ def _fmt(value: float) -> str:
 
 
 def _csv_lines(bounds: np.ndarray, result: MonteCarloResult | None) -> list[str]:
-    """The CSV rows of the (N, 3 + S) bound table, beside the RMSE table in
-    validate mode; the first non-finite value (earliest step, then leftmost
-    column) raises FloatingPointError."""
+    """The CSV rows of the (n_steps, 3 + S) bound table, beside the RMSE
+    table in validate mode; the first non-finite value (earliest step, then
+    leftmost column) raises FloatingPointError."""
     surfaces = range(1, bounds.shape[1] - 2)
     header = ["n", "peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces]
     table = bounds

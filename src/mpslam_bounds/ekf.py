@@ -24,7 +24,7 @@ them all. Each run draws its initial estimate around the true initial state
 from the prior and its measurements from its own stream, so its numbers do
 not depend on the batch it is in. Its squared errors from the rows of the
 joint truth are summed into the bound's state blocks, for RMSE time series
-in the columns of the (N, 3 + S) bound table. Predict and update also
+in the columns of the (n_steps, 3 + S) bound table. Predict and update also
 take a single state.
 """
 
@@ -111,7 +111,7 @@ def _linearize(
                 record.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
                 "surface estimate near origin" if near_origin[(*entry, i)] else
                 "agent coincides with virtual anchor",
-                scenario.order.components[plan.components[i]].bounces,
+                scenario.order.bounces(plan.components[i]),
             )
         residual[skipped] = 0.0
         lam[np.tile(skipped, 3)] = 0.0
@@ -162,8 +162,8 @@ def ekf_update(
 
 @dataclass
 class MonteCarloResult:
-    """Bound table and RMSE time series of steps 1..N, both (N, 3 + S):
-    position, velocity, orientation, then each surface."""
+    """Bound table and RMSE time series of steps 1..n_steps, both
+    (n_steps, 3 + S): position, velocity, orientation, then each surface."""
 
     bounds: np.ndarray
     rmse: np.ndarray
@@ -184,15 +184,16 @@ def run_single(
     order), fusing the information linearized at their estimates. The runs
     draw their initial means around row 0 of the (n + 1, N) joint truth
     ``truth`` (:func:`~.scenario.ground_truth`) and score step n against row
-    n; with no run, ``truth`` is not read. Returns the (N, 3 + S) bound table of
-    steps 1..N (:func:`~.pcrlb.extract_bounds`) and the runs' (N, 3 + S, R)
-    squared errors in the same state blocks. A bound failure raises at
-    once. A run fails where the fusion raises :class:`~.pcrlb.SingularFimError`
-    at its stack position or where its mean or covariance is not finite after
-    the step (an overflow takes inf, with no warning); it leaves the batch
-    with every run after it, and the step is redone. The bound steps on to
-    the end; then the RuntimeError raised names the first run in batch order
-    that failed and its step, as filtering the runs one by one would.
+    n; with no run, ``truth`` is not read. Returns the (n_steps, 3 + S)
+    bound table of steps 1..n_steps (:func:`~.pcrlb.extract_bounds`) and the
+    runs' (n_steps, 3 + S, R) squared errors in the same state blocks. A
+    bound failure raises at once. A run fails where the fusion raises
+    :class:`~.pcrlb.SingularFimError` at its stack position or where its mean
+    or covariance is not finite after the step (an overflow takes inf, with
+    no warning); it leaves the batch with every run after it, and the step is
+    redone. The bound steps on to the end; then the RuntimeError raised names
+    the first run in batch order that failed and its step, as filtering the
+    runs one by one would.
     """
     batch = np.atleast_1d(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)

@@ -43,7 +43,6 @@ import numpy as np
 
 from .geometry import (
     Anchor,
-    PathComponent,
     PathGeometry,
     SurfaceMap,
     dot2,
@@ -141,29 +140,24 @@ class ComponentOrder:
     """Canonical ordering of the path components observed by one anchor.
 
     Fixes the component set and the indices that visibility schedules, path
-    plans and truth records use for it. A channel pass lays out only the
-    paths it lists (see :func:`global_jacobian`), so no layout over all K
-    components is ever formed. The canonical order is LOS first, then
+    plans and truth records use for it: component k bounces at surfaces
+    ``first[k]`` (anchor side) and ``second[k]`` (agent side), 0 meaning no
+    bounce (see :class:`~.geometry.PathGeometry`). A channel pass lays out
+    only the paths it lists (see :func:`global_jacobian`), so no layout over
+    all K components is ever formed. The canonical order is LOS first, then
     single bounces by ascending surface, then double bounces
-    lexicographically by (first, second) surface. A canonical order is built
-    once per surface count and shared, so its index arrays are read-only.
+    lexicographically by (first, second) surface. It is built once per
+    surface count by :meth:`canonical` and shared, so its index arrays are
+    read-only.
     """
 
-    def __init__(self, components: Sequence[PathComponent]):
-        comps = tuple(
-            c if isinstance(c, PathComponent) else PathComponent(tuple(c))
-            for c in components
-        )
-        if not comps:
-            raise ValueError("component order must not be empty")
-        pairs = [c.pair for c in comps]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("duplicate path components in order")
-        self._components = comps
-        # Bounce surfaces as index arrays (0 = no bounce), see geometry.PathGeometry.
-        padded = np.array([c.bounces + (0,) * (2 - len(c.bounces)) for c in comps], dtype=int)
+    def __init__(self, num_surfaces: int):
+        surfaces = range(1, num_surfaces + 1)
+        padded = np.array([(0, 0)] + [(s, 0) for s in surfaces]
+                          + list(itertools.permutations(surfaces, 2)), dtype=int)
         self.first, self.second = padded[:, 0], padded[:, 1]
         self.n_bounces = np.count_nonzero(padded, axis=1)
+        self.size = len(padded)  # number of components K
         for index in (self.first, self.second, self.n_bounces):
             index.flags.writeable = False
 
@@ -171,30 +165,15 @@ class ComponentOrder:
     @functools.cache
     def canonical(cls, num_surfaces: int) -> "ComponentOrder":
         """Full component set for S surfaces: LOS, S single, S(S-1) double bounces."""
-        surfaces = range(1, num_surfaces + 1)
-        comps = [PathComponent.los()] + [PathComponent.single_bounce(s) for s in surfaces]
-        comps += [PathComponent.double_bounce(*s) for s in itertools.permutations(surfaces, 2)]
-        return cls(comps)
+        return cls(num_surfaces)
 
-    @property
-    def components(self) -> tuple[PathComponent, ...]:
-        return self._components
+    def bounces(self, k: int) -> tuple[int, ...]:
+        """Component k's bounce surfaces, anchor side first: () for LOS."""
+        return tuple(int(s) for s in (self.first[k], self.second[k]) if s)
 
-    @property
-    def size(self) -> int:
-        """Number of components K."""
-        return len(self._components)
-
-    @property
-    def dim(self) -> int:
-        """Stacked channel parameter dimension 3K."""
-        return 3 * len(self._components)
-
-    def __iter__(self):
-        return iter(self._components)
-
-    def __len__(self) -> int:
-        return len(self._components)
+    def pair(self, k: int) -> tuple[int, int]:
+        """Component k's [s, s'] identity: (0, 0) for LOS, (s, s) for a single bounce."""
+        return int(self.first[k]), int(self.second[k] or self.first[k])
 
 
 class PathPlan:

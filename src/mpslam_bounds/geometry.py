@@ -162,53 +162,6 @@ class Anchor:
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """A propagation path, identified by its sequence of reflecting surfaces.
-
-    ``bounces`` lists the reflecting surfaces transmit side first:
-    ``()`` is the direct line-of-sight path, ``(s,)`` a single bounce at
-    surface s, ``(s, s2)`` a double bounce hitting s first (anchor side)
-    and s2 second (agent side). Whether a component is visible and how
-    strong it is are set by the scenario's schedule and amplitude model.
-    """
-
-    bounces: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(self.bounces) > 2:
-            raise ValueError("at most two bounces are supported")
-        if any(int(s) < 1 for s in self.bounces):
-            raise ValueError("surface indices are 1-based")
-        if len(self.bounces) == 2 and self.bounces[0] == self.bounces[1]:
-            raise ValueError("double bounce requires two distinct surfaces")
-
-    @classmethod
-    def los(cls) -> "PathComponent":
-        return cls(())
-
-    @classmethod
-    def single_bounce(cls, surface: int) -> "PathComponent":
-        return cls((int(surface),))
-
-    @classmethod
-    def double_bounce(cls, first: int, second: int) -> "PathComponent":
-        return cls((int(first), int(second)))
-
-    @property
-    def n_bounces(self) -> int:
-        return len(self.bounces)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        """(s, s') pair identity: (0, 0) for LOS, (s, s) for a single bounce."""
-        if not self.bounces:
-            return (0, 0)
-        if len(self.bounces) == 1:
-            return (self.bounces[0], self.bounces[0])
-        return (self.bounces[0], self.bounces[1])
-
-
-@dataclass(frozen=True)
 class PathGeometry:
     """Stacked mirror geometry of n paths of one agent pose, each from its own anchor.
 

@@ -11,7 +11,7 @@ as the start covariance, each step is
 
 and the error bounds are square roots of traces of blocks of P: position
 (PEB), velocity (VEB), orientation (OEB) and one mapping bound per surface
-(MEB), read out by :func:`extract_bounds` as one row of the (N, 3 + S)
+(MEB), read out by :func:`extract_bounds` as one row of the (n_steps, 3 + S)
 bound table, in the columns of the filter's RMSE. The EKF takes the same
 two steps and the same readout; it adds only the mean, so its covariance
 run at the truth is this recursion, and the bound steps as entry 0 of the
@@ -248,7 +248,7 @@ def run_recursion(scenario, table) -> np.ndarray:
     prior covariance, then alternates prediction and fusion; each step's
     covariance gives its bounds and the next step's prediction: the filter's
     lockstep loop (:func:`~.ekf.run_single`) with no runs. Returns the
-    (N, 3 + S) bound table, row n - 1 for step n. Deterministic.
+    (n_steps, 3 + S) bound table, row n - 1 for step n. Deterministic.
     """
     from .ekf import run_single  # ekf imports this module at load time
     return run_single(scenario, None, table, ())[0]

@@ -448,7 +448,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
             kind, at = kind[first], (g[first], i[first])
             if kind == 0:
                 reason = ("agent coincides with virtual anchor for path "
-                          f"{order.components[plan.components[at[1]]].bounces}")
+                          f"{order.bounces(plan.components[at[1]])}")
             elif kind == 1:  # a distance or amplitude beyond the float range
                 value = f"amplitude {amplitudes[at]}" if reached[at] else f"distance {distance[at]}"
                 reason = f"{value} is not finite and positive"
@@ -471,7 +471,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     if failures:
         b, j, k, error, reason = min(failures, key=lambda failure: failure[0])
         raise error(f"step {steps[b]}, anchor {j + 1}, "
-                    f"component {list(order.components[k].pair)}: {reason}")
+                    f"component {list(order.pair(k))}: {reason}")
     return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]
 
 
@@ -704,7 +704,7 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
     if not isinstance(raw_rules, list):
         raise ScenarioError(f"{path}.rules: expected a list")
     table = np.full((n_anchors, n_steps + 1, order.size), int(default), dtype=np.int8)
-    pair_to_index = {c.pair: k for k, c in enumerate(order)}
+    pair_to_index = {order.pair(k): k for k in range(order.size)}
     for i, raw in enumerate(raw_rules):
         rpath = f"{path}.rules[{i}]"
         raw = _require_mapping(raw, rpath)

@@ -1,7 +1,8 @@
 """Scalar reference of the batched path geometry.
 
 One path at a time, folding the surface mirror over the bounce sequence
-with Python control flow: the form that ``geometry.path_geometry`` replaced
+(a tuple of surfaces, anchor side first: ``()`` for LOS) with Python
+control flow: the form that ``geometry.path_geometry`` replaced
 by one batched pass. Tests compare the batched pass against it, and the
 loop-form gradient in ``tests/reference_jacobian.py`` is built on it.
 """
@@ -11,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mpslam_bounds.fim import ComponentOrder
 from mpslam_bounds.geometry import (
     DEGENERACY_EPS,
     Anchor,
     DegenerateGeometryError,
-    PathComponent,
     SurfaceMap,
     rotation_matrix,
 )
@@ -24,6 +25,11 @@ from mpslam_bounds.geometry import (
 def agent_state(position, velocity=(0.0, 0.0), orientation=0.0) -> np.ndarray:
     """The (5,) agent state [x, y, vx, vy, orientation]."""
     return np.array([*position, *velocity, orientation], dtype=float)
+
+
+def canonical_index(order: ComponentOrder, bounces: tuple[int, ...]) -> int:
+    """Index k of the component with these bounce surfaces in ``order``."""
+    return next(k for k in range(order.size) if order.bounces(k) == tuple(bounces))
 
 
 def householder(surfaces: SurfaceMap, surface: int) -> np.ndarray:
@@ -55,30 +61,30 @@ class ChannelParams:
         return np.array([self.distance, self.aoa, self.aod])
 
 
-def virtual_anchor(anchor: Anchor, path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
+def virtual_anchor(anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
     """Mirror the anchor through the bounce sequence (LOS returns the anchor)."""
     point = anchor.position
-    for s in path.bounces:
+    for s in path:
         point = mirror(surfaces, point, s)
     return point
 
 
-def mirrored_agent(agent_position, path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
+def mirrored_agent(agent_position, path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
     """Mirror the agent position through the reversed bounce sequence.
 
     Its distance to the anchor equals the distance from the virtual anchor
     to the agent exactly.
     """
     point = np.asarray(agent_position, dtype=float)
-    for s in reversed(path.bounces):
+    for s in reversed(path):
         point = mirror(surfaces, point, s)
     return point
 
 
-def householder_chain(path: PathComponent, surfaces: SurfaceMap) -> np.ndarray:
+def householder_chain(path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
     """d(anchor->mirrored-agent)^T / d(agent position): I, H_s or H_s2 H_s."""
     chain = np.eye(2)
-    for s in reversed(path.bounces):
+    for s in reversed(path):
         chain = chain @ householder(surfaces, s)
     return chain
 
@@ -94,7 +100,7 @@ class PathGeometry:
 
 
 def path_geometry(
-    agent: np.ndarray, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap
 ) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of one path; the
     agent's position and orientation are entries 0:2 and 4 of its state row.
@@ -107,7 +113,7 @@ def path_geometry(
     dist = float(np.linalg.norm(r))
     if dist <= DEGENERACY_EPS or np.linalg.norm(r_t) <= DEGENERACY_EPS:
         raise DegenerateGeometryError(
-            f"agent coincides with virtual anchor for path {path.bounces}"
+            f"agent coincides with virtual anchor for path {path}"
         )
     departure_local = rotation_matrix(anchor.orientation).T @ r_t
     arrival_local = -(rotation_matrix(agent[4]).T @ r)
@@ -120,7 +126,7 @@ def path_geometry(
 
 
 def channel_params(
-    agent: np.ndarray, anchor: Anchor, path: PathComponent, surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap
 ) -> ChannelParams:
     """Noise-free distance, arrival and departure azimuth of one path."""
     return path_geometry(agent, anchor, path, surfaces).params

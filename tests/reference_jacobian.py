@@ -56,11 +56,11 @@ def _reflection_source_block(source, surfaces, surface):
 def loop_jacobian(agent, anchor, order, surfaces, geoms):
     """(N, 3K) gradient from one resolved geometry per component (None = absent),
     at the agent state row ``agent``."""
-    jac = np.zeros((5 + 2 * len(surfaces), order.dim))
+    jac = np.zeros((5 + 2 * len(surfaces), 3 * order.size))
     rot_anchor = rotation_matrix(anchor.orientation)
     rot_agent = rotation_matrix(agent[4])
     rot_agent_dot = rotation_matrix_derivative(agent[4])
-    for k, (comp, geom) in enumerate(zip(order, geoms)):
+    for k, geom in enumerate(geoms):
         if geom is None:
             continue
         i_d, i_aoa, i_aod = k, order.size + k, 2 * order.size + k
@@ -74,8 +74,9 @@ def loop_jacobian(agent, anchor, order, surfaces, geoms):
         jac[0:2, i_aoa] = aoa_col
         jac[0:2, i_aod] = transfer @ az_departure
         jac[4, i_aoa] = -(geom.va_to_agent @ rot_agent_dot) @ az_arrival
-        for i, s in enumerate(comp.bounces):
-            before, after = comp.bounces[:i], comp.bounces[i + 1:]
+        bounces = order.bounces(k)
+        for i, s in enumerate(bounces):
+            before, after = bounces[:i], bounces[i + 1:]
             source, sink = anchor.position, agent[0:2]
             for t in before:
                 source = mirror(surfaces, source, t)
@@ -98,6 +99,6 @@ def loop_reference(agent, anchor, order, surfaces, components):
     """(n, 3) scalar channel params and loop-form gradient of the listed components."""
     geoms = [None] * order.size
     for k in components:
-        geoms[k] = path_geometry(agent, anchor, order.components[k], surfaces)
+        geoms[k] = path_geometry(agent, anchor, order.bounces(k), surfaces)
     params = np.array([geoms[k].params.as_array() for k in components]).reshape(-1, 3)
     return params, loop_jacobian(agent, anchor, order, surfaces, geoms)

@@ -99,8 +99,8 @@ def test_criterion_3_structural_zeros():
     for _ in range(20):
         num_surfaces = int(rng.integers(1, 4))
         agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-        params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
-                           for c in order])
+        params = np.array([channel_params(agent, anchor, order.bounces(k), surfaces).as_array()
+                           for k in range(order.size)])
         # isotropic arrays of 0.01 m^2
         variances = measurement_variances(2.0 / params[:, 0], np.full((order.size, 2), 0.01),
                                           6e9, 1e8)

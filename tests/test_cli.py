@@ -18,9 +18,8 @@ import pytest
 
 from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
-from mpslam_bounds.geometry import PathComponent
 from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
-from tests.reference_geometry import virtual_anchor
+from tests.reference_geometry import mirror, virtual_anchor
 from tests.test_pcrlb import desk_mapping
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -184,6 +183,29 @@ def agent_on_anchor():
     return degenerate_desk([1.5, 0.8])
 
 
+def anchor_at_agent_image(bounces):
+    """Desk scenario whose anchor 1 is the step 1 agent position mirrored
+    about the surfaces of ``bounces``, agent side first: at step 1 the agent
+    sits on that path's virtual anchor."""
+    mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+    scenario = scenario_from_mapping(mapping)
+    position = ground_truth(scenario)[1][0:2]
+    for s in reversed(bounces):
+        position = mirror(scenario.surfaces, position, s)
+    mapping["anchors"][0]["position"] = position.tolist()
+    return mapping
+
+
+def agent_on_single_bounce_image():
+    return anchor_at_agent_image((1,)), ("step 1, anchor 1, component [1, 1]: agent coincides "
+                                         "with virtual anchor for path (1,)")
+
+
+def agent_on_double_bounce_image():
+    return anchor_at_agent_image((1, 2)), ("step 1, anchor 1, component [1, 2]: agent coincides "
+                                           "with virtual anchor for path (1, 2)")
+
+
 def los_at_endfire():
     ula = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025}
     return degenerate_desk([1.5, 3.0], agent_aperture=ula)
@@ -206,8 +228,7 @@ def bounce_at_endfire():
     scenario = scenario_from_mapping(mapping)
     state = ground_truth(scenario)[10]
     # arrival from the virtual anchor of anchor 1 in wall 4 (y = -1)
-    arrival = virtual_anchor(scenario.anchors[0], PathComponent.single_bounce(4),
-                             scenario.surfaces) - state[0:2]
+    arrival = virtual_anchor(scenario.anchors[0], (4,), scenario.surfaces) - state[0:2]
     mapping["agent_aperture"] = {
         "kind": "ula", "num_elements": 4, "element_spacing": 0.025,
         "broadside": math.atan2(arrival[1], arrival[0]) - float(state[4]) + math.pi / 2,
@@ -565,8 +586,9 @@ class TestErrors:
         assert "scenario.trajectory.points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
-    @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor, los_at_endfire,
-                                      bounce_at_endfire, variance_before_endfire,
+    @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor,
+                                      agent_on_single_bounce_image, agent_on_double_bounce_image,
+                                      los_at_endfire, bounce_at_endfire, variance_before_endfire,
                                       huge_bandwidth, huge_aperture, huge_ula_spacing,
                                       huge_position_prior, huge_surface_prior,
                                       huge_reference_amplitude, tiny_bounce_loss,

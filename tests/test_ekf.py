@@ -204,8 +204,7 @@ class TestUpdate:
 
         with caplog.at_level(logging.WARNING):
             _, lam, innovation = _linearize(mean, record, observed, scenario)
-        on_surface = np.tile([1 in order.components[k].bounces
-                              for k in record.plan.components], 3)
+        on_surface = np.tile([1 in order.bounces(k) for k in record.plan.components], 3)
         np.testing.assert_array_equal(lam[~on_surface],
                                       channel_fim(record.variances)[~on_surface])
         assert on_surface.any() and not lam[on_surface].any()
@@ -223,10 +222,10 @@ class TestUpdate:
         assert len(scenario.anchors) == 2
         for anchor in range(len(scenario.anchors)):
             target = next(k for k in components[record.owner == anchor]
-                          if order.components[k].n_bounces == 1)
-            path = order.components[target]
+                          if order.n_bounces[k] == 1)
+            assert order.bounces(target) == (1,)
             mean = truth[1].copy()
-            mean[0:2] = virtual_anchor(scenario.anchors[anchor], path, scenario.surfaces)
+            mean[0:2] = virtual_anchor(scenario.anchors[anchor], (1,), scenario.surfaces)
 
             caplog.clear()
             with caplog.at_level(logging.WARNING):
@@ -239,7 +238,7 @@ class TestUpdate:
             warnings = [rec.message for rec in caplog.records
                         if "skipping component" in rec.message]
             assert warnings == [f"step 1 anchor {anchor + 1}: agent coincides with virtual "
-                                f"anchor, skipping component {path.bounces}"]
+                                "anchor, skipping component (1,)"]
 
 
 def polygon_room(num_walls, apothem=3.5):
@@ -548,10 +547,9 @@ class TestStepPlans:
         plans = [record.plan for record in table]
         assert plans[0] is plans[2]
         assert len({id(plan) for plan in plans}) == 3
-        pair = {k: list(c.pair) for k, c in enumerate(scenario.order)}
         for record, (seen, pairs) in zip(table, [(0, [los, first]), (0, [los, second]),
                                                  (0, [los, first]), (1, [los, first])]):
-            assert [pair[k] for k in record.plan.components] == pairs
+            assert [list(scenario.order.pair(k)) for k in record.plan.components] == pairs
             assert record.owner.tolist() == [seen] * 2
             np.testing.assert_array_equal(record.plan.anchor_position,
                                           [scenario.anchors[seen].position] * 2)

@@ -11,20 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpslam_bounds.checks import (
-    all_paths,
     check_chain_fd,
     check_mirror_lengths,
     random_instance,
 )
-from mpslam_bounds.fim import ComponentOrder
+from mpslam_bounds.fim import ComponentOrder, PathPlan
 from mpslam_bounds.geometry import (
     Anchor,
-    PathComponent,
     SurfaceMap,
+    path_geometry,
     rotation_matrix,
     wrap_angle,
 )
-from tests.reference_geometry import agent_state
+from tests.reference_geometry import agent_state, canonical_index
 from tests.reference_jacobian import rotation_matrix_derivative
 
 
@@ -33,8 +32,10 @@ def householder(surface_point):
 
 
 def resolve(agent, anchor, paths, surfaces):
-    """The batched pass over the given paths, in the given order."""
-    return all_paths(agent, anchor, ComponentOrder(paths), surfaces)
+    """The batched pass over the paths with the given bounce tuples, in the given order."""
+    order = ComponentOrder.canonical(len(surfaces))
+    plan = PathPlan(order, [canonical_index(order, path) for path in paths], anchor)
+    return path_geometry(agent, plan, surfaces)
 
 
 def at(position, orientation=0.0):
@@ -43,7 +44,7 @@ def at(position, orientation=0.0):
 
 def mirror(surfaces, x, surface):
     """``x`` mirrored about one surface: an anchor at ``x`` mirrored at a first bounce."""
-    geo = resolve(at([0.0, 0.0]), Anchor(position=x), [PathComponent.single_bounce(surface)],
+    geo = resolve(at([0.0, 0.0]), Anchor(position=x), [(surface,)],
                   surfaces)
     return geo.anchor_once[0]
 
@@ -55,7 +56,7 @@ def virtual_anchor(anchor, path, surfaces, agent=at([0.1, -0.3])):
 def random_geometry(rng, num_surfaces):
     """Random nondegenerate instance; anchors/agents inside a disc, walls outside."""
     agent, anchor, surfaces, order = random_instance(rng, num_surfaces)
-    return agent, anchor, surfaces, list(order)
+    return agent, anchor, surfaces, [order.bounces(k) for k in range(order.size)]
 
 
 def mirrored_agent(agent_position, path, surfaces, anchor=Anchor(position=[0.2, 0.7])):
@@ -143,18 +144,18 @@ class TestMirrorPoint:
 
 class TestPathComponent:
     def test_bounce_sequences(self):
-        assert PathComponent.los().bounces == ()
-        assert PathComponent.single_bounce(3).bounces == (3,)
-        assert PathComponent.double_bounce(1, 2).bounces == (1, 2)
-
-    def test_double_bounce_needs_distinct_surfaces(self):
-        with pytest.raises(ValueError):
-            PathComponent.double_bounce(2, 2)
+        order = ComponentOrder.canonical(3)
+        assert order.bounces(0) == ()
+        assert order.bounces(3) == (3,)
+        assert order.bounces(4) == (1, 2)
+        assert all(type(s) is int for k in range(order.size) for s in order.bounces(k))
 
     def test_pair_identities(self):
-        assert PathComponent.los().pair == (0, 0)
-        assert PathComponent.single_bounce(2).pair == (2, 2)
-        assert PathComponent.double_bounce(3, 1).pair == (3, 1)
+        order = ComponentOrder.canonical(3)
+        assert order.pair(0) == (0, 0)
+        assert order.pair(2) == (2, 2)
+        assert order.pair(order.size - 2) == (3, 1)
+        assert all(type(s) is int for k in range(order.size) for s in order.pair(k))
 
 
 class TestVirtualPoints:
@@ -162,34 +163,34 @@ class TestVirtualPoints:
         anchor = Anchor(position=[1.0, -2.0])
         surfaces = SurfaceMap([[2.0, 0.0]])
         np.testing.assert_allclose(
-            virtual_anchor(anchor, PathComponent.los(), surfaces), [1.0, -2.0]
+            virtual_anchor(anchor, (), surfaces), [1.0, -2.0]
         )
 
     def test_single_bounce_virtual_anchor_from_origin(self):
         anchor = Anchor(position=[0.0, 0.0])
         surfaces = SurfaceMap([[2.0, 0.0]])
         np.testing.assert_allclose(
-            virtual_anchor(anchor, PathComponent.single_bounce(1), surfaces), [2.0, 0.0]
+            virtual_anchor(anchor, (1,), surfaces), [2.0, 0.0]
         )
 
     def test_double_bounce_virtual_anchor(self):
         anchor = Anchor(position=[0.0, 0.0])
         surfaces = SurfaceMap([[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(
-            virtual_anchor(anchor, PathComponent.double_bounce(1, 2), surfaces),
+            virtual_anchor(anchor, (1, 2), surfaces),
             [2.0, 2.0],
         )
 
     def test_mirrored_agent_for_los_is_the_agent(self):
         surfaces = SurfaceMap([[2.0, 0.0]])
         np.testing.assert_allclose(
-            mirrored_agent([3.0, 1.0], PathComponent.los(), surfaces), [3.0, 1.0]
+            mirrored_agent([3.0, 1.0], (), surfaces), [3.0, 1.0]
         )
 
     def test_mirrored_agent_single_bounce(self):
         surfaces = SurfaceMap([[2.0, 0.0]])
         np.testing.assert_allclose(
-            mirrored_agent([0.0, 2.0], PathComponent.single_bounce(1), surfaces),
+            mirrored_agent([0.0, 2.0], (1,), surfaces),
             [2.0, 2.0],
         )
 
@@ -200,8 +201,8 @@ class TestVirtualPoints:
 class TestHouseholderChain:
     def test_reduces_to_known_products(self):
         surfaces = SurfaceMap([[2.0, 0.0], [0.0, 2.0]])
-        paths = [PathComponent.los(), PathComponent.single_bounce(1),
-                 PathComponent.double_bounce(1, 2)]
+        paths = [(), (1,),
+                 (1, 2)]
         chain = resolve(at([0.5, 0.5]), Anchor(position=[-0.5, 0.2]), paths, surfaces).chain
         houses = surfaces.householders
         np.testing.assert_allclose(chain[0], np.eye(2))
@@ -254,7 +255,7 @@ class TestChannelParams:
     def test_los_three_four_five(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = at([3.0, 4.0])
-        distance, aoa, aod = channel_params(agent, anchor, PathComponent.los(),
+        distance, aoa, aod = channel_params(agent, anchor, (),
                                             SurfaceMap([[9.0, 9.0]]))
         assert distance == pytest.approx(5.0)
         assert aod == pytest.approx(math.atan2(4, 3))
@@ -264,7 +265,7 @@ class TestChannelParams:
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = at([0.0, 2.0])
         surfaces = SurfaceMap([[2.0, 0.0]])
-        distance, aoa, aod = channel_params(agent, anchor, PathComponent.single_bounce(1),
+        distance, aoa, aod = channel_params(agent, anchor, (1,),
                                             surfaces)
         assert distance == pytest.approx(2.0 * math.sqrt(2.0))
         assert aod == pytest.approx(math.pi / 4)
@@ -276,7 +277,7 @@ class TestChannelParams:
         delta = 0.37
         base = at([1.0, 2.0], 0.2)
         rotated = at([1.0, 2.0], 0.2 + delta)
-        for path in (PathComponent.los(), PathComponent.single_bounce(1)):
+        for path in ((), (1,)):
             d0, aoa0, aod0 = channel_params(base, anchor, path, surfaces)
             d1, aoa1, aod1 = channel_params(rotated, anchor, path, surfaces)
             assert wrap_angle(aoa1 - (aoa0 - delta)) == pytest.approx(0.0, abs=1e-12)
@@ -287,7 +288,7 @@ class TestChannelParams:
         anchor = Anchor(position=[1.0, 1.0])
         agent = at([1.0, 1.0])
         surfaces = SurfaceMap([[4.0, 0.0]])
-        paths = [PathComponent.los(), PathComponent.single_bounce(1)]
+        paths = [(), (1,)]
         assert resolve(agent, anchor, paths, surfaces).degenerate.tolist() == [True, False]
 
     def test_distance_equals_unfolded_ray_trace(self):
@@ -312,7 +313,7 @@ class TestChannelParams:
                     length = (np.linalg.norm(anchor.position - hit)
                               + np.linalg.norm(agent[0:2] - hit))
                     d = channel_params(agent, anchor,
-                                       PathComponent.single_bounce(1), surfaces)[0]
+                                       (1,), surfaces)[0]
                     assert abs(d - length) < 1e-10
                     checked_single += 1
             if checked_double < 40:
@@ -329,7 +330,7 @@ class TestChannelParams:
                           + np.linalg.norm(hit2 - hit1)
                           + np.linalg.norm(agent[0:2] - hit2))
                 d = channel_params(agent, anchor,
-                                   PathComponent.double_bounce(1, 2), surfaces)[0]
+                                   (1, 2), surfaces)[0]
                 assert abs(d - length) < 1e-10
                 checked_double += 1
 

@@ -416,8 +416,8 @@ class TestExtractBounds:
 def snapshot_for(agent, anchors, surfaces, order, aperture=IsotropicAperture(0.005)):
     terms = []
     for anchor in anchors:
-        params = np.array([channel_params(agent, anchor, c, surfaces).as_array()
-                           for c in order])
+        params = np.array([channel_params(agent, anchor, order.bounces(k), surfaces).as_array()
+                           for k in range(order.size)])
         squared = np.stack([aperture.squared_aperture(params[:, 1]),
                             aperture.squared_aperture(params[:, 2])], axis=-1)
         variances = measurement_variances(20.0 / params[:, 0], squared, 6e9, 2e8)

@@ -123,8 +123,8 @@ class TestLoader:
         """The loader and the Scenario share one canonical order, built once
         per surface count; a Scenario built in code gets the same one."""
         built, exact = [], ComponentOrder.__init__
-        monkeypatch.setattr(ComponentOrder, "__init__", lambda order, components: (
-            built.append(order) or exact(order, components)))
+        monkeypatch.setattr(ComponentOrder, "__init__", lambda order, num_surfaces: (
+            built.append(order) or exact(order, num_surfaces)))
         ComponentOrder.canonical.cache_clear()
         scenario = load_scenario("scenarios/desk.yaml")
         assert built == [scenario.order] and scenario.order is ComponentOrder.canonical(4)
