@@ -17,11 +17,7 @@ from .fim import (
     global_jacobian,
     global_snapshot_fim,
 )
-from .geometry import (
-    Anchor,
-    DegenerateGeometryError,
-    SurfaceMap,
-)
+from .geometry import Anchor, DegenerateGeometryError
 from .pcrlb import (
     SingularFimError,
     StateSpaceModel,
@@ -52,7 +48,6 @@ __all__ = [
     "ScenarioError",
     "SingularFimError",
     "StateSpaceModel",
-    "SurfaceMap",
     "UniformLinearArray",
     "ZeroApertureError",
     "channel_fim",

@@ -26,7 +26,6 @@ from .geometry import (
     Anchor,
     DegenerateGeometryError,
     PathGeometry,
-    SurfaceMap,
     path_geometry,
     rotation_matrix,
     wrap_angle,
@@ -46,21 +45,21 @@ def random_instance(rng: np.random.Generator, num_surfaces: int):
             angle = rng.uniform(-np.pi, np.pi)
             radius = rng.uniform(1.5, 18.0)
             points.append(radius * np.array([np.cos(angle), np.sin(angle)]))
-        surfaces = SurfaceMap(np.array(points))
+        surfaces = np.array(points)
         anchor = Anchor(
             position=rng.uniform(-6.0, 6.0, size=2),
             orientation=rng.uniform(-np.pi, np.pi),
             aperture=IsotropicAperture(0.01),
         )
         state = np.concatenate([rng.uniform(-6.0, 6.0, size=2), rng.uniform(-2.0, 2.0, size=2),
-                                [rng.uniform(-np.pi, np.pi)], surfaces.points.ravel()])
+                                [rng.uniform(-np.pi, np.pi)], surfaces.ravel()])
         order = ComponentOrder.canonical(num_surfaces)
         if all_paths(state, anchor, order, surfaces).params[:, 0].min() > 0.5:
             return state, anchor, surfaces, order
 
 
 def all_paths(
-    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: np.ndarray
 ) -> PathGeometry:
     """The batched geometry pass over every component of ``order``, in order."""
     return path_geometry(state, PathPlan(order, range(order.size), anchor), surfaces)
@@ -72,8 +71,7 @@ def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> 
     Read from the batched geometry pass that :func:`~.fim.global_jacobian`
     differentiates.
     """
-    surfaces = SurfaceMap(state[5:].reshape(-1, 2))
-    return all_paths(state, anchor, order, surfaces).params.T.ravel()
+    return all_paths(state, anchor, order, state[5:].reshape(-1, 2)).params.T.ravel()
 
 
 def finite_difference_jacobian(
@@ -110,7 +108,7 @@ def column_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def full_jacobian(
-    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: SurfaceMap
+    state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: np.ndarray
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
     _, degenerate, jac = global_jacobian(state, PathPlan(order, range(order.size), anchor),

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .fim import global_jacobian, global_snapshot_fim
-from .geometry import SurfaceMap, dot2, wrap_angle
+from .geometry import dot2, wrap_angle
 from .pcrlb import (
     SingularFimError, block_sums, extract_bounds, fuse, predict_cov, process_noise_cov,
     transition_matrix,
@@ -100,7 +100,7 @@ def _linearize(
         usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
         points = np.where(usable[..., 1:, None], points, [1.0, 0.0])
         near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
-    params, degenerate, jac = global_jacobian(mean, plan, SurfaceMap(points))
+    params, degenerate, jac = global_jacobian(mean, plan, points)
     residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * len(record.owner),))
     lam[...] = record.channel_information
     skipped = near_origin | degenerate

@@ -44,7 +44,6 @@ import numpy as np
 from .geometry import (
     Anchor,
     PathGeometry,
-    SurfaceMap,
     dot2,
     matvec2,
     path_geometry,
@@ -208,17 +207,19 @@ class PathPlan:
 # the float range overflows, and the truth pass reports the distance it gives.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def global_jacobian(state: np.ndarray, plan: PathPlan,
-                    surfaces: SurfaceMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    surfaces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel parameters and their (N, 3n) gradient w.r.t. the joint state.
 
     Resolves the n paths of ``plan`` in one batched pass at the agent pose
-    of ``state`` (:func:`~.geometry.path_geometry`). Returns their (n, 3)
+    of ``state`` and the (S, 2) surface points ``surfaces``
+    (:func:`~.geometry.path_geometry`); the state's own surface entries
+    are not read, so a pose-only (..., 5) state serves. Returns their (n, 3)
     channel parameters, their degenerate-geometry mask and the compact
     gradient: columns i, n + i and 2n + i hold the gradients of path i's
     distance, arrival and departure azimuth, zero for a degenerate path. A
     batched state (one entry per Monte-Carlo run or per step of a truth
-    pass) adds its leading axes to all three; the surface map is shared or
-    batched alike (per-run estimates, see :class:`~.geometry.SurfaceMap`).
+    pass) adds its leading axes to all three; the surface points are shared
+    or batched alike, (..., S, 2) (per-run estimates).
 
     * Position rows: distance and departure azimuth flow through the
       mirrored-agent chain and the anchor rotation; the arrival azimuth
@@ -235,7 +236,7 @@ def global_jacobian(state: np.ndarray, plan: PathPlan,
       bounce slot, scattered as the plan lays them out.
     """
     geo = path_geometry(state, plan, surfaces)
-    n_state, n = 5 + 2 * len(surfaces), plan.components.size
+    n_state, n = 5 + 2 * surfaces.shape[-2], plan.components.size
     rot_anchor, rot_agent = plan.anchor_rotation, geo.agent_rotation
     dep, arr = geo.departure_local, geo.arrival_local
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
@@ -255,7 +256,7 @@ def global_jacobian(state: np.ndarray, plan: PathPlan,
     ends = np.empty(batch + (2, 2, n, 2))  # (direct source, mirrored sink) x slot
     ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = plan.anchor_position, geo.anchor_once
     ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, state[..., None, 0:2]
-    blocks = _reflection_source_blocks(ends, geo, surfaces.sq_norms[..., plan.slot])
+    blocks = _reflection_source_blocks(ends, geo)
     blocks[..., 0, 0, :, :, :] = blocks[..., 0, 0, :, :, :] @ geo.houses[..., 1, :, :, :]
     blocks[..., 1, 1, :, :, :] = blocks[..., 1, 1, :, :, :] @ geo.houses[..., 0, :, :, :]
     direct = blocks[..., 0, :, :, :, :]
@@ -278,19 +279,17 @@ def global_jacobian(state: np.ndarray, plan: PathPlan,
     return geo.params, geo.degenerate, jac[..., :n_state, :]
 
 
-def _reflection_source_blocks(
-    source: np.ndarray, geo: PathGeometry, sq_norms: np.ndarray
-) -> np.ndarray:
+def _reflection_source_blocks(source: np.ndarray, geo: PathGeometry) -> np.ndarray:
     """Sensitivity of the mirrored-source-to-agent vector to the surface point.
 
     Stacked gradient-layout 2x2 blocks for single reflections of ``source``
     (..., m, slot, n, 2) about each slot's surface (point p and Householder
-    H as the pass ``geo`` gathered them, ||p||^2 in ``sq_norms``):
-    2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with a the source. A
-    batched map's leading axes lead ``source`` as well.
+    H and ||p||^2 as the pass ``geo`` gathered them):
+    2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with a the source. Batched
+    surface points' leading axes lead ``source`` as well.
     """
     point = geo.points[..., None, :, :, :]
-    sq = sq_norms[..., None, :, :, None, None]
+    sq = geo.sq_norms[..., None, :, :, None, None]
     outer = source[..., :, None] * point[..., None, :]
     dot = dot2(source, point)[..., None, None]
     return (2.0 / sq) * outer + (2.0 * dot / sq) * geo.houses[..., None, :, :, :, :] - np.eye(2)

@@ -14,17 +14,18 @@ the agent) and mirrored agents (agent mirrored towards the anchor), from
 which noise-free channel parameters (path distance, angle of arrival at the
 agent, angle of departure at the anchor) follow.
 
-:func:`path_geometry` is the one implementation of that fold: it resolves
-many paths of one agent pose, each from its own anchor, at once from the
-surfaces' stacked Householders, gathered once per bounce slot, where
-surface 0 is the identity mirror that stands for "no bounce". The channel pass
-(``fim.global_jacobian``) and the self-check's finite differences both run
-on it.
+Surfaces are a plain float array of their points: (S, 2), or (..., S, 2)
+for a batch of estimates. :func:`path_geometry` is the one implementation
+of that fold: it resolves many paths of one agent pose, each from its own
+anchor, at once from the Householders it derives from those points,
+gathered once per bounce slot, where surface 0 is the identity mirror that
+stands for "no bounce". The channel pass (``fim.global_jacobian``) and the
+self-check's finite differences both run on it.
 
 Conventions
 -----------
 * Surfaces are indexed 1..S. A surface line through the origin is not
-  representable and is rejected.
+  representable; the scenario loader rejects one.
 * A propagation path stores its bounce surfaces transmit side first: the
   first entry is the reflection adjacent to the anchor, the last the one
   adjacent to the agent.
@@ -96,52 +97,6 @@ def _as_vec2(value, name: str) -> np.ndarray:
     return vec
 
 
-class SurfaceMap:
-    """Collection of S reflecting surfaces, each stored as its origin-mirror point.
-
-    ``points`` is (S, 2), or (..., S, 2) for one map per entry of a batch
-    (per Monte-Carlo run estimates); every stack below then carries the same
-    leading axes.
-    """
-
-    # A point beyond the square root of the float range overflows its squares;
-    # the truth pass reports the distance that gives.
-    @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[-1] != 2:
-            raise ValueError(f"surface map must be (S, 2), got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("surface points must be finite")
-        sq = dot2(pts, pts)
-        through_origin = np.sqrt(sq) <= DEGENERACY_EPS  # the norm, bit for bit
-        if through_origin.any():
-            raise ValueError(f"surface {np.argwhere(through_origin)[0, -1] + 1} passes "
-                             "through the origin and is not representable")
-        self._points = pts
-        # Stacks indexed by the 1-based surface number; entry 0 is the identity
-        # mirror (H = I, p = 0, unit norm) that stands for "no bounce".
-        padded = pts.shape[:-2] + (pts.shape[-2] + 1,)
-        self.householders = np.empty(padded + (2, 2))
-        self.householders[..., 0, :, :] = np.eye(2)
-        self.householders[..., 1:, :, :] = np.eye(2) - (2.0 / sq)[..., None, None] * (
-            pts[..., :, None] * pts[..., None, :])
-        self.padded_points = np.zeros(padded + (2,))
-        self.padded_points[..., 1:, :] = pts
-        self.sq_norms = np.ones(padded)
-        self.sq_norms[..., 1:] = sq
-
-    def __len__(self) -> int:
-        return self._points.shape[-2]
-
-    @property
-    def points(self) -> np.ndarray:
-        """All surface points as an (..., S, 2) array (read-only view)."""
-        view = self._points.view()
-        view.flags.writeable = False
-        return view
-
-
 @dataclass
 class Anchor:
     """Fixed transceiver with known position, orientation and array aperture;
@@ -168,9 +123,10 @@ class PathGeometry:
     :func:`path_geometry` takes path i as its first (anchor-side) and second
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
     single bounce at s is (s, 0). Row i of each field belongs to path i;
-    a batched agent pose and surface map add their leading axes in front.
+    a batched agent pose and surface points add their leading axes in front.
     What the gradient reuses is kept: the agent rotation, each bounce slot's
-    Householders and points, the path vectors' squared lengths and lengths.
+    Householders, points and squared norms, the path vectors' squared
+    lengths and lengths.
     """
 
     anchor_once: np.ndarray  # (..., n, 2) anchor mirrored at the first bounce only
@@ -184,11 +140,28 @@ class PathGeometry:
     agent_rotation: np.ndarray  # (..., 2, 2) agent frame to global frame
     houses: np.ndarray  # (..., 2, n, 2, 2) Householders of each slot (first, second bounce)
     points: np.ndarray  # (..., 2, n, 2) surface points of each slot, zero for no bounce
+    sq_norms: np.ndarray  # (..., 2, n) their squared norms, one for no bounce
     squared: np.ndarray  # (4, ..., n) squared lengths of path_geometry's r, r_t, dep, arr
     lengths: np.ndarray  # (4, ..., n) their lengths
 
 
-def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> PathGeometry:
+# A point beyond the square root of the float range overflows its squares;
+# the truth pass reports the distance that gives.
+@np.errstate(over="ignore", invalid="ignore")
+def _mirrors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householders, points and squared norms of the (..., S, 2) surface
+    ``points``, indexed by the 1-based surface number: entry 0 is the
+    identity mirror (H = I, p = 0, unit norm) that stands for "no bounce",
+    its zero point making the Householder formula give I exactly."""
+    padded = np.zeros(points.shape[:-2] + (points.shape[-2] + 1, 2))
+    padded[..., 1:, :] = points
+    sq = dot2(padded, padded)
+    sq[..., 0] = 1.0
+    houses = np.eye(2) - (2.0 / sq)[..., None, None] * (padded[..., :, None] * padded[..., None, :])
+    return houses, padded, sq
+
+
+def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: np.ndarray) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of n paths at once.
 
     The paths, with their bounce surfaces and each one's anchor, are those
@@ -196,14 +169,14 @@ def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> 
     entries 0:2 and 4 of ``state``, an (..., 5) pose state
     [px, py, vx, vy, orientation] or a joint state, finite and wrapped. Its
     leading axes batch the pass (one entry per Monte-Carlo run or per step),
-    and the surface map carries the same ones or none. Instead of raising,
+    and the (..., S, 2) surface points carry the same ones or none. Instead of raising,
     it flags as ``degenerate`` each path whose virtual-anchor-to-agent or
     anchor-to-mirrored-agent vector (global or local frame) is not longer
     than ``DEGENERACY_EPS``: the agent coincides with the path's virtual
     anchor.
     """
-    houses = surfaces.householders[..., plan.slot, :, :]
-    points = surfaces.padded_points[..., plan.slot, :]
+    houses, points, sq_norms = _mirrors(surfaces)
+    houses, points = houses[..., plan.slot, :, :], points[..., plan.slot, :]
     h1, h2 = houses[..., 0, :, :, :], houses[..., 1, :, :, :]
     p1, p2 = points[..., 0, :, :], points[..., 1, :, :]
     agent, position, rot_anchor = state[..., 0:2], plan.anchor_position, plan.anchor_rotation
@@ -225,4 +198,4 @@ def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: SurfaceMap) -> 
     )
     return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
                         (lengths <= DEGENERACY_EPS).any(axis=0), rot_agent, houses, points,
-                        squared, lengths)
+                        sq_norms[..., plan.slot], squared, lengths)

@@ -1,6 +1,6 @@
 """Scenario definition, loading, ground truth and synthetic measurements.
 
-A scenario bundles anchors, the surface map, signal parameters, the
+A scenario bundles anchors, the surface points, signal parameters, the
 state-transition model, a ground-truth trajectory specification, an
 amplitude model, a per-component visibility schedule, the initial prior and
 Monte-Carlo settings. Scenario files are YAML mappings whose keys mirror
@@ -50,7 +50,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import Anchor, DegenerateGeometryError, SurfaceMap, wrap_angle
+from .geometry import DEGENERACY_EPS, Anchor, DegenerateGeometryError, dot2, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -266,7 +266,7 @@ class StepTruth:
 @dataclass
 class Scenario:
     anchors: list[Anchor]
-    surfaces: SurfaceMap
+    surfaces: np.ndarray  # (S, 2) surface points, read-only
     signal: SignalModel
     model: StateSpaceModel
     trajectory: TrajectorySpec
@@ -382,7 +382,7 @@ def ground_truth(scenario: Scenario) -> np.ndarray:
     else:
         rng = None
     states = generate_trajectory(scenario.trajectory, scenario.model, rng)
-    surfaces = np.tile(scenario.surfaces.points.ravel(), (states.shape[0], 1))
+    surfaces = np.tile(scenario.surfaces.ravel(), (states.shape[0], 1))
     return np.concatenate([states, surfaces], axis=1)
 
 
@@ -772,8 +772,18 @@ def scenario_from_mapping(root) -> Scenario:
     raw_surfaces, _ = section("surfaces")
     if not isinstance(raw_surfaces, list) or not raw_surfaces:
         raise ScenarioError("scenario.surfaces: expected a non-empty list of [x, y] points")
-    surface_points = [_as_vec2(p, f"scenario.surfaces[{i}]") for i, p in enumerate(raw_surfaces)]
-    surfaces = _make(SurfaceMap, "scenario.surfaces", points=np.array(surface_points))
+    surfaces = np.array([_as_vec2(p, f"scenario.surfaces[{i}]")
+                         for i, p in enumerate(raw_surfaces)])
+    with np.errstate(over="ignore"):  # a far point's squares overflow to inf
+        through_origin = np.sqrt(dot2(surfaces, surfaces)) <= DEGENERACY_EPS  # the norm, bit for bit
+    if through_origin.any():
+        raise ScenarioError(f"scenario.surfaces: surface {np.argmax(through_origin) + 1} passes "
+                            "through the origin and is not representable")
+    for i, point in enumerate(surfaces):  # a repeated wall would count its paths twice
+        if (same := np.flatnonzero((surfaces[:i] == point).all(axis=1))).size:
+            raise ScenarioError(
+                f"scenario.surfaces[{i}]: same point as scenario.surfaces[{same[0]}]")
+    surfaces.flags.writeable = False
 
     signal = _build(SignalModel, *section("signal"))
     model = _build(StateSpaceModel, *section("model"), num_surfaces=len(surfaces))

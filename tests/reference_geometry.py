@@ -17,7 +17,6 @@ from mpslam_bounds.geometry import (
     DEGENERACY_EPS,
     Anchor,
     DegenerateGeometryError,
-    SurfaceMap,
     rotation_matrix,
 )
 
@@ -32,21 +31,23 @@ def canonical_index(order: ComponentOrder, bounces: tuple[int, ...]) -> int:
     return next(k for k in range(order.size) if order.bounces(k) == tuple(bounces))
 
 
-def householder(surfaces: SurfaceMap, surface: int) -> np.ndarray:
-    """Householder reflection of surface ``surface`` (1-based)."""
+def householder(surfaces: np.ndarray, surface: int) -> np.ndarray:
+    """Householder reflection I - 2 p p^T / (p . p) of surface ``surface``
+    (1-based) of the (S, 2) surface points, from its point p."""
     if not 1 <= surface <= len(surfaces):
         raise ValueError(f"surface index {surface} outside 1..{len(surfaces)}")
-    return surfaces.householders[surface]
+    p = np.asarray(surfaces[surface - 1], dtype=float)
+    return np.eye(2) - 2.0 * np.outer(p, p) / float(p @ p)
 
 
-def mirror(surfaces: SurfaceMap, x, surface: int) -> np.ndarray:
+def mirror(surfaces: np.ndarray, x, surface: int) -> np.ndarray:
     """Mirror ``x`` about surface ``surface`` (1-based).
 
     Involutory; points on the surface line are fixed; the origin maps to
     the surface point itself.
     """
     x = np.asarray(x, dtype=float)
-    return householder(surfaces, surface) @ x + surfaces.padded_points[surface]
+    return householder(surfaces, surface) @ x + surfaces[surface - 1]
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class ChannelParams:
         return np.array([self.distance, self.aoa, self.aod])
 
 
-def virtual_anchor(anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
+def virtual_anchor(anchor: Anchor, path: tuple[int, ...], surfaces: np.ndarray) -> np.ndarray:
     """Mirror the anchor through the bounce sequence (LOS returns the anchor)."""
     point = anchor.position
     for s in path:
@@ -69,7 +70,7 @@ def virtual_anchor(anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap) 
     return point
 
 
-def mirrored_agent(agent_position, path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
+def mirrored_agent(agent_position, path: tuple[int, ...], surfaces: np.ndarray) -> np.ndarray:
     """Mirror the agent position through the reversed bounce sequence.
 
     Its distance to the anchor equals the distance from the virtual anchor
@@ -81,7 +82,7 @@ def mirrored_agent(agent_position, path: tuple[int, ...], surfaces: SurfaceMap) 
     return point
 
 
-def householder_chain(path: tuple[int, ...], surfaces: SurfaceMap) -> np.ndarray:
+def householder_chain(path: tuple[int, ...], surfaces: np.ndarray) -> np.ndarray:
     """d(anchor->mirrored-agent)^T / d(agent position): I, H_s or H_s2 H_s."""
     chain = np.eye(2)
     for s in reversed(path):
@@ -100,7 +101,7 @@ class PathGeometry:
 
 
 def path_geometry(
-    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: np.ndarray
 ) -> PathGeometry:
     """Resolve the mirror geometry and channel parameters of one path; the
     agent's position and orientation are entries 0:2 and 4 of its state row.
@@ -126,7 +127,7 @@ def path_geometry(
 
 
 def channel_params(
-    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: SurfaceMap
+    agent: np.ndarray, anchor: Anchor, path: tuple[int, ...], surfaces: np.ndarray
 ) -> ChannelParams:
     """Noise-free distance, arrival and departure azimuth of one path."""
     return path_geometry(agent, anchor, path, surfaces).params

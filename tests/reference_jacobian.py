@@ -44,7 +44,7 @@ def distance_gradient(r):
 
 def _reflection_source_block(source, surfaces, surface):
     """2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I for one reflection of a."""
-    p = surfaces.points[surface - 1]
+    p = surfaces[surface - 1]
     sq = float(p @ p)
     return (
         (2.0 / sq) * np.outer(source, p)

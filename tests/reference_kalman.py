@@ -13,7 +13,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR, EkfState
 from mpslam_bounds.fim import PathPlan, global_jacobian
-from mpslam_bounds.geometry import SurfaceMap, wrap_angle
+from mpslam_bounds.geometry import wrap_angle
 
 
 def stacked_linearization(mean, record, observed, scenario):
@@ -27,7 +27,7 @@ def stacked_linearization(mean, record, observed, scenario):
     """
     raw_points = mean[5:].reshape(-1, 2)
     usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
-    surfaces = SurfaceMap(np.where(usable[1:, None], raw_points, [[1.0, 0.0]]))
+    surfaces = np.where(usable[1:, None], raw_points, [[1.0, 0.0]])
     order = scenario.order
 
     h_rows = [np.zeros((0, mean.shape[0]))]

@@ -19,7 +19,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import PathPlan, channel_fim, global_jacobian
-from mpslam_bounds.geometry import Anchor, SurfaceMap, wrap_angle
+from mpslam_bounds.geometry import Anchor, wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
     fuse,
@@ -135,7 +135,7 @@ class TestUpdate:
         owners = [record.owner == j for j in range(len(scenario.anchors))]
         assert len(owners) == 2 and all(own.any() for own in owners)
 
-        surfaces = SurfaceMap(mean[5:].reshape(-1, 2))
+        surfaces = mean[5:].reshape(-1, 2)
         gradients, residuals = [], []
         for anchor, own in zip(scenario.anchors, owners):
             n = np.count_nonzero(own)
@@ -325,7 +325,7 @@ def dense_octagon():
     return scenario_from_mapping(octagon_mapping())
 
 
-def sparse_octagon():
+def sparse_octagon_mapping():
     """The octagon with only LOS and single bounces visible, anchor 2
     blanked for steps 3-5 and every anchor blanked for steps 8-9."""
     mapping = octagon_mapping()
@@ -334,7 +334,11 @@ def sparse_octagon():
         {"visible": False, "anchors": [2], "steps": {"from": 3, "to": 5}},
         {"visible": False, "steps": [8, 9]},
     ]}
-    return scenario_from_mapping(mapping)
+    return mapping
+
+
+def sparse_octagon():
+    return scenario_from_mapping(sparse_octagon_mapping())
 
 
 class TestFilterAtTheTruthIsTheBound:

@@ -22,7 +22,6 @@ from mpslam_bounds.fim import (
 from mpslam_bounds.geometry import (
     Anchor,
     DegenerateGeometryError,
-    SurfaceMap,
     wrap_angle,
 )
 from tests import reference_geometry as ref
@@ -38,7 +37,7 @@ def fd_channel_gradient(agent, anchor, path, surfaces, coord, step=1e-6):
 
     def evaluate(delta):
         state = agent.copy()
-        pts = surfaces.points.copy()
+        pts = surfaces.copy()
         if coord < 2:
             state[coord] += delta
         elif coord == 2:
@@ -46,11 +45,11 @@ def fd_channel_gradient(agent, anchor, path, surfaces, coord, step=1e-6):
         else:
             s, axis = divmod(coord - 3, 2)
             pts[s, axis] += delta
-        return ref.channel_params(state, anchor, path, SurfaceMap(pts)).as_array()
+        return ref.channel_params(state, anchor, path, pts).as_array()
 
     base = (agent[coord] if coord < 2
             else agent[4] if coord == 2
-            else surfaces.points[(coord - 3) // 2, (coord - 3) % 2])
+            else surfaces[(coord - 3) // 2, (coord - 3) % 2])
     h = step * max(1.0, abs(base))
     diff = evaluate(h) - evaluate(-h)
     diff[1] = wrap_angle(diff[1])
@@ -201,7 +200,7 @@ class TestMappingBlock:
     the anchor-to-mirrored-agent block."""
 
     def test_los_block_is_zero(self):
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         anchor = Anchor(position=[1.0, 1.0])
         agent = ref.agent_state([3.0, 4.0], orientation=0.2)
         for col in path_columns(agent, anchor, (), surfaces):
@@ -210,14 +209,14 @@ class TestMappingBlock:
     def test_single_bounce_block_with_anchor_at_origin(self):
         # the direct block is -I there: the arrival column's surface rows are
         # minus its position rows
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         anchor = Anchor(position=[0.0, 0.0], orientation=0.3)
         agent = ref.agent_state([0.5, 2.0], orientation=-0.4)
         _, aoa_col, _ = path_columns(agent, anchor, (1,), surfaces)
         np.testing.assert_allclose(aoa_col[5:7], -aoa_col[0:2], atol=1e-12)
 
     def test_uninvolved_surface_gives_zero_block(self):
-        surfaces = SurfaceMap([[2.0, 0.0], [0.0, 3.0]])
+        surfaces = np.array([[2.0, 0.0], [0.0, 3.0]], dtype=float)
         anchor = Anchor(position=[1.0, 0.5])
         agent = ref.agent_state([-0.5, 1.5])
         for col in path_columns(agent, anchor, (1,), surfaces):
@@ -260,7 +259,7 @@ class TestPositioningSubmatrices:
     def test_los_distance_column_is_unit_direction(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = ref.agent_state([3.0, 4.0])
-        surfaces = SurfaceMap([[20.0, 0.0]])
+        surfaces = np.array([[20.0, 0.0]], dtype=float)
         dist_col, aoa_col, _ = path_columns(agent, anchor, (), surfaces)
         np.testing.assert_allclose(dist_col[0:2], [0.6, 0.8], atol=1e-12)
         assert np.linalg.norm(aoa_col[0:2]) == pytest.approx(1.0 / 5.0)
@@ -296,7 +295,7 @@ class TestMappingSubmatrices:
         # column are minus its position rows
         anchor = Anchor(position=[0.0, 0.0], orientation=0.15)
         agent = ref.agent_state([0.5, 2.0], orientation=-0.4)
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         dist_col, _, _ = path_columns(agent, anchor, (1,), surfaces)
         np.testing.assert_allclose(dist_col[5:7], -dist_col[0:2], atol=1e-12)
 
@@ -320,7 +319,7 @@ class TestChannelFim:
         np.testing.assert_array_equal(channel_fim(np.full((2, 3), np.inf)), np.zeros(6))
 
     def test_amplitude_scaling_is_quadratic(self):
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         anchor = Anchor(position=[0, 0])
         agent = ref.agent_state([3, 4])
         params = [ref.channel_params(agent, anchor, c, surfaces) for c in [(), (1,)]]
@@ -468,7 +467,7 @@ def rooms(draw):
                             orientation=draw(_coordinate(np.pi)))
     order = ComponentOrder.canonical(num_surfaces)
     subset = draw(st.lists(st.booleans(), min_size=order.size, max_size=order.size))
-    return agent, anchor, SurfaceMap(points), order, np.flatnonzero(subset)
+    return agent, anchor, np.array(points, dtype=float), order, np.flatnonzero(subset)
 
 
 def _seeded_room(visible):
@@ -563,7 +562,7 @@ class TestBatchedPass:
     @settings(max_examples=80, deadline=None)
     @example(case=(ref.agent_state([0.0, 0.0], orientation=0.3),
                    Anchor(position=[0.3, 0.3], orientation=0.7),
-                   SurfaceMap([[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0]]),
+                   np.array([[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0]], dtype=float),
                    ComponentOrder.canonical(4), np.arange(17)), wall=(1, 1.25))
     @given(case=rooms(), wall=st.tuples(st.integers(1, 8), _coordinate(6.0)))
     def test_agent_on_a_wall_line_matches_the_scalar_oracle(self, case, wall):
@@ -572,7 +571,7 @@ class TestBatchedPass:
         with the scalar reference geometry and the loop-form gradient."""
         agent, anchor, surfaces, order, visible = case
         surface, along = 1 + (wall[0] - 1) % len(surfaces), wall[1]
-        point = surfaces.points[surface - 1]
+        point = surfaces[surface - 1]
         # along the wall from the foot of the origin's normal
         direction = np.array([-point[1], point[0]]) / np.linalg.norm(point)
         agent = ref.agent_state(point / 2 + along * direction, orientation=agent[4])

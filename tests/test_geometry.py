@@ -18,7 +18,6 @@ from mpslam_bounds.checks import (
 from mpslam_bounds.fim import ComponentOrder, PathPlan
 from mpslam_bounds.geometry import (
     Anchor,
-    SurfaceMap,
     path_geometry,
     rotation_matrix,
     wrap_angle,
@@ -28,7 +27,9 @@ from tests.reference_jacobian import rotation_matrix_derivative
 
 
 def householder(surface_point):
-    return SurfaceMap([surface_point]).householders[1]
+    """The Householder the batched pass gathers for a single bounce at the surface."""
+    surfaces = np.array([surface_point], dtype=float)
+    return resolve(at([0.0, 0.0]), Anchor(position=[0.0, 0.0]), [(1,)], surfaces).houses[0, 0]
 
 
 def resolve(agent, anchor, paths, surfaces):
@@ -111,17 +112,11 @@ class TestHouseholder:
         np.testing.assert_allclose(h, h.T)
         assert np.linalg.det(h) == pytest.approx(-1.0)
 
-    def test_surface_through_origin_rejected(self):
-        with pytest.raises(ValueError):
-            householder([0.0, 0.0])
-        with pytest.raises(ValueError):
-            SurfaceMap([[1.0, 1.0], [0.0, 0.0]])
-
 
 class TestMirrorPoint:
     """One mirror of the batched pass about the wall x = 1 (surface point [2, 0])."""
 
-    wall = SurfaceMap([[2.0, 0.0]])
+    wall = np.array([[2.0, 0.0]], dtype=float)
 
     def test_origin_maps_to_surface_point(self):
         np.testing.assert_allclose(mirror(self.wall, [0.0, 0.0], 1), [2.0, 0.0])
@@ -135,7 +130,7 @@ class TestMirrorPoint:
     def test_involution_on_random_points(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            surfaces = SurfaceMap([rng.uniform(0.5, 5.0, size=2)])
+            surfaces = np.array([rng.uniform(0.5, 5.0, size=2)])
             x = rng.uniform(-5, 5, size=2)
             np.testing.assert_allclose(
                 mirror(surfaces, mirror(surfaces, x, 1), 1), x, atol=1e-12
@@ -161,34 +156,34 @@ class TestPathComponent:
 class TestVirtualPoints:
     def test_virtual_anchor_of_los_is_the_anchor(self):
         anchor = Anchor(position=[1.0, -2.0])
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         np.testing.assert_allclose(
             virtual_anchor(anchor, (), surfaces), [1.0, -2.0]
         )
 
     def test_single_bounce_virtual_anchor_from_origin(self):
         anchor = Anchor(position=[0.0, 0.0])
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         np.testing.assert_allclose(
             virtual_anchor(anchor, (1,), surfaces), [2.0, 0.0]
         )
 
     def test_double_bounce_virtual_anchor(self):
         anchor = Anchor(position=[0.0, 0.0])
-        surfaces = SurfaceMap([[2.0, 0.0], [0.0, 2.0]])
+        surfaces = np.array([[2.0, 0.0], [0.0, 2.0]], dtype=float)
         np.testing.assert_allclose(
             virtual_anchor(anchor, (1, 2), surfaces),
             [2.0, 2.0],
         )
 
     def test_mirrored_agent_for_los_is_the_agent(self):
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         np.testing.assert_allclose(
             mirrored_agent([3.0, 1.0], (), surfaces), [3.0, 1.0]
         )
 
     def test_mirrored_agent_single_bounce(self):
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         np.testing.assert_allclose(
             mirrored_agent([0.0, 2.0], (1,), surfaces),
             [2.0, 2.0],
@@ -200,14 +195,14 @@ class TestVirtualPoints:
 
 class TestHouseholderChain:
     def test_reduces_to_known_products(self):
-        surfaces = SurfaceMap([[2.0, 0.0], [0.0, 2.0]])
+        surfaces = np.array([[2.0, 0.0], [0.0, 2.0]], dtype=float)
         paths = [(), (1,),
                  (1, 2)]
         chain = resolve(at([0.5, 0.5]), Anchor(position=[-0.5, 0.2]), paths, surfaces).chain
-        houses = surfaces.householders
+        h1, h2 = householder(surfaces[0]), householder(surfaces[1])
         np.testing.assert_allclose(chain[0], np.eye(2))
-        np.testing.assert_allclose(chain[1], houses[1])
-        np.testing.assert_allclose(chain[2], houses[2] @ houses[1])
+        np.testing.assert_allclose(chain[1], h1)
+        np.testing.assert_allclose(chain[2], h2 @ h1)
 
     def test_matches_finite_difference_of_mirrored_agent(self):
         assert check_chain_fd(np.random.default_rng(7), instances=40) == []
@@ -256,7 +251,7 @@ class TestChannelParams:
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = at([3.0, 4.0])
         distance, aoa, aod = channel_params(agent, anchor, (),
-                                            SurfaceMap([[9.0, 9.0]]))
+                                            np.array([[9.0, 9.0]], dtype=float))
         assert distance == pytest.approx(5.0)
         assert aod == pytest.approx(math.atan2(4, 3))
         assert aoa == pytest.approx(math.atan2(-4, -3))
@@ -264,7 +259,7 @@ class TestChannelParams:
     def test_single_bounce_on_vertical_wall(self):
         anchor = Anchor(position=[0.0, 0.0], orientation=0.0)
         agent = at([0.0, 2.0])
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         distance, aoa, aod = channel_params(agent, anchor, (1,),
                                             surfaces)
         assert distance == pytest.approx(2.0 * math.sqrt(2.0))
@@ -273,7 +268,7 @@ class TestChannelParams:
 
     def test_agent_rotation_shifts_aoa_only(self):
         anchor = Anchor(position=[-1.0, 0.5], orientation=0.3)
-        surfaces = SurfaceMap([[2.0, 0.0]])
+        surfaces = np.array([[2.0, 0.0]], dtype=float)
         delta = 0.37
         base = at([1.0, 2.0], 0.2)
         rotated = at([1.0, 2.0], 0.2 + delta)
@@ -287,7 +282,7 @@ class TestChannelParams:
     def test_coincident_agent_and_virtual_anchor_degenerate(self):
         anchor = Anchor(position=[1.0, 1.0])
         agent = at([1.0, 1.0])
-        surfaces = SurfaceMap([[4.0, 0.0]])
+        surfaces = np.array([[4.0, 0.0]], dtype=float)
         paths = [(), (1,)]
         assert resolve(agent, anchor, paths, surfaces).degenerate.tolist() == [True, False]
 
@@ -302,11 +297,11 @@ class TestChannelParams:
             for _ in range(2):
                 angle = rng.uniform(-np.pi, np.pi)
                 points.append(rng.uniform(4.0, 9.0) * np.array([np.cos(angle), np.sin(angle)]))
-            surfaces = SurfaceMap(np.array(points))
+            surfaces = np.array(points)
             anchor = Anchor(position=rng.uniform(-1.5, 1.5, size=2))
             agent = at(rng.uniform(-1.5, 1.5, size=2))
             if checked_single < 40:
-                p1 = surfaces.points[0]
+                p1 = surfaces[0]
                 image = _reflect_across_line(anchor.position, p1)
                 hit = _segment_line_crossing(image, agent[0:2], p1)
                 if hit is not None:
@@ -317,7 +312,7 @@ class TestChannelParams:
                     assert abs(d - length) < 1e-10
                     checked_single += 1
             if checked_double < 40:
-                pa, pb = surfaces.points
+                pa, pb = surfaces
                 image1 = _reflect_across_line(anchor.position, pa)
                 image2 = _reflect_across_line(image1, pb)
                 hit2 = _segment_line_crossing(image2, agent[0:2], pb)

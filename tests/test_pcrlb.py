@@ -13,7 +13,7 @@ from mpslam_bounds.fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from mpslam_bounds.geometry import Anchor, SurfaceMap
+from mpslam_bounds.geometry import Anchor
 from mpslam_bounds.pcrlb import (
     CONDITION_LIMIT,
     SingularFimError,
@@ -435,7 +435,7 @@ class TestRecursionCore:
         agent = agent_state([1.0, 2.0], orientation=0.1)
         anchors = [Anchor(position=[0, 0], orientation=0.2),
                    Anchor(position=[5, 1], orientation=2.0)]
-        surfaces = SurfaceMap([[8.0, 0.0]])
+        surfaces = np.array([[8.0, 0.0]])
         order = ComponentOrder.canonical(1)
         snapshot = snapshot_for(agent, anchors, surfaces, order)
         dim = snapshot.shape[0]

@@ -211,10 +211,31 @@ class TestLoader:
         assert scenario.signal.carrier_freq == pytest.approx(1e9)
 
     def test_surface_through_origin_rejected(self):
-        mapping = desk_mapping()
-        mapping["surfaces"] = [[0.0, 0.0]]
-        with pytest.raises(ScenarioError, match="surface"):
+        mapping = desk_mapping(surfaces=[[10.0, 0.0], [0.0, 10.0], [0.0, 0.0], [0.0, 0.0]])
+        message = "scenario.surfaces: surface 3 passes through the origin and is not representable"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             scenario_from_mapping(mapping)
+
+    def test_repeated_surface_rejected(self):
+        """A repeated wall would count its single bounces twice and add a
+        double bounce between its copies that folds back onto the anchor; the
+        first repeat is named before the prior (here of the wrong length) is read."""
+        mapping = desk_mapping(surfaces=[[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0],
+                                         [10.0, 0.0], [0.0, 10.0]])
+        mapping["prior"]["surface_var"] = [1.0]
+        message = "scenario.surfaces[4]: same point as scenario.surfaces[0]"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            scenario_from_mapping(mapping)
+        mapping["surfaces"][4] = [10.0, 1e-300]  # distinct, if only just
+        del mapping["surfaces"][5]
+        mapping["prior"]["surface_var"] = 1.0
+        assert len(scenario_from_mapping(mapping).surfaces) == 5
+
+    def test_surfaces_are_a_read_only_array(self):
+        scenario = scenario_from_mapping(desk_mapping())
+        assert scenario.surfaces.shape == (1, 2) and scenario.surfaces.dtype == float
+        with pytest.raises(ValueError):
+            scenario.surfaces[0, 0] = 1.0
 
     def test_per_surface_prior_length_checked(self):
         mapping = desk_mapping()
