@@ -62,7 +62,8 @@ def all_paths(
     state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: np.ndarray
 ) -> PathGeometry:
     """The batched geometry pass over every component of ``order``, in order."""
-    return path_geometry(state, PathPlan(order, range(order.size), anchor), surfaces)
+    plan = PathPlan(order, np.zeros(order.size, dtype=int), range(order.size), [anchor])
+    return path_geometry(state, plan, surfaces)
 
 
 def channel_vector(state: np.ndarray, anchor: Anchor, order: ComponentOrder) -> np.ndarray:
@@ -111,8 +112,8 @@ def full_jacobian(
     state: np.ndarray, anchor: Anchor, order: ComponentOrder, surfaces: np.ndarray
 ) -> np.ndarray:
     """:func:`~.fim.global_jacobian` with every component present."""
-    _, degenerate, jac = global_jacobian(state, PathPlan(order, range(order.size), anchor),
-                                         surfaces)
+    plan = PathPlan(order, np.zeros(order.size, dtype=int), range(order.size), [anchor])
+    _, degenerate, jac = global_jacobian(state, plan, surfaces)
     if degenerate.any():
         raise DegenerateGeometryError("agent coincides with a virtual anchor")
     return jac
@@ -201,10 +202,8 @@ def check_snapshot_psd(rng: np.random.Generator, instances: int = 25) -> list[st
         visible = np.flatnonzero(rng.random(order.size) < 0.7)
         # one compact pass over both anchors' paths, the first anchor's listed first
         n = visible.size
-        both_anchors = Anchor(np.repeat([anchor.position, anchor2.position], n, axis=0),
-                              np.repeat([anchor.orientation, anchor2.orientation], n))
-        params, degenerate, jac = global_jacobian(
-            state, PathPlan(order, np.tile(visible, 2), both_anchors), surfaces)
+        params, degenerate, jac = global_jacobian(state, PathPlan(
+            order, np.repeat([0, 1], n), np.tile(visible, 2), [anchor, anchor2]), surfaces)
         if degenerate.any():
             continue
         lam = channel_fim(measurement_variances(

@@ -90,9 +90,10 @@ def _linearize(
     information and innovation there, with a diagnostic; a non-finite pose
     gives its entry non-finite information, which the fusion names.
     """
-    if not record.owner.size:
+    plan = record.plan
+    if not plan.owner.size:
         return None
-    plan, near_origin = record.plan, np.zeros(mean.shape[:-1] + record.owner.shape, dtype=bool)
+    near_origin = np.zeros(mean.shape[:-1] + plan.owner.shape, dtype=bool)
     points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
     usable = np.sqrt(dot2(points, points)) > _SURFACE_NORM_FLOOR  # the norm, bit for bit
@@ -101,14 +102,14 @@ def _linearize(
         points = np.where(usable[..., 1:, None], points, [1.0, 0.0])
         near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
     params, degenerate, jac = global_jacobian(mean, plan, points)
-    residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * len(record.owner),))
+    residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * plan.owner.size,))
     lam[...] = record.channel_information
     skipped = near_origin | degenerate
     if skipped.any():
         for *entry, i in np.argwhere(skipped):
             log.warning(
                 "step %d anchor %d%s: %s, skipping component %s", record.step,
-                record.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
+                plan.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
                 "surface estimate near origin" if near_origin[(*entry, i)] else
                 "agent coincides with virtual anchor",
                 scenario.order.bounces(plan.components[i]),

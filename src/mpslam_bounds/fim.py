@@ -176,26 +176,27 @@ class ComponentOrder:
 
 
 class PathPlan:
-    """The estimate-independent part of a channel pass over n listed paths
-    (components of ``order``, all seen from one anchor or each from its own,
-    see :class:`~.geometry.Anchor`): the bounce index arrays, each path's
-    anchor position and rotation matrix (a lone anchor repeated along the
-    paths), the bounce surfaces stacked per slot
-    (``slot``, from which a pass gathers each slot's Householders and points
-    once) and the gradient's surface scatter rows and columns. The truth
-    pass builds one per step layout and keeps it in the layout's step
-    records, and the filter linearizes through that same plan. Slot 0 is a
-    path's first (anchor-side) bounce, slot 1 its second; an empty slot
-    (surface 0) scatters to two scratch rows past the state rows, so LOS
-    columns have zero surface rows."""
+    """The estimate-independent part of a channel pass over n listed paths:
+    path i is component ``components[i]`` of ``order``, seen from anchor
+    ``owner[i]`` (0-based) of the sequence ``anchors``. It holds that
+    address, the bounce index arrays, each path's anchor position and
+    rotation matrix, the bounce surfaces stacked per slot (``slot``, from
+    which a pass gathers each slot's Householders and points once) and the
+    gradient's surface scatter rows and columns. The truth pass builds one
+    per step layout and keeps it in the layout's step records, and the
+    filter linearizes through that same plan. Slot 0 is a path's first
+    (anchor-side) bounce, slot 1 its second; an empty slot (surface 0)
+    scatters to two scratch rows past the state rows, so LOS columns have
+    zero surface rows."""
 
-    def __init__(self, order: ComponentOrder, components: Sequence[int] | np.ndarray,
-                 anchor: Anchor):
+    def __init__(self, order: ComponentOrder, owner: Sequence[int] | np.ndarray,
+                 components: Sequence[int] | np.ndarray, anchors: Sequence[Anchor]):
+        self.owner = np.asarray(owner, dtype=int)
         self.components = np.asarray(components, dtype=int)
         self.first, self.second = order.first[self.components], order.second[self.components]
-        n = self.components.size
-        self.anchor_position = np.broadcast_to(anchor.position, (n, 2))
-        self.anchor_rotation = np.broadcast_to(rotation_matrix(anchor.orientation), (n, 2, 2))
+        self.anchor_position = np.array([anchor.position for anchor in anchors])[self.owner]
+        self.anchor_rotation = rotation_matrix(
+            np.array([anchor.orientation for anchor in anchors])[self.owner])
         self.slot = np.stack([self.first, self.second])
         # surface s has state rows 3 + 2s and 4 + 2s; -2 and -1 are the scratch rows
         self.rows = np.where(self.slot > 0, 3 + 2 * self.slot, -2)[None, :, :, None] + [0, 1]

@@ -87,32 +87,21 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return rot
 
 
-def _as_vec2(value, name: str) -> np.ndarray:
-    """A finite 2-vector, or a (..., 2) stack of them."""
-    vec = np.asarray(value, dtype=float)
-    if vec.shape[-1:] != (2,):
-        raise ValueError(f"{name} must be a 2-vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} must be finite, got {vec}")
-    return vec
-
-
 @dataclass
 class Anchor:
-    """Fixed transceiver with known position, orientation and array aperture;
-    a stack of n anchors (one per path) holds (n, 2) and (n,) arrays."""
+    """Fixed transceiver with known position, orientation and array aperture."""
 
     position: np.ndarray
-    orientation: float | np.ndarray = 0.0
+    orientation: float = 0.0
     aperture: "ApertureModel | None" = None
 
     def __post_init__(self):
-        self.position = _as_vec2(self.position, "anchor position")
+        self.position = np.asarray(self.position, dtype=float)
+        if self.position.shape != (2,) or not np.all(np.isfinite(self.position)):
+            raise ValueError(f"anchor position must be a finite 2-vector, got {self.position}")
         orientation = np.asarray(self.orientation, dtype=float)
-        if self.position.ndim > 2 or self.position.shape != orientation.shape + (2,):
-            raise ValueError("anchor position and orientation shapes differ")
-        if not np.all(np.isfinite(orientation)):
-            raise ValueError("anchor orientation must be finite")
+        if orientation.shape or not np.isfinite(orientation):
+            raise ValueError(f"anchor orientation must be a finite number, got {orientation}")
         self.orientation = wrap_angle(orientation)
 
 

@@ -82,12 +82,6 @@ class StateSpaceModel:
         return 5 + 2 * self.num_surfaces
 
 
-def surface_slice(surface: int) -> slice:
-    """State slice of surface ``surface`` (1-based)."""
-    start = 5 + 2 * (surface - 1)
-    return slice(start, start + 2)
-
-
 def gain_matrix(time_step: float) -> np.ndarray:
     """4x2 noise gain of the kinematic block: acceleration to (position, velocity)."""
     t = float(time_step)
@@ -109,9 +103,7 @@ def process_noise_cov(model: StateSpaceModel) -> np.ndarray:
     gain = gain_matrix(model.time_step)
     q[0:4, 0:4] = model.accel_noise_var * (gain @ gain.T)
     q[4, 4] = model.orient_noise_var
-    for s in range(1, model.num_surfaces + 1):
-        sl = surface_slice(s)
-        q[sl, sl] = model.surface_noise_var * np.eye(2)
+    q[5:, 5:] = model.surface_noise_var * np.eye(2 * model.num_surfaces)
     return q
 
 

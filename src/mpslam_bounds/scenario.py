@@ -14,10 +14,10 @@ the filter's own layout: per step layout (which components of which anchors
 a step sees), one :class:`~.fim.PathPlan` and one batched pass over exactly
 the visible paths of all anchors, cut only where the gradients pass a
 memory cap. A step's record does not depend on its pass, bit for bit. The
-output is the truth table (:func:`measurement_truth`), one
-:class:`StepTruth` per step holding the snapshot information, its layout's
-plan, and per path its anchor, noise-free parameters and variances. The
-bound recursion reads the information, the generator draws around the
+output is the truth table (:func:`measurement_truth`), one :class:`StepTruth`
+per step holding the snapshot information, its layout's plan (each path's
+anchor and component), and per path its noise-free parameters and variances.
+The bound recursion reads the information, the generator draws around the
 parameters with their variances, and the estimator linearizes through the
 same plan and takes its noise covariance from the same variances, so all
 three read the same numbers; the filter's pass at the truth gives the same
@@ -245,19 +245,18 @@ class PriorSpec:
 @dataclass(frozen=True)
 class StepTruth:
     """Channel truth of one step: the snapshot ``information`` (N, N), the
-    step layout's :class:`~.fim.PathPlan` (built once by the truth pass and
-    shared by the layout's steps and the filter), each path's 0-based anchor
-    (``owner``), per path its noise-free (distance, arrival azimuth,
-    departure azimuth) ``params`` and their ``variances`` at the true pose,
-    (n, 3) each, and their (3n) ``channel_information``
-    (:func:`~.fim.channel_fim`). Paths run anchors ascending, each anchor's
-    components in canonical order; a step that sees nothing has n = 0 and
-    no information."""
+    step layout's :class:`~.fim.PathPlan` (built once by the truth pass,
+    shared by the layout's steps and the filter, and holding each path's
+    0-based anchor ``plan.owner`` and component ``plan.components``), per
+    path its noise-free (distance, arrival azimuth, departure azimuth)
+    ``params`` and their ``variances`` at the true pose, (n, 3) each, and
+    their (3n) ``channel_information`` (:func:`~.fim.channel_fim`). Paths
+    run anchors ascending, each anchor's components in canonical order; a
+    step that sees nothing has n = 0 and no information."""
 
     step: int  # 1-based time index
     information: np.ndarray
     plan: PathPlan
-    owner: np.ndarray
     params: np.ndarray
     variances: np.ndarray
     channel_information: np.ndarray
@@ -395,7 +394,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     ground truth (finite, heading wrapped).
 
     Per step layout (which components of which anchors are visible), one
-    :class:`~.fim.PathPlan`, every path seen from its own anchor; per pass of
+    :class:`~.fim.PathPlan` of its (anchor, component) pairs; per pass of
     its steps, stacked along a leading axis, one :func:`global_jacobian`
     call over exactly the visible paths, one noise-model call and the
     filter's :func:`~.fim.global_snapshot_fim`. A pass takes as many steps as
@@ -408,25 +407,19 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     a noise variance that is not finite and positive (``FloatingPointError``).
     The amplitude and noise models check nothing: this rule is the one judge.
     """
-    order, signal, n_anchors = scenario.order, scenario.signal, len(scenario.anchors)
-    positions = np.array([anchor.position for anchor in scenario.anchors])
-    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
-    shown = np.stack([scenario.visibility.flags(j, steps) for j in range(n_anchors)], axis=1)
+    order, signal, anchors = scenario.order, scenario.signal, scenario.anchors
+    shown = np.stack([scenario.visibility.flags(j, steps) for j in range(len(anchors))], axis=1)
     layouts: dict[bytes, list[int]] = {}
     for b, flags in enumerate(shown):
         layouts.setdefault(flags.tobytes(), []).append(b)
     passes = []
     for steps_of in layouts.values():
-        owner, components = np.nonzero(shown[steps_of[0]])
-        cuts = np.searchsorted(owner, np.arange(n_anchors + 1))
-        own = [slice(cuts[j], cuts[j + 1]) for j in range(n_anchors)]  # each anchor's paths
-        width = 24 * (scenario.dim + 2) * owner.size  # bytes of one step's gradient
+        plan = PathPlan(order, *np.nonzero(shown[steps_of[0]]), anchors)
+        width = 24 * (scenario.dim + 2) * plan.owner.size  # bytes of one step's gradient
         size = max(1, TRUTH_PASS_BYTES // width) if width else len(steps_of)
-        plan = PathPlan(order, components, Anchor(positions[owner], orientations[owner]))
-        passes += [(plan, owner, own, steps_of[i:i + size])
-                   for i in range(0, len(steps_of), size)]
+        passes += [(plan, steps_of[i:i + size]) for i in range(0, len(steps_of), size)]
     information, paths_of, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
-    for plan, owner, own, rows in passes:
+    for plan, rows in passes:
         params, degenerate, jac = global_jacobian(states[rows], plan, scenario.surfaces)
         distance = params[..., 0]
         reached = np.isfinite(distance) & (distance > 0)
@@ -434,7 +427,8 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         usable = reached & np.isfinite(amplitudes) & (amplitudes > 0)
         squared = np.empty(params.shape[:-1] + (2,))
         squared[..., 0] = scenario.agent_aperture.squared_aperture(params[..., 1])
-        for anchor, paths in zip(scenario.anchors, own):
+        for j, anchor in enumerate(anchors):
+            paths = plan.owner == j
             squared[..., paths, 1] = anchor.aperture.squared_aperture(params[..., paths, 2])
         endfire = squared < ZERO_APERTURE_EPS
         blind = endfire.any(axis=-1)  # a path at either array's endfire
@@ -444,7 +438,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         unfit = ~(np.isfinite(variances) & (variances > 0)) & measured[..., None]
         kind, g, i = np.nonzero([degenerate, ~usable, blind, unfit.any(axis=-1)])
         if kind.size:
-            first = np.lexsort((i, kind, owner[i], g))[0]
+            first = np.lexsort((i, kind, plan.owner[i], g))[0]
             kind, at = kind[first], (g[first], i[first])
             if kind == 0:
                 reason = ("agent coincides with virtual anchor for path "
@@ -461,13 +455,13 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
                           "is not finite and positive")
             error = (DegenerateGeometryError, FloatingPointError, ZeroApertureError,
                      FloatingPointError)[kind]
-            failures.append((rows[at[0]], owner[at[1]], plan.components[at[1]], error, reason))
+            failures.append((rows[at[0]], plan.owner[at[1]], plan.components[at[1]], error, reason))
         if failures:
             continue
         information[rows] = global_snapshot_fim(jac, lam := channel_fim(variances))
         del jac  # each gradient is freed once used, so the peak memory does not grow
         for g, b in enumerate(rows):
-            paths_of[b] = plan, owner, params[g], variances[g], lam[g]
+            paths_of[b] = plan, params[g], variances[g], lam[g]
     if failures:
         b, j, k, error, reason = min(failures, key=lambda failure: failure[0])
         raise error(f"step {steps[b]}, anchor {j + 1}, "
@@ -519,7 +513,7 @@ def draw_measurements(
     drawn *= np.sqrt(np.concatenate([record.variances for record in table]))
     drawn += truth
     drawn[..., 1:] = wrap_angle(drawn[..., 1:])
-    return np.split(drawn, np.cumsum([record.owner.size for record in table])[:-1], axis=-2)
+    return np.split(drawn, np.cumsum([len(record.params) for record in table])[:-1], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +591,6 @@ _READERS = {
     "float": _as_float,
     "int": _as_int,
     "np.ndarray": _as_vec2,  # Anchor and NcvTrajectory position, NcvTrajectory velocity
-    "float | np.ndarray": _as_float,  # Anchor orientation, unbatched
     "float | tuple[float, ...]": _as_floats,  # PriorSpec.surface_var
 }
 

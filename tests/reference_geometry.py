@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpslam_bounds.fim import ComponentOrder
+from mpslam_bounds.fim import ComponentOrder, PathPlan
 from mpslam_bounds.geometry import (
     DEGENERACY_EPS,
     Anchor,
@@ -24,6 +24,12 @@ from mpslam_bounds.geometry import (
 def agent_state(position, velocity=(0.0, 0.0), orientation=0.0) -> np.ndarray:
     """The (5,) agent state [x, y, vx, vy, orientation]."""
     return np.array([*position, *velocity, orientation], dtype=float)
+
+
+def lone_plan(order: ComponentOrder, components, anchor: Anchor) -> PathPlan:
+    """The plan of ``components`` of ``order``, all seen from the one ``anchor``."""
+    components = np.asarray(components, dtype=int)
+    return PathPlan(order, np.zeros(components.size, dtype=int), components, [anchor])
 
 
 def canonical_index(order: ComponentOrder, bounces: tuple[int, ...]) -> int:

@@ -12,8 +12,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR, EkfState
-from mpslam_bounds.fim import PathPlan, global_jacobian
+from mpslam_bounds.fim import global_jacobian
 from mpslam_bounds.geometry import wrap_angle
+from tests.reference_geometry import lone_plan
 
 
 def stacked_linearization(mean, record, observed, scenario):
@@ -33,12 +34,12 @@ def stacked_linearization(mean, record, observed, scenario):
     h_rows = [np.zeros((0, mean.shape[0]))]
     rows_seen, predicted, noise = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
     for j, anchor in enumerate(scenario.anchors):
-        own = record.owner == j
+        own = record.plan.owner == j
         ks = record.plan.components[own]
         if not ks.size:
             continue
         near_origin = ~(usable[order.first[ks]] & usable[order.second[ks]])
-        params, degenerate, jac = global_jacobian(mean, PathPlan(order, ks, anchor), surfaces)
+        params, degenerate, jac = global_jacobian(mean, lone_plan(order, ks, anchor), surfaces)
         ok = ~(near_origin | degenerate)
         # the compact columns of component i: i, n + i, 2n + i
         cols = np.arange(3 * ks.size).reshape(3, -1).T[ok]

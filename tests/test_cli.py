@@ -673,6 +673,35 @@ class TestErrors:
         assert peak < 2**24
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    @pytest.mark.parametrize("section, value, message", [
+        ("signal", {"carrier_freq": 0}, "scenario.signal: carrier_freq must be positive"),
+        ("amplitude_model", {"bounce_loss": 1.5},
+         "scenario.amplitude_model: bounce_loss must lie in (0, 1]"),
+        ("agent_aperture", {"kind": "ula", "num_elements": 1, "element_spacing": 0.025},
+         "scenario.agent_aperture: a linear array needs at least 2 elements"),
+        ("agent_aperture", {"kind": "ula", "num_elements": 4, "element_spacing": 0.0},
+         "scenario.agent_aperture: element spacing must be positive and finite"),
+        ("trajectory", {"n_steps": 0}, "scenario.trajectory: n_steps must be >= 1"),
+        ("trajectory", {"kind": "sampled_ncv", "n_steps": 0, "position": [0.8, 0.8],
+                        "velocity": [0.9, 0.75]}, "scenario.trajectory: n_steps must be >= 1"),
+    ], ids=["zero_carrier", "bounce_gain", "one_element_ula", "zero_spacing_ula",
+            "no_waypoint_steps", "no_sampled_steps"])
+    def test_out_of_range_section_value_is_config_error(self, section, value, message, mode,
+                                                        tmp_path, capsys):
+        """A section value its model rejects exits 2 with exactly one line
+        naming the section; ``value`` updates the desk's section, or replaces
+        it where it names a kind."""
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        mapping[section] = value if "kind" in value else {**mapping[section], **value}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out.csv"
+        assert main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("field", ["agent_aperture", "anchors[1].aperture"])
     def test_ula_gain_beyond_the_float_range_is_config_error(self, field, mode, tmp_path,
                                                             capsys):
@@ -981,6 +1010,40 @@ class TestSelfCheck:
         monkeypatch.setattr(checks, "random_instance", lambda rng, _: exact(rng, 1))
         assert main(["--self-check"]) == 4
         assert "only [0, 1]-bounce paths drawn" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("target, perturb, message", [
+        ("global_jacobian", lambda result: bend_arrival_row(result, 4),
+         "orientation sensitivity: instance"),
+        ("path_geometry", lambda geo: replace(geo, departure_local=geo.departure_local * 1.001),
+         "mirror length: instance"),
+        ("path_geometry", lambda geo: replace(geo, chain=geo.chain + 1e-3),
+         "mirrored-agent sensitivity: instance"),
+        ("channel_fim", lambda lam: -lam, "has eigenvalue"),
+        ("global_jacobian", lambda result: bend_arrival_row(result, 2), "has velocity coupling"),
+    ], ids=["orientation_row", "mirror_length", "chain", "negative_information",
+            "velocity_row"])
+    def test_each_invariant_can_fail(self, target, perturb, message, capsys, monkeypatch):
+        """A wrong value where each check reads it exits 4 with that check's
+        own message: row 4 of the gradient's arrival block, a departure
+        vector or a reflection product of the geometry pass, negative
+        channel information, a velocity row of the gradient."""
+        from mpslam_bounds import checks
+
+        exact = getattr(checks, target)
+        monkeypatch.setattr(checks, target, lambda *args: perturb(exact(*args)))
+        assert main(["--self-check"]) == 4
+        err = capsys.readouterr().err
+        assert message in err and "self-check FAILED" in err
+
+
+def bend_arrival_row(result, row):
+    """A channel pass's (params, degenerate, gradient) with 1e-3 added to
+    gradient ``row`` across the arrival-azimuth block."""
+    params, degenerate, jac = result
+    n = jac.shape[-1] // 3
+    jac[row, n:2 * n] += 1e-3
+    return params, degenerate, jac
 
 
 class TestBenchmarkTracerNames:

@@ -19,7 +19,7 @@ from mpslam_bounds.ekf import (
     run_single,
 )
 from mpslam_bounds.fim import PathPlan, channel_fim, global_jacobian
-from mpslam_bounds.geometry import Anchor, wrap_angle
+from mpslam_bounds.geometry import wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
     fuse,
@@ -39,7 +39,7 @@ from mpslam_bounds.scenario import (
 )
 from mpslam_bounds.streams import derive_run_stream
 from tests.reference_filter import filter_run
-from tests.reference_geometry import virtual_anchor
+from tests.reference_geometry import lone_plan, virtual_anchor
 from tests.reference_kalman import joseph_update
 from tests.test_pcrlb import desk_mapping
 
@@ -106,7 +106,7 @@ class TestUpdate:
     def test_no_measurements_leave_state_unchanged(self):
         scenario = small_scenario(visibility={"default": False})
         record = measurement_truth(scenario, ground_truth(scenario))[0]
-        assert record.owner.size == 0
+        assert record.plan.owner.size == 0
         state = EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
         updated = ekf_update(state, record, np.zeros((0, 3)), scenario)
         np.testing.assert_array_equal(updated.mean, state.mean)
@@ -123,31 +123,30 @@ class TestUpdate:
         joint-state gradient matrix of its measured components; its channel
         information maps the variances the measurements were drawn with
         (also where the aperture depends on the azimuth) and its innovation
-        is observed minus predicted. Each anchor is passed stacked, once per
-        path, as the one pass over all anchors lists it, so the expected
-        terms take the same arithmetic and must match bit for bit."""
+        is observed minus predicted. Each anchor's plan gathers its position
+        and orientation once per path, as the one pass over all anchors does,
+        so the expected terms take the same arithmetic and must match bit for
+        bit."""
         scenario = small_scenario(agent_aperture=agent_aperture)
         order = scenario.order
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 3, derive_run_stream(0, 0))
         mean = truth[3]
         jac, lam, innovation = _linearize(mean, record, observed, scenario)
-        owners = [record.owner == j for j in range(len(scenario.anchors))]
+        owners = [record.plan.owner == j for j in range(len(scenario.anchors))]
         assert len(owners) == 2 and all(own.any() for own in owners)
 
         surfaces = mean[5:].reshape(-1, 2)
         gradients, residuals = [], []
         for anchor, own in zip(scenario.anchors, owners):
-            n = np.count_nonzero(own)
-            stacked = Anchor(np.tile(anchor.position, (n, 1)), np.full(n, anchor.orientation))
             params, _, gradient = global_jacobian(
-                mean, PathPlan(order, record.plan.components[own], stacked), surfaces)
+                mean, lone_plan(order, record.plan.components[own], anchor), surfaces)
             residual = observed[own] - params
             residual[:, 1:] = np.vectorize(wrap_angle)(residual[:, 1:])
             gradients.append(gradient)
             residuals.append(residual.T.ravel())
         expected = side_by_side(gradients)
-        assert jac.shape == expected.shape == (scenario.dim, 3 * record.owner.size)
+        assert jac.shape == expected.shape == (scenario.dim, 3 * record.plan.owner.size)
         np.testing.assert_array_equal(jac, expected)
         np.testing.assert_array_equal(
             lam, side_by_side([channel_fim(record.variances[own]) for own in owners]))
@@ -221,7 +220,7 @@ class TestUpdate:
         components = record.plan.components
         assert len(scenario.anchors) == 2
         for anchor in range(len(scenario.anchors)):
-            target = next(k for k in components[record.owner == anchor]
+            target = next(k for k in components[record.plan.owner == anchor]
                           if order.n_bounces[k] == 1)
             assert order.bounces(target) == (1,)
             mean = truth[1].copy()
@@ -230,7 +229,7 @@ class TestUpdate:
             caplog.clear()
             with caplog.at_level(logging.WARNING):
                 _, lam, innovation = _linearize(mean, record, observed, scenario)
-            skipped = np.tile((components == target) & (record.owner == anchor), 3)
+            skipped = np.tile((components == target) & (record.plan.owner == anchor), 3)
             assert np.count_nonzero(skipped) == 3
             np.testing.assert_array_equal(lam[~skipped],
                                           channel_fim(record.variances)[~skipped])
@@ -292,7 +291,7 @@ class TestInformationFormMatchesCovarianceForm:
         assert scenario.order.size == 145 and scenario.dim == 29
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 2, derive_run_stream(0, 0))
-        assert np.bincount(record.owner).tolist() == [145, 145]
+        assert np.bincount(record.plan.owner).tolist() == [145, 145]
         self.assert_same_update(predicted_state(scenario, truth, 2, 2), record, observed,
                                 scenario)
 
@@ -365,7 +364,7 @@ class TestFilterAtTheTruthIsTheBound:
         noise = process_noise_cov(scenario.model)
         state = EkfState(mean=truth[0],
                          cov=np.diag(scenario.prior_covariance()))
-        blank = min((r.step for r in table if not r.owner.size), default=math.inf)
+        blank = min((r.step for r in table if not r.plan.owner.size), default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             predicted = ekf_predict(state, transition, noise)
@@ -526,14 +525,14 @@ class TestStepPlans:
         table = measurement_truth(scenario, truth)
         assert len(built) == 3
         assert {id(record.plan) for record in table} == {id(plan) for plan in built}
-        assert [np.unique(record.owner).tolist() for record in table] == (
+        assert [np.unique(record.plan.owner).tolist() for record in table] == (
             [[0, 1]] * 2 + [[0]] * 3 + [[0, 1]] * 2 + [[]] * 2 + [[0, 1]] * 3)
         linearized, exact = [], ekf_module.global_jacobian
         monkeypatch.setattr(ekf_module, "global_jacobian", lambda agent, plan, surfaces: (
             linearized.append(plan) or exact(agent, plan, surfaces)))
         run_single(scenario, truth, table, range(2))
         assert len(built) == 3
-        assert linearized == [record.plan for record in table if record.owner.size]
+        assert linearized == [record.plan for record in table if record.plan.owner.size]
 
     def test_equal_path_counts_with_other_components_do_not_share(self):
         """Steps 1 and 2 see two components of anchor 1 each, but not the
@@ -554,7 +553,7 @@ class TestStepPlans:
         for record, (seen, pairs) in zip(table, [(0, [los, first]), (0, [los, second]),
                                                  (0, [los, first]), (1, [los, first])]):
             assert [list(scenario.order.pair(k)) for k in record.plan.components] == pairs
-            assert record.owner.tolist() == [seen] * 2
+            assert record.plan.owner.tolist() == [seen] * 2
             np.testing.assert_array_equal(record.plan.anchor_position,
                                           [scenario.anchors[seen].position] * 2)
 
@@ -567,11 +566,9 @@ class TestStepPlans:
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         shared_bounds, shared = run_single(scenario, truth, table, range(3))
-        positions = np.array([anchor.position for anchor in scenario.anchors])
-        orientations = np.array([anchor.orientation for anchor in scenario.anchors])
         fresh_table = [replace(record, plan=PathPlan(
-            scenario.order, record.plan.components,
-            Anchor(positions[record.owner], orientations[record.owner]))) for record in table]
+            scenario.order, record.plan.owner, record.plan.components, scenario.anchors))
+            for record in table]
         assert all(a.plan is not b.plan for a, b in zip(table, fresh_table))
         fresh_bounds, fresh = run_single(scenario, truth, fresh_table, range(3))
         assert shared.tobytes() == fresh.tobytes()

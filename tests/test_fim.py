@@ -189,7 +189,7 @@ def path_columns(agent, anchor, path, surfaces):
     Rows: position 0:2, velocity 2:4, orientation 4, surface s at 5 + 2*(s-1).
     """
     order = ComponentOrder.canonical(len(surfaces))
-    plan = PathPlan(order, [ref.canonical_index(order, path)], anchor)
+    plan = ref.lone_plan(order, [ref.canonical_index(order, path)], anchor)
     _, _, jac = global_jacobian(agent, plan, surfaces)
     return jac[:, 0], jac[:, 1], jac[:, 2]
 
@@ -355,7 +355,7 @@ class TestGlobalJacobian:
 
     def test_los_only_leaves_surface_rows_zero(self):
         agent, anchor, surfaces, order = self._instance(num_surfaces=1)
-        _, _, jac = global_jacobian(agent, PathPlan(order, [0], anchor), surfaces)
+        _, _, jac = global_jacobian(agent, ref.lone_plan(order, [0], anchor), surfaces)
         np.testing.assert_allclose(jac[5:, :], 0.0)
 
     def test_absent_components_get_zero_columns(self):
@@ -363,7 +363,7 @@ class TestGlobalJacobian:
         of the listed ones, in the compact layout."""
         agent, anchor, surfaces, order = self._instance()
         present = [k for k in range(order.size) if k != 1]
-        _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor), surfaces)
+        _, _, jac = global_jacobian(agent, ref.lone_plan(order, present, anchor), surfaces)
         assert jac.shape == (5 + 2 * len(surfaces), 3 * len(present))
         full = full_jacobian(agent, anchor, order, surfaces)
         np.testing.assert_array_equal(jac, full[:, compact_columns(order, present)])
@@ -431,7 +431,7 @@ class TestSnapshotFim:
         terms = []
         for exist in (exist_off, exist_on):
             present = np.flatnonzero(exist)
-            _, _, jac = global_jacobian(agent, PathPlan(order, present, anchor),
+            _, _, jac = global_jacobian(agent, ref.lone_plan(order, present, anchor),
                                         surfaces)
             lam = channel_fim(variances[present])
             terms.append(global_snapshot_fim(jac, lam))
@@ -491,7 +491,7 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
-        plan = PathPlan(order, visible, anchor)
+        plan = ref.lone_plan(order, visible, anchor)
         params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert params.shape == (visible.size, 3) and not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]
@@ -513,15 +513,13 @@ class TestBatchedPass:
         also = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=order.size,
                                                  max_size=order.size)))
         poses = np.stack([agent, agent + 0.25])
-        per_anchor = [global_jacobian(poses, PathPlan(order, ks, a), surfaces)
+        per_anchor = [global_jacobian(poses, ref.lone_plan(order, ks, a), surfaces)
                       for a, ks in ((anchor, visible), (other, also))]
         assume(not any(degenerate.any() or (params[..., 0] < 1e-3).any()
                        for params, degenerate, _ in per_anchor))
         owner = np.repeat([0, 1], [visible.size, also.size])
-        stack = Anchor(np.array([anchor.position, other.position])[owner],
-                       np.array([anchor.orientation, other.orientation])[owner])
-        params, degenerate, jac = global_jacobian(
-            poses, PathPlan(order, np.concatenate([visible, also]), stack), surfaces)
+        params, degenerate, jac = global_jacobian(poses, PathPlan(
+            order, owner, np.concatenate([visible, also]), [anchor, other]), surfaces)
         n_state = 5 + 2 * len(surfaces)
         expected = np.concatenate([j.reshape(2, n_state, 3, -1) for _, _, j in per_anchor],
                                   axis=-1).reshape(jac.shape)
@@ -531,12 +529,15 @@ class TestBatchedPass:
         assert np.all(np.abs(params[..., 0] - ref_params[..., 0]) <= 1e-12)
         assert np.all(np.abs(wrap_angle(params[..., 1:] - ref_params[..., 1:])) <= 1e-12)
 
-    def test_stacked_anchor_shapes_must_agree(self):
-        Anchor(position=np.zeros((3, 2)), orientation=np.zeros(3))
-        for position, orientation in ((np.zeros((3, 2)), np.zeros(2)),
-                                      (np.zeros((3, 2)), 0.0),
-                                      (np.zeros((1, 3, 2)), np.zeros((1, 3)))):
-            with pytest.raises(ValueError, match="shapes differ"):
+    def test_stacked_anchor_is_rejected(self):
+        """An anchor is one transceiver: a plan gathers the anchors of its
+        paths by their indices, so a stacked position or orientation is refused."""
+        for position, orientation, field in ((np.zeros((3, 2)), np.zeros(3), "position"),
+                                             (np.zeros((3, 2)), 0.0, "position"),
+                                             (np.zeros((1, 2)), 0.0, "position"),
+                                             ([0.0, 0.0], np.zeros(3), "orientation"),
+                                             ([0.0, 0.0], [0.3], "orientation")):
+            with pytest.raises(ValueError, match=f"anchor {field} must be a"):
                 Anchor(position=position, orientation=orientation)
 
     @settings(max_examples=60, deadline=None)
@@ -553,7 +554,7 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         params, degenerate, jac = global_jacobian(
-            agent, PathPlan(order, np.arange(order.size), anchor), surfaces)
+            agent, ref.lone_plan(order, np.arange(order.size), anchor), surfaces)
         assert degenerate.tolist() == [k == target for k in range(order.size)]
         columns = [target, order.size + target, 2 * order.size + target]
         np.testing.assert_array_equal(jac[:, columns], 0.0)
@@ -584,7 +585,7 @@ class TestBatchedPass:
         except DegenerateGeometryError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
-        plan = PathPlan(order, visible, anchor)
+        plan = ref.lone_plan(order, visible, anchor)
         params, degenerate, jac = global_jacobian(agent, plan, surfaces)
         assert not degenerate.any()
         ref_jac = ref_jac[:, compact_columns(order, visible)]

@@ -15,14 +15,14 @@ from mpslam_bounds.checks import (
     check_mirror_lengths,
     random_instance,
 )
-from mpslam_bounds.fim import ComponentOrder, PathPlan
+from mpslam_bounds.fim import ComponentOrder
 from mpslam_bounds.geometry import (
     Anchor,
     path_geometry,
     rotation_matrix,
     wrap_angle,
 )
-from tests.reference_geometry import agent_state, canonical_index
+from tests.reference_geometry import agent_state, canonical_index, lone_plan
 from tests.reference_jacobian import rotation_matrix_derivative
 
 
@@ -35,7 +35,7 @@ def householder(surface_point):
 def resolve(agent, anchor, paths, surfaces):
     """The batched pass over the paths with the given bounce tuples, in the given order."""
     order = ComponentOrder.canonical(len(surfaces))
-    plan = PathPlan(order, [canonical_index(order, path) for path in paths], anchor)
+    plan = lone_plan(order, [canonical_index(order, path) for path in paths], anchor)
     return path_geometry(agent, plan, surfaces)
 
 

@@ -25,7 +25,6 @@ from mpslam_bounds.pcrlb import (
     predict_fim,
     process_noise_cov,
     run_recursion,
-    surface_slice,
     transition_matrix,
 )
 from mpslam_bounds.scenario import (
@@ -122,9 +121,9 @@ class TestStateSpaceMatrices:
             q = process_noise_cov(model)
             assert np.linalg.eigvalsh(q)[0] >= -1e-12
             assert q[4, 4] == pytest.approx(model.orient_noise_var)
-            sl = surface_slice(2)
+            start = 5 + 2 * (2 - 1)  # surface s = 2 has rows 5 + 2 * (s - 1) onwards
             np.testing.assert_allclose(
-                q[sl, sl], model.surface_noise_var * np.eye(2)
+                q[start:start + 2, start:start + 2], model.surface_noise_var * np.eye(2)
             )
 
     def test_model_validation(self):
@@ -530,10 +529,10 @@ class TestRunRecursion:
         scenario = scenario_from_mapping(mapping)
         table = measurement_truth(scenario, ground_truth(scenario))
         blank = table[4]
-        assert blank.step == 5 and blank.owner.size == blank.plan.components.size == 0
+        assert blank.step == 5 and blank.plan.owner.size == blank.plan.components.size == 0
         assert blank.params.shape == blank.variances.shape == (0, 3)
         assert not blank.information.any()
-        assert all(np.unique(record.owner).size == len(scenario.anchors)
+        assert all(np.unique(record.plan.owner).size == len(scenario.anchors)
                    for record in table if record is not blank)
 
         model = scenario.model

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mpslam_bounds.scenario as scenario_module
-from mpslam_bounds.ekf import _measurement_step
+from mpslam_bounds.ekf import EkfState, _measurement_step
 from mpslam_bounds.fim import (
     ComponentOrder,
     IsotropicAperture,
@@ -282,6 +282,39 @@ class TestLoader:
             assert scenario_module.YAML_LOADER is yaml.CSafeLoader
 
 
+DESK = scenario_from_mapping(desk_mapping())
+LIBRARY_REJECTS = {
+    "no_anchors": (lambda: replace(DESK, anchors=[]), "scenario needs at least one anchor"),
+    "surface_count": (lambda: replace(DESK, model=replace(DESK.model, num_surfaces=3)),
+                      "model surface count does not match the surface map"),
+    "anchor_without_aperture": (lambda: replace(DESK, anchors=[Anchor([0.0, 0.0])]),
+                                "anchor 1 has no aperture model"),
+    "sampled_without_stream": (
+        lambda: generate_trajectory(NcvTrajectory(3, [0.0, 0.0], [1.0, 0.0]), DESK.model),
+        "a sampled trajectory needs a random stream"),
+    "ncv_position": (lambda: NcvTrajectory(3, [math.nan, 0.0], [1.0, 0.0]),
+                     "agent position must be a finite 2-vector"),
+    "ncv_orientation": (lambda: NcvTrajectory(3, [0.0, 0.0], [1.0, 0.0], math.inf),
+                        "agent orientation must be finite"),
+    "anchor_position": (lambda: Anchor([0.0, math.inf]), "anchor position must be a finite 2-vector"),
+    "anchor_orientation": (lambda: Anchor([0.0, 0.0], math.nan),
+                           "anchor orientation must be a finite number"),
+    "ekf_covariance_shape": (lambda: EkfState(np.zeros(DESK.dim), np.zeros((DESK.dim, 3))),
+                             "covariance shape must match the mean"),
+    "negative_surface_count": (lambda: StateSpaceModel(time_step=0.1, num_surfaces=-1),
+                               "surface count must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REJECTS))
+def test_library_rejects_invalid_input(case):
+    """Each library constructor or call refuses its invalid input with
+    ValueError and its own message."""
+    build, message = LIBRARY_REJECTS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 class TestVisibilitySchedule:
     def test_default_all_visible(self):
         scenario = scenario_from_mapping(desk_mapping())
@@ -501,10 +534,8 @@ def reference_record(scenario, state, step):
     order, dim = scenario.order, scenario.dim
     owner, components = np.nonzero(np.stack([scenario.visibility.flags(j, step)
                                              for j in range(len(scenario.anchors))]))
-    positions = np.array([anchor.position for anchor in scenario.anchors])
-    orientations = np.array([anchor.orientation for anchor in scenario.anchors])
-    plan = PathPlan(order, components, Anchor(positions[owner], orientations[owner]))
-    record = StepTruth(step, np.zeros((dim, dim)), plan, owner, np.zeros((0, 3)), np.zeros((0, 3)),
+    plan = PathPlan(order, owner, components, scenario.anchors)
+    record = StepTruth(step, np.zeros((dim, dim)), plan, np.zeros((0, 3)), np.zeros((0, 3)),
                        np.zeros(0))
     if not owner.size:  # no anchor sees anything
         return record
@@ -527,7 +558,7 @@ def reference_record(scenario, state, step):
 
 def record_bytes(record):
     """A truth record as bytes: equal bytes mean bit-identical arrays."""
-    return (record.step, record.information.tobytes(), record.owner.astype(np.int64).tobytes(),
+    return (record.step, record.information.tobytes(), record.plan.owner.astype(np.int64).tobytes(),
             record.plan.components.astype(np.int64).tobytes(),
             record.plan.anchor_position.tobytes(), record.params.tobytes(),
             record.variances.tobytes(), record.channel_information.tobytes())
@@ -577,7 +608,7 @@ class TestTruthPass:
         assert [record_bytes(snapshot_fim(scenario, truth[n], n))
                 for n in range(1, scenario.n_steps + 1)] == expected
         if case == "sparse_desk":
-            sizes = [np.bincount(r.owner, minlength=2).tolist() for r in table]
+            sizes = [np.bincount(r.plan.owner, minlength=2).tolist() for r in table]
             assert sizes[5 - 1] == [5, 0] and sizes[12 - 1] == sizes[40 - 1] == [0, 0]
             assert sizes[22 - 1] == [1, 5] and sizes[30 - 1] == [5, 4]
 
@@ -696,7 +727,7 @@ class TestTruthPass:
         assert pass_steps(scenario) >= scenario.n_steps
         table = measurement_truth(scenario, truth)
         los = 0
-        assert [table[n - 1].plan.components[table[n - 1].owner == 1][0]
+        assert [table[n - 1].plan.components[table[n - 1].plan.owner == 1][0]
                 for n in (9, 10, 11)] == [los, 1, los]
         assert all(np.isfinite(r.information).all() for r in table)
         assert record_bytes(table[9]) == record_bytes(reference_record(scenario, truth[10], 10))
@@ -715,7 +746,7 @@ class TestMeasurements:
         assert len(meas) == scenario.n_steps
         for record, drawn in zip(table, meas, strict=True):
             assert record.plan.components.tolist() == [los] * anchors
-            assert record.owner.tolist() == list(range(anchors))
+            assert record.plan.owner.tolist() == list(range(anchors))
             assert record.params.shape == record.variances.shape == drawn.shape == (anchors, 3)
 
     def test_huge_amplitude_measurements_hit_the_means(self):
@@ -726,7 +757,7 @@ class TestMeasurements:
         table = measurement_truth(scenario, truth)
         meas = draw_measurements(table, derive_run_stream(1, 0))
         for record, drawn in zip(table, meas, strict=True):
-            assert drawn.shape == record.params.shape and record.owner.size
+            assert drawn.shape == record.params.shape and record.plan.owner.size
             assert np.all(np.abs(drawn - record.params) < 1e-6)
 
     def test_empirical_variances_match_the_models(self):
@@ -772,7 +803,7 @@ class TestMeasurements:
         for record in table[:5]:
             for j in range(len(scenario.anchors)):
                 visible = np.flatnonzero(scenario.visibility.flags(j, record.step))
-                np.testing.assert_array_equal(record.plan.components[record.owner == j], visible)
+                np.testing.assert_array_equal(record.plan.components[record.plan.owner == j], visible)
             params, _, _ = global_jacobian(truth[record.step], record.plan, scenario.surfaces)
             np.testing.assert_array_equal(record.params, params)
 
