@@ -90,46 +90,45 @@ def _linearize(
     information and innovation there, with a diagnostic; a non-finite pose
     gives its entry non-finite information, which the fusion names.
     """
-    plan = record.plan
-    if not plan.owner.size:
+    plan, n = record.plan, record.plan.owner.size
+    if not n:
         return None
-    near_origin = np.zeros(mean.shape[:-1] + plan.owner.shape, dtype=bool)
     points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
     usable = np.sqrt(dot2(points, points)) > _SURFACE_NORM_FLOOR  # the norm, bit for bit
+    near_origin = False
     if not usable.all():
         usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
         points = np.where(usable[..., 1:, None], points, [1.0, 0.0])
         near_origin = ~(usable[..., plan.first] & usable[..., plan.second])
     params, degenerate, jac = global_jacobian(mean, plan, points)
-    residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * plan.owner.size,))
+    residual, lam = observed - params, np.empty(params.shape[:-2] + (3 * n,))
     lam[...] = record.channel_information
-    skipped = near_origin | degenerate
+    skipped = degenerate | near_origin
     if skipped.any():
         for *entry, i in np.argwhere(skipped):
             log.warning(
                 "step %d anchor %d%s: %s, skipping component %s", record.step,
                 plan.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
-                "surface estimate near origin" if near_origin[(*entry, i)] else
+                "surface estimate near origin" if (near_origin & skipped)[(*entry, i)] else
                 "agent coincides with virtual anchor",
                 scenario.order.bounces(plan.components[i]),
             )
         residual[skipped] = 0.0
         lam[np.tile(skipped, 3)] = 0.0
-    residual[..., 1:] = wrap_angle(residual[..., 1:])
-    innovation = np.swapaxes(residual, -1, -2).reshape(residual.shape[:-2] + (-1,))
+    innovation = residual.swapaxes(-1, -2).reshape(residual.shape[:-2] + (-1,))
+    innovation[..., n:] = wrap_angle(innovation[..., n:])
     return jac, lam, innovation
 
 
-# An estimate beyond the float range overflows in the channel pass and its
-# sums; the non-finite mean or covariance this gives fails the run after the step.
-@np.errstate(over="ignore", invalid="ignore")
 def _measurement_step(
     mean: np.ndarray, record: StepTruth, observed: np.ndarray, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The (..., N, N) information H Lambda H^T and the (..., N, 1) pull
     g = H Lambda nu of one step, linearized at ``mean`` (:func:`_linearize`);
-    None when the step has no paths."""
+    None when the step has no paths. Run it under ``np.errstate(over="ignore",
+    invalid="ignore")``: an estimate beyond the float range overflows in the
+    channel pass and its sums, and fails the run after the step."""
     linear = _linearize(mean, record, observed, scenario)
     if linear is None:
         return None
@@ -137,6 +136,7 @@ def _measurement_step(
     return global_snapshot_fim(jac, lam), jac @ (lam * innovation)[..., None]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _measurement_step
 def ekf_update(
     state: EkfState, record: StepTruth, observed: np.ndarray, scenario: Scenario
 ) -> EkfState:
@@ -226,9 +226,9 @@ def run_single(
                     ahead = fuse(ahead, np.concatenate([record.information[None], linear[0]]), n)
                     moved = moved + (ahead[1:] @ linear[1])[..., 0]
                     moved[:, 4] = wrap_angle(moved[:, 4])
-                finite = np.isfinite(moved).all(-1) & np.isfinite(ahead[1:]).all((-2, -1))
-                if finite.all():
+                if not live or np.isfinite(moved).all() and np.isfinite(ahead[1:]).all():
                     break
+                finite = np.isfinite(moved).all(-1) & np.isfinite(ahead[1:]).all((-2, -1))
                 entry = int(np.argmin(finite))
                 reason = f"step {n}: non-finite EKF mean or covariance"
             except SingularFimError as exc:

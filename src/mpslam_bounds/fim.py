@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    EYE2,
     Anchor,
-    PathGeometry,
     dot2,
     matvec2,
     path_geometry,
@@ -181,26 +181,30 @@ class PathPlan:
     ``owner[i]`` (0-based) of the sequence ``anchors``. It holds that
     address, the bounce index arrays, each path's anchor position and
     rotation matrix, the bounce surfaces stacked per slot (``slot``, from
-    which a pass gathers each slot's Householders and points once) and the
-    gradient's surface scatter rows and columns. The truth pass builds one
-    per step layout and keeps it in the layout's step records, and the
-    filter linearizes through that same plan. Slot 0 is a path's first
-    (anchor-side) bounce, slot 1 its second; an empty slot (surface 0)
-    scatters to two scratch rows past the state rows, so LOS columns have
-    zero surface rows."""
+    which a pass gathers each slot's Householders and points once; ``first``
+    and ``second`` are its rows) and the flat gradient entries that the
+    surface blocks scatter to (``scatter``). The truth pass builds one per
+    step layout and keeps it in the layout's step records, and the filter
+    linearizes through that same plan, so its arrays are read-only. Slot 0
+    is a path's first (anchor-side) bounce, slot 1 its second; an empty
+    slot (surface 0) scatters to two scratch rows before the state rows, so
+    LOS columns have zero surface rows."""
 
     def __init__(self, order: ComponentOrder, owner: Sequence[int] | np.ndarray,
                  components: Sequence[int] | np.ndarray, anchors: Sequence[Anchor]):
-        self.owner = np.asarray(owner, dtype=int)
-        self.components = np.asarray(components, dtype=int)
-        self.first, self.second = order.first[self.components], order.second[self.components]
+        self.owner, self.components = np.array(owner, dtype=int), np.array(components, dtype=int)
+        self.slot = np.stack([order.first[self.components], order.second[self.components]])
+        self.first, self.second = self.slot
         self.anchor_position = np.array([anchor.position for anchor in anchors])[self.owner]
         self.anchor_rotation = rotation_matrix(
             np.array([anchor.orientation for anchor in anchors])[self.owner])
-        self.slot = np.stack([self.first, self.second])
-        # surface s has state rows 3 + 2s and 4 + 2s; -2 and -1 are the scratch rows
-        self.rows = np.where(self.slot > 0, 3 + 2 * self.slot, -2)[None, :, :, None] + [0, 1]
-        self.cols = np.arange(3 * self.components.size).reshape(3, 1, -1, 1)
+        # a pass's gradient has two scratch rows, then the state's: surface s
+        # at rows 5 + 2s and 6 + 2s; entries of (3 blocks, slot, path, coordinate)
+        n, rows = self.components.size, np.where(self.slot > 0, 5 + 2 * self.slot, 0)
+        self.scatter = ((rows[None, :, :, None] + [0, 1]) * 3 * n
+                        + np.arange(3 * n).reshape(3, 1, -1, 1))
+        for index in vars(self).values():
+            index.flags.writeable = False
 
 
 # A degenerate path divides by a zero length, and the nan and inf it makes
@@ -239,61 +243,49 @@ def global_jacobian(state: np.ndarray, plan: PathPlan,
     geo = path_geometry(state, plan, surfaces)
     n_state, n = 5 + 2 * surfaces.shape[-2], plan.components.size
     rot_anchor, rot_agent = plan.anchor_rotation, geo.agent_rotation
-    dep, arr = geo.departure_local, geo.arrival_local
+    dep, arr, batch = geo.departure_local, geo.arrival_local, geo.params.shape[:-2]
+    # the vectors each gradient block acts on: the departure's unit vector,
+    # the direct vector's, the arrival azimuth's column and the departure azimuth's
+    vec = np.empty(batch + (4, n, 2))
     # grad ||v|| = v / ||v|| and grad atan2(v_y, v_x) = (-v_y, v_x) / ||v||^2
-    az_dep = dep[..., ::-1] * _PERP / geo.squared[2][..., None]
+    np.divide(dep, geo.lengths[2][..., None], out=vec[..., 0, :, :])
+    np.divide(geo.va_to_agent, geo.lengths[0][..., None], out=vec[..., 1, :, :])
     az_arr = arr[..., ::-1] * _PERP / geo.squared[3][..., None]
-    unit_dep = dep / geo.lengths[2][..., None]
-    unit_r = geo.va_to_agent / geo.params[..., :1]
-    transfer = geo.chain @ rot_anchor
     # copied contiguous: a strided transpose makes one component round unlike several
-    aoa_col = -(az_arr @ np.swapaxes(rot_agent, -1, -2).copy())
+    np.negative(az_arr @ rot_agent.swapaxes(-1, -2).copy(), out=vec[..., 2, :, :])
+    np.divide(dep[..., ::-1] * _PERP, geo.squared[2][..., None], out=vec[..., 3, :, :])
 
     # The direct vector's source is the anchor folded over the bounces before
-    # the slot, the mirrored vector's the agent folded over those after it;
-    # the later mirror, if any, acts on each block through its Householder:
-    # the second bounce's on slot 0's direct block, the first's on slot 1's mirrored one.
-    batch = geo.params.shape[:-2]
-    ends = np.empty(batch + (2, 2, n, 2))  # (direct source, mirrored sink) x slot
-    ends[..., 0, 0, :, :], ends[..., 0, 1, :, :] = plan.anchor_position, geo.anchor_once
-    ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = geo.agent_once, state[..., None, 0:2]
-    blocks = _reflection_source_blocks(ends, geo)
+    # the slot, the mirrored vector's sink the agent folded over those after
+    # it. Reflecting a source a about the slot's surface (point p, Householder
+    # H) moves its vector by the gradient-layout block
+    # 2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I; the later mirror, if any,
+    # acts on each block through its Householder: the second bounce's on slot
+    # 0's direct block, the first's on slot 1's mirrored one.
+    sq = geo.sq_norms[..., None, :, :, None, None]
+    outer = geo.ends[..., :, None] * geo.points[..., None, :, :, None, :]
+    dot = (outer[..., 0, 0] + outer[..., 1, 1])[..., None, None]  # a . p as dot2 sums it
+    blocks = (2.0 / sq) * outer + (2.0 * dot / sq) * geo.houses[..., None, :, :, :, :] - EYE2
     blocks[..., 0, 0, :, :, :] = blocks[..., 0, 0, :, :, :] @ geo.houses[..., 1, :, :, :]
     blocks[..., 1, 1, :, :, :] = blocks[..., 1, 1, :, :, :] @ geo.houses[..., 0, :, :, :]
-    direct = blocks[..., 0, :, :, :, :]
-    mirrored = -blocks[..., 1, :, :, :, :] @ rot_anchor
-    # each slot's block acts on its path's vector: the vectors gain the slot axis
-    surface = np.stack([matvec2(direct, unit_r[..., None, :, :]),
-                        matvec2(direct, aoa_col[..., None, :, :]),
-                        matvec2(mirrored, az_dep[..., None, :, :])], axis=-4)
+    blocks[..., 1, :, :, :, :] = -blocks[..., 1, :, :, :, :] @ rot_anchor
+    # each slot's block acts on its path's vectors: the direct one on two, the mirrored on one
+    surface = matvec2(blocks.take([0, 0, 1], axis=-5), vec[..., 1:, None, :, :])
 
-    jac = np.zeros(batch + (n_state + 2, 3 * n))
-    for part, rows in enumerate((matvec2(transfer, unit_dep), aoa_col,
-                                 matvec2(transfer, az_dep))):
-        jac[..., 0:2, part * n:(part + 1) * n] = np.swapaxes(rows, -1, -2)
+    # position rows: the chain through the anchor rotation carries the distance
+    # and departure azimuth; the arrival azimuth's column is its own
+    rows, transfer = np.empty(batch + (3, n, 2)), geo.chain @ rot_anchor
+    matvec2(transfer[..., None, :, :, :], vec[..., ::3, :, :], out=rows[..., ::2, :, :])
+    rows[..., 1, :, :] = vec[..., 2, :, :]
+    jac = np.zeros(batch + (n_state + 2, 3 * n))  # two scratch rows, then the state's
+    jac[..., 2:4, :] = rows.reshape(batch + (3 * n, 2)).swapaxes(-1, -2)
     # d rot / d angle: the rotation's second column, then its first negated
-    rot_dot = np.stack([rot_agent[..., :, 1], -rot_agent[..., :, 0]], axis=-1)
-    jac[..., 4, n:2 * n] = -dot2(geo.va_to_agent @ rot_dot, az_arr)
-    jac[..., plan.rows, plan.cols] = surface
+    rot_dot = rot_agent[..., ::-1] * _PERP[::-1]
+    np.negative(dot2(geo.va_to_agent @ rot_dot, az_arr), out=jac[..., 6, n:2 * n])
+    jac.reshape(batch + (-1,))[..., plan.scatter] = surface
     if geo.degenerate.any():
         jac = np.where(np.tile(geo.degenerate, 3)[..., None, :], 0.0, jac)
-    return geo.params, geo.degenerate, jac[..., :n_state, :]
-
-
-def _reflection_source_blocks(source: np.ndarray, geo: PathGeometry) -> np.ndarray:
-    """Sensitivity of the mirrored-source-to-agent vector to the surface point.
-
-    Stacked gradient-layout 2x2 blocks for single reflections of ``source``
-    (..., m, slot, n, 2) about each slot's surface (point p and Householder
-    H and ||p||^2 as the pass ``geo`` gathered them):
-    2 a p^T / ||p||^2 + 2 (a . p / ||p||^2) H - I with a the source. Batched
-    surface points' leading axes lead ``source`` as well.
-    """
-    point = geo.points[..., None, :, :, :]
-    sq = geo.sq_norms[..., None, :, :, None, None]
-    outer = source[..., :, None] * point[..., None, :]
-    dot = dot2(source, point)[..., None, None]
-    return (2.0 / sq) * outer + (2.0 * dot / sq) * geo.houses[..., None, :, :, :, :] - np.eye(2)
+    return geo.params, geo.degenerate, jac[..., 2:, :]
 
 
 def channel_fim(variances: np.ndarray) -> np.ndarray:
@@ -307,7 +299,7 @@ def channel_fim(variances: np.ndarray) -> np.ndarray:
     variances = np.asarray(variances, dtype=float)
     if variances.ndim < 2 or variances.shape[-1] != 3:
         raise ValueError("variances must hold one triple per listed path")
-    return 1.0 / np.swapaxes(variances, -1, -2).reshape(variances.shape[:-2] + (-1,))
+    return 1.0 / variances.swapaxes(-1, -2).reshape(variances.shape[:-2] + (-1,))
 
 
 def global_snapshot_fim(jac: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -319,5 +311,5 @@ def global_snapshot_fim(jac: np.ndarray, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
         raise ValueError("channel information must hold one entry per gradient column")
-    total = (jac * lam[..., None, :]) @ np.swapaxes(jac, -1, -2)
-    return 0.5 * (total + np.swapaxes(total, -1, -2))
+    total = (jac * lam[..., None, :]) @ jac.swapaxes(-1, -2)
+    return 0.5 * (total + total.swapaxes(-1, -2))

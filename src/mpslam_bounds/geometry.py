@@ -48,6 +48,9 @@ if TYPE_CHECKING:
 # Direction vectors shorter than this are treated as degenerate geometry.
 DEGENERACY_EPS = 1e-9
 
+EYE2 = np.eye(2)  # shared and read-only: the identity of every 2x2 block formula
+EYE2.flags.writeable = False
+
 
 class DegenerateGeometryError(ValueError):
     """A direction vector collapsed (agent on top of a virtual anchor, ...)."""
@@ -73,10 +76,10 @@ def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def matvec2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 matrices (..., 2, 2) times 2-vectors (..., 2), broadcast;
-    equals ``einsum("...ij,...j->...i", m, v)`` bit for bit."""
-    return m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
+def matvec2(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stacked 2x2 matrices (..., 2, 2) times 2-vectors (..., 2), broadcast,
+    into ``out`` if given; equals ``einsum("...ij,...j->...i", m, v)`` bit for bit."""
+    return np.add(m[..., 0] * v[..., None, 0], m[..., 1] * v[..., None, 1], out=out)
 
 
 def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
@@ -105,7 +108,7 @@ class Anchor:
         self.orientation = wrap_angle(orientation)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathGeometry:
     """Stacked mirror geometry of n paths of one agent pose, each from its own anchor.
 
@@ -113,13 +116,13 @@ class PathGeometry:
     (agent-side) bounce surface, 0 meaning no bounce: LOS is (0, 0) and a
     single bounce at s is (s, 0). Row i of each field belongs to path i;
     a batched agent pose and surface points add their leading axes in front.
-    What the gradient reuses is kept: the agent rotation, each bounce slot's
-    Householders, points and squared norms, the path vectors' squared
-    lengths and lengths.
+    What the gradient reuses is kept: the fold's end points, the agent
+    rotation, each bounce slot's Householders, points and squared norms, the
+    path vectors' squared lengths and lengths.
     """
 
-    anchor_once: np.ndarray  # (..., n, 2) anchor mirrored at the first bounce only
-    agent_once: np.ndarray  # (..., n, 2) agent mirrored at the second bounce only
+    # (..., 2, 2, n, 2) per slot: the anchor folded over the bounces before it,
+    ends: np.ndarray  # then the agent over those after it (each mirrored once or not at all)
     va_to_agent: np.ndarray  # (..., n, 2) agent minus virtual anchor, global frame
     departure_local: np.ndarray  # (..., n, 2) mirrored agent minus anchor, anchor frame
     arrival_local: np.ndarray  # (..., n, 2) virtual anchor minus agent, agent frame
@@ -134,9 +137,6 @@ class PathGeometry:
     lengths: np.ndarray  # (4, ..., n) their lengths
 
 
-# A point beyond the square root of the float range overflows its squares;
-# the truth pass reports the distance that gives.
-@np.errstate(over="ignore", invalid="ignore")
 def _mirrors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householders, points and squared norms of the (..., S, 2) surface
     ``points``, indexed by the 1-based surface number: entry 0 is the
@@ -144,10 +144,10 @@ def _mirrors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     its zero point making the Householder formula give I exactly."""
     padded = np.zeros(points.shape[:-2] + (points.shape[-2] + 1, 2))
     padded[..., 1:, :] = points
-    sq = dot2(padded, padded)
+    outer = padded[..., :, None] * padded[..., None, :]
+    sq = outer[..., 0, 0] + outer[..., 1, 1]  # dot2(padded, padded), bit for bit
     sq[..., 0] = 1.0
-    houses = np.eye(2) - (2.0 / sq)[..., None, None] * (padded[..., :, None] * padded[..., None, :])
-    return houses, padded, sq
+    return EYE2 - (2.0 / sq)[..., None, None] * outer, padded, sq
 
 
 def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: np.ndarray) -> PathGeometry:
@@ -162,29 +162,37 @@ def path_geometry(state: np.ndarray, plan: "PathPlan", surfaces: np.ndarray) -> 
     it flags as ``degenerate`` each path whose virtual-anchor-to-agent or
     anchor-to-mirrored-agent vector (global or local frame) is not longer
     than ``DEGENERACY_EPS``: the agent coincides with the path's virtual
-    anchor.
+    anchor. A point beyond the square root of the float range overflows its
+    squares, with a numpy warning unless run, as the channel pass
+    (``fim.global_jacobian``) runs it, under ``np.errstate``; the truth pass
+    reports the distance that gives.
     """
     houses, points, sq_norms = _mirrors(surfaces)
-    houses, points = houses[..., plan.slot, :, :], points[..., plan.slot, :]
+    houses, points = houses.take(plan.slot, axis=-3), points.take(plan.slot, axis=-2)
     h1, h2 = houses[..., 0, :, :, :], houses[..., 1, :, :, :]
-    p1, p2 = points[..., 0, :, :], points[..., 1, :, :]
-    agent, position, rot_anchor = state[..., 0:2], plan.anchor_position, plan.anchor_rotation
-    anchor_once = matvec2(h1, position) + p1
+    agent, position = state[..., 0:2], plan.anchor_position
     # one agent position per batch entry, applied to each of its n paths
-    agent_once = (h2 @ agent[..., None, :, None])[..., 0] + p2
-    r = agent[..., None, :] - (matvec2(h2, anchor_once) + p2)
-    r_t = matvec2(h1, agent_once) + p1 - position
-    dep = matvec2(np.swapaxes(rot_anchor, -1, -2), r_t)
+    agent_once = (h2 @ agent[..., None, :, None])[..., 0] + points[..., 1, :, :]
+    ends = np.empty(agent_once.shape[:-2] + (2, 2) + agent_once.shape[-2:])
+    ends[..., 0, 0, :, :], ends[..., 1, 0, :, :], ends[..., 1, 1, :, :] = (
+        position, agent_once, agent[..., None, :])
+    np.add(matvec2(h1, position), points[..., 0, :, :], out=ends[..., 0, 1, :, :])
+    # the second mirror of the anchor mirrored once, the first of the agent mirrored once
+    once = ends.reshape(ends.shape[:-4] + (4,) + ends.shape[-2:])[..., 1:3, :, :]
+    folded = matvec2(houses[..., ::-1, :, :, :], once) + points[..., ::-1, :, :]
+    r, r_t, dep, arr = vecs = np.empty((4,) + agent_once.shape)
+    np.subtract(agent[..., None, :], folded[..., 0, :, :], out=r)
+    np.subtract(folded[..., 1, :, :], position, out=r_t)
+    matvec2(plan.anchor_rotation.swapaxes(-1, -2), r_t, out=dep)
     # copied contiguous: numpy may run sin and cos through another loop on strides
     rot_agent = rotation_matrix(state[..., 4].copy())
-    arr = -(r @ rot_agent)
-    vecs = np.stack([r, r_t, dep, arr])
+    np.negative(r @ rot_agent, out=arr)
     squared = dot2(vecs, vecs)
     lengths = np.sqrt(squared)
-    params = np.stack(
-        [lengths[0], np.arctan2(arr[..., 1], arr[..., 0]), np.arctan2(dep[..., 1], dep[..., 0])],
-        axis=-1,
-    )
-    return PathGeometry(anchor_once, agent_once, r, dep, arr, h2 @ h1, params,
+    params = np.empty(r.shape[:-1] + (3,))
+    params[..., 0] = lengths[0]
+    np.arctan2(arr[..., 1], arr[..., 0], out=params[..., 1])
+    np.arctan2(dep[..., 1], dep[..., 0], out=params[..., 2])
+    return PathGeometry(ends, r, dep, arr, h2 @ h1, params,
                         (lengths <= DEGENERACY_EPS).any(axis=0), rot_agent, houses, points,
-                        sq_norms[..., plan.slot], squared, lengths)
+                        sq_norms.take(plan.slot, axis=-1), squared, lengths)

@@ -107,6 +107,7 @@ def process_noise_cov(model: StateSpaceModel) -> np.ndarray:
     return q
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan fail the tests and the screen
 def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     """Invert a symmetric positive-definite matrix, or a (..., N, N) stack of
     them; symmetrized output.
@@ -117,7 +118,7 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     exactly unless the stack inverts with tr(A) tr(A^-1) <= ``SCREEN_LIMIT``)
     or when its inverse passes the float range.
     """
-    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    sym = 0.5 * (matrix + matrix.swapaxes(-1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
     if not np.isfinite(stack).all():
         finite = np.isfinite(stack).all(axis=(1, 2))
@@ -128,13 +129,12 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         definite, inv = np.array([_has_cholesky(m) for m in stack]), None
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf trace fails the screen
-            screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
-        if np.all(screen <= SCREEN_LIMIT) and np.isfinite(inv).all():
+        screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
+        if (screen <= SCREEN_LIMIT).all() and np.isfinite(inv).all():
             return inv
         definite = np.ones(len(stack), dtype=bool)
     eigvals = np.linalg.eigvalsh(stack)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
     failed = ~definite | singular
     if inv is None and not failed.any():  # the stack failed as a whole, no matrix alone
@@ -150,10 +150,9 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     return inv
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite inverse fails in _spd_inverse
 def _symmetric_inverse(sym: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(sym)
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 def _has_cholesky(matrix: np.ndarray) -> bool:
@@ -170,7 +169,7 @@ def _has_cholesky(matrix: np.ndarray) -> bool:
 def predict_cov(cov: np.ndarray, transition: np.ndarray, process_cov: np.ndarray) -> np.ndarray:
     """Predicted covariance F P F^T + Q of one covariance or a stack; symmetrized."""
     predicted = transition @ cov @ transition.T + process_cov
-    return 0.5 * (predicted + np.swapaxes(predicted, -1, -2))
+    return 0.5 * (predicted + predicted.swapaxes(-1, -2))
 
 
 def predict_fim(
@@ -197,7 +196,7 @@ def extract_bounds(cov: np.ndarray, num_surfaces: int) -> np.ndarray:
     """Square-root trace bounds of the posterior covariance blocks: the
     (3 + S) row peb, veb, oeb, then each surface's meb (1-based id s at
     column 2 + s), or a (..., 3 + S) stack of rows for a stack."""
-    return np.sqrt(block_sums(np.diagonal(cov, axis1=-2, axis2=-1), num_surfaces))
+    return np.sqrt(block_sums(cov.diagonal(0, -2, -1), num_surfaces))
 
 
 def _block_name(row: int) -> str:

@@ -540,6 +540,22 @@ class TestBatchedPass:
             with pytest.raises(ValueError, match=f"anchor {field} must be a"):
                 Anchor(position=position, orientation=orientation)
 
+    def test_plan_arrays_are_read_only(self):
+        """One plan serves every step of its layout and the filter, so a
+        write to any of its arrays raises rather than changing later passes;
+        the plan keeps its own copy of the index arrays it was given."""
+        owner, components = np.array([0, 1, 1]), np.array([0, 3, 4])
+        plan = PathPlan(ComponentOrder.canonical(2), owner, components,
+                        [Anchor([0.5, 0.0], 0.3), Anchor([-0.5, 1.0], -1.0)])
+        names = ("owner", "components", "first", "second", "anchor_position",
+                 "anchor_rotation", "slot", "scatter")
+        assert sorted(vars(plan)) == sorted(names)
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, name).flat[0] = 7
+        owner[0] = components[0] = 1
+        assert plan.owner.tolist() == [0, 1, 1] and plan.components.tolist() == [0, 3, 4]
+
     @settings(max_examples=60, deadline=None)
     @given(case=rooms(), data=st.data())
     def test_agent_on_a_virtual_anchor_flags_only_that_component(self, case, data):

@@ -47,7 +47,7 @@ def mirror(surfaces, x, surface):
     """``x`` mirrored about one surface: an anchor at ``x`` mirrored at a first bounce."""
     geo = resolve(at([0.0, 0.0]), Anchor(position=x), [(surface,)],
                   surfaces)
-    return geo.anchor_once[0]
+    return geo.ends[0, 1, 0]  # slot 1's direct source: the anchor mirrored once
 
 
 def virtual_anchor(anchor, path, surfaces, agent=at([0.1, -0.3])):
