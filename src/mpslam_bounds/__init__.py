@@ -12,12 +12,11 @@ from .fim import (
     ComponentOrder,
     IsotropicAperture,
     UniformLinearArray,
-    ZeroApertureError,
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
 )
-from .geometry import Anchor, DegenerateGeometryError
+from .geometry import Anchor
 from .pcrlb import (
     SingularFimError,
     StateSpaceModel,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Anchor",
     "ComponentOrder",
-    "DegenerateGeometryError",
     "EkfState",
     "IsotropicAperture",
     "MonteCarloResult",
@@ -49,7 +47,6 @@ __all__ = [
     "SingularFimError",
     "StateSpaceModel",
     "UniformLinearArray",
-    "ZeroApertureError",
     "channel_fim",
     "derive_run_stream",
     "extract_bounds",

@@ -24,7 +24,6 @@ from .fim import (
 )
 from .geometry import (
     Anchor,
-    DegenerateGeometryError,
     PathGeometry,
     path_geometry,
     rotation_matrix,
@@ -115,7 +114,7 @@ def full_jacobian(
     plan = PathPlan(order, np.zeros(order.size, dtype=int), range(order.size), [anchor])
     _, degenerate, jac = global_jacobian(state, plan, surfaces)
     if degenerate.any():
-        raise DegenerateGeometryError("agent coincides with a virtual anchor")
+        raise FloatingPointError("agent coincides with a virtual anchor")
     return jac
 
 

@@ -8,9 +8,9 @@ nine significant digits, so identical invocations produce byte-identical
 files.
 
 Exit codes: 0 success, 2 configuration errors (message names the offending
-field), 3 numerical failures (singular or non-finite information, degenerate
-true geometry, endfire aperture, failed run, a non-finite CSV value), 4
-failed self-check (each violated invariant is listed).
+field), 3 numerical failures (any ``FloatingPointError``: singular or
+non-finite information, degenerate true geometry, endfire aperture, failed
+run, a non-finite CSV value), 4 failed self-check (violations are listed).
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .ekf import MonteCarloResult, max_runs, run_monte_carlo
-from .fim import ZeroApertureError
-from .geometry import DegenerateGeometryError
-from .pcrlb import run_recursion  # its SingularFimError is a RuntimeError
+from .pcrlb import run_recursion
 from .scenario import ScenarioError, ground_truth, load_scenario, measurement_truth
 
 _ASSUMPTIONS = (
@@ -155,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run_monte_carlo(scenario)
             bounds = result.bounds
         lines = _csv_lines(bounds, result)
-    except (RuntimeError, DegenerateGeometryError, ZeroApertureError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -192,9 +192,9 @@ def run_single(
     :class:`~.pcrlb.SingularFimError` at its stack position or where its mean
     or covariance is not finite after the step (an overflow takes inf, with
     no warning); it leaves the batch with every run after it, and the step is
-    redone. The bound steps on to the end; then the RuntimeError raised names
-    the first run in batch order that failed and its step, as filtering the
-    runs one by one would.
+    redone. The bound steps on to the end; then the FloatingPointError raised
+    names the first run in batch order that failed and its step, as filtering
+    the runs one by one would.
     """
     batch = np.atleast_1d(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
@@ -245,19 +245,22 @@ def run_single(
             err[:, 4] = wrap_angle(err[:, 4])
             squared[n - 1, :, :live] = block_sums(err * err, num_surfaces).T
     if failure is not None:
-        raise RuntimeError("Monte-Carlo run {} failed: {}".format(*failure))
+        raise FloatingPointError("Monte-Carlo run {} failed: {}".format(*failure))
     return bounds, squared
 
 
 def max_runs(scenario: Scenario) -> int:
     """The most Monte-Carlo runs one batch may filter within ``STEP_TABLE_BYTES``.
 
-    Per run the batch holds its draws (the initial error and one noise value
-    per measured scalar), its noisy measurements, its mean and its
-    covariance; each visible (step, anchor, component) measures 3 scalars.
+    Per run the batch holds its initial draw and mean, its noisy measurements
+    (drawn in place, 3 per visible (step, anchor, component)) and squared
+    errors; a step takes 4 (N, N) matrices and, per path of the widest step,
+    the gradient, its scaled copy (3N floats each) and 200 floats of geometry.
     """
-    dim, measured = scenario.dim, 3 * scenario.visibility.visible_count()
-    return STEP_TABLE_BYTES // (8 * (2 * (dim + measured) + dim * dim))
+    dim, paths = scenario.dim, scenario.visibility.visible_counts()
+    floats = (2 * dim + 3 * paths.sum() + scenario.n_steps * (3 + len(scenario.surfaces))
+              + 4 * dim * dim + paths.max() * (6 * dim + 200))
+    return STEP_TABLE_BYTES // (8 * int(floats))
 
 
 def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:

@@ -60,11 +60,6 @@ _PERP = np.array([-1.0, 1.0])
 ZERO_APERTURE_EPS = 1e-18
 
 
-class ZeroApertureError(ValueError):
-    """Squared array aperture vanished (endfire) at a path the truth pass
-    measures; its angle variance is undefined."""
-
-
 @dataclass(frozen=True)
 class IsotropicAperture:
     """Direction-independent squared array aperture (m^2)."""

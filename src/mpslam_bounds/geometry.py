@@ -52,10 +52,6 @@ EYE2 = np.eye(2)  # shared and read-only: the identity of every 2x2 block formul
 EYE2.flags.writeable = False
 
 
-class DegenerateGeometryError(ValueError):
-    """A direction vector collapsed (agent on top of a virtual anchor, ...)."""
-
-
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     """Wrap angles (radians) into (-pi, pi]: a float for a scalar, else an array.
 

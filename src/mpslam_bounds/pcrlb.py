@@ -40,7 +40,7 @@ CONDITION_LIMIT = 1e14
 SCREEN_LIMIT = 1e-2 * CONDITION_LIMIT  # on tr(A) tr(A^-1) >= condition; 1e-2 for rounding
 
 
-class SingularFimError(RuntimeError):
+class SingularFimError(FloatingPointError):
     """An information matrix was numerically singular (missing prior information).
 
     ``index`` is the position, in a stack of matrices, of the first one that

@@ -44,13 +44,12 @@ from .fim import (
     IsotropicAperture,
     PathPlan,
     UniformLinearArray,
-    ZeroApertureError,
     channel_fim,
     global_jacobian,
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import DEGENERACY_EPS, Anchor, DegenerateGeometryError, dot2, wrap_angle
+from .geometry import DEGENERACY_EPS, Anchor, dot2, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -61,8 +60,8 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # Cap on a truth pass's stacked float64 gradients, (N + 2) x 3 x (visible paths) per
 # step: 5 steps of a dense two-anchor octagon, 29 of the desk, 30 of the sparse one.
 TRUTH_PASS_BYTES = 360_000
-# Cap on the per-step tables of a scenario: per step, (anchor, component) int8
-# visibility flags and 3 + 3 float64 truth, and the (N, N) float64 information.
+# Cap on what a scenario holds for its steps (counted where the step count is
+# read) and on what a Monte-Carlo batch holds for its runs (``ekf.max_runs``).
 STEP_TABLE_BYTES = 2**30
 
 
@@ -189,9 +188,9 @@ class VisibilitySchedule:
         """Existence flags of anchor ``anchor_index`` (0-based) at 1-based ``step``(s)."""
         return self._table[anchor_index, step]
 
-    def visible_count(self) -> int:
-        """Visible (anchor, step, component) entries over steps 1..n."""
-        return int(np.count_nonzero(self._table[:, 1:]))
+    def visible_counts(self) -> np.ndarray:
+        """Visible (anchor, component) entries of each step 1..n."""
+        return np.count_nonzero(self._table[:, 1:], axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -401,11 +400,11 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     keep their gradients within ``TRUTH_PASS_BYTES`` (a layout without
     visible paths, all in one). One rule names the first failure over all
     passes: the earliest step, then the lowest anchor, then the kind, then
-    the first path. The kinds, highest priority first: degenerate geometry,
-    a distance or amplitude that is not finite and positive
-    (:class:`FloatingPointError`), endfire (:class:`~.fim.ZeroApertureError`),
-    a noise variance that is not finite and positive (``FloatingPointError``).
-    The amplitude and noise models check nothing: this rule is the one judge.
+    the first path; it raises :class:`FloatingPointError`. The kinds, highest
+    priority first: degenerate geometry, a distance or amplitude that is not
+    finite and positive, endfire, a noise variance that is not finite and
+    positive. The amplitude and noise models check nothing: this rule is the
+    one judge.
     """
     order, signal, anchors = scenario.order, scenario.signal, scenario.anchors
     shown = np.stack([scenario.visibility.flags(j, steps) for j in range(len(anchors))], axis=1)
@@ -453,9 +452,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
                 c = np.argmax(unfit[at])
                 reason = (f"{('distance', 'arrival', 'departure')[c]} variance {variances[at][c]} "
                           "is not finite and positive")
-            error = (DegenerateGeometryError, FloatingPointError, ZeroApertureError,
-                     FloatingPointError)[kind]
-            failures.append((rows[at[0]], plan.owner[at[1]], plan.components[at[1]], error, reason))
+            failures.append((rows[at[0]], plan.owner[at[1]], plan.components[at[1]], reason))
         if failures:
             continue
         information[rows] = global_snapshot_fim(jac, lam := channel_fim(variances))
@@ -463,9 +460,9 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         for g, b in enumerate(rows):
             paths_of[b] = plan, params[g], variances[g], lam[g]
     if failures:
-        b, j, k, error, reason = min(failures, key=lambda failure: failure[0])
-        raise error(f"step {steps[b]}, anchor {j + 1}, "
-                    f"component {list(order.pair(k))}: {reason}")
+        b, j, k, reason = min(failures)  # each step is in one pass: the earliest step
+        raise FloatingPointError(f"step {steps[b]}, anchor {j + 1}, "
+                                 f"component {list(order.pair(k))}: {reason}")
     return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]
 
 
@@ -781,7 +778,10 @@ def scenario_from_mapping(root) -> Scenario:
     signal = _build(SignalModel, *section("signal"))
     model = _build(StateSpaceModel, *section("model"), num_surfaces=len(surfaces))
     order = ComponentOrder.canonical(len(surfaces))
-    max_steps = STEP_TABLE_BYTES // (49 * len(anchors) * order.size + 8 * model.dim**2) - 1
+    # per step, per (anchor, component) a flag, 9 float64 of truth and 22 words of path plan
+    # (a step may have a layout of its own); the information, true state, bound row, objects
+    max_steps = STEP_TABLE_BYTES // (249 * len(anchors) * order.size + 3072
+                                     + 8 * (model.dim**2 + model.dim + 3 + len(surfaces))) - 1
     trajectory = _parse_trajectory(*section("trajectory"), model.time_step, max_steps)
     amplitude_model = _build(AmplitudeModel, *section("amplitude_model"))
     prior = _build(PriorSpec, *section("prior", False, {}))

@@ -16,7 +16,6 @@ from mpslam_bounds.fim import ComponentOrder, PathPlan
 from mpslam_bounds.geometry import (
     DEGENERACY_EPS,
     Anchor,
-    DegenerateGeometryError,
     rotation_matrix,
 )
 
@@ -112,14 +111,14 @@ def path_geometry(
     """Resolve the mirror geometry and channel parameters of one path; the
     agent's position and orientation are entries 0:2 and 4 of its state row.
 
-    Raises :class:`DegenerateGeometryError` when the agent coincides with the
+    Raises :class:`FloatingPointError` when the agent coincides with the
     virtual anchor (or, equivalently, the mirrored agent with the anchor).
     """
     r = agent[0:2] - virtual_anchor(anchor, path, surfaces)
     r_t = mirrored_agent(agent[0:2], path, surfaces) - anchor.position
     dist = float(np.linalg.norm(r))
     if dist <= DEGENERACY_EPS or np.linalg.norm(r_t) <= DEGENERACY_EPS:
-        raise DegenerateGeometryError(
+        raise FloatingPointError(
             f"agent coincides with virtual anchor for path {path}"
         )
     departure_local = rotation_matrix(anchor.orientation).T @ r_t

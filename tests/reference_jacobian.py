@@ -8,7 +8,7 @@ batched pass against it.
 
 import numpy as np
 
-from mpslam_bounds.geometry import DegenerateGeometryError, rotation_matrix
+from mpslam_bounds.geometry import rotation_matrix
 from tests.reference_geometry import householder, mirror, path_geometry
 
 
@@ -29,7 +29,7 @@ def azimuth_gradient(r):
     r = np.asarray(r, dtype=float)
     sq = float(r @ r)
     if sq <= 1e-18:
-        raise DegenerateGeometryError("azimuth gradient undefined at the origin")
+        raise FloatingPointError("azimuth gradient undefined at the origin")
     return np.array([-r[1], r[0]]) / sq
 
 
@@ -38,7 +38,7 @@ def distance_gradient(r):
     r = np.asarray(r, dtype=float)
     norm = float(np.linalg.norm(r))
     if norm <= 1e-9:
-        raise DegenerateGeometryError("distance gradient undefined at the origin")
+        raise FloatingPointError("distance gradient undefined at the origin")
     return r / norm
 
 

@@ -644,9 +644,21 @@ class TestErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_programming_error_is_not_a_numerical_failure(self, scenario_file, monkeypatch):
+        """Exit 3 is a FloatingPointError and nothing else: a plain
+        RuntimeError from the numerics propagates as it is."""
+        import mpslam_bounds.cli as cli_module
+
+        def broken(scenario, table):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(cli_module, "run_recursion", broken)
+        with pytest.raises(RuntimeError, match="^not a numerical failure$"):
+            main(["--scenario", str(scenario_file), "--mode", "bounds"])
+
     @pytest.mark.parametrize("kind, n_steps, n_anchors, limit", [
-        ("sampled_ncv", 10**12, 2, 355778), ("sampled_ncv", 10**30, 2, 355778),
-        ("waypoints", 10**400, 2, 355778), ("waypoints", 10**4, 1000, 1285),
+        ("sampled_ncv", 10**12, 2, 82278), ("sampled_ncv", 10**30, 2, 82278),
+        ("waypoints", 10**400, 2, 82278), ("waypoints", 10**4, 1000, 252),
     ], ids=["sampled_1e12", "sampled_1e30", "waypoints_1e400", "waypoints_1e4_1000_anchors"])
     def test_huge_step_count_is_config_error(self, kind, n_steps, n_anchors, limit,
                                              tmp_path, capsys):
@@ -728,8 +740,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_run_batch_beyond_the_table_limit_is_config_error(self, source, tmp_path, capsys):
-        """A run count whose batch (draws, noisy measurements, means and
-        covariances) would pass ``STEP_TABLE_BYTES`` exits 2 naming where the
+        """A run count whose batch (draws, noisy measurements, squared errors
+        and step transients) would pass ``STEP_TABLE_BYTES`` exits 2 naming where the
         count came from, before any stream or per-run array is built."""
         mapping = yaml.safe_load(DESK_SCENARIO.read_text())
         argv = ["--mc-runs", "1000000000"] if source == "flag" else []
@@ -745,7 +757,7 @@ class TestErrors:
             tracemalloc.stop()
         field = "--mc-runs" if source == "flag" else "scenario.mc.runs"
         assert code == 2
-        assert (f"error: {field}: must be at most 16064 in this room"
+        assert (f"error: {field}: must be at most 9247 in this room"
                 in capsys.readouterr().err)
         assert peak < 2**24
 

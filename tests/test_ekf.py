@@ -1,7 +1,10 @@
 """EKF estimator: prediction, information-form updates and Monte-Carlo aggregation."""
 
+import copy
 import logging
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +18,11 @@ from mpslam_bounds.ekf import (
     _linearize,
     ekf_predict,
     ekf_update,
+    max_runs,
     run_monte_carlo,
     run_single,
 )
-from mpslam_bounds.fim import PathPlan, channel_fim, global_jacobian
+from mpslam_bounds.fim import ComponentOrder, PathPlan, channel_fim, global_jacobian
 from mpslam_bounds.geometry import wrap_angle
 from mpslam_bounds.pcrlb import (
     extract_bounds,
@@ -30,7 +34,9 @@ from mpslam_bounds.pcrlb import (
     transition_matrix,
 )
 from mpslam_bounds.scenario import (
+    STEP_TABLE_BYTES,
     MonteCarloConfig,
+    ScenarioError,
     draw_measurements,
     ground_truth,
     load_scenario,
@@ -431,7 +437,8 @@ class TestBoundInTheBatch:
         monkeypatch.setattr(ekf_module, "_measurement_step", run_1_then_run_0_diverge)
         monkeypatch.setattr(ekf_module, "extract_bounds",
                             lambda *args, **kw: stepped.append(None) or read_out(*args, **kw))
-        with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 3: non-finite"):
+        with pytest.raises(FloatingPointError,
+                           match="^Monte-Carlo run 0 failed: step 3: non-finite"):
             run_monte_carlo(scenario)
         assert len(stepped) == scenario.n_steps
 
@@ -661,7 +668,8 @@ class TestMonteCarlo:
             return information, pull
 
         monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
-        with pytest.raises(RuntimeError, match="^Monte-Carlo run 0 failed: step 8: non-finite"):
+        with pytest.raises(FloatingPointError,
+                           match="^Monte-Carlo run 0 failed: step 8: non-finite"):
             run_monte_carlo(scenario)
 
     def test_non_finite_estimate_fails_its_own_run_at_its_step(self, monkeypatch):
@@ -678,7 +686,7 @@ class TestMonteCarlo:
             return measurement_step(mean, record, observed, scenario)
 
         monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
-        with pytest.raises(RuntimeError) as caught:
+        with pytest.raises(FloatingPointError) as caught:
             run_monte_carlo(scenario)
         assert str(caught.value) == ("Monte-Carlo run 2 failed: step 5: posterior information "
                                      "is not finite (weakest block: agent position)")
@@ -699,5 +707,97 @@ class TestMonteCarlo:
             return information, pull
 
         monkeypatch.setattr(ekf_module, "_measurement_step", diverge)
-        with pytest.raises(RuntimeError, match="^Monte-Carlo run 2 failed: step 6: "):
+        with pytest.raises(FloatingPointError, match="^Monte-Carlo run 2 failed: step 6: "):
             run_monte_carlo(scenario)
+
+
+def stretched(mapping, factor):
+    """A copy of ``mapping`` whose waypoint trajectory takes ``factor`` times
+    as many steps along the same path."""
+    mapping = copy.deepcopy(mapping)
+    mapping["trajectory"]["n_steps"] *= factor
+    for point in mapping["trajectory"]["points"]:
+        point["time"] *= factor
+    return mapping
+
+
+def layout_per_step(mapping, factor):
+    """The desk ``mapping`` stretched, with each step hiding its own pair of
+    anchor 1's and anchor 2's components: up to K^2 = 289 distinct layouts,
+    so each step keeps a path plan of its own."""
+    mapping = stretched(mapping, factor)
+    order, rules = ComponentOrder.canonical(len(mapping["surfaces"])), []
+    for n in range(1, mapping["trajectory"]["n_steps"] + 1):
+        for anchor, k in ((1, n % order.size), (2, n // order.size % order.size)):
+            rules.append({"visible": False, "anchors": [anchor],
+                          "components": [list(order.pair(k))], "steps": [n]})
+    mapping["visibility"] = {"default": True, "rules": rules}
+    return mapping
+
+
+def traced(build):
+    """The bytes that ``build()``'s result holds and the peak bytes it took."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()  # alive until its bytes are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held - base, peak - base
+
+
+class TestMemoryCaps:
+    """Each cap's count bounds, from above, the bytes measured with
+    ``tracemalloc`` that it guards. The step cap counts what a scenario holds
+    per step: its visibility flags, joint truth, truth table (records and
+    path plans) and bound table, measured as the growth from a short to a
+    long horizon, so a room's one path plan does not count. ``max_runs``
+    counts what a lockstep batch takes per run at its peak, measured as the
+    peak per run of a batch larger than the draw's chunk of streams (16, 14
+    and 142 here), whose temporaries the batch takes once."""
+
+    SCENES = {"desk": lambda: yaml.safe_load(DESK_SCENARIO.read_text()),
+              "dense_octagon": octagon_mapping, "sparse_octagon": sparse_octagon_mapping}
+
+    @staticmethod
+    def counted_step_bytes(mapping):
+        """The least per-step count that gives the exit-2 step limit of
+        ``mapping``'s room: the limit is STEP_TABLE_BYTES // count - 1."""
+        mapping = copy.deepcopy(mapping)
+        mapping["trajectory"]["n_steps"] = 10**12
+        with pytest.raises(ScenarioError) as caught:
+            scenario_from_mapping(mapping)
+        limit = int(re.search(r"must be at most (\d+) in this room", str(caught.value))[1])
+        return STEP_TABLE_BYTES / (limit + 2)
+
+    @pytest.mark.parametrize("scene", ["desk", "dense_octagon", "sparse_octagon",
+                                       "desk_layout_per_step"])
+    def test_step_cap_counts_what_a_step_holds(self, scene):
+        if scene == "desk_layout_per_step":
+            short, long = (layout_per_step(self.SCENES["desk"](), f) for f in (2, 7))
+        else:
+            short, long = (stretched(self.SCENES[scene](), f) for f in (1, 10))
+
+        def build(mapping):
+            scenario = scenario_from_mapping(copy.deepcopy(mapping))
+            truth = ground_truth(scenario)
+            table = measurement_truth(scenario, truth)
+            return scenario, truth, table, run_recursion(scenario, table)
+
+        build(short)  # caches and first-call allocations
+        steps = [mapping["trajectory"]["n_steps"] for mapping in (short, long)]
+        grown = traced(lambda: build(long))[0] - traced(lambda: build(short))[0]
+        assert grown / (steps[1] - steps[0]) <= self.counted_step_bytes(short)
+
+    @pytest.mark.parametrize("scene, runs", [("desk", 160), ("dense_octagon", 32),
+                                             ("sparse_octagon", 160)])
+    def test_run_cap_counts_what_a_run_takes(self, scene, runs):
+        scenario = scenario_from_mapping(self.SCENES[scene]())
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        run_single(scenario, truth, table, range(2))  # caches and first-call allocations
+        peak = traced(lambda: run_single(scenario, truth, table, range(runs)))[1]
+        # the limit is STEP_TABLE_BYTES // count, so the count exceeds this
+        assert peak / runs <= STEP_TABLE_BYTES / (max_runs(scenario) + 1)

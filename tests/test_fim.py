@@ -21,7 +21,6 @@ from mpslam_bounds.fim import (
 )
 from mpslam_bounds.geometry import (
     Anchor,
-    DegenerateGeometryError,
     wrap_angle,
 )
 from tests import reference_geometry as ref
@@ -177,9 +176,9 @@ class TestGradients:
         np.testing.assert_allclose(distance_gradient(r), numeric, atol=1e-7)
 
     def test_degenerate_at_origin(self):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(FloatingPointError):
             azimuth_gradient([0.0, 0.0])
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(FloatingPointError):
             distance_gradient([1e-12, 0.0])
 
 
@@ -380,7 +379,7 @@ class TestSnapshotFim:
                           orientation=rng.uniform(-np.pi, np.pi))
             try:
                 params = [ref.channel_params(agent, cand, c, surfaces) for c in paths]
-            except DegenerateGeometryError:
+            except FloatingPointError:
                 continue
             if min(p.distance for p in params) > 0.5:
                 anchors.append(cand)
@@ -488,7 +487,7 @@ class TestBatchedPass:
         agent, anchor, surfaces, order, visible = case
         try:
             ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
-        except DegenerateGeometryError:
+        except FloatingPointError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = ref.lone_plan(order, visible, anchor)
@@ -567,7 +566,7 @@ class TestBatchedPass:
         try:
             assume(min((ref.channel_params(agent, anchor, c, surfaces).distance
                         for c in others), default=1.0) > 1e-6)
-        except DegenerateGeometryError:
+        except FloatingPointError:
             assume(False)
         params, degenerate, jac = global_jacobian(
             agent, ref.lone_plan(order, np.arange(order.size), anchor), surfaces)
@@ -598,7 +597,7 @@ class TestBatchedPass:
                                    agent[0:2], atol=1e-12 * np.linalg.norm(point))
         try:
             ref_params, ref_jac = loop_reference(agent, anchor, order, surfaces, visible)
-        except DegenerateGeometryError:
+        except FloatingPointError:
             assume(False)
         assume(np.all(ref_params[:, 0] > 1e-3))
         plan = ref.lone_plan(order, visible, anchor)
