@@ -7,7 +7,7 @@ line-of-sight, single-bounce and double-bounce paths, and validates the
 bounds empirically with a model-matched EKF-SLAM estimator.
 """
 
-from .ekf import EkfState, MonteCarloResult, run_monte_carlo
+from .ekf import run_monte_carlo
 from .fim import (
     ComponentOrder,
     IsotropicAperture,
@@ -39,9 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Anchor",
     "ComponentOrder",
-    "EkfState",
     "IsotropicAperture",
-    "MonteCarloResult",
     "Scenario",
     "ScenarioError",
     "SingularFimError",

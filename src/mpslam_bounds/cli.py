@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ekf import MonteCarloResult, max_runs, run_monte_carlo
+from .ekf import max_runs, run_monte_carlo
 from .pcrlb import run_recursion
 from .scenario import ScenarioError, ground_truth, load_scenario, measurement_truth
 
@@ -40,16 +40,16 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _csv_lines(bounds: np.ndarray, result: MonteCarloResult | None) -> list[str]:
+def _csv_lines(bounds: np.ndarray, rmse: np.ndarray | None) -> list[str]:
     """The CSV rows of the (n_steps, 3 + S) bound table, beside the RMSE
     table in validate mode; the first non-finite value (earliest step, then
     leftmost column) raises FloatingPointError."""
     surfaces = range(1, bounds.shape[1] - 2)
     header = ["n", "peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces]
     table = bounds
-    if result is not None:
+    if rmse is not None:
         header += ["rmse_pos", "rmse_vel", "rmse_orient"] + [f"maperr_{s}" for s in surfaces]
-        table = np.hstack([bounds, result.rmse])
+        table = np.hstack([bounds, rmse])
     finite = np.isfinite(table)
     if not finite.all():
         row, column = np.argwhere(~finite)[0]
@@ -59,16 +59,16 @@ def _csv_lines(bounds: np.ndarray, result: MonteCarloResult | None) -> list[str]
     return [",".join(header), *rows]
 
 
-def _summary(bounds: np.ndarray, result: MonteCarloResult | None) -> str:
+def _summary(bounds: np.ndarray, rmse: np.ndarray | None, runs: int) -> str:
     out = ["== bound summary (min / max / final) =="]
     surfaces = range(1, bounds.shape[1] - 2)
     for name, values in zip(["peb", "veb", "oeb"] + [f"meb_{s}" for s in surfaces], bounds.T):
         out.append(f"  {name:<8} {_fmt(values.min())} / {_fmt(values.max())} / {_fmt(values[-1])}")
-    if result is not None:
-        out.append(f"== final RMSE / bound ratios ({result.runs} runs) ==")
+    if rmse is not None:
+        out.append(f"== final RMSE / bound ratios ({runs} runs) ==")
         labels = ["position   ", "velocity   ", "orientation"]
         labels += [f"surface {s}  " for s in surfaces]
-        ratios = result.rmse[-1] / bounds[-1]
+        ratios = rmse[-1] / bounds[-1]
         out += [f"  {label} {ratio:.3f}" for label, ratio in zip(labels, ratios)]
     out.append("== modeling assumptions behind the bound ==")
     for i, text in enumerate(_ASSUMPTIONS, start=1):
@@ -148,11 +148,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.mode == "bounds":
             bounds = run_recursion(scenario, measurement_truth(scenario, ground_truth(scenario)))
-            result = None
+            rmse = None
         else:
-            result = run_monte_carlo(scenario)
-            bounds = result.bounds
-        lines = _csv_lines(bounds, result)
+            bounds, rmse = run_monte_carlo(scenario)
+        lines = _csv_lines(bounds, rmse)
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -162,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2
-    sys.stderr.write(_summary(bounds, result))
+    sys.stderr.write(_summary(bounds, rmse, scenario.mc.runs))
     return 0
 
 

@@ -24,14 +24,14 @@ them all. Each run draws its initial estimate around the true initial state
 from the prior and its measurements from its own stream, so its numbers do
 not depend on the batch it is in. Its squared errors from the rows of the
 joint truth are summed into the bound's state blocks, for RMSE time series
-in the columns of the (n_steps, 3 + S) bound table. Predict and update also
-take a single state.
+in the columns of the (n_steps, 3 + S) bound table. Predict and update take
+and return the same plain (mean, covariance) arrays, with or without the
+run axis.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,25 +54,12 @@ log = logging.getLogger(__name__)
 _SURFACE_NORM_FLOOR = 1e-6
 
 
-@dataclass
-class EkfState:
-    """Joint-state mean and covariance (same layout as the bound recursion);
-    a batch of R runs holds an (R, N) mean and an (R, N, N) covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != self.mean.shape + self.mean.shape[-1:]:
-            raise ValueError("covariance shape must match the mean")
-
-
-def ekf_predict(state: EkfState, transition: np.ndarray, noise_cov: np.ndarray) -> EkfState:
-    """Time update: mean through the transition, covariance plus process noise."""
-    mean = (transition @ state.mean[..., None])[..., 0]
-    return EkfState(mean=mean, cov=predict_cov(state.cov, transition, noise_cov))
+def ekf_predict(
+    mean: np.ndarray, cov: np.ndarray, transition: np.ndarray, noise_cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time update of the (..., N) mean and (..., N, N) covariance: the mean
+    through the transition, the covariance plus process noise."""
+    return (transition @ mean[..., None])[..., 0], predict_cov(cov, transition, noise_cov)
 
 
 def _linearize(
@@ -138,37 +125,29 @@ def _measurement_step(
 
 @np.errstate(over="ignore", invalid="ignore")  # see _measurement_step
 def ekf_update(
-    state: EkfState, record: StepTruth, observed: np.ndarray, scenario: Scenario
-) -> EkfState:
+    mean: np.ndarray, cov: np.ndarray, record: StepTruth, observed: np.ndarray,
+    scenario: Scenario,
+) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update of one step in information form.
 
-    ``observed`` holds the step's drawn (n, 3) rows (see
-    :func:`~.scenario.draw_measurements`) for the paths of its truth
-    ``record``, with a leading run axis for a batched state. The covariance
+    Takes the predicted (..., N) ``mean`` and (..., N, N) ``cov`` and
+    returns the updated pair. ``observed`` holds the step's drawn (..., n, 3)
+    rows (see :func:`~.scenario.draw_measurements`) for the paths of its
+    truth ``record``, with the leading axes of ``mean``. The covariance
     is the bound's fusion, P_post = (P^{-1} + H Lambda H^T)^{-1} with H at
     the predicted mean, whose orientation is read as it is (wrapped, as this
     update leaves it); the mean moves by P_post H Lambda nu. A step with no
-    paths returns the state as it is. A singular matrix raises
+    paths returns ``mean`` and ``cov`` themselves. A singular matrix raises
     :class:`~.pcrlb.SingularFimError` whose ``index`` is the first failing
     batch entry.
     """
-    terms = _measurement_step(state.mean, record, observed, scenario)
+    terms = _measurement_step(mean, record, observed, scenario)
     if terms is None:
-        return state
-    cov = fuse(state.cov, terms[0], record.step)
-    mean = state.mean + (cov @ terms[1])[..., 0]
+        return mean, cov
+    cov = fuse(cov, terms[0], record.step)
+    mean = mean + (cov @ terms[1])[..., 0]
     mean[..., 4] = wrap_angle(mean[..., 4])
-    return EkfState(mean=mean, cov=cov)
-
-
-@dataclass
-class MonteCarloResult:
-    """Bound table and RMSE time series of steps 1..n_steps, both
-    (n_steps, 3 + S): position, velocity, orientation, then each surface."""
-
-    bounds: np.ndarray
-    rmse: np.ndarray
-    runs: int
+    return mean, cov
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -176,12 +155,12 @@ def run_single(
     scenario: Scenario,
     truth: np.ndarray | None,
     table: list[StepTruth],
-    runs: int | Sequence[int],
+    runs: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step the bound and Monte-Carlo runs as one lockstep batch.
 
     Covariance entry 0 is the bound, fusing the truth table's information;
-    entries 1..R are the runs ``runs`` (a run index or a sequence, in batch
+    entries 1..R are the runs ``runs`` (a sequence of run indices, in batch
     order), fusing the information linearized at their estimates. The runs
     draw their initial means around row 0 of the (n + 1, N) joint truth
     ``truth`` (:func:`~.scenario.ground_truth`) and score step n against row
@@ -196,7 +175,7 @@ def run_single(
     names the first run in batch order that failed and its step, as filtering
     the runs one by one would.
     """
-    batch = np.atleast_1d(runs)
+    batch = np.asarray(runs)
     transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
     num_surfaces = len(scenario.surfaces)
     prior_var = scenario.prior_covariance()
@@ -263,8 +242,13 @@ def max_runs(scenario: Scenario) -> int:
     return STEP_TABLE_BYTES // (8 * int(floats))
 
 
-def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
+def run_monte_carlo(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Bounds plus estimator RMSE over the scenario's Monte-Carlo ensemble.
+
+    Returns the bound table and the RMSE time series of steps 1..n_steps,
+    both (n_steps, 3 + S): position, velocity, orientation, then each
+    surface; the RMSE is the root mean of :func:`run_single`'s squared
+    errors over the ``scenario.mc.runs`` runs.
 
     The ground truth and its truth table are built once and shared by the
     bound and every run; runs differ in their initial estimate draw and
@@ -274,6 +258,5 @@ def run_monte_carlo(scenario: Scenario) -> MonteCarloResult:
     """
     truth = ground_truth(scenario)
     table = measurement_truth(scenario, truth)
-    runs = scenario.mc.runs
-    bounds, squared = run_single(scenario, truth, table, range(runs))
-    return MonteCarloResult(bounds=bounds, rmse=np.sqrt(squared.sum(axis=-1) / runs), runs=runs)
+    bounds, squared = run_single(scenario, truth, table, range(scenario.mc.runs))
+    return bounds, np.sqrt(squared.sum(axis=-1) / scenario.mc.runs)

@@ -487,25 +487,20 @@ def measurement_truth(scenario: Scenario, truth: np.ndarray) -> list[StepTruth]:
     return _truth_pass(scenario, truth[1:], np.arange(1, scenario.n_steps + 1))
 
 
-def draw_measurements(
-    table: list[StepTruth], rng: RandomStream | Sequence[RandomStream]
-) -> list[np.ndarray]:
+def draw_measurements(table: list[StepTruth], streams: Sequence[RandomStream]) -> list[np.ndarray]:
     """Draw noisy measurements around the truth table: per step, the drawn
-    (n, 3) rows of its n paths, in its record's path order (fixed draw order).
+    (R, n, 3) rows of its n paths for the R ``streams``, one per Monte-Carlo
+    run of a batch, in its record's path order (fixed draw order).
 
     Distances and azimuths are Gaussian around the noise-free channel
     parameters with the record's variances (a standard normal variate per
     value, scaled by the standard deviation); azimuths are wrapped. Each
     stream draws the whole table in one request, and the table's rows, all
     steps in draw order, are scaled and wrapped in one pass; each step's
-    rows are its slice of them. Given a sequence of streams, one per
-    Monte-Carlo run of a batch, the rows gain a leading run axis.
+    rows are its slice of them.
     """
-    streams = [rng] if isinstance(rng, RandomStream) else rng
     truth = np.concatenate([record.params for record in table])
     drawn = standard_normals(streams, truth.size).reshape((len(streams),) + truth.shape)
-    if isinstance(rng, RandomStream):
-        drawn = drawn[0]
     # scaled and shifted in place: the bits of truth + std * noise, no temporaries
     drawn *= np.sqrt(np.concatenate([record.variances for record in table]))
     drawn += truth

@@ -1,7 +1,7 @@
 """Sequential per-run reference of the Monte-Carlo filter.
 
 Filters one run at a time through unbatched ``ekf_predict`` and
-``ekf_update`` calls: the run's stream draws the initial error, then the
+``ekf_update`` calls on an (N,) mean and an (N, N) covariance: the run's stream draws the initial error, then the
 measurements, and the loop records the squared errors of each step. This is
 the loop each run went through before ``ekf.run_single`` filtered all runs
 as one lockstep batch; tests compare the batch with it.
@@ -9,7 +9,7 @@ as one lockstep batch; tests compare the batch with it.
 
 import numpy as np
 
-from mpslam_bounds.ekf import EkfState, ekf_predict, ekf_update
+from mpslam_bounds.ekf import ekf_predict, ekf_update
 from mpslam_bounds.geometry import wrap_angle
 from mpslam_bounds.pcrlb import process_noise_cov, transition_matrix
 from mpslam_bounds.scenario import draw_measurements
@@ -22,10 +22,10 @@ def filter_run(scenario, truth, table, run_index):
     surface."""
     rng = derive_run_stream(scenario.mc.seed, run_index)
     prior_diag = scenario.prior_covariance()
-    mean0 = truth[0] + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
-    mean0[4] = wrap_angle(mean0[4])
-    state = EkfState(mean=mean0, cov=np.diag(prior_diag))
-    measured = draw_measurements(table, rng)
+    mean = truth[0] + np.sqrt(prior_diag) * rng.standard_normal(prior_diag.size)
+    mean[4] = wrap_angle(mean[4])
+    cov = np.diag(prior_diag)
+    measured = draw_measurements(table, [rng])
 
     transition = transition_matrix(scenario.model)
     noise_cov = process_noise_cov(scenario.model)
@@ -33,11 +33,11 @@ def filter_run(scenario, truth, table, run_index):
     position, velocity = np.zeros(n_steps), np.zeros(n_steps)
     orientation, surfaces = np.zeros(n_steps), np.zeros((n_steps, num_surfaces))
     for n in range(1, n_steps + 1):
-        state = ekf_update(ekf_predict(state, transition, noise_cov), table[n - 1],
-                           measured[n - 1], scenario)
-        if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
+        mean, cov = ekf_update(*ekf_predict(mean, cov, transition, noise_cov), table[n - 1],
+                               measured[n - 1][0], scenario)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")
-        err = state.mean - truth[n]
+        err = mean - truth[n]
         position[n - 1] = err[0] ** 2 + err[1] ** 2
         velocity[n - 1] = err[2] ** 2 + err[3] ** 2
         orientation[n - 1] = wrap_angle(float(err[4])) ** 2

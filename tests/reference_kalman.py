@@ -11,7 +11,7 @@ J = P^{-1} + sum_j H_j Lambda_j H_j^T; tests compare the two.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR, EkfState
+from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR
 from mpslam_bounds.fim import global_jacobian
 from mpslam_bounds.geometry import wrap_angle
 from tests.reference_geometry import lone_plan
@@ -53,21 +53,23 @@ def stacked_linearization(mean, record, observed, scenario):
             np.tile([False, True, True], h_mat.shape[0] // 3))
 
 
-def joseph_update(state, record, observed, scenario):
-    """Stacked Kalman update with wrapped angle innovations and Joseph-form
-    covariance; raises if the innovation covariance is not positive definite."""
+def joseph_update(mean, cov, record, observed, scenario):
+    """Stacked Kalman update of the (N,) ``mean`` and (N, N) ``cov`` with
+    wrapped angle innovations and Joseph-form covariance; returns the updated
+    (mean, cov) and raises if the innovation covariance is not positive
+    definite."""
     h_mat, stacked, predicted, noise_diag, angle_row = stacked_linearization(
-        state.mean, record, observed, scenario
+        mean, record, observed, scenario
     )
     if h_mat.shape[0] == 0:
-        return state
+        return mean, cov
     innovation = stacked - predicted
     innovation[angle_row] = np.array([wrap_angle(v) for v in innovation[angle_row]])
-    innovation_cov = h_mat @ state.cov @ h_mat.T + np.diag(noise_diag)
+    innovation_cov = h_mat @ cov @ h_mat.T + np.diag(noise_diag)
     factor = cho_factor(0.5 * (innovation_cov + innovation_cov.T), lower=True)
-    gain = cho_solve(factor, h_mat @ state.cov).T
-    mean = state.mean + gain @ innovation
-    mean[4] = wrap_angle(mean[4])
-    shrink = np.eye(state.mean.shape[0]) - gain @ h_mat
-    cov = shrink @ state.cov @ shrink.T + (gain * noise_diag) @ gain.T
-    return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
+    gain = cho_solve(factor, h_mat @ cov).T
+    updated = mean + gain @ innovation
+    updated[4] = wrap_angle(updated[4])
+    shrink = np.eye(mean.shape[0]) - gain @ h_mat
+    joseph = shrink @ cov @ shrink.T + (gain * noise_diag) @ gain.T
+    return updated, 0.5 * (joseph + joseph.T)

@@ -203,14 +203,14 @@ def test_criterion_7_bound_attainment_at_desk_scale():
     assert scenario.model.time_step == pytest.approx(0.1)
     assert scenario.mc.runs == 100
     start = time.perf_counter()
-    result = run_monte_carlo(scenario)
+    bounds, rmse = run_monte_carlo(scenario)
     elapsed = time.perf_counter() - start
 
     burn = 9  # steps 10..40
-    peb, oeb, meb = result.bounds[:, 0], result.bounds[:, 2], result.bounds[:, 3:]
-    pos_ratio = (result.rmse[:, 0] / peb)[burn:]
-    orient_ratio = (result.rmse[:, 2] / oeb)[burn:]
-    map_ratio = (result.rmse[:, 3:] / meb)[burn:]
+    peb, oeb, meb = bounds[:, 0], bounds[:, 2], bounds[:, 3:]
+    pos_ratio = (rmse[:, 0] / peb)[burn:]
+    orient_ratio = (rmse[:, 2] / oeb)[burn:]
+    map_ratio = (rmse[:, 3:] / meb)[burn:]
 
     pos_ok = pos_ratio.min() >= 0.9 and pos_ratio.max() <= 1.6
     orient_ok = orient_ratio.min() >= 0.9 and orient_ratio.max() <= 1.6
@@ -243,7 +243,7 @@ def test_criterion_8_generator_calibration():
     scenario = scenario_from_mapping(mapping)
     truth = ground_truth(scenario)
     table = measurement_truth(scenario, truth)
-    meas = draw_measurements(table, derive_run_stream(20240808, 0))
+    meas = [rows[0] for rows in draw_measurements(table, [derive_run_stream(20240808, 0)])]
     # one anchor, every component visible at every step: stack the steps
     ref = table[0]
     sample = np.stack(meas)

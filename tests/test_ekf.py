@@ -13,8 +13,6 @@ import pytest
 import yaml
 
 from mpslam_bounds.ekf import (
-    EkfState,
-    MonteCarloResult,
     _linearize,
     ekf_predict,
     ekf_update,
@@ -59,7 +57,7 @@ def small_scenario(**overrides):
 def drawn_step(scenario, truth, step, rng):
     """The truth record of ``step`` and its rows in one draw of the whole table."""
     table = measurement_truth(scenario, truth)
-    return table[step - 1], draw_measurements(table, rng)[step - 1]
+    return table[step - 1], draw_measurements(table, [rng])[step - 1][0]
 
 
 def side_by_side(blocks):
@@ -76,9 +74,9 @@ class TestPredict:
         transition = transition_matrix(scenario.model)
         mean = np.zeros(scenario.dim)
         mean[0:2] = [1.0, 2.0]  # zero velocity
-        state = EkfState(mean=mean, cov=np.eye(scenario.dim))
-        predicted = ekf_predict(state, transition, np.zeros((scenario.dim,) * 2))
-        np.testing.assert_allclose(predicted.mean, mean)
+        predicted, _ = ekf_predict(mean, np.eye(scenario.dim), transition,
+                                   np.zeros((scenario.dim,) * 2))
+        np.testing.assert_allclose(predicted, mean)
 
     def test_covariance_trace_never_shrinks_from_diagonal(self):
         # congruence with the velocity coupling only adds variance when the
@@ -87,10 +85,10 @@ class TestPredict:
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
         rng = np.random.default_rng(3)
-        state = EkfState(mean=rng.normal(size=scenario.dim),
-                         cov=np.diag(rng.uniform(0.1, 2.0, size=scenario.dim)))
-        predicted = ekf_predict(state, transition, noise)
-        assert predicted.cov.trace() >= state.cov.trace() - 1e-9
+        mean = rng.normal(size=scenario.dim)
+        cov = np.diag(rng.uniform(0.1, 2.0, size=scenario.dim))
+        _, predicted = ekf_predict(mean, cov, transition, noise)
+        assert predicted.trace() >= cov.trace() - 1e-9
 
     def test_matches_information_prediction(self):
         """Covariance form F P F^T + Q inverts the information prediction."""
@@ -100,11 +98,10 @@ class TestPredict:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(scenario.dim, scenario.dim))
         cov = a @ a.T + np.eye(scenario.dim)
-        state = EkfState(mean=np.zeros(scenario.dim), cov=cov)
-        predicted = ekf_predict(state, transition, noise)
+        _, predicted = ekf_predict(np.zeros(scenario.dim), cov, transition, noise)
         j_pred = predict_fim(cov, transition, noise)
         np.testing.assert_allclose(
-            np.linalg.inv(predicted.cov), j_pred, rtol=1e-8, atol=1e-10
+            np.linalg.inv(predicted), j_pred, rtol=1e-8, atol=1e-10
         )
 
 
@@ -113,10 +110,10 @@ class TestUpdate:
         scenario = small_scenario(visibility={"default": False})
         record = measurement_truth(scenario, ground_truth(scenario))[0]
         assert record.plan.owner.size == 0
-        state = EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
-        updated = ekf_update(state, record, np.zeros((0, 3)), scenario)
-        np.testing.assert_array_equal(updated.mean, state.mean)
-        np.testing.assert_array_equal(updated.cov, state.cov)
+        mean, cov = np.zeros(scenario.dim), np.eye(scenario.dim)
+        updated_mean, updated_cov = ekf_update(mean, cov, record, np.zeros((0, 3)), scenario)
+        np.testing.assert_array_equal(updated_mean, mean)
+        np.testing.assert_array_equal(updated_cov, cov)
 
     @pytest.mark.parametrize(
         "agent_aperture",
@@ -170,10 +167,9 @@ class TestUpdate:
         rng = derive_run_stream(9, 0)
         mean = truth[1]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
-        state = EkfState(mean=mean, cov=np.diag(prior))
-        before = np.linalg.norm(state.mean[:2] - truth[1, 0:2])
-        updated = ekf_update(state, record, meas, scenario)
-        after = np.linalg.norm(updated.mean[:2] - truth[1, 0:2])
+        before = np.linalg.norm(mean[:2] - truth[1, 0:2])
+        updated, _ = ekf_update(mean, np.diag(prior), record, meas, scenario)
+        after = np.linalg.norm(updated[:2] - truth[1, 0:2])
         assert after < before
 
     def test_covariance_stays_positive_definite_over_fifty_steps(self):
@@ -187,15 +183,15 @@ class TestUpdate:
         prior = scenario.prior_covariance()
         mean = truth[0]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
-        state = EkfState(mean=mean, cov=np.diag(prior))
+        cov = np.diag(prior)
         table = measurement_truth(scenario, truth)
-        measured = draw_measurements(table, rng)
+        measured = draw_measurements(table, [rng])
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
         for n in range(1, 51):
-            state = ekf_predict(state, transition, noise)
-            state = ekf_update(state, table[n - 1], measured[n - 1], scenario)
-            assert np.linalg.eigvalsh(state.cov)[0] > 0.0
+            mean, cov = ekf_predict(mean, cov, transition, noise)
+            mean, cov = ekf_update(mean, cov, table[n - 1], measured[n - 1][0], scenario)
+            assert np.linalg.eigvalsh(cov)[0] > 0.0
 
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
         """Components bouncing on a surface estimated at the origin get
@@ -263,14 +259,14 @@ def polygon_room(num_walls, apothem=3.5):
 
 
 def predicted_state(scenario, truth, step, seed):
-    """A correlated predicted covariance at the prior's scale, with a mean
-    drawn from a tenth of it around the truth."""
+    """A (mean, covariance) pair: a correlated predicted covariance at the
+    prior's scale, with a mean drawn from a tenth of it around the truth."""
     rng = np.random.default_rng(seed)
     scale = np.sqrt(scenario.prior_covariance())
     mixing = rng.normal(size=(scale.size, scale.size)) / np.sqrt(scale.size)
     cov = (0.5 * np.eye(scale.size) + 0.5 * mixing @ mixing.T) * np.outer(scale, scale)
     mean = truth[step]
-    return EkfState(mean=mean + 0.1 * scale * rng.standard_normal(scale.size), cov=cov)
+    return mean + 0.1 * scale * rng.standard_normal(scale.size), cov
 
 
 class TestInformationFormMatchesCovarianceForm:
@@ -278,18 +274,17 @@ class TestInformationFormMatchesCovarianceForm:
     update (tests/reference_kalman.py) to 1e-9 relative."""
 
     @staticmethod
-    def assert_same_update(state, record, observed, scenario):
-        got = ekf_update(state, record, observed, scenario)
-        expected = joseph_update(state, record, observed, scenario)
-        for a, b in ((got.mean - state.mean, expected.mean - state.mean),
-                     (got.cov, expected.cov)):
+    def assert_same_update(mean, cov, record, observed, scenario):
+        got_mean, got_cov = ekf_update(mean, cov, record, observed, scenario)
+        expected_mean, expected_cov = joseph_update(mean, cov, record, observed, scenario)
+        for a, b in ((got_mean - mean, expected_mean - mean), (got_cov, expected_cov)):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
 
     def test_desk_step(self):
         scenario = load_scenario(DESK_SCENARIO)
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 7, derive_run_stream(0, 0))
-        self.assert_same_update(predicted_state(scenario, truth, 7, 1), record, observed,
+        self.assert_same_update(*predicted_state(scenario, truth, 7, 1), record, observed,
                                 scenario)
 
     def test_dense_twelve_wall_step(self):
@@ -298,17 +293,17 @@ class TestInformationFormMatchesCovarianceForm:
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 2, derive_run_stream(0, 0))
         assert np.bincount(record.plan.owner).tolist() == [145, 145]
-        self.assert_same_update(predicted_state(scenario, truth, 2, 2), record, observed,
+        self.assert_same_update(*predicted_state(scenario, truth, 2, 2), record, observed,
                                 scenario)
 
     def test_step_with_a_skipped_component(self, caplog):
         scenario = load_scenario(DESK_SCENARIO)
         truth = ground_truth(scenario)
         record, observed = drawn_step(scenario, truth, 5, derive_run_stream(0, 0))
-        state = predicted_state(scenario, truth, 5, 3)
-        state.mean[5:7] = 0.0  # surface 1 estimated at the origin: its bounces drop out
+        mean, cov = predicted_state(scenario, truth, 5, 3)
+        mean[5:7] = 0.0  # surface 1 estimated at the origin: its bounces drop out
         with caplog.at_level(logging.WARNING):
-            self.assert_same_update(state, record, observed, scenario)
+            self.assert_same_update(mean, cov, record, observed, scenario)
         assert any("surface estimate near origin" in rec.message for rec in caplog.records)
 
 
@@ -368,17 +363,15 @@ class TestFilterAtTheTruthIsTheBound:
         table = measurement_truth(scenario, truth)
         transition = transition_matrix(scenario.model)
         noise = process_noise_cov(scenario.model)
-        state = EkfState(mean=truth[0],
-                         cov=np.diag(scenario.prior_covariance()))
+        mean, cov = truth[0], np.diag(scenario.prior_covariance())
         blank = min((r.step for r in table if not r.plan.owner.size), default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
-            predicted = ekf_predict(state, transition, noise)
-            at_truth = EkfState(truth[record.step],
-                                predicted.cov)
-            state = ekf_update(at_truth, record, record.params, scenario)
-            np.testing.assert_allclose(state.mean, at_truth.mean, rtol=0, atol=1e-12)
-            got = extract_bounds(state.cov, len(scenario.surfaces))
+            _, predicted = ekf_predict(mean, cov, transition, noise)
+            at_truth = truth[record.step]
+            mean, cov = ekf_update(at_truth, predicted, record, record.params, scenario)
+            np.testing.assert_allclose(mean, at_truth, rtol=0, atol=1e-12)
+            got = extract_bounds(cov, len(scenario.surfaces))
             if record.step < blank:
                 np.testing.assert_array_equal(got, bound)
             else:
@@ -416,7 +409,7 @@ class TestBoundInTheBatch:
         table = measurement_truth(scenario, ground_truth(scenario))
         expected = bound_bits(unbatched_recursion(scenario, table))
         assert bound_bits(run_recursion(scenario, table)) == expected
-        assert bound_bits(run_monte_carlo(scenario).bounds) == expected
+        assert bound_bits(run_monte_carlo(scenario)[0]) == expected
 
     def test_run_failure_is_raised_after_the_bound_steps_to_the_end(self, monkeypatch):
         """Every run fails by step 3: the bound steps on alone to the end, and
@@ -476,22 +469,21 @@ class TestLockstepBatch:
         streams = [derive_run_stream(0, run) for run in range(3)]
         record, observed = table[4], draw_measurements(table, streams)[4]
         states = [predicted_state(scenario, truth, 5, seed) for seed in range(3)]
-        states[1].mean[5:7] = 0.0
-        batch = EkfState(mean=np.stack([s.mean for s in states]),
-                         cov=np.stack([s.cov for s in states]))
+        states[1][0][5:7] = 0.0
+        means, covs = (np.stack(part) for part in zip(*states))
         with caplog.at_level(logging.WARNING):
-            got = ekf_update(batch, record, observed, scenario)
+            got_mean, got_cov = ekf_update(means, covs, record, observed, scenario)
         skipped = [rec.message for rec in caplog.records if "skipping component" in rec.message]
         assert skipped and all("batch entry 1: surface estimate near origin" in m
                                for m in skipped)
-        for entry, state in enumerate(states):
-            expected = ekf_update(state, record, observed[entry], scenario)
+        for entry, (mean, cov) in enumerate(states):
+            expected_mean, expected_cov = ekf_update(mean, cov, record, observed[entry], scenario)
             if entry != 1:
-                np.testing.assert_array_equal(got.mean[entry], expected.mean)
-                np.testing.assert_array_equal(got.cov[entry], expected.cov)
-            np.testing.assert_allclose(got.mean[entry], expected.mean, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(got.cov[entry], expected.cov, rtol=1e-12,
-                                       atol=1e-12 * np.abs(expected.cov).max())
+                np.testing.assert_array_equal(got_mean[entry], expected_mean)
+                np.testing.assert_array_equal(got_cov[entry], expected_cov)
+            np.testing.assert_allclose(got_mean[entry], expected_mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got_cov[entry], expected_cov, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected_cov).max())
 
     def test_run_errors_do_not_depend_on_the_batch(self):
         scenario = small_scenario()
@@ -583,6 +575,21 @@ class TestStepPlans:
 
 
 class TestMonteCarlo:
+    def test_returns_the_bound_table_and_the_root_mean_of_the_squared_errors(self):
+        """A plain (bounds, rmse) pair: the bound table is run_recursion's and
+        the RMSE the root mean over the runs of run_single's squared errors,
+        both bit for bit."""
+        scenario = load_scenario(DESK_SCENARIO)
+        scenario.mc = replace(scenario.mc, runs=3)
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        result = run_monte_carlo(scenario)
+        assert type(result) is tuple and len(result) == 2
+        bounds, rmse = result
+        _, squared = run_single(scenario, truth, table, range(3))
+        assert bound_bits(bounds) == bound_bits(run_recursion(scenario, table))
+        assert bound_bits(rmse) == bound_bits(np.sqrt(squared.sum(-1) / 3))
+
     def test_single_run_near_noiseless_converges_to_the_map(self):
         mapping = desk_mapping()
         mapping["amplitude_model"] = {"reference_amplitude": 2e4, "bounce_loss": 1.0}
@@ -592,7 +599,7 @@ class TestMonteCarlo:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        _, squared = run_single(scenario, truth, table, 0)
+        _, squared = run_single(scenario, truth, table, [0])
         assert np.sqrt(squared[-1, 3:]).max() < 1e-3
         assert np.sqrt(squared[-1, 0]) < 1e-3
 
@@ -604,10 +611,9 @@ class TestMonteCarlo:
                             "orient_noise_var": 1e-12, "surface_noise_var": 0.0}
         mapping["mc"] = {"runs": 30, "seed": 41}
         scenario = scenario_from_mapping(mapping)
-        result = run_monte_carlo(scenario)
-        assert isinstance(result, MonteCarloResult)
-        peb = result.bounds[:, 0]
-        ratio = result.rmse[:, 0] / peb
+        bounds, rmse = run_monte_carlo(scenario)
+        peb = bounds[:, 0]
+        ratio = rmse[:, 0] / peb
         # lower-bound consistency with finite-sample slack
         assert np.all(ratio >= 1.0 - 0.15)
         assert ratio[5:].max() < 2.5
@@ -620,19 +626,19 @@ class TestMonteCarlo:
                             "orient_noise_var": 1e-12, "surface_noise_var": 0.0}
         mapping["mc"] = {"runs": 60, "seed": 11}
         scenario = scenario_from_mapping(mapping)
-        result_a = run_monte_carlo(scenario)
+        _, rmse_a = run_monte_carlo(scenario)
         mapping["mc"] = {"runs": 120, "seed": 11}
-        result_b = run_monte_carlo(scenario_from_mapping(mapping))
-        a = result_a.rmse[10:, 0].mean()
-        b = result_b.rmse[10:, 0].mean()
+        _, rmse_b = run_monte_carlo(scenario_from_mapping(mapping))
+        a = rmse_a[10:, 0].mean()
+        b = rmse_b[10:, 0].mean()
         assert abs(a - b) / b < 0.10
 
     def test_mc_aggregation_is_reproducible(self):
         mapping = desk_mapping()
         mapping["mc"] = {"runs": 5, "seed": 3}
-        res_a = run_monte_carlo(scenario_from_mapping(mapping))
-        res_b = run_monte_carlo(scenario_from_mapping(mapping))
-        np.testing.assert_array_equal(res_a.rmse, res_b.rmse)
+        _, rmse_a = run_monte_carlo(scenario_from_mapping(mapping))
+        _, rmse_b = run_monte_carlo(scenario_from_mapping(mapping))
+        np.testing.assert_array_equal(rmse_a, rmse_b)
 
     def test_fault_in_the_initial_draw_propagates(self, monkeypatch):
         """Nothing in the runs' initial draw raises for a loaded scenario, so

@@ -137,7 +137,9 @@ class TestMirrorPoint:
             )
 
 
-class TestPathComponent:
+class TestComponentOrderLabels:
+    """A component's bounce surfaces and its [s, s'] identity, as Python ints."""
+
     def test_bounce_sequences(self):
         order = ComponentOrder.canonical(3)
         assert order.bounces(0) == ()

@@ -548,10 +548,11 @@ class TestRunRecursion:
             raise AssertionError("a blanked step was linearized")
 
         monkeypatch.setattr(ekf_module, "global_jacobian", no_linearization)
-        measured = draw_measurements(table, derive_run_stream(0, 0))[4]
+        measured = draw_measurements(table, [derive_run_stream(0, 0)])[4][0]
         assert measured.shape == (0, 3)
-        state = ekf_module.EkfState(mean=np.zeros(scenario.dim), cov=np.eye(scenario.dim))
-        assert ekf_module.ekf_update(state, blank, measured, scenario) is state
+        mean, cov = np.zeros(scenario.dim), np.eye(scenario.dim)
+        updated_mean, updated_cov = ekf_module.ekf_update(mean, cov, blank, measured, scenario)
+        assert updated_mean is mean and updated_cov is cov
 
     def test_never_observed_surface_with_zero_prior_information_fails(self):
         mapping = desk_mapping(visibility={"default": False,

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mpslam_bounds.scenario as scenario_module
-from mpslam_bounds.ekf import EkfState, _measurement_step
+from mpslam_bounds.ekf import _measurement_step, ekf_predict
 from mpslam_bounds.fim import (
     ComponentOrder,
     IsotropicAperture,
@@ -24,7 +24,9 @@ from mpslam_bounds.fim import (
     measurement_variances,
 )
 from mpslam_bounds.geometry import Anchor, wrap_angle
-from mpslam_bounds.pcrlb import StateSpaceModel, run_recursion
+from mpslam_bounds.pcrlb import (
+    StateSpaceModel, process_noise_cov, run_recursion, transition_matrix,
+)
 from mpslam_bounds.scenario import (
     AmplitudeModel,
     MonteCarloConfig,
@@ -298,8 +300,6 @@ LIBRARY_REJECTS = {
     "anchor_position": (lambda: Anchor([0.0, math.inf]), "anchor position must be a finite 2-vector"),
     "anchor_orientation": (lambda: Anchor([0.0, 0.0], math.nan),
                            "anchor orientation must be a finite number"),
-    "ekf_covariance_shape": (lambda: EkfState(np.zeros(DESK.dim), np.zeros((DESK.dim, 3))),
-                             "covariance shape must match the mean"),
     "negative_surface_count": (lambda: StateSpaceModel(time_step=0.1, num_surfaces=-1),
                                "surface count must be >= 0"),
 }
@@ -312,6 +312,14 @@ def test_library_rejects_invalid_input(case):
     build, message = LIBRARY_REJECTS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_prediction_rejects_a_covariance_of_the_wrong_shape():
+    """An (N, 3) covariance does not fit the (N, N) transition: numpy's own
+    ValueError, whose text is numpy's to choose."""
+    with pytest.raises(ValueError):
+        ekf_predict(np.zeros(DESK.dim), np.zeros((DESK.dim, 3)), transition_matrix(DESK.model),
+                    process_noise_cov(DESK.model))
 
 
 class TestVisibilitySchedule:
@@ -740,7 +748,7 @@ class TestMeasurements:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        meas = draw_measurements(table, derive_run_stream(0, 0))
+        meas = [rows[0] for rows in draw_measurements(table, [derive_run_stream(0, 0)])]
         los, anchors = 0, len(scenario.anchors)
         assert len(meas) == scenario.n_steps
         for record, drawn in zip(table, meas, strict=True):
@@ -754,7 +762,7 @@ class TestMeasurements:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        meas = draw_measurements(table, derive_run_stream(1, 0))
+        meas = [rows[0] for rows in draw_measurements(table, [derive_run_stream(1, 0)])]
         for record, drawn in zip(table, meas, strict=True):
             assert drawn.shape == record.params.shape and record.plan.owner.size
             assert np.all(np.abs(drawn - record.params) < 1e-6)
@@ -771,7 +779,7 @@ class TestMeasurements:
         scenario = scenario_from_mapping(mapping)
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        meas = draw_measurements(table, derive_run_stream(17, 0))
+        meas = [rows[0] for rows in draw_measurements(table, [derive_run_stream(17, 0)])]
         ref = table[0]
         assert ref.plan.components.tolist() == list(range(scenario.order.size))
         sample = np.stack(meas)
@@ -785,11 +793,11 @@ class TestMeasurements:
         scenario = scenario_from_mapping(desk_mapping())
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        a = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
-        b = draw_measurements(measurement_truth(scenario, truth), derive_run_stream(4, 2))
+        a = draw_measurements(measurement_truth(scenario, truth), [derive_run_stream(4, 2)])
+        b = draw_measurements(measurement_truth(scenario, truth), [derive_run_stream(4, 2)])
         assert len(a) == len(b) == scenario.n_steps
         for record, x, y in zip(table, a, b):
-            assert x.shape == record.params.shape
+            assert x.shape == (1,) + record.params.shape
             np.testing.assert_array_equal(x, y)
 
     def test_measurement_means_come_from_the_shared_geometry(self):
