@@ -190,11 +190,10 @@ def run_single(
         observed = draw_measurements(table, streams)
     for n, record in enumerate(table, start=1):
         while True:
-            live = len(mean)
-            ahead, moved, linear = predict_cov(cov, transition, noise_cov), mean, None
+            live, linear = len(mean), None
+            moved, ahead = ekf_predict(mean, cov, transition, noise_cov)
             try:
                 if live:
-                    moved = (transition @ mean[..., None])[..., 0]
                     linear = _measurement_step(moved, record, observed[n - 1], scenario)
                 # The bound fuses every step, also one that no anchor measures
                 # (zero information): that fusion's inversions are where a

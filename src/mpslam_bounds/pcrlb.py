@@ -116,35 +116,40 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     failing matrix, when it is not finite, when its Cholesky factorization
     fails, when its condition number exceeds ``CONDITION_LIMIT`` (tested
     exactly unless the stack inverts with tr(A) tr(A^-1) <= ``SCREEN_LIMIT``)
-    or when its inverse passes the float range.
+    or when its inverse passes the float range. The whole stack is tested
+    for non-finite entries first; then each matrix is judged alone, so the
+    first one failing any other test is named, with that test's message.
     """
     sym = 0.5 * (matrix + matrix.swapaxes(-1, -2))
     stack = sym.reshape(-1, *sym.shape[-2:])
     if not np.isfinite(stack).all():
         finite = np.isfinite(stack).all(axis=(1, 2))
         raise SingularFimError(f"{what} is not finite", int(np.argmin(finite)))
+    definite = False
     try:
         np.linalg.cholesky(stack)
+        definite = True
         inv = _symmetric_inverse(sym)
     except np.linalg.LinAlgError:
-        definite, inv = np.array([_has_cholesky(m) for m in stack]), None
-    else:
-        screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
-        if (screen <= SCREEN_LIMIT).all() and np.isfinite(inv).all():
-            return inv
-        definite = np.ones(len(stack), dtype=bool)
+        if len(stack) > 1:  # name the first matrix that fails alone
+            for index, single in enumerate(matrix.reshape(stack.shape)):
+                try:
+                    _spd_inverse(single, what)
+                except SingularFimError as exc:
+                    raise SingularFimError(str(exc), index) from None
+        if not definite:
+            raise SingularFimError(f"{what} is not positive definite", 0) from None
+        inv = np.full_like(sym, np.inf)  # the LU factorization met a zero pivot
+    screen = stack.trace(0, 1, 2) * inv.reshape(stack.shape).trace(0, 1, 2)
+    if (screen <= SCREEN_LIMIT).all() and np.isfinite(inv).all():
+        return inv
     eigvals = np.linalg.eigvalsh(stack)
     with np.errstate(divide="ignore"):
         singular = (eigvals[:, 0] <= 0) | (eigvals[:, -1] / eigvals[:, 0] > CONDITION_LIMIT)
-    failed = ~definite | singular
-    if inv is None and not failed.any():  # the stack failed as a whole, no matrix alone
-        inv = _symmetric_inverse(sym)
-    if inv is not None:
-        failed |= ~np.isfinite(inv.reshape(stack.shape)).all(axis=(1, 2))
+    failed = singular | ~np.isfinite(inv.reshape(stack.shape)).all(axis=(1, 2))
     if failed.any():
         index = int(np.argmax(failed))
-        problem = ("is not positive definite" if not definite[index] else
-                   f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
+        problem = (f"is numerically singular (condition number above {CONDITION_LIMIT:g})"
                    if singular[index] else "has no finite inverse")
         raise SingularFimError(f"{what} {problem}", index)
     return inv
@@ -153,14 +158,6 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 def _symmetric_inverse(sym: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(sym)
     return 0.5 * (inv + inv.swapaxes(-1, -2))
-
-
-def _has_cholesky(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 # A covariance near the float range overflows in the symmetrizing sum; the

@@ -435,6 +435,22 @@ class TestBoundInTheBatch:
             run_monte_carlo(scenario)
         assert len(stepped) == scenario.n_steps
 
+    def test_every_step_predicts_through_ekf_predict(self, monkeypatch):
+        """The loop's time update is ekf_predict, once per step of the desk,
+        whether the batch holds the bound alone or the bound and 3 runs."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = load_scenario(DESK_SCENARIO)
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        calls, exact = [], ekf_module.ekf_predict
+        monkeypatch.setattr(ekf_module, "ekf_predict",
+                            lambda *args: calls.append(None) or exact(*args))
+        run_recursion(scenario, table)
+        assert len(calls) == scenario.n_steps == 40
+        run_single(scenario, truth, table, range(3))
+        assert len(calls) == 80
+
 
 class TestLockstepBatch:
     """All runs filtered as one batch equal the runs filtered one by one

@@ -201,6 +201,35 @@ class TestPredictAndFuse:
             _spd_inverse(stack, "x")
         assert exc.value.index == 1
 
+    def test_stack_failing_its_joint_factorization_names_the_first_failing_matrix(self):
+        """A later indefinite matrix breaks the stack's joint Cholesky
+        factorization; an earlier matrix with no finite inverse is still the
+        one named, with its own message."""
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(SingularFimError, match="^x has no finite inverse$") as exc:
+            _spd_inverse(np.stack([1e-320 * np.eye(2), indefinite]), "x")
+        assert exc.value.index == 0
+        with pytest.raises(SingularFimError) as exc:
+            fuse(np.stack([np.eye(2), 1e-320 * np.eye(2), indefinite]), 0, 7)
+        assert exc.value.index == 1
+        assert str(exc.value) == ("step 7: predicted covariance has no finite inverse "
+                                  "(weakest block: agent position)")
+        with pytest.raises(SingularFimError, match="^x is numerically singular") as exc:
+            _spd_inverse(np.stack([np.diag([1e307, 1.0]), indefinite]), "x")
+        assert exc.value.index == 0
+
+    def test_zero_pivot_after_a_passing_cholesky_is_numerically_singular(self):
+        """This matrix passes Cholesky, but its LU factorization meets an exact
+        zero pivot, so it has no inverse; alone and in a stack it is named
+        numerically singular."""
+        nearly_rank_one = np.array([[0.6771953522254375, 1.8526328384806567],
+                                    [1.8526328384806567, 5.068328397319395]])
+        np.linalg.cholesky(nearly_rank_one)
+        for stack, index in [(nearly_rank_one, 0), (np.stack([np.eye(2), nearly_rank_one]), 1)]:
+            with pytest.raises(SingularFimError, match="^x is numerically singular") as exc:
+                _spd_inverse(stack, "x")
+            assert exc.value.index == index
+
     @pytest.mark.parametrize("which", ["predicted covariance", "posterior information"])
     def test_non_finite_stack_names_the_block_of_its_first_bad_row(self, which):
         """A NaN off the diagonal in a surface 2 row of entry 1 names that

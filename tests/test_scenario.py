@@ -302,6 +302,10 @@ LIBRARY_REJECTS = {
                            "anchor orientation must be a finite number"),
     "negative_surface_count": (lambda: StateSpaceModel(time_step=0.1, num_surfaces=-1),
                                "surface count must be >= 0"),
+    "one_waypoint": (lambda: WaypointTrajectory(3, [0.0], [[0.0, 0.0]]),
+                     "waypoints need at least two timed points"),
+    "waypoints_in_3d": (lambda: WaypointTrajectory(3, [0.0, 1.0], np.zeros((2, 3))),
+                        "waypoint positions must be (M, 2)"),
 }
 
 
@@ -312,6 +316,11 @@ def test_library_rejects_invalid_input(case):
     build, message = LIBRARY_REJECTS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_trajectory_of_an_unknown_kind_is_a_type_error():
+    with pytest.raises(TypeError, match="^unknown trajectory spec <class 'dict'>$"):
+        generate_trajectory({"kind": "waypoints"}, DESK.model)
 
 
 def test_prediction_rejects_a_covariance_of_the_wrong_shape():
