@@ -87,25 +87,16 @@ def _write_csv(lines: list[str], out_path: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mpslam-bounds",
-        description="Posterior error bounds and EKF validation for multipath SLAM",
-    )
+    parser = argparse.ArgumentParser(prog="mpslam-bounds", description="Posterior error "
+                                     "bounds and EKF validation for multipath SLAM")
     parser.add_argument("--scenario", help="scenario YAML file")
     parser.add_argument("--out", default="-", help="CSV output path (default: stdout)")
-    parser.add_argument(
-        "--mode",
-        choices=("bounds", "validate"),
-        default="validate",
-        help="bounds: recursion only; validate: bounds plus Monte-Carlo EKF",
-    )
+    parser.add_argument("--mode", choices=("bounds", "validate"), default="validate",
+                        help="bounds: recursion only; validate: bounds plus Monte-Carlo EKF")
     parser.add_argument("--mc-runs", type=int, help="override the scenario's run count")
     parser.add_argument("--seed", type=int, help="override the scenario's seed")
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="run the finite-difference and PSD invariant suite and exit",
-    )
+    parser.add_argument("--self-check", action="store_true",
+                        help="run the finite-difference and PSD invariant suite and exit")
     return parser
 
 

@@ -175,9 +175,9 @@ def run_single(
     names the first run in batch order that failed and its step, as filtering
     the runs one by one would.
     """
-    batch = np.asarray(runs)
-    transition, noise_cov = transition_matrix(scenario.model), process_noise_cov(scenario.model)
-    num_surfaces = len(scenario.surfaces)
+    batch, num_surfaces = np.asarray(runs), len(scenario.surfaces)
+    transition = transition_matrix(scenario.model, num_surfaces)
+    noise_cov = process_noise_cov(scenario.model, num_surfaces)
     prior_var = scenario.prior_covariance()
     cov = np.repeat(np.diag(prior_var)[None], 1 + batch.size, axis=0)
     mean = np.zeros((0, prior_var.size))

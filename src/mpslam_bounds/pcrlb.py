@@ -63,7 +63,6 @@ class StateSpaceModel:
     """
 
     time_step: float
-    num_surfaces: int
     accel_noise_var: float = 0.0
     orient_noise_var: float = 0.0
     surface_noise_var: float = 0.0
@@ -71,15 +70,9 @@ class StateSpaceModel:
     def __post_init__(self):
         if not self.time_step > 0:
             raise ValueError("time step must be positive")
-        if self.num_surfaces < 0:
-            raise ValueError("surface count must be >= 0")
         for name in ("accel_noise_var", "orient_noise_var", "surface_noise_var"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def dim(self) -> int:
-        return 5 + 2 * self.num_surfaces
 
 
 def gain_matrix(time_step: float) -> np.ndarray:
@@ -89,21 +82,21 @@ def gain_matrix(time_step: float) -> np.ndarray:
     return np.array([[half_t2, 0.0], [0.0, half_t2], [t, 0.0], [0.0, t]])
 
 
-def transition_matrix(model: StateSpaceModel) -> np.ndarray:
-    """N x N transition: identity plus position-from-velocity coupling."""
-    f = np.eye(model.dim)
+def transition_matrix(model: StateSpaceModel, num_surfaces: int) -> np.ndarray:
+    """N x N transition, N = 5 + 2S: identity plus position-from-velocity coupling."""
+    f = np.eye(5 + 2 * num_surfaces)
     f[0, 2] = model.time_step
     f[1, 3] = model.time_step
     return f
 
 
-def process_noise_cov(model: StateSpaceModel) -> np.ndarray:
-    """N x N process noise covariance; symmetric positive semidefinite."""
-    q = np.zeros((model.dim, model.dim))
+def process_noise_cov(model: StateSpaceModel, num_surfaces: int) -> np.ndarray:
+    """N x N process noise covariance, N = 5 + 2S; symmetric positive semidefinite."""
+    q = np.zeros((5 + 2 * num_surfaces,) * 2)
     gain = gain_matrix(model.time_step)
     q[0:4, 0:4] = model.accel_noise_var * (gain @ gain.T)
     q[4, 4] = model.orient_noise_var
-    q[5:, 5:] = model.surface_noise_var * np.eye(2 * model.num_surfaces)
+    q[5:, 5:] = model.surface_noise_var * np.eye(2 * num_surfaces)
     return q
 
 

@@ -178,19 +178,20 @@ class NcvTrajectory:
 TrajectorySpec = WaypointTrajectory | NcvTrajectory
 
 
+@dataclass(frozen=True)
 class VisibilitySchedule:
-    """Resolved existence flags per (anchor, step, component)."""
+    """Resolved existence flags, step-major: ``table[n, j, k]`` is 1 where
+    anchor j (0-based) sees component k at 1-based step n; row 0 is unused."""
 
-    def __init__(self, table: np.ndarray):
-        self._table = table
+    table: np.ndarray
 
     def flags(self, anchor_index: int, step: int) -> np.ndarray:
         """Existence flags of anchor ``anchor_index`` (0-based) at 1-based ``step``(s)."""
-        return self._table[anchor_index, step]
+        return self.table[step, anchor_index]
 
     def visible_counts(self) -> np.ndarray:
         """Visible (anchor, component) entries of each step 1..n."""
-        return np.count_nonzero(self._table[:, 1:], axis=(0, 2))
+        return np.count_nonzero(self.table[1:], axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -222,21 +223,15 @@ class PriorSpec:
         for name in ("position_var", "velocity_var", "orientation_var"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"prior.{name} must be positive")
-        values = (
-            self.surface_var
-            if isinstance(self.surface_var, tuple)
-            else (self.surface_var,)
-        )
+        values = self.surface_var if isinstance(self.surface_var, tuple) else (self.surface_var,)
         if not values or any(not v > 0 for v in values):
             raise ValueError("prior.surface_var entries must be positive")
 
     def surface_vars(self, num_surfaces: int) -> tuple[float, ...]:
         if isinstance(self.surface_var, tuple):
             if len(self.surface_var) != num_surfaces:
-                raise ValueError(
-                    f"prior.surface_var lists {len(self.surface_var)} surfaces, "
-                    f"scenario has {num_surfaces}"
-                )
+                raise ValueError(f"prior.surface_var lists {len(self.surface_var)} surfaces, "
+                                 f"scenario has {num_surfaces}")
             return self.surface_var
         return (self.surface_var,) * num_surfaces
 
@@ -263,8 +258,21 @@ class StepTruth:
 
 @dataclass
 class Scenario:
+    """One experiment; each field is the scenario file's section of its name.
+
+    ``anchors`` lists the anchors, each with an aperture; ``surfaces`` holds
+    the (S, 2) wall points (mirror images of the origin), stored as a
+    read-only float array; ``visibility.table`` is (n_steps + 1, anchors,
+    components); every other field is its annotated dataclass. Derived:
+    ``order``, the canonical component order of the S surfaces; ``dim``, the
+    joint-state size N = 5 + 2S; ``n_steps``, the trajectory's. Construction
+    raises ValueError unless there is an anchor and each has an aperture, the
+    surfaces are finite, distinct and none within ``DEGENERACY_EPS`` of the
+    origin, a per-surface prior lists S variances, and the table has that shape.
+    """
+
     anchors: list[Anchor]
-    surfaces: np.ndarray  # (S, 2) surface points, read-only
+    surfaces: np.ndarray
     signal: SignalModel
     model: StateSpaceModel
     trajectory: TrajectorySpec
@@ -278,13 +286,28 @@ class Scenario:
     def __post_init__(self):
         if not self.anchors:
             raise ValueError("scenario needs at least one anchor")
-        if self.model.num_surfaces != len(self.surfaces):
-            raise ValueError("model surface count does not match the surface map")
         for j, anchor in enumerate(self.anchors):
             if anchor.aperture is None:
                 raise ValueError(f"anchor {j + 1} has no aperture model")
-        self.prior.surface_vars(len(self.surfaces))
-        self.order = ComponentOrder.canonical(len(self.surfaces))
+        surfaces = np.array(self.surfaces, dtype=float)
+        if surfaces.ndim != 2 or surfaces.shape[1] != 2 or not np.isfinite(surfaces).all():
+            raise ValueError("surfaces must be an (S, 2) array of finite points")
+        with np.errstate(over="ignore"):  # a far point's squares overflow to inf
+            through = np.sqrt(dot2(surfaces, surfaces)) <= DEGENERACY_EPS  # the norm, bit for bit
+        if through.any():
+            raise ValueError(f"surface {np.argmax(through) + 1} passes through the "
+                             "origin and is not representable")
+        for i, point in enumerate(surfaces):  # a repeated wall would count its paths twice
+            if (same := np.flatnonzero((surfaces[:i] == point).all(axis=1))).size:
+                raise ValueError(f"surface {i + 1} is the same point as surface {same[0] + 1}")
+        surfaces.flags.writeable = False
+        self.surfaces = surfaces
+        self.prior.surface_vars(len(surfaces))
+        self.order = ComponentOrder.canonical(len(surfaces))
+        shape = (self.n_steps + 1, len(self.anchors), self.order.size)
+        if np.shape(self.visibility.table) != shape:
+            raise ValueError("visibility table must be (n_steps + 1, anchors, components) = "
+                             f"{shape}, got {np.shape(self.visibility.table)}")
 
     @property
     def n_steps(self) -> int:
@@ -292,15 +315,13 @@ class Scenario:
 
     @property
     def dim(self) -> int:
-        return self.model.dim
+        return 5 + 2 * len(self.surfaces)
 
     def prior_covariance(self) -> np.ndarray:
         """Diagonal of the initial joint-state covariance."""
-        diag = [self.prior.position_var] * 2 + [self.prior.velocity_var] * 2
-        diag += [self.prior.orientation_var]
-        for var in self.prior.surface_vars(len(self.surfaces)):
-            diag += [var, var]
-        return np.array(diag)
+        prior = self.prior
+        return np.r_[[prior.position_var] * 2, [prior.velocity_var] * 2, prior.orientation_var,
+                     np.repeat(prior.surface_vars(len(self.surfaces)), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +428,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     one judge.
     """
     order, signal, anchors = scenario.order, scenario.signal, scenario.anchors
-    shown = np.stack([scenario.visibility.flags(j, steps) for j in range(len(anchors))], axis=1)
+    shown = scenario.visibility.table[steps]
     layouts: dict[bytes, list[int]] = {}
     for b, flags in enumerate(shown):
         layouts.setdefault(flags.tobytes(), []).append(b)
@@ -688,7 +709,7 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
     _reject_unknown(node, path)
     if not isinstance(raw_rules, list):
         raise ScenarioError(f"{path}.rules: expected a list")
-    table = np.full((n_anchors, n_steps + 1, order.size), int(default), dtype=np.int8)
+    table = np.full((n_steps + 1, n_anchors, order.size), int(default), dtype=np.int8)
     pair_to_index = {order.pair(k): k for k in range(order.size)}
     for i, raw in enumerate(raw_rules):
         rpath = f"{path}.rules[{i}]"
@@ -718,7 +739,7 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
         steps = _parse_steps(_take(raw, "steps", rpath), f"{rpath}.steps", n_steps)
         _reject_unknown(raw, rpath)
         steps = range(1, n_steps + 1) if steps is None else steps
-        table[np.ix_([a - 1 for a in anchors], list(steps), list(comps))] = visible
+        table[np.ix_(list(steps), [a - 1 for a in anchors], list(comps))] = visible
     return VisibilitySchedule(table)
 
 
@@ -757,26 +778,15 @@ def scenario_from_mapping(root) -> Scenario:
     raw_surfaces, _ = section("surfaces")
     if not isinstance(raw_surfaces, list) or not raw_surfaces:
         raise ScenarioError("scenario.surfaces: expected a non-empty list of [x, y] points")
-    surfaces = np.array([_as_vec2(p, f"scenario.surfaces[{i}]")
-                         for i, p in enumerate(raw_surfaces)])
-    with np.errstate(over="ignore"):  # a far point's squares overflow to inf
-        through_origin = np.sqrt(dot2(surfaces, surfaces)) <= DEGENERACY_EPS  # the norm, bit for bit
-    if through_origin.any():
-        raise ScenarioError(f"scenario.surfaces: surface {np.argmax(through_origin) + 1} passes "
-                            "through the origin and is not representable")
-    for i, point in enumerate(surfaces):  # a repeated wall would count its paths twice
-        if (same := np.flatnonzero((surfaces[:i] == point).all(axis=1))).size:
-            raise ScenarioError(
-                f"scenario.surfaces[{i}]: same point as scenario.surfaces[{same[0]}]")
-    surfaces.flags.writeable = False
+    surfaces = [_as_vec2(p, f"scenario.surfaces[{i}]") for i, p in enumerate(raw_surfaces)]
 
     signal = _build(SignalModel, *section("signal"))
-    model = _build(StateSpaceModel, *section("model"), num_surfaces=len(surfaces))
-    order = ComponentOrder.canonical(len(surfaces))
+    model = _build(StateSpaceModel, *section("model"))
+    order, dim = ComponentOrder.canonical(len(surfaces)), 5 + 2 * len(surfaces)
     # per step, per (anchor, component) a flag, 9 float64 of truth and 22 words of path plan
     # (a step may have a layout of its own); the information, true state, bound row, objects
     max_steps = STEP_TABLE_BYTES // (249 * len(anchors) * order.size + 3072
-                                     + 8 * (model.dim**2 + model.dim + 3 + len(surfaces))) - 1
+                                     + 8 * (dim**2 + dim + 3 + len(surfaces))) - 1
     trajectory = _parse_trajectory(*section("trajectory"), model.time_step, max_steps)
     amplitude_model = _build(AmplitudeModel, *section("amplitude_model"))
     prior = _build(PriorSpec, *section("prior", False, {}))

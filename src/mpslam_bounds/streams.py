@@ -80,11 +80,6 @@ class RandomStream:
         self._used = 0
         self._spare: float | None = None
 
-    def uniform(self, size: int | None = None):
-        """Uniform doubles in [0, 1) straight from the bit generator."""
-        out = uniforms([self], 1 if size is None else size)[0]
-        return float(out[0]) if size is None else out
-
     def standard_normal(self, size: int | None = None):
         """Standard normal draws; scalar for ``size=None``, else a 1-D array."""
         out = standard_normals([self], 1 if size is None else size)[0]
@@ -97,7 +92,7 @@ class RandomStream:
 def uniforms(streams: Sequence[RandomStream], count: int) -> np.ndarray:
     """The next ``count`` uniforms of each stream, as one (R, count) array.
 
-    Row r holds what ``streams[r].uniform(count)`` would return. The streams
+    Row r holds the next ``count`` words of stream r as doubles. The streams
     must all have drawn the same number of words. The kernel runs on one
     chunk of streams and blocks at a time and writes into the result.
     """

@@ -27,9 +27,9 @@ def filter_run(scenario, truth, table, run_index):
     cov = np.diag(prior_diag)
     measured = draw_measurements(table, [rng])
 
-    transition = transition_matrix(scenario.model)
-    noise_cov = process_noise_cov(scenario.model)
     n_steps, num_surfaces = scenario.n_steps, len(scenario.surfaces)
+    transition = transition_matrix(scenario.model, num_surfaces)
+    noise_cov = process_noise_cov(scenario.model, num_surfaces)
     position, velocity = np.zeros(n_steps), np.zeros(n_steps)
     orientation, surfaces = np.zeros(n_steps), np.zeros((n_steps, num_surfaces))
     for n in range(1, n_steps + 1):

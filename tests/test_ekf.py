@@ -71,7 +71,7 @@ def side_by_side(blocks):
 class TestPredict:
     def test_stationary_mean_unchanged_without_noise(self):
         scenario = small_scenario()
-        transition = transition_matrix(scenario.model)
+        transition = transition_matrix(scenario.model, len(scenario.surfaces))
         mean = np.zeros(scenario.dim)
         mean[0:2] = [1.0, 2.0]  # zero velocity
         predicted, _ = ekf_predict(mean, np.eye(scenario.dim), transition,
@@ -82,8 +82,8 @@ class TestPredict:
         # congruence with the velocity coupling only adds variance when the
         # covariance carries no negative position-velocity correlations
         scenario = small_scenario()
-        transition = transition_matrix(scenario.model)
-        noise = process_noise_cov(scenario.model)
+        transition = transition_matrix(scenario.model, len(scenario.surfaces))
+        noise = process_noise_cov(scenario.model, len(scenario.surfaces))
         rng = np.random.default_rng(3)
         mean = rng.normal(size=scenario.dim)
         cov = np.diag(rng.uniform(0.1, 2.0, size=scenario.dim))
@@ -93,8 +93,8 @@ class TestPredict:
     def test_matches_information_prediction(self):
         """Covariance form F P F^T + Q inverts the information prediction."""
         scenario = small_scenario()
-        transition = transition_matrix(scenario.model)
-        noise = process_noise_cov(scenario.model)
+        transition = transition_matrix(scenario.model, len(scenario.surfaces))
+        noise = process_noise_cov(scenario.model, len(scenario.surfaces))
         rng = np.random.default_rng(5)
         a = rng.normal(size=(scenario.dim, scenario.dim))
         cov = a @ a.T + np.eye(scenario.dim)
@@ -186,8 +186,8 @@ class TestUpdate:
         cov = np.diag(prior)
         table = measurement_truth(scenario, truth)
         measured = draw_measurements(table, [rng])
-        transition = transition_matrix(scenario.model)
-        noise = process_noise_cov(scenario.model)
+        transition = transition_matrix(scenario.model, len(scenario.surfaces))
+        noise = process_noise_cov(scenario.model, len(scenario.surfaces))
         for n in range(1, 51):
             mean, cov = ekf_predict(mean, cov, transition, noise)
             mean, cov = ekf_update(mean, cov, table[n - 1], measured[n - 1][0], scenario)
@@ -361,8 +361,8 @@ class TestFilterAtTheTruthIsTheBound:
         scenario = self.CASES[case]()
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
-        transition = transition_matrix(scenario.model)
-        noise = process_noise_cov(scenario.model)
+        transition = transition_matrix(scenario.model, len(scenario.surfaces))
+        noise = process_noise_cov(scenario.model, len(scenario.surfaces))
         mean, cov = truth[0], np.diag(scenario.prior_covariance())
         blank = min((r.step for r in table if not r.plan.owner.size), default=math.inf)
         assert blank == {"desk": math.inf, "dense_octagon": math.inf, "sparse_octagon": 8}[case]
@@ -381,11 +381,13 @@ class TestFilterAtTheTruthIsTheBound:
 def unbatched_recursion(scenario, table):
     """The bound as it stepped before it joined the filter's batch: one
     unbatched prediction and fusion per step from the prior diagonal."""
-    transition, noise = transition_matrix(scenario.model), process_noise_cov(scenario.model)
+    num_surfaces = len(scenario.surfaces)
+    transition = transition_matrix(scenario.model, num_surfaces)
+    noise = process_noise_cov(scenario.model, num_surfaces)
     cov, rows = np.diag(scenario.prior_covariance()), []
     for record in table:
         cov = fuse(predict_cov(cov, transition, noise), record.information, record.step)
-        rows.append(extract_bounds(cov, len(scenario.surfaces)))
+        rows.append(extract_bounds(cov, num_surfaces))
     return np.array(rows)
 
 

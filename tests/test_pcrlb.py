@@ -70,20 +70,20 @@ def desk_mapping(**overrides):
 
 class TestStateSpaceMatrices:
     def test_transition_matrix_structure(self):
-        model = StateSpaceModel(time_step=0.5, num_surfaces=1)
-        f = transition_matrix(model)
+        model = StateSpaceModel(time_step=0.5)
+        f = transition_matrix(model, 1)
         expected = np.eye(7)
         expected[0, 2] = expected[1, 3] = 0.5
         np.testing.assert_allclose(f, expected)
 
     def test_transition_tends_to_identity_for_small_steps(self):
-        model = StateSpaceModel(time_step=1e-12, num_surfaces=2)
-        np.testing.assert_allclose(transition_matrix(model), np.eye(9), atol=1e-11)
+        model = StateSpaceModel(time_step=1e-12)
+        np.testing.assert_allclose(transition_matrix(model, 2), np.eye(9), atol=1e-11)
 
     def test_transition_has_unit_determinant(self):
         for t in (0.01, 0.5, 3.0):
-            model = StateSpaceModel(time_step=t, num_surfaces=3)
-            assert np.linalg.det(transition_matrix(model)) == pytest.approx(1.0)
+            model = StateSpaceModel(time_step=t)
+            assert np.linalg.det(transition_matrix(model, 3)) == pytest.approx(1.0)
 
     def test_gain_matrix_values(self):
         np.testing.assert_allclose(
@@ -93,13 +93,13 @@ class TestStateSpaceMatrices:
         assert np.linalg.matrix_rank(gain_matrix(0.25)) == 2
 
     def test_process_noise_zero_when_variances_zero(self):
-        model = StateSpaceModel(time_step=0.3, num_surfaces=2)
-        np.testing.assert_allclose(process_noise_cov(model), np.zeros((9, 9)))
+        model = StateSpaceModel(time_step=0.3)
+        np.testing.assert_allclose(process_noise_cov(model, 2), np.zeros((9, 9)))
 
     def test_kinematic_block_expansion(self):
         t, var = 0.4, 2.5
-        model = StateSpaceModel(time_step=t, num_surfaces=0, accel_noise_var=var)
-        q = process_noise_cov(model)
+        model = StateSpaceModel(time_step=t, accel_noise_var=var)
+        q = process_noise_cov(model, 0)
         np.testing.assert_allclose(q[0, 0], t**4 / 4 * var)
         np.testing.assert_allclose(q[1, 1], t**4 / 4 * var)
         np.testing.assert_allclose(q[0, 2], t**3 / 2 * var)
@@ -113,12 +113,11 @@ class TestStateSpaceMatrices:
         for _ in range(10):
             model = StateSpaceModel(
                 time_step=rng.uniform(0.05, 1.0),
-                num_surfaces=2,
                 accel_noise_var=rng.uniform(0, 2),
                 orient_noise_var=rng.uniform(0, 0.1),
                 surface_noise_var=rng.uniform(0, 0.5),
             )
-            q = process_noise_cov(model)
+            q = process_noise_cov(model, 2)
             assert np.linalg.eigvalsh(q)[0] >= -1e-12
             assert q[4, 4] == pytest.approx(model.orient_noise_var)
             start = 5 + 2 * (2 - 1)  # surface s = 2 has rows 5 + 2 * (s - 1) onwards
@@ -128,9 +127,9 @@ class TestStateSpaceMatrices:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            StateSpaceModel(time_step=0.0, num_surfaces=1)
+            StateSpaceModel(time_step=0.0)
         with pytest.raises(ValueError):
-            StateSpaceModel(time_step=0.1, num_surfaces=1, accel_noise_var=-1.0)
+            StateSpaceModel(time_step=0.1, accel_noise_var=-1.0)
 
 
 class TestPredictAndFuse:
@@ -250,12 +249,12 @@ class TestPredictAndFuse:
     def test_fuse_is_addition(self):
         """The recursion fuses by adding the snapshot to the prediction."""
         scenario = scenario_from_mapping(desk_mapping())
-        model = scenario.model
+        model, num_surfaces = scenario.model, len(scenario.surfaces)
         prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
-        j_pred = predict_fim(prior_cov, transition_matrix(model), process_noise_cov(model))
+        j_pred = predict_fim(prior_cov, transition_matrix(model, num_surfaces),
+                             process_noise_cov(model, num_surfaces))
         snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
-        expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"),
-                                  model.num_surfaces)
+        expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"), num_surfaces)
         np.testing.assert_array_equal(bounds_of(scenario)[0], expected)
 
     def test_fusion_shrinks_covariance(self):
@@ -540,7 +539,7 @@ class TestRunRecursion:
         for step, rec in enumerate(records, start=1):
             snap = snapshot_fim(scenario, truth[step], step).information
             floor = 1e-6 * np.eye(snap.shape[0])
-            only = extract_bounds(np.linalg.inv(snap + floor), scenario.model.num_surfaces)
+            only = extract_bounds(np.linalg.inv(snap + floor), len(scenario.surfaces))
             assert rec[0] == pytest.approx(only[0], rel=0.01)  # peb
             assert rec[2] == pytest.approx(only[2], rel=0.01)  # oeb
             np.testing.assert_allclose(rec[3:], only[3:], rtol=0.01)
@@ -564,13 +563,14 @@ class TestRunRecursion:
         assert all(np.unique(record.plan.owner).size == len(scenario.anchors)
                    for record in table if record is not blank)
 
-        model = scenario.model
-        transition, noise = transition_matrix(model), process_noise_cov(model)
+        model, num_surfaces = scenario.model, len(scenario.surfaces)
+        transition = transition_matrix(model, num_surfaces)
+        noise = process_noise_cov(model, num_surfaces)
         cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
         for record in table[:4]:
             cov = _spd_inverse(predict_fim(cov, transition, noise) + record.information, "post")
         expected = extract_bounds(_spd_inverse(predict_fim(cov, transition, noise), "pred"),
-                                  model.num_surfaces)
+                                  num_surfaces)
         np.testing.assert_array_equal(run_recursion(scenario, table)[4], expected)  # step 5
 
         def no_linearization(*args, **kwargs):

@@ -36,6 +36,7 @@ from mpslam_bounds.scenario import (
     ScenarioError,
     SignalModel,
     StepTruth,
+    VisibilitySchedule,
     WaypointTrajectory,
     draw_measurements,
     generate_trajectory,
@@ -162,7 +163,7 @@ class TestLoader:
         sampled = scenario_from_mapping(minimal_mapping(sampled=True))
         for scenario in (waypoints, sampled):
             assert scenario.signal == SignalModel(carrier_freq=6.0e9, rms_bandwidth=2.0e8)
-            assert scenario.model == StateSpaceModel(time_step=0.1, num_surfaces=1)
+            assert scenario.model == StateSpaceModel(time_step=0.1)
             assert scenario.amplitude_model == AmplitudeModel(reference_amplitude=30.0)
             assert scenario.prior == PriorSpec()
             assert scenario.mc == MonteCarloConfig(runs=2, seed=7)
@@ -180,8 +181,7 @@ class TestLoader:
     def test_every_section_field_has_a_reader(self):
         """A section field whose annotation has no reader fails here, not
         when a file sets it; the loader supplies the ``given`` fields."""
-        given = {StateSpaceModel: {"num_surfaces"}, Anchor: {"aperture"},
-                 NcvTrajectory: {"n_steps"}}
+        given = {Anchor: {"aperture"}, NcvTrajectory: {"n_steps"}}
         sections = [SignalModel, StateSpaceModel, AmplitudeModel, PriorSpec, MonteCarloConfig,
                     Anchor, NcvTrajectory, *scenario_module.APERTURE_KINDS.values()]
         for cls in sections:
@@ -213,7 +213,7 @@ class TestLoader:
 
     def test_surface_through_origin_rejected(self):
         mapping = desk_mapping(surfaces=[[10.0, 0.0], [0.0, 10.0], [0.0, 0.0], [0.0, 0.0]])
-        message = "scenario.surfaces: surface 3 passes through the origin and is not representable"
+        message = "scenario: surface 3 passes through the origin and is not representable"
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             scenario_from_mapping(mapping)
 
@@ -224,7 +224,7 @@ class TestLoader:
         mapping = desk_mapping(surfaces=[[10.0, 0.0], [0.0, 10.0], [-2.0, 0.0], [0.0, -2.0],
                                          [10.0, 0.0], [0.0, 10.0]])
         mapping["prior"]["surface_var"] = [1.0]
-        message = "scenario.surfaces[4]: same point as scenario.surfaces[0]"
+        message = "scenario: surface 5 is the same point as surface 1"
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             scenario_from_mapping(mapping)
         mapping["surfaces"][4] = [10.0, 1e-300]  # distinct, if only just
@@ -233,10 +233,14 @@ class TestLoader:
         assert len(scenario_from_mapping(mapping).surfaces) == 5
 
     def test_surfaces_are_a_read_only_array(self):
-        scenario = scenario_from_mapping(desk_mapping())
-        assert scenario.surfaces.shape == (1, 2) and scenario.surfaces.dtype == float
-        with pytest.raises(ValueError):
-            scenario.surfaces[0, 0] = 1.0
+        """Loaded or built in code, the surfaces are a read-only float copy."""
+        given = np.array([[10, 0]])
+        for scenario in (scenario_from_mapping(desk_mapping()), replace(DESK, surfaces=given)):
+            assert scenario.surfaces.shape == (1, 2) and scenario.surfaces.dtype == float
+            assert scenario.surfaces.tolist() == [[10.0, 0.0]] and scenario.dim == 7
+            with pytest.raises(ValueError):
+                scenario.surfaces[0, 0] = 1.0
+        assert given.flags.writeable
 
     def test_per_surface_prior_length_checked(self):
         mapping = desk_mapping()
@@ -286,8 +290,21 @@ class TestLoader:
 DESK = scenario_from_mapping(desk_mapping())
 LIBRARY_REJECTS = {
     "no_anchors": (lambda: replace(DESK, anchors=[]), "scenario needs at least one anchor"),
-    "surface_count": (lambda: replace(DESK, model=replace(DESK.model, num_surfaces=3)),
-                      "model surface count does not match the surface map"),
+    "repeated_surface": (lambda: replace(
+        DESK, surfaces=[[10.0, 0.0], [0.0, 10.0], [10.0, 0.0]],
+        prior=replace(DESK.prior, surface_var=(4.0, 4.0, 4.0)),
+        visibility=VisibilitySchedule(np.ones((DESK.n_steps + 1, 2, 10), np.int8))),
+        "surface 3 is the same point as surface 1"),
+    "surface_through_origin": (lambda: replace(DESK, surfaces=[[1e-300, 0.0]]),
+                               "surface 1 passes through the origin and is not representable"),
+    "surface_not_finite": (lambda: replace(DESK, surfaces=[[10.0, math.nan]]),
+                           "surfaces must be an (S, 2) array of finite points"),
+    "surfaces_in_3d": (lambda: replace(DESK, surfaces=np.ones((1, 3))),
+                       "surfaces must be an (S, 2) array of finite points"),
+    "anchor_major_schedule": (lambda: replace(DESK, visibility=VisibilitySchedule(
+        np.ones((2, DESK.n_steps + 1, DESK.order.size), np.int8))),
+        "visibility table must be (n_steps + 1, anchors, components) = (21, 2, 2), "
+        "got (2, 21, 2)"),
     "anchor_without_aperture": (lambda: replace(DESK, anchors=[Anchor([0.0, 0.0])]),
                                 "anchor 1 has no aperture model"),
     "sampled_without_stream": (
@@ -300,8 +317,6 @@ LIBRARY_REJECTS = {
     "anchor_position": (lambda: Anchor([0.0, math.inf]), "anchor position must be a finite 2-vector"),
     "anchor_orientation": (lambda: Anchor([0.0, 0.0], math.nan),
                            "anchor orientation must be a finite number"),
-    "negative_surface_count": (lambda: StateSpaceModel(time_step=0.1, num_surfaces=-1),
-                               "surface count must be >= 0"),
     "one_waypoint": (lambda: WaypointTrajectory(3, [0.0], [[0.0, 0.0]]),
                      "waypoints need at least two timed points"),
     "waypoints_in_3d": (lambda: WaypointTrajectory(3, [0.0, 1.0], np.zeros((2, 3))),
@@ -327,8 +342,8 @@ def test_prediction_rejects_a_covariance_of_the_wrong_shape():
     """An (N, 3) covariance does not fit the (N, N) transition: numpy's own
     ValueError, whose text is numpy's to choose."""
     with pytest.raises(ValueError):
-        ekf_predict(np.zeros(DESK.dim), np.zeros((DESK.dim, 3)), transition_matrix(DESK.model),
-                    process_noise_cov(DESK.model))
+        ekf_predict(np.zeros(DESK.dim), np.zeros((DESK.dim, 3)), transition_matrix(DESK.model, 1),
+                    process_noise_cov(DESK.model, 1))
 
 
 class TestVisibilitySchedule:
@@ -355,16 +370,29 @@ class TestVisibilitySchedule:
         assert scenario.visibility.flags(1, 7)[los] == 1
         assert scenario.visibility.flags(1, 11)[los] == 0
 
+    def test_table_is_step_major(self):
+        """Row n of the table is step n's (anchors, components) flags, which
+        ``flags`` reads per anchor and ``visible_counts`` counts."""
+        mapping = desk_mapping()
+        mapping["visibility"] = {"rules": [{"visible": False, "anchors": [1], "steps": [4]}]}
+        visibility = scenario_from_mapping(mapping).visibility
+        assert visibility.table.shape == (21, 2, 2)
+        for n in range(21):
+            for j in range(2):
+                np.testing.assert_array_equal(visibility.flags(j, n), visibility.table[n, j])
+        np.testing.assert_array_equal(visibility.flags(0, np.array([3, 4])), [[1, 1], [0, 0]])
+        assert visibility.visible_counts().tolist() == [4] * 3 + [2] + [4] * 16
+
 
 class TestTrajectories:
     def test_noiseless_ncv_walks_straight(self):
-        model = StateSpaceModel(time_step=1.0, num_surfaces=0)
+        model = StateSpaceModel(time_step=1.0)
         spec = NcvTrajectory(n_steps=3, position=[0.0, 0.0], velocity=[1.0, 0.0])
         states = generate_trajectory(spec, model, derive_run_stream(0, 0))
         np.testing.assert_allclose(states[:, 0:2], [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
 
     def test_two_waypoints_give_constant_velocity_line(self):
-        model = StateSpaceModel(time_step=0.5, num_surfaces=0)
+        model = StateSpaceModel(time_step=0.5)
         spec = WaypointTrajectory(
             n_steps=4,
             times=np.array([0.0, 2.0]),
@@ -377,7 +405,7 @@ class TestTrajectories:
         np.testing.assert_allclose(states[:, 4], [math.pi / 4] * 5)
 
     def test_waypoints_must_cover_the_horizon(self):
-        model = StateSpaceModel(time_step=1.0, num_surfaces=0)
+        model = StateSpaceModel(time_step=1.0)
         spec = WaypointTrajectory(
             n_steps=10,
             times=np.array([0.0, 2.0]),
@@ -389,7 +417,7 @@ class TestTrajectories:
     def test_heading_of_minus_zero_dy_is_pi(self):
         """A segment from [1, 0] to [0, -0.0] has dy = -0.0, whose atan2
         heading is -pi; the trajectory wraps it, so every heading is pi."""
-        model = StateSpaceModel(time_step=0.5, num_surfaces=0)
+        model = StateSpaceModel(time_step=0.5)
         spec = WaypointTrajectory(n_steps=4, times=np.array([0.0, 2.0]),
                                   positions=np.array([[1.0, 0.0], [0.0, -0.0]]))
         dy = spec.positions[1, 1] - spec.positions[0, 1]
@@ -400,7 +428,7 @@ class TestTrajectories:
         """An initial orientation of 4.0 is read as wrap_angle(4.0), built
         directly and from a file: step 0 holds it, and the whole trajectory
         equals that of wrap_angle(4.0), bit for bit."""
-        model = StateSpaceModel(time_step=0.1, num_surfaces=0, accel_noise_var=0.01,
+        model = StateSpaceModel(time_step=0.1, accel_noise_var=0.01,
                                 orient_noise_var=0.01)
 
         def sampled(orientation):
@@ -427,7 +455,7 @@ class TestTrajectories:
                                positions=np.zeros((2, 2)))
 
     def test_process_noise_sample_mean_is_centered(self):
-        model = StateSpaceModel(time_step=1.0, num_surfaces=0,
+        model = StateSpaceModel(time_step=1.0,
                                 accel_noise_var=4.0, orient_noise_var=0.25)
         spec = NcvTrajectory(n_steps=100_000, position=[0.0, 0.0], velocity=[0.0, 0.0])
         states = generate_trajectory(spec, model, derive_run_stream(3, 1))
@@ -460,7 +488,7 @@ class TestTrajectories:
         """The array interpolation gives the states of the per-step loop
         it replaced, bit for bit: position and velocity on the step's
         segment, the heading of the last step whose segment moved."""
-        model = StateSpaceModel(time_step=0.1, num_surfaces=0)
+        model = StateSpaceModel(time_step=0.1)
         spec = WaypointTrajectory(n_steps=20, times=np.array(times),
                                   positions=np.array(positions))
         rows, heading = [], 0.0

@@ -30,8 +30,8 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
     def test_uniforms_reproduce_too(self):
-        a = derive_run_stream(99, 0).uniform(50)
-        b = derive_run_stream(99, 0).uniform(50)
+        a = uniforms([derive_run_stream(99, 0)], 50)[0]
+        b = uniforms([derive_run_stream(99, 0)], 50)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_different_runs_give_different_draws(self):
@@ -82,7 +82,7 @@ def scalar_box_muller(stream, count):
     """The transform one pair at a time with scalar ``math`` calls, from the
     same uniforms: z0 of each pair, then its z1."""
     out = []
-    for u1, u2 in stream.uniform(2 * count).reshape(-1, 2):
+    for u1, u2 in uniforms([stream], 2 * count)[0].reshape(-1, 2):
         radius = math.sqrt(-2.0 * math.log(1.0 - u1))
         angle = 2.0 * math.pi * u2
         out += [radius * math.cos(angle), radius * math.sin(angle)]
@@ -113,7 +113,7 @@ class TestBlockDraw:
         ulps = np.abs(block.view(np.int64) - reference.view(np.int64))
         assert ulps.max() <= 2
         assert np.mean(ulps > 0) < 0.01
-        u1 = derive_run_stream(2024, 9).uniform(2 * count)[0::2]
+        u1 = uniforms([derive_run_stream(2024, 9)], 2 * count)[0][0::2]
         radius = np.sqrt(-2.0 * np.log(1.0 - u1))
         exact = np.array([math.sqrt(-2.0 * math.log(1.0 - u)) for u in u1])
         assert np.abs(radius.view(np.int64) - exact.view(np.int64)).max() <= 1
@@ -167,7 +167,7 @@ class TestNumpyPhiloxOracle:
     @pytest.mark.parametrize("key", KEYS, ids=str)
     @pytest.mark.parametrize("count", LENGTHS)
     def test_uniforms_are_numpys_bit_for_bit(self, key, count):
-        np.testing.assert_array_equal(RandomStream(*key).uniform(count),
+        np.testing.assert_array_equal(uniforms([RandomStream(*key)], count)[0],
                                       OracleStream(*key).uniform(count))
 
     @pytest.mark.parametrize("key", KEYS, ids=str)
@@ -184,9 +184,10 @@ class TestNumpyPhiloxOracle:
         stream, oracle = RandomStream(*key), OracleStream(*key)
         normal = "standard_normal"
         for name, size in [(normal, 3), (normal, None), ("uniform", 5), (normal, 1), (normal, 4),
-                           ("uniform", None), (normal, 7), (normal, 0), ("uniform", 4093),
+                           ("uniform", 1), (normal, 7), (normal, 0), ("uniform", 4093),
                            (normal, 4093), (normal, 2)]:
-            got, expected = getattr(stream, name)(size), getattr(oracle, name)(size)
+            draw = stream.standard_normal if name == normal else lambda n: uniforms([stream], n)[0]
+            got, expected = draw(size), getattr(oracle, name)(size)
             assert type(got) is type(expected)
             np.testing.assert_array_equal(got, expected)
 
@@ -194,8 +195,8 @@ class TestNumpyPhiloxOracle:
         """A request longer than one kernel chunk, starting mid-block."""
         count = 4 * streams_module._CHUNK + 7
         stream, oracle = RandomStream(5, 6), OracleStream(5, 6)
-        stream.uniform(3), oracle.uniform(3)
-        np.testing.assert_array_equal(stream.uniform(count), oracle.uniform(count))
+        uniforms([stream], 3), oracle.uniform(3)
+        np.testing.assert_array_equal(uniforms([stream], count)[0], oracle.uniform(count))
 
     def test_batched_draws_are_the_per_stream_draws_row_by_row(self):
         """One batched call over more streams than one chunk holds gives, row
@@ -208,13 +209,14 @@ class TestNumpyPhiloxOracle:
                                       [s.standard_normal(13) for s in single])
         np.testing.assert_array_equal(standard_normals(batch, count),
                                       [s.standard_normal(count) for s in single])
-        np.testing.assert_array_equal(uniforms(batch, count), [s.uniform(count) for s in single])
+        np.testing.assert_array_equal(uniforms(batch, count),
+                                      [uniforms([s], count)[0] for s in single])
         np.testing.assert_array_equal(standard_normals(batch, 2),
                                       [s.standard_normal(2) for s in single])
 
     def test_batched_draw_needs_streams_at_one_position(self):
         ahead = derive_run_stream(1, 1)
-        ahead.uniform(2)
+        uniforms([ahead], 2)
         with pytest.raises(ValueError, match="same position"):
             uniforms([derive_run_stream(1, 0), ahead], 4)
         spare = derive_run_stream(1, 1)
