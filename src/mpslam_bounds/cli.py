@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         if value is None:
             continue
         try:
-            scenario.mc = replace(scenario.mc, **{name: value})
+            scenario = replace(scenario, mc=replace(scenario.mc, **{name: value}))
         except ValueError as exc:
             print(f"error: {flag}: {exc}", file=sys.stderr)
             return 2

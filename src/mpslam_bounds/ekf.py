@@ -233,11 +233,12 @@ def max_runs(scenario: Scenario) -> int:
     Per run the batch holds its initial draw and mean, its noisy measurements
     (drawn in place, 3 per visible (step, anchor, component)) and squared
     errors; a step takes 4 (N, N) matrices and, per path of the widest step,
-    the gradient, its scaled copy (3N floats each) and 200 floats of geometry.
+    the gradient (3N floats) and either the channel pass's 200 floats of
+    geometry or the gradient's scaled copy (3N), which never coexist.
     """
     dim, paths = scenario.dim, scenario.visibility.visible_counts()
     floats = (2 * dim + 3 * paths.sum() + scenario.n_steps * (3 + len(scenario.surfaces))
-              + 4 * dim * dim + paths.max() * (6 * dim + 200))
+              + 4 * dim * dim + paths.max() * (3 * dim + max(3 * dim, 200)))
     return STEP_TABLE_BYTES // (8 * int(floats))
 
 

@@ -48,8 +48,15 @@ if TYPE_CHECKING:
 # Direction vectors shorter than this are treated as degenerate geometry.
 DEGENERACY_EPS = 1e-9
 
-EYE2 = np.eye(2)  # shared and read-only: the identity of every 2x2 block formula
-EYE2.flags.writeable = False
+
+def read_only(value, dtype=float) -> np.ndarray:
+    """A read-only array copy of ``value``; the caller's own array stays writable."""
+    array = np.array(value, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+EYE2 = read_only(np.eye(2))  # shared: the identity of every 2x2 block formula
 
 
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
@@ -86,7 +93,7 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return rot
 
 
-@dataclass
+@dataclass(frozen=True)
 class Anchor:
     """Fixed transceiver with known position, orientation and array aperture."""
 
@@ -95,13 +102,14 @@ class Anchor:
     aperture: "ApertureModel | None" = None
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        if self.position.shape != (2,) or not np.all(np.isfinite(self.position)):
-            raise ValueError(f"anchor position must be a finite 2-vector, got {self.position}")
+        position = read_only(self.position)
+        if position.shape != (2,) or not np.all(np.isfinite(position)):
+            raise ValueError(f"anchor position must be a finite 2-vector, got {position}")
         orientation = np.asarray(self.orientation, dtype=float)
         if orientation.shape or not np.isfinite(orientation):
             raise ValueError(f"anchor orientation must be a finite number, got {orientation}")
-        self.orientation = wrap_angle(orientation)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "orientation", wrap_angle(orientation))
 
 
 @dataclass

@@ -49,7 +49,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import DEGENERACY_EPS, Anchor, dot2, wrap_angle
+from .geometry import DEGENERACY_EPS, Anchor, dot2, read_only, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -128,8 +128,7 @@ class WaypointTrajectory:
     positions: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
+        times, positions = read_only(self.times), read_only(self.positions)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("waypoints need at least two timed points")
         if positions.shape != (times.size, 2):
@@ -151,6 +150,26 @@ class WaypointTrajectory:
                 f"waypoints end at {self.times[-1]} s but the trajectory needs {horizon} s"
             )
 
+    # An overflow gives a state that is not finite, which ground_truth names.
+    @np.errstate(over="ignore", invalid="ignore")
+    def states(self, model: StateSpaceModel, seed: int) -> np.ndarray:
+        """The (n + 1, 5) agent states [px, py, vx, vy, heading] of steps 0..n
+        (step n at time n * time_step); ``seed`` is unused. Each step lies on
+        its segment, heading along the segment of the last step that moved (0
+        before any did), by ``math.atan2`` and ``math.hypot``; numpy's SIMD
+        forms may round otherwise."""
+        self.check_horizon(model.time_step)
+        t = np.arange(self.n_steps + 1) * model.time_step
+        seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
+        dt, delta = np.diff(self.times), np.diff(self.positions, axis=0)
+        velocity = delta / dt[:, None]
+        moving = np.array([math.hypot(*v) > 1e-12 for v in velocity])[seg]
+        headings = np.array([math.atan2(v[1], v[0]) for v in velocity])
+        last = np.maximum.accumulate(np.where(moving, np.arange(seg.size), -1))
+        position = self.positions[seg] + ((t - self.times[seg]) / dt[seg])[:, None] * delta[seg]
+        heading = np.where(last >= 0, headings[seg[last]], 0.0)
+        return np.concatenate([position, velocity[seg], heading[:, None]], axis=1)
+
 
 @dataclass(frozen=True)
 class NcvTrajectory:
@@ -166,13 +185,29 @@ class NcvTrajectory:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         for name in ("position", "velocity"):
-            vec = np.asarray(getattr(self, name), dtype=float)
+            vec = read_only(getattr(self, name))
             if vec.shape != (2,) or not np.all(np.isfinite(vec)):
                 raise ValueError(f"agent {name} must be a finite 2-vector, got {vec}")
             object.__setattr__(self, name, vec)
         if not math.isfinite(self.orientation):
             raise ValueError("agent orientation must be finite")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def states(self, model: StateSpaceModel, seed: int) -> np.ndarray:
+        """The (n + 1, 5) agent states [px, py, vx, vy, heading] of steps
+        0..n, sampled from ``model`` by ``trajectory_stream(seed)``: per step
+        two acceleration variates, then one orientation variate."""
+        t, gain = model.time_step, gain_matrix(model.time_step)
+        accel_std, orient_std = math.sqrt(model.accel_noise_var), math.sqrt(model.orient_noise_var)
+        kin = np.concatenate([self.position, self.velocity])
+        kins, headings = [kin], [self.orientation]
+        for noise in trajectory_stream(seed).standard_normal(3 * self.n_steps).reshape(-1, 3):
+            kin = np.array([kin[0] + t * kin[2], kin[1] + t * kin[3], kin[2], kin[3]])
+            kin = kin + gain @ (accel_std * noise[:2])
+            kins.append(kin)
+            headings.append(wrap_angle(headings[-1] + orient_std * float(noise[2])))
+        return np.column_stack([np.array(kins), headings])
 
 
 TrajectorySpec = WaypointTrajectory | NcvTrajectory
@@ -184,6 +219,9 @@ class VisibilitySchedule:
     anchor j (0-based) sees component k at 1-based step n; row 0 is unused."""
 
     table: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", read_only(self.table, None))
 
     def flags(self, anchor_index: int, step: int) -> np.ndarray:
         """Existence flags of anchor ``anchor_index`` (0-based) at 1-based ``step``(s)."""
@@ -256,22 +294,24 @@ class StepTruth:
     channel_information: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One experiment; each field is the scenario file's section of its name.
 
-    ``anchors`` lists the anchors, each with an aperture; ``surfaces`` holds
-    the (S, 2) wall points (mirror images of the origin), stored as a
-    read-only float array; ``visibility.table`` is (n_steps + 1, anchors,
+    ``anchors`` is a tuple of the anchors, each with an aperture; ``surfaces``
+    holds the (S, 2) wall points (mirror images of the origin), stored as a
+    read-only float copy; ``visibility.table`` is (n_steps + 1, anchors,
     components); every other field is its annotated dataclass. Derived:
     ``order``, the canonical component order of the S surfaces; ``dim``, the
     joint-state size N = 5 + 2S; ``n_steps``, the trajectory's. Construction
     raises ValueError unless there is an anchor and each has an aperture, the
     surfaces are finite, distinct and none within ``DEGENERACY_EPS`` of the
     origin, a per-surface prior lists S variances, and the table has that shape.
+    A scenario and its records are immutable, their arrays read-only: a
+    variant is ``dataclasses.replace(scenario, ...)``, which reruns every check.
     """
 
-    anchors: list[Anchor]
+    anchors: tuple[Anchor, ...]
     surfaces: np.ndarray
     signal: SignalModel
     model: StateSpaceModel
@@ -284,12 +324,13 @@ class Scenario:
     order: ComponentOrder = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "anchors", tuple(self.anchors))
         if not self.anchors:
             raise ValueError("scenario needs at least one anchor")
         for j, anchor in enumerate(self.anchors):
             if anchor.aperture is None:
                 raise ValueError(f"anchor {j + 1} has no aperture model")
-        surfaces = np.array(self.surfaces, dtype=float)
+        surfaces = read_only(self.surfaces)
         if surfaces.ndim != 2 or surfaces.shape[1] != 2 or not np.isfinite(surfaces).all():
             raise ValueError("surfaces must be an (S, 2) array of finite points")
         with np.errstate(over="ignore"):  # a far point's squares overflow to inf
@@ -300,10 +341,9 @@ class Scenario:
         for i, point in enumerate(surfaces):  # a repeated wall would count its paths twice
             if (same := np.flatnonzero((surfaces[:i] == point).all(axis=1))).size:
                 raise ValueError(f"surface {i + 1} is the same point as surface {same[0] + 1}")
-        surfaces.flags.writeable = False
-        self.surfaces = surfaces
+        object.__setattr__(self, "surfaces", surfaces)
         self.prior.surface_vars(len(surfaces))
-        self.order = ComponentOrder.canonical(len(surfaces))
+        object.__setattr__(self, "order", ComponentOrder.canonical(len(surfaces)))
         shape = (self.n_steps + 1, len(self.anchors), self.order.size)
         if np.shape(self.visibility.table) != shape:
             raise ValueError("visibility table must be (n_steps + 1, anchors, components) = "
@@ -328,79 +368,20 @@ class Scenario:
 # Ground truth
 
 
-def generate_trajectory(
-    spec: TrajectorySpec, model: StateSpaceModel, rng: RandomStream | None = None
-) -> np.ndarray:
-    """Ground-truth agent states at steps 0..n_steps (step n at time
-    n * time_step): the (n_steps + 1, 5) rows [px, py, vx, vy, orientation],
-    the orientation wrapped into (-pi, pi].
-
-    Waypoint trajectories are deterministic and never touch ``rng``; sampled
-    trajectories draw two acceleration variates and one orientation variate
-    per step from it. A state beyond the float range raises
-    :class:`FloatingPointError` naming its step.
-    """
-    if isinstance(spec, WaypointTrajectory):
-        states = _waypoint_states(spec, model.time_step)
-    elif isinstance(spec, NcvTrajectory):
-        if rng is None:
-            raise ValueError("a sampled trajectory needs a random stream")
-        states = _sampled_states(spec, model, rng)
-    else:
-        raise TypeError(f"unknown trajectory spec {type(spec)!r}")
+def ground_truth(scenario: Scenario) -> np.ndarray:
+    """The (n_steps + 1, N) joint truth of a scenario: the agent states of
+    ``scenario.trajectory.states(scenario.model, scenario.mc.seed)``, the
+    heading wrapped into (-pi, pi], each row followed by the surface points in
+    order. Only a sampled trajectory creates its random stream, so bound-only
+    evaluation of waypoint scenarios never constructs a random generator. A
+    state beyond the float range raises :class:`FloatingPointError` naming
+    its step."""
+    states = scenario.trajectory.states(scenario.model, scenario.mc.seed)
     bad = np.argwhere(~np.isfinite(states))
     if bad.size:
         n, part = bad[0][0], ("position", "velocity", "orientation")[bad[0][1] // 2]
         raise FloatingPointError(f"step {n}: true agent {part} is not finite")
     states[:, 4] = wrap_angle(states[:, 4])  # atan2's -pi is pi
-    return states
-
-
-# An overflow gives a state that is not finite, which generate_trajectory names.
-@np.errstate(over="ignore", invalid="ignore")
-def _waypoint_states(spec: WaypointTrajectory, time_step: float) -> np.ndarray:
-    """The (n + 1, 5) states: each step on its segment, heading along the
-    segment of the last step that moved (0 before any did), by ``math.atan2``
-    and ``math.hypot``; numpy's SIMD forms may round otherwise."""
-    spec.check_horizon(time_step)
-    t = np.arange(spec.n_steps + 1) * time_step
-    seg = np.clip(np.searchsorted(spec.times, t, side="right") - 1, 0, spec.times.size - 2)
-    dt, delta = np.diff(spec.times), np.diff(spec.positions, axis=0)
-    velocity = delta / dt[:, None]
-    moving = np.array([math.hypot(*v) > 1e-12 for v in velocity])[seg]
-    headings = np.array([math.atan2(v[1], v[0]) for v in velocity])
-    last = np.maximum.accumulate(np.where(moving, np.arange(seg.size), -1))
-    position = spec.positions[seg] + ((t - spec.times[seg]) / dt[seg])[:, None] * delta[seg]
-    heading = np.where(last >= 0, headings[seg[last]], 0.0)
-    return np.concatenate([position, velocity[seg], heading[:, None]], axis=1)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _sampled_states(spec: NcvTrajectory, model: StateSpaceModel, rng: RandomStream) -> np.ndarray:
-    t, gain = model.time_step, gain_matrix(model.time_step)
-    accel_std, orient_std = math.sqrt(model.accel_noise_var), math.sqrt(model.orient_noise_var)
-    kin = np.concatenate([spec.position, spec.velocity])
-    kins, headings = [kin], [spec.orientation]
-    # per step two acceleration variates, then one orientation variate
-    for noise in rng.standard_normal(3 * spec.n_steps).reshape(-1, 3):
-        kin = np.array([kin[0] + t * kin[2], kin[1] + t * kin[3], kin[2], kin[3]])
-        kin = kin + gain @ (accel_std * noise[:2])
-        kins.append(kin)
-        headings.append(wrap_angle(headings[-1] + orient_std * float(noise[2])))
-    return np.column_stack([np.array(kins), headings])
-
-
-def ground_truth(scenario: Scenario) -> np.ndarray:
-    """The (n_steps + 1, N) joint truth of a scenario: the agent states of
-    :func:`generate_trajectory`, each row followed by the surface points in
-    order. The trajectory stream is only created for sampled trajectories, so
-    bound-only evaluation of waypoint scenarios never constructs a random
-    generator."""
-    if isinstance(scenario.trajectory, NcvTrajectory):
-        rng = trajectory_stream(scenario.mc.seed)
-    else:
-        rng = None
-    states = generate_trajectory(scenario.trajectory, scenario.model, rng)
     surfaces = np.tile(scenario.surfaces.ravel(), (states.shape[0], 1))
     return np.concatenate([states, surfaces], axis=1)
 

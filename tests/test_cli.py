@@ -758,7 +758,7 @@ class TestErrors:
             tracemalloc.stop()
         field = "--mc-runs" if source == "flag" else "scenario.mc.runs"
         assert code == 2
-        assert (f"error: {field}: must be at most 9247 in this room"
+        assert (f"error: {field}: must be at most 10177 in this room"
                 in capsys.readouterr().err)
         assert peak < 2**24
 

@@ -406,8 +406,7 @@ class TestBoundInTheBatch:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_validate_bounds_are_the_recursion(self, case, runs):
-        scenario = self.CASES[case]()
-        scenario.mc = MonteCarloConfig(runs=runs, seed=11)
+        scenario = replace(self.CASES[case](), mc=MonteCarloConfig(runs=runs, seed=11))
         table = measurement_truth(scenario, ground_truth(scenario))
         expected = bound_bits(unbatched_recursion(scenario, table))
         assert bound_bits(run_recursion(scenario, table)) == expected
@@ -598,7 +597,7 @@ class TestMonteCarlo:
         the RMSE the root mean over the runs of run_single's squared errors,
         both bit for bit."""
         scenario = load_scenario(DESK_SCENARIO)
-        scenario.mc = replace(scenario.mc, runs=3)
+        scenario = replace(scenario, mc=replace(scenario.mc, runs=3))
         truth = ground_truth(scenario)
         table = measurement_truth(scenario, truth)
         result = run_monte_carlo(scenario)

@@ -3,7 +3,7 @@
 import copy
 import math
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from mpslam_bounds.scenario import (
     VisibilitySchedule,
     WaypointTrajectory,
     draw_measurements,
-    generate_trajectory,
     ground_truth,
     load_scenario,
     measurement_truth,
@@ -307,9 +306,6 @@ LIBRARY_REJECTS = {
         "got (2, 21, 2)"),
     "anchor_without_aperture": (lambda: replace(DESK, anchors=[Anchor([0.0, 0.0])]),
                                 "anchor 1 has no aperture model"),
-    "sampled_without_stream": (
-        lambda: generate_trajectory(NcvTrajectory(3, [0.0, 0.0], [1.0, 0.0]), DESK.model),
-        "a sampled trajectory needs a random stream"),
     "ncv_position": (lambda: NcvTrajectory(3, [math.nan, 0.0], [1.0, 0.0]),
                      "agent position must be a finite 2-vector"),
     "ncv_orientation": (lambda: NcvTrajectory(3, [0.0, 0.0], [1.0, 0.0], math.inf),
@@ -333,17 +329,70 @@ def test_library_rejects_invalid_input(case):
         build()
 
 
-def test_trajectory_of_an_unknown_kind_is_a_type_error():
-    with pytest.raises(TypeError, match="^unknown trajectory spec <class 'dict'>$"):
-        generate_trajectory({"kind": "waypoints"}, DESK.model)
-
-
 def test_prediction_rejects_a_covariance_of_the_wrong_shape():
     """An (N, 3) covariance does not fit the (N, N) transition: numpy's own
     ValueError, whose text is numpy's to choose."""
     with pytest.raises(ValueError):
         ekf_predict(np.zeros(DESK.dim), np.zeros((DESK.dim, 3)), transition_matrix(DESK.model, 1),
                     process_noise_cov(DESK.model, 1))
+
+
+class TestImmutability:
+    """A scenario keeps the values its checks passed: no field of it or of its
+    records can be reassigned, none of their arrays written, and the arrays a
+    caller passes in are copied, so the caller's own stay writable."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("surfaces", np.array([[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0], [10.0, 0.0]])),
+        ("mc", MonteCarloConfig(runs=4, seed=1)),
+        ("anchors", ()),
+    ])
+    def test_a_field_of_a_loaded_scenario_cannot_be_assigned(self, name, value):
+        scenario = load_scenario(DESK_SCENARIO)
+        with pytest.raises(FrozenInstanceError):
+            setattr(scenario, name, value)
+        with pytest.raises(FrozenInstanceError):
+            scenario.anchors[0].position = np.zeros(2)
+        assert type(scenario.anchors) is tuple
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_the_arrays_of_a_loaded_scenario_are_read_only(self, sampled):
+        mapping = yaml.safe_load(DESK_SCENARIO.read_text())
+        if sampled:
+            mapping["trajectory"] = {"kind": "sampled_ncv", "n_steps": 40,
+                                     "position": [0.8, 0.8], "velocity": [0.9, 0.75]}
+        scenario = scenario_from_mapping(mapping)
+        arrays = [scenario.surfaces, scenario.visibility.table, scenario.anchors[0].position]
+        if sampled:
+            arrays += [scenario.trajectory.position, scenario.trajectory.velocity]
+        else:
+            arrays += [scenario.trajectory.times, scenario.trajectory.positions]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_the_arrays_a_caller_passes_in_stay_writable(self):
+        given = {name: np.ones(shape) for name, shape in (
+            ("anchor", 2), ("times", 2), ("positions", (2, 2)), ("position", 2),
+            ("velocity", 2), ("surfaces", (1, 2)))}
+        given["table"] = np.ones((DESK.n_steps + 1, 2, 2), np.int8)
+        given["times"][0] = 0.0
+        given["surfaces"][0, 0] = 10.0
+        waypoints = WaypointTrajectory(3, given["times"], given["positions"])
+        ncv = NcvTrajectory(3, given["position"], given["velocity"])
+        scenario = replace(DESK, anchors=[Anchor(given["anchor"], aperture=IsotropicAperture(0.01)),
+                                          DESK.anchors[1]],
+                           surfaces=given["surfaces"],
+                           visibility=VisibilitySchedule(given["table"]))
+        held = [waypoints.times, waypoints.positions, ncv.position, ncv.velocity,
+                scenario.anchors[0].position, scenario.surfaces, scenario.visibility.table]
+        before = [array.copy() for array in held]
+        for array in given.values():
+            assert array.flags.writeable
+            array[0] = 7
+        for array, value in zip(held, before):
+            assert not array.flags.writeable
+            np.testing.assert_array_equal(array, value)
 
 
 class TestVisibilitySchedule:
@@ -388,7 +437,7 @@ class TestTrajectories:
     def test_noiseless_ncv_walks_straight(self):
         model = StateSpaceModel(time_step=1.0)
         spec = NcvTrajectory(n_steps=3, position=[0.0, 0.0], velocity=[1.0, 0.0])
-        states = generate_trajectory(spec, model, derive_run_stream(0, 0))
+        states = spec.states(model, 0)
         np.testing.assert_allclose(states[:, 0:2], [[0, 0], [1, 0], [2, 0], [3, 0]], atol=1e-12)
 
     def test_two_waypoints_give_constant_velocity_line(self):
@@ -398,7 +447,7 @@ class TestTrajectories:
             times=np.array([0.0, 2.0]),
             positions=np.array([[0.0, 0.0], [2.0, 2.0]]),
         )
-        states = generate_trajectory(spec, model)
+        states = spec.states(model, 0)
         steps = np.arange(5)[:, None]
         np.testing.assert_allclose(states[:, 0:2], [0.5, 0.5] * steps, atol=1e-12)
         np.testing.assert_allclose(states[:, 2:4], [[1.0, 1.0]] * 5, atol=1e-12)
@@ -412,17 +461,17 @@ class TestTrajectories:
             positions=np.array([[0.0, 0.0], [2.0, 2.0]]),
         )
         with pytest.raises(ValueError, match="needs"):
-            generate_trajectory(spec, model)
+            spec.states(model, 0)
 
     def test_heading_of_minus_zero_dy_is_pi(self):
         """A segment from [1, 0] to [0, -0.0] has dy = -0.0, whose atan2
-        heading is -pi; the trajectory wraps it, so every heading is pi."""
+        heading is -pi; wrapped, as the ground truth does, every heading is pi."""
         model = StateSpaceModel(time_step=0.5)
         spec = WaypointTrajectory(n_steps=4, times=np.array([0.0, 2.0]),
                                   positions=np.array([[1.0, 0.0], [0.0, -0.0]]))
         dy = spec.positions[1, 1] - spec.positions[0, 1]
         assert math.atan2(dy, -1.0) == -math.pi
-        assert generate_trajectory(spec, model)[:, 4].tolist() == [math.pi] * 5
+        assert wrap_angle(spec.states(model, 0)[:, 4]).tolist() == [math.pi] * 5
 
     def test_sampled_initial_orientation_is_wrapped(self):
         """An initial orientation of 4.0 is read as wrap_angle(4.0), built
@@ -434,7 +483,7 @@ class TestTrajectories:
         def sampled(orientation):
             spec = NcvTrajectory(n_steps=20, position=[0.8, 0.8], velocity=[0.9, 0.75],
                                  orientation=orientation)
-            return generate_trajectory(spec, model, derive_run_stream(5, 0))
+            return spec.states(model, 5)
 
         states = sampled(4.0)
         assert states[0, 4] == wrap_angle(4.0) != 4.0
@@ -458,7 +507,7 @@ class TestTrajectories:
         model = StateSpaceModel(time_step=1.0,
                                 accel_noise_var=4.0, orient_noise_var=0.25)
         spec = NcvTrajectory(n_steps=100_000, position=[0.0, 0.0], velocity=[0.0, 0.0])
-        states = generate_trajectory(spec, model, derive_run_stream(3, 1))
+        states = spec.states(model, 3)
         velocity_steps = np.diff(states[:, 2:4], axis=0)
         # velocity increments are T * accel draws: mean within 4 sigma / sqrt(n)
         sigma = 2.0
@@ -503,7 +552,9 @@ class TestTrajectories:
             if math.hypot(*velocity) > 1e-12:
                 heading = math.atan2(velocity[1], velocity[0])
             rows.append([*position, *velocity, wrap_angle(heading)])
-        np.testing.assert_array_equal(generate_trajectory(spec, model), rows)
+        states = spec.states(model, 0)
+        states[:, 4] = wrap_angle(states[:, 4])
+        np.testing.assert_array_equal(states, rows)
 
 
 class TestSnapshotInformation:
