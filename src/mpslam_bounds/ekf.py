@@ -19,14 +19,14 @@ The bound and the Monte-Carlo runs advance as one lockstep batch
 bound, fusing the truth table's information, and entries 1..R are the runs,
 with (R, N) means and one gradient pass per measured step for all runs and
 anchors, through the plan the truth pass built for the step's layout, at the
-poses read from the means. One prediction and one fusion call per step serve
-them all. Each run draws its initial estimate around the true initial state
-from the prior and its measurements from its own stream, so its numbers do
-not depend on the batch it is in. Its squared errors from the rows of the
-joint truth are summed into the bound's state blocks, for RMSE time series
-in the columns of the (n_steps, 3 + S) bound table. Predict and update take
-and return the same plain (mean, covariance) arrays, with or without the
-run axis.
+poses read from the means. One prediction (:func:`ekf_predict`) and one
+update (:func:`ekf_update`, one fusion call) per step serve them all, and
+take and return the same plain arrays: the means and the covariance stack.
+Each run draws its initial estimate around the true initial state from the
+prior and its measurements from its own stream, so its numbers do not depend
+on the batch it is in. Its squared errors from the rows of the joint truth
+are summed into the bound's state blocks, for RMSE time series in the
+columns of the (n_steps, 3 + S) bound table.
 """
 
 from __future__ import annotations
@@ -128,25 +128,26 @@ def ekf_update(
     mean: np.ndarray, cov: np.ndarray, record: StepTruth, observed: np.ndarray,
     scenario: Scenario,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement update of one step in information form.
+    """Measurement update of one step of the lockstep batch, in information form.
 
-    Takes the predicted (..., N) ``mean`` and (..., N, N) ``cov`` and
-    returns the updated pair. ``observed`` holds the step's drawn (..., n, 3)
-    rows (see :func:`~.scenario.draw_measurements`) for the paths of its
-    truth ``record``, with the leading axes of ``mean``. The covariance
-    is the bound's fusion, P_post = (P^{-1} + H Lambda H^T)^{-1} with H at
-    the predicted mean, whose orientation is read as it is (wrapped, as this
-    update leaves it); the mean moves by P_post H Lambda nu. A step with no
-    paths returns ``mean`` and ``cov`` themselves. A singular matrix raises
+    Takes the runs' predicted (R, N) ``mean`` and (R + 1, N, N) ``cov`` stack,
+    the bound at entry 0, and returns the updated pair. ``observed`` holds the
+    runs' drawn (R, n, 3) rows (:func:`~.scenario.draw_measurements`) of the
+    paths of the truth ``record``, unread if R = 0. Each covariance is the
+    bound's fusion (P^{-1} + J)^{-1}, J the record's information for the bound
+    and H Lambda H^T for a run, H at its predicted mean (orientation read as
+    it is); each mean moves by P_post H Lambda nu. When no run measures
+    anything the bound fuses alone, also at zero information: its inversions
+    catch a singular prediction. A singular matrix raises
     :class:`~.pcrlb.SingularFimError` whose ``index`` is the first failing
-    batch entry.
+    stack entry.
     """
-    terms = _measurement_step(mean, record, observed, scenario)
-    if terms is None:
-        return mean, cov
-    cov = fuse(cov, terms[0], record.step)
-    mean = mean + (cov @ terms[1])[..., 0]
-    mean[..., 4] = wrap_angle(mean[..., 4])
+    linear = _measurement_step(mean, record, observed, scenario) if len(mean) else None
+    if linear is None:
+        return mean, np.concatenate([fuse(cov[:1], record.information, record.step), cov[1:]])
+    cov = fuse(cov, np.concatenate([record.information[None], linear[0]]), record.step)
+    mean = mean + (cov[1:] @ linear[1])[..., 0]
+    mean[:, 4] = wrap_angle(mean[:, 4])
     return mean, cov
 
 
@@ -180,7 +181,7 @@ def run_single(
     noise_cov = process_noise_cov(scenario.model, num_surfaces)
     prior_var = scenario.prior_covariance()
     cov = np.repeat(np.diag(prior_var)[None], 1 + batch.size, axis=0)
-    mean = np.zeros((0, prior_var.size))
+    mean, observed = np.zeros((0, prior_var.size)), [None] * len(table)
     bounds, failure = np.empty((len(table), 3 + num_surfaces)), None
     squared = np.zeros(bounds.shape + batch.shape)  # runs last: contiguous sums
     if batch.size:
@@ -190,20 +191,10 @@ def run_single(
         observed = draw_measurements(table, streams)
     for n, record in enumerate(table, start=1):
         while True:
-            live, linear = len(mean), None
-            moved, ahead = ekf_predict(mean, cov, transition, noise_cov)
+            live = len(mean)
             try:
-                if live:
-                    linear = _measurement_step(moved, record, observed[n - 1], scenario)
-                # The bound fuses every step, also one that no anchor measures
-                # (zero information): that fusion's inversions are where a
-                # singular prediction is caught and named (exit 3), so it stays.
-                if linear is None:  # no run measures anything: the bound fuses alone
-                    ahead[:1] = fuse(ahead[:1], record.information, n)
-                else:
-                    ahead = fuse(ahead, np.concatenate([record.information[None], linear[0]]), n)
-                    moved = moved + (ahead[1:] @ linear[1])[..., 0]
-                    moved[:, 4] = wrap_angle(moved[:, 4])
+                moved, ahead = ekf_update(*ekf_predict(mean, cov, transition, noise_cov), record,
+                                          observed[n - 1], scenario)
                 if not live or np.isfinite(moved).all() and np.isfinite(ahead[1:]).all():
                     break
                 finite = np.isfinite(moved).all(-1) & np.isfinite(ahead[1:]).all((-2, -1))

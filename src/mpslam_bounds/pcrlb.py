@@ -7,7 +7,7 @@ Tichavsky, Muravchik and Nehorai (IEEE TSP 1998). From the prior diagonal
 as the start covariance, each step is
 
     P_pred = F P F^T + Q                         (prediction, :func:`predict_cov`)
-    P      = (P_pred^{-1} + J_snapshot)^{-1}     (fusion, :func:`fuse`)
+    P      = (P_pred^{-1} + J_snapshot)^{-1}     (fusion, :func:`fuse` through :func:`predict_fim`)
 
 and the error bounds are square roots of traces of blocks of P: position
 (PEB), velocity (VEB), orientation (OEB) and one mapping bound per surface
@@ -162,13 +162,6 @@ def predict_cov(cov: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
     return 0.5 * (predicted + predicted.swapaxes(-1, -2))
 
 
-def predict_fim(
-    cov_post: np.ndarray, transition: np.ndarray, process_cov: np.ndarray
-) -> np.ndarray:
-    """Predicted information from the posterior covariance P: (F P F^T + Q)^{-1}."""
-    return _spd_inverse(predict_cov(cov_post, transition, process_cov), "predicted covariance")
-
-
 @functools.cache
 def _block_starts(num_surfaces: int) -> np.ndarray:
     starts = np.r_[0, 2, 4, 5 + 2 * np.arange(num_surfaces)]
@@ -210,14 +203,19 @@ def _inverse_at(matrix: np.ndarray, step: int, what: str, weakest) -> np.ndarray
         ) from exc
 
 
+def predict_fim(cov_pred: np.ndarray, step: int) -> np.ndarray:
+    """Predicted information P_pred^{-1} of one step, or a stack; a singular
+    prediction raises :class:`SingularFimError` naming its largest-variance block."""
+    return _inverse_at(cov_pred, step, "predicted covariance", np.argmax)
+
+
 def fuse(cov_pred: np.ndarray, information: np.ndarray, step: int) -> np.ndarray:
     """Posterior covariance (P_pred^{-1} + J)^{-1} of one step of the bound or
-    the filter (stacks of them for the lockstep batch). A singular
-    predicted covariance raises :class:`SingularFimError` naming the block
-    with the largest variance; a singular posterior, the block with the
-    least information. Either keeps the failing stack position."""
-    j_pred = _inverse_at(cov_pred, step, "predicted covariance", np.argmax)
-    return _inverse_at(j_pred + information, step, "posterior information", np.argmin)
+    the filter (stacks of them for the lockstep batch), through
+    :func:`predict_fim`. A singular posterior raises :class:`SingularFimError`
+    naming the block with the least information. Either keeps the stack position."""
+    return _inverse_at(predict_fim(cov_pred, step) + information, step,
+                       "posterior information", np.argmin)
 
 
 def run_recursion(scenario, table) -> np.ndarray:

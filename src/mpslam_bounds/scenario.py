@@ -30,6 +30,7 @@ pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -119,6 +120,13 @@ class AmplitudeModel:
         return self.reference_amplitude * (1.0 / distance) * self.bounce_loss**n_bounces
 
 
+def _integer(value, what: str):
+    """``value``; ValueError naming ``what`` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WaypointTrajectory:
     """Deterministic piecewise-linear trajectory; orientation follows the heading."""
@@ -137,7 +145,7 @@ class WaypointTrajectory:
             raise ValueError("waypoint times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", positions)
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError("n_steps must be >= 1")
 
     def check_horizon(self, time_step: float) -> None:
@@ -158,7 +166,6 @@ class WaypointTrajectory:
         its segment, heading along the segment of the last step that moved (0
         before any did), by ``math.atan2`` and ``math.hypot``; numpy's SIMD
         forms may round otherwise."""
-        self.check_horizon(model.time_step)
         t = np.arange(self.n_steps + 1) * model.time_step
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
         dt, delta = np.diff(self.times), np.diff(self.positions, axis=0)
@@ -182,7 +189,7 @@ class NcvTrajectory:
     orientation: float = 0.0
 
     def __post_init__(self):
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError("n_steps must be >= 1")
         for name in ("position", "velocity"):
             vec = read_only(getattr(self, name))
@@ -192,6 +199,9 @@ class NcvTrajectory:
         if not math.isfinite(self.orientation):
             raise ValueError("agent orientation must be finite")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
+
+    def check_horizon(self, time_step: float) -> None:
+        """A sampled trajectory covers any horizon."""
 
     @np.errstate(over="ignore", invalid="ignore")
     def states(self, model: StateSpaceModel, seed: int) -> np.ndarray:
@@ -238,9 +248,9 @@ class MonteCarloConfig:
     seed: int
 
     def __post_init__(self):
-        if self.runs < 1:
+        if _integer(self.runs, "mc.runs") < 1:
             raise ValueError("mc.runs must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= _integer(self.seed, "mc.seed") < 2**64:
             raise ValueError("mc.seed must be an unsigned 64-bit integer")
 
 
@@ -249,7 +259,8 @@ class PriorSpec:
     """Diagonal initial covariance of the joint state.
 
     ``surface_var`` is either one variance shared by all surfaces or a
-    per-surface tuple (walls may be known with different certainty).
+    per-surface sequence, stored as a tuple (walls may be known with
+    different certainty).
     """
 
     position_var: float = 1.0
@@ -261,6 +272,8 @@ class PriorSpec:
         for name in ("position_var", "velocity_var", "orientation_var"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"prior.{name} must be positive")
+        if np.ndim(self.surface_var):
+            object.__setattr__(self, "surface_var", tuple(self.surface_var))
         values = self.surface_var if isinstance(self.surface_var, tuple) else (self.surface_var,)
         if not values or any(not v > 0 for v in values):
             raise ValueError("prior.surface_var entries must be positive")
@@ -304,9 +317,10 @@ class Scenario:
     components); every other field is its annotated dataclass. Derived:
     ``order``, the canonical component order of the S surfaces; ``dim``, the
     joint-state size N = 5 + 2S; ``n_steps``, the trajectory's. Construction
-    raises ValueError unless there is an anchor and each has an aperture, the
-    surfaces are finite, distinct and none within ``DEGENERACY_EPS`` of the
-    origin, a per-surface prior lists S variances, and the table has that shape.
+    raises ValueError unless each of 1 or more anchors has an aperture, the
+    S >= 1 surfaces are finite, distinct and none within ``DEGENERACY_EPS`` of
+    the origin, a per-surface prior lists S variances, the trajectory spans
+    its steps (``check_horizon``) and the table has that shape.
     A scenario and its records are immutable, their arrays read-only: a
     variant is ``dataclasses.replace(scenario, ...)``, which reruns every check.
     """
@@ -331,8 +345,8 @@ class Scenario:
             if anchor.aperture is None:
                 raise ValueError(f"anchor {j + 1} has no aperture model")
         surfaces = read_only(self.surfaces)
-        if surfaces.ndim != 2 or surfaces.shape[1] != 2 or not np.isfinite(surfaces).all():
-            raise ValueError("surfaces must be an (S, 2) array of finite points")
+        if surfaces.shape[1:] != (2,) or not surfaces.size or not np.isfinite(surfaces).all():
+            raise ValueError("surfaces must be an (S, 2) array of finite points, S >= 1")
         with np.errstate(over="ignore"):  # a far point's squares overflow to inf
             through = np.sqrt(dot2(surfaces, surfaces)) <= DEGENERACY_EPS  # the norm, bit for bit
         if through.any():
@@ -344,6 +358,7 @@ class Scenario:
         object.__setattr__(self, "surfaces", surfaces)
         self.prior.surface_vars(len(surfaces))
         object.__setattr__(self, "order", ComponentOrder.canonical(len(surfaces)))
+        self.trajectory.check_horizon(self.model.time_step)
         shape = (self.n_steps + 1, len(self.anchors), self.order.size)
         if np.shape(self.visibility.table) != shape:
             raise ValueError("visibility table must be (n_steps + 1, anchors, components) = "
@@ -627,7 +642,7 @@ def _parse_aperture(node, path: str) -> ApertureModel:
     return _build(APERTURE_KINDS[kind], node, path)
 
 
-def _parse_trajectory(node, path: str, time_step: float, max_steps: int) -> TrajectorySpec:
+def _parse_trajectory(node, path: str, max_steps: int) -> TrajectorySpec:
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
@@ -649,13 +664,8 @@ def _parse_trajectory(node, path: str, time_step: float, max_steps: int) -> Traj
         positions.append(_as_vec2(_take(entry, "position", f"{path}.points[{i}]",
                                         required=True), f"{path}.points[{i}].position"))
         _reject_unknown(entry, f"{path}.points[{i}]")
-    spec = _make(WaypointTrajectory, path, n_steps=n_steps, times=np.array(times),
+    return _make(WaypointTrajectory, path, n_steps=n_steps, times=np.array(times),
                  positions=np.array(positions))
-    try:
-        spec.check_horizon(time_step)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.points: {exc}") from None
-    return spec
 
 
 def _parse_steps(node, path: str, n_steps: int) -> tuple[int, ...] | None:
@@ -768,7 +778,7 @@ def scenario_from_mapping(root) -> Scenario:
     # (a step may have a layout of its own); the information, true state, bound row, objects
     max_steps = STEP_TABLE_BYTES // (249 * len(anchors) * order.size + 3072
                                      + 8 * (dim**2 + dim + 3 + len(surfaces))) - 1
-    trajectory = _parse_trajectory(*section("trajectory"), model.time_step, max_steps)
+    trajectory = _parse_trajectory(*section("trajectory"), max_steps)
     amplitude_model = _build(AmplitudeModel, *section("amplitude_model"))
     prior = _build(PriorSpec, *section("prior", False, {}))
     mc = _build(MonteCarloConfig, *section("mc"))

@@ -1,10 +1,10 @@
 """Sequential per-run reference of the Monte-Carlo filter.
 
-Filters one run at a time through unbatched ``ekf_predict`` and
-``ekf_update`` calls on an (N,) mean and an (N, N) covariance: the run's stream draws the initial error, then the
-measurements, and the loop records the squared errors of each step. This is
-the loop each run went through before ``ekf.run_single`` filtered all runs
-as one lockstep batch; tests compare the batch with it.
+Filters one run at a time through ``ekf_predict`` and ``ekf_update`` on a
+batch of one run (:func:`update_one`): the run's stream draws the initial
+error, then the measurements, and the loop records the squared errors of
+each step. This is the loop each run went through before ``ekf.run_single``
+filtered all runs as one lockstep batch; tests compare the batch with it.
 """
 
 import numpy as np
@@ -14,6 +14,14 @@ from mpslam_bounds.geometry import wrap_angle
 from mpslam_bounds.pcrlb import process_noise_cov, transition_matrix
 from mpslam_bounds.scenario import draw_measurements
 from mpslam_bounds.streams import derive_run_stream
+
+
+def update_one(mean, cov, record, observed, scenario):
+    """``ekf_update`` of one run's (N,) ``mean``, (N, N) ``cov`` and (n, 3)
+    ``observed`` rows, as a batch of R = 1 whose bound entry is a copy of the
+    run's covariance; returns the run's updated (mean, covariance)."""
+    means, covs = ekf_update(mean[None], np.stack([cov, cov]), record, observed[None], scenario)
+    return means[0], covs[1]
 
 
 def filter_run(scenario, truth, table, run_index):
@@ -33,7 +41,7 @@ def filter_run(scenario, truth, table, run_index):
     position, velocity = np.zeros(n_steps), np.zeros(n_steps)
     orientation, surfaces = np.zeros(n_steps), np.zeros((n_steps, num_surfaces))
     for n in range(1, n_steps + 1):
-        mean, cov = ekf_update(*ekf_predict(mean, cov, transition, noise_cov), table[n - 1],
+        mean, cov = update_one(*ekf_predict(mean, cov, transition, noise_cov), table[n - 1],
                                measured[n - 1][0], scenario)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise FloatingPointError(f"step {n}: non-finite EKF mean or covariance")

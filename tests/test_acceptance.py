@@ -24,7 +24,7 @@ from mpslam_bounds.checks import (
 from mpslam_bounds.cli import main
 from mpslam_bounds.ekf import run_monte_carlo
 from mpslam_bounds.fim import channel_fim, global_snapshot_fim, measurement_variances
-from mpslam_bounds.pcrlb import predict_fim, run_recursion
+from mpslam_bounds.pcrlb import run_recursion
 from mpslam_bounds.scenario import (
     ground_truth,
     load_scenario,
@@ -34,6 +34,7 @@ from mpslam_bounds.scenario import (
 import yaml
 
 from tests.reference_geometry import channel_params
+from tests.test_pcrlb import predicted_information
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 # Criterion 9's CSV as pinned before the gradient code was restructured.
@@ -167,7 +168,7 @@ def test_criterion_5_pure_information_accumulation():
     worst = 0.0
     for n in range(1, 11):
         snap = snapshot_fim(scenario, truth[n], n).information
-        j = predict_fim(np.linalg.inv(j), identity, zero_noise) + snap
+        j = predicted_information(np.linalg.inv(j), identity, zero_noise) + snap
         running += snap
         expected = j0 + running
         worst = max(worst, np.max(np.abs(j - expected)) / np.max(np.abs(expected)))

@@ -573,17 +573,21 @@ class TestErrors:
         assert "model.bogus_knob" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
-    @pytest.mark.parametrize("first, last", [(0.5, 4.0), (0.0, 3.0)],
-                             ids=["late_first_point", "early_last_point"])
-    def test_bad_waypoint_timing_is_config_error(self, first, last, mode, tmp_path, capsys):
-        # the desk run needs waypoints spanning 0 .. 4.0 s
+    @pytest.mark.parametrize("first, last, message", [
+        (0.5, 4.0, "first waypoint is at 0.5 s, must be at time <= 0"),
+        (0.0, 3.0, "waypoints end at 3.0 s but the trajectory needs 4.0 s"),
+    ], ids=["late_first_point", "early_last_point"])
+    def test_bad_waypoint_timing_is_config_error(self, first, last, message, mode, tmp_path,
+                                                 capsys):
+        """The desk run needs waypoints spanning 0 .. 4.0 s; the scenario
+        checks its trajectory against its time step."""
         mapping = yaml.safe_load(DESK_SCENARIO.read_text())
         mapping["trajectory"]["points"][0]["time"] = first
         mapping["trajectory"]["points"][-1]["time"] = last
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
         assert main(["--scenario", str(path), "--mode", mode, "--mc-runs", "1"]) == 2
-        assert "scenario.trajectory.points" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: scenario: {message}\n"
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("case", [singular_mapping, agent_on_anchor,

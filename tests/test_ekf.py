@@ -42,7 +42,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
 )
 from mpslam_bounds.streams import derive_run_stream
-from tests.reference_filter import filter_run
+from tests.reference_filter import filter_run, update_one
 from tests.reference_geometry import lone_plan, virtual_anchor
 from tests.reference_kalman import joseph_update
 from tests.test_pcrlb import desk_mapping
@@ -91,7 +91,7 @@ class TestPredict:
         assert predicted.trace() >= cov.trace() - 1e-9
 
     def test_matches_information_prediction(self):
-        """Covariance form F P F^T + Q inverts the information prediction."""
+        """The information prediction inverts the covariance form F P F^T + Q."""
         scenario = small_scenario()
         transition = transition_matrix(scenario.model, len(scenario.surfaces))
         noise = process_noise_cov(scenario.model, len(scenario.surfaces))
@@ -99,7 +99,7 @@ class TestPredict:
         a = rng.normal(size=(scenario.dim, scenario.dim))
         cov = a @ a.T + np.eye(scenario.dim)
         _, predicted = ekf_predict(np.zeros(scenario.dim), cov, transition, noise)
-        j_pred = predict_fim(cov, transition, noise)
+        j_pred = predict_fim(predicted, 1)
         np.testing.assert_allclose(
             np.linalg.inv(predicted), j_pred, rtol=1e-8, atol=1e-10
         )
@@ -110,10 +110,10 @@ class TestUpdate:
         scenario = small_scenario(visibility={"default": False})
         record = measurement_truth(scenario, ground_truth(scenario))[0]
         assert record.plan.owner.size == 0
-        mean, cov = np.zeros(scenario.dim), np.eye(scenario.dim)
-        updated_mean, updated_cov = ekf_update(mean, cov, record, np.zeros((0, 3)), scenario)
-        np.testing.assert_array_equal(updated_mean, mean)
-        np.testing.assert_array_equal(updated_cov, cov)
+        mean, cov = np.zeros((1, scenario.dim)), np.stack([np.eye(scenario.dim)] * 2)
+        updated_mean, updated_cov = ekf_update(mean, cov, record, np.zeros((1, 0, 3)), scenario)
+        assert updated_mean is mean
+        np.testing.assert_array_equal(updated_cov[1:], cov[1:])
 
     @pytest.mark.parametrize(
         "agent_aperture",
@@ -168,7 +168,7 @@ class TestUpdate:
         mean = truth[1]
         mean = mean + np.sqrt(prior) * rng.standard_normal(prior.size)
         before = np.linalg.norm(mean[:2] - truth[1, 0:2])
-        updated, _ = ekf_update(mean, np.diag(prior), record, meas, scenario)
+        updated, _ = update_one(mean, np.diag(prior), record, meas, scenario)
         after = np.linalg.norm(updated[:2] - truth[1, 0:2])
         assert after < before
 
@@ -190,7 +190,7 @@ class TestUpdate:
         noise = process_noise_cov(scenario.model, len(scenario.surfaces))
         for n in range(1, 51):
             mean, cov = ekf_predict(mean, cov, transition, noise)
-            mean, cov = ekf_update(mean, cov, table[n - 1], measured[n - 1][0], scenario)
+            mean, cov = update_one(mean, cov, table[n - 1], measured[n - 1][0], scenario)
             assert np.linalg.eigvalsh(cov)[0] > 0.0
 
     def test_degenerate_linearization_rows_are_skipped(self, caplog):
@@ -275,7 +275,7 @@ class TestInformationFormMatchesCovarianceForm:
 
     @staticmethod
     def assert_same_update(mean, cov, record, observed, scenario):
-        got_mean, got_cov = ekf_update(mean, cov, record, observed, scenario)
+        got_mean, got_cov = update_one(mean, cov, record, observed, scenario)
         expected_mean, expected_cov = joseph_update(mean, cov, record, observed, scenario)
         for a, b in ((got_mean - mean, expected_mean - mean), (got_cov, expected_cov)):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
@@ -369,7 +369,7 @@ class TestFilterAtTheTruthIsTheBound:
         for record, bound in zip(table, run_recursion(scenario, table), strict=True):
             _, predicted = ekf_predict(mean, cov, transition, noise)
             at_truth = truth[record.step]
-            mean, cov = ekf_update(at_truth, predicted, record, record.params, scenario)
+            mean, cov = update_one(at_truth, predicted, record, record.params, scenario)
             np.testing.assert_allclose(mean, at_truth, rtol=0, atol=1e-12)
             got = extract_bounds(cov, len(scenario.surfaces))
             if record.step < blank:
@@ -452,6 +452,30 @@ class TestBoundInTheBatch:
         run_single(scenario, truth, table, range(3))
         assert len(calls) == 80
 
+    def test_every_step_updates_through_ekf_update(self, monkeypatch):
+        """The loop's measurement update is ekf_update, once per step of the
+        desk, whether the batch holds the bound alone or the bound and 3 runs;
+        outside it, the loop fuses nothing."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = load_scenario(DESK_SCENARIO)
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        expected = run_single(scenario, truth, table, range(3))
+        calls, fused = [], []
+        exact_update, exact_fuse = ekf_module.ekf_update, ekf_module.fuse
+        monkeypatch.setattr(ekf_module, "ekf_update",
+                            lambda *args: calls.append(len(args[0])) or exact_update(*args))
+        monkeypatch.setattr(ekf_module, "fuse",
+                            lambda *args: fused.append(len(calls)) or exact_fuse(*args))
+        run_recursion(scenario, table)
+        assert calls == [0] * scenario.n_steps and scenario.n_steps == 40
+        got = run_single(scenario, truth, table, range(3))
+        assert calls[40:] == [3] * 40
+        assert fused == list(range(1, 81))  # one fusion inside each update
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestLockstepBatch:
     """All runs filtered as one batch equal the runs filtered one by one
@@ -488,18 +512,19 @@ class TestLockstepBatch:
         states = [predicted_state(scenario, truth, 5, seed) for seed in range(3)]
         states[1][0][5:7] = 0.0
         means, covs = (np.stack(part) for part in zip(*states))
-        with caplog.at_level(logging.WARNING):
-            got_mean, got_cov = ekf_update(means, covs, record, observed, scenario)
+        with caplog.at_level(logging.WARNING):  # the bound's entry: a copy of entry 0's
+            got_mean, got_cov = ekf_update(means, np.concatenate([covs[:1], covs]), record,
+                                           observed, scenario)
         skipped = [rec.message for rec in caplog.records if "skipping component" in rec.message]
         assert skipped and all("batch entry 1: surface estimate near origin" in m
                                for m in skipped)
         for entry, (mean, cov) in enumerate(states):
-            expected_mean, expected_cov = ekf_update(mean, cov, record, observed[entry], scenario)
+            expected_mean, expected_cov = update_one(mean, cov, record, observed[entry], scenario)
             if entry != 1:
                 np.testing.assert_array_equal(got_mean[entry], expected_mean)
-                np.testing.assert_array_equal(got_cov[entry], expected_cov)
+                np.testing.assert_array_equal(got_cov[entry + 1], expected_cov)
             np.testing.assert_allclose(got_mean[entry], expected_mean, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(got_cov[entry], expected_cov, rtol=1e-12,
+            np.testing.assert_allclose(got_cov[entry + 1], expected_cov, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected_cov).max())
 
     def test_run_errors_do_not_depend_on_the_batch(self):

@@ -22,6 +22,7 @@ from mpslam_bounds.pcrlb import (
     extract_bounds,
     fuse,
     gain_matrix,
+    predict_cov,
     predict_fim,
     process_noise_cov,
     run_recursion,
@@ -34,6 +35,12 @@ from mpslam_bounds.scenario import (
     snapshot_fim,
 )
 from tests.reference_geometry import agent_state, channel_params
+
+
+def predicted_information(cov_post, transition, process_cov):
+    """(F P F^T + Q)^{-1}, the predicted information of a posterior
+    covariance: the prediction, then :func:`predict_fim` (at step 1)."""
+    return predict_fim(predict_cov(cov_post, transition, process_cov), 1)
 
 
 def bounds_of(scenario):
@@ -135,14 +142,14 @@ class TestStateSpaceMatrices:
 class TestPredictAndFuse:
     def test_scalar_algebra_example(self):
         cov_prev = 0.5 * np.eye(3)  # information 2 I
-        predicted = predict_fim(cov_prev, np.eye(3), 0.5 * np.eye(3))
+        predicted = predicted_information(cov_prev, np.eye(3), 0.5 * np.eye(3))
         np.testing.assert_allclose(predicted, np.eye(3), atol=1e-12)
 
     def test_lossless_prediction_with_identity_and_zero_noise(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(5, 5))
         j_prev = a @ a.T + 5 * np.eye(5)
-        predicted = predict_fim(np.linalg.inv(j_prev), np.eye(5), np.zeros((5, 5)))
+        predicted = predicted_information(np.linalg.inv(j_prev), np.eye(5), np.zeros((5, 5)))
         np.testing.assert_allclose(predicted, j_prev, rtol=1e-10)
 
     def test_process_noise_never_increases_information(self):
@@ -155,18 +162,37 @@ class TestPredictAndFuse:
             b = rng.normal(size=(4, 2))
             q = b @ b.T
             cov_prev = np.linalg.inv(j_prev)
-            lossless = predict_fim(cov_prev, f, np.zeros((4, 4)))
-            lossy = predict_fim(cov_prev, f, q)
+            lossless = predicted_information(cov_prev, f, np.zeros((4, 4)))
+            lossy = predicted_information(cov_prev, f, q)
             assert np.linalg.eigvalsh(lossless - lossy)[0] >= -1e-9
+
+    def test_fuse_inverts_its_prediction_through_predict_fim(self, monkeypatch):
+        """The fusion's first inversion is predict_fim, once per call, on one
+        covariance or a stack; the posterior keeps its bits."""
+        import mpslam_bounds.pcrlb as pcrlb_module
+
+        a = np.random.default_rng(29).normal(size=(3, 4, 4))
+        stack = a @ np.swapaxes(a, -1, -2) + np.eye(4)
+        information = np.diag([1.0, 2.0, 3.0, 4.0])
+        expected = [fuse(stack, information, 2), fuse(stack[0], information, 6)]
+        calls, exact = [], pcrlb_module.predict_fim
+        monkeypatch.setattr(pcrlb_module, "predict_fim",
+                            lambda *args: calls.append(args[1]) or exact(*args))
+        got = [fuse(stack, information, 2), fuse(stack[0], information, 6)]
+        assert calls == [2, 6]
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+        np.testing.assert_array_equal(
+            got[1], _spd_inverse(exact(stack[0], 6) + information, "posterior"))
 
     def test_singular_information_rejected(self):
         # a predicted covariance without (or with almost no) spread in one
         # direction has no finite information
         with pytest.raises(SingularFimError):
-            predict_fim(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)))
+            predicted_information(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)))
         nearly = np.diag([1.0, 1e-20, 1.0])
         with pytest.raises(SingularFimError):
-            predict_fim(nearly, np.eye(3), np.zeros((3, 3)))
+            predicted_information(nearly, np.eye(3), np.zeros((3, 3)))
 
     def test_stack_names_its_first_failing_matrix(self):
         """A stack is inverted matrix by matrix; a failure keeps the position
@@ -251,8 +277,8 @@ class TestPredictAndFuse:
         scenario = scenario_from_mapping(desk_mapping())
         model, num_surfaces = scenario.model, len(scenario.surfaces)
         prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
-        j_pred = predict_fim(prior_cov, transition_matrix(model, num_surfaces),
-                             process_noise_cov(model, num_surfaces))
+        j_pred = predicted_information(prior_cov, transition_matrix(model, num_surfaces),
+                                       process_noise_cov(model, num_surfaces))
         snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
         expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"), num_surfaces)
         np.testing.assert_array_equal(bounds_of(scenario)[0], expected)
@@ -471,7 +497,7 @@ class TestRecursionCore:
         zero_q = np.zeros((dim, dim))
         j = j0.copy()
         for n in range(1, 6):
-            j = predict_fim(np.linalg.inv(j), identity, zero_q) + snapshot
+            j = predicted_information(np.linalg.inv(j), identity, zero_q) + snapshot
             expected = j0 + n * snapshot
             assert np.max(np.abs(j - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
 
@@ -568,9 +594,10 @@ class TestRunRecursion:
         noise = process_noise_cov(model, num_surfaces)
         cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
         for record in table[:4]:
-            cov = _spd_inverse(predict_fim(cov, transition, noise) + record.information, "post")
-        expected = extract_bounds(_spd_inverse(predict_fim(cov, transition, noise), "pred"),
-                                  num_surfaces)
+            information = predicted_information(cov, transition, noise) + record.information
+            cov = _spd_inverse(information, "post")
+        predicted = predicted_information(cov, transition, noise)
+        expected = extract_bounds(_spd_inverse(predicted, "pred"), num_surfaces)
         np.testing.assert_array_equal(run_recursion(scenario, table)[4], expected)  # step 5
 
         def no_linearization(*args, **kwargs):
@@ -579,9 +606,12 @@ class TestRunRecursion:
         monkeypatch.setattr(ekf_module, "global_jacobian", no_linearization)
         measured = draw_measurements(table, [derive_run_stream(0, 0)])[4][0]
         assert measured.shape == (0, 3)
-        mean, cov = np.zeros(scenario.dim), np.eye(scenario.dim)
-        updated_mean, updated_cov = ekf_module.ekf_update(mean, cov, blank, measured, scenario)
-        assert updated_mean is mean and updated_cov is cov
+        mean, cov = np.zeros((1, scenario.dim)), np.stack([np.eye(scenario.dim)] * 2)
+        updated_mean, updated_cov = ekf_module.ekf_update(mean, cov, blank, measured[None],
+                                                          scenario)
+        assert updated_mean is mean
+        np.testing.assert_array_equal(updated_cov[1], cov[1])
+        np.testing.assert_array_equal(updated_cov[0], fuse(cov[0], blank.information, 5))
 
     def test_never_observed_surface_with_zero_prior_information_fails(self):
         mapping = desk_mapping(visibility={"default": False,

@@ -317,6 +317,21 @@ LIBRARY_REJECTS = {
                      "waypoints need at least two timed points"),
     "waypoints_in_3d": (lambda: WaypointTrajectory(3, [0.0, 1.0], np.zeros((2, 3))),
                         "waypoint positions must be (M, 2)"),
+    "waypoints_short_of_a_longer_step": (
+        lambda: replace(DESK, model=replace(DESK.model, time_step=0.2)),
+        "waypoints end at 2.0 s but the trajectory needs 4.0 s"),
+    "fractional_seed": (lambda: MonteCarloConfig(runs=2, seed=1.7),
+                        "mc.seed must be an integer, got 1.7"),
+    "fractional_runs": (lambda: MonteCarloConfig(runs=2.5, seed=7),
+                        "mc.runs must be an integer, got 2.5"),
+    "boolean_steps": (lambda: NcvTrajectory(True, [0.0, 0.0], [1.0, 0.0]),
+                      "n_steps must be an integer, got True"),
+    "surface_var_list": (lambda: PriorSpec(surface_var=[4.0, 0.0]),
+                         "prior.surface_var entries must be positive"),
+    "no_surfaces": (lambda: replace(
+        DESK, surfaces=np.zeros((0, 2)),
+        visibility=VisibilitySchedule(np.ones((DESK.n_steps + 1, 2, 1), np.int8))),
+        "surfaces must be an (S, 2) array of finite points, S >= 1"),
 }
 
 
@@ -327,6 +342,16 @@ def test_library_rejects_invalid_input(case):
     build, message = LIBRARY_REJECTS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_a_listed_surface_prior_is_stored_as_a_tuple():
+    """A per-surface prior given as a list or an array is held as the tuple
+    the loader reads, and gives the same covariance."""
+    for given in ([4.0], np.array([4.0])):
+        prior = replace(DESK.prior, surface_var=given)
+        assert isinstance(prior.surface_var, tuple) and prior.surface_var == (4.0,)
+        np.testing.assert_array_equal(replace(DESK, prior=prior).prior_covariance(),
+                                      DESK.prior_covariance())
 
 
 def test_prediction_rejects_a_covariance_of_the_wrong_shape():
@@ -461,7 +486,7 @@ class TestTrajectories:
             positions=np.array([[0.0, 0.0], [2.0, 2.0]]),
         )
         with pytest.raises(ValueError, match="needs"):
-            spec.states(model, 0)
+            spec.check_horizon(model.time_step)
 
     def test_heading_of_minus_zero_dy_is_pi(self):
         """A segment from [1, 0] to [0, -0.0] has dy = -0.0, whose atan2
