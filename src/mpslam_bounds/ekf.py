@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .fim import global_jacobian, global_snapshot_fim
-from .geometry import dot2, wrap_angle
+from .geometry import SURFACE_NORM_FLOOR, dot2, wrap_angle
 from .pcrlb import (
     SingularFimError, block_sums, extract_bounds, fuse, predict_cov, process_noise_cov,
     transition_matrix,
@@ -48,10 +48,6 @@ from .scenario import (
 from .streams import derive_run_stream, standard_normals
 
 log = logging.getLogger(__name__)
-
-# Estimated surface points closer to the origin than this are not usable for
-# linearization (the mirror representation degenerates there).
-_SURFACE_NORM_FLOOR = 1e-6
 
 
 def ekf_predict(
@@ -82,7 +78,7 @@ def _linearize(
         return None
     points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
-    usable = np.sqrt(dot2(points, points)) > _SURFACE_NORM_FLOOR  # the norm, bit for bit
+    usable = np.sqrt(dot2(points, points)) > SURFACE_NORM_FLOOR  # the norm, bit for bit
     near_origin = False
     if not usable.all():
         usable = np.concatenate([np.ones(usable.shape[:-1] + (1,), dtype=bool), usable], axis=-1)
@@ -99,7 +95,7 @@ def _linearize(
                 plan.owner[i] + 1, "".join(f", batch entry {e}" for e in entry),
                 "surface estimate near origin" if (near_origin & skipped)[(*entry, i)] else
                 "agent coincides with virtual anchor",
-                scenario.order.bounces(plan.components[i]),
+                list(scenario.order.pair(plan.components[i])),
             )
         residual[skipped] = 0.0
         lam[np.tile(skipped, 3)] = 0.0

@@ -24,8 +24,8 @@ self-check's finite differences both run on it.
 
 Conventions
 -----------
-* Surfaces are indexed 1..S. A surface line through the origin is not
-  representable; the scenario loader rejects one.
+* Surfaces are indexed 1..S. A wall within half ``SURFACE_NORM_FLOOR`` of
+  the origin is not representable; the scenario rejects one.
 * A propagation path stores its bounce surfaces transmit side first: the
   first entry is the reflection adjacent to the anchor, the last the one
   adjacent to the agent.
@@ -47,6 +47,9 @@ if TYPE_CHECKING:
 
 # Direction vectors shorter than this are treated as degenerate geometry.
 DEGENERACY_EPS = 1e-9
+# A surface point no farther than this from the origin is not representable:
+# the scenario refuses one, and the filter skips paths via such an estimate.
+SURFACE_NORM_FLOOR = 1e-6
 
 
 def read_only(value, dtype=float) -> np.ndarray:

@@ -50,7 +50,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import DEGENERACY_EPS, Anchor, dot2, read_only, wrap_angle
+from .geometry import SURFACE_NORM_FLOOR, Anchor, dot2, read_only, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -166,6 +166,7 @@ class WaypointTrajectory:
         its segment, heading along the segment of the last step that moved (0
         before any did), by ``math.atan2`` and ``math.hypot``; numpy's SIMD
         forms may round otherwise."""
+        self.check_horizon(model.time_step)
         t = np.arange(self.n_steps + 1) * model.time_step
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
         dt, delta = np.diff(self.times), np.diff(self.positions, axis=0)
@@ -318,7 +319,7 @@ class Scenario:
     ``order``, the canonical component order of the S surfaces; ``dim``, the
     joint-state size N = 5 + 2S; ``n_steps``, the trajectory's. Construction
     raises ValueError unless each of 1 or more anchors has an aperture, the
-    S >= 1 surfaces are finite, distinct and none within ``DEGENERACY_EPS`` of
+    S >= 1 surfaces are finite, distinct and none within ``SURFACE_NORM_FLOOR`` of
     the origin, a per-surface prior lists S variances, the trajectory spans
     its steps (``check_horizon``) and the table has that shape.
     A scenario and its records are immutable, their arrays read-only: a
@@ -348,7 +349,8 @@ class Scenario:
         if surfaces.shape[1:] != (2,) or not surfaces.size or not np.isfinite(surfaces).all():
             raise ValueError("surfaces must be an (S, 2) array of finite points, S >= 1")
         with np.errstate(over="ignore"):  # a far point's squares overflow to inf
-            through = np.sqrt(dot2(surfaces, surfaces)) <= DEGENERACY_EPS  # the norm, bit for bit
+            # the norm, bit for bit; the filter skips an estimate this near as well
+            through = np.sqrt(dot2(surfaces, surfaces)) <= SURFACE_NORM_FLOOR
         if through.any():
             raise ValueError(f"surface {np.argmax(through) + 1} passes through the "
                              "origin and is not representable")
@@ -457,8 +459,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
             first = np.lexsort((i, kind, plan.owner[i], g))[0]
             kind, at = kind[first], (g[first], i[first])
             if kind == 0:
-                reason = ("agent coincides with virtual anchor for path "
-                          f"{order.bounces(plan.components[at[1]])}")
+                reason = "agent coincides with virtual anchor"
             elif kind == 1:  # a distance or amplitude beyond the float range
                 value = f"amplitude {amplitudes[at]}" if reached[at] else f"distance {distance[at]}"
                 reason = f"{value} is not finite and positive"

@@ -2,13 +2,15 @@
 
 One path at a time, with the scalar geometry of
 ``tests/reference_geometry.py``: the per-component form that
-``fim.global_jacobian`` replaced by one batched pass. Tests compare the
-batched pass against it.
+``fim.global_jacobian`` replaced by one batched pass; and the
+per-coordinate central differences that the self-check's finite-difference
+pass batches. Tests compare the batched passes against them.
 """
 
 import numpy as np
 
-from mpslam_bounds.geometry import rotation_matrix
+from mpslam_bounds.checks import FD_STEP, all_paths
+from mpslam_bounds.geometry import rotation_matrix, wrap_angle
 from tests.reference_geometry import householder, mirror, path_geometry
 
 
@@ -102,3 +104,31 @@ def loop_reference(agent, anchor, order, surfaces, components):
         geoms[k] = path_geometry(agent, anchor, order.bounces(k), surfaces)
     params = np.array([geoms[k].params.as_array() for k in components]).reshape(-1, 3)
     return params, loop_jacobian(agent, anchor, order, surfaces, geoms)
+
+
+def loop_finite_difference_jacobian(state, anchor, order):
+    """Central differences of the stacked channel parameters, one joint-state
+    coordinate at a time: the 2N unbatched geometry passes that
+    ``checks.finite_difference_jacobian`` resolves as one batch."""
+    k_total = order.size
+    jac = np.zeros((state.shape[0], 3 * k_total))
+    for i in range(state.shape[0]):
+        h = FD_STEP * max(1.0, abs(state[i]))
+        forward, backward = state.copy(), state.copy()
+        forward[i] += h
+        backward[i] -= h
+        diff = (all_paths(forward, anchor, order, forward[5:].reshape(-1, 2)).params.T.ravel()
+                - all_paths(backward, anchor, order, backward[5:].reshape(-1, 2)).params.T.ravel())
+        diff[k_total:] = wrap_angle(diff[k_total:])
+        jac[i, :] = diff / (2.0 * h)
+    return jac
+
+
+def loop_column_mismatch(analytic, numeric):
+    """Worst per-column relative deviation, one column's norms at a time."""
+    worst = 0.0
+    for col in range(analytic.shape[1]):
+        a, f = analytic[:, col], numeric[:, col]
+        scale = max(np.linalg.norm(a), np.linalg.norm(f), 1e-9)
+        worst = max(worst, float(np.linalg.norm(a - f) / scale))
+    return worst

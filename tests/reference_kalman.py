@@ -11,9 +11,8 @@ J = P^{-1} + sum_j H_j Lambda_j H_j^T; tests compare the two.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from mpslam_bounds.ekf import _SURFACE_NORM_FLOOR
 from mpslam_bounds.fim import global_jacobian
-from mpslam_bounds.geometry import wrap_angle
+from mpslam_bounds.geometry import SURFACE_NORM_FLOOR, wrap_angle
 from tests.reference_geometry import lone_plan
 
 
@@ -27,7 +26,7 @@ def stacked_linearization(mean, record, observed, scenario):
     contribute no rows.
     """
     raw_points = mean[5:].reshape(-1, 2)
-    usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > _SURFACE_NORM_FLOOR])
+    usable = np.concatenate([[True], np.linalg.norm(raw_points, axis=1) > SURFACE_NORM_FLOOR])
     surfaces = np.where(usable[1:, None], raw_points, [[1.0, 0.0]])
     order = scenario.order
 

@@ -198,12 +198,12 @@ def anchor_at_agent_image(bounces):
 
 def agent_on_single_bounce_image():
     return anchor_at_agent_image((1,)), ("step 1, anchor 1, component [1, 1]: agent coincides "
-                                         "with virtual anchor for path (1,)")
+                                         "with virtual anchor\n")
 
 
 def agent_on_double_bounce_image():
     return anchor_at_agent_image((1, 2)), ("step 1, anchor 1, component [1, 2]: agent coincides "
-                                           "with virtual anchor for path (1, 2)")
+                                           "with virtual anchor\n")
 
 
 def los_at_endfire():

@@ -239,7 +239,7 @@ class TestUpdate:
             warnings = [rec.message for rec in caplog.records
                         if "skipping component" in rec.message]
             assert warnings == [f"step 1 anchor {anchor + 1}: agent coincides with virtual "
-                                "anchor, skipping component (1,)"]
+                                "anchor, skipping component [1, 1]"]
 
 
 def polygon_room(num_walls, apothem=3.5):

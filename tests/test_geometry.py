@@ -10,9 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpslam_bounds import checks
 from mpslam_bounds.checks import (
     check_chain_fd,
+    check_jacobian_fd,
     check_mirror_lengths,
+    column_mismatch,
+    finite_difference_jacobian,
+    full_jacobian,
     random_instance,
 )
 from mpslam_bounds.fim import ComponentOrder
@@ -23,7 +28,11 @@ from mpslam_bounds.geometry import (
     wrap_angle,
 )
 from tests.reference_geometry import agent_state, canonical_index, lone_plan
-from tests.reference_jacobian import rotation_matrix_derivative
+from tests.reference_jacobian import (
+    loop_column_mismatch,
+    loop_finite_difference_jacobian,
+    rotation_matrix_derivative,
+)
 
 
 def householder(surface_point):
@@ -246,6 +255,43 @@ def _segment_line_crossing(a, b, surface_point):
 def channel_params(agent, anchor, path, surfaces):
     """(distance, arrival azimuth, departure azimuth) of one path."""
     return resolve(agent, anchor, [path], surfaces).params[0]
+
+
+class TestFiniteDifferencePass:
+    """The self-check shifts each instance's state through one batched pass."""
+
+    def test_matches_the_per_coordinate_loop_bit_for_bit(self):
+        """On criterion 1's 200 instances (tests/test_acceptance.py, same
+        seed and draws) the batched differences equal those of 2N unbatched
+        passes exactly; the worst column deviation, its norms summed in
+        another order, lies within 1e-12 relative of the per-column loop's."""
+        rng = np.random.default_rng(20240801)
+        for _ in range(200):
+            state, anchor, surfaces, order = random_instance(rng, int(rng.integers(1, 6)))
+            numeric = finite_difference_jacobian(state, anchor, order)
+            np.testing.assert_array_equal(numeric,
+                                          loop_finite_difference_jacobian(state, anchor, order))
+            analytic = full_jacobian(state, anchor, order, surfaces)
+            assert column_mismatch(analytic, numeric) == pytest.approx(
+                loop_column_mismatch(analytic, numeric), rel=1e-12)
+
+    @pytest.mark.parametrize("check, agent_only", [(check_jacobian_fd, False),
+                                                    (check_chain_fd, True)],
+                             ids=["jacobian", "chain"])
+    def test_each_instance_takes_one_shifted_pass(self, check, agent_only, monkeypatch):
+        """Each instance's differences come from one (2, m, N) geometry
+        call: m = N coordinates for the gradient, the agent's 2 for the chain."""
+        batches, exact = [], checks.path_geometry
+
+        def counted(state, *args):
+            if state.ndim > 1:
+                batches.append(state.shape)
+            return exact(state, *args)
+
+        monkeypatch.setattr(checks, "path_geometry", counted)
+        assert check(np.random.default_rng(3), instances=6) == []
+        assert len(batches) == 6
+        assert all(shape == (2, 2 if agent_only else shape[-1], shape[-1]) for shape in batches)
 
 
 class TestChannelParams:

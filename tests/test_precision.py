@@ -23,7 +23,7 @@ from mpslam_bounds.scenario import (
     scenario_from_mapping,
 )
 from tests.reference_extended import block_traces, extended_bounds, posterior_covariances
-from tests.test_ekf import DESK_SCENARIO, stretched
+from tests.test_ekf import DESK_SCENARIO, dense_octagon, sparse_octagon, stretched
 from tests.test_pcrlb import desk_mapping
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
@@ -50,6 +50,8 @@ SCENES = {
     "desk": (lambda: load_scenario(DESK_SCENARIO), 3.8e-15),
     "desk_prior_x1e4": (wide_prior_desk, 4.4e-13),
     "desk_400_steps": (long_desk, 7.0e-15),
+    "octagon": (dense_octagon, 4.0e-15),  # S=8, every component visible, 12 steps
+    "sparse_octagon": (sparse_octagon, 2.8e-15),  # LOS and single bounces, blanked steps
 }
 LIMIT_OVER_MEASURED = 4
 

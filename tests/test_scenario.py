@@ -296,6 +296,9 @@ LIBRARY_REJECTS = {
         "surface 3 is the same point as surface 1"),
     "surface_through_origin": (lambda: replace(DESK, surfaces=[[1e-300, 0.0]]),
                                "surface 1 passes through the origin and is not representable"),
+    # a wall 2.5e-7 m from the origin: inside the floor the filter skips estimates at
+    "surface_near_origin": (lambda: replace(DESK, surfaces=[[5e-7, 0.0]]),
+                            "surface 1 passes through the origin and is not representable"),
     "surface_not_finite": (lambda: replace(DESK, surfaces=[[10.0, math.nan]]),
                            "surfaces must be an (S, 2) array of finite points"),
     "surfaces_in_3d": (lambda: replace(DESK, surfaces=np.ones((1, 3))),
@@ -319,6 +322,10 @@ LIBRARY_REJECTS = {
                         "waypoint positions must be (M, 2)"),
     "waypoints_short_of_a_longer_step": (
         lambda: replace(DESK, model=replace(DESK.model, time_step=0.2)),
+        "waypoints end at 2.0 s but the trajectory needs 4.0 s"),
+    "states_beyond_the_waypoints": (
+        lambda: WaypointTrajectory(4, [0.0, 2.0], [[0.0, 0.0], [2.0, 2.0]]).states(
+            StateSpaceModel(time_step=1.0), 0),
         "waypoints end at 2.0 s but the trajectory needs 4.0 s"),
     "fractional_seed": (lambda: MonteCarloConfig(runs=2, seed=1.7),
                         "mc.seed must be an integer, got 1.7"),
