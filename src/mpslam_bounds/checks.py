@@ -132,7 +132,7 @@ def check_orientation_identity(rng: np.random.Generator, instances: int = 50) ->
         for k, value in enumerate(jac[4, order.size:2 * order.size].tolist()):
             if abs(value + 1.0) > 1e-12:
                 failures.append(
-                    f"orientation sensitivity: instance {i} path {order.bounces(k)} "
+                    f"orientation sensitivity: instance {i} component {list(order.pair(k))} "
                     f"gave {value!r} instead of -1"
                 )
     if kinds != {0, 1, 2}:
@@ -151,7 +151,7 @@ def check_mirror_lengths(rng: np.random.Generator, instances: int = 200) -> list
         bad = np.abs(direct - mirrored) > 1e-12 * np.maximum(1.0, direct)
         for k in np.flatnonzero(bad):
             failures.append(
-                f"mirror length: instance {i} path {order.bounces(k)} "
+                f"mirror length: instance {i} component {list(order.pair(k))} "
                 f"|{mirrored[k]} - {direct[k]}| too large"
             )
     return failures
@@ -170,8 +170,8 @@ def check_chain_fd(rng: np.random.Generator, instances: int = 50) -> list[str]:
         bad = np.max(np.abs(numeric - chain.transpose(0, 2, 1)), axis=(1, 2)) > FD_TOL
         for k in np.flatnonzero(bad):
             failures.append(
-                f"mirrored-agent sensitivity: instance {i} path "
-                f"{order.bounces(k)} deviates from the reflection product"
+                f"mirrored-agent sensitivity: instance {i} component "
+                f"{list(order.pair(k))} deviates from the reflection product"
             )
     return failures
 

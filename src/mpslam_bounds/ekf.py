@@ -60,7 +60,7 @@ def ekf_predict(
 
 def _linearize(
     mean: np.ndarray, record: StepTruth, observed: np.ndarray, scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measurement model linearization at the current mean, per batch entry.
 
     One channel pass over every path of the step's record, all anchors at
@@ -68,14 +68,12 @@ def _linearize(
     wrapped). Returns, in the compact layout of the n paths, the (..., N, 3n)
     gradient, the (..., 3n) information of the variances the ``observed``
     (..., n, 3) rows were drawn with (the record's ``channel_information``)
-    and the (..., 3n) innovation, angles wrapped; None when the step has no
-    paths. A path whose geometry fails at an entry's estimate gets zero
-    information and innovation there, with a diagnostic; a non-finite pose
-    gives its entry non-finite information, which the fusion names.
+    and the (..., 3n) innovation, angles wrapped. A path whose geometry
+    fails at an entry's estimate gets zero information and innovation
+    there, with a diagnostic; a non-finite pose gives its entry non-finite
+    information, which the fusion names.
     """
     plan, n = record.plan, record.plan.owner.size
-    if not n:
-        return None
     points = mean[..., 5:].reshape(mean.shape[:-1] + (-1, 2))
     # usable[..., s]: surface s (1-based) can be linearized; entry 0 stands for no bounce
     usable = np.sqrt(dot2(points, points)) > SURFACE_NORM_FLOOR  # the norm, bit for bit
@@ -106,16 +104,13 @@ def _linearize(
 
 def _measurement_step(
     mean: np.ndarray, record: StepTruth, observed: np.ndarray, scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """The (..., N, N) information H Lambda H^T and the (..., N, 1) pull
-    g = H Lambda nu of one step, linearized at ``mean`` (:func:`_linearize`);
-    None when the step has no paths. Run it under ``np.errstate(over="ignore",
+    g = H Lambda nu of one step that has paths, linearized at ``mean``
+    (:func:`_linearize`). Run it under ``np.errstate(over="ignore",
     invalid="ignore")``: an estimate beyond the float range overflows in the
     channel pass and its sums, and fails the run after the step."""
-    linear = _linearize(mean, record, observed, scenario)
-    if linear is None:
-        return None
-    jac, lam, innovation = linear
+    jac, lam, innovation = _linearize(mean, record, observed, scenario)
     return global_snapshot_fim(jac, lam), jac @ (lam * innovation)[..., None]
 
 
@@ -132,17 +127,17 @@ def ekf_update(
     paths of the truth ``record``, unread if R = 0. Each covariance is the
     bound's fusion (P^{-1} + J)^{-1}, J the record's information for the bound
     and H Lambda H^T for a run, H at its predicted mean (orientation read as
-    it is); each mean moves by P_post H Lambda nu. When no run measures
-    anything the bound fuses alone, also at zero information: its inversions
-    catch a singular prediction. A singular matrix raises
-    :class:`~.pcrlb.SingularFimError` whose ``index`` is the first failing
-    stack entry.
+    it is); each mean moves by P_post H Lambda nu. With no run or no path
+    (decided here, and nowhere else) the bound fuses alone, also at zero
+    information: its inversions catch a singular prediction. A singular
+    matrix raises :class:`~.pcrlb.SingularFimError` whose ``index`` is the
+    first failing stack entry.
     """
-    linear = _measurement_step(mean, record, observed, scenario) if len(mean) else None
-    if linear is None:
+    if not (len(mean) and record.plan.owner.size):  # nothing to measure
         return mean, np.concatenate([fuse(cov[:1], record.information, record.step), cov[1:]])
-    cov = fuse(cov, np.concatenate([record.information[None], linear[0]]), record.step)
-    mean = mean + (cov[1:] @ linear[1])[..., 0]
+    information, pull = _measurement_step(mean, record, observed, scenario)
+    cov = fuse(cov, np.concatenate([record.information[None], information]), record.step)
+    mean = mean + (cov[1:] @ pull)[..., 0]
     mean[:, 4] = wrap_angle(mean[:, 4])
     return mean, cov
 

@@ -44,6 +44,7 @@ import numpy as np
 from .geometry import (
     EYE2,
     Anchor,
+    _integer,
     dot2,
     matvec2,
     path_geometry,
@@ -67,7 +68,7 @@ class IsotropicAperture:
     d_squared: float
 
     def __post_init__(self):
-        if not (self.d_squared > 0 and math.isfinite(self.d_squared)):
+        if not 0 < self.d_squared < math.inf:
             raise ValueError("squared aperture must be positive and finite")
 
     def squared_aperture(self, azimuth: float | np.ndarray) -> float | np.ndarray:
@@ -89,10 +90,12 @@ class UniformLinearArray:
     gain: float = field(init=False, repr=False)  # M (M^2 - 1) / 12
 
     def __post_init__(self):
-        if self.num_elements < 2:
+        if _integer(self.num_elements, "num_elements") < 2:
             raise ValueError("a linear array needs at least 2 elements")
-        if not (self.element_spacing > 0 and math.isfinite(self.element_spacing)):
+        if not 0 < self.element_spacing < math.inf:
             raise ValueError("element spacing must be positive and finite")
+        if not math.isfinite(self.broadside):
+            raise ValueError("broadside must be finite")
         m = self.num_elements
         try:
             object.__setattr__(self, "gain", m * (m * m - 1) / 12.0)
@@ -292,8 +295,6 @@ def channel_fim(variances: np.ndarray) -> np.ndarray:
     variance (an absent path) gives exactly zero.
     """
     variances = np.asarray(variances, dtype=float)
-    if variances.ndim < 2 or variances.shape[-1] != 3:
-        raise ValueError("variances must hold one triple per listed path")
     return 1.0 / variances.swapaxes(-1, -2).reshape(variances.shape[:-2] + (-1,))
 
 
@@ -304,7 +305,5 @@ def global_snapshot_fim(jac: np.ndarray, lam: np.ndarray) -> np.ndarray:
     (..., m) stacks, each entry with the bits of its unbatched call. Anchors
     add up as columns side by side in one pass. Symmetric PSD."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != jac.shape[:-2] + jac.shape[-1:]:
-        raise ValueError("channel information must hold one entry per gradient column")
     total = (jac * lam[..., None, :]) @ jac.swapaxes(-1, -2)
     return 0.5 * (total + total.swapaxes(-1, -2))

@@ -37,6 +37,7 @@ All functions are pure; nothing here holds mutable state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,6 +58,13 @@ def read_only(value, dtype=float) -> np.ndarray:
     array = np.array(value, dtype=dtype)
     array.flags.writeable = False
     return array
+
+
+def _integer(value, what: str):
+    """``value``; ValueError naming ``what`` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 EYE2 = read_only(np.eye(2))  # shared: the identity of every 2x2 block formula

@@ -68,11 +68,11 @@ class StateSpaceModel:
     surface_noise_var: float = 0.0
 
     def __post_init__(self):
-        if not self.time_step > 0:
-            raise ValueError("time step must be positive")
+        if not 0 < self.time_step < np.inf:
+            raise ValueError("time step must be positive and finite")
         for name in ("accel_noise_var", "orient_noise_var", "surface_noise_var"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def gain_matrix(time_step: float) -> np.ndarray:

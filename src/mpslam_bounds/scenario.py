@@ -30,7 +30,6 @@ pass.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +49,7 @@ from .fim import (
     global_snapshot_fim,
     measurement_variances,
 )
-from .geometry import SURFACE_NORM_FLOOR, Anchor, dot2, read_only, wrap_angle
+from .geometry import SURFACE_NORM_FLOOR, Anchor, _integer, dot2, read_only, wrap_angle
 from .pcrlb import StateSpaceModel, gain_matrix
 from .streams import RandomStream, standard_normals, trajectory_stream
 
@@ -91,10 +90,9 @@ class SignalModel:
     rms_bandwidth: float
 
     def __post_init__(self):
-        if not self.carrier_freq > 0:
-            raise ValueError("carrier_freq must be positive")
-        if not self.rms_bandwidth > 0:
-            raise ValueError("rms_bandwidth must be positive")
+        for name in ("carrier_freq", "rms_bandwidth"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,8 @@ class AmplitudeModel:
     bounce_loss: float = 0.5
 
     def __post_init__(self):
-        if not self.reference_amplitude > 0:
-            raise ValueError("reference_amplitude must be positive")
+        if not 0 < self.reference_amplitude < math.inf:
+            raise ValueError("reference_amplitude must be positive and finite")
         if not 0 < self.bounce_loss <= 1:
             raise ValueError("bounce_loss must lie in (0, 1]")
 
@@ -118,13 +116,6 @@ class AmplitudeModel:
     ) -> float | np.ndarray:
         """Amplitude at the given distances and bounce counts (scalars or arrays)."""
         return self.reference_amplitude * (1.0 / distance) * self.bounce_loss**n_bounces
-
-
-def _integer(value, what: str):
-    """``value``; ValueError naming ``what`` unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -141,6 +132,9 @@ class WaypointTrajectory:
             raise ValueError("waypoints need at least two timed points")
         if positions.shape != (times.size, 2):
             raise ValueError("waypoint positions must be (M, 2)")
+        for name, value in (("times", times), ("positions", positions)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"waypoint {name} must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("waypoint times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -271,13 +265,13 @@ class PriorSpec:
 
     def __post_init__(self):
         for name in ("position_var", "velocity_var", "orientation_var"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"prior.{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"prior.{name} must be positive and finite")
         if np.ndim(self.surface_var):
             object.__setattr__(self, "surface_var", tuple(self.surface_var))
         values = self.surface_var if isinstance(self.surface_var, tuple) else (self.surface_var,)
-        if not values or any(not v > 0 for v in values):
-            raise ValueError("prior.surface_var entries must be positive")
+        if not values or any(not 0 < v < math.inf for v in values):
+            raise ValueError("prior.surface_var entries must be positive and finite")
 
     def surface_vars(self, num_surfaces: int) -> tuple[float, ...]:
         if isinstance(self.surface_var, tuple):
@@ -543,6 +537,7 @@ def _reject_unknown(node: dict, path: str) -> None:
 
 
 def _as_float(value, path: str) -> float:
+    """A number within the float range; its record judges its value."""
     if isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     try:
@@ -551,8 +546,6 @@ def _as_float(value, path: str) -> float:
         raise ScenarioError(f"{path}: expected a number within the float range") from None
     except (TypeError, ValueError):
         raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
-    if not math.isfinite(result):
-        raise ScenarioError(f"{path}: must be finite, got {result}")
     return result
 
 
@@ -589,10 +582,27 @@ def _take(node: dict, key: str, path: str, default=None, required: bool = False)
     return default
 
 
+def _items(node, path: str):
+    """Each entry of the list at ``path``, with its own path."""
+    if not isinstance(node, list):
+        raise ScenarioError(f"{path}: expected a list")
+    for i, entry in enumerate(node):
+        yield entry, f"{path}[{i}]"
+
+
+def _numbered(node, path: str, what: str, last: int) -> list[int]:
+    """The 1-based numbers listed at ``path``, each a ``what`` in 1..``last``."""
+    listed = [(_as_int(value, vpath), vpath) for value, vpath in _items(node, path)]
+    for number, vpath in listed:
+        if not 1 <= number <= last:
+            raise ScenarioError(f"{vpath}: {what} {number} outside 1..{last}")
+    return [number for number, _ in listed]
+
+
 def _as_floats(value, path: str) -> float | tuple[float, ...]:
     """One number, or a list of numbers read as a tuple."""
     if isinstance(value, list):
-        return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_as_float(v, vpath) for v, vpath in _items(value, path))
     return _as_float(value, path)
 
 
@@ -605,6 +615,7 @@ _READERS = {
 }
 
 APERTURE_KINDS = {"isotropic": IsotropicAperture, "ula": UniformLinearArray}
+TRAJECTORY_KINDS = {"waypoints": WaypointTrajectory, "sampled_ncv": NcvTrajectory}
 
 
 def _make(cls, path: str, **kwargs):
@@ -634,44 +645,43 @@ def _build(cls, node, path: str, **given):
     return _make(cls, path, **given)
 
 
-def _parse_aperture(node, path: str) -> ApertureModel:
+def _kind(kinds: dict, node, path: str) -> tuple[type, dict]:
+    """The class in ``kinds`` that the mapping at ``path`` names, and its other keys."""
     node = _require_mapping(node, path)
     kind = _take(node, "kind", path, required=True)
-    if not isinstance(kind, str) or kind not in APERTURE_KINDS:
-        kinds = " or ".join(map(repr, APERTURE_KINDS))
-        raise ScenarioError(f"{path}.kind: expected {kinds}, got {kind!r}")
-    return _build(APERTURE_KINDS[kind], node, path)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"{path}.kind: expected {' or '.join(map(repr, kinds))}, got {kind!r}")
+    return kinds[kind], node
+
+
+def _parse_aperture(node, path: str) -> ApertureModel:
+    return _build(*_kind(APERTURE_KINDS, node, path), path)
 
 
 def _parse_trajectory(node, path: str, max_steps: int) -> TrajectorySpec:
-    node = _require_mapping(node, path)
-    kind = _take(node, "kind", path, required=True)
+    cls, node = _kind(TRAJECTORY_KINDS, node, path)
     n_steps = _as_int(_take(node, "n_steps", path, required=True), f"{path}.n_steps")
     if n_steps > max_steps:  # checked before any per-step array exists
         raise ScenarioError(f"{path}.n_steps: must be at most {max_steps} in this room")
-    if kind == "sampled_ncv":
+    if cls is NcvTrajectory:
         return _build(NcvTrajectory, node, path, n_steps=n_steps)
-    if kind != "waypoints":
-        raise ScenarioError(f"{path}.kind: expected 'waypoints' or 'sampled_ncv', got {kind!r}")
     raw_points = _take(node, "points", path, required=True)
     _reject_unknown(node, path)
-    if not isinstance(raw_points, list) or len(raw_points) < 2:
-        raise ScenarioError(f"{path}.points: need at least two waypoints")
     times, positions = [], []
-    for i, entry in enumerate(raw_points):
-        entry = _require_mapping(entry, f"{path}.points[{i}]")
-        times.append(_as_float(_take(entry, "time", f"{path}.points[{i}]", required=True),
-                               f"{path}.points[{i}].time"))
-        positions.append(_as_vec2(_take(entry, "position", f"{path}.points[{i}]",
-                                        required=True), f"{path}.points[{i}].position"))
-        _reject_unknown(entry, f"{path}.points[{i}]")
+    for entry, epath in _items(raw_points, f"{path}.points"):
+        entry = _require_mapping(entry, epath)
+        times.append(_as_float(_take(entry, "time", epath, required=True), f"{epath}.time"))
+        positions.append(_as_vec2(_take(entry, "position", epath, required=True),
+                                  f"{epath}.position"))
+        _reject_unknown(entry, epath)
     return _make(WaypointTrajectory, path, n_steps=n_steps, times=np.array(times),
                  positions=np.array(positions))
 
 
-def _parse_steps(node, path: str, n_steps: int) -> tuple[int, ...] | None:
+def _parse_steps(node, path: str, n_steps: int) -> Sequence[int]:
+    """The 1-based steps a rule names: all of them where it names none."""
     if node is None:
-        return None
+        return range(1, n_steps + 1)
     if isinstance(node, dict):
         node = dict(node)
         start = _as_int(_take(node, "from", path, default=1), f"{path}.from")
@@ -679,13 +689,9 @@ def _parse_steps(node, path: str, n_steps: int) -> tuple[int, ...] | None:
         _reject_unknown(node, path)
         if not 1 <= start <= stop <= n_steps:
             raise ScenarioError(f"{path}: range {start}..{stop} outside 1..{n_steps}")
-        return tuple(range(start, stop + 1))
+        return range(start, stop + 1)
     if isinstance(node, list):
-        steps = tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(node))
-        for i, n in enumerate(steps):
-            if not 1 <= n <= n_steps:
-                raise ScenarioError(f"{path}[{i}]: step {n} outside 1..{n_steps}")
-        return steps
+        return _numbered(node, path, "step", n_steps)
     raise ScenarioError(f"{path}: expected a list of steps or {{from, to}}")
 
 
@@ -699,29 +705,18 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
     default = _as_bool(_take(node, "default", path, default=True), f"{path}.default")
     raw_rules = _take(node, "rules", path, default=[])
     _reject_unknown(node, path)
-    if not isinstance(raw_rules, list):
-        raise ScenarioError(f"{path}.rules: expected a list")
     table = np.full((n_steps + 1, n_anchors, order.size), int(default), dtype=np.int8)
     pair_to_index = {order.pair(k): k for k in range(order.size)}
-    for i, raw in enumerate(raw_rules):
-        rpath = f"{path}.rules[{i}]"
+    for raw, rpath in _items(raw_rules, f"{path}.rules"):
         raw = _require_mapping(raw, rpath)
         visible = _as_bool(_take(raw, "visible", rpath, required=True), f"{rpath}.visible")
-        anchors = _take(raw, "anchors", rpath, default=list(range(1, n_anchors + 1)))
-        if not isinstance(anchors, list):
-            raise ScenarioError(f"{rpath}.anchors: expected a list")
-        anchors = [_as_int(a, f"{rpath}.anchors[{ai}]") for ai, a in enumerate(anchors)]
-        for ai, a in enumerate(anchors):
-            if not 1 <= a <= n_anchors:
-                raise ScenarioError(f"{rpath}.anchors[{ai}]: anchor {a} outside 1..{n_anchors}")
+        anchors = _numbered(_take(raw, "anchors", rpath, default=list(range(1, n_anchors + 1))),
+                            f"{rpath}.anchors", "anchor", n_anchors)
         components = _take(raw, "components", rpath)
         comps = range(order.size)
         if components is not None:
-            if not isinstance(components, list):
-                raise ScenarioError(f"{rpath}.components: expected a list of [s, s'] pairs")
             comps = []
-            for ci, pair in enumerate(components):
-                cpath = f"{rpath}.components[{ci}]"
+            for pair, cpath in _items(components, f"{rpath}.components"):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ScenarioError(f"{cpath}: expected [s, s']")
                 key = (_as_int(pair[0], f"{cpath}[0]"), _as_int(pair[1], f"{cpath}[1]"))
@@ -730,7 +725,6 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
                 comps.append(pair_to_index[key])
         steps = _parse_steps(_take(raw, "steps", rpath), f"{rpath}.steps", n_steps)
         _reject_unknown(raw, rpath)
-        steps = range(1, n_steps + 1) if steps is None else steps
         table[np.ix_(list(steps), [a - 1 for a in anchors], list(comps))] = visible
     return VisibilitySchedule(table)
 
@@ -756,21 +750,13 @@ def scenario_from_mapping(root) -> Scenario:
         """The node under the top-level ``key``, and its path."""
         return _take(root, key, "scenario", default, required), f"scenario.{key}"
 
-    raw_anchors, _ = section("anchors")
-    if not isinstance(raw_anchors, list) or not raw_anchors:
-        raise ScenarioError("scenario.anchors: expected a non-empty list")
     anchors = []
-    for i, raw in enumerate(raw_anchors):
-        apath = f"scenario.anchors[{i}]"
+    for raw, apath in _items(*section("anchors")):
         raw = _require_mapping(raw, apath)
         aperture = _parse_aperture(_take(raw, "aperture", apath, required=True),
                                    f"{apath}.aperture")
         anchors.append(_build(Anchor, raw, apath, aperture=aperture))
-
-    raw_surfaces, _ = section("surfaces")
-    if not isinstance(raw_surfaces, list) or not raw_surfaces:
-        raise ScenarioError("scenario.surfaces: expected a non-empty list of [x, y] points")
-    surfaces = [_as_vec2(p, f"scenario.surfaces[{i}]") for i, p in enumerate(raw_surfaces)]
+    surfaces = [_as_vec2(point, ppath) for point, ppath in _items(*section("surfaces"))]
 
     signal = _build(SignalModel, *section("signal"))
     model = _build(StateSpaceModel, *section("model"))

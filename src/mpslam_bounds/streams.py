@@ -51,8 +51,6 @@ import numpy as np
 # Reserved stream for ground-truth trajectory sampling (never a run index).
 GROUND_TRUTH_STREAM = 2**64 - 1
 
-_MAX_UINT64 = 2**64 - 1
-
 # Philox4x64 round multipliers (M0, M1) and key increments (W0, W1).
 _MULTIPLIERS = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _KEY_STEPS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
@@ -72,9 +70,6 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_index: int):
-        for name, value in (("seed", seed), ("stream index", stream_index)):
-            if not 0 <= int(value) <= _MAX_UINT64:
-                raise ValueError(f"{name} must fit in 64 bits, got {value}")
         self.seed = int(seed)
         self.stream_index = int(stream_index)
         self._used = 0
@@ -92,14 +87,11 @@ class RandomStream:
 def uniforms(streams: Sequence[RandomStream], count: int) -> np.ndarray:
     """The next ``count`` uniforms of each stream, as one (R, count) array.
 
-    Row r holds the next ``count`` words of stream r as doubles. The streams
-    must all have drawn the same number of words. The kernel runs on one
-    chunk of streams and blocks at a time and writes into the result.
+    Row r holds the next ``count`` words of stream r as doubles; its caller
+    guarantees one position (every stream has drawn as many words). The
+    kernel runs on one chunk of streams and blocks at a time, into the result.
     """
-    used = {stream._used for stream in streams}
-    if len(used) > 1:
-        raise ValueError("a batched draw needs its streams at the same position")
-    start = used.pop() if used else 0
+    start = streams[0]._used if streams else 0
     keys = np.array([(s.seed, s.stream_index) for s in streams], dtype=np.uint64)
     out = np.empty((len(streams), count))
     first, stop = start // 4, -(-(start + count) // 4)  # the blocks holding the words

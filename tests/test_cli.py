@@ -520,9 +520,9 @@ class TestErrors:
 
     def test_bad_scenario_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text("anchors: []\n")
+        path.write_text("anchors: 5\n")
         assert main(["--scenario", str(path)]) == 2
-        assert "anchors" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: scenario.anchors: expected a list\n"
 
     @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
     def test_malformed_yaml_is_config_error(self, loader, tmp_path, capsys, monkeypatch):
@@ -691,7 +691,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("mode", ["bounds", "validate"])
     @pytest.mark.parametrize("section, value, message", [
-        ("signal", {"carrier_freq": 0}, "scenario.signal: carrier_freq must be positive"),
+        ("signal", {"carrier_freq": 0},
+         "scenario.signal: carrier_freq must be positive and finite"),
         ("amplitude_model", {"bounce_loss": 1.5},
          "scenario.amplitude_model: bounce_loss must lie in (0, 1]"),
         ("agent_aperture", {"kind": "ula", "num_elements": 1, "element_spacing": 0.025},

@@ -476,6 +476,28 @@ class TestBoundInTheBatch:
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
 
+    def test_only_a_step_with_paths_and_runs_is_linearized(self, monkeypatch):
+        """``ekf_update`` alone decides that there is nothing to measure: on
+        the sparse octagon the filter linearizes at each of the 10 steps that
+        have paths, and never at the two blanked steps or with no runs."""
+        import mpslam_bounds.ekf as ekf_module
+
+        scenario = sparse_octagon()
+        truth = ground_truth(scenario)
+        table = measurement_truth(scenario, truth)
+        steps, exact = [], ekf_module._measurement_step
+
+        def measured(mean, record, observed, scenario):
+            assert len(mean) and record.plan.owner.size
+            steps.append(record.step)
+            return exact(mean, record, observed, scenario)
+
+        monkeypatch.setattr(ekf_module, "_measurement_step", measured)
+        run_single(scenario, truth, table, [])
+        assert steps == []
+        run_single(scenario, truth, table, range(2))
+        assert steps == [1, 2, 3, 4, 5, 6, 7, 10, 11, 12]
+
 
 class TestLockstepBatch:
     """All runs filtered as one batch equal the runs filtered one by one

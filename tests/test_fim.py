@@ -326,12 +326,6 @@ class TestChannelFim:
         scaled = channel_fim(isotropic_variances(params, [3.0, 6.0], 1e9))
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
-    def test_one_triple_per_component_required(self):
-        with pytest.raises(ValueError):
-            channel_fim([(0.01, 0.04), (0.25, 0.01)])
-        with pytest.raises(ValueError):
-            channel_fim([0.01, 0.04, 0.25])
-
 
 class TestGlobalJacobian:
     def _instance(self, seed=53, num_surfaces=2):
@@ -436,16 +430,6 @@ class TestSnapshotFim:
             terms.append(global_snapshot_fim(jac, lam))
         diff = terms[1] - terms[0]
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * max(diff.trace(), 1.0)
-
-    def test_dimension_mismatch_rejected(self):
-        terms = self._terms(n_anchors=1)
-        jac, lam = terms[0]
-        with pytest.raises(ValueError):
-            global_snapshot_fim(jac, lam[:-1])
-        with pytest.raises(ValueError):
-            global_snapshot_fim(jac, np.diag(lam))
-        with pytest.raises(ValueError):
-            global_snapshot_fim(jac[None], lam)  # a batched gradient needs batched information
 
 
 def _coordinate(bound):

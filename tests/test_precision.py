@@ -8,6 +8,7 @@ longdouble mantissa), written beside it: a change that moves the bound's
 bits may move the distance, but not by that much without saying so.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,6 +46,18 @@ def long_desk():
     return scenario_from_mapping(stretched(yaml.safe_load(DESK_SCENARIO.read_text()), 10))
 
 
+def bench_octagon(sparse: bool):
+    """The benchmark's generated octagon at workload seed 0, as
+    bench/workloads.py builds it: every component visible (room8-bounds), or
+    LOS and single bounces with blanked steps (sparse8-validate)."""
+    bench = str(DESK_SCENARIO.parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    return scenario_from_mapping(workloads.octagon_scenario(0, sparse))
+
+
 # scene -> (builder, worst relative distance measured)
 SCENES = {
     "desk": (lambda: load_scenario(DESK_SCENARIO), 3.8e-15),
@@ -52,6 +65,8 @@ SCENES = {
     "desk_400_steps": (long_desk, 7.0e-15),
     "octagon": (dense_octagon, 4.0e-15),  # S=8, every component visible, 12 steps
     "sparse_octagon": (sparse_octagon, 2.8e-15),  # LOS and single bounces, blanked steps
+    "room8_seed0": (lambda: bench_octagon(False), 1.2e-15),  # S=8, 30 steps, all visible
+    "sparse8_seed0": (lambda: bench_octagon(True), 1.5e-15),  # S=8, 30 steps, blanked steps
 }
 LIMIT_OVER_MEASURED = 4
 

@@ -339,6 +339,40 @@ LIBRARY_REJECTS = {
         DESK, surfaces=np.zeros((0, 2)),
         visibility=VisibilitySchedule(np.ones((DESK.n_steps + 1, 2, 1), np.int8))),
         "surfaces must be an (S, 2) array of finite points, S >= 1"),
+    "fractional_ula_elements": (
+        lambda: replace(DESK, agent_aperture=UniformLinearArray(2.5, 0.025)),
+        "num_elements must be an integer, got 2.5"),
+    # one per field that its record judges finite: each value passes the other checks
+    "infinite_carrier": (lambda: SignalModel(math.inf, 2e8),
+                         "carrier_freq must be positive and finite"),
+    "infinite_bandwidth": (lambda: SignalModel(6e9, math.inf),
+                           "rms_bandwidth must be positive and finite"),
+    "infinite_reference_amplitude": (lambda: AmplitudeModel(math.inf),
+                                     "reference_amplitude must be positive and finite"),
+    "infinite_time_step": (lambda: StateSpaceModel(math.inf),
+                           "time step must be positive and finite"),
+    "nan_accel_noise": (lambda: replace(DESK, model=replace(DESK.model, accel_noise_var=math.nan)),
+                        "accel_noise_var must be finite and >= 0"),
+    "infinite_orient_noise": (lambda: StateSpaceModel(0.1, orient_noise_var=math.inf),
+                              "orient_noise_var must be finite and >= 0"),
+    "nan_surface_noise": (lambda: StateSpaceModel(0.1, surface_noise_var=math.nan),
+                          "surface_noise_var must be finite and >= 0"),
+    "infinite_position_prior": (lambda: replace(DESK, prior=replace(DESK.prior,
+                                                                    position_var=math.inf)),
+                                "prior.position_var must be positive and finite"),
+    "infinite_velocity_prior": (lambda: PriorSpec(velocity_var=math.inf),
+                                "prior.velocity_var must be positive and finite"),
+    "infinite_orientation_prior": (lambda: PriorSpec(orientation_var=math.inf),
+                                   "prior.orientation_var must be positive and finite"),
+    "infinite_surface_prior": (lambda: PriorSpec(surface_var=(4.0, math.inf)),
+                               "prior.surface_var entries must be positive and finite"),
+    "nan_waypoint_time": (lambda: WaypointTrajectory(3, [0.0, math.nan], np.zeros((2, 2))),
+                          "waypoint times must be finite"),
+    "infinite_waypoint_position": (
+        lambda: WaypointTrajectory(3, [0.0, 1.0], [[0.0, 0.0], [math.inf, 0.0]]),
+        "waypoint positions must be finite"),
+    "nan_ula_broadside": (lambda: UniformLinearArray(4, 0.025, math.nan),
+                          "broadside must be finite"),
 }
 
 
@@ -990,3 +1024,54 @@ class TestMutatedDeskMapping:
         except NUMERICAL_FAILURES:
             return
         assert np.isfinite(records).all()
+
+
+def numeric_leaves(node, prefix=()):
+    """Every path into a mapping that ends at a number (an int or float, not a bool)."""
+    for path in mapping_paths(node, prefix):
+        value = node
+        for key in path[len(prefix):]:
+            value = value[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+def ula_desk_mapping():
+    """The desk with linear arrays at the agent and at anchor 2, each with a broadside."""
+    mapping = copy.deepcopy(DESK_MAPPING)
+    mapping["agent_aperture"] = {"kind": "ula", "num_elements": 4, "element_spacing": 0.025,
+                                 "broadside": 0.35}
+    mapping["anchors"][1]["aperture"] = {"kind": "ula", "num_elements": 6,
+                                         "element_spacing": 0.02, "broadside": -0.35}
+    return mapping
+
+
+def sampled_desk_mapping():
+    """The desk with a trajectory sampled from the motion model."""
+    mapping = copy.deepcopy(DESK_MAPPING)
+    mapping["trajectory"] = {"kind": "sampled_ncv", "n_steps": 40, "position": [0.8, 0.8],
+                             "velocity": [0.9, 0.75], "orientation": 4.0}
+    return mapping
+
+
+NON_FINITE_CASES = [
+    pytest.param(build, path, value, id=f"{name}-{'.'.join(map(str, path))}-{value}")
+    for name, build in (("desk", lambda: copy.deepcopy(DESK_MAPPING)), ("ula", ula_desk_mapping),
+                        ("sampled", sampled_desk_mapping))
+    for path in numeric_leaves(build())
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("build, path, value", NON_FINITE_CASES)
+def test_every_non_finite_number_is_refused(build, path, value):
+    """Each numeric leaf of the desk, the linear-array desk and the sampled
+    desk, set to NaN, +inf or -inf, fails to load with a ScenarioError: the
+    record or reader of its field refuses it (exit 2 from the CLI)."""
+    mapping = build()
+    parent = mapping
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ScenarioError):
+        scenario_from_mapping(mapping)

@@ -124,13 +124,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             derive_run_stream(1, GROUND_TRUTH_STREAM)
 
-    def test_seed_must_fit_64_bits(self):
-        with pytest.raises(ValueError):
-            RandomStream(-1, 0)
-        with pytest.raises(ValueError):
-            RandomStream(2**64, 0)
-        RandomStream(2**64 - 1, 0)  # boundary is fine
-
 
 class OracleStream:
     """numpy's ``Generator(Philox(key=[seed, stream]))`` with the package's
@@ -215,10 +208,8 @@ class TestNumpyPhiloxOracle:
                                       [s.standard_normal(2) for s in single])
 
     def test_batched_draw_needs_streams_at_one_position(self):
-        ahead = derive_run_stream(1, 1)
-        uniforms([ahead], 2)
-        with pytest.raises(ValueError, match="same position"):
-            uniforms([derive_run_stream(1, 0), ahead], 4)
+        """``standard_normals`` judges the position; ``uniforms``, which it
+        calls, trusts it."""
         spare = derive_run_stream(1, 1)
         spare.standard_normal(1)
         with pytest.raises(ValueError, match="same position"):
