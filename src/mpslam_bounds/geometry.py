@@ -104,7 +104,7 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return rot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Anchor:
     """Fixed transceiver with known position, orientation and array aperture."""
 
@@ -123,7 +123,7 @@ class Anchor:
         object.__setattr__(self, "orientation", wrap_angle(orientation))
 
 
-@dataclass
+@dataclass(eq=False)
 class PathGeometry:
     """Stacked mirror geometry of n paths of one agent pose, each from its own anchor.
 

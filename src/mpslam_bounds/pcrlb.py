@@ -122,7 +122,8 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
         np.linalg.cholesky(stack)
         definite = True
-        inv = _symmetric_inverse(sym)
+        inv = np.linalg.inv(sym)
+        inv = 0.5 * (inv + inv.swapaxes(-1, -2))
     except np.linalg.LinAlgError:
         if len(stack) > 1:  # name the first matrix that fails alone
             for index, single in enumerate(matrix.reshape(stack.shape)):
@@ -146,11 +147,6 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
                    if singular[index] else "has no finite inverse")
         raise SingularFimError(f"{what} {problem}", index)
     return inv
-
-
-def _symmetric_inverse(sym: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(sym)
-    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 # A covariance near the float range overflows in the symmetrizing sum; the

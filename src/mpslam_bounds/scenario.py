@@ -118,7 +118,7 @@ class AmplitudeModel:
         return self.reference_amplitude * (1.0 / distance) * self.bounce_loss**n_bounces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaypointTrajectory:
     """Deterministic piecewise-linear trajectory; orientation follows the heading."""
 
@@ -173,7 +173,7 @@ class WaypointTrajectory:
         return np.concatenate([position, velocity[seg], heading[:, None]], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NcvTrajectory:
     """Trajectory sampled from the nearly-constant-velocity model itself,
     starting at ``position`` with ``velocity`` and heading ``orientation``."""
@@ -218,7 +218,7 @@ class NcvTrajectory:
 TrajectorySpec = WaypointTrajectory | NcvTrajectory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilitySchedule:
     """Resolved existence flags, step-major: ``table[n, j, k]`` is 1 where
     anchor j (0-based) sees component k at 1-based step n; row 0 is unused."""
@@ -282,7 +282,7 @@ class PriorSpec:
         return (self.surface_var,) * num_surfaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepTruth:
     """Channel truth of one step: the snapshot ``information`` (N, N), the
     step layout's :class:`~.fim.PathPlan` (built once by the truth pass,
@@ -302,7 +302,7 @@ class StepTruth:
     channel_information: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One experiment; each field is the scenario file's section of its name.
 
@@ -312,12 +312,13 @@ class Scenario:
     components); every other field is its annotated dataclass. Derived:
     ``order``, the canonical component order of the S surfaces; ``dim``, the
     joint-state size N = 5 + 2S; ``n_steps``, the trajectory's. Construction
-    raises ValueError unless each of 1 or more anchors has an aperture, the
-    S >= 1 surfaces are finite, distinct and none within ``SURFACE_NORM_FLOOR`` of
-    the origin, a per-surface prior lists S variances, the trajectory spans
-    its steps (``check_horizon``) and the table has that shape.
-    A scenario and its records are immutable, their arrays read-only: a
-    variant is ``dataclasses.replace(scenario, ...)``, which reruns every check.
+    raises ValueError unless the agent and each of 1 or more anchors has an
+    aperture model, the S >= 1 surfaces are finite, distinct and none within
+    ``SURFACE_NORM_FLOOR`` of the origin, a per-surface prior lists S
+    variances, the trajectory spans its steps (``check_horizon``) and the
+    table has that shape. A scenario and its records are immutable, their
+    arrays read-only: a variant is ``dataclasses.replace(scenario, ...)``,
+    which reruns every check. Records holding arrays compare by identity.
     """
 
     anchors: tuple[Anchor, ...]
@@ -337,8 +338,10 @@ class Scenario:
         if not self.anchors:
             raise ValueError("scenario needs at least one anchor")
         for j, anchor in enumerate(self.anchors):
-            if anchor.aperture is None:
+            if not isinstance(anchor.aperture, ApertureModel):
                 raise ValueError(f"anchor {j + 1} has no aperture model")
+        if not isinstance(self.agent_aperture, ApertureModel):
+            raise ValueError("the agent has no aperture model")
         surfaces = read_only(self.surfaces)
         if surfaces.shape[1:] != (2,) or not surfaces.size or not np.isfinite(surfaces).all():
             raise ValueError("surfaces must be an (S, 2) array of finite points, S >= 1")

@@ -20,10 +20,11 @@ with hi and lo the upper and lower words of the 128-bit product, formed from
 every round but the first. Word i of a stream is word i mod 4 of the block
 whose counter is (i div 4 + 1, 0, 0, 0). A word w becomes the double
 (w >> 11) * 2^-53 in [0, 1), as ``numpy.random.Generator.random`` makes it.
-A batch of streams at the same position is drawn by one call that runs the
+A batch of streams at the same position is drawn by one loop that runs the
 rounds on (streams, blocks) arrays, in chunks that keep the work arrays
-small, into one preallocated (streams, count) array; so no stream holds a
-generator object and numpy's ``random`` package is never imported.
+small, and turns each chunk's words straight into its columns of normals in
+one preallocated (streams, count) array; so no stream holds a generator
+object and numpy's ``random`` package is never imported.
 
 Normal variates are produced by the Box-Muller transform applied to pairs of
 the generator's uniform doubles (u1 in (0, 1], u2 in [0, 1)):
@@ -31,12 +32,13 @@ the generator's uniform doubles (u1 in (0, 1], u2 in [0, 1)):
     radius = sqrt(-2 ln u1)
     z0 = radius * cos(2 pi u2),   z1 = radius * sin(2 pi u2)
 
-A request for m values takes the next uniforms two per pair, in order, and
-returns z0, z1 of each pair in turn; an odd count keeps the last z1 as a
-spare that opens the next request. So any sequence of requests yields the
-same values as one request of their total size. The transform is fixed here
-rather than delegated to library distribution code so that the exact draw
-sequence is part of this package's contract.
+A request for m values takes the next uniforms two per pair, in order (an
+even number of words, so every request starts on a pair), and returns z0, z1
+of each pair in turn; an odd count keeps the last z1 as a spare that opens
+the next request. So any sequence of requests yields the same values as one
+request of their total size. The transform is fixed here rather than
+delegated to library distribution code so that the exact draw sequence is
+part of this package's contract.
 
 Stream index 2^64 - 1 is reserved for sampling ground-truth trajectories;
 run indices must stay below it.
@@ -64,7 +66,7 @@ _CHUNK = 2**14
 
 
 class RandomStream:
-    """Counter-based stream of uniforms and Box-Muller normal variates.
+    """Counter-based stream of Box-Muller normal variates.
 
     Its state is the key, the number of words drawn and the spare normal.
     """
@@ -84,53 +86,37 @@ class RandomStream:
         return mean + std * self.standard_normal()
 
 
-def uniforms(streams: Sequence[RandomStream], count: int) -> np.ndarray:
-    """The next ``count`` uniforms of each stream, as one (R, count) array.
-
-    Row r holds the next ``count`` words of stream r as doubles; its caller
-    guarantees one position (every stream has drawn as many words). The
-    kernel runs on one chunk of streams and blocks at a time, into the result.
-    """
-    start = streams[0]._used if streams else 0
-    keys = np.array([(s.seed, s.stream_index) for s in streams], dtype=np.uint64)
-    out = np.empty((len(streams), count))
-    first, stop = start // 4, -(-(start + count) // 4)  # the blocks holding the words
-    span = max(1, min(stop - first, _CHUNK))
-    step = max(1, _CHUNK // span)
-    for r in range(0, len(streams), step):
-        for block in range(first, stop, span):
-            words = _philox(keys[r:r + step], block, min(span, stop - block))
-            words >>= np.uint64(11)  # the top 53 bits
-            offset = 4 * block - start  # output column of the chunk's first word
-            cols = slice(max(offset, 0), min(offset + words.shape[1], count))
-            np.multiply(words[:, cols.start - offset:cols.stop - offset], 2.0**-53,
-                        out=out[r:r + step, cols])
-    for stream in streams:
-        stream._used += count
-    return out
-
-
 def standard_normals(streams: Sequence[RandomStream], count: int) -> np.ndarray:
     """The next ``count`` standard normals of each stream, as one (R, count)
     array; row r holds what ``streams[r].standard_normal(count)`` would
     return. The streams must all be at the same position, with or without a
-    spare. The uniforms are drawn and transformed one chunk of streams at a
-    time, so the temporaries stay small."""
+    spare. Each chunk of streams and blocks runs the kernel and becomes its
+    columns' normals, so the temporaries stay small."""
     if len({(stream._used, stream._spare is None) for stream in streams}) > 1:
         raise ValueError("a batched draw needs its streams at the same position")
     spare = int(any(stream._spare is not None for stream in streams))
-    pairs = -(-(count - spare) // 2)
-    out = np.empty((len(streams), spare + 2 * pairs))
+    words = 2 * -(-(count - spare) // 2)  # two uniforms per pair
+    out = np.empty((len(streams), spare + words))
     if spare:
         out[:, 0] = [stream._spare for stream in streams]
-    step = max(1, 2 * _CHUNK // max(pairs, 1))  # about one kernel chunk of streams
+    start = streams[0]._used if streams else 0  # even: requests take whole pairs
+    keys = np.array([(s.seed, s.stream_index) for s in streams], dtype=np.uint64)
+    first, stop = start // 4, -(-(start + words) // 4)  # the blocks holding the words
+    span = max(1, min(stop - first, _CHUNK))
+    step = max(1, _CHUNK // span)
     for r in range(0, len(streams), step):
-        drawn = uniforms(streams[r:r + step], 2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(1.0 - drawn[:, 0::2]))  # 1 - u in (0, 1]: finite log
-        angle = 2.0 * np.pi * drawn[:, 1::2]
-        out[r:r + step, spare::2] = radius * np.cos(angle)
-        out[r:r + step, spare + 1::2] = radius * np.sin(angle)
+        for block in range(first, stop, span):
+            offset = 4 * block - start  # request word of the chunk's first word
+            lo, hi = max(offset, 0), min(offset + 4 * span, words)
+            u = _philox(keys[r:r + step], block, min(span, stop - block))
+            u = u[:, lo - offset:hi - offset] >> np.uint64(11)  # the top 53 bits
+            u = u * 2.0**-53
+            radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))  # 1 - u in (0, 1]: finite log
+            angle = 2.0 * np.pi * u[:, 1::2]
+            out[r:r + step, spare + lo:spare + hi:2] = radius * np.cos(angle)
+            out[r:r + step, spare + lo + 1:spare + hi:2] = radius * np.sin(angle)
     for stream, row in zip(streams, out):
+        stream._used += words
         stream._spare = float(row[count]) if row.size > count else None
     return out[:, :count]
 

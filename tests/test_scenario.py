@@ -23,7 +23,7 @@ from mpslam_bounds.fim import (
     global_jacobian,
     measurement_variances,
 )
-from mpslam_bounds.geometry import Anchor, wrap_angle
+from mpslam_bounds.geometry import Anchor, path_geometry, wrap_angle
 from mpslam_bounds.pcrlb import (
     StateSpaceModel, process_noise_cov, run_recursion, transition_matrix,
 )
@@ -309,6 +309,11 @@ LIBRARY_REJECTS = {
         "got (2, 21, 2)"),
     "anchor_without_aperture": (lambda: replace(DESK, anchors=[Anchor([0.0, 0.0])]),
                                 "anchor 1 has no aperture model"),
+    "anchor_aperture_not_a_model": (lambda: replace(DESK, anchors=[
+        replace(DESK.anchors[0], aperture="isotropic"), DESK.anchors[1]]),
+        "anchor 1 has no aperture model"),
+    "agent_without_aperture": (lambda: replace(DESK, agent_aperture=None),
+                               "the agent has no aperture model"),
     "ncv_position": (lambda: NcvTrajectory(3, [math.nan, 0.0], [1.0, 0.0]),
                      "agent position must be a finite 2-vector"),
     "ncv_orientation": (lambda: NcvTrajectory(3, [0.0, 0.0], [1.0, 0.0], math.inf),
@@ -459,6 +464,20 @@ class TestImmutability:
         for array, value in zip(held, before):
             assert not array.flags.writeable
             np.testing.assert_array_equal(array, value)
+
+    def test_records_holding_arrays_compare_by_identity(self):
+        """A record that holds arrays equals only itself and hashes: a
+        field-wise comparison of its arrays has no single truth value."""
+        truth = ground_truth(DESK)
+        step = measurement_truth(DESK, truth)[1]
+        sampled = NcvTrajectory(DESK.n_steps, [0.8, 0.8], [0.9, 0.75])
+        records = [DESK, DESK.anchors[0], DESK.trajectory, sampled, DESK.visibility, step,
+                   path_geometry(truth[step.step], step.plan, DESK.surfaces)]
+        assert isinstance(DESK.trajectory, WaypointTrajectory)
+        for record in records:
+            twin = copy.copy(record)
+            assert record == record and record != twin and not twin == record
+            assert len({record, twin, record}) == 2
 
 
 class TestVisibilitySchedule:

@@ -17,7 +17,6 @@ from mpslam_bounds.streams import (
     derive_run_stream,
     standard_normals,
     trajectory_stream,
-    uniforms,
 )
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
@@ -27,11 +26,6 @@ class TestDeterminism:
     def test_same_inputs_reproduce_the_stream(self):
         a = derive_run_stream(1234, 7).standard_normal(100)
         b = derive_run_stream(1234, 7).standard_normal(100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_uniforms_reproduce_too(self):
-        a = uniforms([derive_run_stream(99, 0)], 50)[0]
-        b = uniforms([derive_run_stream(99, 0)], 50)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_different_runs_give_different_draws(self):
@@ -78,11 +72,11 @@ class TestNormalTransform:
         assert 0.04 < frac_beyond_2 < 0.051  # true value 0.0455
 
 
-def scalar_box_muller(stream, count):
+def scalar_box_muller(oracle, count):
     """The transform one pair at a time with scalar ``math`` calls, from the
-    same uniforms: z0 of each pair, then its z1."""
+    oracle's uniforms: z0 of each pair, then its z1."""
     out = []
-    for u1, u2 in uniforms([stream], 2 * count)[0].reshape(-1, 2):
+    for u1, u2 in oracle.uniform(2 * count).reshape(-1, 2):
         radius = math.sqrt(-2.0 * math.log(1.0 - u1))
         angle = 2.0 * math.pi * u2
         out += [radius * math.cos(angle), radius * math.sin(angle)]
@@ -109,11 +103,11 @@ class TestBlockDraw:
         ulp and a draw, the radius times a cosine or sine, by at most two."""
         count = 100_000
         block = derive_run_stream(2024, 9).standard_normal(2 * count)
-        reference = scalar_box_muller(derive_run_stream(2024, 9), count)
+        reference = scalar_box_muller(OracleStream(2024, 9), count)
         ulps = np.abs(block.view(np.int64) - reference.view(np.int64))
         assert ulps.max() <= 2
         assert np.mean(ulps > 0) < 0.01
-        u1 = uniforms([derive_run_stream(2024, 9)], 2 * count)[0][0::2]
+        u1 = OracleStream(2024, 9).uniform(2 * count)[0::2]
         radius = np.sqrt(-2.0 * np.log(1.0 - u1))
         exact = np.array([math.sqrt(-2.0 * math.log(1.0 - u)) for u in u1])
         assert np.abs(radius.view(np.int64) - exact.view(np.int64)).max() <= 1
@@ -158,10 +152,14 @@ LENGTHS = [1, 3, 4, 5, 4093]
 
 class TestNumpyPhiloxOracle:
     @pytest.mark.parametrize("key", KEYS, ids=str)
-    @pytest.mark.parametrize("count", LENGTHS)
-    def test_uniforms_are_numpys_bit_for_bit(self, key, count):
-        np.testing.assert_array_equal(uniforms([RandomStream(*key)], count)[0],
-                                      OracleStream(*key).uniform(count))
+    @pytest.mark.parametrize("first, blocks", [(0, 1), (0, 5), (1, 3), (1021, 3), (4093, 2)])
+    def test_philox_words_are_numpys_bit_for_bit(self, key, first, blocks):
+        """The kernel's words of blocks ``first``.. are numpy's raw Philox
+        output from word 4 ``first`` on."""
+        keys = np.array([key], dtype=np.uint64)
+        raw = np.random.Philox(key=keys[0]).random_raw(4 * (first + blocks))
+        np.testing.assert_array_equal(streams_module._philox(keys, first, blocks)[0],
+                                      raw[4 * first:])
 
     @pytest.mark.parametrize("key", KEYS, ids=str)
     @pytest.mark.parametrize("count", LENGTHS)
@@ -171,29 +169,26 @@ class TestNumpyPhiloxOracle:
 
     @pytest.mark.parametrize("key", KEYS, ids=str)
     def test_split_requests_follow_the_oracle(self, key):
-        """Odd counts keep a spare that opens the next request; scalar draws,
-        uniform draws in between (which leave the spare alone) and requests
-        that start mid-block all read the oracle's values."""
+        """Odd counts keep a spare that opens the next request; scalar draws
+        and requests that start mid-block all read the oracle's values."""
         stream, oracle = RandomStream(*key), OracleStream(*key)
-        normal = "standard_normal"
-        for name, size in [(normal, 3), (normal, None), ("uniform", 5), (normal, 1), (normal, 4),
-                           ("uniform", 1), (normal, 7), (normal, 0), ("uniform", 4093),
-                           (normal, 4093), (normal, 2)]:
-            draw = stream.standard_normal if name == normal else lambda n: uniforms([stream], n)[0]
-            got, expected = draw(size), getattr(oracle, name)(size)
+        for size in [3, None, 1, 4, 7, 0, 4093, 2]:
+            got, expected = stream.standard_normal(size), oracle.standard_normal(size)
             assert type(got) is type(expected)
             np.testing.assert_array_equal(got, expected)
 
     def test_requests_beyond_one_chunk_of_blocks(self):
-        """A request longer than one kernel chunk, starting mid-block."""
-        count = 4 * streams_module._CHUNK + 7
+        """A request over several kernel chunks, starting mid-block with a spare."""
+        count = 8 * streams_module._CHUNK + 7
         stream, oracle = RandomStream(5, 6), OracleStream(5, 6)
-        uniforms([stream], 3), oracle.uniform(3)
-        np.testing.assert_array_equal(uniforms([stream], count)[0], oracle.uniform(count))
+        np.testing.assert_array_equal(stream.standard_normal(3), oracle.standard_normal(3))
+        np.testing.assert_array_equal(stream.standard_normal(count),
+                                      oracle.standard_normal(count))
 
     def test_batched_draws_are_the_per_stream_draws_row_by_row(self):
-        """One batched call over more streams than one chunk holds gives, row
-        by row, what each stream draws on its own, spare included."""
+        """One batched call over more streams than one chunk holds, or over
+        more blocks, gives row by row what each stream draws on its own,
+        spare included."""
         runs, count = 40, 2001  # 40 rows of 501 blocks: two chunks of streams
         assert runs * (count // 4) > streams_module._CHUNK
         batch = [derive_run_stream(98765, run) for run in range(runs)]
@@ -202,14 +197,14 @@ class TestNumpyPhiloxOracle:
                                       [s.standard_normal(13) for s in single])
         np.testing.assert_array_equal(standard_normals(batch, count),
                                       [s.standard_normal(count) for s in single])
-        np.testing.assert_array_equal(uniforms(batch, count),
-                                      [uniforms([s], count)[0] for s in single])
         np.testing.assert_array_equal(standard_normals(batch, 2),
                                       [s.standard_normal(2) for s in single])
+        long = 8 * streams_module._CHUNK + 5  # three chunks of blocks per stream
+        np.testing.assert_array_equal(standard_normals(batch[:3], long),
+                                      [s.standard_normal(long) for s in single[:3]])
 
     def test_batched_draw_needs_streams_at_one_position(self):
-        """``standard_normals`` judges the position; ``uniforms``, which it
-        calls, trusts it."""
+        """Streams with and without a spare cannot share one draw."""
         spare = derive_run_stream(1, 1)
         spare.standard_normal(1)
         with pytest.raises(ValueError, match="same position"):
