@@ -284,15 +284,16 @@ class PriorSpec:
 
 @dataclass(frozen=True, eq=False)
 class StepTruth:
-    """Channel truth of one step: the snapshot ``information`` (N, N), the
-    step layout's :class:`~.fim.PathPlan` (built once by the truth pass,
-    shared by the layout's steps and the filter, and holding each path's
-    0-based anchor ``plan.owner`` and component ``plan.components``), per
-    path its noise-free (distance, arrival azimuth, departure azimuth)
-    ``params`` and their ``variances`` at the true pose, (n, 3) each, and
-    their (3n) ``channel_information`` (:func:`~.fim.channel_fim`). Paths
-    run anchors ascending, each anchor's components in canonical order; a
-    step that sees nothing has n = 0 and no information."""
+    """Channel truth of one step, built by the truth pass :func:`snapshot_fim`:
+    the snapshot ``information`` (N, N), the step layout's
+    :class:`~.fim.PathPlan` (built once per layout and call, shared by the
+    layout's steps and the filter, holding each path's 0-based anchor
+    ``plan.owner`` and component ``plan.components``), per path its
+    noise-free (distance, arrival azimuth, departure azimuth) ``params`` and
+    their ``variances`` at the true pose, (n, 3) each, and their (3n)
+    ``channel_information`` (:func:`~.fim.channel_fim`). Paths run anchors
+    ascending, each anchor's components in canonical order; a step that sees
+    nothing has n = 0 and no information."""
 
     step: int  # 1-based time index
     information: np.ndarray
@@ -404,9 +405,12 @@ def ground_truth(scenario: Scenario) -> np.ndarray:
 # Snapshot information and measurements
 
 
-def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
-    """Truth records of ``steps`` at their true joint ``states``, rows of the
-    ground truth (finite, heading wrapped).
+def snapshot_fim(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> list[StepTruth]:
+    """The truth pass: one :class:`StepTruth` per entry of ``steps``, in the
+    order given, at its true joint state, the matching row of ``states``
+    (ground-truth rows: finite, heading wrapped). A step's record, the
+    snapshot information H Lambda H^T included, does not depend on its pass
+    or its place, bit for bit; no gradient matrix is kept.
 
     Per step layout (which components of which anchors are visible), one
     :class:`~.fim.PathPlan` of its (anchor, component) pairs; per pass of
@@ -415,12 +419,12 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
     filter's :func:`~.fim.global_snapshot_fim`. A pass takes as many steps as
     keep their gradients within ``TRUTH_PASS_BYTES`` (a layout without
     visible paths, all in one). One rule names the first failure over all
-    passes: the earliest step, then the lowest anchor, then the kind, then
-    the first path; it raises :class:`FloatingPointError`. The kinds, highest
-    priority first: degenerate geometry, a distance or amplitude that is not
-    finite and positive, endfire, a noise variance that is not finite and
-    positive. The amplitude and noise models check nothing: this rule is the
-    one judge.
+    passes: the first step in the order given, then the lowest anchor, then
+    the kind, then the first path; it raises :class:`FloatingPointError`. The
+    kinds, highest priority first: degenerate geometry, a distance or amplitude
+    that is not finite and positive, endfire, a noise variance that is not
+    finite and positive. The amplitude and noise models check nothing: this
+    rule is the one judge.
     """
     order, signal, anchors = scenario.order, scenario.signal, scenario.anchors
     shown = scenario.visibility.table[steps]
@@ -433,7 +437,7 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
         width = 24 * (scenario.dim + 2) * plan.owner.size  # bytes of one step's gradient
         size = max(1, TRUTH_PASS_BYTES // width) if width else len(steps_of)
         passes += [(plan, steps_of[i:i + size]) for i in range(0, len(steps_of), size)]
-    information, paths_of, failures = np.empty((steps.size, scenario.dim, scenario.dim)), {}, []
+    records, failures = [None] * steps.size, []
     for plan, rows in passes:
         params, degenerate, jac = global_jacobian(states[rows], plan, scenario.surfaces)
         distance = params[..., 0]
@@ -470,36 +474,25 @@ def _truth_pass(scenario: Scenario, states: np.ndarray, steps: np.ndarray) -> li
             failures.append((rows[at[0]], plan.owner[at[1]], plan.components[at[1]], reason))
         if failures:
             continue
-        information[rows] = global_snapshot_fim(jac, lam := channel_fim(variances))
+        information = global_snapshot_fim(jac, lam := channel_fim(variances))
         del jac  # each gradient is freed once used, so the peak memory does not grow
         for g, b in enumerate(rows):
-            paths_of[b] = plan, params[g], variances[g], lam[g]
+            records[b] = StepTruth(int(steps[b]), information[g], plan, params[g], variances[g],
+                                   lam[g])
     if failures:
-        b, j, k, reason = min(failures)  # each step is in one pass: the earliest step
+        b, j, k, reason = min(failures)  # each position is in one pass: the first given
         raise FloatingPointError(f"step {steps[b]}, anchor {j + 1}, "
                                  f"component {list(order.pair(k))}: {reason}")
-    return [StepTruth(int(n), information[b], *paths_of[b]) for b, n in enumerate(steps)]
-
-
-def snapshot_fim(scenario: Scenario, state: np.ndarray, step: int) -> StepTruth:
-    """Channel truth at one ground-truth joint ``state`` (a row of
-    :func:`ground_truth`) under the schedule at ``step``.
-
-    The one-step case of the truth pass: the step's record of the truth
-    table, with the snapshot information H Lambda H^T of one compact pass
-    over every anchor's visible components, and those components with their
-    noise-free parameters and variances. No gradient matrix is kept.
-    """
-    return _truth_pass(scenario, state[None], np.array([step]))[0]
+    return records
 
 
 def measurement_truth(scenario: Scenario, truth: np.ndarray) -> list[StepTruth]:
     """The truth table: one :class:`StepTruth` per step 1..n_steps at rows
-    1..n_steps of the joint truth ``truth`` (:func:`ground_truth`), one pass per step
-    layout (:func:`_truth_pass`). Invisible components emit nothing; the
-    variances come from the true amplitude (amplitude noise carries no state
-    information here)."""
-    return _truth_pass(scenario, truth[1:], np.arange(1, scenario.n_steps + 1))
+    1..n_steps of the joint truth ``truth`` (:func:`ground_truth`), built by one
+    :func:`snapshot_fim` call over all the steps. Invisible components emit
+    nothing; the variances come from the true amplitude (amplitude noise
+    carries no state information here)."""
+    return snapshot_fim(scenario, truth[1:], np.arange(1, scenario.n_steps + 1))
 
 
 def draw_measurements(table: list[StepTruth], streams: Sequence[RandomStream]) -> list[np.ndarray]:
@@ -735,8 +728,8 @@ def _parse_visibility(node, path: str, n_anchors: int, n_steps: int,
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
         root = yaml.load(text, type("Loader", (YAML_LOADER,), {"flatten_mapping": _flatten_unique}))

@@ -124,8 +124,9 @@ def test_criterion_4_psd_and_bound_ordering():
     from mpslam_bounds.scenario import snapshot_fim
 
     min_rel_eig = 0.0
-    for n in (1, 10, 20, 40):
-        snap = snapshot_fim(scenario, truth[n], n).information
+    steps = np.array([1, 10, 20, 40])
+    for record in snapshot_fim(scenario, truth[steps], steps):
+        snap = record.information
         eigs = np.linalg.eigvalsh(snap)
         min_rel_eig = min(min_rel_eig, eigs[0] / max(snap.trace(), 1.0))
     psd_ok = min_rel_eig >= -1e-10
@@ -166,8 +167,8 @@ def test_criterion_5_pure_information_accumulation():
     j = j0.copy()
     running = np.zeros((dim, dim))
     worst = 0.0
-    for n in range(1, 11):
-        snap = snapshot_fim(scenario, truth[n], n).information
+    for record in snapshot_fim(scenario, truth[1:11], np.arange(1, 11)):
+        snap = record.information
         j = predicted_information(np.linalg.inv(j), identity, zero_noise) + snap
         running += snap
         expected = j0 + running

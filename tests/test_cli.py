@@ -18,7 +18,9 @@ import pytest
 
 from mpslam_bounds import ekf
 from mpslam_bounds.cli import main
-from mpslam_bounds.scenario import ground_truth, load_scenario, scenario_from_mapping
+from mpslam_bounds.scenario import (
+    ScenarioError, ground_truth, load_scenario, scenario_from_mapping,
+)
 from tests.reference_geometry import mirror, virtual_anchor
 from tests.test_pcrlb import desk_mapping
 
@@ -564,6 +566,19 @@ class TestErrors:
         path.write_text(text.replace("  runs: 100\n", "  <<: {runs: 3}\n  runs: 1\n"))
         assert load_scenario(path).mc.runs == 1
 
+    def test_scenario_file_not_in_utf8_is_config_error(self, tmp_path, capsys):
+        """A file is read as UTF-8 whatever the locale: a Latin-1 byte in a
+        comment exits 2 naming the file and the byte, not with a traceback."""
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("# café\n".encode("latin-1") + DESK_SCENARIO.read_bytes())
+        out = tmp_path / "out.csv"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert not out.exists()
+        with pytest.raises(ScenarioError, match="cannot read scenario file"):
+            load_scenario(path)
+
     def test_unknown_key_reported_with_path(self, tmp_path, capsys):
         mapping = desk_mapping()
         mapping["model"]["bogus_knob"] = 1.0
@@ -1084,3 +1099,24 @@ class TestBenchmarkTracerNames:
             unbound += [f"{layer}.{cls_name}.{name}" for name in methods
                         if cls is None or name not in vars(cls)]
         assert tables["BOUNDARY"] and unbound == []
+
+    @pytest.mark.parametrize("mode", ["bounds", "validate"])
+    def test_each_truth_table_is_one_truth_pass(self, mode, tmp_path, monkeypatch):
+        """On the desk in either mode, each measurement_truth call is one call
+        of scenario.snapshot_fim, looked up by that name: the tracer's span of
+        it times the whole truth pass."""
+        import mpslam_bounds.cli as cli_module
+        import mpslam_bounds.scenario as scenario_module
+
+        calls = []
+        for module, name in ((cli_module, "measurement_truth"), (ekf, "measurement_truth"),
+                             (scenario_module, "snapshot_fim")):
+            def counted(*args, name=name, exact=getattr(module, name)):
+                calls.append(name)
+                return exact(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "out.csv"
+        assert main(["--scenario", str(DESK_SCENARIO), "--mode", mode, "--mc-runs", "2",
+                     "--out", str(out)]) == 0
+        assert calls == ["measurement_truth", "snapshot_fim"]

@@ -279,7 +279,8 @@ class TestPredictAndFuse:
         prior_cov = _spd_inverse(np.diag(1.0 / scenario.prior_covariance()), "prior")
         j_pred = predicted_information(prior_cov, transition_matrix(model, num_surfaces),
                                        process_noise_cov(model, num_surfaces))
-        snapshot = snapshot_fim(scenario, ground_truth(scenario)[1], 1).information
+        truth = ground_truth(scenario)
+        snapshot = snapshot_fim(scenario, truth[1:2], np.array([1]))[0].information
         expected = extract_bounds(_spd_inverse(j_pred + snapshot, "posterior"), num_surfaces)
         np.testing.assert_array_equal(bounds_of(scenario)[0], expected)
 
@@ -554,16 +555,13 @@ class TestRunRecursion:
         """Huge process noise makes prediction carry almost no information:
         position, orientation and mapping bounds match the per-snapshot-only
         values within 1%. (Velocity is excluded: no snapshot observes it.)"""
-        from mpslam_bounds.scenario import ground_truth, snapshot_fim
-
         mapping = desk_mapping()
         mapping["model"] = {"time_step": 0.1, "accel_noise_var": 1e6,
                             "orient_noise_var": 1e6, "surface_noise_var": 1e6}
         scenario = scenario_from_mapping(mapping)
         records = bounds_of(scenario)
-        truth = ground_truth(scenario)
-        for step, rec in enumerate(records, start=1):
-            snap = snapshot_fim(scenario, truth[step], step).information
+        snaps = [r.information for r in measurement_truth(scenario, ground_truth(scenario))]
+        for rec, snap in zip(records, snaps):
             floor = 1e-6 * np.eye(snap.shape[0])
             only = extract_bounds(np.linalg.inv(snap + floor), len(scenario.surfaces))
             assert rec[0] == pytest.approx(only[0], rel=0.01)  # peb

@@ -48,6 +48,7 @@ from mpslam_bounds.scenario import (
 from mpslam_bounds.streams import derive_run_stream
 from tests.test_ekf import dense_octagon, sparse_octagon
 from tests.test_pcrlb import desk_mapping
+from tests.test_precision import bench_octagon
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "desk.yaml"
 
@@ -655,13 +656,13 @@ class TestSnapshotInformation:
         # at step 10 the agent is at [1.5, 0.8] heading +x: anchor 1's LOS
         # arrives along the array axis
         scenario = scenario_from_mapping(mapping)
-        state = ground_truth(scenario)[10]
+        state, step = ground_truth(scenario)[10:11], np.array([10])
         with pytest.raises(FloatingPointError, match=r"step 10, anchor 1, component \[0, 0\]"):
-            snapshot_fim(scenario, state, 10)
+            snapshot_fim(scenario, state, step)
         mapping["visibility"] = {"default": True,
                                  "rules": [{"visible": False, "anchors": [1],
                                             "components": [[0, 0]], "steps": [10]}]}
-        info = snapshot_fim(scenario_from_mapping(mapping), state, 10).information
+        info = snapshot_fim(scenario_from_mapping(mapping), state, step)[0].information
         assert np.isfinite(info).all() and info.trace() > 0.0
 
 
@@ -771,10 +772,10 @@ class TestTruthPass:
     def test_table_does_not_depend_on_the_pass_size(self, case, monkeypatch):
         """Passes under the default cap, one pass over the whole run, passes
         of six, three and one steps of the widest layout (as many or more of
-        a narrower one), and snapshot_fim build the same truth records bit
-        for bit; so does the filter's own unbatched pass at the truth over
-        each step's visible paths. In the sparse cases a layout's passes join
-        steps that are not consecutive."""
+        a narrower one), and snapshot_fim over each step alone build the
+        same truth records bit for bit; so does the filter's own unbatched
+        pass at the truth over each step's visible paths. In the sparse cases
+        a layout's passes join steps that are not consecutive."""
         scenario = self.CASES[case]()
         truth = ground_truth(scenario)
         expected = [record_bytes(reference_record(scenario, truth[n], n))
@@ -785,12 +786,33 @@ class TestTruthPass:
             table = measurement_truth(scenario, truth)
             assert [r.step for r in table] == list(range(1, scenario.n_steps + 1))
             assert [record_bytes(r) for r in table] == expected
-        assert [record_bytes(snapshot_fim(scenario, truth[n], n))
+        assert [record_bytes(snapshot_fim(scenario, truth[n:n + 1], np.array([n]))[0])
                 for n in range(1, scenario.n_steps + 1)] == expected
         if case == "sparse_desk":
             sizes = [np.bincount(r.plan.owner, minlength=2).tolist() for r in table]
             assert sizes[5 - 1] == [5, 0] and sizes[12 - 1] == sizes[40 - 1] == [0, 0]
             assert sizes[22 - 1] == [1, 5] and sizes[30 - 1] == [5, 4]
+
+    def test_steps_in_any_order_give_the_table_records(self, monkeypatch):
+        """On the benchmark's sparse octagon at workload seed 0, under a cap
+        of two widest steps, so that a layout spans several passes, the truth
+        pass over the steps reversed, over a subset and with a repeated step
+        returns the table's records bit for bit, in the order given."""
+        scenario = bench_octagon(sparse=True)
+        truth, n = ground_truth(scenario), scenario.n_steps
+        monkeypatch.setattr(scenario_module, "TRUTH_PASS_BYTES", 2 * widest_step_bytes(scenario))
+        passes, exact = [], scenario_module.global_jacobian
+
+        def counted(state, plan, surfaces):
+            passes.append(len(state))
+            return exact(state, plan, surfaces)
+
+        monkeypatch.setattr(scenario_module, "global_jacobian", counted)
+        table = [record_bytes(r) for r in measurement_truth(scenario, truth)]
+        assert len(passes) > len(step_layouts(scenario)) and max(passes) > 1
+        for steps in (np.arange(n, 0, -1), np.arange(2, n + 1, 3), np.array([5, 12, 5, 5, n])):
+            records = snapshot_fim(scenario, truth[steps], steps)
+            assert [record_bytes(r) for r in records] == [table[k - 1] for k in steps]
 
     def test_earliest_step_is_named_before_a_lower_anchor(self):
         """Anchor 1's line of sight reaches the agent array at endfire at step
